@@ -54,16 +54,16 @@
 
 use safara_bench::{measure, pool_threads};
 use safara_core::gpusim::{
-    fusion_counters, max_sim_threads_used, parse_sim_threads, reset_max_sim_threads_used,
-    set_engine, with_sim_threads, Engine,
+    fusion_counters, max_sim_threads_used, parse_sim_threads, reset_max_sim_threads_used, Engine,
+    ExecOptions,
 };
 use safara_core::obs::Tracer;
-use safara_core::{compile_and_run_traced, CompilerConfig, DeviceConfig, LaunchCache};
+use safara_core::{compile_traced, run_compiled_traced, CompilerConfig, DeviceConfig, LaunchCache};
 use safara_workloads::{run_workload, run_workload_cached, spec_suite, Scale, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The root phases `compile_and_run_traced` records, in pipeline order.
+/// The root phases a traced compile + run records, in pipeline order.
 const PHASES: [&str; 7] = ["parse", "sema", "analysis", "opt", "codegen", "regalloc", "sim"];
 
 /// Run every workload × config through the traced pipeline and write
@@ -76,16 +76,9 @@ fn write_trace_profile(suite: &[Box<dyn Workload>], configs: &[CompilerConfig], 
         for cfg in configs {
             let mut tracer = Tracer::new();
             let mut args = w.args(Scale::Bench);
-            let (_, outcome) = compile_and_run_traced(
-                &w.source(),
-                w.entry(),
-                cfg,
-                &mut args,
-                dev,
-                None,
-                &mut tracer,
-            )
-            .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name(), cfg.name));
+            let outcome = compile_traced(&w.source(), cfg, &mut tracer)
+                .and_then(|p| run_compiled_traced(&p, w.entry(), &mut args, dev, None, &mut tracer))
+                .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name(), cfg.name));
             let spans = tracer.finish();
             let mut phases = String::new();
             for (i, phase) in PHASES.iter().enumerate() {
@@ -168,55 +161,54 @@ fn main() {
         }
     };
 
+    // Every timed step names its engine, so an ambient `SAFARA_ENGINE`
+    // cannot relabel a row.
+    let on = |engine: Engine| ExecOptions::inherit().engine(engine);
+
     eprintln!("[1/9] seed reference interpreter, serial…");
-    set_engine(Engine::Reference);
-    let t_seed = time_suite(&mut || serial(None));
+    let t_seed = time_suite(&mut || on(Engine::Reference).scope(|| serial(None)));
 
     eprintln!("[2/9] decoded engine, serial…");
-    set_engine(Engine::Decoded);
-    let t_decoded = time_suite(&mut || serial(None));
+    let t_decoded = time_suite(&mut || on(Engine::Decoded).scope(|| serial(None)));
 
     eprintln!("[3/9] superblock engine, serial, cold, memo disabled…");
-    set_engine(Engine::Superblock);
-    let t_superblock = time_suite(&mut || serial(None));
-    set_engine(Engine::Decoded);
+    let t_superblock = time_suite(&mut || on(Engine::Superblock).scope(|| serial(None)));
 
     eprintln!("[4/9] decoded + memoization, cold cache…");
     let _ = std::fs::remove_file(&cache_path);
     let mut cache = LaunchCache::with_disk(&cache_path);
-    let t_cold = time_suite(&mut || serial(Some(&mut cache)));
+    let t_cold = time_suite(&mut || on(Engine::Decoded).scope(|| serial(Some(&mut cache))));
     let (cold_hits, cold_misses) = (cache.hits, cache.misses);
     cache.save().expect("save launch cache");
 
     eprintln!("[5/9] decoded + memoization, warm cache…");
     let mut cache = LaunchCache::with_disk(&cache_path);
-    let t_warm = time_suite(&mut || serial(Some(&mut cache)));
+    let t_warm = time_suite(&mut || on(Engine::Decoded).scope(|| serial(Some(&mut cache))));
     let (warm_hits, warm_misses) = (cache.hits, cache.misses);
 
     eprintln!("[6/9] superblock + memoization, warm cache…");
-    set_engine(Engine::Superblock);
     let mut cache = LaunchCache::with_disk(&cache_path);
-    let t_sb_warm = time_suite(&mut || serial(Some(&mut cache)));
-    set_engine(Engine::Decoded);
+    let t_sb_warm = time_suite(&mut || on(Engine::Superblock).scope(|| serial(Some(&mut cache))));
 
     eprintln!("[7/9] parallel measure()…");
     let threads = pool_threads();
     let t_parallel = time_suite(&mut || {
-        let _ = measure(&suite, &configs, Scale::Bench);
+        let _ = on(Engine::Decoded).scope(|| measure(&suite, &configs, Scale::Bench));
     });
 
     eprintln!("[8/9] decoded engine, block-parallel (sim-threads {sim_threads_label})…");
-    set_engine(Engine::Decoded);
     reset_max_sim_threads_used();
-    let t_par_dec = time_suite(&mut || with_sim_threads(sim_threads_req, || serial(None)));
+    let t_par_dec = time_suite(&mut || {
+        on(Engine::Decoded).sim_threads(sim_threads_req).scope(|| serial(None))
+    });
     let used_dec = max_sim_threads_used() as usize;
 
     eprintln!("[9/9] superblock engine, block-parallel (sim-threads {sim_threads_label})…");
-    set_engine(Engine::Superblock);
     reset_max_sim_threads_used();
-    let t_par_sb = time_suite(&mut || with_sim_threads(sim_threads_req, || serial(None)));
+    let t_par_sb = time_suite(&mut || {
+        on(Engine::Superblock).sim_threads(sim_threads_req).scope(|| serial(None))
+    });
     let used_sb = max_sim_threads_used() as usize;
-    set_engine(Engine::Decoded);
 
     eprintln!("[opt-goal] modelled-cycle ablation: count vs throughput vs RegDem…");
     let goal_configs = [

@@ -7,8 +7,7 @@
 //! Usage: `cargo run --release --bin engine_probe`
 
 use safara_core::gpusim::{
-    fusion_counters, max_sim_threads_used, reset_max_sim_threads_used, set_engine,
-    with_sim_threads, Engine,
+    fusion_counters, max_sim_threads_used, reset_max_sim_threads_used, Engine, ExecOptions,
 };
 use safara_core::{CompilerConfig, DeviceConfig};
 use safara_workloads::{run_workload, spec_suite, Scale};
@@ -22,22 +21,19 @@ fn main() {
         "workload", "dec_s", "sb_s", "ratio", "sbs", "hoisted", "scalar", "vector", "peels"
     );
     for w in spec_suite() {
-        set_engine(Engine::Decoded);
-        let t0 = Instant::now();
-        for cfg in &configs {
-            run_workload(w.as_ref(), cfg, Scale::Bench, &dev).unwrap();
-        }
-        let t_dec = t0.elapsed().as_secs_f64();
-
-        set_engine(Engine::Superblock);
+        let timed = |engine: Engine| {
+            let t0 = Instant::now();
+            ExecOptions::inherit().engine(engine).scope(|| {
+                for cfg in &configs {
+                    run_workload(w.as_ref(), cfg, Scale::Bench, &dev).unwrap();
+                }
+            });
+            t0.elapsed().as_secs_f64()
+        };
+        let t_dec = timed(Engine::Decoded);
         let before = fusion_counters();
-        let t0 = Instant::now();
-        for cfg in &configs {
-            run_workload(w.as_ref(), cfg, Scale::Bench, &dev).unwrap();
-        }
-        let t_sb = t0.elapsed().as_secs_f64();
+        let t_sb = timed(Engine::Superblock);
         let after = fusion_counters();
-        set_engine(Engine::Decoded);
 
         println!(
             "{:<14} {:>8.3} {:>8.3} {:>6.2}  {:>6} {:>8} {:>10} {:>10} {:>6}",
@@ -66,12 +62,11 @@ fn main() {
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for engine in [Engine::Reference, Engine::Decoded, Engine::Superblock] {
-        set_engine(engine);
         let mut t_one = 0.0f64;
         for req in [1u32, 2, 4, 0] {
             reset_max_sim_threads_used();
             let t0 = Instant::now();
-            with_sim_threads(req, || {
+            ExecOptions::inherit().engine(engine).sim_threads(req).scope(|| {
                 for w in spec_suite() {
                     for cfg in &configs {
                         run_workload(w.as_ref(), cfg, Scale::Bench, &dev).unwrap();
@@ -94,5 +89,4 @@ fn main() {
             );
         }
     }
-    set_engine(Engine::Decoded);
 }

@@ -9,14 +9,17 @@
 
 use safara_core::gpusim::device::DeviceConfig;
 use safara_core::gpusim::microbench::run_probes;
-use safara_core::gpusim::with_sim_threads;
+use safara_core::gpusim::ExecOptions;
 
 fn main() {
     let dev = DeviceConfig::k20xm();
     println!("Memory-latency microbenchmark on {} —", dev.name);
     println!("cycles per warp access recovered from pointer-probe kernels:\n");
     let threads = [1u32, 2, 4];
-    let runs: Vec<_> = threads.iter().map(|&n| with_sim_threads(n, || run_probes(&dev))).collect();
+    let runs: Vec<_> = threads
+        .iter()
+        .map(|&n| ExecOptions::inherit().sim_threads(n).scope(|| run_probes(&dev)))
+        .collect();
     println!("{:<24}{:>10}{:>10}{:>10}", "access class", "thr=1", "thr=2", "thr=4");
     let rows: [(&str, Vec<f64>); 5] = [
         ("global coalesced", runs.iter().map(|m| m.global_coalesced).collect()),

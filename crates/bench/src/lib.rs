@@ -25,6 +25,7 @@
 //! | `ablation_register_pressure` | Fig. 7 slowdown mechanism sweep |
 //! | `ablation_unroll`        | §VII future work: unrolling + SAFARA |
 
+use safara_core::gpusim::ExecOptions;
 use safara_core::{CompilerConfig, DeviceConfig};
 use safara_workloads::{run_workload, Scale, Workload};
 use std::fmt::Write as _;
@@ -71,6 +72,8 @@ pub fn measure(
     let ncols = configs.len();
     let ncells = workloads.len() * ncols;
     let nthreads = threads.min(ncells);
+    // Exec-knob scopes are per thread: the pool re-enters the caller's.
+    let knobs = ExecOptions::current();
     let mut cells: Vec<Option<f64>> = vec![None; ncells];
     let panicked = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(nthreads);
@@ -84,13 +87,15 @@ pub fn measure(
         for thread_slots in slots {
             let dev = &dev;
             handles.push(s.spawn(move || {
-                for (flat, slot) in thread_slots {
-                    let w = &workloads[flat / ncols];
-                    let cfg = &configs[flat % ncols];
-                    let (report, _) = run_workload(w.as_ref(), cfg, scale, dev)
-                        .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name(), cfg.name));
-                    *slot = Some(report.total_cycles());
-                }
+                knobs.scope(|| {
+                    for (flat, slot) in thread_slots {
+                        let w = &workloads[flat / ncols];
+                        let cfg = &configs[flat % ncols];
+                        let (report, _) = run_workload(w.as_ref(), cfg, scale, dev)
+                            .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name(), cfg.name));
+                        *slot = Some(report.total_cycles());
+                    }
+                })
             }));
         }
         let mut panicked = None;

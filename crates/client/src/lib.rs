@@ -37,7 +37,7 @@
 use safara_chaos::Backoff;
 use safara_core::Args;
 use safara_server::json::Json;
-use safara_server::protocol::{build_run_request_v, run_key_parts, shard_for, DEFAULT_TIMEOUT_MS};
+use safara_server::protocol::{run_key_parts, shard_for, RunRequestLine, DEFAULT_TIMEOUT_MS};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -262,9 +262,11 @@ impl Client {
         return_arrays: bool,
     ) -> Result<Pending, ClientError> {
         let id = self.fresh_id();
-        let line =
-            build_run_request_v(PROTOCOL_VERSION, id, source, entry, profile, args, return_arrays);
-        self.send(id, &line)
+        let line = RunRequestLine {
+            v: PROTOCOL_VERSION,
+            ..RunRequestLine::new(id, source, entry, profile, args, return_arrays)
+        };
+        self.send(id, &line.render())
     }
 
     /// `ping`, blocking.

@@ -22,7 +22,7 @@ use safara_client::{Client, ClientError, RetryPolicy};
 use safara_core::chaos::{FaultAction, FaultPlan, Fire, InjectionPoint};
 use safara_core::Args;
 use safara_server::json::Json;
-use safara_server::protocol::{build_run_request_v, parse_request};
+use safara_server::protocol::{parse_request, RunRequestLine};
 use safara_server::service::{Engine, EngineConfig};
 use safara_server::Submit;
 use std::collections::HashMap;
@@ -95,7 +95,11 @@ fn schedule(combos: &[Combo]) -> Vec<(i64, String)> {
     for round in 0..10 {
         for c in combos {
             id += 1;
-            lines.push((id, build_run_request_v(2, id, c.source, c.entry, c.profile, &c.args, round % 2 == 0)));
+            let line = RunRequestLine {
+                v: 2,
+                ..RunRequestLine::new(id, c.source, c.entry, c.profile, &c.args, round % 2 == 0)
+            };
+            lines.push((id, line.render()));
         }
         id += 1;
         lines.push((id, format!(r#"{{"id":{id},"v":2,"op":"ping"}}"#)));

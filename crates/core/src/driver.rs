@@ -1,6 +1,7 @@
 //! The compile driver and SAFARA's iterative feedback loop.
 
 use crate::error::CompileError;
+use crate::pipeline::{run_compiled_with, RunCtx};
 use crate::profile::{CompilerConfig, SrStrategy};
 use safara_chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_codegen::lower::{lower_function, CompiledKernel};
@@ -13,19 +14,12 @@ use safara_opt::transform::TempNamer;
 use safara_opt::{
     carr_kennedy_pass, safara_pass, safara_pass_with, OptGoal, SrOutcome, ThroughputContext,
 };
-use safara_runtime::{
-    run_function, run_function_cached, run_function_shared, Args, LaunchCache, RunReport,
-    SharedLaunchCache,
-};
+use safara_runtime::{Args, LaunchCache, Memo, RunReport};
 
-/// Evaluate an injection point against an optional plan. `Delay`/`Hang`
-/// actions are absorbed here (the sleep *is* the fault); anything else
-/// is returned for the call site to turn into its typed failure.
-pub(crate) fn fault_at(
-    faults: Option<&FaultPlan>,
-    point: InjectionPoint,
-) -> Option<FaultAction> {
-    let plan = faults?;
+/// Evaluate an injection point against a plan. `Delay`/`Hang` actions
+/// are absorbed here (the sleep *is* the fault); anything else is
+/// returned for the call site to turn into its typed failure.
+pub(crate) fn fault_at(plan: &FaultPlan, point: InjectionPoint) -> Option<FaultAction> {
     let action = plan.check(point)?;
     if plan.apply_delay(&action) {
         return None;
@@ -188,10 +182,9 @@ impl CompiledProgram {
         args: &mut Args,
         dev: &DeviceConfig,
     ) -> Result<RunReport, CompileError> {
-        let f = self.function(name)?;
-        let compiled: Vec<(CompiledKernel, RegAllocReport)> =
-            f.kernels.iter().map(|k| (k.kernel.clone(), k.alloc.clone())).collect();
-        Ok(run_function(dev, &f.transformed, &compiled, args)?)
+        let ctx =
+            RunCtx { memo: Memo::Off, tracer: &mut Tracer::disabled(), faults: &FaultPlan::none() };
+        Ok(run_compiled_with(self, name, args, dev, ctx)?.0)
     }
 
     /// [`CompiledProgram::run`] with launch memoization through `cache`.
@@ -202,32 +195,18 @@ impl CompiledProgram {
         dev: &DeviceConfig,
         cache: &mut LaunchCache,
     ) -> Result<RunReport, CompileError> {
-        let f = self.function(name)?;
-        let compiled: Vec<(CompiledKernel, RegAllocReport)> =
-            f.kernels.iter().map(|k| (k.kernel.clone(), k.alloc.clone())).collect();
-        Ok(run_function_cached(dev, &f.transformed, &compiled, args, Some(cache))?)
-    }
-
-    /// [`CompiledProgram::run`] with launch memoization through a
-    /// thread-shared cache — the concurrent-service path: many worker
-    /// threads run against one process-wide [`SharedLaunchCache`].
-    pub fn run_shared(
-        &self,
-        name: &str,
-        args: &mut Args,
-        dev: &DeviceConfig,
-        cache: &SharedLaunchCache,
-    ) -> Result<RunReport, CompileError> {
-        let f = self.function(name)?;
-        let compiled: Vec<(CompiledKernel, RegAllocReport)> =
-            f.kernels.iter().map(|k| (k.kernel.clone(), k.alloc.clone())).collect();
-        Ok(run_function_shared(dev, &f.transformed, &compiled, args, cache)?)
+        let ctx = RunCtx {
+            memo: Memo::Local(cache),
+            tracer: &mut Tracer::disabled(),
+            faults: &FaultPlan::none(),
+        };
+        Ok(run_compiled_with(self, name, args, dev, ctx)?.0)
     }
 }
 
 /// Compile MiniACC source under a configuration.
 pub fn compile(src: &str, config: &CompilerConfig) -> Result<CompiledProgram, CompileError> {
-    compile_impl(src, config, &mut Tracer::disabled(), None)
+    compile_traced(src, config, &mut Tracer::disabled())
 }
 
 /// [`compile`] recording one span per pipeline phase into `tracer`:
@@ -242,10 +221,10 @@ pub fn compile_traced(
     config: &CompilerConfig,
     tracer: &mut Tracer,
 ) -> Result<CompiledProgram, CompileError> {
-    compile_impl(src, config, tracer, None)
+    compile_with_faults(src, config, tracer, &FaultPlan::none())
 }
 
-/// [`compile_traced`] evaluating `faults` at each phase's injection
+/// The compile pipeline, evaluating `faults` at each phase's injection
 /// point. With an inert plan this is exactly [`compile_traced`]; with
 /// faults scheduled, phases fail with their typed error, feedback
 /// rounds are forced to spill (and reverted, as the loop always does),
@@ -255,15 +234,6 @@ pub fn compile_with_faults(
     config: &CompilerConfig,
     tracer: &mut Tracer,
     faults: &FaultPlan,
-) -> Result<CompiledProgram, CompileError> {
-    compile_impl(src, config, tracer, Some(faults))
-}
-
-pub(crate) fn compile_impl(
-    src: &str,
-    config: &CompilerConfig,
-    tracer: &mut Tracer,
-    faults: Option<&FaultPlan>,
 ) -> Result<CompiledProgram, CompileError> {
     // Reject out-of-range caps before any work: a cap below the
     // allocator's floor or above the architectural per-thread maximum is
@@ -423,7 +393,7 @@ fn optimize_function(
     f: &Function,
     config: &CompilerConfig,
     tracer: &mut Tracer,
-    faults: Option<&FaultPlan>,
+    faults: &FaultPlan,
 ) -> Result<(Function, SrOutcome, u32), CompileError> {
     let mut work = f.clone();
     let mut namer = TempNamer::default();
@@ -603,7 +573,7 @@ fn saturate_function(
     work: Function,
     config: &CompilerConfig,
     tracer: &mut Tracer,
-    faults: Option<&FaultPlan>,
+    faults: &FaultPlan,
 ) -> Result<Function, CompileError> {
     if let Some(FaultAction::Fail) = fault_at(faults, InjectionPoint::Saturate) {
         return Err(CompileError::Saturate {

@@ -57,8 +57,7 @@ pub use driver::{
 };
 pub use error::{CompileError, Phase};
 pub use pipeline::{
-    compile_and_run, compile_and_run_traced, compile_and_run_with_faults, run_compiled,
-    run_compiled_traced, run_compiled_with_faults, KernelSummary, RunOutcome,
+    run_compiled, run_compiled_traced, run_compiled_with, KernelSummary, RunCtx, RunOutcome,
 };
 pub use profile::{CompilerConfig, CompilerConfigBuilder, SrStrategy};
 pub use report::{register_table, RegisterRow};
@@ -78,4 +77,4 @@ pub use safara_gpusim::device::DeviceConfig;
 pub use safara_gpusim::memo::{LaunchCache, SharedLaunchCache};
 pub use safara_gpusim::rng::SplitMix64;
 pub use safara_gpusim::timing::TimingBreakdown;
-pub use safara_runtime::{Args, RunReport};
+pub use safara_runtime::{Args, Memo, RunReport};

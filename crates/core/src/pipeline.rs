@@ -1,25 +1,25 @@
-//! A reusable one-request pipeline entry point.
+//! The run half of the one-request pipeline.
 //!
 //! The bench binaries drive the ir → analysis → opt → codegen → gpusim
 //! pipeline through per-figure `main`s; a long-lived service needs the
-//! same flow packaged as a single call that takes *one* request
-//! (source, profile, arguments) and returns everything a client wants
-//! to know: register counts, launch geometry, modelled cycles, and the
-//! scalar-replacement story. [`compile_and_run`] is that call;
-//! [`run_compiled`] is the half that skips compilation, for callers
-//! (like `safara-server`) that cache [`CompiledProgram`]s across
-//! requests and only re-execute.
+//! same flow packaged as calls that take *one* request (source, profile,
+//! arguments) and return everything a client wants to know: register
+//! counts, launch geometry, modelled cycles, and the scalar-replacement
+//! story. Compiling is [`crate::compile_with_faults`]; running a
+//! [`CompiledProgram`] — fresh, or cached across requests as
+//! `safara-server` does — is [`run_compiled_with`], the one function in
+//! this crate that reaches the runtime. Everything else that runs a
+//! program pre-fills a [`RunCtx`] and delegates to it.
 
-use crate::driver::{compile, compile_impl, fault_at, CompiledProgram};
+use crate::driver::{fault_at, CompiledFunction, CompiledProgram};
 use crate::error::CompileError;
-use crate::profile::CompilerConfig;
 use safara_chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_codegen::lower::CompiledKernel;
 use safara_gpusim::device::DeviceConfig;
 use safara_gpusim::memo::SharedLaunchCache;
 use safara_gpusim::ptxas::RegAllocReport;
 use safara_obs::Tracer;
-use safara_runtime::{run_function_traced, Args};
+use safara_runtime::{run_function, Args, Memo, RunReport};
 
 /// One kernel's outcome, flattened for reporting.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,9 +62,51 @@ pub struct RunOutcome {
     pub feedback_rounds: u32,
 }
 
-/// Execute `entry` from an already-compiled program against `args`,
-/// optionally memoizing launches through a thread-shared cache, and
-/// summarize the run.
+/// Everything about a run that is not the program and its arguments.
+/// The inert values — [`Memo::Off`], [`Tracer::disabled`],
+/// [`FaultPlan::none`] — cost nothing and change nothing, so there is no
+/// "plain" variant of the run path to keep in step with this one.
+///
+/// Execution knobs (engine, worker count, superblock threshold) are
+/// deliberately absent: they resolve through the enclosing
+/// [`safara_gpusim::ExecOptions::scope`], the one way to set a knob.
+pub struct RunCtx<'a> {
+    /// Whether and where launches are memoized.
+    pub memo: Memo<'a>,
+    /// Receives a `sim` span with `h2d`/`launch`/`d2h` children and
+    /// per-launch cache hit/miss metadata.
+    pub tracer: &'a mut Tracer,
+    /// Evaluated at the `sim` injection point: a scheduled `Fail`
+    /// becomes a typed (retryable) [`CompileError::Sim`] before any
+    /// launch; `Delay`/`Hang` stall the simulation.
+    pub faults: &'a FaultPlan,
+}
+
+/// Execute `entry` from an already-compiled program against `args`
+/// under `ctx`. Returns the runtime's full report and its flattened
+/// summary.
+pub fn run_compiled_with(
+    program: &CompiledProgram,
+    entry: &str,
+    args: &mut Args,
+    dev: &DeviceConfig,
+    ctx: RunCtx<'_>,
+) -> Result<(RunReport, RunOutcome), CompileError> {
+    if let Some(FaultAction::Fail) = fault_at(ctx.faults, InjectionPoint::Sim) {
+        return Err(CompileError::Sim { message: "injected simulator fault".into() });
+    }
+    let f = program.function(entry)?;
+    let compiled: Vec<(CompiledKernel, RegAllocReport)> =
+        f.kernels.iter().map(|k| (k.kernel.clone(), k.alloc.clone())).collect();
+    let report = ctx
+        .tracer
+        .span("sim", |t| run_function(dev, &f.transformed, &compiled, args, ctx.memo, t))?;
+    let outcome = summarize(program.config.name, f, &report);
+    Ok((report, outcome))
+}
+
+/// [`run_compiled_with`] memoizing through an optional thread-shared
+/// cache, untraced and fault-free; returns the summary.
 pub fn run_compiled(
     program: &CompiledProgram,
     entry: &str,
@@ -72,43 +114,10 @@ pub fn run_compiled(
     dev: &DeviceConfig,
     cache: Option<&SharedLaunchCache>,
 ) -> Result<RunOutcome, CompileError> {
-    run_compiled_impl(program, entry, args, dev, cache, None)
+    run_compiled_traced(program, entry, args, dev, cache, &mut Tracer::disabled())
 }
 
-/// [`run_compiled`] evaluating `faults` at the `sim` injection point:
-/// a scheduled `Fail` becomes a typed (retryable) [`CompileError::Sim`]
-/// before any launch; `Delay`/`Hang` stall the simulation.
-pub fn run_compiled_with_faults(
-    program: &CompiledProgram,
-    entry: &str,
-    args: &mut Args,
-    dev: &DeviceConfig,
-    cache: Option<&SharedLaunchCache>,
-    faults: &FaultPlan,
-) -> Result<RunOutcome, CompileError> {
-    run_compiled_impl(program, entry, args, dev, cache, Some(faults))
-}
-
-fn run_compiled_impl(
-    program: &CompiledProgram,
-    entry: &str,
-    args: &mut Args,
-    dev: &DeviceConfig,
-    cache: Option<&SharedLaunchCache>,
-    faults: Option<&FaultPlan>,
-) -> Result<RunOutcome, CompileError> {
-    if let Some(FaultAction::Fail) = fault_at(faults, InjectionPoint::Sim) {
-        return Err(CompileError::Sim { message: "injected simulator fault".into() });
-    }
-    let report = match cache {
-        Some(c) => program.run_shared(entry, args, dev, c)?,
-        None => program.run(entry, args, dev)?,
-    };
-    summarize(program, entry, report)
-}
-
-/// [`run_compiled`] recording a `sim` span (with `h2d`/`launch`/`d2h`
-/// children and per-launch cache hit/miss metadata) into `tracer`.
+/// [`run_compiled`] recording the `sim` span into `tracer`.
 pub fn run_compiled_traced(
     program: &CompiledProgram,
     entry: &str,
@@ -117,22 +126,12 @@ pub fn run_compiled_traced(
     cache: Option<&SharedLaunchCache>,
     tracer: &mut Tracer,
 ) -> Result<RunOutcome, CompileError> {
-    let f = program.function(entry)?;
-    let compiled: Vec<(CompiledKernel, RegAllocReport)> =
-        f.kernels.iter().map(|k| (k.kernel.clone(), k.alloc.clone())).collect();
-    let report = tracer.span("sim", |t| {
-        run_function_traced(dev, &f.transformed, &compiled, args, cache, t)
-            .map_err(CompileError::from)
-    })?;
-    summarize(program, entry, report)
+    let memo = cache.map_or(Memo::Off, Memo::Shared);
+    let ctx = RunCtx { memo, tracer, faults: &FaultPlan::none() };
+    Ok(run_compiled_with(program, entry, args, dev, ctx)?.1)
 }
 
-fn summarize(
-    program: &CompiledProgram,
-    entry: &str,
-    report: safara_runtime::RunReport,
-) -> Result<RunOutcome, CompileError> {
-    let f = program.function(entry)?;
+fn summarize(profile: &'static str, f: &CompiledFunction, report: &RunReport) -> RunOutcome {
     let kernels = report
         .kernels
         .iter()
@@ -146,9 +145,9 @@ fn summarize(
             cycles: run.timing.total_cycles,
         })
         .collect();
-    Ok(RunOutcome {
+    RunOutcome {
         function: f.name.clone(),
-        profile: program.config.name,
+        profile,
         kernels,
         total_cycles: report.total_cycles(),
         h2d_bytes: report.h2d_bytes,
@@ -156,64 +155,14 @@ fn summarize(
         max_regs: f.max_regs(),
         sr_temps_added: f.sr_outcome.temps_added,
         feedback_rounds: f.feedback_rounds,
-    })
-}
-
-/// The full one-request pipeline: compile `source` under `config`, run
-/// `entry` against `args`, and summarize. Returns the compiled program
-/// too so callers can keep it for subsequent requests.
-pub fn compile_and_run(
-    source: &str,
-    entry: &str,
-    config: &CompilerConfig,
-    args: &mut Args,
-    dev: &DeviceConfig,
-    cache: Option<&SharedLaunchCache>,
-) -> Result<(CompiledProgram, RunOutcome), CompileError> {
-    let program = compile(source, config)?;
-    let outcome = run_compiled(&program, entry, args, dev, cache)?;
-    Ok((program, outcome))
-}
-
-/// [`compile_and_run`] threading a [`FaultPlan`] through every pipeline
-/// injection point (`parse` → ... → `regalloc` → `sim`). The chaos
-/// harness's front door: one call that can fail, stall, or spill at any
-/// scheduled phase — or, with an inert plan, behaves exactly like
-/// [`compile_and_run`].
-pub fn compile_and_run_with_faults(
-    source: &str,
-    entry: &str,
-    config: &CompilerConfig,
-    args: &mut Args,
-    dev: &DeviceConfig,
-    cache: Option<&SharedLaunchCache>,
-    faults: &FaultPlan,
-) -> Result<(CompiledProgram, RunOutcome), CompileError> {
-    let program = compile_impl(source, config, &mut Tracer::disabled(), Some(faults))?;
-    let outcome = run_compiled_impl(&program, entry, args, dev, cache, Some(faults))?;
-    Ok((program, outcome))
-}
-
-/// [`compile_and_run`] recording the full span tree into `tracer`:
-/// `parse` → `sema` → `analysis` → `opt` (feedback rounds) → `codegen`
-/// → `regalloc` → `sim`, each exactly once.
-pub fn compile_and_run_traced(
-    source: &str,
-    entry: &str,
-    config: &CompilerConfig,
-    args: &mut Args,
-    dev: &DeviceConfig,
-    cache: Option<&SharedLaunchCache>,
-    tracer: &mut Tracer,
-) -> Result<(CompiledProgram, RunOutcome), CompileError> {
-    let program = compile_impl(source, config, tracer, None)?;
-    let outcome = run_compiled_traced(&program, entry, args, dev, cache, tracer)?;
-    Ok((program, outcome))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{compile, compile_traced, compile_with_faults};
+    use crate::profile::CompilerConfig;
     use safara_runtime::ArgValue;
 
     const AXPY: &str = r#"
@@ -233,13 +182,27 @@ mod tests {
             .array_f32("y", &vec![1.0; n])
     }
 
+    /// One whole request — compile, then run — with `faults` threaded
+    /// through every injection point (`parse` → ... → `regalloc` → `sim`).
+    fn request(
+        source: &str,
+        entry: &str,
+        config: &CompilerConfig,
+        args: &mut Args,
+        faults: &FaultPlan,
+    ) -> Result<RunOutcome, CompileError> {
+        let mut tracer = Tracer::disabled();
+        let program = compile_with_faults(source, config, &mut tracer, faults)?;
+        let ctx = RunCtx { memo: Memo::Off, tracer: &mut tracer, faults };
+        Ok(run_compiled_with(&program, entry, args, &DeviceConfig::k20xm(), ctx)?.1)
+    }
+
     #[test]
     fn one_request_pipeline_summarizes_a_run() {
         let dev = DeviceConfig::k20xm();
         let mut args = axpy_args(256);
-        let (program, outcome) =
-            compile_and_run(AXPY, "axpy", &CompilerConfig::safara_only(), &mut args, &dev, None)
-                .unwrap();
+        let program = compile(AXPY, &CompilerConfig::safara_only()).unwrap();
+        let outcome = run_compiled(&program, "axpy", &mut args, &dev, None).unwrap();
         assert_eq!(outcome.function, "axpy");
         assert_eq!(outcome.profile, "OpenUH(SAFARA)");
         assert_eq!(outcome.kernels.len(), 1);
@@ -259,9 +222,8 @@ mod tests {
         let dev = DeviceConfig::k20xm();
         let cache = SharedLaunchCache::new(4);
         let mut cold = axpy_args(128);
-        let (program, _) =
-            compile_and_run(AXPY, "axpy", &CompilerConfig::base(), &mut cold, &dev, Some(&cache))
-                .unwrap();
+        let program = compile(AXPY, &CompilerConfig::base()).unwrap();
+        run_compiled(&program, "axpy", &mut cold, &dev, Some(&cache)).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
         let mut warm = axpy_args(128);
@@ -281,18 +243,12 @@ mod tests {
     #[test]
     fn traced_pipeline_records_every_phase_once_and_matches_untraced() {
         let dev = DeviceConfig::k20xm();
+        let config = CompilerConfig::safara_only();
         let mut args = axpy_args(64);
         let mut tracer = Tracer::new();
-        let (_, outcome) = compile_and_run_traced(
-            AXPY,
-            "axpy",
-            &CompilerConfig::safara_only(),
-            &mut args,
-            &dev,
-            None,
-            &mut tracer,
-        )
-        .unwrap();
+        let program = compile_traced(AXPY, &config, &mut tracer).unwrap();
+        let outcome =
+            run_compiled_traced(&program, "axpy", &mut args, &dev, None, &mut tracer).unwrap();
         let spans = tracer.finish();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["parse", "sema", "analysis", "opt", "codegen", "regalloc", "sim"]);
@@ -314,29 +270,20 @@ mod tests {
         // Tracing is observation only: outcome and outputs are identical
         // to the untraced pipeline.
         let mut args2 = axpy_args(64);
-        let (_, outcome2) = compile_and_run(
-            AXPY,
-            "axpy",
-            &CompilerConfig::safara_only(),
-            &mut args2,
-            &dev,
-            None,
-        )
-        .unwrap();
+        let program2 = compile(AXPY, &config).unwrap();
+        let outcome2 = run_compiled(&program2, "axpy", &mut args2, &dev, None).unwrap();
         assert_eq!(outcome, outcome2);
         assert_eq!(args.array("y"), args2.array("y"));
     }
 
     #[test]
     fn pipeline_errors_propagate() {
-        let dev = DeviceConfig::k20xm();
+        let none = FaultPlan::none();
         let mut args = Args::new();
-        let err = compile_and_run("void f(", "f", &CompilerConfig::base(), &mut args, &dev, None)
-            .unwrap_err();
+        let err = request("void f(", "f", &CompilerConfig::base(), &mut args, &none).unwrap_err();
         assert!(matches!(err, CompileError::Parse { .. }), "{err}");
         let mut args = axpy_args(8);
-        let err = compile_and_run(AXPY, "nope", &CompilerConfig::base(), &mut args, &dev, None)
-            .unwrap_err();
+        let err = request(AXPY, "nope", &CompilerConfig::base(), &mut args, &none).unwrap_err();
         assert_eq!(err.code(), "sema");
         assert!(!err.retryable());
     }
@@ -344,41 +291,21 @@ mod tests {
     #[test]
     fn injected_sim_fault_is_retryable_and_transient() {
         use safara_chaos::Fire;
-        let dev = DeviceConfig::k20xm();
         let plan =
             FaultPlan::seeded(3).with(InjectionPoint::Sim, FaultAction::Fail, Fire::First(1));
 
         let mut args = axpy_args(32);
-        let err = compile_and_run_with_faults(
-            AXPY,
-            "axpy",
-            &CompilerConfig::base(),
-            &mut args,
-            &dev,
-            None,
-            &plan,
-        )
-        .unwrap_err();
+        let err = request(AXPY, "axpy", &CompilerConfig::base(), &mut args, &plan).unwrap_err();
         assert_eq!(err.code(), "sim");
         assert!(err.retryable(), "sim faults are worth retrying");
 
         // The retry under the same (now-exhausted) plan succeeds and is
         // bit-identical to a fault-free run.
         let mut again = axpy_args(32);
-        let (_, outcome) = compile_and_run_with_faults(
-            AXPY,
-            "axpy",
-            &CompilerConfig::base(),
-            &mut again,
-            &dev,
-            None,
-            &plan,
-        )
-        .unwrap();
+        let outcome = request(AXPY, "axpy", &CompilerConfig::base(), &mut again, &plan).unwrap();
         let mut clean = axpy_args(32);
-        let (_, want) =
-            compile_and_run(AXPY, "axpy", &CompilerConfig::base(), &mut clean, &dev, None)
-                .unwrap();
+        let want =
+            request(AXPY, "axpy", &CompilerConfig::base(), &mut clean, &FaultPlan::none()).unwrap();
         assert_eq!(outcome, want);
         assert_eq!(
             again.array("y").unwrap().as_f32_bits(),
@@ -396,9 +323,8 @@ mod tests {
             for (int i = 0; i < n; i++) { s += x[i]; }
           }
         }"#;
-        let dev = DeviceConfig::k20xm();
         let mut args = Args::new().i32("n", 64).f32("s", 1.0).array_f32("x", &[1.0; 64]);
-        compile_and_run(src, "total", &CompilerConfig::base(), &mut args, &dev, None).unwrap();
+        request(src, "total", &CompilerConfig::base(), &mut args, &FaultPlan::none()).unwrap();
         assert_eq!(args.scalar("s"), Some(ArgValue::F32(65.0)));
     }
 }

@@ -240,23 +240,16 @@ impl CompilerConfig {
         "safara_saturated",
     ];
 
-    /// Start building a configuration from typed toggles — the
-    /// replacement for stringly-typed [`CompilerConfig::by_name`]
-    /// call sites. The builder starts at the OpenUH baseline; toggles
-    /// compose, and combinations matching a named evaluation point keep
-    /// that point's canonical name.
+    /// Start building a configuration from typed toggles. The builder
+    /// starts at the OpenUH baseline; toggles compose, and combinations
+    /// matching a named evaluation point keep that point's canonical
+    /// name. ([`CompilerConfig::by_name`] resolves wire-protocol keys.)
     pub fn builder() -> CompilerConfigBuilder {
         CompilerConfigBuilder::default()
     }
 
     /// Resolve a profile by wire-protocol key (case-insensitive, `-`
     /// treated as `_`; a few aliases accepted). `None` for unknown keys.
-    ///
-    /// Kept as a thin shim over [`CompilerConfig::builder`] so wire
-    /// requests and bench binaries can still resolve names; new code
-    /// should use the builder's typed toggles.
-    #[deprecated(since = "0.1.0", note = "use CompilerConfig::builder() for typed toggles; \
-                                          only wire-facing name resolution should live here")]
     pub fn by_name(key: &str) -> Option<CompilerConfig> {
         let k = key.trim().to_ascii_lowercase().replace('-', "_");
         let b = Self::builder();
@@ -479,7 +472,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shim must keep resolving wire keys
     fn by_name_resolves_every_key_and_rejects_unknown() {
         for key in CompilerConfig::PROFILE_KEYS {
             assert!(CompilerConfig::by_name(key).is_some(), "{key}");
@@ -528,7 +520,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn by_name_shim_agrees_with_the_builder() {
         for (key, want) in [
             ("base", CompilerConfig::builder().build()),

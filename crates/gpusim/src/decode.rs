@@ -545,7 +545,7 @@ pub(crate) fn launch_decoded(
     let decoded = decode(kernel, config, params, spilled)?;
 
     let n_blocks = config.total_blocks();
-    let threads = parallel::resolve_sim_threads(config);
+    let threads = crate::current_sim_threads() as usize;
     if threads > 1 && n_blocks > 1 {
         let decoded = &decoded;
         let (stats, _scratch) = parallel::run_blocks_parallel(

@@ -1,135 +1,185 @@
-//! `ExecOptions` — the unified execution-side knob surface.
+//! `ExecOptions` — the one place that knows how an execution knob
+//! resolves.
 //!
-//! Three independent knobs accreted over PRs 5–6 (engine selection,
-//! block-parallel worker count, superblock hot-block threshold), each
-//! with its own env var, process setter, and thread-local scope. This
-//! module folds them into one struct with one documented resolution
-//! order, applied uniformly to all three:
+//! Three knobs steer a launch without changing its result: the engine,
+//! the block-parallel worker count, and the superblock hot-block
+//! threshold. Each resolves through the same two settable layers:
 //!
-//! 1. **per-launch** — a `Some` field on the [`ExecOptions`] passed to
-//!    [`ExecOptions::scope`] (servers map wire fields here, one request
-//!    at a time);
-//! 2. **scoped** — an enclosing [`crate::with_engine`] /
-//!    [`crate::with_sim_threads`] /
-//!    [`crate::superblock::with_superblock_threshold`] on this thread;
-//! 3. **env** — `SAFARA_ENGINE`, `SAFARA_SIM_THREADS`,
-//!    `SAFARA_SB_THRESHOLD`, read once per process;
-//! 4. **default** — decoded+superblock engine, serial execution,
-//!    [`crate::DEFAULT_SUPERBLOCK_THRESHOLD`].
+//! 1. **scope** — the innermost `Some` among the [`ExecOptions::scope`]s
+//!    enclosing the launch on this thread (servers map wire fields here,
+//!    one request at a time);
+//! 2. **env** — `SAFARA_ENGINE`, `SAFARA_SIM_THREADS`,
+//!    `SAFARA_SB_THRESHOLD`, read once per process at the first
+//!    resolution;
 //!
-//! A `None` field simply falls through to the next layer, so an
-//! `ExecOptions::default()` scope is a no-op and the struct can always
-//! be applied unconditionally.
+//! and otherwise the **default**: decoded engine, one worker per CPU,
+//! [`DEFAULT_SUPERBLOCK_THRESHOLD`].
+//!
+//! A `None` field falls through to the next layer, so an
+//! `ExecOptions::inherit()` scope is a no-op and the struct can always
+//! be applied unconditionally. Scopes are per thread: a thread spawned
+//! inside one starts unscoped, and re-enters [`ExecOptions::current`]
+//! captured from its parent if it should inherit.
 
-use crate::interp::{with_engine, Engine};
-use crate::parallel::with_sim_threads;
-use crate::superblock::with_superblock_threshold;
+use crate::interp::Engine;
+use crate::parallel::parse_sim_threads;
+use crate::superblock::{parse_superblock_threshold, DEFAULT_SUPERBLOCK_THRESHOLD};
+use std::cell::Cell;
+use std::sync::OnceLock;
 
-/// Per-launch execution options; `None` fields inherit the enclosing
-/// scope / environment / default (see the module docs for the order).
+/// Execution options; `None` fields inherit the enclosing scope /
+/// environment / default (see the module docs for the order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
     /// Which interpreter runs the launch.
     pub engine: Option<Engine>,
     /// Block-parallel worker count (`0` = auto: one per CPU).
     pub sim_threads: Option<u32>,
-    /// Superblock hot-block threshold (`u64::MAX` disables fusion).
+    /// Superblock hot-block threshold (`u64::MAX` disables fusion;
+    /// values below 1 clamp to 1).
     pub superblock_threshold: Option<u64>,
+}
+
+const INHERIT: ExecOptions =
+    ExecOptions { engine: None, sim_threads: None, superblock_threshold: None };
+
+const DEFAULTS: ExecOptions = ExecOptions {
+    engine: Some(Engine::Decoded),
+    sim_threads: Some(0),
+    superblock_threshold: Some(DEFAULT_SUPERBLOCK_THRESHOLD),
+};
+
+std::thread_local! {
+    /// The innermost-`Some`-wins merge of the scopes enclosing the
+    /// current point of execution on this thread.
+    static SCOPED: Cell<ExecOptions> = const { Cell::new(INHERIT) };
+}
+
+/// The environment layer. Unset, empty-of-meaning or unparsable
+/// variables leave their knob to the default.
+fn env_options() -> ExecOptions {
+    static ENV: OnceLock<ExecOptions> = OnceLock::new();
+    *ENV.get_or_init(|| {
+        let var = |name: &str| std::env::var(name).ok();
+        ExecOptions {
+            engine: var("SAFARA_ENGINE").and_then(|v| Engine::parse(&v)),
+            sim_threads: var("SAFARA_SIM_THREADS").and_then(|v| parse_sim_threads(&v)),
+            superblock_threshold: var("SAFARA_SB_THRESHOLD")
+                .and_then(|v| parse_superblock_threshold(&v)),
+        }
+    })
 }
 
 impl ExecOptions {
     /// Options that inherit everything from the enclosing scope.
     pub fn inherit() -> Self {
-        Self::default()
+        INHERIT
     }
 
-    /// Pin the execution engine for this launch.
+    /// Pin the execution engine.
     pub fn engine(mut self, e: Engine) -> Self {
         self.engine = Some(e);
         self
     }
 
-    /// Pin the block-parallel worker count for this launch.
+    /// Pin the block-parallel worker count (`0` = auto).
     pub fn sim_threads(mut self, n: u32) -> Self {
         self.sim_threads = Some(n);
         self
     }
 
-    /// Pin the superblock hot-block threshold for this launch.
+    /// Pin the superblock hot-block threshold.
     pub fn superblock_threshold(mut self, t: u64) -> Self {
         self.superblock_threshold = Some(t);
         self
     }
 
-    /// True when every field inherits — applying the scope is a no-op.
-    pub fn is_inherit(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// Run `f` with these options installed as thread-local overrides,
-    /// restoring the previous state afterwards (even on unwind). Nesting
-    /// works the way the resolution order implies: the innermost `Some`
-    /// wins per knob.
-    pub fn scope<T>(&self, f: impl FnOnce() -> T) -> T {
-        match (self.engine, self.sim_threads, self.superblock_threshold) {
-            (None, None, None) => f(),
-            (e, s, t) => {
-                let with_t = move || match t {
-                    Some(t) => with_superblock_threshold(t, f),
-                    None => f(),
-                };
-                let with_s = move || match s {
-                    Some(s) => with_sim_threads(s, with_t),
-                    None => with_t(),
-                };
-                match e {
-                    Some(e) => with_engine(e, with_s),
-                    None => with_s(),
-                }
-            }
+    /// The pure merge every layer goes through: each knob is `self`'s
+    /// value when set, else `outer`'s.
+    pub fn or(self, outer: ExecOptions) -> ExecOptions {
+        ExecOptions {
+            engine: self.engine.or(outer.engine),
+            sim_threads: self.sim_threads.or(outer.sim_threads),
+            superblock_threshold: self.superblock_threshold.or(outer.superblock_threshold),
         }
     }
+
+    /// What a launch on this thread would run under right now — scope >
+    /// env > default, so every field is `Some`. A helper thread that
+    /// should behave like its spawner enters this as its own scope.
+    pub fn current() -> ExecOptions {
+        SCOPED.get().or(env_options()).or(DEFAULTS)
+    }
+
+    /// Run `f` with these options layered over the enclosing scopes on
+    /// this thread, restoring the previous state afterwards (even on
+    /// unwind).
+    pub fn scope<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(ExecOptions);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPED.set(self.0);
+            }
+        }
+        let outer = SCOPED.get();
+        SCOPED.set(self.or(outer));
+        let _restore = Restore(outer);
+        f()
+    }
+}
+
+/// The engine [`crate::launch`] will dispatch to on this thread.
+pub fn current_engine() -> Engine {
+    ExecOptions::current().engine.expect("DEFAULTS sets every knob")
+}
+
+/// The worker count a launch on this thread would use, with `auto`
+/// expanded to one worker per available CPU.
+pub fn current_sim_threads() -> u32 {
+    match ExecOptions::current().sim_threads.expect("DEFAULTS sets every knob") {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
+        n => n,
+    }
+}
+
+/// The hot-block threshold a superblock launch on this thread would use.
+pub fn current_superblock_threshold() -> u64 {
+    ExecOptions::current().superblock_threshold.expect("DEFAULTS sets every knob").max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::current_engine;
-    use crate::parallel::current_sim_threads;
-    use crate::superblock::current_superblock_threshold;
+
+    fn current_knobs() -> (Engine, u32, u64) {
+        (current_engine(), current_sim_threads(), current_superblock_threshold())
+    }
 
     #[test]
     fn inherit_is_a_no_op() {
-        let before =
-            (current_engine(), current_sim_threads(), current_superblock_threshold());
-        let inside = ExecOptions::inherit().scope(|| {
-            (current_engine(), current_sim_threads(), current_superblock_threshold())
-        });
-        assert_eq!(before, inside);
-        assert!(ExecOptions::default().is_inherit());
+        let before = current_knobs();
+        assert_eq!(ExecOptions::inherit().scope(current_knobs), before);
+        assert_eq!(ExecOptions::inherit(), ExecOptions::default());
     }
 
     #[test]
     fn scope_applies_and_restores_every_knob() {
-        let before =
-            (current_engine(), current_sim_threads(), current_superblock_threshold());
+        let before = current_knobs();
         let opts = ExecOptions::inherit()
             .engine(Engine::Reference)
             .sim_threads(3)
             .superblock_threshold(123);
-        opts.scope(|| {
-            assert_eq!(current_engine(), Engine::Reference);
-            assert_eq!(current_sim_threads(), 3);
-            assert_eq!(current_superblock_threshold(), 123);
-        });
-        let after =
-            (current_engine(), current_sim_threads(), current_superblock_threshold());
-        assert_eq!(before, after);
+        opts.scope(|| assert_eq!(current_knobs(), (Engine::Reference, 3, 123)));
+        assert_eq!(current_knobs(), before);
+        // Restored on unwind too.
+        let unwound = std::panic::catch_unwind(|| opts.scope(|| panic!("inside the scope")));
+        assert!(unwound.is_err());
+        assert_eq!(current_knobs(), before);
     }
 
     #[test]
     fn per_launch_beats_enclosing_scope() {
-        crate::with_engine(Engine::Decoded, || {
+        ExecOptions::inherit().engine(Engine::Decoded).scope(|| {
             ExecOptions::inherit().engine(Engine::Superblock).scope(|| {
                 assert_eq!(current_engine(), Engine::Superblock);
             });
@@ -139,5 +189,28 @@ mod tests {
                 assert_eq!(current_sim_threads(), 2);
             });
         });
+    }
+
+    /// The whole resolution order as one pure expression: inner scope >
+    /// outer scope > env > default, independently per knob.
+    #[test]
+    fn merge_order_is_inner_outer_env_default_for_every_knob() {
+        let all = |e, n, t| ExecOptions::inherit().engine(e).sim_threads(n).superblock_threshold(t);
+        let inner = all(Engine::Reference, 1, 11);
+        let outer = all(Engine::Superblock, 2, 22);
+        let env = all(Engine::Reference, 3, 33);
+        let none = ExecOptions::inherit();
+        // (inner, outer, env) layers that set the knobs → the layer that wins.
+        for (i, o, e, want) in [
+            (inner, outer, env, inner),
+            (none, outer, env, outer),
+            (none, none, env, env),
+            (none, none, none, DEFAULTS),
+        ] {
+            assert_eq!(i.or(o).or(e).or(DEFAULTS), want);
+        }
+        // Per knob: each falls through on its own.
+        let mixed = ExecOptions::inherit().sim_threads(1).or(none.engine(Engine::Superblock));
+        assert_eq!(mixed.or(env).or(DEFAULTS), all(Engine::Superblock, 1, 33));
     }
 }

@@ -12,50 +12,25 @@ use crate::memory::{DeviceMemory, MemFault};
 use crate::stats::KernelStats;
 use crate::vir::*;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Kernel launch geometry.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Grid dimensions (blocks).
     pub grid: (u32, u32, u32),
     /// Block dimensions (threads).
     pub block: (u32, u32, u32),
-    /// Per-launch worker-pool override: `Some(0)` means auto (one worker
-    /// per CPU), `Some(1)` forces the serial path, `None` defers to the
-    /// thread-local / process-wide setting (see [`crate::parallel`]).
-    pub sim_threads: Option<u32>,
-}
-
-/// Manual `Debug` reproducing the pre-`sim_threads` derived format. The
-/// memo content key hashes `format!("{config:?}")`, and the worker count
-/// must never change a launch's content hash — identical inputs produce
-/// identical results at any thread count, so they must share a cache
-/// entry.
-impl std::fmt::Debug for LaunchConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LaunchConfig")
-            .field("grid", &self.grid)
-            .field("block", &self.block)
-            .finish()
-    }
 }
 
 impl LaunchConfig {
     /// 1-D launch helper.
     pub fn d1(grid: u32, block: u32) -> Self {
-        LaunchConfig { grid: (grid, 1, 1), block: (block, 1, 1), sim_threads: None }
+        LaunchConfig { grid: (grid, 1, 1), block: (block, 1, 1) }
     }
 
     /// 2-D launch helper.
     pub fn d2(grid: (u32, u32), block: (u32, u32)) -> Self {
-        LaunchConfig { grid: (grid.0, grid.1, 1), block: (block.0, block.1, 1), sim_threads: None }
-    }
-
-    /// Builder: pin this launch's worker count (`0` = auto).
-    pub fn with_sim_threads(mut self, n: u32) -> Self {
-        self.sim_threads = Some(n);
-        self
+        LaunchConfig { grid: (grid.0, grid.1, 1), block: (block.0, block.1, 1) }
     }
 
     /// Threads per block.
@@ -203,100 +178,6 @@ impl Engine {
             Engine::Superblock => "superblock",
         }
     }
-
-    fn from_code(c: u8) -> Engine {
-        match c {
-            1 => Engine::Reference,
-            2 => Engine::Superblock,
-            _ => Engine::Decoded,
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Engine::Decoded => 0,
-            Engine::Reference => 1,
-            Engine::Superblock => 2,
-        }
-    }
-}
-
-/// The process-wide engine selection (an [`Engine::code`]).
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-std::thread_local! {
-    /// Per-thread engine override installed by [`with_engine`]: lets a
-    /// server worker honor a per-request engine without racing other
-    /// workers on the process-wide selection.
-    static ENGINE_OVERRIDE: std::cell::Cell<Option<Engine>> = const { std::cell::Cell::new(None) };
-}
-
-/// Select the process-wide execution engine for subsequent [`launch`]
-/// calls (on any thread without a [`with_engine`] override in effect).
-pub fn set_engine(e: Engine) {
-    env_engine_init();
-    ENGINE.store(e.code(), Ordering::Relaxed);
-}
-
-/// Run `f` with `e` as this thread's engine, restoring the previous
-/// override afterwards (even on unwind). Launches performed by `f` on
-/// *this* thread — including through memoized paths, which funnel into
-/// [`launch`] — use `e`; other threads are unaffected.
-pub fn with_engine<R>(e: Engine, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Engine>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ENGINE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(ENGINE_OVERRIDE.with(|c| c.replace(Some(e))));
-    f()
-}
-
-fn env_engine_init() {
-    static ENV_INIT: std::sync::Once = std::sync::Once::new();
-    ENV_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("SAFARA_ENGINE") {
-            if let Some(e) = Engine::parse(&v) {
-                ENGINE.store(e.code(), Ordering::Relaxed);
-                return;
-            }
-        }
-        if let Ok(v) = std::env::var("SAFARA_REFERENCE_ENGINE") {
-            if v == "1" || v.eq_ignore_ascii_case("true") {
-                ENGINE.store(Engine::Reference.code(), Ordering::Relaxed);
-            }
-        }
-    });
-}
-
-/// The engine [`launch`] will dispatch to on this thread: the
-/// [`with_engine`] override if one is in effect, else the process-wide
-/// selection. On first call the process-wide default is taken from the
-/// `SAFARA_ENGINE` environment variable (`reference` / `decoded` /
-/// `superblock`), falling back to the legacy `SAFARA_REFERENCE_ENGINE`
-/// (`1` / `true` selects the reference interpreter), so every binary in
-/// the workspace can be A/B-timed without code changes.
-pub fn current_engine() -> Engine {
-    if let Some(e) = ENGINE_OVERRIDE.with(|c| c.get()) {
-        return e;
-    }
-    env_engine_init();
-    Engine::from_code(ENGINE.load(Ordering::Relaxed))
-}
-
-/// Select the execution engine for subsequent [`launch`] calls:
-/// `true` = the original (reference) interpreter, `false` (default) =
-/// the pre-decoded direct-threaded engine. Legacy shim over
-/// [`set_engine`].
-pub fn set_reference_engine(on: bool) {
-    set_engine(if on { Engine::Reference } else { Engine::Decoded });
-}
-
-/// Is the reference engine currently selected? Legacy shim over
-/// [`current_engine`].
-pub fn reference_engine_enabled() -> bool {
-    current_engine() == Engine::Reference
 }
 
 /// Execute a kernel launch.
@@ -306,9 +187,8 @@ pub fn reference_engine_enabled() -> bool {
 /// for functional correctness but counts their touches as local-memory
 /// traffic, mirroring what PTXAS-inserted reload/spill code would do.
 ///
-/// Dispatches to the engine selected by [`set_engine`] /
-/// [`with_engine`] (default: the pre-decoded engine,
-/// [`crate::decode`]).
+/// Dispatches to [`crate::current_engine`] (default: the pre-decoded
+/// engine, [`crate::decode`]).
 pub fn launch(
     kernel: &KernelVir,
     config: &LaunchConfig,
@@ -317,14 +197,14 @@ pub fn launch(
     spilled: &[VReg],
 ) -> Result<LaunchResult, SimError> {
     crate::parallel::clear_last_parallel_info();
-    match current_engine() {
+    match crate::current_engine() {
         Engine::Reference => {
             // The tree-walker keeps no decoded program that a worker
             // pool could share; a multi-threaded launch delegates to the
             // decoded engine, which is stats- and memory-identical
             // (asserted by the engine differential suite). At one thread
             // the historical reference path runs untouched.
-            if crate::parallel::resolve_sim_threads(config) > 1 && config.total_blocks() > 1 {
+            if crate::current_sim_threads() > 1 && config.total_blocks() > 1 {
                 crate::decode::launch_decoded(kernel, config, params, mem, spilled)
             } else {
                 launch_reference(kernel, config, params, mem, spilled)

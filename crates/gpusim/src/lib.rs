@@ -41,19 +41,17 @@ pub mod timing;
 pub mod vir;
 
 pub use device::{DeviceConfig, Occupancy};
-pub use interp::{
-    current_engine, launch, set_engine, with_engine, Engine, LaunchConfig, LaunchResult,
+pub use exec_options::{
+    current_engine, current_sim_threads, current_superblock_threshold, ExecOptions,
 };
+pub use interp::{launch, Engine, LaunchConfig, LaunchResult};
 pub use parallel::{
-    current_sim_threads, last_parallel_info, max_sim_threads_used, parse_sim_threads,
-    reset_max_sim_threads_used, set_sim_threads, with_sim_threads, ParallelInfo,
+    last_parallel_info, max_sim_threads_used, parse_sim_threads, reset_max_sim_threads_used,
+    ParallelInfo,
 };
 pub use superblock::{
-    current_superblock_threshold, fusion_counters, parse_superblock_threshold,
-    set_superblock_threshold, with_superblock_threshold, FusionCounters,
-    DEFAULT_SUPERBLOCK_THRESHOLD,
+    fusion_counters, parse_superblock_threshold, FusionCounters, DEFAULT_SUPERBLOCK_THRESHOLD,
 };
-pub use exec_options::ExecOptions;
 pub use memo::{launch_cached, LaunchCache, SharedLaunchCache};
 pub use memory::{BufferId, DeviceMemory};
 pub use ptxas::{allocate_registers, allocate_registers_with, RegAllocReport, SpillTarget};

@@ -30,32 +30,12 @@
 //! *different* block mid-launch is scheduling-dependent on real
 //! hardware, and is out of scope here too.
 
-use crate::interp::{atom_add, LaunchConfig, SimError};
+use crate::interp::{atom_add, SimError};
 use crate::memory::{DeviceMemory, MemFault, OFFSET_BITS};
 use crate::stats::KernelStats;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Once;
-
-// ---------------------------------------------------------------------------
-// sim-threads knobs: env, process default, thread-local scope, per-launch
-// ---------------------------------------------------------------------------
-
-/// Process-wide sim-threads setting. `0` means *auto* (one worker per
-/// available CPU); `u32::MAX` is the uninitialized sentinel replaced by
-/// `SAFARA_SIM_THREADS` on first use.
-static SIM_THREADS: AtomicU32 = AtomicU32::new(u32::MAX);
-static SIM_THREADS_INIT: Once = Once::new();
-
-std::thread_local! {
-    static SIM_THREADS_OVERRIDE: Cell<Option<u32>> = const { Cell::new(None) };
-    static LAST_PARALLEL: RefCell<Option<ParallelInfo>> = const { RefCell::new(None) };
-}
-
-/// High-water mark of worker-pool widths actually used by launches since
-/// the last [`reset_max_sim_threads_used`]. Serial launches count as 1.
-static MAX_USED: AtomicU32 = AtomicU32::new(1);
 
 /// Parse a sim-threads setting: `auto` (or empty) means one worker per
 /// available CPU, otherwise a positive thread count.
@@ -66,80 +46,17 @@ pub fn parse_sim_threads(s: &str) -> Option<u32> {
     }
 }
 
-fn env_sim_threads_init() {
-    SIM_THREADS_INIT.call_once(|| {
-        let v = std::env::var("SAFARA_SIM_THREADS")
-            .ok()
-            .and_then(|s| parse_sim_threads(&s))
-            .unwrap_or(0);
-        // Lost to an explicit `set_sim_threads` racing ahead of us: keep
-        // the explicit setting.
-        let _ = SIM_THREADS.compare_exchange(u32::MAX, v, Ordering::SeqCst, Ordering::SeqCst);
-    });
-}
-
-/// Set the process-wide default worker count for launches (`0` = auto:
-/// one worker per available CPU). Overrides `SAFARA_SIM_THREADS`.
-pub fn set_sim_threads(n: u32) {
-    env_sim_threads_init();
-    SIM_THREADS.store(n, Ordering::SeqCst);
-}
-
-/// Run `f` with a thread-local sim-threads override (`0` = auto), then
-/// restore the previous override even on unwind. Mirrors
-/// [`crate::interp::with_engine`].
-pub fn with_sim_threads<T>(n: u32, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<u32>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SIM_THREADS_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(SIM_THREADS_OVERRIDE.with(|c| c.replace(Some(n))));
-    f()
-}
-
-fn global_sim_threads() -> u32 {
-    env_sim_threads_init();
-    match SIM_THREADS.load(Ordering::SeqCst) {
-        u32::MAX => 0,
-        v => v,
-    }
-}
-
-fn auto_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The worker count a launch without a per-launch override would use on
-/// the current thread, with `auto` already expanded.
-pub fn current_sim_threads() -> u32 {
-    let setting = SIM_THREADS_OVERRIDE.with(|c| c.get()).unwrap_or_else(global_sim_threads);
-    if setting == 0 {
-        auto_threads() as u32
-    } else {
-        setting
-    }
-}
-
-/// Resolve the worker count for one launch: per-launch override, then
-/// the thread-local scope, then the process default / env, then auto.
-pub(crate) fn resolve_sim_threads(config: &LaunchConfig) -> usize {
-    let setting = config
-        .sim_threads
-        .or_else(|| SIM_THREADS_OVERRIDE.with(|c| c.get()))
-        .unwrap_or_else(global_sim_threads);
-    if setting == 0 {
-        auto_threads()
-    } else {
-        setting as usize
-    }
-    .max(1)
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry: what the last launch on this thread actually did
 // ---------------------------------------------------------------------------
+
+std::thread_local! {
+    static LAST_PARALLEL: RefCell<Option<ParallelInfo>> = const { RefCell::new(None) };
+}
+
+/// High-water mark of worker-pool widths actually used by launches since
+/// the last [`reset_max_sim_threads_used`]. Serial launches count as 1.
+static MAX_USED: AtomicU32 = AtomicU32::new(1);
 
 /// How the most recent launch on this thread distributed its blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -726,23 +643,23 @@ mod tests {
 
     #[test]
     fn sim_threads_parse_and_scopes() {
+        use crate::{current_sim_threads, ExecOptions};
         assert_eq!(parse_sim_threads("auto"), Some(0));
         assert_eq!(parse_sim_threads(" 4 "), Some(4));
         assert_eq!(parse_sim_threads("0"), None);
         assert_eq!(parse_sim_threads("lots"), None);
-        let cfg = LaunchConfig::d1(8, 32);
-        let outer = resolve_sim_threads(&cfg);
+        let outer = current_sim_threads();
         assert!(outer >= 1);
-        with_sim_threads(5, || {
-            assert_eq!(resolve_sim_threads(&cfg), 5);
+        ExecOptions::inherit().sim_threads(5).scope(|| {
             assert_eq!(current_sim_threads(), 5);
-            // Per-launch override beats the scope.
-            assert_eq!(resolve_sim_threads(&cfg.with_sim_threads(2)), 2);
-            with_sim_threads(0, || {
-                assert_eq!(resolve_sim_threads(&cfg), auto_threads());
+            // The innermost scope wins, and `0` expands to one per CPU.
+            ExecOptions::inherit().sim_threads(2).scope(|| assert_eq!(current_sim_threads(), 2));
+            ExecOptions::inherit().sim_threads(0).scope(|| {
+                let auto = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+                assert_eq!(current_sim_threads(), auto);
             });
-            assert_eq!(resolve_sim_threads(&cfg), 5);
+            assert_eq!(current_sim_threads(), 5);
         });
-        assert_eq!(resolve_sim_threads(&cfg), outer);
+        assert_eq!(current_sim_threads(), outer);
     }
 }

@@ -14,7 +14,8 @@
 //!    execution counters on basic blocks and taken/not-taken counters on
 //!    conditional branches.
 //! 2. **Fuse.** Blocks whose execution count reaches the hot-block
-//!    threshold ([`set_superblock_threshold`], env `SAFARA_SB_THRESHOLD`)
+//!    threshold ([`crate::ExecOptions::superblock_threshold`], env
+//!    `SAFARA_SB_THRESHOLD`)
 //!    become superblock entries; fusion stitches consecutive hot blocks
 //!    together, following unconditional branches and the *biased* exit of
 //!    conditional branches (which become in-line guards), stopping at
@@ -72,64 +73,6 @@ const MAX_FUSE: u32 = 16;
 /// against the scalar file instead of the lane-major file. Real
 /// register-file indices stay far below this bit.
 const UB: u32 = 1 << 31;
-
-static THRESHOLD: AtomicU64 = AtomicU64::new(0); // 0 = read env on first use
-
-std::thread_local! {
-    static THRESHOLD_OVERRIDE: std::cell::Cell<Option<u64>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn threshold() -> u64 {
-    if let Some(t) = THRESHOLD_OVERRIDE.with(|c| c.get()) {
-        return t.max(1);
-    }
-    let t = THRESHOLD.load(Ordering::Relaxed);
-    if t != 0 {
-        return t;
-    }
-    let t = match std::env::var("SAFARA_SB_THRESHOLD") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("inf") => u64::MAX,
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .filter(|&x| x >= 1)
-            .unwrap_or(DEFAULT_SUPERBLOCK_THRESHOLD),
-        Err(_) => DEFAULT_SUPERBLOCK_THRESHOLD,
-    };
-    THRESHOLD.store(t, Ordering::Relaxed);
-    t
-}
-
-/// Set the hot-block threshold for subsequent superblock launches.
-/// `u64::MAX` disables profiling/fusion entirely: every launch is
-/// delegated to the decoded engine (the behavioral kill switch the
-/// differential tests pin). Values below 1 clamp to 1.
-pub fn set_superblock_threshold(t: u64) {
-    THRESHOLD.store(t.max(1), Ordering::Relaxed);
-}
-
-/// Run `f` with a thread-local hot-block-threshold override, then
-/// restore the previous override even on unwind. Mirrors
-/// [`crate::interp::with_engine`] / [`crate::parallel::with_sim_threads`]
-/// so per-request settings never leak across server worker iterations.
-pub fn with_superblock_threshold<T>(t: u64, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THRESHOLD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(THRESHOLD_OVERRIDE.with(|c| c.replace(Some(t))));
-    f()
-}
-
-/// The hot-block threshold a launch on the current thread would use
-/// (override > process setting > env > default).
-pub fn current_superblock_threshold() -> u64 {
-    threshold()
-}
 
 /// Parse a superblock-threshold setting: `inf` disables fusion entirely
 /// (delegates every launch to the decoded engine), otherwise a count ≥ 1.
@@ -1261,7 +1204,7 @@ fn launch_inner(
     spilled: &[VReg],
     ctrs: &mut LocalCtrs,
 ) -> Result<LaunchResult, SimError> {
-    let thr = threshold();
+    let thr = crate::current_superblock_threshold();
     if thr == u64::MAX {
         ctrs.delegated += 1;
         return launch_decoded(kernel, config, params, mem, spilled);
@@ -1305,7 +1248,7 @@ fn launch_inner(
     let mut profiled = 0u64;
 
     let n_blocks = config.total_blocks();
-    let threads = parallel::resolve_sim_threads(config);
+    let threads = crate::current_sim_threads() as usize;
 
     // Serial phase. Profiling warps execute real lanes that mutate
     // device memory, and `PROFILE_WARPS` may span block boundaries, so

@@ -11,18 +11,13 @@
 //! * **segment-straddling strides** — the streaming 128-byte coalescing
 //!   fast path vs. the sort-based slow path must count identical
 //!   transactions.
-//!
-//! The engine switch is process-global, so every test takes a mutex.
 
-use safara_gpusim::interp::{set_reference_engine, LaunchConfig, ParamVal};
+use safara_gpusim::interp::{LaunchConfig, ParamVal};
 use safara_gpusim::memo::{launch_cached, LaunchCache};
 use safara_gpusim::vir::{
     AluOp, CmpOp, Inst, Label, MemSpace, Operand, ParamDecl, SpecialReg, VType,
 };
-use safara_gpusim::{launch, DeviceMemory, KernelStats, KernelVir, VReg};
-use std::sync::Mutex;
-
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
+use safara_gpusim::{launch, DeviceMemory, Engine, ExecOptions, KernelStats, KernelVir, VReg};
 
 fn r(i: u32) -> Operand {
     Operand::Reg(VReg(i))
@@ -61,11 +56,11 @@ fn assert_engines_agree(
     spilled: &[VReg],
     setup: &dyn Fn(&mut DeviceMemory) -> Vec<ParamVal>,
 ) -> KernelStats {
-    let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_reference_engine(true);
-    let (ref_stats, ref_bufs) = run_once(kernel, config, spilled, setup);
-    set_reference_engine(false);
-    let (dec_stats, dec_bufs) = run_once(kernel, config, spilled, setup);
+    let under = |engine| {
+        ExecOptions::inherit().engine(engine).scope(|| run_once(kernel, config, spilled, setup))
+    };
+    let (ref_stats, ref_bufs) = under(Engine::Reference);
+    let (dec_stats, dec_bufs) = under(Engine::Decoded);
     assert_eq!(ref_stats, dec_stats, "stats diverge between engines");
     assert_eq!(ref_bufs, dec_bufs, "memory diverges between engines");
 
@@ -187,11 +182,12 @@ fn divergent_branches_agree() {
     assert!(stats.simple_insts > 0);
     // Spot-check the semantics on the host: lane t sums a[i] for even i
     // below t and 3 for odd i.
-    let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_reference_engine(false);
     let mut mem2 = DeviceMemory::new();
     let params2 = setup(&mut mem2);
-    launch(&kernel, &config, &params2, &mut mem2, &[]).unwrap();
+    ExecOptions::inherit()
+        .engine(Engine::Decoded)
+        .scope(|| launch(&kernel, &config, &params2, &mut mem2, &[]))
+        .unwrap();
     let out = mem2.copy_out_i32(safara_gpusim::BufferId(1));
     let a: Vec<i32> = (0..128).map(|i| i * 7 - 300).collect();
     for (t, &got) in out.iter().enumerate() {

@@ -74,7 +74,22 @@ impl RunReport {
     }
 }
 
-/// Execute all offload kernels of `func` against `args`.
+/// How a run's launches consult the launch memo ([`safara_gpusim::memo`]):
+/// a hit replays the recorded stats and buffers for a content key (VIR,
+/// spills, geometry, params, input buffers) seen before.
+pub enum Memo<'a> {
+    /// Simulate every launch.
+    Off,
+    /// Memoize through a cache this caller owns.
+    Local(&'a mut LaunchCache),
+    /// Memoize through a thread-shared cache — the long-lived-service
+    /// path: many concurrent runs amortize into one process-wide cache.
+    Shared(&'a SharedLaunchCache),
+}
+
+/// Execute all offload kernels of `func` against `args`, recording
+/// `h2d` → one `launch` per kernel (with cache hit/miss metadata) →
+/// `d2h` spans into `tracer` (a disabled tracer records nothing).
 ///
 /// `compiled` pairs each kernel with its register-allocation report (the
 /// compiler driver produces both); the report supplies the register count
@@ -84,73 +99,7 @@ pub fn run_function(
     func: &Function,
     compiled: &[(CompiledKernel, RegAllocReport)],
     args: &mut Args,
-) -> Result<RunReport, RuntimeError> {
-    run_function_impl(dev, func, compiled, args, CacheRef::None, &mut Tracer::disabled())
-}
-
-/// [`run_function`] with optional launch memoization: pass a
-/// [`LaunchCache`] and each kernel launch is answered from the cache
-/// when its content key (VIR, spills, geometry, params, input buffers)
-/// has been seen before — see [`safara_gpusim::memo`].
-pub fn run_function_cached(
-    dev: &DeviceConfig,
-    func: &Function,
-    compiled: &[(CompiledKernel, RegAllocReport)],
-    args: &mut Args,
-    cache: Option<&mut LaunchCache>,
-) -> Result<RunReport, RuntimeError> {
-    let cache = match cache {
-        Some(c) => CacheRef::Exclusive(c),
-        None => CacheRef::None,
-    };
-    run_function_impl(dev, func, compiled, args, cache, &mut Tracer::disabled())
-}
-
-/// [`run_function`] with launch memoization through a thread-shared
-/// [`SharedLaunchCache`] — the long-lived-service path: many concurrent
-/// runs amortize into one process-wide cache.
-pub fn run_function_shared(
-    dev: &DeviceConfig,
-    func: &Function,
-    compiled: &[(CompiledKernel, RegAllocReport)],
-    args: &mut Args,
-    cache: &SharedLaunchCache,
-) -> Result<RunReport, RuntimeError> {
-    run_function_impl(dev, func, compiled, args, CacheRef::Shared(cache), &mut Tracer::disabled())
-}
-
-/// [`run_function`] recording `h2d` → one `launch` per kernel (with
-/// cache hit/miss metadata) → `d2h` spans into `tracer`, optionally
-/// memoizing through a thread-shared cache. With a disabled tracer this
-/// is exactly the untraced path.
-pub fn run_function_traced(
-    dev: &DeviceConfig,
-    func: &Function,
-    compiled: &[(CompiledKernel, RegAllocReport)],
-    args: &mut Args,
-    cache: Option<&SharedLaunchCache>,
-    tracer: &mut Tracer,
-) -> Result<RunReport, RuntimeError> {
-    let cache = match cache {
-        Some(c) => CacheRef::Shared(c),
-        None => CacheRef::None,
-    };
-    run_function_impl(dev, func, compiled, args, cache, tracer)
-}
-
-/// How launches consult the memo cache, if at all.
-enum CacheRef<'a> {
-    None,
-    Exclusive(&'a mut LaunchCache),
-    Shared(&'a SharedLaunchCache),
-}
-
-fn run_function_impl(
-    dev: &DeviceConfig,
-    func: &Function,
-    compiled: &[(CompiledKernel, RegAllocReport)],
-    args: &mut Args,
-    mut cache: CacheRef<'_>,
+    mut memo: Memo<'_>,
     tracer: &mut Tracer,
 ) -> Result<RunReport, RuntimeError> {
     // ---- resolve array shapes and upload -------------------------------
@@ -259,20 +208,20 @@ fn run_function_impl(
         // can carry this launch's deltas. The counters are process-wide,
         // so concurrent launches on other threads can inflate a delta —
         // they are observability, not an exact accounting.
-        let engine = safara_gpusim::interp::current_engine();
+        let engine = safara_gpusim::current_engine();
         let fusion_before = (tracer.is_enabled()
             && engine == safara_gpusim::interp::Engine::Superblock)
             .then(safara_gpusim::superblock::fusion_counters);
-        let (result, cache_note) = match &mut cache {
-            CacheRef::None => {
+        let (result, cache_note) = match &mut memo {
+            Memo::Off => {
                 (launch(&kernel.vir, &config, &params, &mut mem, &alloc.spilled), "uncached")
             }
-            CacheRef::Exclusive(c) => {
+            Memo::Local(c) => {
                 let hits_before = c.hits;
                 let r = launch_cached(c, &kernel.vir, &config, &params, &mut mem, &alloc.spilled);
                 (r, if c.hits > hits_before { "hit" } else { "miss" })
             }
-            CacheRef::Shared(s) => {
+            Memo::Shared(s) => {
                 match s.launch_cached_info(&kernel.vir, &config, &params, &mut mem, &alloc.spilled)
                 {
                     Ok((r, hit)) => (Ok(r), if hit { "hit" } else { "miss" }),
@@ -367,6 +316,18 @@ fn run_function_impl(
     tracer.meta_int("bytes", report.d2h_bytes as i64);
     tracer.end();
     Ok(report)
+}
+
+/// [`run_function`] with the memo spelled as an optional shared cache.
+pub fn run_function_traced(
+    dev: &DeviceConfig,
+    func: &Function,
+    compiled: &[(CompiledKernel, RegAllocReport)],
+    args: &mut Args,
+    cache: Option<&SharedLaunchCache>,
+    tracer: &mut Tracer,
+) -> Result<RunReport, RuntimeError> {
+    run_function(dev, func, compiled, args, cache.map_or(Memo::Off, Memo::Shared), tracer)
 }
 
 fn owner_array(owner: &DimOwner, kernel: &CompiledKernel) -> Result<Ident, RuntimeError> {
@@ -545,13 +506,9 @@ fn launch_geometry(
         let trip = trip_count(spec, env)?.max(1) as u64;
         grid[0] = (trip.div_ceil(block[0] as u64)) as u32;
     }
-    // `sim_threads` stays `None`: the worker count comes from the
-    // thread-local / process-wide setting, so identical runs compare
-    // equal (`KernelRun` holds this config) regardless of pool width.
     Ok(LaunchConfig {
         grid: (grid[0], grid[1], grid[2]),
         block: (block[0], block[1], block[2]),
-        sim_threads: None,
     })
 }
 
@@ -561,6 +518,15 @@ mod tests {
     use safara_codegen::{lower_function, CodegenOptions};
     use safara_gpusim::ptxas::allocate_registers;
     use safara_ir::parse_program;
+
+    fn run_plain(
+        dev: &DeviceConfig,
+        func: &Function,
+        compiled: &[(CompiledKernel, RegAllocReport)],
+        args: &mut Args,
+    ) -> Result<RunReport, RuntimeError> {
+        run_function(dev, func, compiled, args, Memo::Off, &mut Tracer::disabled())
+    }
 
     fn compile_all(src: &str, opts: &CodegenOptions) -> (Function, Vec<(CompiledKernel, RegAllocReport)>) {
         let p = parse_program(src).unwrap();
@@ -594,7 +560,7 @@ mod tests {
         let y: Vec<f32> = (0..n).map(|i| (i * 2) as f32).collect();
         let mut args = Args::new().i32("n", n as i32).f32("alpha", 3.0).array_f32("x", &x).array_f32("y", &y);
         let dev = DeviceConfig::k20xm();
-        let report = run_function(&dev, &f, &compiled, &mut args).unwrap();
+        let report = run_plain(&dev, &f, &compiled, &mut args).unwrap();
         let out = args.array("y").unwrap().as_f32();
         for i in 0..n {
             assert_eq!(out[i], y[i] + 3.0 * x[i], "i={i}");
@@ -625,7 +591,7 @@ mod tests {
         let b = vec![0.0f32; n * n];
         let mut args = Args::new().i32("n", n as i32).array_f32("a", &a).array_f32("b", &b);
         let dev = DeviceConfig::k20xm();
-        run_function(&dev, &f, &compiled, &mut args).unwrap();
+        run_plain(&dev, &f, &compiled, &mut args).unwrap();
         let out = args.array("b").unwrap().as_f32();
         for j in 0..n {
             for i in 0..n {
@@ -649,7 +615,7 @@ mod tests {
         let x = vec![1.0f32; n];
         let mut args = Args::new().i32("n", n as i32).f32("s", 10.0).array_f32("x", &x);
         let dev = DeviceConfig::k20xm();
-        run_function(&dev, &f, &compiled, &mut args).unwrap();
+        run_plain(&dev, &f, &compiled, &mut args).unwrap();
         match args.scalar("s") {
             Some(ArgValue::F32(v)) => assert_eq!(v, 10.0 + n as f32),
             other => panic!("unexpected {other:?}"),
@@ -675,7 +641,7 @@ mod tests {
         let b = vec![0.0f32; n];
         let mut args = Args::new().i32("n", n as i32).array_f32("a", &a).array_f32("b", &b);
         let dev = DeviceConfig::k20xm();
-        run_function(&dev, &f, &compiled, &mut args).unwrap();
+        run_plain(&dev, &f, &compiled, &mut args).unwrap();
         let out = args.array("b").unwrap().as_f32();
         for i in 0..n {
             assert_eq!(out[i], a[i] * 2.0);
@@ -695,7 +661,7 @@ mod tests {
         let (f, compiled) = compile_all(src, &CodegenOptions::default());
         let dev = DeviceConfig::k20xm();
         let mut args = Args::new().i32("n", 8);
-        let err = run_function(&dev, &f, &compiled, &mut args).unwrap_err();
+        let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
         assert!(err.message.contains("missing array"), "{err}");
     }
 
@@ -712,7 +678,7 @@ mod tests {
         let (f, compiled) = compile_all(src, &CodegenOptions::default());
         let dev = DeviceConfig::k20xm();
         let mut args = Args::new().i32("n", 8).array_f32("a", &[0.0; 4]);
-        let err = run_function(&dev, &f, &compiled, &mut args).unwrap_err();
+        let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
         assert!(err.message.contains("size mismatch"), "{err}");
     }
 
@@ -729,7 +695,7 @@ mod tests {
         let (f, compiled) = compile_all(src, &CodegenOptions::default());
         let dev = DeviceConfig::k20xm();
         let mut args = Args::new().i32("n", 256).array_f32("a", &[0.0; 256]);
-        let report = run_function(&dev, &f, &compiled, &mut args).unwrap();
+        let report = run_plain(&dev, &f, &compiled, &mut args).unwrap();
         assert_eq!(report.kernels[0].config.block.0, 64);
         assert_eq!(report.kernels[0].config.grid.0, 4);
     }
@@ -747,7 +713,7 @@ mod tests {
         let (f, compiled) = compile_all(src, &CodegenOptions::default());
         let dev = DeviceConfig::k20xm();
         let mut args = Args::new().i32("n", 16).array_f32("a", &[0.0; 16]);
-        let report = run_function(&dev, &f, &compiled, &mut args).unwrap();
+        let report = run_plain(&dev, &f, &compiled, &mut args).unwrap();
         assert_eq!(report.kernels[0].config.total_threads(), 1);
         let out = args.array("a").unwrap().as_f32();
         assert_eq!(out[7], 7.0);

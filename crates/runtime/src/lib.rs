@@ -16,8 +16,5 @@ pub mod args;
 pub mod exec;
 
 pub use args::{ArgValue, Args, HostArray};
-pub use exec::{
-    run_function, run_function_cached, run_function_shared, run_function_traced, KernelRun,
-    RunReport, RuntimeError,
-};
+pub use exec::{run_function, run_function_traced, KernelRun, Memo, RunReport, RuntimeError};
 pub use safara_gpusim::memo::{LaunchCache, SharedLaunchCache};

@@ -27,6 +27,6 @@ pub mod queue;
 pub mod server;
 pub mod service;
 
-pub use protocol::{build_run_request, build_run_request_v, parse_request, Op, Request, WireError};
+pub use protocol::{build_run_request, parse_request, Op, Request, RunRequestLine, WireError};
 pub use server::{dispatch, serve, ServerHandle};
 pub use service::{Engine, EngineConfig, Submit};

@@ -101,7 +101,7 @@ pub enum Op {
 pub struct CompileRequest {
     /// MiniACC source.
     pub source: String,
-    /// Profile key (see [`CompilerConfig::by_name`]).
+    /// Profile key (see [`resolve_profile`]).
     pub profile: String,
     /// Restrict the report to one function (default: all).
     pub entry: Option<String>,
@@ -114,7 +114,7 @@ pub struct RunRequest {
     pub source: String,
     /// Function to execute.
     pub entry: String,
-    /// Profile key (see [`CompilerConfig::by_name`]).
+    /// Profile key (see [`resolve_profile`]).
     pub profile: String,
     /// Marshaled scalar and array arguments.
     pub args: Args,
@@ -469,9 +469,107 @@ pub fn digest(arr: &HostArray) -> String {
     format!("{:016x}", h.0)
 }
 
-/// Build a run request line — the client-side counterpart of
-/// [`parse_request`], used by `server_bench` and the integration tests.
-/// Arrays are encoded losslessly (`bits`).
+/// A run request as it goes on the wire — the client-side counterpart
+/// of [`parse_request`]. The fields are the wire fields; everything is
+/// borrowed, so formatting a line never clones the argument arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct RunRequestLine<'a> {
+    /// Protocol version: `2` asks for structured [`WireError`] failures;
+    /// `1` omits the field, the legacy line shape.
+    pub v: u8,
+    /// Request id, echoed in the response.
+    pub id: i64,
+    /// MiniACC source.
+    pub source: &'a str,
+    /// Function to execute.
+    pub entry: &'a str,
+    /// Profile key (see [`resolve_profile`]).
+    pub profile: &'a str,
+    /// Scalar and array arguments; arrays are encoded losslessly (`bits`).
+    pub args: &'a Args,
+    /// Ask for full post-run array contents, not just digests.
+    pub return_arrays: bool,
+    /// Engine override (`reference` / `decoded` / `superblock`).
+    pub engine: Option<&'a str>,
+    /// Worker-count override (a positive integer, or `auto`).
+    pub sim_threads: Option<&'a str>,
+    /// Superblock-threshold override (a positive integer, or `inf`).
+    pub sb_threshold: Option<&'a str>,
+}
+
+impl<'a> RunRequestLine<'a> {
+    /// A v1 request with no execution-knob overrides; set the other
+    /// fields with struct-update syntax.
+    pub fn new(
+        id: i64,
+        source: &'a str,
+        entry: &'a str,
+        profile: &'a str,
+        args: &'a Args,
+        return_arrays: bool,
+    ) -> Self {
+        RunRequestLine {
+            v: 1,
+            id,
+            source,
+            entry,
+            profile,
+            args,
+            return_arrays,
+            engine: None,
+            sim_threads: None,
+            sb_threshold: None,
+        }
+    }
+
+    /// The request line. A `None` knob omits its field, so lines without
+    /// overrides are byte-identical whichever way they were built.
+    pub fn render(&self) -> String {
+        let scalars = Json::Obj(
+            self.args
+                .scalars
+                .iter()
+                .map(|(k, v)| {
+                    let jv = match v {
+                        safara_core::runtime::ArgValue::I32(i) => Json::Int(*i as i64),
+                        safara_core::runtime::ArgValue::I64(i) => Json::Int(*i),
+                        safara_core::runtime::ArgValue::F32(f) => Json::Float(*f as f64),
+                        safara_core::runtime::ArgValue::F64(f) => Json::Float(*f),
+                    };
+                    (k.to_string(), jv)
+                })
+                .collect(),
+        );
+        let arrays = Json::Obj(
+            self.args.arrays.iter().map(|(k, a)| (k.to_string(), array_to_json(a))).collect(),
+        );
+        let mut fields = vec![("id", Json::Int(self.id))];
+        if self.v >= 2 {
+            fields.push(("v", Json::Int(self.v as i64)));
+        }
+        fields.extend([
+            ("op", Json::Str("run".into())),
+            ("source", Json::Str(self.source.into())),
+            ("entry", Json::Str(self.entry.into())),
+            ("profile", Json::Str(self.profile.into())),
+            ("scalars", scalars),
+            ("arrays", arrays),
+            ("return_arrays", Json::Bool(self.return_arrays)),
+        ]);
+        for (key, knob) in [
+            ("engine", self.engine),
+            ("sim_threads", self.sim_threads),
+            ("sb_threshold", self.sb_threshold),
+        ] {
+            if let Some(value) = knob {
+                fields.push((key, Json::Str(value.into())));
+            }
+        }
+        obj(fields).dump()
+    }
+}
+
+/// [`RunRequestLine::new`] rendered: a v1 run request line.
 pub fn build_run_request(
     id: i64,
     source: &str,
@@ -480,137 +578,7 @@ pub fn build_run_request(
     args: &Args,
     return_arrays: bool,
 ) -> String {
-    build_run_request_v(1, id, source, entry, profile, args, return_arrays)
-}
-
-/// [`build_run_request`] with an explicit protocol version: `v: 2`
-/// requests structured [`WireError`] failures. Version 1 omits the `v`
-/// field, keeping v1 request lines byte-identical to the legacy builder.
-pub fn build_run_request_v(
-    v: u8,
-    id: i64,
-    source: &str,
-    entry: &str,
-    profile: &str,
-    args: &Args,
-    return_arrays: bool,
-) -> String {
-    build_run_request_with_engine(v, id, source, entry, profile, None, args, return_arrays)
-}
-
-/// [`build_run_request_v`] with an optional per-request simulator engine
-/// override. `engine: None` omits the field, keeping the line
-/// byte-identical to the engine-less builders.
-#[allow(clippy::too_many_arguments)]
-pub fn build_run_request_with_engine(
-    v: u8,
-    id: i64,
-    source: &str,
-    entry: &str,
-    profile: &str,
-    engine: Option<&str>,
-    args: &Args,
-    return_arrays: bool,
-) -> String {
-    build_run_request_with_sim_threads(
-        v,
-        id,
-        source,
-        entry,
-        profile,
-        engine,
-        None,
-        args,
-        return_arrays,
-    )
-}
-
-/// [`build_run_request_with_engine`] with an optional per-request
-/// `sim_threads` override (a positive integer rendered as a string, or
-/// `"auto"`). `sim_threads: None` omits the field, keeping the line
-/// byte-identical to the other builders.
-#[allow(clippy::too_many_arguments)]
-pub fn build_run_request_with_sim_threads(
-    v: u8,
-    id: i64,
-    source: &str,
-    entry: &str,
-    profile: &str,
-    engine: Option<&str>,
-    sim_threads: Option<&str>,
-    args: &Args,
-    return_arrays: bool,
-) -> String {
-    build_run_request_with_exec_options(
-        v,
-        id,
-        source,
-        entry,
-        profile,
-        engine,
-        sim_threads,
-        None,
-        args,
-        return_arrays,
-    )
-}
-
-/// [`build_run_request_with_sim_threads`] with an optional per-request
-/// `sb_threshold` override (a positive integer rendered as a string, or
-/// `"inf"`). All three execution knobs omit their field when `None`,
-/// keeping the line byte-identical to the narrower builders.
-#[allow(clippy::too_many_arguments)]
-pub fn build_run_request_with_exec_options(
-    v: u8,
-    id: i64,
-    source: &str,
-    entry: &str,
-    profile: &str,
-    engine: Option<&str>,
-    sim_threads: Option<&str>,
-    sb_threshold: Option<&str>,
-    args: &Args,
-    return_arrays: bool,
-) -> String {
-    let scalars = Json::Obj(
-        args.scalars
-            .iter()
-            .map(|(k, v)| {
-                let jv = match v {
-                    safara_core::runtime::ArgValue::I32(i) => Json::Int(*i as i64),
-                    safara_core::runtime::ArgValue::I64(i) => Json::Int(*i),
-                    safara_core::runtime::ArgValue::F32(f) => Json::Float(*f as f64),
-                    safara_core::runtime::ArgValue::F64(f) => Json::Float(*f),
-                };
-                (k.to_string(), jv)
-            })
-            .collect(),
-    );
-    let arrays =
-        Json::Obj(args.arrays.iter().map(|(k, a)| (k.to_string(), array_to_json(a))).collect());
-    let mut fields = vec![("id", Json::Int(id))];
-    if v >= 2 {
-        fields.push(("v", Json::Int(v as i64)));
-    }
-    fields.extend([
-        ("op", Json::Str("run".into())),
-        ("source", Json::Str(source.into())),
-        ("entry", Json::Str(entry.into())),
-        ("profile", Json::Str(profile.into())),
-        ("scalars", scalars),
-        ("arrays", arrays),
-        ("return_arrays", Json::Bool(return_arrays)),
-    ]);
-    if let Some(e) = engine {
-        fields.push(("engine", Json::Str(e.into())));
-    }
-    if let Some(t) = sim_threads {
-        fields.push(("sim_threads", Json::Str(t.into())));
-    }
-    if let Some(t) = sb_threshold {
-        fields.push(("sb_threshold", Json::Str(t.into())));
-    }
-    obj(fields).dump()
+    RunRequestLine::new(id, source, entry, profile, args, return_arrays).render()
 }
 
 /// A minimal status response line.
@@ -981,11 +949,7 @@ pub fn compile_response(
 }
 
 /// Resolve a profile key or build the standard `unknown_profile` error.
-///
-/// This is the wire-facing name resolution the `by_name` deprecation
-/// note points at — the one sanctioned string-keyed call site.
 pub fn resolve_profile(key: &str) -> Result<CompilerConfig, WireError> {
-    #[allow(deprecated)]
     CompilerConfig::by_name(key).ok_or_else(|| {
         WireError::unknown_profile(format!(
             "unknown profile `{key}` (expected one of: {})",
@@ -1134,14 +1098,13 @@ mod tests {
         for bad in [r#"{"op":"ping","v":0}"#, r#"{"op":"ping","v":3}"#, r#"{"op":"ping","v":"2"}"#] {
             assert!(parse_request(bad).is_err(), "{bad}");
         }
-        let v2 = build_run_request_v(2, 5, "s", "e", "base", &Args::new(), false);
+        let args = Args::new();
+        let v1 = RunRequestLine::new(5, "s", "e", "base", &args, false);
+        let v2 = RunRequestLine { v: 2, ..v1 }.render();
         assert_eq!(parse_request(&v2).unwrap().v, 2);
-        // v1 builder output is byte-identical to the legacy builder.
-        assert_eq!(
-            build_run_request(5, "s", "e", "base", &Args::new(), false),
-            build_run_request_v(1, 5, "s", "e", "base", &Args::new(), false),
-        );
-        assert!(!build_run_request(5, "s", "e", "base", &Args::new(), false).contains("\"v\""));
+        // A v1 line omits the field: byte-identical to the legacy shape.
+        assert_eq!(build_run_request(5, "s", "e", "base", &args, false), v1.render());
+        assert!(!v1.render().contains("\"v\""));
     }
 
     #[test]
@@ -1175,9 +1138,13 @@ mod tests {
 
     #[test]
     fn engine_field_parses_and_roundtrips() {
-        let line = build_run_request_with_engine(
-            2, 1, "s", "e", "base", Some("superblock"), &Args::new(), false,
-        );
+        let args = Args::new();
+        let line = RunRequestLine {
+            v: 2,
+            engine: Some("superblock"),
+            ..RunRequestLine::new(1, "s", "e", "base", &args, false)
+        }
+        .render();
         let Op::Run(r) = parse_request(&line).unwrap().op else { panic!() };
         assert_eq!(r.engine.as_deref(), Some("superblock"));
         // Engine-less builders stay byte-identical to the legacy shape
@@ -1195,17 +1162,13 @@ mod tests {
     #[test]
     fn sim_threads_field_parses_and_roundtrips() {
         // String and integer wire forms both surface as the raw token.
-        let line = build_run_request_with_sim_threads(
-            2,
-            1,
-            "s",
-            "e",
-            "base",
-            None,
-            Some("auto"),
-            &Args::new(),
-            false,
-        );
+        let args = Args::new();
+        let line = RunRequestLine {
+            v: 2,
+            sim_threads: Some("auto"),
+            ..RunRequestLine::new(1, "s", "e", "base", &args, false)
+        }
+        .render();
         let Op::Run(r) = parse_request(&line).unwrap().op else { panic!() };
         assert_eq!(r.sim_threads.as_deref(), Some("auto"));
         let Op::Run(r) = parse_request(

@@ -23,8 +23,9 @@ use crate::queue::{Bounded, PushError};
 use safara_core::chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_core::gpusim::device::DeviceConfig;
 use safara_core::gpusim::memo::DEFAULT_ENTRY_CAP;
+use safara_core::gpusim::{self, ExecOptions};
 use safara_core::obs::{Histogram, HistogramSnapshot, Tracer};
-use safara_core::{CompiledProgram, SharedLaunchCache};
+use safara_core::{run_compiled_with, CompiledProgram, Memo, RunCtx, SharedLaunchCache};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +67,7 @@ pub struct EngineConfig {
     /// (the pre-dedup stampede behavior, kept for benchmarking).
     pub coalesce: bool,
     /// Batched admission: a worker drains up to this many queued jobs
-    /// sharing one program key (source ‖ profile) per dequeue, so a
+    /// sharing one program (source and resolved profile) per dequeue, so a
     /// batch compiles once and simulates many. 1 disables batching.
     pub max_batch: usize,
 }
@@ -103,9 +104,10 @@ pub struct Job {
     /// The worker fans this job's outcome out to every waiter parked
     /// under the key.
     pub flight_key: Option<u64>,
-    /// Batch key (FNV over source ‖ profile): jobs sharing it may be
-    /// drained together so a worker compiles once and simulates many.
-    pub program_key: Option<u64>,
+    /// Batch key: the resolved profile name of an untraced run. Jobs
+    /// sharing it *and* their source text may be drained together so a
+    /// worker compiles once and simulates many.
+    pub batch_profile: Option<&'static str>,
 }
 
 /// A request parked on an in-flight leader: everything needed to
@@ -311,6 +313,10 @@ impl Breaker {
     }
 }
 
+/// What identifies a compiled program: its source text and the resolved
+/// (display) name of its profile.
+type ProgramKey = (Arc<str>, &'static str);
+
 /// State shared by workers and transports.
 pub struct EngineShared {
     /// Pool size (fixed at start; panics respawn, so it stays the live
@@ -318,8 +324,9 @@ pub struct EngineShared {
     pub workers: usize,
     /// The process-wide launch cache all workers memoize through.
     pub cache: SharedLaunchCache,
-    /// Compiled programs keyed by FNV(source ‖ profile name).
-    programs: Mutex<HashMap<u64, Arc<CompiledProgram>>>,
+    /// Compiled programs, keyed by content so two requests share an
+    /// entry only when they name the same program.
+    programs: Mutex<HashMap<ProgramKey, Arc<CompiledProgram>>>,
     /// Every submission attempt, admitted or not.
     pub submitted: AtomicU64,
     /// Requests answered `ok`.
@@ -385,30 +392,41 @@ fn fault(shared: &EngineShared, point: InjectionPoint) -> Option<FaultAction> {
 }
 
 impl EngineShared {
+    /// The compiled program a request runs against, and the tracer that
+    /// follows the request from here on. Untraced requests share
+    /// programs through the store and get a disabled tracer; traced
+    /// ones bypass it and compile fresh every time — the point is to
+    /// observe the pipeline, so the span tree always shows the compile
+    /// phases.
     fn program_for(
         &self,
         source: &str,
         profile_key: &str,
-    ) -> Result<Arc<CompiledProgram>, WireError> {
+        trace: bool,
+    ) -> Result<(Arc<CompiledProgram>, Tracer), WireError> {
         let config = protocol::resolve_profile(profile_key)?;
-        let key = fnv_pair(source, config.name);
-        if let Some(p) = self.programs.lock().unwrap_or_else(|p| p.into_inner()).get(&key) {
-            return Ok(Arc::clone(p));
+        let key = (Arc::<str>::from(source), config.name);
+        let mut tracer = if trace { Tracer::new() } else { Tracer::disabled() };
+        if !trace {
+            if let Some(p) = self.programs.lock().unwrap_or_else(|p| p.into_inner()).get(&key) {
+                return Ok((Arc::clone(p), tracer));
+            }
         }
         // Compile outside the lock: compilation is the expensive half
         // and two workers racing on the same source just do it twice.
         // Injected compile faults surface here as typed errors and are
         // never stored, so a retry compiles clean.
-        let program =
-            safara_core::compile_with_faults(source, &config, &mut Tracer::disabled(), &self.faults)
-                .map_err(|e| WireError::from_compile(&e))?;
+        let program = safara_core::compile_with_faults(source, &config, &mut tracer, &self.faults)
+            .map_err(|e| WireError::from_compile(&e))?;
         let program = Arc::new(program);
-        self.programs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&program));
-        Ok(program)
+        if !trace {
+            self.programs
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .entry(key)
+                .or_insert_with(|| Arc::clone(&program));
+        }
+        Ok((program, tracer))
     }
 
     /// Distinct compiled programs currently cached.
@@ -425,15 +443,6 @@ impl EngineShared {
         self.errors.fetch_add(1, Ordering::Relaxed);
         self.errors_by_code.record(err.code);
     }
-}
-
-fn fnv_pair(a: &str, b: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in a.as_bytes().iter().chain([0xffu8].iter()).chain(b.as_bytes()) {
-        h ^= *byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// What [`Engine::submit`] did with a request.
@@ -558,11 +567,11 @@ impl Engine {
         let timeout =
             Duration::from_millis(request.timeout_ms.unwrap_or(self.default_timeout_ms));
         // Untraced runs carry content keys: `flight` for single-flight
-        // dedup, `program_key` for batched admission.
-        let (flight, program_key) = match (&request.op, request.trace) {
+        // dedup, `batch_profile` for batched admission.
+        let (flight, batch_profile) = match (&request.op, request.trace) {
             (Op::Run(r), false) => (
                 if self.coalesce { Some((protocol::run_key(r), r.return_arrays)) } else { None },
-                Some(fnv_pair(&r.source, &r.profile)),
+                protocol::resolve_profile(&r.profile).ok().map(|config| config.name),
             ),
             _ => (None, None),
         };
@@ -616,7 +625,7 @@ impl Engine {
         let admitted = Instant::now();
         let flight_key = inflight.as_ref().map(|(_, key)| *key);
         let job =
-            Job { request, admitted, deadline: admitted + timeout, reply, flight_key, program_key };
+            Job { request, admitted, deadline: admitted + timeout, reply, flight_key, batch_profile };
         match self.queue.try_push(job) {
             Ok(()) => {
                 // Register the leader only once its job is queued:
@@ -860,6 +869,19 @@ fn fan_out(shared: &EngineShared, key: u64, outcome: &ExecOutcome) {
     }
 }
 
+/// Do two queued jobs resolve to the same program-store entry — same
+/// resolved profile, same source text?
+fn same_program(a: &Job, b: &Job) -> bool {
+    match (&a.request.op, &b.request.op) {
+        (Op::Run(x), Op::Run(y)) => {
+            a.batch_profile.is_some()
+                && a.batch_profile == b.batch_profile
+                && x.source == y.source
+        }
+        _ => false,
+    }
+}
+
 fn worker_loop(
     shared: &Arc<EngineShared>,
     queue: &Arc<Bounded<Job>>,
@@ -867,10 +889,8 @@ fn worker_loop(
 ) {
     // Batched admission: drain same-program jobs together so the batch
     // resolves one compiled program and then simulates many. Jobs
-    // without a program key (pings, compiles, traced runs) never batch.
-    while let Some(batch) = queue.pop_batch(shared.max_batch, |a, b| {
-        a.program_key.is_some() && a.program_key == b.program_key
-    }) {
+    // without a batch key (pings, compiles, traced runs) never batch.
+    while let Some(batch) = queue.pop_batch(shared.max_batch, same_program) {
         shared.metrics.batch_size.record(batch.len() as u64);
         let mut panicked = false;
         for job in batch {
@@ -982,63 +1002,29 @@ fn process_job(shared: &Arc<EngineShared>, queue: &Arc<Bounded<Job>>, job: Job) 
     panicked
 }
 
-/// Resolve a run request's optional engine override to a simulator
-/// engine, or the typed `invalid_engine` failure.
-fn resolve_engine(
-    name: Option<&str>,
-) -> Result<Option<safara_core::gpusim::Engine>, WireError> {
-    match name {
-        None => Ok(None),
-        Some(n) => safara_core::gpusim::Engine::parse(n)
-            .map(Some)
-            .ok_or_else(|| WireError::invalid_engine(n)),
+/// Map a run request's execution knobs — `engine`, `sim_threads`
+/// (`"auto"` is 0: one worker per core), `sb_threshold` (`"inf"`
+/// disables promotion), all raw wire tokens — onto one [`ExecOptions`],
+/// or the first typed validation failure. Its scope then sets exactly
+/// the knobs the request named and leaves the rest to the server's
+/// environment and the defaults.
+fn resolve_exec_options(r: &protocol::RunRequest) -> Result<ExecOptions, WireError> {
+    fn knob<T>(
+        raw: &Option<String>,
+        parse: impl Fn(&str) -> Option<T>,
+        invalid: impl Fn(&str) -> WireError,
+    ) -> Result<Option<T>, WireError> {
+        raw.as_deref().map(|s| parse(s).ok_or_else(|| invalid(s))).transpose()
     }
-}
-
-/// Resolve a run request's optional `sim_threads` override (raw token
-/// from the wire) to a thread count, or the typed `invalid_sim_threads`
-/// failure. `"auto"` maps to 0 (one worker per available core).
-fn resolve_sim_threads(raw: Option<&str>) -> Result<Option<u32>, WireError> {
-    match raw {
-        None => Ok(None),
-        Some(s) => safara_core::gpusim::parse_sim_threads(s)
-            .map(Some)
-            .ok_or_else(|| WireError::invalid_sim_threads(s)),
-    }
-}
-
-/// Resolve a run request's optional `sb_threshold` override (raw token
-/// from the wire) to a superblock-promotion threshold, or the typed
-/// `invalid_sb_threshold` failure. `"inf"` disables promotion.
-fn resolve_sb_threshold(raw: Option<&str>) -> Result<Option<u64>, WireError> {
-    match raw {
-        None => Ok(None),
-        Some(s) => safara_core::gpusim::parse_superblock_threshold(s)
-            .map(Some)
-            .ok_or_else(|| WireError::invalid_sb_threshold(s)),
-    }
-}
-
-/// Map a run request's execution knobs — `engine`, `sim_threads`,
-/// `sb_threshold`, all raw wire tokens — onto one [`ExecOptions`]
-/// value, or the first typed validation failure. `ExecOptions::scope`
-/// then applies exactly the knobs the request set, leaving the rest to
-/// the server's environment-level defaults (the documented
-/// per-launch > scoped > env > default resolution order).
-fn resolve_exec_options(
-    r: &protocol::RunRequest,
-) -> Result<safara_core::gpusim::ExecOptions, WireError> {
-    let mut opts = safara_core::gpusim::ExecOptions::inherit();
-    if let Some(e) = resolve_engine(r.engine.as_deref())? {
-        opts = opts.engine(e);
-    }
-    if let Some(n) = resolve_sim_threads(r.sim_threads.as_deref())? {
-        opts = opts.sim_threads(n);
-    }
-    if let Some(t) = resolve_sb_threshold(r.sb_threshold.as_deref())? {
-        opts = opts.superblock_threshold(t);
-    }
-    Ok(opts)
+    Ok(ExecOptions {
+        engine: knob(&r.engine, gpusim::Engine::parse, WireError::invalid_engine)?,
+        sim_threads: knob(&r.sim_threads, gpusim::parse_sim_threads, WireError::invalid_sim_threads)?,
+        superblock_threshold: knob(
+            &r.sb_threshold,
+            gpusim::parse_superblock_threshold,
+            WireError::invalid_sb_threshold,
+        )?,
+    })
 }
 
 fn execute(
@@ -1073,88 +1059,26 @@ fn execute(
             shared.shutdown_requested.store(true, Ordering::SeqCst);
             ExecOutcome::Reply(status_line(id, "shutting_down"))
         }
-        Op::Compile(c) if request.trace => {
-            let config = match protocol::resolve_profile(&c.profile) {
-                Ok(config) => config,
-                Err(e) => return ExecOutcome::Fail(e),
-            };
-            // Traced compiles bypass the program store: the point is to
-            // observe the pipeline, so compile fresh every time.
-            let mut tracer = Tracer::new();
-            let program = match safara_core::compile_traced(&c.source, &config, &mut tracer) {
-                Ok(p) => p,
-                Err(e) => return ExecOutcome::Fail(WireError::from_compile(&e)),
-            };
-            if Instant::now() > deadline {
-                return ExecOutcome::DeadlineExceeded;
-            }
-            let spans = tracer.finish();
-            match protocol::compile_response(id, &program, c.entry.as_deref(), Some(&spans)) {
-                Ok(line) => ExecOutcome::Reply(line),
-                Err(e) => ExecOutcome::Fail(e),
-            }
-        }
         Op::Compile(c) => {
-            let program = match shared.program_for(&c.source, &c.profile) {
-                Ok(p) => p,
+            let (program, tracer) = match shared.program_for(&c.source, &c.profile, request.trace) {
+                Ok(done) => done,
                 Err(e) => return ExecOutcome::Fail(e),
             };
-            match protocol::compile_response(id, &program, c.entry.as_deref(), None) {
+            if Instant::now() > deadline {
+                return ExecOutcome::DeadlineExceeded;
+            }
+            let spans = request.trace.then(|| tracer.finish());
+            match protocol::compile_response(id, &program, c.entry.as_deref(), spans.as_deref()) {
                 Ok(line) => ExecOutcome::Reply(line),
                 Err(e) => ExecOutcome::Fail(e),
             }
-        }
-        Op::Run(r) if request.trace => {
-            let config = match protocol::resolve_profile(&r.profile) {
-                Ok(config) => config,
-                Err(e) => return ExecOutcome::Fail(e),
-            };
-            // Traced runs also compile fresh (bypassing the program
-            // store) so the span tree always shows the compile phases.
-            let mut tracer = Tracer::new();
-            let program = match safara_core::compile_traced(&r.source, &config, &mut tracer) {
-                Ok(p) => p,
-                Err(e) => return ExecOutcome::Fail(WireError::from_compile(&e)),
-            };
-            if Instant::now() > deadline {
-                return ExecOutcome::DeadlineExceeded;
-            }
-            let opts = match resolve_exec_options(r) {
-                Ok(o) => o,
-                Err(e) => return ExecOutcome::Fail(e),
-            };
-            let mut args = r.args.clone();
-            let outcome = opts.scope(|| {
-                safara_core::run_compiled_traced(
-                    &program,
-                    &r.entry,
-                    &mut args,
-                    &DeviceConfig::k20xm(),
-                    Some(&shared.cache),
-                    &mut tracer,
-                )
-            });
-            let outcome = match outcome {
-                Ok(o) => o,
-                Err(e) => return ExecOutcome::Fail(WireError::from_compile(&e)),
-            };
-            if Instant::now() > deadline {
-                return ExecOutcome::DeadlineExceeded;
-            }
-            let spans = tracer.finish();
-            ExecOutcome::Reply(protocol::run_response(
-                id,
-                &outcome,
-                &args,
-                r.return_arrays,
-                Some(&spans),
-            ))
         }
         Op::Run(r) => {
-            let program = match shared.program_for(&r.source, &r.profile) {
-                Ok(p) => p,
-                Err(e) => return ExecOutcome::Fail(e),
-            };
+            let (program, mut tracer) =
+                match shared.program_for(&r.source, &r.profile, request.trace) {
+                    Ok(done) => done,
+                    Err(e) => return ExecOutcome::Fail(e),
+                };
             // Compilation can be slow; a request may start in time and
             // still blow its deadline here. Re-check before simulating.
             if Instant::now() > deadline {
@@ -1172,22 +1096,30 @@ fn execute(
                 Err(e) => return ExecOutcome::Fail(e),
             };
             let mut args = r.args.clone();
-            let outcome = opts.scope(|| {
-                safara_core::run_compiled_with_faults(
-                    &program,
-                    &r.entry,
-                    &mut args,
-                    &DeviceConfig::k20xm(),
-                    Some(&shared.cache),
-                    &shared.faults,
-                )
+            let ran = opts.scope(|| {
+                let ctx = RunCtx {
+                    memo: Memo::Shared(&shared.cache),
+                    tracer: &mut tracer,
+                    faults: &shared.faults,
+                };
+                run_compiled_with(&program, &r.entry, &mut args, &DeviceConfig::k20xm(), ctx)
             });
-            let outcome = match outcome {
-                Ok(o) => o,
+            let outcome = match ran {
+                Ok((_, outcome)) => outcome,
                 Err(e) => return ExecOutcome::Fail(WireError::from_compile(&e)),
             };
             if Instant::now() > deadline {
                 return ExecOutcome::DeadlineExceeded;
+            }
+            if request.trace {
+                let spans = tracer.finish();
+                return ExecOutcome::Reply(protocol::run_response(
+                    id,
+                    &outcome,
+                    &args,
+                    r.return_arrays,
+                    Some(&spans),
+                ));
             }
             // Unrendered: the worker serializes one line per recipient
             // (the leader and any coalesced waiters).
@@ -1417,16 +1349,12 @@ mod tests {
         for (id, eng) in
             [(1, Some("superblock")), (2, Some("decoded")), (3, Some("reference")), (4, None)]
         {
-            let line = protocol::build_run_request_with_engine(
-                2,
-                id,
-                src,
-                "axpy",
-                "safara_only",
-                eng,
-                &args,
-                false,
-            );
+            let line = protocol::RunRequestLine {
+                v: 2,
+                engine: eng,
+                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
+            }
+            .render();
             assert!(submit_line(&engine, &line, &tx).is_none());
             let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(status_of(&resp), "ok", "{resp}");
@@ -1439,16 +1367,12 @@ mod tests {
         );
         // Unknown engine name: typed v2 failure, not retryable, tallied
         // under its own code.
-        let bad = protocol::build_run_request_with_engine(
-            2,
-            9,
-            src,
-            "axpy",
-            "safara_only",
-            Some("warp9"),
-            &args,
-            false,
-        );
+        let bad = protocol::RunRequestLine {
+            v: 2,
+            engine: Some("warp9"),
+            ..protocol::RunRequestLine::new(9, src, "axpy", "safara_only", &args, false)
+        }
+        .render();
         assert!(submit_line(&engine, &bad, &tx).is_none());
         let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
         assert_eq!(status_of(&resp), "error");
@@ -1489,17 +1413,12 @@ mod tests {
         // a memoized result; digests must match the serial run exactly.
         let mut digests = Vec::new();
         for (id, threads) in [(1, Some("2")), (2, Some("auto")), (3, Some("1")), (4, None)] {
-            let line = protocol::build_run_request_with_sim_threads(
-                2,
-                id,
-                src,
-                "axpy",
-                "safara_only",
-                None,
-                threads,
-                &args,
-                false,
-            );
+            let line = protocol::RunRequestLine {
+                v: 2,
+                sim_threads: threads,
+                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
+            }
+            .render();
             assert!(submit_line(&engine, &line, &tx).is_none());
             let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(status_of(&resp), "ok", "{resp}");
@@ -1513,17 +1432,12 @@ mod tests {
         // Ill-valued sim_threads: typed v2 failure, not retryable,
         // tallied under its own code.
         for (id, bad) in [(8, "0"), (9, "-3"), (10, "many")] {
-            let line = protocol::build_run_request_with_sim_threads(
-                2,
-                id,
-                src,
-                "axpy",
-                "safara_only",
-                None,
-                Some(bad),
-                &args,
-                false,
-            );
+            let line = protocol::RunRequestLine {
+                v: 2,
+                sim_threads: Some(bad),
+                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
+            }
+            .render();
             assert!(submit_line(&engine, &line, &tx).is_none());
             let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(status_of(&resp), "error");
@@ -1558,18 +1472,13 @@ mod tests {
         // on the superblock engine where the threshold actually gates.
         let mut digests = Vec::new();
         for (id, sb) in [(1, Some("1")), (2, Some("inf")), (3, Some("64")), (4, None)] {
-            let line = protocol::build_run_request_with_exec_options(
-                2,
-                id,
-                src,
-                "axpy",
-                "safara_only",
-                Some("superblock"),
-                None,
-                sb,
-                &args,
-                false,
-            );
+            let line = protocol::RunRequestLine {
+                v: 2,
+                engine: Some("superblock"),
+                sb_threshold: sb,
+                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
+            }
+            .render();
             assert!(submit_line(&engine, &line, &tx).is_none());
             let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(status_of(&resp), "ok", "{resp}");
@@ -1583,18 +1492,12 @@ mod tests {
         // Ill-valued sb_threshold: typed v2 failure, not retryable,
         // tallied under its own code.
         for (id, bad) in [(8, "0"), (9, "-2"), (10, "sometimes")] {
-            let line = protocol::build_run_request_with_exec_options(
-                2,
-                id,
-                src,
-                "axpy",
-                "safara_only",
-                None,
-                None,
-                Some(bad),
-                &args,
-                false,
-            );
+            let line = protocol::RunRequestLine {
+                v: 2,
+                sb_threshold: Some(bad),
+                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
+            }
+            .render();
             assert!(submit_line(&engine, &line, &tx).is_none());
             let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(status_of(&resp), "error");
@@ -1933,6 +1836,37 @@ mod tests {
         );
         assert_eq!(engine.shared().errors_by_code.get("unknown_profile"), 1);
         engine.shutdown();
+
+        // Chaos does not exempt traced requests: under `sim:fail` a
+        // `"trace":true` run gets the same typed, retryable error as an
+        // untraced one.
+        let plan = FaultPlan::seeded(5).with(InjectionPoint::Sim, FaultAction::Fail, Fire::First(2));
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            queue_depth: 4,
+            fault_plan: Arc::new(plan),
+            ..EngineConfig::default()
+        });
+        let args = dbl_args();
+        let untraced = protocol::RunRequestLine {
+            v: 2,
+            ..protocol::RunRequestLine::new(3, DBL, "dbl", "base", &args, false)
+        }
+        .render();
+        let traced = untraced.replacen("\"op\"", "\"trace\":true,\"op\"", 1);
+        let errors: Vec<String> = [untraced, traced]
+            .iter()
+            .map(|line| {
+                assert!(submit_line(&engine, line, &tx).is_none());
+                let v = Json::parse(&rx.recv_timeout(Duration::from_secs(10)).unwrap()).unwrap();
+                let e = v.get("error").expect("error object");
+                assert_eq!(e.get("code").and_then(Json::as_str), Some("sim"));
+                assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(true));
+                e.dump()
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1], "traced and untraced failures are the same error");
+        engine.shutdown();
     }
 
     #[test]
@@ -2104,8 +2038,12 @@ mod tests {
             });
             let (tx, rx) = mpsc::channel();
             hold_worker(&engine, &tx, 300);
-            let line =
-                protocol::build_run_request_v(2, 7, DBL, "dbl", "base", &dbl_args(), false);
+            let args = dbl_args();
+            let line = protocol::RunRequestLine {
+                v: 2,
+                ..protocol::RunRequestLine::new(7, DBL, "dbl", "base", &args, false)
+            }
+            .render();
             assert!(submit_line(&engine, &line, &tx).is_none()); // leader
             let (wtx, wrx) = mpsc::channel();
             assert!(submit_line(&engine, &line, &wtx).is_none()); // waiter

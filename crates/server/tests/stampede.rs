@@ -11,7 +11,7 @@
 //! a failing leader fans its typed error out to every waiter.
 
 use safara_server::json::Json;
-use safara_server::protocol::{build_run_request, build_run_request_v, parse_request};
+use safara_server::protocol::{parse_request, RunRequestLine};
 use safara_server::service::{Engine, EngineConfig};
 use safara_server::Submit;
 use std::sync::atomic::Ordering;
@@ -92,11 +92,10 @@ fn stampede(line: &str) -> (Vec<String>, Arc<safara_server::service::EngineShare
 #[test]
 fn a_32_request_stampede_runs_the_pipeline_once_and_fans_out_bitwise() {
     for v in [1u8, 2u8] {
-        let line = if v == 1 {
-            build_run_request(7, SCALE, "scale", "base", &scale_args(), true)
-        } else {
-            build_run_request_v(2, 7, SCALE, "scale", "base", &scale_args(), true)
-        };
+        let args = scale_args();
+        let line =
+            RunRequestLine { v, ..RunRequestLine::new(7, SCALE, "scale", "base", &args, true) }
+                .render();
         let want = cold_reference(&line);
         assert!(want.contains(r#""status":"ok""#), "v{v} reference: {want}");
         let (responses, shared) = stampede(&line);
@@ -133,7 +132,12 @@ fn an_error_stampede_fans_the_leaders_typed_failure_to_every_waiter() {
     // A kernel that fails *simulation-side* would need fault injection;
     // a compile failure is the plain deterministic path: the leader's
     // typed `CompileError` must propagate to all 31 waiters.
-    let line = build_run_request_v(2, 9, "void broken(", "broken", "base", &scale_args(), false);
+    let args = scale_args();
+    let line = RunRequestLine {
+        v: 2,
+        ..RunRequestLine::new(9, "void broken(", "broken", "base", &args, false)
+    }
+    .render();
     let want = cold_reference(&line);
     assert!(want.contains(r#""status":"error""#), "reference fails: {want}");
     let (responses, shared) = stampede(&line);

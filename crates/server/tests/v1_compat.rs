@@ -6,7 +6,7 @@
 //! this server learned a second dialect.
 
 use safara_server::json::Json;
-use safara_server::protocol::{build_run_request, build_run_request_v, parse_request};
+use safara_server::protocol::{build_run_request, parse_request, RunRequestLine};
 use safara_server::service::{Engine, EngineConfig};
 use safara_server::Submit;
 use std::sync::mpsc;
@@ -96,7 +96,8 @@ fn ok_responses_are_identical_across_protocol_versions() {
         #pragma acc loop gang vector\n\
         for (int i = 0; i < n; i++) { x[i] = x[i] * alpha; } } }";
     let v1 = submit(&engine, &build_run_request(7, src, "scale", "base", &args, true));
-    let v2 = submit(&engine, &build_run_request_v(2, 7, src, "scale", "base", &args, true));
+    let v2 = RunRequestLine { v: 2, ..RunRequestLine::new(7, src, "scale", "base", &args, true) };
+    let v2 = submit(&engine, &v2.render());
     assert!(v1.contains(r#""status":"ok""#), "{v1}");
     assert_eq!(v1, v2, "success shapes are version-independent");
     engine.shutdown();

@@ -3,29 +3,31 @@
 //! and injected-fault errors — under the reference tree-walker, the
 //! decoded engine, and the profile-guided superblock engine.
 //!
-//! The engine is selected through the thread-local
-//! [`gpusim::with_engine`] scope, so these tests are safe under the
-//! parallel test runner; the one piece of process-global state the
-//! suite mutates (the superblock hot threshold) is serialized by
-//! `THRESHOLD_LOCK`.
+//! Every knob is set through a thread-local [`ExecOptions::scope`], so
+//! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
-use safara_core::gpusim::{
-    self, fusion_counters, set_superblock_threshold, Engine, DEFAULT_SUPERBLOCK_THRESHOLD,
+use safara_core::gpusim::{fusion_counters, Engine, ExecOptions, DEFAULT_SUPERBLOCK_THRESHOLD};
+use safara_core::obs::Tracer;
+use safara_core::{
+    compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
 };
-use safara_core::{compile, compile_and_run_with_faults, CompilerConfig, DeviceConfig};
 use safara_workloads::{spec_suite, Scale, Workload};
-use std::sync::Mutex;
 
-static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
+/// The knobs one observation runs under. The hot threshold is pinned to
+/// its default so an ambient `SAFARA_SB_THRESHOLD` cannot turn the
+/// superblock column into a second decoded column.
+fn under(engine: Engine) -> ExecOptions {
+    ExecOptions::inherit().engine(engine).superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD)
+}
 
 /// Compile + run + check one workload, returning everything observable:
 /// the run report, the final host arrays, and the checker verdict.
 fn observe(
     w: &dyn Workload,
-    engine: Engine,
+    knobs: ExecOptions,
 ) -> (safara_core::RunReport, safara_core::Args, Result<(), String>) {
-    gpusim::with_engine(engine, || {
+    knobs.scope(|| {
         let config = CompilerConfig::safara_clauses();
         let dev = DeviceConfig::k20xm();
         let program = compile(&w.source(), &config).expect("compile");
@@ -38,13 +40,11 @@ fn observe(
 
 #[test]
 fn fig7_suite_byte_identical_across_engines() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     let before = fusion_counters();
     for w in spec_suite() {
-        let (rep_ref, args_ref, chk_ref) = observe(w.as_ref(), Engine::Reference);
-        let (rep_dec, args_dec, chk_dec) = observe(w.as_ref(), Engine::Decoded);
-        let (rep_sb, args_sb, chk_sb) = observe(w.as_ref(), Engine::Superblock);
+        let (rep_ref, args_ref, chk_ref) = observe(w.as_ref(), under(Engine::Reference));
+        let (rep_dec, args_dec, chk_dec) = observe(w.as_ref(), under(Engine::Decoded));
+        let (rep_sb, args_sb, chk_sb) = observe(w.as_ref(), under(Engine::Superblock));
         assert!(chk_ref.is_ok(), "{}: reference checker: {chk_ref:?}", w.name());
         assert_eq!(chk_ref, chk_dec, "{}: checker verdict ref vs decoded", w.name());
         assert_eq!(chk_ref, chk_sb, "{}: checker verdict ref vs superblock", w.name());
@@ -72,12 +72,10 @@ fn fig7_suite_byte_identical_across_engines() {
 /// nothing.
 #[test]
 fn fig7_suite_byte_identical_across_engines_with_shared_spilling() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     let config = CompilerConfig::safara_regdem();
     let dev = DeviceConfig::k20xm();
     let observe = |w: &dyn Workload, engine: Engine| {
-        gpusim::with_engine(engine, || {
+        under(engine).scope(|| {
             let program = compile(&w.source(), &config).expect("compile");
             let mut args = w.args(Scale::Test);
             let report = program.run(w.entry(), &mut args, &dev).expect("run");
@@ -121,11 +119,9 @@ fn fig7_suite_byte_identical_across_engines_with_shared_spilling() {
 /// the `small`-guarded narrowing and `dim`-group factoring paths.
 #[test]
 fn saturated_output_bitwise_identical_to_unsaturated() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     let dev = DeviceConfig::k20xm();
     let observe = |w: &dyn Workload, config: &CompilerConfig, engine: Engine| {
-        gpusim::with_engine(engine, || {
+        under(engine).scope(|| {
             let program = compile(&w.source(), config).expect("compile");
             let mut args = w.args(Scale::Test);
             program.run(w.entry(), &mut args, &dev).expect("run");
@@ -163,16 +159,14 @@ fn saturated_output_bitwise_identical_to_unsaturated() {
 /// zero profiling overhead observable in behavior.
 #[test]
 fn threshold_inf_is_behaviorally_decoded() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(u64::MAX);
     for w in spec_suite().into_iter().take(3) {
-        let (rep_dec, args_dec, chk_dec) = observe(w.as_ref(), Engine::Decoded);
-        let (rep_sb, args_sb, chk_sb) = observe(w.as_ref(), Engine::Superblock);
+        let (rep_dec, args_dec, chk_dec) = observe(w.as_ref(), under(Engine::Decoded));
+        let (rep_sb, args_sb, chk_sb) =
+            observe(w.as_ref(), under(Engine::Superblock).superblock_threshold(u64::MAX));
         assert_eq!(chk_dec, chk_sb, "{}: checker verdict", w.name());
         assert_eq!(rep_dec, rep_sb, "{}: RunReport", w.name());
         assert_eq!(args_dec, args_sb, "{}: output buffers", w.name());
     }
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
 }
 
 /// Injected faults must surface the same typed error no matter which
@@ -181,26 +175,21 @@ fn threshold_inf_is_behaviorally_decoded() {
 /// code/phase/retryable/message or success — identical across engines.
 #[test]
 fn chaos_sweep_errors_identical_across_engines() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     let w = &spec_suite()[0];
     let config = CompilerConfig::safara_clauses();
     let dev = DeviceConfig::k20xm();
     let outcome = |engine: Engine, seed: u64, spec: &str| -> Result<(), (String, String, bool)> {
-        gpusim::with_engine(engine, || {
+        under(engine).scope(|| {
             let plan = FaultPlan::seeded(seed).with_spec(FaultSpec::parse(spec).unwrap());
             let mut args = w.args(Scale::Test);
-            compile_and_run_with_faults(
-                &w.source(),
-                w.entry(),
-                &config,
-                &mut args,
-                &dev,
-                None,
-                &plan,
-            )
-            .map(|_| ())
-            .map_err(|e| (e.code().to_string(), e.to_string(), e.retryable()))
+            let mut tracer = Tracer::disabled();
+            compile_with_faults(&w.source(), &config, &mut tracer, &plan)
+                .and_then(|program| {
+                    let ctx = RunCtx { memo: Memo::Off, tracer: &mut tracer, faults: &plan };
+                    run_compiled_with(&program, w.entry(), &mut args, &dev, ctx)
+                })
+                .map(|_| ())
+                .map_err(|e| (e.code().to_string(), e.to_string(), e.retryable()))
         })
     };
     for seed in 1..=10u64 {

@@ -3,24 +3,30 @@
 //! f32 comparisons are bitwise), checker verdicts and injected-fault
 //! errors — at every sim-thread count, under every engine.
 //!
-//! Both knobs are thread-local scopes ([`gpusim::with_engine`],
-//! [`gpusim::with_sim_threads`]), so these tests are safe under the
-//! parallel test runner; the one piece of process-global state the
-//! suite mutates (the superblock hot threshold) is serialized by
-//! `THRESHOLD_LOCK`.
+//! Every knob is set through a thread-local [`ExecOptions::scope`], so
+//! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
 use safara_core::gpusim::{
-    self, set_superblock_threshold, LaunchCache, DEFAULT_SUPERBLOCK_THRESHOLD,
+    Engine, ExecOptions, LaunchCache, LaunchConfig, DEFAULT_SUPERBLOCK_THRESHOLD,
 };
-use safara_core::gpusim::{Engine, LaunchConfig};
-use safara_core::{compile, compile_and_run_with_faults, CompilerConfig, DeviceConfig};
+use safara_core::obs::Tracer;
+use safara_core::{
+    compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
+};
 use safara_workloads::{run_workload_cached, spec_suite, Scale, Workload};
-use std::sync::Mutex;
-
-static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
 
 const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Decoded, Engine::Superblock];
+
+/// The knobs one observation runs under. The hot threshold is pinned to
+/// its default so an ambient `SAFARA_SB_THRESHOLD` cannot turn the
+/// superblock column into a second decoded column.
+fn knobs(engine: Engine, sim_threads: u32) -> ExecOptions {
+    ExecOptions::inherit()
+        .engine(engine)
+        .sim_threads(sim_threads)
+        .superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD)
+}
 
 /// Compile + run + check one workload under an engine × thread-count
 /// pair, returning everything observable: the run report, the final
@@ -30,16 +36,14 @@ fn observe(
     engine: Engine,
     sim_threads: u32,
 ) -> (safara_core::RunReport, safara_core::Args, Result<(), String>) {
-    gpusim::with_engine(engine, || {
-        gpusim::with_sim_threads(sim_threads, || {
-            let config = CompilerConfig::safara_clauses();
-            let dev = DeviceConfig::k20xm();
-            let program = compile(&w.source(), &config).expect("compile");
-            let mut args = w.args(Scale::Test);
-            let report = program.run(w.entry(), &mut args, &dev).expect("run");
-            let verdict = w.check(&args, Scale::Test);
-            (report, args, verdict)
-        })
+    knobs(engine, sim_threads).scope(|| {
+        let config = CompilerConfig::safara_clauses();
+        let dev = DeviceConfig::k20xm();
+        let program = compile(&w.source(), &config).expect("compile");
+        let mut args = w.args(Scale::Test);
+        let report = program.run(w.entry(), &mut args, &dev).expect("run");
+        let verdict = w.check(&args, Scale::Test);
+        (report, args, verdict)
     })
 }
 
@@ -49,8 +53,6 @@ fn observe(
 /// path, not a one-worker pool with different behavior.
 #[test]
 fn fig7_suite_byte_identical_across_sim_threads_and_engines() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     for w in spec_suite() {
         for engine in ENGINES {
             // Baseline: no thread override at all (process default).
@@ -73,8 +75,6 @@ fn fig7_suite_byte_identical_across_sim_threads_and_engines() {
 /// ordered deferred-atomic reduction ever regresses to merge-on-arrival.
 #[test]
 fn atomic_reductions_bitwise_stable_at_any_worker_count() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     let suite = spec_suite();
     let atomics: Vec<_> =
         suite.iter().filter(|w| ["352.ep", "354.cg"].contains(&w.name())).collect();
@@ -105,29 +105,22 @@ fn atomic_reductions_bitwise_stable_at_any_worker_count() {
 /// no poisoned state: the pool must stay usable after each failure.
 #[test]
 fn chaos_sweep_errors_identical_across_sim_threads() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
     let w = &spec_suite()[0];
     let config = CompilerConfig::safara_clauses();
     let dev = DeviceConfig::k20xm();
     let outcome =
         |engine: Engine, threads: u32, seed: u64, spec: &str| -> Result<(), (String, String, bool)> {
-            gpusim::with_engine(engine, || {
-                gpusim::with_sim_threads(threads, || {
-                    let plan = FaultPlan::seeded(seed).with_spec(FaultSpec::parse(spec).unwrap());
-                    let mut args = w.args(Scale::Test);
-                    compile_and_run_with_faults(
-                        &w.source(),
-                        w.entry(),
-                        &config,
-                        &mut args,
-                        &dev,
-                        None,
-                        &plan,
-                    )
+            knobs(engine, threads).scope(|| {
+                let plan = FaultPlan::seeded(seed).with_spec(FaultSpec::parse(spec).unwrap());
+                let mut args = w.args(Scale::Test);
+                let mut tracer = Tracer::disabled();
+                compile_with_faults(&w.source(), &config, &mut tracer, &plan)
+                    .and_then(|program| {
+                        let ctx = RunCtx { memo: Memo::Off, tracer: &mut tracer, faults: &plan };
+                        run_compiled_with(&program, w.entry(), &mut args, &dev, ctx)
+                    })
                     .map(|_| ())
                     .map_err(|e| (e.code().to_string(), e.to_string(), e.retryable()))
-                })
             })
         };
     for engine in ENGINES {
@@ -153,33 +146,31 @@ fn chaos_sweep_errors_identical_across_sim_threads() {
 }
 
 /// The sim-thread count must never leak into the memo content key:
-/// `LaunchConfig`'s `Debug` form (which the launch key hashes) omits
-/// it, and a cache warmed by a serial run replays — pure hits, zero
-/// misses — under a parallel run of the same workload.
+/// `LaunchConfig`'s `Debug` form (which the launch key hashes) is
+/// geometry only, and a cache warmed by a serial run replays — pure
+/// hits, zero misses — under a parallel run of the same workload.
 #[test]
 fn memo_content_hash_independent_of_sim_threads() {
-    let _g = THRESHOLD_LOCK.lock().unwrap();
-    set_superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD);
-    let plain = LaunchConfig::d1(2, 64);
-    let with_threads = LaunchConfig::d1(2, 64).with_sim_threads(7);
-    let dbg = format!("{with_threads:?}");
-    assert_eq!(format!("{plain:?}"), dbg, "Debug form (= memo key input) must match");
-    assert!(!dbg.contains("sim_threads"), "sim_threads leaked into the hashed Debug form: {dbg}");
+    assert_eq!(
+        format!("{:?}", LaunchConfig::d1(2, 64)),
+        "LaunchConfig { grid: (2, 1, 1), block: (64, 1, 1) }",
+        "the Debug form is memo key input: these bytes must not move"
+    );
 
     let w = &spec_suite()[0];
     let config = CompilerConfig::safara_clauses();
     let dev = DeviceConfig::k20xm();
     let mut cache = LaunchCache::new();
-    gpusim::with_sim_threads(1, || {
-        run_workload_cached(w.as_ref(), &config, Scale::Test, &dev, &mut cache)
-    })
-    .expect("serial warm run");
+    ExecOptions::inherit()
+        .sim_threads(1)
+        .scope(|| run_workload_cached(w.as_ref(), &config, Scale::Test, &dev, &mut cache))
+        .expect("serial warm run");
     let (h0, m0) = (cache.hits, cache.misses);
     assert!(m0 > 0, "warm run must have populated the cache");
-    gpusim::with_sim_threads(4, || {
-        run_workload_cached(w.as_ref(), &config, Scale::Test, &dev, &mut cache)
-    })
-    .expect("parallel cached run");
+    ExecOptions::inherit()
+        .sim_threads(4)
+        .scope(|| run_workload_cached(w.as_ref(), &config, Scale::Test, &dev, &mut cache))
+        .expect("parallel cached run");
     assert_eq!(cache.misses, m0, "a parallel run must not re-key any launch");
     assert!(cache.hits > h0, "the parallel run must replay from the serial-warmed cache");
 }

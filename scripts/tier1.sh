@@ -220,4 +220,10 @@ single_out="$(printf '%s\n' "$shard_reqs" | ./target/release/safara-serve --stdi
 wait "$shard_pid" || { echo "shard smoke: shard parent exited nonzero" >&2; exit 1; }
 rm -f "$shard_log"
 
+echo "== benchmark smoke =="
+# The benchmark package builds against these crates from its own
+# manifest; a change that breaks one of its call sites must fail here,
+# not in the merge pipeline.
+benchmark/smoke.sh
+
 echo "tier-1 OK"
