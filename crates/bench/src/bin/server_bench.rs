@@ -76,10 +76,10 @@ fn main() {
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     let mut next_id = 1i64;
-    let mut send = |line: &str| {
+    // One write per request: the line and its `\n` leave together.
+    let mut send = |mut line: String| {
+        line.push('\n');
         writer.write_all(line.as_bytes()).expect("send");
-        writer.write_all(b"\n").expect("send");
-        writer.flush().expect("flush");
     };
     let mut recv_line = String::new();
     let mut recv = move |reader: &mut BufReader<TcpStream>| -> Json {
@@ -99,7 +99,7 @@ fn main() {
                 let request_args = w.args(scale);
                 let id = next_id;
                 next_id += 1;
-                send(&build_run_request(id, &source, w.entry(), profile, &request_args, true));
+                send(build_run_request(id, &source, w.entry(), profile, &request_args, true));
                 let v = recv(&mut reader);
                 assert_eq!(v.get("id").and_then(Json::as_i64), Some(id));
                 let status = v.get("status").and_then(Json::as_str);
@@ -117,7 +117,7 @@ fn main() {
         );
     }
 
-    send(r#"{"id":0,"op":"stats"}"#);
+    send(r#"{"id":0,"op":"stats"}"#.into());
     let stats = recv(&mut reader);
     let cache = stats.get("cache").expect("cache stats");
     let hits = cache.get("hits").and_then(Json::as_i64).unwrap_or(0);
@@ -131,7 +131,7 @@ fn main() {
     }
 
     if let Some(own) = own {
-        send(r#"{"id":-1,"op":"shutdown"}"#);
+        send(r#"{"id":-1,"op":"shutdown"}"#.into());
         let _ = recv(&mut reader);
         own.join();
     }

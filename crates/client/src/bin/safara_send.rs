@@ -45,12 +45,10 @@ impl Shard {
 
     /// Write one request line and read its one response line.
     fn roundtrip(&mut self, line: &str) -> String {
-        let send = |w: &mut TcpStream| -> std::io::Result<()> {
-            w.write_all(line.as_bytes())?;
-            w.write_all(b"\n")?;
-            w.flush()
-        };
-        send(&mut self.writer).unwrap_or_else(|e| die(&format!("write failed: {e}")));
+        // One write per request: the line and its `\n` leave together.
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap_or_else(|e| die(&format!("write failed: {e}")));
         let mut response = String::new();
         match self.reader.read_line(&mut response) {
             Ok(0) => die("shard closed the connection before answering"),

@@ -214,20 +214,17 @@ impl Client {
     }
 
     /// Send one already-serialized request line (must carry `reserved`
-    /// as its `id`) and hand back the routing receiver.
-    fn send(&self, reserved: i64, line: &str) -> Result<Pending, ClientError> {
+    /// as its `id`) and hand back the routing receiver. The line gets
+    /// its `\n` here and goes out in one write: one segment, not two.
+    fn send(&self, reserved: i64, mut line: String) -> Result<Pending, ClientError> {
+        line.push('\n');
         if self.shared.gone.load(Ordering::SeqCst) {
             return Err(ClientError::ServerGone);
         }
         let (tx, rx) = mpsc::channel();
         self.shared.routes.lock().expect("routes lock").insert(reserved, tx);
-        let write = || -> std::io::Result<()> {
-            let mut w = self.shared.writer.lock().expect("writer lock");
-            w.write_all(line.as_bytes())?;
-            w.write_all(b"\n")?;
-            w.flush()
-        };
-        if let Err(e) = write() {
+        let write = self.shared.writer.lock().expect("writer lock").write_all(line.as_bytes());
+        if let Err(e) = write {
             self.shared.routes.lock().expect("routes lock").remove(&reserved);
             return Err(ClientError::Io(e.to_string()));
         }
@@ -249,7 +246,7 @@ impl Client {
             ("v".to_string(), Json::Int(PROTOCOL_VERSION as i64)),
         ];
         fields.extend(op_fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-        self.send(id, &Json::Obj(fields).dump())
+        self.send(id, Json::Obj(fields).dump())
     }
 
     /// Start a `run` request (lossless `bits` argument encoding).
@@ -266,7 +263,7 @@ impl Client {
             v: PROTOCOL_VERSION,
             ..RunRequestLine::new(id, source, entry, profile, args, return_arrays)
         };
-        self.send(id, &line.render())
+        self.send(id, line.render())
     }
 
     /// `ping`, blocking.

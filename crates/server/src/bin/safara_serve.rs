@@ -195,12 +195,12 @@ fn run_stdin(config: EngineConfig) {
     let mut immediate: Vec<(usize, String)> = Vec::new();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
-        let line = line.trim().to_string();
+        let line = line.trim();
         if line.is_empty() {
             continue;
         }
         let (tx, rx) = mpsc::channel();
-        match parse_request(&line) {
+        match parse_request(line) {
             Err(m) => immediate.push((pending.len(), error_line(None, &m))),
             Ok(req) if matches!(req.op, Op::Stats) => {
                 immediate.push((pending.len(), engine.stats_line(req.id)));

@@ -7,7 +7,12 @@
 //! value survives serialize → parse unchanged). Integers and floats are
 //! distinct variants — the protocol cares whether `3` or `3.0` arrived.
 //! Objects preserve insertion order, which keeps responses byte-stable.
+//!
+//! There is one grammar: the pull [`Reader`]. [`Json::parse`] is
+//! [`Reader::value`] plus the trailing check, and the request decoder
+//! walks the same reader to fill array payloads without a tree.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -51,13 +56,9 @@ const MAX_DEPTH: u32 = 128;
 impl Json {
     /// Parse one JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { b: input.as_bytes(), i: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut r = Reader::new(input);
+        let v = r.value()?;
+        r.end()?;
         Ok(v)
     }
 
@@ -121,19 +122,17 @@ impl Json {
     /// Serialize to a compact single-line string.
     pub fn dump(&self) -> String {
         let mut out = String::with_capacity(128);
-        self.write(&mut out);
+        self.write_to(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact serialization to `out`.
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => {
-                let mut buf = [0u8; 20];
-                out.push_str(fmt_i64(*v, &mut buf));
-            }
+            Json::Int(v) => write_int(*v, out),
             Json::Float(v) => {
                 if v.is_finite() {
                     // `Display` for floats is shortest-roundtrip; force a
@@ -154,7 +153,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push(']');
             }
@@ -166,7 +165,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -180,12 +179,34 @@ impl fmt::Display for Json {
     }
 }
 
-fn fmt_i64(v: i64, buf: &mut [u8; 20]) -> &str {
-    use std::io::Write as _;
-    let mut cur = std::io::Cursor::new(&mut buf[..]);
-    write!(cur, "{v}").expect("20 bytes fit any i64");
-    let n = cur.position() as usize;
-    std::str::from_utf8(&buf[..n]).expect("ascii")
+/// Append `v` in decimal.
+pub(crate) fn write_int(v: i64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
+/// Start the next member of the object being written into `out` (the
+/// caller pushed its `{`): a comma unless it is the first, then
+/// `"key":`. No member value ends in `{`, so the test is exact.
+pub(crate) fn write_key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    write_escaped(key, out);
+    out.push(':');
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -208,12 +229,28 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document: the only JSON grammar in the
+/// crate. [`Reader::value`] builds a [`Json`] tree; the `open_*` /
+/// [`Reader::key`] / [`Reader::element`] calls walk a container member
+/// by member, so a caller can decode a large payload in place and hand
+/// everything else to `value`. Both ways report the same [`JsonError`]
+/// (offset and text) for the same malformed input.
+#[derive(Clone)]
+pub struct Reader<'a> {
     b: &'a [u8],
     i: usize,
+    /// Containers open around the cursor.
+    depth: u32,
+    /// The innermost open container has yielded no member yet.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Reader<'a> {
+        Reader { b: input.as_bytes(), i: 0, depth: 0, fresh: false }
+    }
+
     fn err(&self, m: impl Into<String>) -> JsonError {
         JsonError { at: self.i, message: m.into() }
     }
@@ -249,15 +286,44 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: u32) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
+    /// The first byte of the value the cursor is in front of (`{`, `[`,
+    /// `"`, a digit, …), or `None` at the end of input.
+    pub fn peek_value(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.peek()
+    }
+
+    /// The document is over: only whitespace remains.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.i != self.b.len() {
+            return Err(self.err("trailing characters after document"));
         }
+        Ok(())
+    }
+
+    /// Read one value of any kind as a tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        self.check_depth()?;
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => {
+                self.open_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.key()? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                self.open_array()?;
+                let mut items = Vec::new();
+                while self.element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
             Some(b'n') => self.keyword("null", Json::Null),
@@ -276,60 +342,96 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: u32) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Json::Obj(fields));
+    /// The bound holds for a caller that recurses through `open_*` by
+    /// itself just as for `value`.
+    fn check_depth(&self) -> Result<(), JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b'}')?;
-            return Ok(Json::Obj(fields));
-        }
+        Ok(())
     }
 
-    fn array(&mut self, depth: u32) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        self.check_depth()?;
         self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            return Ok(Json::Arr(items));
-        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Step to the next member of the innermost container: past the
+    /// `,` that precedes it, or past the closing bracket when there is
+    /// none (`false`).
+    fn member(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let more = if std::mem::take(&mut self.fresh) {
+            !self.eat(close)
+        } else if self.eat(b',') {
+            true
+        } else {
+            self.expect(close)?;
+            false
+        };
+        if !more {
+            self.depth = self.depth.saturating_sub(1);
+        }
+        Ok(more)
+    }
+
+    /// Enter the object the cursor is in front of; [`Reader::key`] then
+    /// yields its members.
+    pub fn open_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// The next member's key, with the cursor left in front of its
+    /// value (which the caller must read), or `None` once the object
+    /// has closed.
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.member(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Enter the array the cursor is in front of; [`Reader::element`]
+    /// then steps through it.
+    pub fn open_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    /// `true` with the cursor in front of the next element (which the
+    /// caller must read), `false` once the array has closed.
+    pub fn element(&mut self) -> Result<bool, JsonError> {
+        self.member(b']')
+    }
+
+    /// Read a string; borrowed from the input unless it has escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
         let mut run_start = self.i;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
-                    out.push_str(self.raw_str(run_start, self.i)?);
+                    let run = self.raw_str(run_start, self.i)?;
                     self.i += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = unescaped.get_or_insert_with(String::new);
                     out.push_str(self.raw_str(run_start, self.i)?);
                     self.i += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
@@ -395,10 +497,17 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.i;
-        let _ = self.eat(b'-');
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
+        let negative = self.eat(b'-');
+        // Integers — every element of a `bits` payload — are summed as
+        // they are scanned. Up to 18 digits cannot wrap the sum; longer
+        // ones take the text route below.
+        let mut magnitude = 0u64;
+        let mut digits = 0;
+        for c in self.b[self.i..].iter().take_while(|c| c.is_ascii_digit()) {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add((c - b'0') as u64);
+            digits += 1;
         }
+        self.i += digits;
         let mut is_float = false;
         if self.eat(b'.') {
             is_float = true;
@@ -415,6 +524,10 @@ impl<'a> Parser<'a> {
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 self.i += 1;
             }
+        }
+        if !is_float && (1..=18).contains(&digits) {
+            let magnitude = magnitude as i64;
+            return Ok(Json::Int(if negative { -magnitude } else { magnitude }));
         }
         let text = self.raw_str(start, self.i)?;
         if !is_float {
@@ -448,6 +561,70 @@ mod tests {
         assert_eq!(Json::parse("9223372036854775807").unwrap(), Json::Int(i64::MAX));
         // Out-of-range integers fall back to float rather than failing.
         assert!(matches!(Json::parse("18446744073709551615").unwrap(), Json::Float(_)));
+    }
+
+    #[test]
+    fn integers_at_the_edges_of_i64_parse_and_print_as_std_does() {
+        for v in [0, 7, -7, 10, 1_065_353_216, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut printed = String::new();
+            write_int(v, &mut printed);
+            assert_eq!(printed, v.to_string());
+            assert_eq!(Json::parse(&printed).unwrap(), Json::Int(v));
+        }
+        assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("00012").unwrap(), Json::Int(12));
+        // One past either end is a float, as `str::parse::<i64>` failing made it.
+        for beyond in ["9223372036854775808", "-9223372036854775809", "99999999999999999999999"] {
+            assert_eq!(Json::parse(beyond).unwrap(), Json::Float(beyond.parse().unwrap()));
+        }
+        let e = Json::parse("-").unwrap_err();
+        assert_eq!((e.at, e.message.as_str()), (0, "bad number `-`"));
+    }
+
+    #[test]
+    fn a_pull_walk_reports_what_the_tree_reports() {
+        // Rebuild a document from the pull calls alone, scalars aside.
+        fn walk(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+            match r.peek_value() {
+                Some(b'{') => {
+                    r.open_object()?;
+                    let mut fields = Vec::new();
+                    while let Some(key) = r.key()? {
+                        fields.push((key.into_owned(), walk(r)?));
+                    }
+                    Ok(Json::Obj(fields))
+                }
+                Some(b'[') => {
+                    r.open_array()?;
+                    let mut items = Vec::new();
+                    while r.element()? {
+                        items.push(walk(r)?);
+                    }
+                    Ok(Json::Arr(items))
+                }
+                Some(b'"') => Ok(Json::Str(r.string()?.into_owned())),
+                _ => r.value(),
+            }
+        }
+        let deep = "[".repeat(200) + &"]".repeat(200);
+        for doc in [
+            r#"{"a":[1,{"b":"c\n"},[]],"d":{},"a":null}"#,
+            " [ 1 , 2 ] ",
+            "{\"a\":1,}",
+            "[1,,2]",
+            "[1 2]",
+            "{\"a\" 1}",
+            "{\"a\":1",
+            "[\"x",
+            "{\"a\":[1,2}",
+            "[1]]",
+            deep.as_str(),
+        ] {
+            let mut r = Reader::new(doc);
+            let walked = walk(&mut r).and_then(|v| r.end().map(|()| v));
+            assert_eq!(walked, Json::parse(doc), "{doc}");
+        }
+        assert_eq!(Json::parse(&deep).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

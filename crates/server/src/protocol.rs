@@ -46,11 +46,12 @@
 //! can succeed. Requests without `"v"` (or with `"v": 1`) get the
 //! legacy shapes unchanged.
 
-use crate::json::{obj, Json};
+use crate::json::{obj, write_int, write_key, Json, JsonError, Reader};
+use safara_core::ir::{Ident, ScalarTy};
 use safara_core::obs::{MetaValue, Span};
-use safara_core::{Args, CompileError, CompilerConfig, RunOutcome};
 use safara_core::runtime::HostArray;
-use safara_core::ir::ScalarTy;
+use safara_core::{Args, CompileError, CompilerConfig, RunOutcome};
+use std::collections::BTreeMap;
 
 /// Default per-request timeout when the request does not set one.
 pub const DEFAULT_TIMEOUT_MS: u64 = 30_000;
@@ -142,9 +143,73 @@ pub struct RunRequest {
     pub sb_threshold: Option<String>,
 }
 
+/// Why a request line was refused, with what routing the line still
+/// yielded: the `id` to echo and the protocol version to answer in
+/// (`None` and 1 when the line is not JSON at all).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BadRequest {
+    /// What is wrong with the line.
+    pub(crate) message: String,
+    /// The line's `id`, when it has an integer one.
+    pub(crate) id: Option<i64>,
+    /// 2 when the line carries `"v": 2`, else 1.
+    pub(crate) v: u8,
+}
+
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = Json::parse(line).map_err(|e| e.to_string())?;
+    decode_request(line).map_err(|bad| bad.message)
+}
+
+/// [`parse_request`], keeping on failure the `id` and version the same
+/// pass saw — so a transport answers a malformed line without reading
+/// it a second time.
+///
+/// One pass: the top-level object is walked with the pull [`Reader`];
+/// `arrays` payloads decode straight into [`HostArray`] bytes, every
+/// other field is small and goes through [`Reader::value`].
+pub(crate) fn decode_request(line: &str) -> Result<Request, BadRequest> {
+    let syntax = |e: JsonError| BadRequest { message: e.to_string(), id: None, v: 1 };
+    let (fields, arrays) = read_fields(line).map_err(syntax)?;
+    request_from(&fields, arrays).map_err(|message| BadRequest {
+        message,
+        id: fields.get("id").and_then(Json::as_i64),
+        v: if fields.get("v").and_then(Json::as_i64) == Some(2) { 2 } else { 1 },
+    })
+}
+
+/// The `arrays` field of a request as the single pass leaves it: the
+/// decoded payloads, or the first thing wrong with them.
+type Arrays = Result<BTreeMap<Ident, HostArray>, String>;
+
+/// The syntax pass. Returns the document with its top-level `arrays`
+/// member (the last one, as [`Json::get`] would pick) taken out and
+/// decoded. Nothing is judged here beyond JSON syntax: a payload fault
+/// is carried in `Arrays` until [`request_from`] reaches the point
+/// where it matters, so a syntax error later in the line still wins
+/// and an op that ignores `arrays` still parses.
+fn read_fields(line: &str) -> Result<(Json, Option<Arrays>), JsonError> {
+    let mut r = Reader::new(line);
+    if r.peek_value() != Some(b'{') {
+        let document = r.value()?;
+        r.end()?;
+        return Ok((document, None));
+    }
+    let mut fields = Vec::new();
+    let mut arrays = None;
+    r.open_object()?;
+    while let Some(key) = r.key()? {
+        if key == "arrays" {
+            arrays = Some(read_arrays(&mut r)?);
+        } else {
+            fields.push((key.into_owned(), r.value()?));
+        }
+    }
+    r.end()?;
+    Ok((Json::Obj(fields), arrays))
+}
+
+fn request_from(v: &Json, arrays: Option<Arrays>) -> Result<Request, String> {
     let id = v.get("id").and_then(Json::as_i64);
     let timeout_ms = match v.get("timeout_ms") {
         None | Some(Json::Null) => None,
@@ -165,15 +230,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             ms: v.get("ms").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
         },
         "compile" => Op::Compile(CompileRequest {
-            source: required_str(&v, "source")?,
-            profile: required_str(&v, "profile")?,
+            source: required_str(v, "source")?,
+            profile: required_str(v, "profile")?,
             entry: v.get("entry").and_then(Json::as_str).map(str::to_string),
         }),
         "run" => Op::Run(RunRequest {
-            source: required_str(&v, "source")?,
-            entry: required_str(&v, "entry")?,
-            profile: required_str(&v, "profile")?,
-            args: parse_args(&v)?,
+            source: required_str(v, "source")?,
+            entry: required_str(v, "entry")?,
+            profile: required_str(v, "profile")?,
+            args: parse_args(v, arrays)?,
             return_arrays: v.get("return_arrays").and_then(Json::as_bool).unwrap_or(false),
             engine: match v.get("engine") {
                 None | Some(Json::Null) => None,
@@ -229,21 +294,31 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(Request { id, timeout_ms, trace, v: version, op })
 }
 
-/// Best-effort `(id, v)` extraction from a possibly malformed request
-/// line, so even a `bad_request` reply can echo the id and speak the
-/// client's protocol version. Unparseable input defaults to `(None, 1)`.
-pub fn request_meta(line: &str) -> (Option<i64>, u8) {
-    match Json::parse(line) {
-        Ok(v) => {
-            let id = v.get("id").and_then(Json::as_i64);
-            let version = match v.get("v").and_then(Json::as_i64) {
-                Some(2) => 2,
-                _ => 1,
-            };
-            (id, version)
+/// Best-effort `(id, v)` from a line that was never read in full (it
+/// outgrew the transport's line cap), so even that refusal can echo
+/// the id and speak the client's protocol version. Only the first
+/// 4 KiB are looked at — every builder in this repository writes `id`
+/// and `v` first — and whatever the cut leaves unreadable defaults to
+/// `(None, 1)`.
+pub fn request_meta(line: &[u8]) -> (Option<i64>, u8) {
+    let head = String::from_utf8_lossy(&line[..line.len().min(4096)]);
+    let mut r = Reader::new(&head);
+    let (mut id, mut v) = (None, 1);
+    // The cut usually lands mid-value: the scan ends at the first
+    // error and keeps what it had.
+    let _ = (|| -> Result<(), JsonError> {
+        r.open_object()?;
+        while let Some(key) = r.key()? {
+            let value = r.value()?;
+            match &*key {
+                "id" => id = value.as_i64(),
+                "v" => v = if value.as_i64() == Some(2) { 2 } else { 1 },
+                _ => {}
+            }
         }
-        Err(_) => (None, 1),
-    }
+        Ok(())
+    })();
+    (id, v)
 }
 
 fn required_str(v: &Json, key: &str) -> Result<String, String> {
@@ -253,7 +328,7 @@ fn required_str(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field `{key}`"))
 }
 
-fn parse_args(v: &Json) -> Result<Args, String> {
+fn parse_args(v: &Json, arrays: Option<Arrays>) -> Result<Args, String> {
     let mut args = Args::new();
     if let Some(scalars) = v.get("scalars") {
         let fields = scalars.as_obj().ok_or("`scalars` must be an object")?;
@@ -265,103 +340,237 @@ fn parse_args(v: &Json) -> Result<Args, String> {
             };
         }
     }
-    if let Some(arrays) = v.get("arrays") {
-        let fields = arrays.as_obj().ok_or("`arrays` must be an object")?;
-        for (name, payload) in fields {
-            let arr = parse_array(payload).map_err(|m| format!("array `{name}`: {m}"))?;
-            args.arrays.insert(safara_core::ir::Ident::new(name), arr);
-        }
+    if let Some(arrays) = arrays {
+        args.arrays = arrays?;
     }
     Ok(args)
 }
 
-fn parse_array(payload: &Json) -> Result<HostArray, String> {
-    let elem = payload
-        .get("elem")
-        .and_then(Json::as_str)
-        .ok_or("missing `elem` (one of f32, f64, i32)")?;
-    let data = payload.get("data").and_then(Json::as_arr);
-    let bits = payload.get("bits").and_then(Json::as_arr);
-    match (elem, data, bits) {
-        ("f32", Some(d), None) => {
-            let vals = numeric(d)?;
-            Ok(HostArray::from_f32(&vals.iter().map(|v| *v as f32).collect::<Vec<_>>()))
+/// Read the value of a top-level `arrays` member: `{name: payload, …}`.
+/// The outer `Result` is JSON syntax, the inner one the first payload
+/// fault in document order (duplicated names included, as each used to
+/// be decoded before the last one won).
+fn read_arrays(r: &mut Reader<'_>) -> Result<Arrays, JsonError> {
+    if r.peek_value() != Some(b'{') {
+        r.value()?;
+        return Ok(Err("`arrays` must be an object".into()));
+    }
+    let mut arrays = Ok(BTreeMap::new());
+    r.open_object()?;
+    while let Some(name) = r.key()? {
+        let payload = read_array(r)?;
+        if let Ok(map) = &mut arrays {
+            match payload {
+                Ok(arr) => {
+                    map.insert(Ident::new(&name), arr);
+                }
+                Err(m) => arrays = Err(format!("array `{name}`: {m}")),
+            }
         }
-        ("f64", Some(d), None) => Ok(HostArray::from_f64(&numeric(d)?)),
-        ("i32", Some(d), None) => {
-            let vals: Result<Vec<i32>, String> = d
-                .iter()
-                .map(|v| v.as_i64().map(|i| i as i32).ok_or("non-integer element".to_string()))
-                .collect();
-            Ok(HostArray::from_i32(&vals?))
-        }
-        ("f32", None, Some(b)) => {
-            let raw: Result<Vec<u32>, String> =
-                b.iter().map(|v| bits_u64(v).map(|x| x as u32)).collect();
-            Ok(HostArray::from_f32_bits(&raw?))
-        }
-        ("f64", None, Some(b)) => {
-            let raw: Result<Vec<u64>, String> = b.iter().map(bits_u64).collect();
-            Ok(HostArray::from_f64_bits(&raw?))
-        }
-        ("i32", None, Some(b)) => {
-            // i32 "bits" are just the values; negatives are legal.
-            let raw: Result<Vec<i32>, String> = b
-                .iter()
-                .map(|v| {
-                    v.as_i64()
-                        .filter(|x| i32::try_from(*x).is_ok())
-                        .map(|x| x as i32)
-                        .ok_or_else(|| "i32 out of range".to_string())
-                })
-                .collect();
-            Ok(HostArray::from_i32(&raw?))
-        }
-        ("f32" | "f64" | "i32", None, None) => Err("missing `data` or `bits`".into()),
-        ("f32" | "f64" | "i32", Some(_), Some(_)) => Err("give `data` or `bits`, not both".into()),
-        (other, _, _) => Err(format!("unknown element type `{other}`")),
+    }
+    Ok(arrays)
+}
+
+/// The element types a payload may name.
+fn wire_elem(name: &str) -> Option<ScalarTy> {
+    match name {
+        "f32" => Some(ScalarTy::F32),
+        "f64" => Some(ScalarTy::F64),
+        "i32" => Some(ScalarTy::I32),
+        _ => None,
     }
 }
 
-fn numeric(items: &[Json]) -> Result<Vec<f64>, String> {
-    items
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| "non-numeric element".to_string()))
-        .collect()
+/// A `data` or `bits` member whose value is an array.
+struct Elements<'a> {
+    /// A reader in front of the array, to decode it (again) from.
+    at: Reader<'a>,
+    /// The bytes it decoded to under the `elem` known when it was
+    /// read, if one was.
+    decoded: Option<(ScalarTy, Result<Vec<u8>, String>)>,
 }
 
-/// A bit pattern: a JSON integer, or a `"0x…"` hex string for values
-/// that overflow `i64` (any `f64` with the sign bit set).
-fn bits_u64(v: &Json) -> Result<u64, String> {
-    match v {
-        Json::Int(i) if *i >= 0 => Ok(*i as u64),
-        Json::Str(s) => {
-            let hex = s.strip_prefix("0x").ok_or("bit strings must start with 0x")?;
-            u64::from_str_radix(hex, 16).map_err(|e| format!("bad bit string `{s}`: {e}"))
-        }
-        _ => Err("bits must be non-negative integers or 0x-hex strings".into()),
+/// Read one array payload: `{"elem": "f32"|"f64"|"i32", "data"|"bits":
+/// […]}`. Member order is not protocol and duplicate keys keep the
+/// last, so an element list is decoded as it is met only when `elem`
+/// is already known — the order every builder writes — and decoded
+/// from its saved position once the object has closed otherwise (or
+/// when a later `elem` changed the type).
+fn read_array(r: &mut Reader<'_>) -> Result<Result<HostArray, String>, JsonError> {
+    const NO_ELEM: &str = "missing `elem` (one of f32, f64, i32)";
+    if r.peek_value() != Some(b'{') {
+        r.value()?;
+        return Ok(Err(NO_ELEM.into()));
     }
-}
-
-/// Serialize a [`HostArray`] as a lossless `bits` payload.
-pub fn array_to_json(arr: &HostArray) -> Json {
-    let (elem, bits) = match arr.elem {
-        ScalarTy::F32 => (
-            "f32",
-            Json::Arr(arr.as_f32_bits().iter().map(|b| Json::Int(*b as i64)).collect()),
-        ),
-        ScalarTy::F64 => (
-            "f64",
-            Json::Arr(
-                arr.as_f64_bits().iter().map(|b| Json::Str(format!("0x{b:016x}"))).collect(),
-            ),
-        ),
-        ScalarTy::I32 | ScalarTy::I64 => (
-            "i32",
-            Json::Arr(arr.as_i32().iter().map(|v| Json::Int(*v as i64)).collect()),
-        ),
+    let mut elem: Option<Json> = None;
+    let (mut data, mut bits) = (None, None);
+    r.open_object()?;
+    while let Some(key) = r.key()? {
+        match &*key {
+            "elem" => elem = Some(r.value()?),
+            "data" | "bits" => {
+                let as_bits = key == "bits";
+                let elements = if r.peek_value() == Some(b'[') {
+                    let at = r.clone();
+                    let decoded = match elem.as_ref().and_then(Json::as_str).and_then(wire_elem) {
+                        Some(ty) => Some((ty, read_elements(r, ty, as_bits)?)),
+                        None => {
+                            r.value()?;
+                            None
+                        }
+                    };
+                    Some(Elements { at, decoded })
+                } else {
+                    // Not a list: as good as absent.
+                    r.value()?;
+                    None
+                };
+                *(if as_bits { &mut bits } else { &mut data }) = elements;
+            }
+            _ => {
+                r.value()?;
+            }
+        }
+    }
+    let Some(elem) = elem.as_ref().and_then(Json::as_str) else {
+        return Ok(Err(NO_ELEM.into()));
     };
-    obj(vec![("elem", Json::Str(elem.into())), ("bits", bits)])
+    let Some(ty) = wire_elem(elem) else {
+        return Ok(Err(format!("unknown element type `{elem}`")));
+    };
+    let (mut elements, as_bits) = match (data, bits) {
+        (Some(d), None) => (d, false),
+        (None, Some(b)) => (b, true),
+        (None, None) => return Ok(Err("missing `data` or `bits`".into())),
+        (Some(_), Some(_)) => return Ok(Err("give `data` or `bits`, not both".into())),
+    };
+    let bytes = match elements.decoded {
+        Some((decoded_as, bytes)) if decoded_as == ty => bytes,
+        _ => read_elements(&mut elements.at, ty, as_bits)?,
+    };
+    Ok(bytes.map(|bytes| HostArray { elem: ty, bytes }))
+}
+
+/// Read an element list into the little-endian bytes of a `ty` array.
+/// After the first bad element the rest is still read, for syntax only.
+fn read_elements(
+    r: &mut Reader<'_>,
+    ty: ScalarTy,
+    as_bits: bool,
+) -> Result<Result<Vec<u8>, String>, JsonError> {
+    let mut bytes = Vec::new();
+    let mut fault = None;
+    r.open_array()?;
+    while r.element()? {
+        // Strings (`f64` bit patterns) are read in place; a number
+        // comes back from `value` without touching the heap.
+        let word = if r.peek_value() == Some(b'"') {
+            element_word(ty, as_bits, &Json::Null, Some(&r.string()?))
+        } else {
+            element_word(ty, as_bits, &r.value()?, None)
+        };
+        match word {
+            Ok(w) if fault.is_none() => {
+                if ty == ScalarTy::F64 {
+                    bytes.extend_from_slice(&w.to_le_bytes());
+                } else {
+                    bytes.extend_from_slice(&(w as u32).to_le_bytes());
+                }
+            }
+            Ok(_) => {}
+            Err(m) => fault = fault.or(Some(m)),
+        }
+    }
+    Ok(fault.map_or(Ok(bytes), Err))
+}
+
+/// One element as the low bits of a word: `text` when it was a string,
+/// else `number` (which a non-number fails as it always did).
+fn element_word(
+    ty: ScalarTy,
+    as_bits: bool,
+    number: &Json,
+    text: Option<&str>,
+) -> Result<u64, String> {
+    match (ty, as_bits) {
+        // i32 "bits" are just the values; negatives are legal.
+        (ScalarTy::I32, true) => number
+            .as_i64()
+            .and_then(|x| i32::try_from(x).ok())
+            .map(|x| x as u32 as u64)
+            .ok_or_else(|| "i32 out of range".to_string()),
+        // A bit pattern: a JSON integer, or a `"0x…"` hex string for
+        // values that overflow `i64` (any `f64` with the sign bit set).
+        // `f32` patterns keep the low 32 bits.
+        (_, true) => match (number, text) {
+            (Json::Int(i), None) if *i >= 0 => Ok(*i as u64),
+            (_, Some(s)) => {
+                let hex = s.strip_prefix("0x").ok_or("bit strings must start with 0x")?;
+                u64::from_str_radix(hex, 16).map_err(|e| format!("bad bit string `{s}`: {e}"))
+            }
+            _ => Err("bits must be non-negative integers or 0x-hex strings".into()),
+        },
+        (ScalarTy::I32, false) => number
+            .as_i64()
+            .map(|i| i as i32 as u32 as u64)
+            .ok_or_else(|| "non-integer element".to_string()),
+        (_, false) => {
+            let v = number.as_f64().ok_or_else(|| "non-numeric element".to_string())?;
+            Ok(if ty == ScalarTy::F32 { (v as f32).to_bits() as u64 } else { v.to_bits() })
+        }
+    }
+}
+
+/// Append a [`HostArray`] as a lossless `bits` payload:
+/// `{"elem":"f32","bits":[…]}`, one number (or `"0x…"` string, for
+/// `f64`) per element.
+fn write_bits(arr: &HostArray, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let (elem, width) = match arr.elem {
+        ScalarTy::F32 => ("f32", 4),
+        ScalarTy::F64 => ("f64", 8),
+        ScalarTy::I32 | ScalarTy::I64 => ("i32", 4),
+    };
+    out.push_str("{\"elem\":\"");
+    out.push_str(elem);
+    out.push_str("\",\"bits\":[");
+    for (i, chunk) in arr.bytes.chunks_exact(width).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match arr.elem {
+            ScalarTy::F64 => {
+                let b = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                out.push_str("\"0x");
+                out.extend((0..16).rev().map(|n| HEX[(b >> (4 * n)) as usize & 15] as char));
+                out.push('"');
+            }
+            ScalarTy::F32 => {
+                write_int(u32::from_le_bytes(chunk.try_into().expect("4-byte chunk")) as i64, out)
+            }
+            ScalarTy::I32 | ScalarTy::I64 => {
+                write_int(i32::from_le_bytes(chunk.try_into().expect("4-byte chunk")) as i64, out)
+            }
+        }
+    }
+    out.push_str("]}");
+}
+
+/// Append one member of the object being written into `out`.
+fn write_member(out: &mut String, key: &str, value: &Json) {
+    write_key(out, key);
+    value.write_to(out);
+}
+
+/// Append `{name: payload, …}` for every array, payloads as
+/// [`write_bits`] writes them.
+fn write_arrays(arrays: &BTreeMap<Ident, HostArray>, out: &mut String) {
+    out.push('{');
+    for (name, arr) in arrays {
+        write_key(out, name.as_str());
+        write_bits(arr, out);
+    }
+    out.push('}');
 }
 
 /// Incremental FNV-1a, shared by [`digest`] and [`run_key`].
@@ -389,6 +598,31 @@ impl Fnv {
 
     fn word(&mut self, v: u64) {
         self.field(&v.to_le_bytes());
+    }
+
+    /// A length-delimited bulk field, hashed a word at a time: the
+    /// bytes are dealt round-robin as `u64`s to four lanes (a multiply
+    /// takes three cycles and one lane would wait on each), every lane
+    /// doing FNV-1a's xor-multiply on whole words plus a fold of the
+    /// high half down — a multiply only carries upwards, and a word's
+    /// high bytes must reach the low bits too. The lanes, then the
+    /// last `len % 32` bytes, are folded back in order. For keys that
+    /// never leave the process ([`run_key`]); [`digest`] is on the wire
+    /// and stays byte-at-a-time.
+    fn bulk(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut lanes = [0u64, 1, 2, 3].map(|lane| self.0 ^ lane);
+        let blocks = bytes.chunks_exact(32);
+        let tail = blocks.remainder();
+        for block in blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                *lane = lane.wrapping_mul(0x100_0000_01b3);
+                *lane ^= *lane >> 32;
+            }
+        }
+        lanes.into_iter().for_each(|lane| self.word(lane));
+        self.field(tail);
     }
 }
 
@@ -435,7 +669,7 @@ pub fn run_key_parts(
     for (name, arr) in &args.arrays {
         h.field(name.as_str().as_bytes());
         h.byte(arr.elem as u8);
-        h.field(&arr.bytes);
+        h.bulk(&arr.bytes);
     }
     h.0
 }
@@ -523,49 +757,54 @@ impl<'a> RunRequestLine<'a> {
     }
 
     /// The request line. A `None` knob omits its field, so lines without
-    /// overrides are byte-identical whichever way they were built.
+    /// overrides are byte-identical whichever way they were built. Array
+    /// payloads — all but a few hundred bytes of a line — are written
+    /// straight into it (`write_bits`), not through a [`Json`] tree.
     pub fn render(&self) -> String {
-        let scalars = Json::Obj(
-            self.args
-                .scalars
-                .iter()
-                .map(|(k, v)| {
-                    let jv = match v {
-                        safara_core::runtime::ArgValue::I32(i) => Json::Int(*i as i64),
-                        safara_core::runtime::ArgValue::I64(i) => Json::Int(*i),
-                        safara_core::runtime::ArgValue::F32(f) => Json::Float(*f as f64),
-                        safara_core::runtime::ArgValue::F64(f) => Json::Float(*f),
-                    };
-                    (k.to_string(), jv)
-                })
-                .collect(),
-        );
-        let arrays = Json::Obj(
-            self.args.arrays.iter().map(|(k, a)| (k.to_string(), array_to_json(a))).collect(),
-        );
-        let mut fields = vec![("id", Json::Int(self.id))];
+        let payload: usize = self.args.arrays.values().map(|a| a.bytes.len()).sum();
+        let mut out = String::with_capacity(256 + self.source.len() + 3 * payload);
+        out.push('{');
+        write_member(&mut out, "id", &Json::Int(self.id));
         if self.v >= 2 {
-            fields.push(("v", Json::Int(self.v as i64)));
+            write_member(&mut out, "v", &Json::Int(self.v as i64));
         }
-        fields.extend([
-            ("op", Json::Str("run".into())),
-            ("source", Json::Str(self.source.into())),
-            ("entry", Json::Str(self.entry.into())),
-            ("profile", Json::Str(self.profile.into())),
-            ("scalars", scalars),
-            ("arrays", arrays),
-            ("return_arrays", Json::Bool(self.return_arrays)),
-        ]);
+        write_member(&mut out, "op", &Json::Str("run".into()));
+        write_member(&mut out, "source", &Json::Str(self.source.into()));
+        write_member(&mut out, "entry", &Json::Str(self.entry.into()));
+        write_member(&mut out, "profile", &Json::Str(self.profile.into()));
+        write_member(
+            &mut out,
+            "scalars",
+            &Json::Obj(
+                self.args
+                    .scalars
+                    .iter()
+                    .map(|(k, v)| {
+                        let jv = match v {
+                            safara_core::runtime::ArgValue::I32(i) => Json::Int(*i as i64),
+                            safara_core::runtime::ArgValue::I64(i) => Json::Int(*i),
+                            safara_core::runtime::ArgValue::F32(f) => Json::Float(*f as f64),
+                            safara_core::runtime::ArgValue::F64(f) => Json::Float(*f),
+                        };
+                        (k.to_string(), jv)
+                    })
+                    .collect(),
+            ),
+        );
+        write_key(&mut out, "arrays");
+        write_arrays(&self.args.arrays, &mut out);
+        write_member(&mut out, "return_arrays", &Json::Bool(self.return_arrays));
         for (key, knob) in [
             ("engine", self.engine),
             ("sim_threads", self.sim_threads),
             ("sb_threshold", self.sb_threshold),
         ] {
             if let Some(value) = knob {
-                fields.push((key, Json::Str(value.into())));
+                write_member(&mut out, key, &Json::Str(value.into()));
             }
         }
-        obj(fields).dump()
+        out.push('}');
+        out
     }
 }
 
@@ -600,7 +839,7 @@ pub fn error_line(id: Option<i64>, message: &str) -> String {
 /// `code` is the stable machine-matchable taxonomy — the pipeline codes
 /// from [`CompileError::code`] (`parse`, `sema`, `analysis`,
 /// `regalloc_spill`, `budget`, `sim`, `internal`) plus the server-level
-/// codes `bad_request`, `unknown_profile`, `shed`, `breaker_open`,
+/// codes `bad_request`, `resource_limit`, `unknown_profile`, `shed`, `breaker_open`,
 /// `timeout`, and `shutting_down`. `retryable` is the client contract:
 /// resending the identical request can succeed iff it is true.
 #[derive(Debug, Clone, PartialEq)]
@@ -631,6 +870,12 @@ impl WireError {
     /// A malformed request (unparseable line, missing/ill-typed field).
     pub fn bad_request(message: &str) -> WireError {
         WireError { code: "bad_request", message: message.into(), phase: None, retryable: false }
+    }
+
+    /// A request larger than the transport accepts (a line past
+    /// `server::MAX_LINE_BYTES`); resending it cannot succeed.
+    pub fn resource_limit(message: String) -> WireError {
+        WireError { code: "resource_limit", message, phase: None, retryable: false }
     }
 
     /// An unknown compiler-profile key.
@@ -880,16 +1125,22 @@ pub fn run_response(
         "digests".into(),
         Json::Obj(args.arrays.iter().map(|(k, a)| (k.to_string(), Json::Str(digest(a)))).collect()),
     ));
+    // Array contents are written straight into the line, not through
+    // a tree of one node per element.
+    let mut out = String::from("{");
+    for (key, value) in fields.iter() {
+        write_member(&mut out, key, value);
+    }
     if return_arrays {
-        fields.push((
-            "arrays".into(),
-            Json::Obj(args.arrays.iter().map(|(k, a)| (k.to_string(), array_to_json(a))).collect()),
-        ));
+        write_key(&mut out, "arrays");
+        write_arrays(&args.arrays, &mut out);
     }
     if let Some(spans) = trace {
-        fields.push(("trace".into(), spans_to_json(spans)));
+        write_key(&mut out, "trace");
+        spans_to_json(spans).write_to(&mut out);
     }
-    base.dump()
+    out.push('}');
+    out
 }
 
 /// Render a compile-only report as an `ok` response, attaching a
@@ -957,6 +1208,9 @@ pub fn resolve_profile(key: &str) -> Result<CompilerConfig, WireError> {
         ))
     })
 }
+
+#[cfg(test)]
+mod decode_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1240,6 +1494,31 @@ mod tests {
     }
 
     #[test]
+    fn run_key_sees_every_byte_and_the_order_of_an_array() {
+        // 27 × 4 bytes: three 32-byte blocks over four lanes, and a tail.
+        let values: Vec<i32> = (0..27).collect();
+        let key_of = |arr: HostArray| {
+            let mut args = Args::new();
+            args.arrays.insert(Ident::new("x"), arr);
+            run_key_parts("s", "e", "base", None, &args)
+        };
+        let base = HostArray::from_i32(&values);
+        let mut keys = std::collections::BTreeSet::from([key_of(base.clone())]);
+        for at in 0..base.bytes.len() {
+            let mut flipped = base.clone();
+            flipped.bytes[at] ^= 0x80;
+            assert!(keys.insert(key_of(flipped)), "byte {at} does not reach the key");
+        }
+        // The same words dealt to other lanes, or to the tail, are other work.
+        for (a, b) in [(0, 1), (0, 2), (1, 9), (8, 26), (25, 26)] {
+            let mut swapped = values.clone();
+            swapped.swap(a, b);
+            assert!(keys.insert(key_of(HostArray::from_i32(&swapped))), "swap {a} <-> {b}");
+        }
+        assert!(keys.insert(key_of(HostArray::from_i32(&values[..26]))), "length");
+    }
+
+    #[test]
     fn shard_routing_is_stable_balanced_and_monotone() {
         // Stable and in range.
         for key in [0u64, 1, u64::MAX, 0xdead_beef] {
@@ -1267,8 +1546,12 @@ mod tests {
 
     #[test]
     fn request_meta_is_best_effort() {
-        assert_eq!(request_meta(r#"{"id":7,"v":2,"op":"nope"}"#), (Some(7), 2));
-        assert_eq!(request_meta(r#"{"id":3}"#), (Some(3), 1));
-        assert_eq!(request_meta("not json"), (None, 1));
+        assert_eq!(request_meta(br#"{"id":7,"v":2,"op":"nope"}"#), (Some(7), 2));
+        assert_eq!(request_meta(br#"{"id":3}"#), (Some(3), 1));
+        assert_eq!(request_meta(b"not json"), (None, 1));
+        // Its use: the head of a line that was cut off, never its whole.
+        assert_eq!(request_meta(br#"{"id":7,"v":2,"op":"run","arrays":{"x":{"bits":[1,2,"#), (Some(7), 2));
+        let long = format!(r#"{{"pad":"{}","id":7}}"#, "é".repeat(4096));
+        assert_eq!(request_meta(long.as_bytes()), (None, 1), "past the scanned head");
     }
 }

@@ -6,10 +6,16 @@
 //! engine) and a writer thread (drains the connection's reply channel);
 //! responses stream back as workers finish, so a pipelined client may
 //! see them out of submission order and must match on `id`.
+//!
+//! Every reply leaves as one TCP segment: one `write` of the line with
+//! its `\n`, on a socket with `TCP_NODELAY`. Sent as two writes on a
+//! Nagle socket the 1-byte second segment waits for the client's ACK of
+//! the first, and a closed-loop client, with nothing to send, delays
+//! that ACK by 40 ms — on every request.
 
-use crate::protocol::{error_line_v, parse_request, request_meta, WireError};
+use crate::protocol::{decode_request, error_line_v, request_meta, WireError};
 use crate::service::{Engine, EngineConfig, Submit};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -90,10 +96,17 @@ fn accept_loop(listener: TcpListener, config: EngineConfig, stop: &AtomicBool) {
     }
 }
 
+/// The longest request line a connection accepts: about nine times
+/// the largest line of the fig7 suite. Input that runs past it without
+/// a newline is answered `resource_limit` and the connection closes, so
+/// a peer cannot grow the line buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
 fn handle_connection(stream: TcpStream, engine: &Engine) {
     // Short read timeout: the reader must notice shutdown even when the
     // client keeps the connection open but idle.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_nodelay(true);
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -105,22 +118,38 @@ fn handle_connection(stream: TcpStream, engine: &Engine) {
         .spawn(move || writer_loop(write_half, &rx, &shared))
         .expect("spawn connection writer");
 
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Request lines run to megabytes; a 64 KiB buffer takes them in an
+    // eighth of the reads the default one would.
+    let mut reader = BufReader::with_capacity(64 << 10, stream);
+    let mut line: Vec<u8> = Vec::new();
+    let mut over_long = false;
     loop {
         if engine.shared().shutdown_requested.load(Ordering::SeqCst) {
             break;
         }
-        // `read_line` appends, so a line split across read-timeout
+        // `read_until` appends, so a line split across read-timeout
         // ticks accumulates in `line` until its `\n` arrives (a
         // timeout surfaces as `WouldBlock` below with the partial
-        // bytes retained). `Ok` with no trailing `\n` means EOF cut
-        // the final line short — still process it, then exit on the
-        // `Ok(0)` that follows.
-        match reader.read_line(&mut line) {
+        // bytes retained). `Ok` with no trailing `\n` means the cap
+        // was reached or EOF cut the final line short — the latter is
+        // still processed, and the `Ok(0)` that follows exits.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF: client closed
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") => {
+                let (id, v) = request_meta(&line);
+                let err = WireError::resource_limit(format!(
+                    "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                ));
+                let _ = tx.send(error_line_v(v, id, &err));
+                over_long = true;
+                break;
+            }
             Ok(_) => {
-                let trimmed = line.trim();
+                // Bytes that are not UTF-8 end the connection, as they
+                // did when this read into a `String`.
+                let Ok(text) = std::str::from_utf8(&line) else { break };
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     dispatch(engine, trimmed, &tx);
                 }
@@ -137,11 +166,29 @@ fn handle_connection(stream: TcpStream, engine: &Engine) {
     }
     drop(tx); // writer exits once workers drop their senders too
     let _ = writer.join();
+    if over_long {
+        linger(reader.get_mut());
+    }
+}
+
+/// Close after refusing an over-long line without losing the refusal:
+/// closing a socket with unread input resets the connection, and a
+/// reset can overtake the reply. So send FIN, then discard what the
+/// peer is still sending until it stops, closes, or a second passes.
+fn linger(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let started = std::time::Instant::now();
+    let mut sink = [0u8; 64 << 10];
+    while started.elapsed() < Duration::from_secs(1) {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// Parse one line and submit it; failures answer immediately on `tx`.
 pub fn dispatch(engine: &Engine, line: &str, tx: &mpsc::Sender<String>) {
-    match parse_request(line) {
+    match decode_request(line) {
         Ok(req) => {
             // Answer `stats` inline: it must reflect queue state even
             // (especially) when the queue is full.
@@ -153,12 +200,19 @@ pub fn dispatch(engine: &Engine, line: &str, tx: &mpsc::Sender<String>) {
                 let _ = tx.send(response);
             }
         }
-        Err(m) => {
-            // Best-effort id/version so even a bad_request reply routes.
-            let (id, v) = request_meta(line);
-            let _ = tx.send(error_line_v(v, id, &WireError::bad_request(&m)));
+        // The same pass kept the id and version, so even a bad_request
+        // reply routes.
+        Err(bad) => {
+            let _ = tx.send(error_line_v(bad.v, bad.id, &WireError::bad_request(&bad.message)));
         }
     }
+}
+
+/// Send one reply line: the line and its `\n` in a single `write`, so
+/// they leave as one segment (see the module docs).
+fn write_reply(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 fn writer_loop(
@@ -168,10 +222,41 @@ fn writer_loop(
 ) {
     while let Ok(line) = rx.recv() {
         let start = std::time::Instant::now();
-        if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
+        if write_reply(&mut stream, line).is_err() {
             return;
         }
-        let _ = stream.flush();
         shared.metrics.reply_write.record(start.elapsed().as_micros() as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts `write` calls; takes whatever it is given.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_is_one_write_of_the_line_and_its_newline() {
+        let mut w = Counting::default();
+        write_reply(&mut w, r#"{"id":1,"status":"ok"}"#.to_string()).unwrap();
+        assert_eq!(w.writes, 1, "two writes are two segments, and the second waits for an ACK");
+        assert_eq!(w.bytes, b"{\"id\":1,\"status\":\"ok\"}\n");
     }
 }

@@ -183,7 +183,7 @@ impl Metrics {
 
 /// Error codes the engine tallies per response (`stats` →
 /// `errors_by_code`): the pipeline codes plus the server-level ones.
-pub const ERROR_CODES: [&str; 14] = [
+pub const ERROR_CODES: [&str; 15] = [
     "parse",
     "sema",
     "analysis",
@@ -192,6 +192,7 @@ pub const ERROR_CODES: [&str; 14] = [
     "sim",
     "internal",
     "bad_request",
+    "resource_limit",
     "unknown_profile",
     "invalid_engine",
     "invalid_sim_threads",
@@ -313,9 +314,10 @@ impl Breaker {
     }
 }
 
-/// What identifies a compiled program: its source text and the resolved
-/// (display) name of its profile.
-type ProgramKey = (Arc<str>, &'static str);
+/// Compiled programs by the resolved (display) name of their profile,
+/// then by source text — nested, so a request looks its program up with
+/// the `&str`s it holds and copies the source only to insert.
+type ProgramStore = HashMap<&'static str, HashMap<Arc<str>, Arc<CompiledProgram>>>;
 
 /// State shared by workers and transports.
 pub struct EngineShared {
@@ -326,7 +328,7 @@ pub struct EngineShared {
     pub cache: SharedLaunchCache,
     /// Compiled programs, keyed by content so two requests share an
     /// entry only when they name the same program.
-    programs: Mutex<HashMap<ProgramKey, Arc<CompiledProgram>>>,
+    programs: Mutex<ProgramStore>,
     /// Every submission attempt, admitted or not.
     pub submitted: AtomicU64,
     /// Requests answered `ok`.
@@ -405,10 +407,10 @@ impl EngineShared {
         trace: bool,
     ) -> Result<(Arc<CompiledProgram>, Tracer), WireError> {
         let config = protocol::resolve_profile(profile_key)?;
-        let key = (Arc::<str>::from(source), config.name);
         let mut tracer = if trace { Tracer::new() } else { Tracer::disabled() };
         if !trace {
-            if let Some(p) = self.programs.lock().unwrap_or_else(|p| p.into_inner()).get(&key) {
+            let programs = self.programs.lock().unwrap_or_else(|p| p.into_inner());
+            if let Some(p) = programs.get(config.name).and_then(|by_source| by_source.get(source)) {
                 return Ok((Arc::clone(p), tracer));
             }
         }
@@ -423,7 +425,9 @@ impl EngineShared {
             self.programs
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
-                .entry(key)
+                .entry(config.name)
+                .or_default()
+                .entry(Arc::from(source))
                 .or_insert_with(|| Arc::clone(&program));
         }
         Ok((program, tracer))
@@ -431,7 +435,7 @@ impl EngineShared {
 
     /// Distinct compiled programs currently cached.
     pub fn programs_cached(&self) -> usize {
-        self.programs.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.programs.lock().unwrap_or_else(|p| p.into_inner()).values().map(HashMap::len).sum()
     }
 
     /// The engine's fault plan (inert unless configured for chaos).
@@ -911,7 +915,7 @@ fn worker_loop(
 /// counters, reply delivery, and single-flight fan-out on every
 /// outcome path. Returns true when the job's pipeline panicked (the
 /// caller must respawn this worker after finishing its batch).
-fn process_job(shared: &Arc<EngineShared>, queue: &Arc<Bounded<Job>>, job: Job) -> bool {
+fn process_job(shared: &Arc<EngineShared>, queue: &Arc<Bounded<Job>>, mut job: Job) -> bool {
     let id = job.request.id;
     let v = job.request.v;
     let dequeued = Instant::now();
@@ -936,7 +940,7 @@ fn process_job(shared: &Arc<EngineShared>, queue: &Arc<Bounded<Job>>, job: Job) 
     // fault) takes down this job, not the pool. The job still gets a
     // typed, retryable answer, and the worker replaces itself.
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        execute(shared, queue, &job.request, job.deadline)
+        execute(shared, queue, &mut job.request, job.deadline)
     }));
     let (outcome, panicked) = match caught {
         Ok(outcome) => (outcome, false),
@@ -1027,10 +1031,13 @@ fn resolve_exec_options(r: &protocol::RunRequest) -> Result<ExecOptions, WireErr
     })
 }
 
+/// Run one request. A `run` gives up its arguments: the pipeline works
+/// on the request's own arrays (taken, not copied) and they leave in
+/// the outcome as the post-run contents.
 fn execute(
     shared: &EngineShared,
     queue: &Bounded<Job>,
-    request: &Request,
+    request: &mut Request,
     deadline: Instant,
 ) -> ExecOutcome {
     let id = request.id;
@@ -1043,7 +1050,7 @@ fn execute(
             _ => return ExecOutcome::Fail(WireError::internal("injected worker fault")),
         }
     }
-    match &request.op {
+    match &mut request.op {
         Op::Ping => ExecOutcome::Reply(status_line(id, "ok")),
         Op::Stats => ExecOutcome::Reply(stats_line_for(shared, queue.len(), id)),
         Op::Sleep { ms } => {
@@ -1095,7 +1102,7 @@ fn execute(
                 Ok(o) => o,
                 Err(e) => return ExecOutcome::Fail(e),
             };
-            let mut args = r.args.clone();
+            let mut args = std::mem::take(&mut r.args);
             let ran = opts.scope(|| {
                 let ctx = RunCtx {
                     memo: Memo::Shared(&shared.cache),
@@ -1952,6 +1959,10 @@ mod tests {
         assert_eq!(status_of(&rx.recv_timeout(Duration::from_secs(5)).unwrap()), "ok"); // sleep
         let leader = rx.recv_timeout(Duration::from_secs(30)).unwrap();
         assert_eq!(status_of(&leader), "ok");
+        // The run worked on the request's own arrays (taken, not
+        // copied); what comes back is their post-run content, 1.5 × 2.
+        let x = format!(r#""x":{{"elem":"f32","bits":[{}"#, 3.0f32.to_bits());
+        assert!(leader.contains(&x), "{leader}");
         for wrx in &waiter_rxs {
             let got = wrx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(got, leader, "same id, so fan-out lines are byte-identical");

@@ -220,6 +220,40 @@ single_out="$(printf '%s\n' "$shard_reqs" | ./target/release/safara-serve --stdi
 wait "$shard_pid" || { echo "shard smoke: shard parent exited nonzero" >&2; exit 1; }
 rm -f "$shard_log"
 
+echo "== tcp latency smoke =="
+# Twenty pings, one at a time, through one safara-send connection to a
+# real safara-serve on an ephemeral port. A reply that leaves as two
+# segments on a Nagle socket waits for the client's delayed ACK (40 ms)
+# every time: >= 800 ms for the twenty. One segment per reply is a few
+# milliseconds, process start included.
+lat_log="$(mktemp)"
+./target/release/safara-serve --listen 127.0.0.1:0 --workers 1 > "$lat_log" &
+lat_pid=$!
+for _ in $(seq 1 100); do grep -q '^listening on ' "$lat_log" 2>/dev/null && break; sleep 0.1; done
+lat_addr="$(sed -n 's/^listening on //p' "$lat_log")"
+[ -n "$lat_addr" ] \
+  || { echo "latency smoke: server never printed its address" >&2; kill "$lat_pid" 2>/dev/null; exit 1; }
+lat_reqs="$(for i in $(seq 1 20); do printf '{"id":%d,"op":"ping"}\n' "$i"; done)"
+lat_start="$(date +%s%N)"
+lat_out="$(printf '%s\n' "$lat_reqs" | ./target/release/safara-send --shards "$lat_addr" --shutdown)"
+lat_ms=$(( ($(date +%s%N) - lat_start) / 1000000 ))
+wait "$lat_pid" || { echo "latency smoke: server exited nonzero" >&2; exit 1; }
+rm -f "$lat_log"
+[ "$(echo "$lat_out" | grep -c '"status":"ok"')" = "20" ] \
+  || { echo "latency smoke: expected 20 ok replies: $lat_out" >&2; exit 1; }
+echo "20 pings in ${lat_ms} ms"
+[ "$lat_ms" -le 400 ] \
+  || { echo "latency smoke: 20 sequential pings took ${lat_ms} ms (> 400): replies are stalling" >&2; exit 1; }
+
+echo "== clippy safara-server safara-client (-D warnings) =="
+# The request path gates on clippy by itself, like the simulator and
+# the e-graph: transport, decoder and client must stay lint-clean.
+if cargo clippy --version >/dev/null 2>&1; then
+  cargo clippy -q --release --offline -p safara-server -p safara-client --all-targets -- -D warnings
+else
+  echo "== clippy not installed; skipping =="
+fi
+
 echo "== benchmark smoke =="
 # The benchmark package builds against these crates from its own
 # manifest; a change that breaks one of its call sites must fail here,
