@@ -6,6 +6,9 @@
 //! against the Rust references, and renders speedup / normalized-time
 //! tables in the shape of the paper's plots.
 //!
+//! Everything here is in modelled cycles and deterministic; nothing in
+//! this crate reads a clock. Host wallclock is measured by `benchmark/`.
+//!
 //! Binaries (run with `--release`; results land on stdout):
 //!
 //! | binary | artifact |
@@ -24,17 +27,18 @@
 //! | `ablation_carr_kennedy`  | CK sequentialization cost (Fig. 3/4) |
 //! | `ablation_register_pressure` | Fig. 7 slowdown mechanism sweep |
 //! | `ablation_unroll`        | §VII future work: unrolling + SAFARA |
+//! | `ablation_opt_goal`      | feedback goal: register count vs throughput vs RegDem |
+//! | `ablation_egraph`        | equality saturation ahead of SAFARA |
 
 use safara_core::gpusim::ExecOptions;
 use safara_core::{CompilerConfig, DeviceConfig};
 use safara_workloads::{run_workload, Scale, Workload};
 use std::fmt::Write as _;
 
-/// The thread count the parallel [`measure`] pool actually uses — one
-/// place for the `available_parallelism()` policy so reports (e.g.
-/// `BENCH_sim.json`'s `threads_available`) cannot drift from the pool.
-/// The worker-pool sizing in `safara-server` follows the same default.
-pub fn pool_threads() -> usize {
+/// The thread count the parallel [`measure`] pool uses: one place for
+/// the `available_parallelism()` policy. The worker-pool sizing in
+/// `safara-server` follows the same default.
+fn pool_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -217,27 +221,6 @@ pub fn best_speedup(rows: &[Measurement], k: usize) -> (f64, &'static str) {
         .unwrap_or((1.0, "-"))
 }
 
-/// A minimal wall-clock micro-bench harness (criterion replacement for
-/// the offline build): warm up once, time `iters` iterations, print the
-/// mean per-iteration time.
-pub mod harness {
-    use std::time::Instant;
-
-    /// Time `f` over `iters` iterations (after one warm-up call) and
-    /// print `name: <mean>/iter`. Returns the mean seconds per iteration.
-    pub fn bench_fn<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> f64 {
-        assert!(iters > 0);
-        std::hint::black_box(f());
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let per_iter = t0.elapsed().as_secs_f64() / iters as f64;
-        println!("{name}: {:.3} ms/iter ({iters} iters)", per_iter * 1e3);
-        per_iter
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +230,22 @@ mod tests {
             Measurement { workload: "a", cycles: vec![100.0, 50.0, 25.0] },
             Measurement { workload: "b", cycles: vec![100.0, 100.0, 200.0] },
         ]
+    }
+
+    /// The crate doc's binary table and `src/bin/` name the same set.
+    #[test]
+    fn crate_doc_lists_exactly_the_bins() {
+        let mut listed: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `")?.split('`').next())
+            .collect();
+        listed.sort_unstable();
+        let mut bins: Vec<String> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin"))
+            .unwrap()
+            .map(|e| e.unwrap().path().file_stem().unwrap().to_str().unwrap().to_owned())
+            .collect();
+        bins.sort_unstable();
+        assert_eq!(listed, bins);
     }
 
     #[test]

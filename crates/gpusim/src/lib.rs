@@ -45,10 +45,7 @@ pub use exec_options::{
     current_engine, current_sim_threads, current_superblock_threshold, ExecOptions,
 };
 pub use interp::{launch, Engine, LaunchConfig, LaunchResult};
-pub use parallel::{
-    last_parallel_info, max_sim_threads_used, parse_sim_threads, reset_max_sim_threads_used,
-    ParallelInfo,
-};
+pub use parallel::{last_parallel_info, parse_sim_threads, ParallelInfo};
 pub use superblock::{
     fusion_counters, parse_superblock_threshold, FusionCounters, DEFAULT_SUPERBLOCK_THRESHOLD,
 };

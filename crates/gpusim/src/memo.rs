@@ -12,21 +12,13 @@
 //! the interpreter: it restores the recorded post-launch contents of
 //! every buffer the kernel mutated and returns the recorded
 //! [`KernelStats`] — byte-for-byte and count-for-count identical to
-//! re-executing.
-//!
-//! The cache is in-memory by default; [`LaunchCache::with_disk`] adds a
-//! persistent backing file so repeated benchmark runs skip simulation
-//! entirely (the "warm" numbers in `BENCH_sim.json`). The on-disk format
-//! is a private little-endian serialization; a missing or unparseable
-//! file simply starts the cache empty.
+//! re-executing. The cache lives in memory and dies with its owner.
 
 use crate::interp::{launch, LaunchConfig, LaunchResult, ParamVal, SimError};
 use crate::memory::DeviceMemory;
 use crate::stats::KernelStats;
 use crate::vir::{KernelVir, VReg};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// 64-bit FNV-1a processed 8 bytes at a time with a final avalanche.
@@ -104,9 +96,8 @@ struct CachedLaunch {
     /// `(buffer index, full post-launch contents)` per mutated buffer.
     writes: Vec<(u32, Vec<u8>)>,
     /// Integrity checksum over `stats` and `writes`, computed at record
-    /// time (and recomputed on disk load — it is not part of the file
-    /// format). Verified on replay when the cache has verification on:
-    /// a mismatch means the entry was corrupted after recording.
+    /// time. Verified on replay when the cache has verification on: a
+    /// mismatch means the entry was corrupted after recording.
     checksum: u64,
 }
 
@@ -129,21 +120,17 @@ fn entry_checksum(stats: &KernelStats, writes: &[(u32, Vec<u8>)]) -> u64 {
 /// cache — whose entries hold full buffer snapshots — without limit.
 pub const DEFAULT_ENTRY_CAP: usize = 4096;
 
-/// Memoization cache for kernel launches, optionally disk-backed.
+/// Memoization cache for kernel launches.
 ///
 /// The cache is bounded: once it holds [`LaunchCache::entry_cap`]
 /// entries, inserting a new one evicts the oldest (first-inserted)
-/// entry. Insertion order is preserved by [`LaunchCache::save`] /
-/// [`LaunchCache::with_disk`], so the cap keeps evicting oldest-first
-/// across a persist/reload cycle.
+/// entry.
 #[derive(Debug)]
 pub struct LaunchCache {
     entries: HashMap<u64, CachedLaunch>,
     /// Keys in insertion order (front = oldest), for capped eviction.
     order: VecDeque<u64>,
     cap: usize,
-    disk: Option<PathBuf>,
-    dirty: bool,
     /// Verify entry checksums on replay (off by default: the hash costs
     /// a pass over the buffers on every hit, and entries cannot corrupt
     /// themselves — this guards against *external* corruption, so it is
@@ -166,8 +153,6 @@ impl Default for LaunchCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
             cap: DEFAULT_ENTRY_CAP,
-            disk: None,
-            dirty: false,
             verify: false,
             hits: 0,
             misses: 0,
@@ -177,9 +162,6 @@ impl Default for LaunchCache {
     }
 }
 
-// Format v2 added `shared_accesses` to the stats block; v1 files fail
-// the magic check and the cache simply starts empty (cold, not wrong).
-const MAGIC: &[u8] = b"SAFARAMEMO2\n";
 const STATS_WORDS: usize = 14;
 
 fn stats_to_words(s: &KernelStats) -> [u64; STATS_WORDS] {
@@ -201,47 +183,10 @@ fn stats_to_words(s: &KernelStats) -> [u64; STATS_WORDS] {
     ]
 }
 
-fn stats_from_words(w: &[u64; STATS_WORDS]) -> KernelStats {
-    KernelStats {
-        simple_insts: w[0],
-        int64_insts: w[1],
-        fp64_insts: w[2],
-        sfu_insts: w[3],
-        global_ld_requests: w[4],
-        global_st_requests: w[5],
-        global_transactions: w[6],
-        readonly_requests: w[7],
-        readonly_transactions: w[8],
-        local_accesses: w[9],
-        shared_accesses: w[10],
-        atomics: w[11],
-        warps: w[12],
-        threads: w[13],
-    }
-}
-
 impl LaunchCache {
     /// An empty in-memory cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cache backed by `path`: existing entries are loaded (a missing
-    /// or unparseable file starts empty) and [`LaunchCache::save`]
-    /// writes back. The file stores entries oldest-first, so loading
-    /// under a cap keeps the newest entries.
-    pub fn with_disk(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let mut cache = Self { disk: Some(path.clone()), ..Self::default() };
-        if let Ok(data) = std::fs::read(&path) {
-            if let Some(entries) = parse_disk(&data) {
-                for (key, entry) in entries {
-                    cache.insert_entry(key, entry);
-                }
-                cache.dirty = false;
-            }
-        }
-        cache
     }
 
     /// Set the entry cap (minimum 1). Inserting past the cap evicts the
@@ -305,7 +250,6 @@ impl LaunchCache {
                 self.order.remove(pos);
             }
             self.integrity_failures += 1;
-            self.dirty = true;
             return None;
         }
         for (idx, bytes) in &entry.writes {
@@ -319,8 +263,7 @@ impl LaunchCache {
     ///
     /// An overwrite refreshes the key's FIFO position: the entry's
     /// contents are as new as a fresh insert, so leaving it at its old
-    /// slot would let the cap evict a just-rewritten entry as "oldest"
-    /// — and [`LaunchCache::save`] would then persist that wrong order.
+    /// slot would let the cap evict a just-rewritten entry as "oldest".
     fn insert_entry(&mut self, key: u64, entry: CachedLaunch) {
         if self.entries.insert(key, entry).is_some() {
             if let Some(pos) = self.order.iter().position(|&k| k == key) {
@@ -328,7 +271,6 @@ impl LaunchCache {
             }
         }
         self.order.push_back(key);
-        self.dirty = true;
         self.enforce_cap();
     }
 
@@ -338,85 +280,6 @@ impl LaunchCache {
             self.entries.remove(&oldest);
             self.evictions += 1;
         }
-    }
-
-    /// Persist to the backing file, if one was configured and anything
-    /// changed. Entries are written oldest-first (insertion order) so a
-    /// reload preserves eviction order and the file is deterministic for
-    /// a given cache history.
-    pub fn save(&mut self) -> std::io::Result<()> {
-        let Some(path) = &self.disk else { return Ok(()) };
-        if !self.dirty {
-            return Ok(());
-        }
-        let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for &k in &self.order {
-            let e = &self.entries[&k];
-            out.extend_from_slice(&k.to_le_bytes());
-            for w in stats_to_words(&e.stats) {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&(e.writes.len() as u32).to_le_bytes());
-            for (idx, bytes) in &e.writes {
-                out.extend_from_slice(&idx.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-        }
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&out)?;
-        self.dirty = false;
-        Ok(())
-    }
-}
-
-fn parse_disk(data: &[u8]) -> Option<Vec<(u64, CachedLaunch)>> {
-    let mut p = data.strip_prefix(MAGIC)?;
-    let u64_at = |p: &mut &[u8]| -> Option<u64> {
-        let (head, rest) = p.split_first_chunk::<8>()?;
-        *p = rest;
-        Some(u64::from_le_bytes(*head))
-    };
-    let u32_at = |p: &mut &[u8]| -> Option<u32> {
-        let (head, rest) = p.split_first_chunk::<4>()?;
-        *p = rest;
-        Some(u32::from_le_bytes(*head))
-    };
-    let count = u64_at(&mut p)?;
-    let mut entries = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let key = u64_at(&mut p)?;
-        let mut words = [0u64; STATS_WORDS];
-        for w in &mut words {
-            *w = u64_at(&mut p)?;
-        }
-        let n_writes = u32_at(&mut p)?;
-        let mut writes = Vec::with_capacity(n_writes as usize);
-        for _ in 0..n_writes {
-            let idx = u32_at(&mut p)?;
-            let len = u64_at(&mut p)? as usize;
-            if p.len() < len {
-                return None;
-            }
-            let (bytes, rest) = p.split_at(len);
-            p = rest;
-            writes.push((idx, bytes.to_vec()));
-        }
-        let stats = stats_from_words(&words);
-        let checksum = entry_checksum(&stats, &writes);
-        entries.push((key, CachedLaunch { stats, writes, checksum }));
-    }
-    if p.is_empty() {
-        Some(entries)
-    } else {
-        None
     }
 }
 
@@ -729,32 +592,6 @@ mod tests {
         assert_eq!(mem2.copy_out_f32(crate::memory::BufferId(1))[0], 100.0);
     }
 
-    #[test]
-    fn disk_roundtrip_replays() {
-        let dir = std::env::temp_dir().join("safara_memo_test");
-        let path = dir.join("launches.bin");
-        let _ = std::fs::remove_file(&path);
-        let k = add_one_kernel();
-
-        let r1 = {
-            let mut cache = LaunchCache::with_disk(&path);
-            let (mut mem, params, config) = setup();
-            let r = launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
-            assert_eq!(cache.misses, 1);
-            cache.save().unwrap();
-            r
-        };
-
-        let mut cache = LaunchCache::with_disk(&path);
-        assert_eq!(cache.len(), 1);
-        let (mut mem, params, config) = setup();
-        let r2 = launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
-        assert_eq!((cache.hits, cache.misses), (1, 0));
-        assert_eq!(r1.stats, r2.stats);
-        assert_eq!(mem.copy_out_f32(crate::memory::BufferId(1))[5], 6.0);
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// Distinct-input launches to populate a cache: variant `v` perturbs
     /// the input buffer so every `v` produces a distinct content key.
     fn run_variant(cache: &mut LaunchCache, k: &KernelVir, v: u32) {
@@ -784,43 +621,6 @@ mod tests {
         assert_eq!(cache.misses, 7, "evicted entries re-simulate");
     }
 
-    #[test]
-    fn entry_cap_holds_across_persist_reload() {
-        let dir = std::env::temp_dir().join("safara_memo_cap_test");
-        let path = dir.join("capped.bin");
-        let _ = std::fs::remove_file(&path);
-        let k = add_one_kernel();
-
-        {
-            let mut cache = LaunchCache::with_disk(&path).with_entry_cap(3);
-            for v in 0..5 {
-                run_variant(&mut cache, &k, v);
-            }
-            assert_eq!(cache.len(), 3);
-            cache.save().unwrap();
-        }
-
-        // Reload with the same cap: the cap still holds, the survivors
-        // are the newest entries (2, 3, 4), and inserting one more still
-        // evicts oldest-first (2 goes, 6 stays).
-        let mut cache = LaunchCache::with_disk(&path).with_entry_cap(3);
-        assert_eq!(cache.len(), 3, "cap holds after reload");
-        for v in [2, 3, 4] {
-            run_variant(&mut cache, &k, v);
-        }
-        assert_eq!((cache.hits, cache.misses), (3, 0), "newest entries survived");
-        run_variant(&mut cache, &k, 6);
-        assert_eq!(cache.len(), 3);
-        run_variant(&mut cache, &k, 2);
-        assert_eq!(cache.misses, 2, "oldest survivor was the one evicted");
-
-        // Reloading under a *smaller* cap keeps only the newest.
-        cache.save().unwrap();
-        let cache = LaunchCache::with_disk(&path).with_entry_cap(1);
-        assert_eq!(cache.len(), 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// A synthetic entry, distinguishable by its write payload. Only
     /// reachable in-module: through the public API an overwrite needs
     /// two threads racing a miss on the same key.
@@ -847,36 +647,6 @@ mod tests {
         assert_eq!(cache.entries[&1], synthetic(101), "rewrite took effect");
         assert_eq!(cache.evictions, 1);
         assert_eq!(cache.order.len(), cache.entries.len(), "order holds no duplicates");
-    }
-
-    #[test]
-    fn overwrite_then_evict_then_reload_persists_the_refreshed_order() {
-        let dir = std::env::temp_dir().join("safara_memo_overwrite_test");
-        let path = dir.join("overwrite.bin");
-        let _ = std::fs::remove_file(&path);
-
-        {
-            let mut cache = LaunchCache::with_disk(&path).with_entry_cap(3);
-            for key in [1, 2, 3] {
-                cache.insert_entry(key, synthetic(key as u8));
-            }
-            cache.insert_entry(1, synthetic(101)); // refresh: order is now 2, 3, 1
-            cache.insert_entry(4, synthetic(4)); // evicts 2 → order 3, 1, 4
-            cache.save().unwrap();
-        }
-
-        let mut cache = LaunchCache::with_disk(&path).with_entry_cap(3);
-        assert_eq!(cache.len(), 3);
-        for key in [1, 3, 4] {
-            assert!(cache.entries.contains_key(&key), "key {key} survived the reload");
-        }
-        assert_eq!(cache.entries[&1], synthetic(101), "rewritten contents persisted");
-        // The reloaded FIFO order continues where the saved one left
-        // off: the next eviction takes 3, the oldest survivor.
-        cache.insert_entry(5, synthetic(5));
-        assert!(!cache.entries.contains_key(&3));
-        assert!(cache.entries.contains_key(&1));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -956,16 +726,5 @@ mod tests {
         for i in 0..mem1.buffer_count() {
             assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
         }
-    }
-
-    #[test]
-    fn corrupt_disk_file_starts_empty() {
-        let dir = std::env::temp_dir().join("safara_memo_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.bin");
-        std::fs::write(&path, b"not a cache file").unwrap();
-        let cache = LaunchCache::with_disk(&path);
-        assert!(cache.is_empty());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -35,7 +35,7 @@ use crate::memory::{DeviceMemory, MemFault, OFFSET_BITS};
 use crate::stats::KernelStats;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 /// Parse a sim-threads setting: `auto` (or empty) means one worker per
 /// available CPU, otherwise a positive thread count.
@@ -53,10 +53,6 @@ pub fn parse_sim_threads(s: &str) -> Option<u32> {
 std::thread_local! {
     static LAST_PARALLEL: RefCell<Option<ParallelInfo>> = const { RefCell::new(None) };
 }
-
-/// High-water mark of worker-pool widths actually used by launches since
-/// the last [`reset_max_sim_threads_used`]. Serial launches count as 1.
-static MAX_USED: AtomicU32 = AtomicU32::new(1);
 
 /// How the most recent launch on this thread distributed its blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,23 +84,10 @@ pub fn last_parallel_info() -> Option<ParallelInfo> {
 
 pub(crate) fn clear_last_parallel_info() {
     LAST_PARALLEL.with(|c| *c.borrow_mut() = None);
-    MAX_USED.fetch_max(1, Ordering::Relaxed);
 }
 
 fn set_last_parallel_info(info: ParallelInfo) {
-    MAX_USED.fetch_max(info.threads, Ordering::Relaxed);
     LAST_PARALLEL.with(|c| *c.borrow_mut() = Some(info));
-}
-
-/// Reset the process-wide high-water mark of worker counts used.
-pub fn reset_max_sim_threads_used() {
-    MAX_USED.store(1, Ordering::Relaxed);
-}
-
-/// Highest worker count any launch used since the last reset (1 if all
-/// launches ran serially).
-pub fn max_sim_threads_used() -> u32 {
-    MAX_USED.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -622,7 +605,6 @@ mod tests {
     #[test]
     fn telemetry_records_threads_and_block_shares() {
         let (mut mem, _base) = mem_with_f32(&[0.0]);
-        reset_max_sim_threads_used();
         let (_stats, _) = run_blocks_parallel(
             &mut mem,
             0,
@@ -636,9 +618,6 @@ mod tests {
         assert_eq!(info.threads, 3);
         assert_eq!(info.per_worker_blocks.iter().sum::<u64>(), 10);
         assert!(info.imbalance() >= 1.0);
-        assert_eq!(max_sim_threads_used(), 3);
-        reset_max_sim_threads_used();
-        assert_eq!(max_sim_threads_used(), 1);
     }
 
     #[test]

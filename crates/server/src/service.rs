@@ -25,8 +25,10 @@ use safara_core::gpusim::device::DeviceConfig;
 use safara_core::gpusim::memo::DEFAULT_ENTRY_CAP;
 use safara_core::gpusim::{self, ExecOptions};
 use safara_core::obs::{Histogram, HistogramSnapshot, Tracer};
-use safara_core::{run_compiled_with, CompiledProgram, Memo, RunCtx, SharedLaunchCache};
-use std::collections::HashMap;
+use safara_core::{
+    run_compiled_with, CompiledProgram, CompilerConfig, Memo, RunCtx, SharedLaunchCache,
+};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -243,10 +245,15 @@ impl ErrorCodeCounts {
 /// refused at admission (retryable `breaker_open`). After the cooldown
 /// one probe request is admitted — success closes the circuit, failure
 /// re-opens it for another cooldown.
+///
+/// Partitions are keyed by the *resolved* profile name, so every wire
+/// alias of one `CompilerConfig` shares a state. A key that does not
+/// resolve has no partition: it is always admitted and never recorded,
+/// so it reaches the worker and is answered `unknown_profile`.
 struct Breaker {
     threshold: u32,
     cooldown: Duration,
-    states: Mutex<HashMap<String, BreakerState>>,
+    states: Mutex<HashMap<&'static str, BreakerState>>,
 }
 
 #[derive(Default)]
@@ -257,18 +264,21 @@ struct BreakerState {
 }
 
 impl Breaker {
-    fn enabled(&self) -> bool {
-        self.threshold > 0
+    /// The partition a wire profile key counts toward; `None` when the
+    /// breaker is disabled or the key names no profile.
+    fn partition(&self, profile: &str) -> Option<&'static str> {
+        if self.threshold == 0 {
+            return None;
+        }
+        CompilerConfig::by_name(profile).map(|config| config.name)
     }
 
     /// Admission check. Open + cooldown elapsed transitions to
     /// half-open: this request goes through as the probe.
     fn admit(&self, profile: &str) -> bool {
-        if !self.enabled() {
-            return true;
-        }
+        let Some(partition) = self.partition(profile) else { return true };
         let mut states = self.states.lock().unwrap_or_else(|p| p.into_inner());
-        let s = states.entry(profile.to_string()).or_default();
+        let s = states.entry(partition).or_default();
         match s.open_until {
             Some(t) if Instant::now() < t => false,
             Some(_) => {
@@ -283,11 +293,9 @@ impl Breaker {
     /// Record a pipeline outcome. Returns true when this record tripped
     /// the circuit open (closed → open or probe failure).
     fn record(&self, profile: &str, ok: bool) -> bool {
-        if !self.enabled() {
-            return false;
-        }
+        let Some(partition) = self.partition(profile) else { return false };
         let mut states = self.states.lock().unwrap_or_else(|p| p.into_inner());
-        let s = states.entry(profile.to_string()).or_default();
+        let s = states.entry(partition).or_default();
         if ok {
             *s = BreakerState::default();
             return false;
@@ -314,10 +322,49 @@ impl Breaker {
     }
 }
 
+/// Cap on stored programs, for the same reason the launch cache next
+/// to it has [`DEFAULT_ENTRY_CAP`]: a long-lived server must not grow
+/// without limit. Far above any one client's working set.
+const PROGRAM_STORE_CAP: usize = 1024;
+
 /// Compiled programs by the resolved (display) name of their profile,
 /// then by source text — nested, so a request looks its program up with
-/// the `&str`s it holds and copies the source only to insert.
-type ProgramStore = HashMap<&'static str, HashMap<Arc<str>, Arc<CompiledProgram>>>;
+/// the `&str`s it holds and copies the source only to insert. Bounded:
+/// inserting past [`PROGRAM_STORE_CAP`] evicts the oldest program.
+#[derive(Default)]
+struct ProgramStore {
+    by_profile: HashMap<&'static str, HashMap<Arc<str>, Arc<CompiledProgram>>>,
+    /// Keys in insertion order (front = oldest), for capped eviction.
+    order: VecDeque<(&'static str, Arc<str>)>,
+}
+
+impl ProgramStore {
+    fn get(&self, profile: &str, source: &str) -> Option<&Arc<CompiledProgram>> {
+        self.by_profile.get(profile)?.get(source)
+    }
+
+    /// Store `program` unless a racing worker already stored one for
+    /// the same key, evicting oldest-first past the cap.
+    fn insert(&mut self, profile: &'static str, source: &str, program: &Arc<CompiledProgram>) {
+        let by_source = self.by_profile.entry(profile).or_default();
+        if by_source.contains_key(source) {
+            return;
+        }
+        let source: Arc<str> = Arc::from(source);
+        by_source.insert(Arc::clone(&source), Arc::clone(program));
+        self.order.push_back((profile, source));
+        while self.order.len() > PROGRAM_STORE_CAP {
+            let Some((profile, source)) = self.order.pop_front() else { break };
+            if let Some(by_source) = self.by_profile.get_mut(profile) {
+                by_source.remove(&source);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+}
 
 /// State shared by workers and transports.
 pub struct EngineShared {
@@ -410,7 +457,7 @@ impl EngineShared {
         let mut tracer = if trace { Tracer::new() } else { Tracer::disabled() };
         if !trace {
             let programs = self.programs.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(p) = programs.get(config.name).and_then(|by_source| by_source.get(source)) {
+            if let Some(p) = programs.get(config.name, source) {
                 return Ok((Arc::clone(p), tracer));
             }
         }
@@ -422,20 +469,18 @@ impl EngineShared {
             .map_err(|e| WireError::from_compile(&e))?;
         let program = Arc::new(program);
         if !trace {
-            self.programs
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .entry(config.name)
-                .or_default()
-                .entry(Arc::from(source))
-                .or_insert_with(|| Arc::clone(&program));
+            self.programs.lock().unwrap_or_else(|p| p.into_inner()).insert(
+                config.name,
+                source,
+                &program,
+            );
         }
         Ok((program, tracer))
     }
 
     /// Distinct compiled programs currently cached.
     pub fn programs_cached(&self) -> usize {
-        self.programs.lock().unwrap_or_else(|p| p.into_inner()).values().map(HashMap::len).sum()
+        self.programs.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// The engine's fault plan (inert unless configured for chaos).
@@ -478,8 +523,8 @@ pub struct Engine {
     coalesce: bool,
 }
 
-/// The compiler-profile key a request pins, when its op has one — the
-/// circuit breaker's partition key.
+/// The compiler-profile wire key a request pins, when its op has one
+/// (the circuit breaker resolves it to its partition).
 fn profile_key(op: &Op) -> Option<&str> {
     match op {
         Op::Compile(c) => Some(&c.profile),
@@ -516,7 +561,7 @@ impl Engine {
                 DEFAULT_ENTRY_CAP,
                 config.verify_cache,
             ),
-            programs: Mutex::new(HashMap::new()),
+            programs: Mutex::default(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),
@@ -1715,13 +1760,16 @@ mod tests {
             ..EngineConfig::default()
         });
         let (tx, rx) = mpsc::channel();
-        let bad = |id: i64| format!(r#"{{"id":{id},"op":"compile","source":"void f(","profile":"base"}}"#);
-        for id in 1..=2 {
-            assert!(submit_line(&engine, &bad(id), &tx).is_none());
+        let bad = |id: i64, profile: &str| {
+            format!(r#"{{"id":{id},"op":"compile","source":"void f(","profile":"{profile}"}}"#)
+        };
+        // `base` and `openuh` are one profile, so one breaker partition.
+        for (id, alias) in [(1, "base"), (2, "openuh")] {
+            assert!(submit_line(&engine, &bad(id, alias), &tx).is_none());
             assert_eq!(status_of(&rx.recv_timeout(Duration::from_secs(10)).unwrap()), "error");
         }
         // Two consecutive `base` pipeline failures: the breaker is open.
-        let rejected = submit_line(&engine, &bad(3), &tx).expect("refused at admission");
+        let rejected = submit_line(&engine, &bad(3, "base"), &tx).expect("refused at admission");
         assert_eq!(status_of(&rejected), "error");
         assert!(rejected.contains("circuit breaker"), "{rejected}");
         // Other profiles are unaffected.
@@ -1737,11 +1785,24 @@ mod tests {
         let after = r#"{"id":6,"op":"compile","source":"void h() {}","profile":"base"}"#;
         assert!(submit_line(&engine, after, &tx).is_none(), "breaker closed again");
         assert_eq!(status_of(&rx.recv_timeout(Duration::from_secs(10)).unwrap()), "ok");
+        // A key that names no profile has no partition: past the
+        // threshold it is still the permanent `unknown_profile`, never a
+        // retryable `breaker_open`, and it leaves no state behind.
+        for id in 7..=9 {
+            let nope = bad(id, "nope").replace(r#""op""#, r#""v":2,"op""#);
+            assert!(submit_line(&engine, &nope, &tx).is_none(), "never refused");
+            let line = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(line.contains(r#""code":"unknown_profile""#), "{line}");
+            assert!(line.contains(r#""retryable":false"#), "{line}");
+        }
         let shared = engine.shared();
+        assert_eq!(shared.breaker.open_count(), 0);
+        assert_eq!(shared.breaker.states.lock().unwrap().len(), 2, "base and safara_only");
         assert_eq!(shared.breaker_trips.load(Ordering::Relaxed), 1);
         assert_eq!(shared.breaker_rejections.load(Ordering::Relaxed), 1);
         assert_eq!(shared.errors_by_code.get("parse"), 2);
         assert_eq!(shared.errors_by_code.get("breaker_open"), 1);
+        assert_eq!(shared.errors_by_code.get("unknown_profile"), 3);
         counters_balance(shared);
         engine.shutdown();
     }
@@ -2153,6 +2214,37 @@ mod tests {
         assert_eq!(shared.cache.hits() + shared.cache.misses(), 6);
         assert!(shared.cache.hits() >= 4, "at least n-workers hits");
         assert_eq!(shared.programs_cached(), 1);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn program_store_is_capped_oldest_first() {
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            queue_depth: 4,
+            ..EngineConfig::default()
+        });
+        let shared = engine.shared();
+        let src = |i: usize| DBL.replace("dbl", &format!("dbl{i}"));
+        let fetch = |i: usize| shared.program_for(&src(i), "base", false).unwrap().0;
+        let first = fetch(0);
+        assert!(Arc::ptr_eq(&first, &fetch(0)), "second lookup is a store hit");
+        for i in 1..=PROGRAM_STORE_CAP {
+            fetch(i);
+        }
+        assert_eq!(shared.programs_cached(), PROGRAM_STORE_CAP);
+        // Program 0 was the oldest, so it is the one that went: asking
+        // for it again compiles afresh (evicting program 1), and the
+        // fresh program runs correctly.
+        assert!(!Arc::ptr_eq(&first, &fetch(0)), "evicted program recompiles");
+        assert_eq!(shared.programs_cached(), PROGRAM_STORE_CAP);
+        let (tx, rx) = mpsc::channel();
+        let line = protocol::build_run_request(1, &src(0), "dbl0", "base", &dbl_args(), true);
+        assert!(submit_line(&engine, &line, &tx).is_none());
+        let reply = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(status_of(&reply), "ok", "{reply}");
+        // 1.5f * 2.0f = 3.0f -> bit pattern 0x40400000
+        assert!(reply.contains("1077936128"), "{reply}");
         engine.shutdown();
     }
 }
