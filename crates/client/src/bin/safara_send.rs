@@ -100,7 +100,7 @@ fn main() {
         // control ops have a deterministic home.
         let shard = match parse_request(line) {
             Ok(req) => match (&req.op, req.trace) {
-                (Op::Run(r), false) => shard_for(run_key(r), n) as usize,
+                (Op::Run(r), false) => shard_for(run_key(r).low(), n) as usize,
                 _ => 0,
             },
             Err(_) => 0,

@@ -87,7 +87,6 @@ impl CompilerConfig {
     pub fn safara_only() -> Self {
         CompilerConfig {
             name: "OpenUH(SAFARA)",
-            codegen: CodegenOptions::base(),
             sr: SrStrategy::Safara { cost_model: CostModel::default(), feedback: true },
             ..Self::base()
         }
@@ -136,7 +135,6 @@ impl CompilerConfig {
     pub fn carr_kennedy() -> Self {
         CompilerConfig {
             name: "CarrKennedy",
-            codegen: CodegenOptions::base(),
             sr: SrStrategy::CarrKennedy,
             ..Self::base()
         }
@@ -148,7 +146,6 @@ impl CompilerConfig {
         CompilerConfig {
             name: "PGI(simulated)",
             codegen: CodegenOptions::pgi_like(),
-            sr: SrStrategy::None,
             ..Self::base()
         }
     }
@@ -158,7 +155,6 @@ impl CompilerConfig {
     pub fn safara_count_only() -> Self {
         CompilerConfig {
             name: "SAFARA(count-only)",
-            codegen: CodegenOptions::base(),
             sr: SrStrategy::Safara { cost_model: CostModel::count_only(), feedback: true },
             ..Self::base()
         }
@@ -180,7 +176,6 @@ impl CompilerConfig {
     pub fn safara_no_feedback() -> Self {
         CompilerConfig {
             name: "SAFARA(no-feedback)",
-            codegen: CodegenOptions::base(),
             sr: SrStrategy::Safara { cost_model: CostModel::default(), feedback: false },
             ..Self::base()
         }
@@ -224,21 +219,15 @@ impl CompilerConfig {
 
     /// The stable lookup keys services accept, one per named profile —
     /// see [`CompilerConfig::by_name`].
-    pub const PROFILE_KEYS: [&'static str; 13] = [
-        "base",
-        "safara_only",
-        "small",
-        "small_dim",
-        "safara_clauses",
-        "safara_small",
-        "carr_kennedy",
-        "pgi_like",
-        "safara_count_only",
-        "safara_no_feedback",
-        "safara_throughput",
-        "safara_regdem",
-        "safara_saturated",
-    ];
+    pub const PROFILE_KEYS: [&'static str; PROFILES.len()] = {
+        let mut keys = [""; PROFILES.len()];
+        let mut i = 0;
+        while i < keys.len() {
+            keys[i] = PROFILES[i].0[0];
+            i += 1;
+        }
+        keys
+    };
 
     /// Start building a configuration from typed toggles. The builder
     /// starts at the OpenUH baseline; toggles compose, and combinations
@@ -251,25 +240,46 @@ impl CompilerConfig {
     /// Resolve a profile by wire-protocol key (case-insensitive, `-`
     /// treated as `_`; a few aliases accepted). `None` for unknown keys.
     pub fn by_name(key: &str) -> Option<CompilerConfig> {
-        let k = key.trim().to_ascii_lowercase().replace('-', "_");
-        let b = Self::builder();
-        Some(match k.as_str() {
-            "base" | "openuh" => b.build(),
-            "safara" | "safara_only" => b.safara(true).build(),
-            "small" => b.small(true).build(),
-            "small_dim" => b.small(true).dim(true).build(),
-            "safara_clauses" | "safara_small_dim" => b.safara(true).small(true).dim(true).build(),
-            "safara_small" => b.safara(true).small(true).build(),
-            "carr_kennedy" | "ck" => b.carr_kennedy(true).build(),
-            "pgi" | "pgi_like" => Self::pgi_like(),
-            "safara_count_only" => Self::safara_count_only(),
-            "safara_no_feedback" => Self::safara_no_feedback(),
-            "safara_throughput" => Self::safara_throughput(),
-            "safara_regdem" | "regdem" => Self::safara_regdem(),
-            "safara_saturated" | "saturated" => b.safara(true).saturate(true).build(),
-            _ => return None,
-        })
+        profile(key).map(|named| named())
     }
+
+    /// The `name` of the profile `key` resolves to, without allocating —
+    /// every alias and spelling of one profile gives the same string.
+    pub fn canonical_name(key: &str) -> Option<&'static str> {
+        profile(key).map(|named| named().name)
+    }
+}
+
+type Named = fn() -> CompilerConfig;
+
+/// The named evaluation points, one row each: the wire keys that
+/// resolve to it (the stable key first, then aliases; lowercase, `_`
+/// for `-`) and its constructor. [`CompilerConfig::safara_unroll`] takes
+/// a factor and has no key.
+const PROFILES: [(&[&str], Named); 13] = [
+    (&["base", "openuh"], CompilerConfig::base),
+    (&["safara_only", "safara"], CompilerConfig::safara_only),
+    (&["small"], CompilerConfig::small),
+    (&["small_dim"], CompilerConfig::small_dim),
+    (&["safara_clauses", "safara_small_dim"], CompilerConfig::safara_clauses),
+    (&["safara_small"], CompilerConfig::safara_small),
+    (&["carr_kennedy", "ck"], CompilerConfig::carr_kennedy),
+    (&["pgi_like", "pgi"], CompilerConfig::pgi_like),
+    (&["safara_count_only"], CompilerConfig::safara_count_only),
+    (&["safara_no_feedback"], CompilerConfig::safara_no_feedback),
+    (&["safara_throughput"], CompilerConfig::safara_throughput),
+    (&["safara_regdem", "regdem"], CompilerConfig::safara_regdem),
+    (&["safara_saturated", "saturated"], CompilerConfig::safara_saturated),
+];
+
+/// The table row a wire key names.
+fn profile(key: &str) -> Option<Named> {
+    let key = key.trim().as_bytes();
+    let normal = |b: &u8| if *b == b'-' { b'_' } else { b.to_ascii_lowercase() };
+    PROFILES
+        .iter()
+        .find(|(keys, _)| keys.iter().any(|k| key.iter().map(normal).eq(k.bytes())))
+        .map(|&(_, named)| named)
 }
 
 /// Typed construction of a [`CompilerConfig`] (see
@@ -373,85 +383,38 @@ impl CompilerConfigBuilder {
     /// evaluation point produce that exact config (same canonical
     /// `name`); any other combination is named `"custom"`.
     pub fn build(self) -> CompilerConfig {
-        let base = match self {
-            CompilerConfigBuilder { safara: false, carr_kennedy: false, small: false, dim: false, .. } => {
-                CompilerConfig::base()
-            }
-            CompilerConfigBuilder { safara: true, small: false, dim: false, .. } => {
-                CompilerConfig::safara_only()
-            }
-            CompilerConfigBuilder { safara: false, carr_kennedy: false, small: true, dim: false, .. } => {
-                CompilerConfig::small()
-            }
-            CompilerConfigBuilder { safara: false, carr_kennedy: false, small: true, dim: true, .. } => {
-                CompilerConfig::small_dim()
-            }
-            CompilerConfigBuilder { safara: true, small: true, dim: true, .. } => {
-                CompilerConfig::safara_clauses()
-            }
-            CompilerConfigBuilder { safara: true, small: true, dim: false, .. } => {
-                CompilerConfig::safara_small()
-            }
-            CompilerConfigBuilder { carr_kennedy: true, small: false, dim: false, .. } => {
-                CompilerConfig::carr_kennedy()
-            }
-            _ => {
-                // An off-menu combination: assemble it from the toggles.
-                CompilerConfig {
-                    name: "custom",
-                    codegen: CodegenOptions {
-                        honor_small: self.small,
-                        honor_dim: self.dim,
-                        ..CodegenOptions::base()
-                    },
-                    sr: if self.carr_kennedy {
-                        SrStrategy::CarrKennedy
-                    } else if self.safara {
-                        SrStrategy::Safara { cost_model: CostModel::default(), feedback: true }
-                    } else {
-                        SrStrategy::None
-                    },
-                    ..CompilerConfig::base()
-                }
-            }
-        };
-        let base = match (self.unroll >= 2, base.name) {
-            (false, _) => base,
-            // The named unroll point keeps its canonical name.
-            (true, "OpenUH(SAFARA+small+dim)") => CompilerConfig::safara_unroll(self.unroll),
-            (true, _) => CompilerConfig { name: "custom", unroll: self.unroll, ..base },
-        };
-        // Goal / spill-target / cap overrides. Untouched knobs leave the
-        // named configs byte-identical (pinned by the compat tests);
-        // combinations matching one of the newer named evaluation points
-        // resolve to that point, everything else is labelled custom.
-        if self.goal == OptGoal::default()
-            && self.spill_target == SpillTarget::default()
-            && self.launch_bounds.is_none()
-            && self.reg_cap.is_none()
-            && !self.saturate
-        {
-            return base;
-        }
-        let mut cfg = CompilerConfig {
+        let base = CompilerConfig::base();
+        let cfg = CompilerConfig {
+            name: "custom",
+            codegen: CodegenOptions {
+                honor_small: self.small,
+                honor_dim: self.dim,
+                ..CodegenOptions::base()
+            },
+            sr: if self.carr_kennedy {
+                SrStrategy::CarrKennedy
+            } else if self.safara {
+                SrStrategy::Safara { cost_model: CostModel::default(), feedback: true }
+            } else {
+                SrStrategy::None
+            },
+            unroll: if self.unroll >= 2 { self.unroll } else { 0 },
             goal: self.goal,
             saturate: self.saturate,
             spill_target: self.spill_target,
-            launch_bounds: self.launch_bounds.or(base.launch_bounds),
+            launch_bounds: self.launch_bounds,
             reg_cap: self.reg_cap.unwrap_or(base.reg_cap),
             ..base
         };
-        for named in [
-            CompilerConfig::safara_throughput(),
-            CompilerConfig::safara_regdem(),
-            CompilerConfig::safara_saturated(),
-        ] {
-            if (CompilerConfig { name: named.name, ..cfg.clone() }) == named {
-                return named;
-            }
-        }
-        cfg.name = "custom";
-        cfg
+        // A toggle set equal to a named point in everything but the name
+        // is that point (byte-identical: the compat tests pin it). The
+        // factor row goes last — `safara_unroll(0)` is `safara_clauses`.
+        PROFILES
+            .iter()
+            .map(|(_, named)| named())
+            .chain([CompilerConfig::safara_unroll(cfg.unroll)])
+            .find(|named| CompilerConfig { name: named.name, ..cfg.clone() } == *named)
+            .unwrap_or(cfg)
     }
 }
 
@@ -481,6 +444,19 @@ mod tests {
         assert_eq!(CompilerConfig::by_name("carr-kennedy").unwrap().name, "CarrKennedy");
         assert_eq!(CompilerConfig::by_name(" pgi ").unwrap().name, "PGI(simulated)");
         assert!(CompilerConfig::by_name("nvcc").is_none());
+    }
+
+    #[test]
+    fn canonical_name_is_by_name_without_the_config() {
+        for (keys, named) in PROFILES {
+            for key in keys {
+                let shouted = format!(" {} ", key.to_ascii_uppercase().replace('_', "-"));
+                assert_eq!(CompilerConfig::canonical_name(key), Some(named().name), "{key}");
+                assert_eq!(CompilerConfig::canonical_name(&shouted), Some(named().name), "{shouted}");
+            }
+        }
+        assert_eq!(CompilerConfig::canonical_name("nvcc"), None);
+        assert_eq!(CompilerConfig::canonical_name("OpenUH(SAFARA)"), None, "a name is not a key");
     }
 
     #[test]

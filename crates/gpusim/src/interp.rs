@@ -12,9 +12,10 @@ use crate::memory::{DeviceMemory, MemFault};
 use crate::stats::KernelStats;
 use crate::vir::*;
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Kernel launch geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Grid dimensions (blocks).
     pub grid: (u32, u32, u32),
@@ -62,6 +63,20 @@ pub enum ParamVal {
     F64(f64),
     /// Device pointer (synthetic byte address).
     Ptr(u64),
+}
+
+/// By bit pattern, so two NaN payloads are two parameter values.
+impl Hash for ParamVal {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match *self {
+            ParamVal::I32(i) => i.hash(h),
+            ParamVal::I64(i) => i.hash(h),
+            ParamVal::F32(f) => f.to_bits().hash(h),
+            ParamVal::F64(f) => f.to_bits().hash(h),
+            ParamVal::Ptr(p) => p.hash(h),
+        }
+    }
 }
 
 /// Result of a launch: the gathered statistics (the numerical results are

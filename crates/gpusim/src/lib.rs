@@ -21,10 +21,13 @@
 //! * [`timing`] — an analytic latency/occupancy/bandwidth overlap model
 //!   (in the spirit of Hong & Kim's MWP/CWP model) that converts the
 //!   interpreter's counts into estimated cycles,
+//! * [`content`] — the one content hash ([`content::ContentKey`]) that
+//!   the launch memo and the server's dedup/routing keys are built from,
 //! * [`microbench`] — pointer-chase-style probes that recover the memory
 //!   latency table from the device model, standing in for the Wong et al.
 //!   microbenchmarks the paper's cost model cites.
 
+pub mod content;
 pub(crate) mod decode;
 pub mod device;
 pub mod exec_options;

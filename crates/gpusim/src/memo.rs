@@ -3,10 +3,11 @@
 //! A kernel launch is a pure function of (VIR, spill set, launch
 //! configuration, parameter values, input buffer contents): the
 //! interpreter has no hidden state and no randomness. That makes every
-//! launch memoizable by *content* — the cache key is a hash of exactly
-//! the inputs the interpreter reads, so a cached entry can never go
-//! stale: change anything the simulation depends on and the key changes
-//! with it.
+//! launch memoizable by *content* — the cache key is a 128-bit
+//! [`ContentKey`] over exactly the inputs the interpreter reads, taken
+//! field by field and bit by bit (never from how a value prints), so a
+//! cached entry can never go stale: change anything the simulation
+//! depends on and the key changes with it.
 //!
 //! On a cache hit [`launch_cached`] replays the launch without running
 //! the interpreter: it restores the recorded post-launch contents of
@@ -14,6 +15,7 @@
 //! [`KernelStats`] — byte-for-byte and count-for-count identical to
 //! re-executing. The cache lives in memory and dies with its owner.
 
+use crate::content::{ContentHasher, ContentKey};
 use crate::interp::{launch, LaunchConfig, LaunchResult, ParamVal, SimError};
 use crate::memory::DeviceMemory;
 use crate::stats::KernelStats;
@@ -21,71 +23,27 @@ use crate::vir::{KernelVir, VReg};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-/// 64-bit FNV-1a processed 8 bytes at a time with a final avalanche.
-///
-/// Word-at-a-time FNV is not cryptographic, but the keyspace here is a
-/// handful of launches per benchmark run; what matters is speed over
-/// multi-megabyte input buffers and stability across runs (no
-/// `DefaultHasher` random seed).
-struct ContentHash(u64);
-
-impl ContentHash {
-    fn new() -> Self {
-        ContentHash(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = 0u64;
-        for (i, &b) in chunks.remainder().iter().enumerate() {
-            tail |= (b as u64) << (8 * i);
-        }
-        self.word(tail ^ (data.len() as u64) << 56);
-    }
-
-    fn finish(mut self) -> u64 {
-        // xorshift-multiply avalanche so nearby inputs spread.
-        self.0 ^= self.0 >> 33;
-        self.0 = self.0.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        self.0 ^= self.0 >> 33;
-        self.0
-    }
-}
-
 /// Compute the content key for one launch.
 ///
-/// Hashes the kernel body (via its `Debug` form, which covers every
-/// instruction, operand, and type), the spill set, the launch geometry,
-/// the parameter values, and the full contents of device memory. The
-/// `Debug` detour costs microseconds per launch; the buffer bytes
-/// dominate and go through the word-at-a-time path.
+/// Hashes the kernel (every instruction, operand and type, field by
+/// field), the spill set, the launch geometry and the parameter values
+/// through their `Hash` impls — floats by bit pattern — and then the
+/// full contents of device memory, which dominate and go through the
+/// four-lane word path.
 pub fn launch_key(
     kernel: &KernelVir,
     config: &LaunchConfig,
     params: &[ParamVal],
     mem: &DeviceMemory,
     spilled: &[VReg],
-) -> u64 {
-    let mut h = ContentHash::new();
-    h.bytes(format!("{kernel:?}").as_bytes());
-    h.bytes(format!("{spilled:?}").as_bytes());
-    h.bytes(format!("{config:?}").as_bytes());
-    h.bytes(format!("{params:?}").as_bytes());
+) -> ContentKey {
+    let mut h = ContentHasher::default();
+    h.value(&(kernel, spilled, config, params));
     h.word(mem.buffer_count() as u64);
     for i in 0..mem.buffer_count() {
-        let buf = mem.buffer_bytes(i);
-        h.word(buf.len() as u64);
-        h.bytes(buf);
+        h.bytes(mem.buffer_bytes(i));
     }
-    h.finish()
+    h.key()
 }
 
 /// Recorded outcome of one launch: the stats plus the post-launch
@@ -98,27 +56,23 @@ struct CachedLaunch {
     /// Integrity checksum over `stats` and `writes`, computed at record
     /// time. Verified on replay when the cache has verification on: a
     /// mismatch means the entry was corrupted after recording.
-    checksum: u64,
+    checksum: ContentKey,
 }
 
 /// The integrity checksum of an entry's payload.
-fn entry_checksum(stats: &KernelStats, writes: &[(u32, Vec<u8>)]) -> u64 {
-    let mut h = ContentHash::new();
-    for w in stats_to_words(stats) {
-        h.word(w);
-    }
-    h.word(writes.len() as u64);
-    for (idx, bytes) in writes {
-        h.word(*idx as u64);
-        h.bytes(bytes);
-    }
-    h.finish()
+fn entry_checksum(stats: &KernelStats, writes: &[(u32, Vec<u8>)]) -> ContentKey {
+    let mut h = ContentHasher::default();
+    h.value(&(stats, writes));
+    h.key()
 }
 
 /// Default [`LaunchCache`] entry cap: far above any one benchmark run,
 /// but a hard bound so a long-lived process (the server) cannot grow the
 /// cache — whose entries hold full buffer snapshots — without limit.
 pub const DEFAULT_ENTRY_CAP: usize = 4096;
+
+/// Default [`SharedLaunchCache`] shard count.
+pub const DEFAULT_SHARDS: usize = 16;
 
 /// Memoization cache for kernel launches.
 ///
@@ -127,9 +81,9 @@ pub const DEFAULT_ENTRY_CAP: usize = 4096;
 /// entry.
 #[derive(Debug)]
 pub struct LaunchCache {
-    entries: HashMap<u64, CachedLaunch>,
+    entries: HashMap<ContentKey, CachedLaunch>,
     /// Keys in insertion order (front = oldest), for capped eviction.
-    order: VecDeque<u64>,
+    order: VecDeque<ContentKey>,
     cap: usize,
     /// Verify entry checksums on replay (off by default: the hash costs
     /// a pass over the buffers on every hit, and entries cannot corrupt
@@ -160,27 +114,6 @@ impl Default for LaunchCache {
             integrity_failures: 0,
         }
     }
-}
-
-const STATS_WORDS: usize = 14;
-
-fn stats_to_words(s: &KernelStats) -> [u64; STATS_WORDS] {
-    [
-        s.simple_insts,
-        s.int64_insts,
-        s.fp64_insts,
-        s.sfu_insts,
-        s.global_ld_requests,
-        s.global_st_requests,
-        s.global_transactions,
-        s.readonly_requests,
-        s.readonly_transactions,
-        s.local_accesses,
-        s.shared_accesses,
-        s.atomics,
-        s.warps,
-        s.threads,
-    ]
 }
 
 impl LaunchCache {
@@ -240,7 +173,7 @@ impl LaunchCache {
     /// Replay the entry for `key` into `mem`, if present: restores the
     /// recorded post-launch buffer contents and returns the recorded
     /// stats, bumping the hit counter.
-    fn replay(&mut self, key: u64, mem: &mut DeviceMemory) -> Option<LaunchResult> {
+    fn replay(&mut self, key: ContentKey, mem: &mut DeviceMemory) -> Option<LaunchResult> {
         let entry = self.entries.get(&key)?;
         if self.verify && entry_checksum(&entry.stats, &entry.writes) != entry.checksum {
             // Detected corruption: drop the entry and report a miss so
@@ -264,7 +197,7 @@ impl LaunchCache {
     /// An overwrite refreshes the key's FIFO position: the entry's
     /// contents are as new as a fresh insert, so leaving it at its old
     /// slot would let the cap evict a just-rewritten entry as "oldest".
-    fn insert_entry(&mut self, key: u64, entry: CachedLaunch) {
+    fn insert_entry(&mut self, key: ContentKey, entry: CachedLaunch) {
         if self.entries.insert(key, entry).is_some() {
             if let Some(pos) = self.order.iter().position(|&k| k == key) {
                 self.order.remove(pos);
@@ -353,7 +286,7 @@ pub struct SharedLaunchCache {
 
 impl Default for SharedLaunchCache {
     fn default() -> Self {
-        Self::new(16)
+        Self::new(DEFAULT_SHARDS)
     }
 }
 
@@ -401,8 +334,8 @@ impl SharedLaunchCache {
         self.shards.iter().map(|s| self.lock(s).integrity_failures).sum()
     }
 
-    fn shard(&self, key: u64) -> &Mutex<LaunchCache> {
-        &self.shards[(key & self.mask) as usize]
+    fn shard(&self, key: ContentKey) -> &Mutex<LaunchCache> {
+        &self.shards[(key.low() & self.mask) as usize]
     }
 
     fn lock<'a>(&self, m: &'a Mutex<LaunchCache>) -> std::sync::MutexGuard<'a, LaunchCache> {
@@ -592,6 +525,60 @@ mod tests {
         assert_eq!(mem2.copy_out_f32(crate::memory::BufferId(1))[0], 100.0);
     }
 
+    /// `out[0] = x` for an `f64` scalar parameter `x`.
+    fn store_param_kernel() -> KernelVir {
+        KernelVir {
+            name: "store_param".into(),
+            params: vec![ParamDecl::Ptr, ParamDecl::Scalar(VType::F64)],
+            vregs: vec![VType::B64, VType::F64],
+            insts: vec![
+                Inst::LdParam { ty: VType::B64, d: VReg(0), index: 0 },
+                Inst::LdParam { ty: VType::F64, d: VReg(1), index: 1 },
+                Inst::St { space: MemSpace::Global, ty: VType::F64, addr: VReg(0), a: Operand::Reg(VReg(1)) },
+                Inst::Ret,
+            ],
+        }
+    }
+
+    #[test]
+    fn nan_payloads_are_distinct_parameter_values() {
+        // `Debug` prints every NaN as `NaN`: keyed on that text, the
+        // second launch hit the first one's entry and replayed its bytes.
+        let k = store_param_kernel();
+        let mut cache = LaunchCache::new();
+        for (n, bits) in [0x7ff8_0000_0000_0001u64, 0xfff8_0000_0000_0abc].into_iter().enumerate() {
+            let mut mem = DeviceMemory::new();
+            let out = mem.alloc(8);
+            let params = [ParamVal::Ptr(mem.base_addr(out)), ParamVal::F64(f64::from_bits(bits))];
+            launch_cached(&mut cache, &k, &LaunchConfig::d1(1, 1), &params, &mut mem, &[]).unwrap();
+            assert_eq!((cache.hits, cache.misses), (0, n as u64 + 1), "each payload is its own launch");
+            assert_eq!(mem.buffer_bytes(0), bits.to_le_bytes(), "stores its own payload {bits:#x}");
+        }
+    }
+
+    #[test]
+    fn immediates_key_by_type_and_bit_pattern() {
+        let (mem, params, config) = setup();
+        let imms = [
+            Operand::ImmF(0.0),
+            Operand::ImmF(-0.0),
+            Operand::ImmI(0),
+            Operand::ImmF(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Operand::ImmF(f64::from_bits(0xfff8_0000_0000_0abc)),
+        ];
+        let keys = imms.map(|imm| {
+            let mut k = add_one_kernel();
+            let Inst::Alu { b, .. } = &mut k.insts[6] else { panic!("the f32 add") };
+            *b = imm;
+            launch_key(&k, &config, &params, &mem, &[])
+        });
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} vs {:?}", imms[i], imms[j]);
+            }
+        }
+    }
+
     /// Distinct-input launches to populate a cache: variant `v` perturbs
     /// the input buffer so every `v` produces a distinct content key.
     fn run_variant(cache: &mut LaunchCache, k: &KernelVir, v: u32) {
@@ -634,17 +621,18 @@ mod tests {
     #[test]
     fn overwrite_refreshes_fifo_position() {
         let mut cache = LaunchCache::new().with_entry_cap(3);
-        for key in [1, 2, 3] {
-            cache.insert_entry(key, synthetic(key as u8));
+        let key = ContentKey;
+        for k in [1, 2, 3] {
+            cache.insert_entry(key(k), synthetic(k as u8));
         }
         // Rewrite key 1: it is now the *newest* entry, so pushing past
         // the cap must evict key 2, not the just-rewritten key 1.
-        cache.insert_entry(1, synthetic(101));
+        cache.insert_entry(key(1), synthetic(101));
         assert_eq!(cache.len(), 3, "overwrite does not grow the cache");
-        cache.insert_entry(4, synthetic(4));
-        assert!(cache.entries.contains_key(&1), "rewritten entry survives eviction");
-        assert!(!cache.entries.contains_key(&2), "true oldest entry was evicted");
-        assert_eq!(cache.entries[&1], synthetic(101), "rewrite took effect");
+        cache.insert_entry(key(4), synthetic(4));
+        assert!(cache.entries.contains_key(&key(1)), "rewritten entry survives eviction");
+        assert!(!cache.entries.contains_key(&key(2)), "true oldest entry was evicted");
+        assert_eq!(cache.entries[&key(1)], synthetic(101), "rewrite took effect");
         assert_eq!(cache.evictions, 1);
         assert_eq!(cache.order.len(), cache.entries.len(), "order holds no duplicates");
     }

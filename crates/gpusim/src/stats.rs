@@ -10,7 +10,7 @@
 /// *transactions* (128-byte segments actually touched, computed from the
 /// 32 lanes' addresses — this is where uncoalesced access patterns show
 /// up as 32× traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct KernelStats {
     /// int32 / fp32 / mov / cvt / setp / branch issues.
     pub simple_insts: u64,

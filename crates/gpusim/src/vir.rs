@@ -7,6 +7,7 @@
 //! `f32`/`f64` floats, and 1-bit predicates.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Value types of virtual registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,6 +89,19 @@ impl Operand {
         match self {
             Operand::Reg(r) => Some(*r),
             _ => None,
+        }
+    }
+}
+
+/// By bit pattern: NaN payloads, `-0.0` and `ImmI(0)` vs `ImmF(0.0)` are
+/// all distinct content.
+impl Hash for Operand {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match *self {
+            Operand::Reg(r) => r.hash(h),
+            Operand::ImmI(i) => i.hash(h),
+            Operand::ImmF(f) => f.to_bits().hash(h),
         }
     }
 }
@@ -195,7 +209,7 @@ pub enum MemSpace {
 pub struct Label(pub u32);
 
 /// VIR instructions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Inst {
     /// `mov.ty d, a`
     Mov {
@@ -392,7 +406,7 @@ impl Inst {
 }
 
 /// Kernel parameter declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum ParamDecl {
     /// A by-value scalar.
     Scalar(VType),
@@ -401,7 +415,7 @@ pub enum ParamDecl {
 }
 
 /// A compiled kernel in VIR form.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Hash)]
 pub struct KernelVir {
     /// Kernel name (for reports and tables).
     pub name: String,

@@ -20,9 +20,9 @@
 //! ```
 //!
 //! `--no-coalesce` disables single-flight dedup (every duplicate runs
-//! the pipeline — the pre-dedup stampede behavior, kept for A/B
-//! benchmarking); `--max-batch` caps how many same-program jobs a
-//! worker drains per dequeue (1 disables batched admission).
+//! the pipeline — what a client that resends only after seeing an error
+//! gets; tier-1's chaos smoke uses it for that); `--max-batch` caps how
+//! many same-program jobs a worker drains per dequeue (1 disables it).
 //!
 //! `--shards N` (N ≥ 2) spawns N child `safara-serve` processes, each
 //! a full engine owning a private cache partition, bound to its own

@@ -47,6 +47,7 @@
 //! legacy shapes unchanged.
 
 use crate::json::{obj, write_int, write_key, Json, JsonError, Reader};
+use safara_core::gpusim::content::{ContentHasher, ContentKey};
 use safara_core::ir::{Ident, ScalarTy};
 use safara_core::obs::{MetaValue, Span};
 use safara_core::runtime::HostArray;
@@ -573,71 +574,20 @@ fn write_arrays(arrays: &BTreeMap<Ident, HostArray>, out: &mut String) {
     out.push('}');
 }
 
-/// Incremental FNV-1a, shared by [`digest`] and [`run_key`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-
-    /// A length-delimited field: the bytes, then a separator that no
-    /// UTF-8 string contains, so `("ab","c")` never collides with
-    /// `("a","bc")`.
-    fn field(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
-        }
-        self.byte(0xff);
-    }
-
-    fn word(&mut self, v: u64) {
-        self.field(&v.to_le_bytes());
-    }
-
-    /// A length-delimited bulk field, hashed a word at a time: the
-    /// bytes are dealt round-robin as `u64`s to four lanes (a multiply
-    /// takes three cycles and one lane would wait on each), every lane
-    /// doing FNV-1a's xor-multiply on whole words plus a fold of the
-    /// high half down — a multiply only carries upwards, and a word's
-    /// high bytes must reach the low bits too. The lanes, then the
-    /// last `len % 32` bytes, are folded back in order. For keys that
-    /// never leave the process ([`run_key`]); [`digest`] is on the wire
-    /// and stays byte-at-a-time.
-    fn bulk(&mut self, bytes: &[u8]) {
-        self.word(bytes.len() as u64);
-        let mut lanes = [0u64, 1, 2, 3].map(|lane| self.0 ^ lane);
-        let blocks = bytes.chunks_exact(32);
-        let tail = blocks.remainder();
-        for block in blocks {
-            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-                *lane ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-                *lane = lane.wrapping_mul(0x100_0000_01b3);
-                *lane ^= *lane >> 32;
-            }
-        }
-        lanes.into_iter().for_each(|lane| self.word(lane));
-        self.field(tail);
-    }
-}
-
-/// Content hash of a run request — the single-flight dedup key and the
+/// Content key of a run request — the single-flight dedup key and the
 /// shard-routing key. Two requests share a key iff they ask for
-/// identical work: source, entry, profile, engine override, and every
-/// argument (scalar bit patterns and raw array bytes, in `Args`' stable
-/// `BTreeMap` order) all match.
+/// identical work: source, entry, resolved profile, engine override, and
+/// every argument (scalar bit patterns and raw array bytes, in `Args`'
+/// stable `BTreeMap` order) all match. Every spelling and alias of one
+/// profile is the same work; a key that names no profile goes in raw
+/// (that request fails `unknown_profile` whatever it shares a key with).
 ///
 /// Deliberately excluded, mirroring the launch-memo key rule:
 /// `sim_threads` and `sb_threshold` (simulation results are independent
 /// of worker count and superblock promotion, so keying on them would
 /// split identical work), `return_arrays` (response shaping, not work),
 /// and the envelope fields `id`, `v`, `trace`, `timeout_ms`.
-pub fn run_key(r: &RunRequest) -> u64 {
+pub fn run_key(r: &RunRequest) -> ContentKey {
     run_key_parts(&r.source, &r.entry, &r.profile, r.engine.as_deref(), &r.args)
 }
 
@@ -649,29 +599,25 @@ pub fn run_key_parts(
     profile: &str,
     engine: Option<&str>,
     args: &Args,
-) -> u64 {
-    let mut h = Fnv::new();
-    h.field(source.as_bytes());
-    h.field(entry.as_bytes());
-    h.field(profile.as_bytes());
-    h.field(engine.unwrap_or("").as_bytes());
+) -> ContentKey {
+    let mut h = ContentHasher::default();
+    // `Ok(name)` / `Err(raw key)`: an unknown key can never pass for a
+    // profile by spelling out its display name.
+    h.value(&(source, entry, CompilerConfig::canonical_name(profile).ok_or(profile), engine));
     for (name, value) in &args.scalars {
-        h.field(name.as_str().as_bytes());
         let (tag, bits) = match value {
-            safara_core::runtime::ArgValue::I32(i) => (1u8, *i as i64 as u64),
+            safara_core::runtime::ArgValue::I32(i) => (1u32, *i as i64 as u64),
             safara_core::runtime::ArgValue::I64(i) => (2, *i as u64),
             safara_core::runtime::ArgValue::F32(f) => (3, f.to_bits() as u64),
             safara_core::runtime::ArgValue::F64(f) => (4, f.to_bits()),
         };
-        h.byte(tag);
-        h.word(bits);
+        h.value(&(name.as_str(), tag, bits));
     }
     for (name, arr) in &args.arrays {
-        h.field(name.as_str().as_bytes());
-        h.byte(arr.elem as u8);
-        h.bulk(&arr.bytes);
+        h.value(&(name.as_str(), arr.elem as u32));
+        h.bytes(&arr.bytes);
     }
-    h.0
+    h.key()
 }
 
 /// Jump consistent hash (Lamport & Lamping): map `key` to a shard in
@@ -691,16 +637,15 @@ pub fn shard_for(key: u64, shards: u32) -> u32 {
     b as u32
 }
 
-/// Content digest of an array: FNV-1a over the element tag and raw
+/// Content digest of an array: FNV-1a/64 over the element tag and raw
 /// bytes, printed as 16 hex digits. Two arrays digest equal iff their
-/// bytes (and element type) are identical.
+/// bytes (and element type) are identical. This is wire format — the one
+/// hash a client can recompute — so it stays byte-at-a-time FNV and is
+/// not a [`ContentKey`].
 pub fn digest(arr: &HostArray) -> String {
-    let mut h = Fnv::new();
-    h.byte(arr.elem as u8);
-    for &b in &arr.bytes {
-        h.byte(b);
-    }
-    format!("{:016x}", h.0)
+    let fnv = |h: u64, b: &u8| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
+    let h = arr.bytes.iter().fold(fnv(0xcbf2_9ce4_8422_2325, &(arr.elem as u8)), fnv);
+    format!("{h:016x}")
 }
 
 /// A run request as it goes on the wire — the client-side counterpart
@@ -1478,6 +1423,14 @@ mod tests {
         let mut other = base.clone();
         other.profile = "safara_only".into();
         assert_ne!(run_key(&other), key);
+        // ...the profile as resolved: aliases and spellings of one profile
+        // are one piece of work, unknown keys stay apart by their text.
+        let of = |profile: &str| run_key(&RunRequest { profile: profile.into(), ..base.clone() });
+        assert_eq!(of("safara"), of("safara_only"));
+        assert_eq!(of("SAFARA-ONLY"), of("safara_only"));
+        assert_ne!(of("safara_only"), of("safara_clauses"));
+        assert_ne!(of("nope"), of("nope2"));
+        assert_ne!(of("OpenUH(SAFARA)"), of("safara_only"), "a display name is not a key");
         let mut other = base.clone();
         other.engine = Some("reference".into());
         assert_ne!(run_key(&other), key);

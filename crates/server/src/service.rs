@@ -22,7 +22,8 @@ use crate::protocol::{
 use crate::queue::{Bounded, PushError};
 use safara_core::chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_core::gpusim::device::DeviceConfig;
-use safara_core::gpusim::memo::DEFAULT_ENTRY_CAP;
+use safara_core::gpusim::content::ContentKey;
+use safara_core::gpusim::memo::{DEFAULT_ENTRY_CAP, DEFAULT_SHARDS};
 use safara_core::gpusim::{self, ExecOptions};
 use safara_core::obs::{Histogram, HistogramSnapshot, Tracer};
 use safara_core::{
@@ -44,8 +45,6 @@ pub struct EngineConfig {
     pub queue_depth: usize,
     /// Deadline for requests that set no `timeout_ms`.
     pub default_timeout_ms: u64,
-    /// Shard count for the shared launch cache.
-    pub cache_shards: usize,
     /// Load-shedding watermark: refuse new work (retryable `shed`)
     /// once the queue holds this many jobs, *before* the hard queue cap
     /// kicks in. `None` disables early shedding.
@@ -66,7 +65,8 @@ pub struct EngineConfig {
     /// ([`protocol::run_key`]) matches an in-flight request parks as a
     /// waiter and receives the leader's response instead of re-running
     /// the pipeline. On by default; off makes every request a leader
-    /// (the pre-dedup stampede behavior, kept for benchmarking).
+    /// (`safara-serve --no-coalesce`; `server_integration.rs`'s
+    /// warm-cache tests, which count one memo hit per request).
     pub coalesce: bool,
     /// Batched admission: a worker drains up to this many queued jobs
     /// sharing one program (source and resolved profile) per dequeue, so a
@@ -80,7 +80,6 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             queue_depth: 64,
             default_timeout_ms: DEFAULT_TIMEOUT_MS,
-            cache_shards: 16,
             shed_watermark: None,
             breaker_threshold: 0,
             breaker_cooldown_ms: 500,
@@ -105,7 +104,7 @@ pub struct Job {
     /// Single-flight key: set on untraced runs admitted as leaders.
     /// The worker fans this job's outcome out to every waiter parked
     /// under the key.
-    pub flight_key: Option<u64>,
+    pub flight_key: Option<ContentKey>,
     /// Batch key: the resolved profile name of an untraced run. Jobs
     /// sharing it *and* their source text may be drained together so a
     /// worker compiles once and simulates many.
@@ -270,7 +269,7 @@ impl Breaker {
         if self.threshold == 0 {
             return None;
         }
-        CompilerConfig::by_name(profile).map(|config| config.name)
+        CompilerConfig::canonical_name(profile)
     }
 
     /// Admission check. Open + cooldown elapsed transitions to
@@ -423,7 +422,7 @@ pub struct EngineShared {
     /// Single-flight table: content key → waiters parked on its leader.
     /// An entry exists exactly while the leader's job is queued or
     /// running; fan-out removes it.
-    inflight: Mutex<HashMap<u64, Vec<Waiter>>>,
+    inflight: Mutex<HashMap<ContentKey, Vec<Waiter>>>,
     /// Batch ceiling workers pass to [`Bounded::pop_batch`].
     max_batch: usize,
     faults: Arc<FaultPlan>,
@@ -557,7 +556,7 @@ impl Engine {
         let shared = Arc::new(EngineShared {
             workers: config.workers.max(1),
             cache: SharedLaunchCache::with_options(
-                config.cache_shards,
+                DEFAULT_SHARDS,
                 DEFAULT_ENTRY_CAP,
                 config.verify_cache,
             ),
@@ -620,7 +619,7 @@ impl Engine {
         let (flight, batch_profile) = match (&request.op, request.trace) {
             (Op::Run(r), false) => (
                 if self.coalesce { Some((protocol::run_key(r), r.return_arrays)) } else { None },
-                protocol::resolve_profile(&r.profile).ok().map(|config| config.name),
+                CompilerConfig::canonical_name(&r.profile),
             ),
             _ => (None, None),
         };
@@ -885,7 +884,7 @@ enum ExecOutcome {
 /// parked gets `timeout` instead (it was counted `coalesced` at park
 /// time; no other counter moves). Hung-up waiters count
 /// `replies_dropped`, same as hung-up leaders.
-fn fan_out(shared: &EngineShared, key: u64, outcome: &ExecOutcome) {
+fn fan_out(shared: &EngineShared, key: ContentKey, outcome: &ExecOutcome) {
     let waiters = shared
         .inflight
         .lock()
@@ -2009,12 +2008,14 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         hold_worker(&engine, &tx, 300);
         let line = protocol::build_run_request(7, DBL, "dbl", "base", &dbl_args(), true);
-        // Leader + 3 duplicates, all parked while the worker sleeps.
+        // Leader + 3 duplicates, all parked while the worker sleeps —
+        // and a fourth that spells the same profile by its alias.
+        let alias = protocol::build_run_request(7, DBL, "dbl", "OpenUH", &dbl_args(), true);
         let mut waiter_rxs = Vec::new();
         assert!(submit_line(&engine, &line, &tx).is_none());
-        for _ in 0..3 {
+        for dup in [&line, &line, &line, &alias] {
             let (wtx, wrx) = mpsc::channel();
-            assert!(submit_line(&engine, &line, &wtx).is_none());
+            assert!(submit_line(&engine, dup, &wtx).is_none());
             waiter_rxs.push(wrx);
         }
         assert_eq!(status_of(&rx.recv_timeout(Duration::from_secs(5)).unwrap()), "ok"); // sleep
@@ -2029,7 +2030,7 @@ mod tests {
             assert_eq!(got, leader, "same id, so fan-out lines are byte-identical");
         }
         let shared = engine.shared();
-        assert_eq!(shared.coalesced.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.coalesced.load(Ordering::Relaxed), 4);
         assert_eq!(shared.completed.load(Ordering::Relaxed), 2, "sleep + one run");
         assert_eq!(shared.cache.misses(), 1, "exactly one pipeline execution");
         assert_eq!(shared.cache.hits(), 0);

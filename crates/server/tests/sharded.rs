@@ -118,7 +118,7 @@ fn two_shards_serve_byte_identical_responses_and_partition_the_cache() {
         let line = request_line(id, id as f32);
         let req = parse_request(&line).unwrap();
         let Op::Run(r) = &req.op else { panic!("run request") };
-        let shard = shard_for(run_key(r), 2) as usize;
+        let shard = shard_for(run_key(r).low(), 2) as usize;
         routed[shard] += 1;
         let got = conns[shard].roundtrip(&line);
         assert_eq!(got, cold_reference(&line), "id {id} on shard {shard}");

@@ -7,9 +7,7 @@
 //! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
-use safara_core::gpusim::{
-    Engine, ExecOptions, LaunchCache, LaunchConfig, DEFAULT_SUPERBLOCK_THRESHOLD,
-};
+use safara_core::gpusim::{Engine, ExecOptions, LaunchCache, DEFAULT_SUPERBLOCK_THRESHOLD};
 use safara_core::obs::Tracer;
 use safara_core::{
     compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
@@ -145,18 +143,12 @@ fn chaos_sweep_errors_identical_across_sim_threads() {
     }
 }
 
-/// The sim-thread count must never leak into the memo content key:
-/// `LaunchConfig`'s `Debug` form (which the launch key hashes) is
-/// geometry only, and a cache warmed by a serial run replays — pure
-/// hits, zero misses — under a parallel run of the same workload.
+/// The sim-thread count must never leak into the memo content key
+/// (`LaunchConfig`, which the launch key hashes field by field, is
+/// geometry only): a cache warmed by a serial run replays — pure hits,
+/// zero misses — under a parallel run of the same workload.
 #[test]
 fn memo_content_hash_independent_of_sim_threads() {
-    assert_eq!(
-        format!("{:?}", LaunchConfig::d1(2, 64)),
-        "LaunchConfig { grid: (2, 1, 1), block: (64, 1, 1) }",
-        "the Debug form is memo key input: these bytes must not move"
-    );
-
     let w = &spec_suite()[0];
     let config = CompilerConfig::safara_clauses();
     let dev = DeviceConfig::k20xm();

@@ -31,6 +31,20 @@ timed="$(grep -rlE 'std::time|Instant' crates/bench crates/workloads/src || true
 ! compgen -G 'BENCH_*.json' >/dev/null \
   || { echo "one-harness gate: a hand-assembled BENCH_*.json is back; timings come from benchmark/" >&2; exit 1; }
 
+echo "== one content hash =="
+# `gpusim::content` is the only hasher. The FNV prime may appear there,
+# in `protocol::digest` (wire format, a fold with no hasher type behind
+# it) and in one test-local golden over printed VIR — nowhere else; no
+# `format!("{x:?}")` feeds the launch key; no table takes a bare 64-bit
+# hash for identity.
+fnv_files="$(grep -rl '01b3' crates --include='*.rs' | sort | tr '\n' ' ')"
+[ "$fnv_files" = "crates/gpusim/src/content.rs crates/server/src/protocol.rs crates/workloads/tests/dim_offset_golden.rs " ] \
+  || { echo "one-hash gate: FNV constants live in: $fnv_files" >&2; exit 1; }
+! grep -nE 'format!\("\{[a-z_]*:\?\}"\)' crates/gpusim/src/memo.rs \
+  || { echo "one-hash gate: memo.rs hashes a Debug string again" >&2; exit 1; }
+! grep -rnE 'HashMap<u64, *(CachedLaunch|Vec<Waiter>)' crates \
+  || { echo "one-hash gate: a table is keyed on a bare u64 hash again" >&2; exit 1; }
+
 echo "== safara-serve stdin smoke =="
 # Three requests through the real service binary: parse, queue, worker
 # pool, pipeline, response — all via the wire protocol. Request 3 sets
