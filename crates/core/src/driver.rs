@@ -449,7 +449,11 @@ fn optimize_function(
                 });
                 rounds = 1;
             } else {
-                // The iterative feedback loop (§III-B.2).
+                // The iterative feedback loop (§III-B.2). An accepted
+                // round's recompile *is* the next round's measurement
+                // (`work` becomes the trial it was built from), so its
+                // artifacts are carried over instead of being rebuilt.
+                let mut carried: Option<Vec<KernelArtifact>> = None;
                 loop {
                     if rounds >= config.max_feedback_iters {
                         break;
@@ -471,13 +475,19 @@ fn optimize_function(
                         _ => false,
                     };
                     tracer.begin("round");
-                    // 1. Backend compile, no further SR: measure registers.
-                    let arts = match codegen_all(&work, config) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            tracer.end();
-                            return Err(e);
-                        }
+                    // 1. Backend compile, no further SR: measure registers
+                    // (round 1 only — later rounds measure what the
+                    // previous one accepted).
+                    let measured_here = carried.is_none();
+                    let arts = match carried.take() {
+                        Some(a) => a,
+                        None => match codegen_all(&work, config) {
+                            Ok(a) => a,
+                            Err(e) => {
+                                tracer.end();
+                                return Err(e);
+                            }
+                        },
                     };
                     let used = arts.iter().map(|a| a.alloc.regs_used).max().unwrap_or(0);
                     // The budget is measured against the tightest effective
@@ -497,6 +507,7 @@ fn optimize_function(
                     tracer.meta_int("regs_used", used as i64);
                     tracer.meta_int("budget", budget as i64);
                     if budget == 0 {
+                        tracer.meta_int("codegen_calls", measured_here as i64);
                         tracer.end();
                         break;
                     }
@@ -504,7 +515,6 @@ fn optimize_function(
                     // throughput goal each region gets an occupancy oracle
                     // seeded with the measured register use and the block
                     // size the runtime will launch with.
-                    let snapshot = work.clone();
                     let mut round_outcome = SrOutcome::default();
                     let mut trial = work.clone();
                     for_each_region(&mut trial, |region| {
@@ -525,7 +535,7 @@ fn optimize_function(
                                 regs_in_use: used,
                             });
                         let o = safara_pass_with(
-                            &snapshot,
+                            &work,
                             region,
                             budget,
                             cost_model,
@@ -536,7 +546,11 @@ fn optimize_function(
                         merge_outcome(&mut round_outcome, o);
                     });
                     tracer.meta_int("temps_added", round_outcome.temps_added as i64);
-                    if round_outcome.temps_added == 0 {
+                    // Whole-function lower + allocate runs this round made:
+                    // the measurement above, and the recompile below.
+                    let recompiles = round_outcome.temps_added > 0;
+                    tracer.meta_int("codegen_calls", measured_here as i64 + recompiles as i64);
+                    if !recompiles {
                         tracer.end();
                         break; // all reused references are replaced
                     }
@@ -555,6 +569,7 @@ fn optimize_function(
                         break; // registers saturated: keep previous state
                     }
                     work = trial;
+                    carried = Some(new_arts);
                     merge_outcome(&mut outcome, round_outcome);
                     tracer.end();
                 }
@@ -1022,5 +1037,49 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain, inert);
+    }
+
+    /// The feedback loop builds each artifact once: an accepted round's
+    /// recompile is the next round's measurement, so the two programs
+    /// that run all eight rounds make 1 + 8 whole-function codegen calls
+    /// (16 before the carry) — and decide exactly what they decided then.
+    #[test]
+    fn feedback_loop_carries_the_accepted_rounds_artifacts() {
+        use safara_obs::{MetaValue, Span};
+        fn rounds<'a>(s: &'a Span, out: &mut Vec<&'a Span>) {
+            if s.name == "round" {
+                out.push(s);
+            }
+            s.children.iter().for_each(|c| rounds(c, out));
+        }
+        let int = |s: &Span, key: &str| match s.meta_get(key) {
+            Some(MetaValue::Int(v)) => *v,
+            other => panic!("round span without integer `{key}`: {other:?}"),
+        };
+        // (workload, feedback rounds, temps added, max regs_used) as the
+        // loop produced them before artifacts were carried.
+        for (name, want_rounds, want_temps, want_regs) in
+            [("355.seismic", 8, 33, 59), ("356.sp", 8, 39, 46)]
+        {
+            let w = safara_workloads::all_workloads()
+                .into_iter()
+                .find(|w| w.name() == name)
+                .expect("workload exists");
+            let mut tracer = Tracer::new();
+            let p = compile_traced(&w.source(), &CompilerConfig::safara_only(), &mut tracer)
+                .expect("compile");
+            let spans = tracer.finish();
+            let mut rs = Vec::new();
+            spans.iter().for_each(|s| rounds(s, &mut rs));
+            let with_temps = rs.iter().filter(|r| int(r, "temps_added") > 0).count() as i64;
+            let calls: i64 = rs.iter().map(|r| int(r, "codegen_calls")).sum();
+            assert_eq!(calls, 1 + with_temps, "{name}: codegen calls inside the loop");
+            assert_eq!(int(rs[0], "codegen_calls"), 2, "{name}: round 1 measures and recompiles");
+            let f = &p.functions[0];
+            assert_eq!(rs.len() as u32, f.feedback_rounds, "{name}: one span per round");
+            assert_eq!(f.feedback_rounds, want_rounds, "{name}: feedback rounds");
+            assert_eq!(f.sr_outcome.temps_added, want_temps, "{name}: temporaries");
+            assert_eq!(f.max_regs(), want_regs, "{name}: final register use");
+        }
     }
 }

@@ -425,6 +425,14 @@ pub(crate) const WARP_SIZE: usize = 32;
 
 /// Per-warp streaming merge state, reused across all warps of a launch.
 ///
+/// Fed by lane-major execution only — the decoded engine, and the
+/// superblock engine's profile warps and peeled lanes — through
+/// [`WarpMerge::log`], one event per lane per access, grouped into
+/// warp-level requests at warp end by [`WarpMerge::merge`]. The
+/// superblock engine's lockstep path already has a warp's addresses
+/// together and accounts them on the spot with
+/// [`WarpMerge::account_now`], which touches none of the per-lane state.
+///
 /// While no divergence has been observed, lanes append only addresses
 /// (`lane_addrs`) against the shared `proto` event stream — a lane that
 /// runs past the prototype extends it (prefix-matching shorter lanes
@@ -442,6 +450,10 @@ pub(crate) struct WarpMerge {
     diverged: bool,
     gather: Vec<u64>,
     segs: Vec<u64>,
+    /// Lane events taken by [`WarpMerge::log`] since construction.
+    pub(crate) events_logged: u64,
+    /// Groups accounted by [`WarpMerge::account_now`] since construction.
+    pub(crate) groups_accounted: u64,
 }
 
 impl WarpMerge {
@@ -453,6 +465,8 @@ impl WarpMerge {
             diverged: false,
             gather: Vec::with_capacity(WARP_SIZE),
             segs: Vec::with_capacity(2 * WARP_SIZE),
+            events_logged: 0,
+            groups_accounted: 0,
         }
     }
 
@@ -467,8 +481,32 @@ impl WarpMerge {
         self.diverged = false;
     }
 
+    /// True once any lane has logged an event in the current warp.
+    pub(crate) fn any_logged(&self) -> bool {
+        // The first event of a warp always extends the prototype.
+        !self.proto.is_empty()
+    }
+
+    /// Account one warp-level access group immediately, bypassing the
+    /// per-lane logs: `addrs` holds the address of every lane taking part
+    /// in the access (one address stands for the warp when all are equal).
+    /// A group that is never merged needs no instruction key.
+    #[inline]
+    pub(crate) fn account_now(
+        &mut self,
+        bytes: u8,
+        space_store: u8,
+        addrs: &[u64],
+        stats: &mut KernelStats,
+    ) {
+        self.groups_accounted += 1;
+        let ev = MemEvent { inst: 0, addr: 0, bytes, space_store };
+        account_group_with(ev, addrs, &mut self.segs, stats);
+    }
+
     #[inline]
     pub(crate) fn log(&mut self, lane: usize, ev: MemEvent) {
+        self.events_logged += 1;
         if !self.tails[lane].is_empty() {
             self.tails[lane].push(ev);
             return;
@@ -526,7 +564,8 @@ impl WarpMerge {
 }
 
 /// Execute a kernel launch on the pre-decoded engine. Public entry is
-/// [`crate::interp::launch`], which dispatches here by default.
+/// [`crate::interp::launch`] with [`crate::interp::Engine::Decoded`]
+/// selected.
 pub(crate) fn launch_decoded(
     kernel: &KernelVir,
     config: &LaunchConfig,

@@ -12,8 +12,12 @@
 //!    `SAFARA_SB_THRESHOLD`, read once per process at the first
 //!    resolution;
 //!
-//! and otherwise the **default**: decoded engine, one worker per CPU,
-//! [`DEFAULT_SUPERBLOCK_THRESHOLD`].
+//! and otherwise the **default**: superblock engine, one worker per CPU,
+//! [`DEFAULT_SUPERBLOCK_THRESHOLD`]. The three engines are stats- and
+//! memory-identical, so the default is a choice of speed alone: the
+//! superblock engine runs the fig7 suite in about half the decoded
+//! engine's time. `decoded` and `reference` stay selectable through both
+//! layers, as oracles and for bisecting.
 //!
 //! A `None` field falls through to the next layer, so an
 //! `ExecOptions::inherit()` scope is a no-op and the struct can always
@@ -43,8 +47,11 @@ pub struct ExecOptions {
 const INHERIT: ExecOptions =
     ExecOptions { engine: None, sim_threads: None, superblock_threshold: None };
 
+/// What a launch runs under when neither a scope nor the environment
+/// says otherwise. The engine is the fastest of three byte-identical
+/// ones, not a semantic choice.
 const DEFAULTS: ExecOptions = ExecOptions {
-    engine: Some(Engine::Decoded),
+    engine: Some(Engine::Superblock),
     sim_threads: Some(0),
     superblock_threshold: Some(DEFAULT_SUPERBLOCK_THRESHOLD),
 };

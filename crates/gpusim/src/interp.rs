@@ -165,11 +165,14 @@ impl LaneCounts {
 /// any future regression can be bisected to an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The original lane-at-a-time tree-walking interpreter.
+    /// The original lane-at-a-time tree-walking interpreter: the oracle.
     Reference,
-    /// The pre-decoded direct-threaded engine (the default).
+    /// The pre-decoded direct-threaded engine: lane-major, one lane at a
+    /// time. Also what the superblock engine's profile warps and peeled
+    /// lanes run on.
     Decoded,
-    /// The profile-guided superblock-fused, lane-vectorized engine.
+    /// The profile-guided superblock-fused, lane-vectorized engine (the
+    /// default).
     Superblock,
 }
 
@@ -202,8 +205,8 @@ impl Engine {
 /// for functional correctness but counts their touches as local-memory
 /// traffic, mirroring what PTXAS-inserted reload/spill code would do.
 ///
-/// Dispatches to [`crate::current_engine`] (default: the pre-decoded
-/// engine, [`crate::decode`]).
+/// Dispatches to [`crate::current_engine`] (default: the superblock
+/// engine, [`crate::superblock`]).
 pub fn launch(
     kernel: &KernelVir,
     config: &LaunchConfig,

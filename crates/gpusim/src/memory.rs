@@ -53,6 +53,15 @@ impl DeviceMemory {
         id
     }
 
+    /// Allocate a buffer holding a copy of `data` (allocation and
+    /// host→device transfer in one pass, without the zero fill).
+    pub fn alloc_from(&mut self, data: &[u8]) -> BufferId {
+        assert!((data.len() as u64) < (1u64 << OFFSET_BITS), "buffer too large");
+        let id = BufferId(self.buffers.len() as u32);
+        self.buffers.push(data.to_vec());
+        id
+    }
+
     /// The synthetic base address of a buffer.
     pub fn base_addr(&self, id: BufferId) -> u64 {
         ((id.0 as u64) + 1) << OFFSET_BITS
@@ -157,6 +166,12 @@ impl DeviceMemory {
         self.buffers[id.0 as usize].clone()
     }
 
+    /// Move a buffer's contents out to the host, leaving it empty: the
+    /// device→host transfer of a buffer nothing will touch again.
+    pub fn take(&mut self, id: BufferId) -> Vec<u8> {
+        std::mem::take(&mut self.buffers[id.0 as usize])
+    }
+
     /// Typed convenience: upload a slice of `f32`.
     pub fn copy_in_f32(&mut self, id: BufferId, data: &[f32]) {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -236,6 +251,22 @@ mod tests {
         assert!(m.write(base + 16, 4, 0).is_err());
         assert!(m.read(0, 4).is_err()); // null
         assert!(m.read(m.base_addr(BufferId(5)), 4).is_err()); // unmapped
+    }
+
+    #[test]
+    fn alloc_from_and_take_move_whole_buffers() {
+        let mut m = DeviceMemory::new();
+        let a = m.alloc_from(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let b = m.alloc(4);
+        assert_eq!(m.len(a), 8);
+        assert_eq!(m.read(m.base_addr(a) + 4, 4).unwrap(), 0x0807_0605);
+        m.write(m.base_addr(a), 4, 0xAABB_CCDD).unwrap();
+        assert_eq!(m.take(a), vec![0xDD, 0xCC, 0xBB, 0xAA, 5, 6, 7, 8]);
+        // The id stays mapped (to nothing), and neighbours are untouched.
+        assert_eq!(m.len(a), 0);
+        assert!(m.read(m.base_addr(a), 4).is_err());
+        assert_eq!(m.base_addr(b), 2u64 << 40);
+        assert_eq!(m.copy_out(b), vec![0; 4]);
     }
 
     #[test]

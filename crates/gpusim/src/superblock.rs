@@ -30,26 +30,47 @@
 //!    execute as tight 32-lane inner loops: one opcode dispatch per
 //!    superinstruction per *warp* instead of per lane, with operands
 //!    pre-resolved to either the scalar file or the lane-major
-//!    (structure-of-arrays) register file.
+//!    (structure-of-arrays) register file. Memory superinstructions
+//!    account their transactions per warp, at the instruction — the 32
+//!    addresses are already in one array, a hoisted load's single
+//!    address stands for all of them; only lane-major execution (profile
+//!    warps, peels, the decoded engine) logs per lane for the warp-end
+//!    merge.
 //!
-//! Byte-identity with the decoded engine (asserted by differential
-//! tests) is preserved by construction where it is observable:
-//! within one memory superinstruction lanes issue in lane order (so
-//! same-instruction conflicts — notably the compiler's single
-//! end-of-kernel reduction `AtomAdd` — serialize exactly as lane-major
-//! execution does), warp divergence **peels** the warp back to
-//! lane-major decoded execution (lanes 0..31 in order, preserving
-//! per-lane event streams for the transaction merge), kernels with an
-//! atomic inside a loop are delegated wholesale to the decoded engine,
-//! and a threshold of `u64::MAX` ("inf") short-circuits the whole engine
-//! into [`crate::decode::launch_decoded`].
+//! This is the default engine ([`crate::exec_options`]). Byte-identity
+//! with the decoded engine (asserted by differential tests) is preserved
+//! by construction where it is observable: within one memory
+//! superinstruction lanes issue in lane order (so same-instruction
+//! conflicts — notably the compiler's single end-of-kernel reduction
+//! `AtomAdd` — serialize exactly as lane-major execution does), warp
+//! divergence **peels** the warp back to lane-major decoded execution
+//! (lanes in order, each logging its own event stream for the
+//! transaction merge), kernels with an atomic inside a loop are delegated
+//! wholesale to the decoded engine, and a threshold of `u64::MAX` ("inf")
+//! short-circuits the whole engine into
+//! [`crate::decode::launch_decoded`].
+//!
+//! **The closure rule** is what makes accounting at the instruction
+//! exact. The merge groups a warp's events by `(instruction, occurrence)`
+//! across lanes. A group formed in lockstep holds every lane then in the
+//! warp, and while no peeled lane has logged anything it is *closed*: all
+//! those lanes share the same event prefix, so no later event of any of
+//! them can carry the same `(instruction, occurrence)`. Dropping that
+//! common prefix from every lane's log shifts occurrence numbers
+//! uniformly and leaves the partition of the remaining events — hence
+//! every sum — unchanged. So lockstep never logs, and when a range-guard
+//! branch peels a suffix of the warp: if the peeled lanes logged nothing
+//! on their way out (the bounds-guard exit) the shortened warp stays in
+//! lockstep; if they did log, a later access of the remaining lanes may
+//! belong in one of their groups, so those lanes peel too and the merge
+//! sees all of them. There is no lockstep mode that logs.
 
 use crate::decode::{
     decode, launch_decoded, Decoded, DInst, ExecSeed, Op, WarpMerge, CLS_FP64, CLS_INT64,
     CLS_SFU, CLS_SIMPLE, NO_REG, WARP_SIZE,
 };
 use crate::interp::{
-    alu, compare, convert, math, neg, LaneCounts, LaunchConfig, LaunchResult, MemEvent,
+    alu, compare, convert, math, neg, LaneCounts, LaunchConfig, LaunchResult,
     ParamVal, SimError, FLAG_ATOMIC, FLAG_STORE, MAX_INSTS_PER_THREAD, SPACE_GLOBAL, SPACE_LOCAL,
     SPACE_READONLY,
 };
@@ -57,6 +78,7 @@ use crate::memory::DeviceMemory;
 use crate::parallel::{self, MemAccess};
 use crate::stats::KernelStats;
 use crate::vir::{AluOp, CmpOp, KernelVir, MathOp, VReg, VType};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Warps executed lane-major (instrumented) before fusion kicks in.
@@ -98,6 +120,8 @@ static C_HOISTED: AtomicU64 = AtomicU64::new(0);
 static C_SCALAR_EXECS: AtomicU64 = AtomicU64::new(0);
 static C_VECTOR_EXECS: AtomicU64 = AtomicU64::new(0);
 static C_PEELS: AtomicU64 = AtomicU64::new(0);
+static C_GROUPS_ACCOUNTED: AtomicU64 = AtomicU64::new(0);
+static C_LANE_EVENTS_LOGGED: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the superblock engine's cumulative fusion/hoist
 /// counters (process-wide, monotonic).
@@ -124,6 +148,11 @@ pub struct FusionCounters {
     /// Warps peeled back to lane-major execution (divergence or a cold
     /// region).
     pub peels: u64,
+    /// Memory access groups accounted per warp, at the superinstruction.
+    pub groups_accounted: u64,
+    /// Memory events logged per lane for the warp-end merge: profile
+    /// warps and peeled lanes only.
+    pub lane_events_logged: u64,
 }
 
 /// Read the cumulative fusion counters.
@@ -138,6 +167,8 @@ pub fn fusion_counters() -> FusionCounters {
         scalar_execs: C_SCALAR_EXECS.load(Ordering::Relaxed),
         vector_execs: C_VECTOR_EXECS.load(Ordering::Relaxed),
         peels: C_PEELS.load(Ordering::Relaxed),
+        groups_accounted: C_GROUPS_ACCOUNTED.load(Ordering::Relaxed),
+        lane_events_logged: C_LANE_EVENTS_LOGGED.load(Ordering::Relaxed),
     }
 }
 
@@ -154,6 +185,8 @@ struct LocalCtrs {
     scalar_execs: u64,
     vector_execs: u64,
     peels: u64,
+    groups_accounted: u64,
+    lane_events_logged: u64,
 }
 
 impl LocalCtrs {
@@ -169,6 +202,15 @@ impl LocalCtrs {
         self.scalar_execs += o.scalar_execs;
         self.vector_execs += o.vector_execs;
         self.peels += o.peels;
+        self.groups_accounted += o.groups_accounted;
+        self.lane_events_logged += o.lane_events_logged;
+    }
+
+    /// Take over the memory counters a scratch's warp merge kept while it
+    /// ran this launch's warps.
+    fn add_warp(&mut self, w: &WarpMerge) {
+        self.groups_accounted += w.groups_accounted;
+        self.lane_events_logged += w.events_logged;
     }
 
     fn flush(&self) {
@@ -181,6 +223,8 @@ impl LocalCtrs {
         C_SCALAR_EXECS.fetch_add(self.scalar_execs, Ordering::Relaxed);
         C_VECTOR_EXECS.fetch_add(self.vector_execs, Ordering::Relaxed);
         C_PEELS.fetch_add(self.peels, Ordering::Relaxed);
+        C_GROUPS_ACCOUNTED.fetch_add(self.groups_accounted, Ordering::Relaxed);
+        C_LANE_EVENTS_LOGGED.fetch_add(self.lane_events_logged, Ordering::Relaxed);
     }
 }
 
@@ -335,8 +379,7 @@ fn atomics_in_loops(d: &Decoded) -> bool {
 // Superblock program
 
 /// A flat superinstruction: a decoded instruction with operands
-/// pre-resolved against the uniformity classes (`UB` bit) and its
-/// original decoded pc preserved as the memory-event key.
+/// pre-resolved against the uniformity classes (`UB` bit).
 #[derive(Debug, Clone, Copy)]
 struct SInst {
     op: Op,
@@ -344,8 +387,6 @@ struct SInst {
     spill: u8,
     /// Execute once per warp on the scalar (uniform) file.
     scalar: bool,
-    /// Original decoded instruction index (memory-event key).
-    pc: u32,
     d: u32,
     a: u32,
     b: u32,
@@ -410,8 +451,8 @@ std::thread_local! {
     // worker pool, whose threads bump the refcount concurrently. The
     // cache itself stays thread-local — workers are ephemeral and never
     // consult it, they receive the `Arc` directly.
-    static PROG_CACHE: std::cell::RefCell<Vec<(Vec<u64>, std::sync::Arc<CachedProg>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static PROG_CACHE: std::cell::RefCell<VecDeque<(Vec<u64>, std::sync::Arc<CachedProg>)>> =
+        const { std::cell::RefCell::new(VecDeque::new()) };
 }
 
 /// Exact content key: threshold, register-file shape, constants, and
@@ -441,9 +482,9 @@ fn prog_cache_put(key: Vec<u64>, prog: std::sync::Arc<CachedProg>) {
     PROG_CACHE.with(|c| {
         let mut c = c.borrow_mut();
         if c.len() >= PROG_CACHE_CAP {
-            c.clear();
+            c.pop_front(); // oldest first: a full cache loses one program, not all
         }
-        c.push((key, prog));
+        c.push_back((key, prog));
     });
 }
 
@@ -455,7 +496,7 @@ fn enc(r: u32, uni: &[bool]) -> u32 {
     }
 }
 
-fn make_sinst(i: &DInst, pc: u32, uni: &[bool]) -> SInst {
+fn make_sinst(i: &DInst, uni: &[bool]) -> SInst {
     let scalar = def_of(i).is_some_and(|r| uni[r as usize]);
     let (ra, rb) = reg_reads(i);
     let a = match ra {
@@ -466,7 +507,7 @@ fn make_sinst(i: &DInst, pc: u32, uni: &[bool]) -> SInst {
         Some(r) => enc(r, uni),
         None => i.b,
     };
-    SInst { op: i.op, cls: i.cls, spill: i.spill, scalar, pc, d: i.d, a, b }
+    SInst { op: i.op, cls: i.cls, spill: i.spill, scalar, d: i.d, a, b }
 }
 
 fn build_one(
@@ -526,7 +567,7 @@ fn build_one(
             steps.push(Ctl::Br { pred, sense, taken, fall, cont: None, cls: i.cls, spill: i.spill });
             break;
         }
-        let si = make_sinst(&i, pc as u32, uni);
+        let si = make_sinst(&i, uni);
         if si.scalar {
             ctrs.hoisted += 1;
         }
@@ -600,6 +641,7 @@ fn exec_sinst<M: MemAccess>(
     ids: &[[u32; 6]; WARP_SIZE],
     mem: &mut M,
     warp: &mut WarpMerge,
+    stats: &mut KernelStats,
 ) -> Result<(), SimError> {
     // Fetch an encoded operand's 32-lane column into a stack array:
     // a memcpy for varying registers, a broadcast fill for uniform ones.
@@ -705,28 +747,26 @@ fn exec_sinst<M: MemAccess>(
             }
         }};
     }
+    // Memory superinstructions do their 32 lane accesses in lane order
+    // and then account the warp's transactions once, right here: the
+    // addresses are already in one array, and a group formed in lockstep
+    // is closed (see the module docs), so nothing is logged per lane.
     macro_rules! vld {
         ($bytes:expr, $ss:expr) => {{
             if si.scalar {
-                // Uniform address: read once per warp, but every lane
-                // still logs the (identical) event so the transaction
-                // merge sees exactly the decoded engine's streams.
+                // Uniform address: one read, and one address accounts for
+                // the warp — 32 copies of it touch the same segments.
                 let addr = u[(si.a & !UB) as usize];
                 u[si.d as usize] = mem.read(addr, $bytes as u32)?;
-                let ev = MemEvent { inst: si.pc, addr, bytes: $bytes, space_store: $ss };
-                for l in 0..lanes {
-                    warp.log(l, ev);
-                }
+                warp.account_now($bytes, $ss, &[addr], stats);
             } else {
                 let mut xa = [0u64; WARP_SIZE];
                 fetch!(si.a, xa);
                 let db = si.d as usize * WARP_SIZE;
                 for l in 0..lanes {
-                    let addr = xa[l];
-                    let x = mem.read(addr, $bytes as u32)?;
-                    v[db + l] = x;
-                    warp.log(l, MemEvent { inst: si.pc, addr, bytes: $bytes, space_store: $ss });
+                    v[db + l] = mem.read(xa[l], $bytes as u32)?;
                 }
+                warp.account_now($bytes, $ss, &xa[..lanes], stats);
             }
         }};
     }
@@ -737,10 +777,9 @@ fn exec_sinst<M: MemAccess>(
             fetch!(si.a, xa);
             fetch!(si.b, xb);
             for l in 0..lanes {
-                let addr = xa[l];
-                mem.write(addr, $bytes as u32, xb[l])?;
-                warp.log(l, MemEvent { inst: si.pc, addr, bytes: $bytes, space_store: $ss });
+                mem.write(xa[l], $bytes as u32, xb[l])?;
             }
+            warp.account_now($bytes, $ss, &xa[..lanes], stats);
         }};
     }
     macro_rules! vatom {
@@ -751,18 +790,10 @@ fn exec_sinst<M: MemAccess>(
             fetch!(si.a, xa);
             fetch!(si.b, xb);
             for l in 0..lanes {
-                let addr = xa[l];
-                mem.atom_add($t, addr, bytes as u32, xb[l])?;
-                warp.log(
-                    l,
-                    MemEvent {
-                        inst: si.pc,
-                        addr,
-                        bytes,
-                        space_store: SPACE_GLOBAL | FLAG_STORE | FLAG_ATOMIC,
-                    },
-                );
+                mem.atom_add($t, xa[l], bytes as u32, xb[l])?;
             }
+            let ss = SPACE_GLOBAL | FLAG_STORE | FLAG_ATOMIC;
+            warp.account_now(bytes, ss, &xa[..lanes], stats);
         }};
     }
     match si.op {
@@ -1026,6 +1057,7 @@ fn run_warp<M: MemAccess>(
     warp: &mut WarpMerge,
     lc: &mut [LaneCounts; WARP_SIZE],
     ctrs: &mut LocalCtrs,
+    stats: &mut KernelStats,
 ) -> Result<(), SimError> {
     // Cold-start fast path: if the entry block never got hot, the whole
     // warp runs lane-major from scratch — exactly the decoded engine,
@@ -1088,7 +1120,7 @@ fn run_warp<M: MemAccess>(
                     } else {
                         ctrs.vector_execs += 1;
                     }
-                    exec_sinst(si, u, v, lanes, ids, mem, warp)?;
+                    exec_sinst(si, u, v, lanes, ids, mem, warp, stats)?;
                 }
                 Ctl::Ghost { cls, spill } => tally!(*cls, *spill),
                 Ctl::Br { pred, sense, taken, fall, cont, cls, spill } => {
@@ -1109,9 +1141,10 @@ fn run_warp<M: MemAccess>(
                             // split into a contiguous prefix and suffix
                             // (the classic `i < n` bounds guard against a
                             // partially-full warp), peel only the suffix
-                            // lanes to completion and keep the prefix in
-                            // lockstep with a shortened warp. Decoded runs
-                            // lanes independently, so any lane partition
+                            // lanes to completion and, if they logged no
+                            // memory event, keep the prefix in lockstep
+                            // with a shortened warp. Decoded runs lanes
+                            // independently, so any lane partition
                             // preserves its observable behavior.
                             let mut m = 1;
                             while m < lanes && tk[m] == tk[0] {
@@ -1124,8 +1157,24 @@ fn run_warp<M: MemAccess>(
                                     d, kernel_name, ids, m, lanes, mem, u, v, dense, uni,
                                     warp, lc, ctrs, &[sfx; WARP_SIZE], seed,
                                 )?;
-                                lanes = m;
                                 let dir = tk[0];
+                                if warp.any_logged() {
+                                    // The suffix lanes touched memory on
+                                    // their way out, so a later access of
+                                    // the prefix lanes may belong in one of
+                                    // their groups: the prefix goes
+                                    // lane-major too and the merge decides.
+                                    let pfx = if dir { *taken } else { *fall } as usize;
+                                    return peel(
+                                        d, kernel_name, ids, 0, m, mem, u, v, dense, uni, warp,
+                                        lc, ctrs, &[pfx; WARP_SIZE], seed,
+                                    );
+                                }
+                                // They logged nothing (the bounds-guard
+                                // exit): every group accounted so far is
+                                // closed, and the shortened warp keeps
+                                // accounting per warp.
+                                lanes = m;
                                 if *cont == Some(dir) {
                                     continue;
                                 }
@@ -1292,6 +1341,7 @@ fn launch_inner(
                     &mut scratch.warp,
                     &mut scratch.lane_counts,
                     ctrs,
+                    &mut stats,
                 )?;
             } else {
                 // Profiling phase: instrumented lane-major runs
@@ -1358,10 +1408,12 @@ fn launch_inner(
             },
         )?;
         stats.merge(&pool_stats);
-        for (_, wctrs) in &workers {
+        for (wscratch, wctrs) in &workers {
             ctrs.add(wctrs);
+            ctrs.add_warp(&wscratch.warp);
         }
     }
+    ctrs.add_warp(&scratch.warp);
     Ok(LaunchResult { stats })
 }
 
@@ -1447,6 +1499,7 @@ fn run_sb_block<M: MemAccess>(
             &mut s.warp,
             &mut s.lane_counts,
             ctrs,
+            stats,
         )?;
         let mut wc = LaneCounts::default();
         for lcl in &s.lane_counts[..lanes] {
@@ -1463,4 +1516,30 @@ fn run_sb_block<M: MemAccess>(
         linear += lanes as u32;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A full program cache evicts its oldest entry, not everything: after
+    /// one insertion past the cap, all but the first key still hit.
+    #[test]
+    fn prog_cache_evicts_oldest_only() {
+        let empty = || {
+            std::sync::Arc::new(CachedProg {
+                uni: Vec::new(),
+                prog: SbProgram { sbs: Vec::new(), at: Vec::new() },
+            })
+        };
+        // Keys no real launch produces (a real key has at least 3 words).
+        let key = |i: usize| vec![u64::MAX, i as u64];
+        for i in 0..=PROG_CACHE_CAP {
+            prog_cache_put(key(i), empty());
+        }
+        assert!(prog_cache_get(&key(0)).is_none());
+        for i in 1..=PROG_CACHE_CAP {
+            assert!(prog_cache_get(&key(i)).is_some(), "key {i} was evicted");
+        }
+    }
 }

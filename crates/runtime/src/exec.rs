@@ -131,8 +131,7 @@ pub fn run_function(
                     host.len()
                 )));
             }
-            let id = mem.alloc(host.bytes.len());
-            mem.copy_in(id, &host.bytes);
+            let id = mem.alloc_from(&host.bytes);
             report.h2d_bytes += host.bytes.len() as u64;
             buffers.insert(name.clone(), id);
             resolved_dims.insert(name.clone(), dims);
@@ -252,6 +251,14 @@ pub fn run_function(
             tracer.meta_int("sb_scalar_execs", (fc.scalar_execs - before.scalar_execs) as i64);
             tracer.meta_int("sb_vector_execs", (fc.vector_execs - before.vector_execs) as i64);
             tracer.meta_int("sb_peels", (fc.peels - before.peels) as i64);
+            tracer.meta_int(
+                "sb_groups_accounted",
+                (fc.groups_accounted - before.groups_accounted) as i64,
+            );
+            tracer.meta_int(
+                "sb_lane_events_logged",
+                (fc.lane_events_logged - before.lane_events_logged) as i64,
+            );
         }
         let result = match result {
             Ok(r) => r,
@@ -307,7 +314,7 @@ pub fn run_function(
     // ---- download results ----------------------------------------------
     tracer.begin("d2h");
     for (name, id) in &buffers {
-        let bytes = mem.copy_out(*id);
+        let bytes = mem.take(*id); // `mem` is dropped below: move, don't clone
         report.d2h_bytes += bytes.len() as u64;
         if let Some(host) = args.arrays.get_mut(name) {
             host.bytes = bytes;

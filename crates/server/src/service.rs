@@ -797,6 +797,8 @@ fn stats_line_for(shared: &EngineShared, queue_len: usize, id: Option<i64>) -> S
             ("scalar_execs", Json::Int(fc.scalar_execs as i64)),
             ("vector_execs", Json::Int(fc.vector_execs as i64)),
             ("peels", Json::Int(fc.peels as i64)),
+            ("groups_accounted", Json::Int(fc.groups_accounted as i64)),
+            ("lane_events_logged", Json::Int(fc.lane_events_logged as i64)),
         ]),
     ));
     fields.push((

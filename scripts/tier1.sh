@@ -45,6 +45,14 @@ fnv_files="$(grep -rl '01b3' crates --include='*.rs' | sort | tr '\n' ' ')"
 ! grep -rnE 'HashMap<u64, *(CachedLaunch|Vec<Waiter>)' crates \
   || { echo "one-hash gate: a table is keyed on a bare u64 hash again" >&2; exit 1; }
 
+echo "== lockstep never logs per lane =="
+# The superblock engine's memory superinstructions account their
+# transactions per warp, at the instruction; only lane-major execution
+# (profile warps, peels, the decoded engine) feeds `WarpMerge::log`. A
+# per-lane log call creeping back into the lockstep path shows up here.
+[ "$(grep -c 'warp\.log' crates/gpusim/src/superblock.rs || true)" = "0" ] \
+  || { echo "lockstep gate: superblock.rs logs memory events per lane again" >&2; exit 1; }
+
 echo "== safara-serve stdin smoke =="
 # Three requests through the real service binary: parse, queue, worker
 # pool, pipeline, response — all via the wire protocol. Request 3 sets
@@ -72,8 +80,9 @@ echo "$traced_line" | grep -q '"dur_us":'
 echo "$traced_line" | grep -q '"start_us":'
 
 echo "== superblock engine smoke =="
-# The same iterative kernel through the decoded engine and through the
-# superblock engine (forced via SAFARA_ENGINE): the response lines must
+# The same iterative kernel through the decoded engine, through the
+# superblock engine (both forced via SAFARA_ENGINE) and through whatever
+# the process default is (SAFARA_ENGINE unset): the response lines must
 # be byte-identical — outputs, stats-derived cycles, everything.
 sb_req='{"id":4,"op":"run","source":"void grind(int n, float x[n]) { #pragma acc kernels copy(x)\n { #pragma acc loop gang vector\n for (int i = 0; i < n; i++) { #pragma acc loop seq\n for (int k = 0; k < 500; k++) { x[i] = x[i] * 1.0001f + 0.5f; } } } }","entry":"grind","profile":"safara_only","scalars":{"n":64},"arrays":{"x":{"elem":"f32","data":[1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8]}},"return_arrays":true}'
 dec_smoke="$(printf '%s\n' "$sb_req" | SAFARA_ENGINE=decoded ./target/release/safara-serve --stdin --workers 1)"
@@ -82,6 +91,9 @@ echo "$sb_smoke" | grep -q '"id":4,"status":"ok"' \
   || { echo "superblock smoke: run failed: $sb_smoke" >&2; exit 1; }
 [ "$dec_smoke" = "$sb_smoke" ] \
   || { echo "superblock smoke: decoded and superblock responses differ" >&2; exit 1; }
+default_smoke="$(printf '%s\n' "$sb_req" | env -u SAFARA_ENGINE ./target/release/safara-serve --stdin --workers 1)"
+[ "$default_smoke" = "$sb_smoke" ] \
+  || { echo "superblock smoke: the default engine's response differs from the forced ones" >&2; exit 1; }
 
 echo "== block-parallel smoke (sim_threads=2 vs serial) =="
 # The same iterative kernel once serially and once with the block-level
@@ -143,9 +155,14 @@ sat_uniq="$(echo "$sat_out" | grep -E '"id":[78]' | sed 's/"id":[78]//;s/"profil
   || { echo "saturate smoke: greedy and saturated payloads differ" >&2; exit 1; }
 
 echo "== default-off byte-diff gate (results/*.txt untouched) =="
-# The saturation knob defaults to off; every checked-in results file
-# must be byte-identical to HEAD in the working tree (a regenerated
-# artifact would show up here as a diff).
+# Every figure/table binary regenerates its checked-in file under the
+# process defaults (engine, saturation off, ...); each must come out
+# byte-identical to HEAD, so a default that moves a modelled number
+# shows up here as a diff.
+for bin in crates/bench/src/bin/*.rs; do
+  name="$(basename "$bin" .rs)"
+  env -u SAFARA_ENGINE ./target/release/"$name" > "results/$name.txt"
+done
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   git diff --exit-code -- results/ \
     || { echo "byte-diff gate: results/ artifacts changed" >&2; exit 1; }
