@@ -9,6 +9,14 @@
 //! cached entry can never go stale: change anything the simulation
 //! depends on and the key changes with it.
 //!
+//! Buffer contents enter the launch key through one [`ContentKey`] per
+//! buffer, which [`DeviceMemory`] carries with the bytes and drops when
+//! they are written. A byte is therefore hashed once per content it is
+//! part of, not once per launch that could read it: an entry records
+//! the key of each snapshot it holds, a replay installs bytes and key
+//! together, and launches 2…K of a memoized function hash only what
+//! was uploaded or seeded since. `bytes_hashed` counts it exactly.
+//!
 //! On a cache hit [`launch_cached`] replays the launch without running
 //! the interpreter: it restores the recorded post-launch contents of
 //! every buffer the kernel mutated and returns the recorded
@@ -27,9 +35,11 @@ use std::sync::Mutex;
 ///
 /// Hashes the kernel (every instruction, operand and type, field by
 /// field), the spill set, the launch geometry and the parameter values
-/// through their `Hash` impls — floats by bit pattern — and then the
-/// full contents of device memory, which dominate and go through the
-/// four-lane word path.
+/// through their `Hash` impls — floats by bit pattern — and then device
+/// memory as the buffer count and each buffer's length and content key.
+/// A pure function of the arguments' contents: a key `mem` already
+/// carries and one hashed here on the spot (which `mem` then carries)
+/// are the same value.
 pub fn launch_key(
     kernel: &KernelVir,
     config: &LaunchConfig,
@@ -41,26 +51,32 @@ pub fn launch_key(
     h.value(&(kernel, spilled, config, params));
     h.word(mem.buffer_count() as u64);
     for i in 0..mem.buffer_count() {
-        h.bytes(mem.buffer_bytes(i));
+        h.word(mem.buffer_bytes(i).len() as u64);
+        h.value(&mem.buffer_key(i));
     }
     h.key()
 }
+
+/// The post-launch state of one buffer a kernel wrote: its index, its
+/// full contents, and the content key of those contents.
+type Snapshot = (u32, Vec<u8>, ContentKey);
 
 /// Recorded outcome of one launch: the stats plus the post-launch
 /// contents of every buffer the kernel wrote.
 #[derive(Debug, Clone, PartialEq)]
 struct CachedLaunch {
     stats: KernelStats,
-    /// `(buffer index, full post-launch contents)` per mutated buffer.
-    writes: Vec<(u32, Vec<u8>)>,
-    /// Integrity checksum over `stats` and `writes`, computed at record
-    /// time. Verified on replay when the cache has verification on: a
-    /// mismatch means the entry was corrupted after recording.
+    /// One snapshot per mutated buffer.
+    writes: Vec<Snapshot>,
+    /// Integrity checksum over `stats` and `writes` (bytes and keys),
+    /// computed at record time. Verified on replay when the cache has
+    /// verification on: a mismatch means the entry was corrupted after
+    /// recording.
     checksum: ContentKey,
 }
 
 /// The integrity checksum of an entry's payload.
-fn entry_checksum(stats: &KernelStats, writes: &[(u32, Vec<u8>)]) -> ContentKey {
+fn entry_checksum(stats: &KernelStats, writes: &[Snapshot]) -> ContentKey {
     let mut h = ContentHasher::default();
     h.value(&(stats, writes));
     h.key()
@@ -99,6 +115,10 @@ pub struct LaunchCache {
     /// Replays that failed checksum verification: the corrupt entry was
     /// dropped and the launch re-simulated (so results stayed correct).
     pub integrity_failures: u64,
+    /// Buffer bytes fed to content-key hashing by launches through this
+    /// cache: each uploaded, seeded or kernel-written byte once, however
+    /// many launches follow it.
+    pub bytes_hashed: u64,
 }
 
 impl Default for LaunchCache {
@@ -112,6 +132,7 @@ impl Default for LaunchCache {
             misses: 0,
             evictions: 0,
             integrity_failures: 0,
+            bytes_hashed: 0,
         }
     }
 }
@@ -151,7 +172,7 @@ impl LaunchCache {
     pub fn poison_one(&mut self) -> bool {
         for key in &self.order {
             if let Some(e) = self.entries.get_mut(key) {
-                if let Some((_, bytes)) = e.writes.iter_mut().find(|(_, b)| !b.is_empty()) {
+                if let Some((_, bytes, _)) = e.writes.iter_mut().find(|(_, b, _)| !b.is_empty()) {
                     bytes[0] ^= 0xff;
                     return true;
                 }
@@ -171,8 +192,9 @@ impl LaunchCache {
     }
 
     /// Replay the entry for `key` into `mem`, if present: restores the
-    /// recorded post-launch buffer contents and returns the recorded
-    /// stats, bumping the hit counter.
+    /// recorded post-launch buffer contents, each with its recorded
+    /// content key, and returns the recorded stats, bumping the hit
+    /// counter.
     fn replay(&mut self, key: ContentKey, mem: &mut DeviceMemory) -> Option<LaunchResult> {
         let entry = self.entries.get(&key)?;
         if self.verify && entry_checksum(&entry.stats, &entry.writes) != entry.checksum {
@@ -185,8 +207,9 @@ impl LaunchCache {
             self.integrity_failures += 1;
             return None;
         }
-        for (idx, bytes) in &entry.writes {
+        for (idx, bytes, content) in &entry.writes {
             mem.buffer_bytes_mut(*idx as usize).copy_from_slice(bytes);
+            mem.set_buffer_key(*idx as usize, *content);
         }
         self.hits += 1;
         Some(LaunchResult { stats: entry.stats })
@@ -231,18 +254,27 @@ pub fn launch_cached(
     mem: &mut DeviceMemory,
     spilled: &[VReg],
 ) -> Result<LaunchResult, SimError> {
+    let hashed_before = mem.bytes_hashed();
     let key = launch_key(kernel, config, params, mem, spilled);
-    if let Some(result) = cache.replay(key, mem) {
-        return Ok(result);
-    }
-    cache.misses += 1;
-    let (result, entry) = run_and_record(kernel, config, params, mem, spilled)?;
-    cache.insert_entry(key, entry);
-    Ok(result)
+    let result = match cache.replay(key, mem) {
+        Some(result) => Ok(result),
+        None => {
+            cache.misses += 1;
+            run_and_record(kernel, config, params, mem, spilled).map(|(result, entry)| {
+                cache.insert_entry(key, entry);
+                result
+            })
+        }
+    };
+    cache.bytes_hashed += mem.bytes_hashed() - hashed_before;
+    result
 }
 
 /// Run the interpreter and capture the outcome as a cache entry (stats
-/// plus the post-launch contents of every buffer the kernel mutated).
+/// plus the post-launch contents and key of every buffer the kernel
+/// mutated). Called right after [`launch_key`], so every buffer carries
+/// its key going in; a buffer that comes out unchanged gets it back,
+/// whichever `&mut` route the engine took to the bytes.
 fn run_and_record(
     kernel: &KernelVir,
     config: &LaunchConfig,
@@ -250,15 +282,18 @@ fn run_and_record(
     mem: &mut DeviceMemory,
     spilled: &[VReg],
 ) -> Result<(LaunchResult, CachedLaunch), SimError> {
-    let before: Vec<Vec<u8>> =
-        (0..mem.buffer_count()).map(|i| mem.buffer_bytes(i).to_vec()).collect();
-    let result = launch(kernel, config, params, mem, spilled)?;
-    let writes: Vec<(u32, Vec<u8>)> = before
-        .iter()
-        .enumerate()
-        .filter(|(i, old)| mem.buffer_bytes(*i) != old.as_slice())
-        .map(|(i, _)| (i as u32, mem.buffer_bytes(i).to_vec()))
+    let before: Vec<(Vec<u8>, ContentKey)> = (0..mem.buffer_count())
+        .map(|i| (mem.buffer_bytes(i).to_vec(), mem.buffer_key(i)))
         .collect();
+    let result = launch(kernel, config, params, mem, spilled)?;
+    let mut writes = Vec::new();
+    for (i, (old, old_key)) in before.iter().enumerate() {
+        if mem.buffer_bytes(i) == old.as_slice() {
+            mem.set_buffer_key(i, *old_key);
+        } else {
+            writes.push((i as u32, mem.buffer_bytes(i).to_vec(), mem.buffer_key(i)));
+        }
+    }
     let stats = result.stats;
     let checksum = entry_checksum(&stats, &writes);
     Ok((result, CachedLaunch { stats, writes, checksum }))
@@ -365,6 +400,12 @@ impl SharedLaunchCache {
         self.shards.iter().map(|s| self.lock(s).misses).sum()
     }
 
+    /// Buffer bytes fed to content-key hashing, across all shards (see
+    /// [`LaunchCache::bytes_hashed`]).
+    pub fn bytes_hashed(&self) -> u64 {
+        self.shards.iter().map(|s| self.lock(s).bytes_hashed).sum()
+    }
+
     /// Entries dropped by the per-shard caps, across all shards.
     pub fn evictions(&self) -> u64 {
         self.shards.iter().map(|s| self.lock(s).evictions).sum()
@@ -409,25 +450,26 @@ impl SharedLaunchCache {
         mem: &mut DeviceMemory,
         spilled: &[VReg],
     ) -> Result<(LaunchResult, bool), SimError> {
+        let hashed_before = mem.bytes_hashed();
         let key = launch_key(kernel, config, params, mem, spilled);
         let shard = self.shard(key);
-        if let Some(result) = self.lock(shard).replay(key, mem) {
-            return Ok((result, true));
-        }
-        match run_and_record(kernel, config, params, mem, spilled) {
-            Ok((result, entry)) => {
-                let mut c = self.lock(shard);
-                c.misses += 1;
-                c.insert_entry(key, entry);
-                Ok((result, false))
-            }
-            Err(e) => {
-                // Errors are never cached, but still count as misses so
-                // the counters account for every submitted launch.
-                self.lock(shard).misses += 1;
-                Err(e)
+        {
+            let mut c = self.lock(shard);
+            if let Some(result) = c.replay(key, mem) {
+                c.bytes_hashed += mem.bytes_hashed() - hashed_before;
+                return Ok((result, true));
             }
         }
+        let ran = run_and_record(kernel, config, params, mem, spilled);
+        let mut c = self.lock(shard);
+        // Errors are never cached, but still count as misses so the
+        // counters account for every submitted launch.
+        c.misses += 1;
+        c.bytes_hashed += mem.bytes_hashed() - hashed_before;
+        ran.map(|(result, entry)| {
+            c.insert_entry(key, entry);
+            (result, false)
+        })
     }
 }
 
@@ -525,6 +567,109 @@ mod tests {
         assert_eq!(mem2.copy_out_f32(crate::memory::BufferId(1))[0], 100.0);
     }
 
+    #[test]
+    fn a_write_between_two_launches_misses() {
+        // The second launch runs on the memory the first one left, keys
+        // and all. Unwritten it is the first launch over again; with one
+        // word of the input changed in between it must not be.
+        let k = add_one_kernel();
+        for poke in [false, true] {
+            let mut cache = LaunchCache::new();
+            let (mut mem, params, config) = setup();
+            let a = crate::memory::BufferId(0);
+            // out aliases a: the launch's own output is its next input.
+            let params = [params[0], params[0]];
+            launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
+            let (mut again, ..) = setup();
+            launch_cached(&mut cache, &k, &config, &params, &mut again, &[]).unwrap();
+            assert_eq!((cache.hits, cache.misses), (1, 1), "the same launch replays");
+            assert_eq!(mem.copy_out(a), again.copy_out(a));
+            if poke {
+                again.write(again.base_addr(a), 4, 50.0f32.to_bits() as u64).unwrap();
+            } else {
+                again.copy_in_f32(a, &(0..32).map(|i| i as f32).collect::<Vec<_>>());
+            }
+            launch_cached(&mut cache, &k, &config, &params, &mut again, &[]).unwrap();
+            let first = again.copy_out_f32(a)[0];
+            if poke {
+                assert_eq!((cache.hits, cache.misses), (1, 2), "a stale key would have replayed");
+                assert_eq!(first, 51.0);
+            } else {
+                assert_eq!((cache.hits, cache.misses), (2, 1), "rewritten to equal bytes: equal work");
+                assert_eq!(first, 1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn launch_key_is_a_function_of_content_not_of_what_is_cached() {
+        let k = add_one_kernel();
+        let (mem, params, config) = setup();
+        let fresh = launch_key(&k, &config, &params, &mem, &[]);
+        assert_eq!(mem.bytes_hashed(), 2 * 32 * 4, "a first key reads every buffer");
+        assert_eq!(launch_key(&k, &config, &params, &mem, &[]), fresh);
+        assert_eq!(mem.bytes_hashed(), 2 * 32 * 4, "a second one reads none");
+        let (refilled, ..) = setup();
+        assert_eq!(launch_key(&k, &config, &params, &refilled, &[]), fresh);
+
+        // After a hit the installed key stands in for the bytes; it is
+        // the key a fresh memory with those bytes hashes to.
+        let mut cache = LaunchCache::new();
+        let (mut ran, ..) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut ran, &[]).unwrap();
+        let (mut replayed, ..) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut replayed, &[]).unwrap();
+        assert_eq!(cache.hits, 1);
+        let hashed = replayed.bytes_hashed();
+        let after_hit = launch_key(&k, &config, &params, &replayed, &[]);
+        assert_eq!(replayed.bytes_hashed(), hashed, "installed with its snapshot, not rehashed");
+        let mut copy = DeviceMemory::new();
+        for i in 0..replayed.buffer_count() {
+            copy.alloc_from(replayed.buffer_bytes(i));
+        }
+        assert_eq!(launch_key(&k, &config, &params, &copy, &[]), after_hit);
+        assert_eq!(launch_key(&k, &config, &params, &ran, &[]), after_hit, "miss ≡ hit");
+        assert_ne!(after_hit, fresh);
+
+        // The same bytes split over buffers differently are other work.
+        let split = |parts: &[&[u8]]| {
+            let mut mem = DeviceMemory::new();
+            for part in parts {
+                mem.alloc_from(part);
+            }
+            launch_key(&k, &config, &params, &mem, &[])
+        };
+        assert_ne!(split(&[b"ab", b"c"]), split(&[b"a", b"bc"]));
+        assert_ne!(split(&[b"abc"]), split(&[b"abc", b""]));
+    }
+
+    #[test]
+    fn each_byte_is_hashed_once_however_many_launches_follow() {
+        let k = add_one_kernel();
+        for warm in [false, true] {
+            let mut cache = LaunchCache::new();
+            if warm {
+                let (mut mem, params, config) = setup();
+                for _ in 0..5 {
+                    launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
+                }
+                cache.bytes_hashed = 0;
+            }
+            let (mut mem, params, config) = setup();
+            for _ in 0..5 {
+                launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
+            }
+            // Both buffers once going in; then `out`, the one buffer the
+            // kernel writes, once when the first miss records it — and
+            // never on a hit. Launch 2 is other work (`out` is no longer
+            // zero) whose keys are all in place, and whose run leaves
+            // `out` as it found it; launches 3…5 are launch 2 again.
+            let expect = if warm { 2 * 128 } else { 2 * 128 + 128 };
+            assert_eq!(cache.bytes_hashed, expect, "warm: {warm}");
+            assert_eq!((cache.hits, cache.misses), if warm { (8, 2) } else { (3, 2) });
+        }
+    }
+
     /// `out[0] = x` for an `f64` scalar parameter `x`.
     fn store_param_kernel() -> KernelVir {
         KernelVir {
@@ -613,7 +758,7 @@ mod tests {
     /// two threads racing a miss on the same key.
     fn synthetic(tag: u8) -> CachedLaunch {
         let stats = KernelStats::default();
-        let writes = vec![(0, vec![tag])];
+        let writes = vec![(0, vec![tag], ContentKey(tag as u128))];
         let checksum = entry_checksum(&stats, &writes);
         CachedLaunch { stats, writes, checksum }
     }
@@ -679,6 +824,32 @@ mod tests {
         let (mut mem3, params3, config3) = setup();
         launch_cached(&mut cache, &k, &config3, &params3, &mut mem3, &[]).unwrap();
         assert_eq!((cache.hits, cache.misses), (1, 2));
+    }
+
+    #[test]
+    fn a_poisoned_snapshot_key_is_detected_and_resimulated_too() {
+        // The twin of the test above for the other half of a snapshot:
+        // the key that a replay installs next to the bytes. Unverified,
+        // it would name the wrong content to every later launch.
+        let k = add_one_kernel();
+        let mut cache = LaunchCache::new().with_verification(true);
+        let (mut mem1, params, config) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut mem1, &[]).unwrap();
+        for entry in cache.entries.values_mut() {
+            entry.writes[0].2 .0 ^= 1;
+        }
+        let (mut mem2, ..) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut mem2, &[]).unwrap();
+        assert_eq!(cache.integrity_failures, 1);
+        assert_eq!((cache.hits, cache.misses), (0, 2), "poisoned replay became a miss");
+        for i in 0..mem1.buffer_count() {
+            assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
+            assert_eq!(mem1.buffer_key(i), mem2.buffer_key(i), "key {i}");
+        }
+        let (mut mem3, ..) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut mem3, &[]).unwrap();
+        assert_eq!((cache.hits, cache.misses), (1, 2), "the re-recorded entry is healthy");
+        assert_eq!(mem3.buffer_key(1), mem1.buffer_key(1));
     }
 
     #[test]

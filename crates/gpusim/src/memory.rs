@@ -4,7 +4,15 @@
 //! `i` starts at `(i+1) << 40`, so any address decodes to (buffer,
 //! offset) without a search and buffer overruns are detected rather than
 //! silently corrupting neighbours.
+//!
+//! Each buffer carries the [`ContentKey`] of its bytes once somebody has
+//! asked for it ([`DeviceMemory::buffer_key`]). Every `&mut` route to
+//! the bytes drops the key, so a key that is present is the key of the
+//! bytes as they stand and the launch memo can identify a buffer without
+//! reading it again.
 
+use crate::content::{ContentHasher, ContentKey};
+use std::cell::Cell;
 use std::fmt;
 
 /// Identifies one device allocation.
@@ -14,10 +22,36 @@ pub struct BufferId(pub u32);
 /// Bits used for the in-buffer offset within a synthetic address.
 pub(crate) const OFFSET_BITS: u32 = 40;
 
+/// One allocation: its bytes, and their content key while it is known.
+#[derive(Debug)]
+struct Buffer {
+    bytes: Vec<u8>,
+    /// `Some` only while it is the key of `bytes`: set by
+    /// [`DeviceMemory::buffer_key`] / [`DeviceMemory::set_buffer_key`],
+    /// dropped by every mutable route to `bytes`.
+    key: Cell<Option<ContentKey>>,
+}
+
+impl Buffer {
+    fn holding(bytes: Vec<u8>) -> Buffer {
+        Buffer { bytes, key: Cell::new(None) }
+    }
+
+    /// The bytes for writing: whatever key was known is now stale.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        *self.key.get_mut() = None;
+        &mut self.bytes
+    }
+}
+
 /// Device memory: an address space of buffers.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
-    buffers: Vec<Vec<u8>>,
+    buffers: Vec<Buffer>,
+    /// Bytes fed to buffer-key hashing so far (the launch memo's
+    /// `bytes_hashed` counters are differences of this).
+    bytes_hashed: Cell<u64>,
 }
 
 /// An out-of-bounds or unmapped access.
@@ -49,7 +83,7 @@ impl DeviceMemory {
     pub fn alloc(&mut self, bytes: usize) -> BufferId {
         assert!((bytes as u64) < (1u64 << OFFSET_BITS), "buffer too large");
         let id = BufferId(self.buffers.len() as u32);
-        self.buffers.push(vec![0u8; bytes]);
+        self.buffers.push(Buffer::holding(vec![0u8; bytes]));
         id
     }
 
@@ -58,7 +92,7 @@ impl DeviceMemory {
     pub fn alloc_from(&mut self, data: &[u8]) -> BufferId {
         assert!((data.len() as u64) < (1u64 << OFFSET_BITS), "buffer too large");
         let id = BufferId(self.buffers.len() as u32);
-        self.buffers.push(data.to_vec());
+        self.buffers.push(Buffer::holding(data.to_vec()));
         id
     }
 
@@ -69,7 +103,7 @@ impl DeviceMemory {
 
     /// Size of a buffer in bytes.
     pub fn len(&self, id: BufferId) -> usize {
-        self.buffers[id.0 as usize].len()
+        self.buffers[id.0 as usize].bytes.len()
     }
 
     /// True if no buffers are allocated.
@@ -84,13 +118,13 @@ impl DeviceMemory {
             return Err(MemFault { addr, bytes, message: "unmapped address".into() });
         }
         let b = buf - 1;
-        if off + bytes as usize > self.buffers[b].len() {
+        if off + bytes as usize > self.buffers[b].bytes.len() {
             return Err(MemFault {
                 addr,
                 bytes,
                 message: format!(
                     "out of bounds: offset {off} + {bytes} > buffer size {}",
-                    self.buffers[b].len()
+                    self.buffers[b].bytes.len()
                 ),
             });
         }
@@ -101,7 +135,7 @@ impl DeviceMemory {
     #[inline]
     pub fn read(&self, addr: u64, bytes: u32) -> Result<u64, MemFault> {
         let (b, off) = self.decode(addr, bytes)?;
-        let buf = &self.buffers[b];
+        let buf = &self.buffers[b].bytes;
         // decode() guarantees off + bytes <= len, so the word-sized slices exist.
         Ok(match bytes {
             4 => u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as u64,
@@ -120,7 +154,7 @@ impl DeviceMemory {
     #[inline]
     pub fn write(&mut self, addr: u64, bytes: u32, value: u64) -> Result<(), MemFault> {
         let (b, off) = self.decode(addr, bytes)?;
-        let buf = &mut self.buffers[b];
+        let buf = self.buffers[b].bytes_mut();
         match bytes {
             4 => buf[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
             8 => buf[off..off + 8].copy_from_slice(&value.to_le_bytes()),
@@ -138,38 +172,67 @@ impl DeviceMemory {
         self.buffers.len()
     }
 
-    /// Raw bytes of buffer `i` (for content hashing / snapshots).
+    /// Raw bytes of buffer `i` (for snapshots).
     pub(crate) fn buffer_bytes(&self, i: usize) -> &[u8] {
-        &self.buffers[i]
+        &self.buffers[i].bytes
     }
 
     /// Mutable raw bytes of buffer `i` (for memoized replay).
     pub(crate) fn buffer_bytes_mut(&mut self, i: usize) -> &mut [u8] {
-        &mut self.buffers[i]
+        self.buffers[i].bytes_mut()
     }
 
     /// All buffers at once (for the parallel engine's shared view, which
     /// needs simultaneous borrows of every buffer).
-    pub(crate) fn buffers_mut(&mut self) -> &mut [Vec<u8>] {
-        &mut self.buffers
+    pub(crate) fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [u8]> {
+        self.buffers.iter_mut().map(|b| b.bytes_mut().as_mut_slice())
+    }
+
+    /// The content key of buffer `i`: the one it carries, or else a hash
+    /// of its bytes that it carries from now on. Either way the same
+    /// function of the bytes.
+    pub(crate) fn buffer_key(&self, i: usize) -> ContentKey {
+        let buf = &self.buffers[i];
+        buf.key.get().unwrap_or_else(|| {
+            let mut h = ContentHasher::default();
+            h.bytes(&buf.bytes);
+            self.bytes_hashed.set(self.bytes_hashed.get() + buf.bytes.len() as u64);
+            let key = h.key();
+            buf.key.set(Some(key));
+            key
+        })
+    }
+
+    /// Declare `key` the content key of buffer `i` as it stands: the
+    /// memo installing a snapshot whose key it recorded, or finding a
+    /// buffer unchanged by a launch. A wrong key here is a wrong memo
+    /// hit later, so only what [`DeviceMemory::buffer_key`] returned for
+    /// these very bytes may come back in.
+    pub(crate) fn set_buffer_key(&mut self, i: usize, key: ContentKey) {
+        *self.buffers[i].key.get_mut() = Some(key);
+    }
+
+    /// Bytes [`DeviceMemory::buffer_key`] has hashed on this memory.
+    pub(crate) fn bytes_hashed(&self) -> u64 {
+        self.bytes_hashed.get()
     }
 
     /// Copy a host slice into a buffer (host→device transfer).
     pub fn copy_in(&mut self, id: BufferId, data: &[u8]) {
-        let buf = &mut self.buffers[id.0 as usize];
+        let buf = self.buffers[id.0 as usize].bytes_mut();
         assert!(data.len() <= buf.len(), "copy_in larger than buffer");
         buf[..data.len()].copy_from_slice(data);
     }
 
     /// Copy a buffer back out to the host.
     pub fn copy_out(&self, id: BufferId) -> Vec<u8> {
-        self.buffers[id.0 as usize].clone()
+        self.buffers[id.0 as usize].bytes.clone()
     }
 
     /// Move a buffer's contents out to the host, leaving it empty: the
     /// device→host transfer of a buffer nothing will touch again.
     pub fn take(&mut self, id: BufferId) -> Vec<u8> {
-        std::mem::take(&mut self.buffers[id.0 as usize])
+        std::mem::take(self.buffers[id.0 as usize].bytes_mut())
     }
 
     /// Typed convenience: upload a slice of `f32`.
@@ -267,6 +330,53 @@ mod tests {
         assert!(m.read(m.base_addr(a), 4).is_err());
         assert_eq!(m.base_addr(b), 2u64 << 40);
         assert_eq!(m.copy_out(b), vec![0; 4]);
+    }
+
+    /// A key that is present is the key of the bytes as they stand:
+    /// every `&mut` route to a buffer's bytes drops it, the others keep
+    /// it, and recomputing hashes exactly the buffer's bytes again.
+    #[test]
+    fn every_mutable_route_drops_the_key() {
+        type Route = (&'static str, fn(&mut DeviceMemory, BufferId));
+        let routes: [Route; 6] = [
+            ("write", |m, b| m.write(m.base_addr(b) + 4, 4, 7).unwrap()),
+            ("copy_in", |m, b| m.copy_in(b, &[9])),
+            ("copy_in_f32", |m, b| m.copy_in_f32(b, &[1.5])),
+            ("buffer_bytes_mut", |m, b| m.buffer_bytes_mut(b.0 as usize)[0] = 1),
+            ("buffers_mut", |m, _| m.buffers_mut().last().unwrap()[0] ^= 1),
+            ("take", |m, b| drop(m.take(b))),
+        ];
+        for (name, route) in routes {
+            let mut m = DeviceMemory::new();
+            m.alloc_from(&[1; 24]);
+            let b = m.alloc_from(&[2; 16]);
+            let (other_key, key) = (m.buffer_key(0), m.buffer_key(1));
+            assert_eq!(m.bytes_hashed(), 40);
+            assert_eq!(m.buffer_key(1), key, "{name}: a second ask is answered from the buffer");
+            assert_eq!(m.bytes_hashed(), 40);
+            route(&mut m, b);
+            assert_eq!(m.buffers[1].key.get(), None, "{name} keeps a stale key");
+            let fresh = {
+                let mut f = DeviceMemory::new();
+                f.alloc_from(m.buffer_bytes(1));
+                f.buffer_key(0)
+            };
+            assert_eq!(m.buffer_key(1), fresh, "{name}: the key is a function of the bytes");
+            assert_ne!(fresh, key, "{name} changed the bytes");
+            let all = name == "buffers_mut";
+            assert_eq!(m.buffers[0].key.get().is_none(), all, "{name}: the neighbour");
+            assert_eq!(m.buffer_key(0), other_key);
+            let rehashed = m.buffer_bytes(1).len() as u64 + if all { 24 } else { 0 };
+            assert_eq!(m.bytes_hashed(), 40 + rehashed, "{name}");
+        }
+        // Reads keep it.
+        let mut m = DeviceMemory::new();
+        let b = m.alloc(8);
+        let key = m.buffer_key(0);
+        m.read(m.base_addr(b), 4).unwrap();
+        m.copy_out(b);
+        assert!(m.write(m.base_addr(b) + 8, 4, 0).is_err(), "a faulting write touches nothing");
+        assert_eq!(m.buffers[0].key.get(), Some(key));
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn as_atomic_bytes(s: &mut [u8]) -> &[AtomicU8] {
 impl<'a> SharedMem<'a> {
     pub(crate) fn new(mem: &'a mut DeviceMemory) -> Self {
         SharedMem {
-            bufs: mem.buffers_mut().iter_mut().map(|b| as_atomic_bytes(b)).collect(),
+            bufs: mem.buffers_mut().map(as_atomic_bytes).collect(),
         }
     }
 

@@ -124,10 +124,13 @@ pub fn run_function(
             }
             let dims = resolve_dims(ty, &scalar_env)
                 .map_err(|m| RuntimeError::new(format!("array `{name}`: {m}")))?;
-            let elems: i64 = dims.iter().map(|(_, e)| *e).product();
-            if elems < 0 || host.len() as i64 != elems {
+            // Extents come from request scalars: their product can leave
+            // `i64`, and no host array is that long.
+            let elems = dims.iter().try_fold(1i64, |n, (_, e)| n.checked_mul(*e));
+            if elems != i64::try_from(host.len()).ok() {
+                let gives = elems.map_or("more than i64::MAX".into(), |n| n.to_string());
                 return Err(RuntimeError::new(format!(
-                    "array `{name}` size mismatch: dims give {elems} elements, host data has {}",
+                    "array `{name}` size mismatch: dims give {gives} elements, host data has {}",
                     host.len()
                 )));
             }
@@ -687,6 +690,34 @@ mod tests {
         let mut args = Args::new().i32("n", 8).array_f32("a", &[0.0; 4]);
         let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
         assert!(err.message.contains("size mismatch"), "{err}");
+    }
+
+    #[test]
+    fn an_extent_product_beyond_i64_is_a_size_mismatch() {
+        // 2^22 cubed is 2^66: wrapped, the product is 0 and an empty
+        // host array used to "match" it.
+        let src = r#"
+        void f(int n, float a[n][n][n]) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang vector
+            for (int i = 0; i < n; i++) { a[i][0][0] = 0.0; }
+          }
+        }"#;
+        let (f, compiled) = compile_all(src, &CodegenOptions::default());
+        let dev = DeviceConfig::k20xm();
+        for host in [&[][..], &[0.0; 4]] {
+            let mut args = Args::new().i32("n", 1 << 22).array_f32("a", host);
+            let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!(
+                    "array `a` size mismatch: dims give more than i64::MAX elements, \
+                     host data has {}",
+                    host.len()
+                )
+            );
+        }
     }
 
     #[test]

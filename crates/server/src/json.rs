@@ -411,6 +411,52 @@ impl<'a> Reader<'a> {
         self.member(b']')
     }
 
+    /// Decode the run of *plain* elements at the cursor — which is
+    /// where [`Reader::element`] would be called: just inside an opened
+    /// array or just behind an element — appending each one's
+    /// little-endian bytes to `out`. A plain element is written the one
+    /// way every builder writes it (see [`Plain`]), directly behind the
+    /// `[` or `,` and directly in front of a `,` or `]`. The run ends
+    /// in front of the separator of the first element that is anything
+    /// else (whitespace, an exponent, 19 digits, an escape, the closing
+    /// bracket, the end of input), with nothing of it consumed, so
+    /// `element` and `value` / `string` read that one as if there had
+    /// been no run.
+    pub fn plain_run(&mut self, kind: Plain, out: &mut Vec<u8>) {
+        match kind {
+            Plain::Low32 => self.run_of(out, digits_at, |w| (w as u32).to_le_bytes()),
+            Plain::Int32 => self.run_of(out, int32_at, |w| (w as u32).to_le_bytes()),
+            Plain::Word64 => self.run_of(out, word64_at, u64::to_le_bytes),
+        }
+    }
+
+    /// [`Reader::plain_run`] for one kind: `element(bytes, at)` is the
+    /// plain element starting at `at`, as a word and the offset behind
+    /// it; `encode` is the word in the array.
+    #[inline(always)]
+    fn run_of<const WIDTH: usize>(
+        &mut self,
+        out: &mut Vec<u8>,
+        element: impl Fn(&[u8], usize) -> Option<(u64, usize)>,
+        encode: impl Fn(u64) -> [u8; WIDTH],
+    ) {
+        let (b, mut i, mut fresh) = (self.b, self.i, self.fresh);
+        loop {
+            let at = match b.get(i) {
+                _ if fresh => i,
+                Some(b',') => i + 1,
+                _ => break,
+            };
+            let Some((word, end)) = element(b, at) else { break };
+            if !matches!(b.get(end), Some(b',' | b']')) {
+                break;
+            }
+            out.extend_from_slice(&encode(word));
+            (i, fresh) = (end, false);
+        }
+        (self.i, self.fresh) = (i, fresh);
+    }
+
     /// Read a string; borrowed from the input unless it has escapes.
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
@@ -541,6 +587,74 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// How the elements of a `bits` list are written by every builder, and
+/// what [`Reader::plain_run`] therefore decodes without [`Reader::value`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plain {
+    /// 1..=18 digits; four bytes, the low 32 bits (`f32` patterns).
+    Low32,
+    /// An optional `-` and 1..=18 digits that fit an `i32`; four bytes.
+    Int32,
+    /// 1..=18 digits, or `"0x` + 1..=16 hex digits + `"` with no
+    /// escapes; eight bytes (`f64` patterns).
+    Word64,
+}
+
+/// 1..=18 ASCII digits starting at byte `at`: as many as cannot wrap
+/// the sum, and as [`Reader::number`] sums without the text route.
+#[inline(always)]
+fn digits_at(b: &[u8], at: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut n = 0;
+    while let Some(d) = b.get(at + n).map(|c| c.wrapping_sub(b'0')).filter(|d| *d < 10) {
+        if n == 18 {
+            return None;
+        }
+        value = value * 10 + d as u64;
+        n += 1;
+    }
+    (n > 0).then_some((value, at + n))
+}
+
+/// An optional `-` and [`digits_at`] that fit an `i32`, as its `u32`.
+#[inline(always)]
+fn int32_at(b: &[u8], at: usize) -> Option<(u64, usize)> {
+    let negative = b.get(at) == Some(&b'-');
+    let (magnitude, end) = digits_at(b, at + negative as usize)?;
+    let value = if negative { -(magnitude as i64) } else { magnitude as i64 };
+    Some((i32::try_from(value).ok()? as u32 as u64, end))
+}
+
+/// [`digits_at`], or `"0x` + 1..=16 hex digits of either case + `"`.
+#[inline(always)]
+fn word64_at(b: &[u8], at: usize) -> Option<(u64, usize)> {
+    let Some(digits) = b.get(at..).and_then(|rest| rest.strip_prefix(b"\"0x")) else {
+        return digits_at(b, at);
+    };
+    let mut word = 0u64;
+    let mut n = 0;
+    while let Some(d) = digits.get(n).map(|c| HEX_VALUE[*c as usize]).filter(|d| *d < 16) {
+        if n == 16 {
+            return None;
+        }
+        word = word << 4 | d as u64;
+        n += 1;
+    }
+    (n > 0 && digits.get(n) == Some(&b'"')).then_some((word, at + 3 + n + 1))
+}
+
+/// The value of an ASCII hex digit of either case; 0xff for other bytes.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[b"0123456789abcdef"[d] as usize] = d as u8;
+        table[b"0123456789ABCDEF"[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
 /// Convenience constructor: an object from key/value pairs.
 pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -625,6 +739,61 @@ mod tests {
             assert_eq!(walked, Json::parse(doc), "{doc}");
         }
         assert_eq!(Json::parse(&deep).unwrap_err().message, "nesting too deep");
+    }
+
+    #[test]
+    fn a_plain_run_takes_what_value_would_and_stops_where_element_resumes() {
+        // Every digit count, ended by every kind of byte, against `value`.
+        for digits in 0..=20 {
+            for ender in [",", "]", " ,", ".5,", "e1,", "x", "\t]"] {
+                let number = &"12345678909876543210"[..digits];
+                let doc = format!("[{number}{ender}5,6,7777777777]");
+                let mut r = Reader::new(&doc);
+                r.open_array().unwrap();
+                let mut out = Vec::new();
+                r.plain_run(Plain::Word64, &mut out);
+                let words: Vec<u64> = out
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                    .collect();
+                let plain = (1..=18).contains(&digits) && matches!(ender, "," | "]");
+                let expect: Vec<u64> = match (plain, ender) {
+                    (true, ",") => vec![number.parse().unwrap(), 5, 6, 7_777_777_777],
+                    (true, _) => vec![number.parse().unwrap()],
+                    (false, _) => vec![],
+                };
+                assert_eq!(words, expect, "{doc}");
+                // Where it stopped, the general calls carry on.
+                let mut general = Reader::new(&doc);
+                general.open_array().unwrap();
+                for w in &words {
+                    assert!(general.element().unwrap());
+                    assert_eq!(general.value().unwrap(), Json::Int(*w as i64));
+                }
+                assert_eq!((r.i, r.fresh, r.depth), (general.i, general.fresh, general.depth), "{doc}");
+            }
+        }
+        fn run(kind: Plain, doc: &str) -> (Vec<u8>, &str) {
+            let mut r = Reader::new(doc);
+            r.open_array().unwrap();
+            let mut out = Vec::new();
+            r.plain_run(kind, &mut out);
+            (out, &doc[r.i..])
+        }
+        let le32 = |v: &[u32]| v.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        assert_eq!(run(Plain::Low32, "[4294967297,1,-1,2]"), (le32(&[1, 1]), ",-1,2]"));
+        assert_eq!(
+            run(Plain::Int32, "[-2147483648,2147483647,-0,2147483648,1]"),
+            (le32(&[0x8000_0000, 0x7fff_ffff, 0]), ",2147483648,1]")
+        );
+        assert_eq!(run(Plain::Int32, "[-2147483649,1]"), (vec![], "-2147483649,1]"));
+        assert_eq!(run(Plain::Int32, "[12345"), (vec![], "12345"), "the end of input ends no element");
+        let (out, rest) = run(Plain::Word64, r#"["0x1","0xFFFFFFFFffffffff",9,"0x00000000000000001"]"#);
+        assert_eq!(out, [1u64, u64::MAX, 9].map(u64::to_le_bytes).concat());
+        assert_eq!(rest, r#","0x00000000000000001"]"#);
+        for stops in [r#"["0x"]"#, r#"["0x1\u0031"]"#, r#"["0x1"#, r#"["0x1" ]"#, r#"["0x+1"]"#, r#"[-]"#] {
+            assert_eq!(run(Plain::Word64, stops), (vec![], &stops[1..]), "{stops}");
+        }
     }
 
     #[test]

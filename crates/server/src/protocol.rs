@@ -46,7 +46,7 @@
 //! can succeed. Requests without `"v"` (or with `"v": 1`) get the
 //! legacy shapes unchanged.
 
-use crate::json::{obj, write_int, write_key, Json, JsonError, Reader};
+use crate::json::{obj, write_int, write_key, Json, JsonError, Plain, Reader};
 use safara_core::gpusim::content::{ContentHasher, ContentKey};
 use safara_core::ir::{Ident, ScalarTy};
 use safara_core::obs::{MetaValue, Span};
@@ -454,15 +454,33 @@ fn read_array(r: &mut Reader<'_>) -> Result<Result<HostArray, String>, JsonError
 
 /// Read an element list into the little-endian bytes of a `ty` array.
 /// After the first bad element the rest is still read, for syntax only.
+///
+/// A `bits` list is all but entirely runs of plain elements, which
+/// [`Reader::plain_run`] decodes in place; whatever a run stops at is
+/// read one element at a time below — the general path, which alone
+/// decides what every other spelling means or which error it is.
 fn read_elements(
     r: &mut Reader<'_>,
     ty: ScalarTy,
     as_bits: bool,
 ) -> Result<Result<Vec<u8>, String>, JsonError> {
+    let plain = match ty {
+        _ if !as_bits => None,
+        ScalarTy::F32 => Some(Plain::Low32),
+        ScalarTy::F64 => Some(Plain::Word64),
+        ScalarTy::I32 => Some(Plain::Int32),
+        ScalarTy::I64 => None,
+    };
     let mut bytes = Vec::new();
     let mut fault = None;
     r.open_array()?;
-    while r.element()? {
+    loop {
+        if let (Some(kind), None) = (plain, &fault) {
+            r.plain_run(kind, &mut bytes);
+        }
+        if !r.element()? {
+            break;
+        }
         // Strings (`f64` bit patterns) are read in place; a number
         // comes back from `value` without touching the heap.
         let word = if r.peek_value() == Some(b'"') {
@@ -637,15 +655,87 @@ pub fn shard_for(key: u64, shards: u32) -> u32 {
     b as u32
 }
 
+/// FNV-1a/64: one step of the chain, and where an array's chain starts.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+fn fnv(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(FNV_PRIME)
+}
+
+fn fnv_start(arr: &HostArray) -> u64 {
+    fnv(0xcbf2_9ce4_8422_2325, arr.elem as u8)
+}
+
 /// Content digest of an array: FNV-1a/64 over the element tag and raw
 /// bytes, printed as 16 hex digits. Two arrays digest equal iff their
 /// bytes (and element type) are identical. This is wire format — the one
 /// hash a client can recompute — so it stays byte-at-a-time FNV and is
 /// not a [`ContentKey`].
 pub fn digest(arr: &HostArray) -> String {
-    let fnv = |h: u64, b: &u8| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
-    let h = arr.bytes.iter().fold(fnv(0xcbf2_9ce4_8422_2325, &(arr.elem as u8)), fnv);
-    format!("{h:016x}")
+    format!("{:016x}", arr.bytes.iter().fold(fnv_start(arr), |h, b| fnv(h, *b)))
+}
+
+/// Chains advanced together by [`digests`].
+const LANES: usize = 4;
+
+/// [`digest`] of every array, in order. A chain cannot go faster than
+/// one multiply latency per byte, but the arrays of a reply are
+/// independent chains: up to [`LANES`] of them advance in one loop so
+/// their multiplies overlap, and a lane whose array ends takes the next
+/// array not yet started.
+fn digests<'a>(arrays: impl IntoIterator<Item = &'a HostArray>) -> Vec<String> {
+    let mut waiting = arrays.into_iter().enumerate();
+    let mut done: Vec<(usize, u64)> = Vec::new();
+    // The live lanes are `..live`: chain state, bytes still to absorb,
+    // and the position of the lane's array in the output.
+    let (mut h, mut rest, mut slot) = ([0u64; LANES], [&[][..]; LANES], [0usize; LANES]);
+    let mut live = 0;
+    loop {
+        while live < LANES {
+            let Some((at, arr)) = waiting.next() else { break };
+            (h[live], rest[live], slot[live]) = (fnv_start(arr), &arr.bytes, at);
+            live += 1;
+        }
+        if live == 0 {
+            break;
+        }
+        // As far as the shortest live lane goes, all lanes in lockstep.
+        let n = rest[..live].iter().map(|r| r.len()).min().unwrap_or(0);
+        match live {
+            4 => advance::<4>(&mut h, &mut rest, n),
+            3 => advance::<3>(&mut h, &mut rest, n),
+            2 => advance::<2>(&mut h, &mut rest, n),
+            _ => advance::<1>(&mut h, &mut rest, n),
+        }
+        let mut lane = 0;
+        while lane < live {
+            if rest[lane].is_empty() {
+                done.push((slot[lane], h[lane]));
+                live -= 1;
+                (h[lane], rest[lane], slot[lane]) = (h[live], rest[live], slot[live]);
+            } else {
+                lane += 1;
+            }
+        }
+    }
+    done.sort_unstable();
+    done.into_iter().map(|(_, h)| format!("{h:016x}")).collect()
+}
+
+/// Absorb the next `n` bytes of the first `N` lanes, a byte of each in
+/// turn.
+fn advance<const N: usize>(h: &mut [u64; LANES], rest: &mut [&[u8]; LANES], n: usize) {
+    let mut state: [u64; N] = std::array::from_fn(|lane| h[lane]);
+    let heads: [&[u8]; N] = std::array::from_fn(|lane| &rest[lane][..n]);
+    for i in 0..n {
+        for (state, head) in state.iter_mut().zip(&heads) {
+            *state = fnv(*state, head[i]);
+        }
+    }
+    for lane in 0..N {
+        h[lane] = state[lane];
+        rest[lane] = &rest[lane][n..];
+    }
 }
 
 /// A run request as it goes on the wire — the client-side counterpart
@@ -1068,7 +1158,13 @@ pub fn run_response(
     ));
     fields.push((
         "digests".into(),
-        Json::Obj(args.arrays.iter().map(|(k, a)| (k.to_string(), Json::Str(digest(a)))).collect()),
+        Json::Obj(
+            args.arrays
+                .keys()
+                .map(Ident::to_string)
+                .zip(digests(args.arrays.values()).into_iter().map(Json::Str))
+                .collect(),
+        ),
     ));
     // Array contents are written straight into the line, not through
     // a tree of one node per element.
@@ -1253,6 +1349,38 @@ mod tests {
         assert_ne!(digest(&a), digest(&c));
         let as_ints = HostArray::from_i32(&[1065353216, 1073741824]); // same bytes, different elem
         assert_ne!(digest(&a), digest(&as_ints));
+    }
+
+    #[test]
+    fn digests_of_a_reply_are_the_digests_of_its_arrays() {
+        // Seeded sets of 0..=9 arrays: empty ones, runs of equal length
+        // (lanes that end together), unequal ones (lanes that refill one
+        // at a time), every element tag.
+        let mut rng = safara_core::SplitMix64::new(0xd16e_5700);
+        let mut below = |n: u64| (rng.next_u64() % n) as usize;
+        let elems = [ScalarTy::F32, ScalarTy::F64, ScalarTy::I32, ScalarTy::I64];
+        let mut sets_of = [0usize; 10];
+        for case in 0..400 {
+            let shared_len = below(70);
+            let arrays: Vec<HostArray> = (0..case % 10)
+                .map(|_| {
+                    let len = match below(4) {
+                        0 => 0,
+                        1 => shared_len,
+                        _ => below(300),
+                    };
+                    let bytes = (0..len).map(|_| below(256) as u8).collect();
+                    HostArray { elem: elems[below(4)], bytes }
+                })
+                .collect();
+            let one_by_one: Vec<String> = arrays.iter().map(digest).collect();
+            assert_eq!(digests(&arrays), one_by_one, "case {case}: {arrays:?}");
+            sets_of[arrays.len()] += 1;
+        }
+        assert!(sets_of.iter().all(|&n| n == 40), "{sets_of:?}");
+        // The wire value itself, pinned: it is what clients recompute.
+        assert_eq!(digest(&HostArray::from_f32_bits(&[0x3f80_0000])), "ffcd272e213c6f78");
+        assert_eq!(digests([&HostArray::from_f32_bits(&[0x3f80_0000])]), ["ffcd272e213c6f78"]);
     }
 
     #[test]

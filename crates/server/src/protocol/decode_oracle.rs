@@ -305,6 +305,153 @@ fn reader_decoder_matches_the_tree_decoder_on_the_protocol_lines() {
     }
 }
 
+/// Element lists that begin, break and resume [`Reader::plain_run`] at
+/// every kind of boundary, as the value of a `bits` (and `data`) member.
+const RUN_BOUNDARIES: &[&str] = &[
+    // Nothing, one, many; every digit count up to the last plain one.
+    "[]",
+    "[7]",
+    "[1,22,333,4444,55555,666666,7777777,88888888,999999999,1065353216]",
+    "[123456789012345,1234567890123456,12345678901234567,123456789012345678]",
+    // 18 digits is the last plain width; 19 take the text route, to i64 or float.
+    "[999999999999999999,1]",
+    "[1000000000000000000,1]",
+    "[9223372036854775807,1]",
+    "[9223372036854775808,1]",
+    "[1,99999999999999999999999,1]",
+    // Leading zeros, to 18 digits and past them.
+    "[007,00,000000000000000012,2]",
+    "[0000000000000000001,2]",
+    // Signs.
+    "[-0,1]",
+    "[1,-0]",
+    "[-1,2,3]",
+    "[1,-,2]",
+    "[--1]",
+    "[+1]",
+    "[2147483647,-2147483648,0]",
+    "[1,2147483648,3]",
+    "[1,-2147483649,3]",
+    "[4294967295,4294967296,4294967297]",
+    // Whitespace on either side of a separator or bracket.
+    "[1 ,2]",
+    "[1, 2]",
+    "[ 1,2]",
+    "[1,2 ]",
+    "[1,2,\t3,4]",
+    "[ ]",
+    // A float, a string, a keyword, a container in the middle of a run.
+    "[1,2.5,3]",
+    "[1,2e3,3]",
+    "[1,2E+3,3]",
+    "[1,\"0x2\",3]",
+    "[1,\"x\",3]",
+    "[1,null,3]",
+    "[1,[2],3]",
+    "[1,{\"a\":2},3]",
+    // Integers and hex strings mixed; case; 16 digits, 17, none.
+    "[1,\"0x3ff0000000000000\",2,\"0xA\",\"0xa\",3]",
+    "[\"0xABCDEF0123456789\",\"0xabcdef0123456789\",\"0xfFfFfFfFfFfFfFfF\"]",
+    "[\"0x00000000000000001\",1]",
+    "[\"0x10000000000000000\",1]",
+    "[\"0x\",1]",
+    "[\"0\",1]",
+    "[\"+0xff\",1]",
+    "[\"0x+ff\",1]",
+    "[\"0x-1\",1]",
+    "[\"0x_1\",1]",
+    "[\"0x1g\",1]",
+    "[\"0X1f\",1]",
+    "[\"0x1\\u0030\",1]",
+    "[\"0x1\\\",1]",
+    "[\"0x1f\" ,\"0x20\"]",
+    "[\"0x1f\"x]",
+    // Lists that do not close, or close wrongly.
+    "[1,2",
+    "[1,2,",
+    "[1,2}",
+    "[1,,2]",
+    "[1,]",
+    "[,1]",
+    "[1 2]",
+    "[1,2]]",
+    "[12345678",
+    "[\"0x12",
+];
+
+/// A run request whose one array has the given members, as the last
+/// thing on the line or with members behind it.
+fn payload_line(members: &str, last: bool) -> String {
+    let head = r#"{"id":3,"v":2,"op":"run","source":"s","entry":"e","profile":"base""#;
+    if last {
+        format!(r#"{head},"arrays":{{"x":{{{members}}}}}}}"#)
+    } else {
+        format!(r#"{head},"arrays":{{"x":{{{members}}},"y":{{"elem":"i32","bits":[5,-6]}}}},"return_arrays":true}}"#)
+    }
+}
+
+#[test]
+fn runs_of_plain_elements_decode_as_the_general_path_does_at_every_boundary() {
+    for list in RUN_BOUNDARIES {
+        for elem in ["f32", "f64", "i32"] {
+            for last in [false, true] {
+                for members in [
+                    format!(r#""elem":"{elem}","bits":{list}"#),
+                    format!(r#""elem":"{elem}","data":{list}"#),
+                    // `elem` behind the list: decoded from the saved position.
+                    format!(r#""bits":{list},"elem":"{elem}""#),
+                    // Two `bits` members: both decoded, the last one kept.
+                    format!(r#""elem":"{elem}","bits":{list},"bits":[3,4]"#),
+                    format!(r#""elem":"{elem}","bits":[3,4],"bits":{list}"#),
+                    // An `elem` that changes its mind: decoded as one type, kept as another.
+                    format!(r#""elem":"i32","bits":{list},"elem":"{elem}""#),
+                ] {
+                    agree(&payload_line(&members, last));
+                }
+            }
+        }
+    }
+    // What a run must leave behind it: the reader where `element` wants it.
+    let line = payload_line(r#""elem":"f64","bits":[1,"0xfff0000000000000", 18,"0x7"]"#, false);
+    let Op::Run(run) = decode_request(&line).unwrap().op else { panic!() };
+    assert_eq!(run.args.array("x").unwrap().as_f64_bits(), [1, 0xfff0_0000_0000_0000, 18, 7]);
+    assert_eq!(run.args.array("y").unwrap().as_i32(), [5, -6]);
+    let line = payload_line(r#""elem":"i32","bits":[2147483647,-2147483648,-0,00000000000000000-1]"#, true);
+    agree(&line);
+    assert_eq!(
+        decode_request(&line).unwrap_err().message,
+        format!("json error at byte {}: expected `]`", line.find("-1]").unwrap()),
+    );
+}
+
+/// Pieces a random element list is put together from.
+const ELEMENTS: &[&str] = &[
+    "0", "7", "-7", "-0", "12345678", "123456789", "1065353216", "2147483647", "2147483648",
+    "-2147483648", "-2147483649", "4294967296", "123456789012345678", "1234567890123456789",
+    "00000000000000000001", "1.5", "1e2", "\"0x0\"", "\"0x3fb999999999999a\"", "\"0xBFB999999999999A\"",
+    "\"0x123456789abcdef01\"", "\"0x\"", "\"+0x1\"", "\"0x1\\u0031\"", "null", "[1]", "",
+];
+const SEPARATORS: &[&str] = &[",", ",", ",", ",", ",", " ,", ", ", ",,", " ", ""];
+
+#[test]
+fn random_element_lists_decode_as_the_general_path_does() {
+    let mut rng = SplitMix64::new(0x0b17_5eed);
+    for case in 0..4_000 {
+        let mut list = String::from(["[", "[", "[ "][below(&mut rng, 3)]);
+        for i in 0..below(&mut rng, 12) {
+            if i > 0 {
+                list.push_str(SEPARATORS[below(&mut rng, SEPARATORS.len())]);
+            }
+            // Mostly plain elements, so that runs form and break.
+            let pool = if below(&mut rng, 4) == 0 { ELEMENTS.len() } else { 7 };
+            list.push_str(ELEMENTS[below(&mut rng, pool)]);
+        }
+        list.push_str(["]", "]", "]", " ]", "", "}"][below(&mut rng, 6)]);
+        let elem = ["f32", "f64", "i32"][below(&mut rng, 3)];
+        agree(&payload_line(&format!(r#""elem":"{elem}","bits":{list}"#), case % 2 == 0));
+    }
+}
+
 #[test]
 fn a_refusal_keeps_the_id_and_version_of_its_line() {
     let bad = decode_request(r#"{"id":7,"v":2,"op":"nope"}"#).unwrap_err();

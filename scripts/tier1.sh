@@ -45,6 +45,18 @@ fnv_files="$(grep -rl '01b3' crates --include='*.rs' | sort | tr '\n' ' ')"
 ! grep -rnE 'HashMap<u64, *(CachedLaunch|Vec<Waiter>)' crates \
   || { echo "one-hash gate: a table is keyed on a bare u64 hash again" >&2; exit 1; }
 
+echo "== each byte keyed once =="
+# The launch key reads a buffer through the content key `DeviceMemory`
+# carries for it, never through its bytes: a `buffer_bytes` fed to the
+# hasher inside `launch_key` is the per-launch hash of all of device
+# memory coming back. The reply digests' lane loop is FNV too and lives
+# in `protocol.rs` — the file list of the one-hash gate above stays as
+# it is.
+! sed -n '/^pub fn launch_key(/,/^}/p' crates/gpusim/src/memo.rs | grep -nE 'h\.(bytes|value)\(.*buffer_bytes' \
+  || { echo "keyed-once gate: launch_key hashes buffer bytes again" >&2; exit 1; }
+sed -n '/^pub fn launch_key(/,/^}/p' crates/gpusim/src/memo.rs | grep -q 'buffer_key' \
+  || { echo "keyed-once gate: launch_key no longer goes through DeviceMemory::buffer_key" >&2; exit 1; }
+
 echo "== lockstep never logs per lane =="
 # The superblock engine's memory superinstructions account their
 # transactions per warp, at the instruction; only lane-major execution
