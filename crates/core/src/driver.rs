@@ -3,12 +3,13 @@
 use crate::error::CompileError;
 use crate::pipeline::{run_compiled_with, RunCtx};
 use crate::profile::{CompilerConfig, SrStrategy};
+use safara_analysis::cost::CostModel;
 use safara_chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_codegen::lower::{lower_function, CompiledKernel};
 use safara_gpusim::device::DeviceConfig;
 use safara_gpusim::ptxas::{allocate_registers_with, RegAllocReport};
 use safara_ir::printer::print_function;
-use safara_ir::{parse_program_unchecked, Function, Stmt};
+use safara_ir::{parse_program_unchecked, Function};
 use safara_obs::Tracer;
 use safara_opt::transform::TempNamer;
 use safara_opt::{
@@ -210,12 +211,14 @@ pub fn compile(src: &str, config: &CompilerConfig) -> Result<CompiledProgram, Co
 }
 
 /// [`compile`] recording one span per pipeline phase into `tracer`:
-/// `parse` → `sema` → `analysis` → `opt` (with one `round` child per
-/// feedback iteration, carrying `regs_used`/`budget` metadata) →
-/// `codegen` → `regalloc`. Each phase covers *all* functions of the
-/// translation unit, so a traced compile produces each phase exactly
-/// once. With a disabled tracer this **is** [`compile`]: same code
-/// path, same output.
+/// `parse` → `sema` → `analysis` → `opt`. Each root phase covers *all*
+/// functions of the translation unit, so a traced compile produces it
+/// exactly once. Every whole-function build is a `codegen` + `regalloc`
+/// span pair nested under `opt` where it ran: directly (the body the
+/// strategy starts from or ends with), under `saturate` (its before and
+/// after), or under the `round` (one per feedback iteration, carrying
+/// `regs_used`/`budget` metadata) whose trial it is. With a disabled
+/// tracer this **is** [`compile`]: same code path, same output.
 pub fn compile_traced(
     src: &str,
     config: &CompilerConfig,
@@ -282,42 +285,33 @@ pub fn compile_with_faults(
     // and reports what the optimizer has to work with.
     tracer.span("analysis", |t| {
         let (mut regions, mut groups) = (0i64, 0i64);
-        for f in &program.functions {
-            for_each_region_ref(f, |region| {
-                let info = safara_analysis::region::RegionInfo::analyze(region);
-                groups += safara_analysis::reuse::find_reuse_groups(region, &info).len() as i64;
-                regions += 1;
-            });
+        for region in program.functions.iter().flat_map(Function::regions) {
+            let info = safara_analysis::region::RegionInfo::analyze(region);
+            groups += safara_analysis::reuse::find_reuse_groups(region, &info).len() as i64;
+            regions += 1;
         }
         t.meta_int("regions", regions);
         t.meta_int("reuse_groups", groups);
     });
 
-    let mut optimized: Vec<(Function, SrOutcome, u32)> = Vec::new();
-    tracer.span("opt", |t| {
-        for f in &program.functions {
-            optimized.push(optimize_function(f, config, t, faults)?);
-        }
-        Ok::<_, CompileError>(())
-    })?;
-
-    let mut lowered: Vec<Vec<CompiledKernel>> = Vec::new();
-    tracer.span("codegen", |t| {
-        for (work, _, _) in &optimized {
-            lowered.push(lower_function(work, &config.codegen)?);
-        }
-        t.meta_int("kernels", lowered.iter().map(Vec::len).sum::<usize>() as i64);
-        Ok::<_, CompileError>(())
+    // Optimization decides by building: what leaves `opt` is each
+    // function's last accepted candidate, kernels included.
+    let functions = tracer.span("opt", |t| {
+        program
+            .functions
+            .iter()
+            .map(|f| optimize_function(f, config, t, faults))
+            .collect::<Result<Vec<CompiledFunction>, CompileError>>()
     })?;
 
     if let Some(FaultAction::Fail | FaultAction::Spill) =
         fault_at(faults, InjectionPoint::RegAlloc)
     {
-        let kernel = lowered
+        let kernel = functions
             .iter()
-            .flatten()
+            .flat_map(|f| &f.kernels)
             .next()
-            .map(|k| k.name.clone())
+            .map(|k| k.kernel.name.clone())
             .unwrap_or_else(|| "<no kernels>".into());
         return Err(CompileError::RegAllocSpill {
             kernel,
@@ -326,75 +320,74 @@ pub fn compile_with_faults(
         });
     }
 
-    let functions = tracer.span("regalloc", |t| {
-        let mut max_regs = 0u32;
-        let functions: Vec<CompiledFunction> = program
-            .functions
-            .iter()
-            .zip(optimized)
-            .zip(lowered)
-            .map(|((f, (work, outcome, rounds)), kernels)| {
-                let kernels: Vec<KernelArtifact> = kernels
-                    .into_iter()
-                    .map(|kernel| {
-                        let art = allocate_artifact(kernel, config)?;
-                        max_regs = max_regs.max(art.alloc.regs_used);
-                        Ok(art)
-                    })
-                    .collect::<Result<_, CompileError>>()?;
-                Ok(CompiledFunction {
-                    name: f.name.to_string(),
-                    transformed: work,
-                    kernels,
-                    sr_outcome: outcome,
-                    feedback_rounds: rounds,
-                })
-            })
-            .collect::<Result<_, CompileError>>()?;
-        t.meta_int("max_regs", max_regs as i64);
-        t.meta_int("reg_cap", config.reg_cap as i64);
-        Ok::<_, CompileError>(functions)
-    })?;
-
     Ok(CompiledProgram { config: config.clone(), functions })
 }
 
-fn codegen_all(
-    f: &Function,
-    config: &CompilerConfig,
-) -> Result<Vec<KernelArtifact>, CompileError> {
-    let kernels = lower_function(f, &config.codegen)?;
-    kernels.into_iter().map(|kernel| allocate_artifact(kernel, config)).collect()
+/// A function body together with the kernels it lowers to — what every
+/// decision in the driver compares, keeps or discards, and what a
+/// [`CompiledFunction`] is finally made of.
+struct Candidate {
+    body: Function,
+    artifacts: Vec<KernelArtifact>,
+    /// The tightest effective register cap of any kernel: a
+    /// `launch_bounds` contract lowers the ceiling the feedback loop may
+    /// fill.
+    cap: u32,
 }
 
-/// Run register allocation for one lowered kernel under the effective
-/// per-kernel cap, spill target, and planned block geometry.
-fn allocate_artifact(
-    kernel: CompiledKernel,
-    config: &CompilerConfig,
-) -> Result<KernelArtifact, CompileError> {
-    let cap = kernel_reg_cap(config, kernel.launch_bounds)?;
-    let tpb = planned_threads_per_block(config, kernel.launch_bounds);
-    let alloc = allocate_registers_with(
-        &kernel.vir,
-        cap,
-        config.spill_target,
-        tpb,
-        config.device.shared_mem_per_sm,
-    );
-    Ok(KernelArtifact { kernel, alloc })
+impl Candidate {
+    /// The one build site: lower `body` (`codegen` span), then run
+    /// register allocation for each kernel under its effective cap,
+    /// spill target and planned block geometry (`regalloc` span).
+    fn build(
+        body: Function,
+        config: &CompilerConfig,
+        tracer: &mut Tracer,
+    ) -> Result<Candidate, CompileError> {
+        let kernels = tracer.span("codegen", |t| {
+            let kernels = lower_function(&body, &config.codegen)?;
+            t.meta_int("kernels", kernels.len() as i64);
+            Ok::<_, CompileError>(kernels)
+        })?;
+        tracer.span("regalloc", |t| {
+            let mut cap = config.reg_cap;
+            let mut artifacts = Vec::with_capacity(kernels.len());
+            for kernel in kernels {
+                let kernel_cap = kernel_reg_cap(config, kernel.launch_bounds)?;
+                let alloc = allocate_registers_with(
+                    &kernel.vir,
+                    kernel_cap,
+                    config.spill_target,
+                    planned_threads_per_block(config, kernel.launch_bounds),
+                    config.device.shared_mem_per_sm,
+                );
+                cap = cap.min(kernel_cap);
+                artifacts.push(KernelArtifact { kernel, alloc });
+            }
+            let built = Candidate { body, artifacts, cap };
+            t.meta_int("max_regs", built.regs_used() as i64);
+            t.meta_int("reg_cap", config.reg_cap as i64);
+            Ok(built)
+        })
+    }
+
+    /// Maximum registers used by any kernel.
+    fn regs_used(&self) -> u32 {
+        self.artifacts.iter().map(|a| a.alloc.regs_used).max().unwrap_or(0)
+    }
 }
 
-/// The optimization half of the pipeline: unroll plus the configured
-/// scalar-replacement strategy (including SAFARA's feedback loop, whose
-/// in-loop measurement compiles stay inside the `opt` span). Returns
-/// the transformed function, what SR did, and the rounds executed.
+/// The optimization half of the pipeline: unroll, optional saturation,
+/// then the configured scalar-replacement strategy. The single-pass
+/// strategies transform and build once; `SrStrategy::None` and SAFARA's
+/// feedback loop start from a built candidate and end holding the one
+/// that becomes the compiled function.
 fn optimize_function(
     f: &Function,
     config: &CompilerConfig,
     tracer: &mut Tracer,
     faults: &FaultPlan,
-) -> Result<(Function, SrOutcome, u32), CompileError> {
+) -> Result<CompiledFunction, CompileError> {
     let mut work = f.clone();
     let mut namer = TempNamer::default();
     let mut outcome = SrOutcome::default();
@@ -403,7 +396,7 @@ fn optimize_function(
     // The §VII extension: unroll innermost sequential loops first so the
     // scalar-replacement passes below see straight-line reuse.
     if config.unroll >= 2 {
-        for_each_region(&mut work, |region| {
+        for region in work.regions_mut() {
             let info = safara_analysis::region::RegionInfo::analyze(region);
             safara_opt::unroll::unroll_seq_loops(
                 &mut region.body,
@@ -411,58 +404,51 @@ fn optimize_function(
                 &info,
                 &mut namer,
             );
-        });
-    }
-
-    // The equality-saturation phase runs ahead of scalar replacement:
-    // region expressions are hash-consed into an e-graph, saturated with
-    // integer-ring rewrites (CSE, offset factoring, strength reduction,
-    // guarded narrowing), and re-extracted by predicted register cost.
-    // The extraction's structural weights only *rank* candidates — the
-    // real acceptance test below recompiles through the ptxas register
-    // model (or the occupancy oracle under the throughput goal) and
-    // reverts anything that is not an improvement, so the phase can
-    // never make a kernel worse.
-    if config.saturate {
-        work = saturate_function(work, config, tracer, faults)?;
-    }
-
-    match &config.sr {
-        SrStrategy::None => {}
-        SrStrategy::CarrKennedy => {
-            // Classical behaviour: one pass, count-only moderation against
-            // the full register file.
-            let snapshot = f.clone();
-            for_each_region(&mut work, |region| {
-                let o = carr_kennedy_pass(&snapshot, region, config.reg_cap, &mut namer);
-                merge_outcome(&mut outcome, o);
-            });
-            rounds = 1;
         }
-        SrStrategy::Safara { cost_model, feedback } => {
-            if !*feedback {
-                // Ablation: single unbounded round.
-                let snapshot = f.clone();
-                for_each_region(&mut work, |region| {
-                    let o = safara_pass(&snapshot, region, config.reg_cap, cost_model, &mut namer);
-                    merge_outcome(&mut outcome, o);
-                });
-                rounds = 1;
-            } else {
-                // The iterative feedback loop (§III-B.2). An accepted
-                // round's recompile *is* the next round's measurement
-                // (`work` becomes the trial it was built from), so its
-                // artifacts are carried over instead of being rebuilt.
-                let mut carried: Option<Vec<KernelArtifact>> = None;
-                loop {
-                    if rounds >= config.max_feedback_iters {
-                        break;
+    }
+
+    // The equality-saturation phase runs ahead of scalar replacement and
+    // hands back its winner already built.
+    let saturated = if config.saturate {
+        Some(saturate_function(&work, config, tracer, faults)?)
+    } else {
+        None
+    };
+
+    let last = match &config.sr {
+        SrStrategy::CarrKennedy | SrStrategy::Safara { feedback: false, .. } => {
+            // One pass, count-only moderation against the full register
+            // file (classical behaviour) or SAFARA's single unbounded
+            // round (ablation); either way the body changes, so whatever
+            // saturation built is stale.
+            let mut body = saturated.map_or(work, |c| c.body);
+            for region in body.regions_mut() {
+                let o = match &config.sr {
+                    SrStrategy::Safara { cost_model, .. } => {
+                        safara_pass(f, region, config.reg_cap, cost_model, &mut namer)
                     }
+                    _ => carr_kennedy_pass(f, region, config.reg_cap, &mut namer),
+                };
+                merge_outcome(&mut outcome, o);
+            }
+            rounds = 1;
+            Candidate::build(body, config, tracer)?
+        }
+        sr => {
+            let mut cur = match saturated {
+                Some(c) => c,
+                None => Candidate::build(work, config, tracer)?,
+            };
+            if let SrStrategy::Safara { cost_model, .. } = sr {
+                // The iterative feedback loop (§III-B.2): every build is
+                // both the verdict on one round and the measurement for
+                // the next.
+                while rounds < config.max_feedback_iters {
                     rounds += 1;
                     // Mid-loop fault injection: a `Fail` here models the
                     // backend dying between rounds (typed as a budget
                     // failure); a `Spill` forces this round down the
-                    // paper's revert path below.
+                    // paper's revert path.
                     let forced_spill = match fault_at(faults, InjectionPoint::FeedbackRound) {
                         Some(FaultAction::Fail) => {
                             return Err(CompileError::Budget {
@@ -474,168 +460,134 @@ fn optimize_function(
                         Some(FaultAction::Spill) => true,
                         _ => false,
                     };
-                    tracer.begin("round");
-                    // 1. Backend compile, no further SR: measure registers
-                    // (round 1 only — later rounds measure what the
-                    // previous one accepted).
-                    let measured_here = carried.is_none();
-                    let arts = match carried.take() {
-                        Some(a) => a,
-                        None => match codegen_all(&work, config) {
-                            Ok(a) => a,
-                            Err(e) => {
-                                tracer.end();
-                                return Err(e);
-                            }
-                        },
-                    };
-                    let used = arts.iter().map(|a| a.alloc.regs_used).max().unwrap_or(0);
-                    // The budget is measured against the tightest effective
-                    // cap of any kernel: a `launch_bounds` contract lowers
-                    // the ceiling the feedback loop may fill.
-                    let mut cap = config.reg_cap;
-                    for a in &arts {
-                        match kernel_reg_cap(config, a.kernel.launch_bounds) {
-                            Ok(c) => cap = cap.min(c),
-                            Err(e) => {
-                                tracer.end();
-                                return Err(e);
-                            }
-                        }
-                    }
-                    let budget = cap.saturating_sub(used);
-                    tracer.meta_int("regs_used", used as i64);
-                    tracer.meta_int("budget", budget as i64);
-                    if budget == 0 {
-                        tracer.meta_int("codegen_calls", measured_here as i64);
-                        tracer.end();
-                        break;
-                    }
-                    // 2. One SR round within the budget. Under the
-                    // throughput goal each region gets an occupancy oracle
-                    // seeded with the measured register use and the block
-                    // size the runtime will launch with.
-                    let mut round_outcome = SrOutcome::default();
-                    let mut trial = work.clone();
-                    for_each_region(&mut trial, |region| {
-                        let clause_tpb = region
-                            .directive
-                            .clauses
-                            .launch_bounds
-                            .as_ref()
-                            .and_then(|lb| lb.max_threads.as_const())
-                            .map(|t| t.max(1) as u32);
-                        let tpb = clause_tpb
-                            .or(config.launch_bounds.map(|(t, _)| t))
-                            .unwrap_or(DEFAULT_THREADS_PER_BLOCK);
-                        let throughput =
-                            (config.goal == OptGoal::MaxThroughput).then_some(ThroughputContext {
-                                device: config.device,
-                                threads_per_block: tpb,
-                                regs_in_use: used,
-                            });
-                        let o = safara_pass_with(
-                            &work,
-                            region,
-                            budget,
-                            cost_model,
-                            config.goal,
-                            throughput,
-                            &mut namer,
-                        );
-                        merge_outcome(&mut round_outcome, o);
-                    });
-                    tracer.meta_int("temps_added", round_outcome.temps_added as i64);
-                    // Whole-function lower + allocate runs this round made:
-                    // the measurement above, and the recompile below.
-                    let recompiles = round_outcome.temps_added > 0;
-                    tracer.meta_int("codegen_calls", measured_here as i64 + recompiles as i64);
-                    if !recompiles {
-                        tracer.end();
-                        break; // all reused references are replaced
-                    }
-                    // 3. Recompile; revert the round if it now spills.
-                    let new_arts = match codegen_all(&trial, config) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            tracer.end();
-                            return Err(e);
-                        }
-                    };
-                    let spills = forced_spill || new_arts.iter().any(|a| !a.alloc.fits());
-                    if spills {
-                        tracer.meta_str("ended", "reverted_spill");
-                        tracer.end();
-                        break; // registers saturated: keep previous state
-                    }
-                    work = trial;
-                    carried = Some(new_arts);
+                    let accepted = tracer.span("round", |t| {
+                        feedback_round(&cur, config, cost_model, &mut namer, forced_spill, t)
+                    })?;
+                    let Some((next, round_outcome)) = accepted else { break };
+                    cur = next;
                     merge_outcome(&mut outcome, round_outcome);
-                    tracer.end();
                 }
             }
+            cur
         }
-    }
+    };
 
-    Ok((work, outcome, rounds))
+    Ok(CompiledFunction {
+        name: f.name.to_string(),
+        transformed: last.body,
+        kernels: last.artifacts,
+        sr_outcome: outcome,
+        feedback_rounds: rounds,
+    })
+}
+
+/// One feedback round from `cur`: `Some` is the accepted trial and what
+/// it added (the loop continues from it), `None` ends the loop with
+/// `cur` kept — the budget is spent, nothing was left to replace, or
+/// the trial spills.
+fn feedback_round(
+    cur: &Candidate,
+    config: &CompilerConfig,
+    cost_model: &CostModel,
+    namer: &mut TempNamer,
+    forced_spill: bool,
+    tracer: &mut Tracer,
+) -> Result<Option<(Candidate, SrOutcome)>, CompileError> {
+    // 1. The registers `cur` was measured at when it was built.
+    let used = cur.regs_used();
+    let budget = cur.cap.saturating_sub(used);
+    tracer.meta_int("regs_used", used as i64);
+    tracer.meta_int("budget", budget as i64);
+    if budget == 0 {
+        return Ok(None);
+    }
+    // 2. One SR round within the budget. Under the throughput goal each
+    // region gets an occupancy oracle seeded with the measured register
+    // use and the block size the runtime will launch with.
+    let mut round_outcome = SrOutcome::default();
+    let mut trial = cur.body.clone();
+    for region in trial.regions_mut() {
+        let clause_tpb = region
+            .directive
+            .clauses
+            .launch_bounds
+            .as_ref()
+            .and_then(|lb| lb.max_threads.as_const())
+            .map(|t| t.max(1) as u32);
+        let tpb = clause_tpb
+            .or(config.launch_bounds.map(|(t, _)| t))
+            .unwrap_or(DEFAULT_THREADS_PER_BLOCK);
+        let throughput = (config.goal == OptGoal::MaxThroughput).then_some(ThroughputContext {
+            device: config.device,
+            threads_per_block: tpb,
+            regs_in_use: used,
+        });
+        let o = safara_pass_with(
+            &cur.body,
+            region,
+            budget,
+            cost_model,
+            config.goal,
+            throughput,
+            namer,
+        );
+        merge_outcome(&mut round_outcome, o);
+    }
+    tracer.meta_int("temps_added", round_outcome.temps_added as i64);
+    if round_outcome.temps_added == 0 {
+        return Ok(None); // all reused references are replaced
+    }
+    // 3. Build the trial; revert the round if it now spills.
+    let trial = Candidate::build(trial, config, tracer)?;
+    if forced_spill || trial.artifacts.iter().any(|a| !a.alloc.fits()) {
+        tracer.meta_str("ended", "reverted_spill");
+        return Ok(None); // registers saturated: keep previous state
+    }
+    Ok(Some((trial, round_outcome)))
 }
 
 /// Saturate every offload region of `work`, then accept or revert the
-/// whole function against the configured goal. Returns the function to
-/// continue compiling with (the saturated trial when it helps, the
-/// original otherwise).
+/// whole function against the configured goal: region expressions are
+/// hash-consed into an e-graph, saturated with integer-ring rewrites
+/// (CSE, offset factoring, strength reduction, guarded narrowing), and
+/// re-extracted by predicted register cost. The extraction's structural
+/// weights only *rank* candidates — the acceptance test builds both
+/// bodies through the ptxas register model (or the occupancy oracle
+/// under the throughput goal) and returns the original unless the
+/// saturated one is an improvement, so the phase can never make a
+/// kernel worse.
 fn saturate_function(
-    work: Function,
+    work: &Function,
     config: &CompilerConfig,
     tracer: &mut Tracer,
     faults: &FaultPlan,
-) -> Result<Function, CompileError> {
+) -> Result<Candidate, CompileError> {
     if let Some(FaultAction::Fail) = fault_at(faults, InjectionPoint::Saturate) {
         return Err(CompileError::Saturate {
             message: "injected saturation fault".into(),
             span: None,
         });
     }
-    tracer.begin("saturate");
-    let result =
-        saturate_function_inner(&work, config, tracer, &safara_opt::SaturateConfig::default());
-    tracer.end();
-    match result {
-        Ok(Some(trial)) => Ok(trial),
-        Ok(None) => Ok(work),
-        Err(e) => Err(e),
-    }
+    tracer.span("saturate", |t| {
+        saturate_traced(work, config, t, &safara_opt::SaturateConfig::default())
+    })
 }
 
-/// The traced body of [`saturate_function`]: `Ok(Some(trial))` to adopt
-/// the saturated function, `Ok(None)` to keep the original.
-fn saturate_function_inner(
+/// The traced body of [`saturate_function`].
+fn saturate_traced(
     work: &Function,
     config: &CompilerConfig,
     tracer: &mut Tracer,
     scfg: &safara_opt::SaturateConfig,
-) -> Result<Option<Function>, CompileError> {
-    let before = codegen_all(work, config)?;
+) -> Result<Candidate, CompileError> {
+    let before = Candidate::build(work.clone(), config, tracer)?;
     let mut trial = work.clone();
     let mut agg = safara_opt::RegionSaturation::empty();
-    let mut failed: Option<CompileError> = None;
-    for_each_region(&mut trial, |region| {
-        if failed.is_some() {
-            return;
-        }
+    for region in trial.regions_mut() {
         let span = region.span;
-        match safara_opt::saturate_region(work, region, config.codegen.honor_small, scfg) {
-            Ok(r) => agg.absorb(&r),
-            Err(e) => {
-                failed = Some(CompileError::Saturate {
-                    message: e.to_string(),
-                    span: Some(span),
-                });
-            }
-        }
-    });
-    if let Some(e) = failed {
-        return Err(e);
+        let r = safara_opt::saturate_region(work, region, config.codegen.honor_small, scfg)
+            .map_err(|e| CompileError::Saturate { message: e.to_string(), span: Some(span) })?;
+        agg.absorb(&r);
     }
     tracer.meta_int("rounds", agg.stats.rounds as i64);
     tracer.meta_int("e_classes", agg.stats.e_classes as i64);
@@ -643,24 +595,22 @@ fn saturate_function_inner(
     tracer.meta_int("cost_before", agg.cost_before as i64);
     tracer.meta_int("cost_after", agg.cost_after as i64);
     tracer.meta_str("stop", agg.stats.stop.name());
-    let after = codegen_all(&trial, config)?;
+    let after = Candidate::build(trial, config, tracer)?;
     let keep = match config.goal {
         // The paper's policy: fewer registers wins; on a register tie the
         // shorter instruction stream wins; otherwise revert.
         OptGoal::MinRegisters => {
-            let regs = |arts: &[KernelArtifact]| {
-                arts.iter().map(|a| a.alloc.regs_used).max().unwrap_or(0)
+            let insts = |c: &Candidate| {
+                c.artifacts.iter().map(|a| a.kernel.vir.insts.len()).sum::<usize>()
             };
-            let insts = |arts: &[KernelArtifact]| {
-                arts.iter().map(|a| a.kernel.vir.insts.len()).sum::<usize>()
-            };
-            (regs(&after), insts(&after)) <= (regs(&before), insts(&before))
+            (after.regs_used(), insts(&after)) <= (before.regs_used(), insts(&before))
         }
         // Throughput goal: the occupancy oracle (PR 8) judges the worst
         // kernel's resident warps under the planned block geometry.
         OptGoal::MaxThroughput => {
-            let warps = |arts: &[KernelArtifact]| {
-                arts.iter()
+            let warps = |c: &Candidate| {
+                c.artifacts
+                    .iter()
                     .map(|a| {
                         let tpb = planned_threads_per_block(config, a.kernel.launch_bounds);
                         config.device.occupancy(a.alloc.regs_used, tpb).active_warps_per_sm
@@ -672,7 +622,7 @@ fn saturate_function_inner(
         }
     };
     tracer.meta_str("verdict", if keep { "kept" } else { "reverted" });
-    Ok(keep.then_some(trial))
+    Ok(if keep { after } else { before })
 }
 
 fn merge_outcome(into: &mut SrOutcome, o: SrOutcome) {
@@ -684,42 +634,6 @@ fn merge_outcome(into: &mut SrOutcome, o: SrOutcome) {
             into.sequentialized.push(v);
         }
     }
-}
-
-fn for_each_region_ref(f: &Function, mut g: impl FnMut(&safara_ir::OffloadRegion)) {
-    fn walk(stmts: &[Stmt], g: &mut impl FnMut(&safara_ir::OffloadRegion)) {
-        for s in stmts {
-            match s {
-                Stmt::Region(r) => g(r),
-                Stmt::For(f) => walk(&f.body, g),
-                Stmt::If { then_body, else_body, .. } => {
-                    walk(then_body, g);
-                    walk(else_body, g);
-                }
-                Stmt::Block(b) => walk(b, g),
-                _ => {}
-            }
-        }
-    }
-    walk(&f.body, &mut g);
-}
-
-fn for_each_region(f: &mut Function, mut g: impl FnMut(&mut safara_ir::OffloadRegion)) {
-    fn walk(stmts: &mut [Stmt], g: &mut impl FnMut(&mut safara_ir::OffloadRegion)) {
-        for s in stmts {
-            match s {
-                Stmt::Region(r) => g(r),
-                Stmt::For(f) => walk(&mut f.body, g),
-                Stmt::If { then_body, else_body, .. } => {
-                    walk(then_body, g);
-                    walk(else_body, g);
-                }
-                Stmt::Block(b) => walk(b, g),
-                _ => {}
-            }
-        }
-    }
-    walk(&mut f.body, &mut g);
 }
 
 #[cfg(test)]
@@ -947,6 +861,27 @@ mod tests {
         assert_eq!(f.feedback_rounds, 1, "round 1 forced to spill ends the loop");
         assert_eq!(f.sr_outcome.temps_added, 0, "the spilling round was reverted");
         assert!(f.kernels.iter().all(|k| k.alloc.fits()));
+        assert_carried_is_rebuilt("fig5/spill@1", &faulted);
+
+        // Forced in round 2, the revert leaves what round 1 accepted: its
+        // temporaries, and the artifacts round 2 measured — not the
+        // spilling trial's.
+        let mut tracer = Tracer::new();
+        compile_traced(FIG5, &CompilerConfig::safara_only(), &mut tracer).unwrap();
+        let spans = tracer.finish();
+        let clean = spans_named(&spans, "round");
+        let faulted = compile_with_faults(
+            FIG5,
+            &CompilerConfig::safara_only(),
+            &mut Tracer::disabled(),
+            &spill_in_round(2),
+        )
+        .unwrap();
+        let f = faulted.function("fig5").unwrap();
+        assert_eq!(f.feedback_rounds, 2, "round 2 forced to spill ends the loop");
+        assert_eq!(f.sr_outcome.temps_added as i64, meta_int(clean[0], "temps_added"));
+        assert_eq!(f.max_regs() as i64, meta_int(clean[1], "regs_used"));
+        assert_carried_is_rebuilt("fig5/spill@2", &faulted);
 
         // A mid-loop fail is a typed budget error, not a panic.
         let plan = FaultPlan::seeded(0).with(
@@ -1020,7 +955,8 @@ mod tests {
         // A cap far below FIG5's e-node population: saturation must stop
         // with a typed error carrying the region's span, never hang.
         let scfg = safara_opt::SaturateConfig { max_rounds: 6, max_nodes: 4 };
-        let err = saturate_function_inner(f, &cfg, &mut Tracer::disabled(), &scfg).unwrap_err();
+        let err =
+            saturate_traced(f, &cfg, &mut Tracer::disabled(), &scfg).map(|_| ()).unwrap_err();
         assert_eq!(err.code(), "saturate");
         assert!(err.span().is_some(), "cap errors carry the region span: {err}");
         assert!(err.to_string().contains("e-node cap"), "{err}");
@@ -1039,47 +975,181 @@ mod tests {
         assert_eq!(plain, inert);
     }
 
-    /// The feedback loop builds each artifact once: an accepted round's
-    /// recompile is the next round's measurement, so the two programs
-    /// that run all eight rounds make 1 + 8 whole-function codegen calls
-    /// (16 before the carry) — and decide exactly what they decided then.
-    #[test]
-    fn feedback_loop_carries_the_accepted_rounds_artifacts() {
-        use safara_obs::{MetaValue, Span};
-        fn rounds<'a>(s: &'a Span, out: &mut Vec<&'a Span>) {
-            if s.name == "round" {
+    /// Every `name` span of a trace, depth first.
+    fn spans_named<'a>(spans: &'a [safara_obs::Span], name: &str) -> Vec<&'a safara_obs::Span> {
+        let mut out = Vec::new();
+        for s in spans {
+            if s.name == name {
                 out.push(s);
             }
-            s.children.iter().for_each(|c| rounds(c, out));
+            out.extend(spans_named(&s.children, name));
         }
-        let int = |s: &Span, key: &str| match s.meta_get(key) {
-            Some(MetaValue::Int(v)) => *v,
-            other => panic!("round span without integer `{key}`: {other:?}"),
-        };
+        out
+    }
+
+    fn meta_int(s: &safara_obs::Span, key: &str) -> i64 {
+        match s.meta_get(key) {
+            Some(safara_obs::MetaValue::Int(v)) => *v,
+            other => panic!("`{}` span without integer `{key}`: {other:?}", s.name),
+        }
+    }
+
+    /// `compile_heavy`'s five profiles, in its order.
+    fn heavy_profiles() -> [CompilerConfig; 5] {
+        [
+            CompilerConfig::base(),
+            CompilerConfig::safara_only(),
+            CompilerConfig::safara_clauses(),
+            CompilerConfig::safara_throughput(),
+            CompilerConfig::safara_saturated(),
+        ]
+    }
+
+    /// Whole-function builds (`codegen` spans) of one traced compile,
+    /// checked against what the loop has to build: the body each
+    /// function starts from, one more under `saturate`, and one trial
+    /// per round that added temporaries.
+    fn builds(src: &str, config: &CompilerConfig) -> (usize, CompiledProgram) {
+        let mut tracer = Tracer::new();
+        let p = compile_traced(src, config, &mut tracer).expect("compile");
+        let spans = tracer.finish();
+        let built = spans_named(&spans, "codegen").len();
+        assert_eq!(built, spans_named(&spans, "regalloc").len(), "build = codegen + regalloc");
+        let rounds = spans_named(&spans, "round");
+        let with_temps = rounds.iter().filter(|r| meta_int(r, "temps_added") > 0).count();
+        let per_function = 1 + usize::from(config.saturate);
+        assert_eq!(
+            built,
+            per_function * p.functions.len() + with_temps,
+            "{}: builds of {} functions, {} rounds with temporaries",
+            config.name,
+            p.functions.len(),
+            with_temps
+        );
+        assert_eq!(
+            rounds.len() as u32,
+            p.functions.iter().map(|f| f.feedback_rounds).sum::<u32>(),
+            "one span per round"
+        );
+        (built, p)
+    }
+
+    /// Each body is built once: the candidate a round accepts is the
+    /// next round's measurement, saturation's winner is round 1's, and
+    /// the last one held is the compiled function. The two programs that
+    /// run all eight rounds build 9 times (10 with the final stage that
+    /// rebuilt the last candidate; 10 saturated, was 12) — and decide
+    /// exactly what they decided then.
+    #[test]
+    fn feedback_loop_carries_the_accepted_rounds_artifacts() {
+        let workloads = safara_workloads::all_workloads();
         // (workload, feedback rounds, temps added, max regs_used) as the
-        // loop produced them before artifacts were carried.
+        // loop produced them before any artifact was carried.
         for (name, want_rounds, want_temps, want_regs) in
             [("355.seismic", 8, 33, 59), ("356.sp", 8, 39, 46)]
         {
-            let w = safara_workloads::all_workloads()
-                .into_iter()
-                .find(|w| w.name() == name)
-                .expect("workload exists");
-            let mut tracer = Tracer::new();
-            let p = compile_traced(&w.source(), &CompilerConfig::safara_only(), &mut tracer)
-                .expect("compile");
-            let spans = tracer.finish();
-            let mut rs = Vec::new();
-            spans.iter().for_each(|s| rounds(s, &mut rs));
-            let with_temps = rs.iter().filter(|r| int(r, "temps_added") > 0).count() as i64;
-            let calls: i64 = rs.iter().map(|r| int(r, "codegen_calls")).sum();
-            assert_eq!(calls, 1 + with_temps, "{name}: codegen calls inside the loop");
-            assert_eq!(int(rs[0], "codegen_calls"), 2, "{name}: round 1 measures and recompiles");
+            let w = workloads.iter().find(|w| w.name() == name).expect("workload exists");
+            let (built, p) = builds(&w.source(), &CompilerConfig::safara_only());
+            assert_eq!(built, 9, "{name}: safara_only");
             let f = &p.functions[0];
-            assert_eq!(rs.len() as u32, f.feedback_rounds, "{name}: one span per round");
             assert_eq!(f.feedback_rounds, want_rounds, "{name}: feedback rounds");
             assert_eq!(f.sr_outcome.temps_added, want_temps, "{name}: temporaries");
             assert_eq!(f.max_regs(), want_regs, "{name}: final register use");
+            assert_eq!(builds(&w.source(), &CompilerConfig::safara_saturated()).0, 10, "{name}");
+            assert_eq!(builds(&w.source(), &CompilerConfig::base()).0, 1, "{name}");
         }
+        // The benchmark's `compile_heavy` grid: 271 with the rebuilds.
+        let grid: usize = workloads
+            .iter()
+            .flat_map(|w| heavy_profiles().map(|c| builds(&w.source(), &c).0))
+            .sum();
+        assert_eq!(grid, 191);
+    }
+
+    /// What the deleted final stage gave by construction: the kernels a
+    /// compile hands out are the kernels of the body it hands out.
+    fn assert_carried_is_rebuilt(what: &str, p: &CompiledProgram) {
+        for f in &p.functions {
+            let fresh = Candidate::build(f.transformed.clone(), &p.config, &mut Tracer::disabled())
+                .expect("rebuild");
+            assert!(
+                f.kernels == fresh.artifacts,
+                "{what}/{}: carried kernels differ from a rebuild of the transformed body",
+                f.name
+            );
+        }
+    }
+
+    /// A plan that forces the `round`-th feedback round it sees to spill
+    /// and no other. `Fire::First` cannot skip an arrival, so the rounds
+    /// before it are taken by a rule that wins them and merely stalls.
+    fn spill_in_round(round: u64) -> FaultPlan {
+        use safara_chaos::Fire;
+        let point = InjectionPoint::FeedbackRound;
+        FaultPlan::seeded(0)
+            .with(point, FaultAction::Delay { ms: 1 }, Fire::First(round - 1))
+            .with(point, FaultAction::Spill, Fire::First(round))
+    }
+
+    #[test]
+    fn carried_artifacts_equal_a_rebuild_of_the_transformed_body() {
+        let mut configs: Vec<CompilerConfig> = CompilerConfig::PROFILE_KEYS
+            .iter()
+            .map(|k| CompilerConfig::by_name(k).expect("profile key resolves"))
+            .collect();
+        configs.push(CompilerConfig::safara_unroll(2));
+        for iters in [0, 1] {
+            for base in [CompilerConfig::safara_only(), CompilerConfig::safara_saturated()] {
+                configs.push(CompilerConfig { max_feedback_iters: iters, ..base });
+            }
+        }
+        // The workloads' saturated bodies all win or tie; this one costs
+        // a register (11 → 12), so saturation hands back the original.
+        let loses = "void f(int n, int k, float x[n]) {
+          #pragma acc kernels copy(x)
+          {
+            #pragma acc loop gang vector
+            for (int i = 0; i < n; i++) {
+              #pragma acc loop seq
+              for (int j = 0; j < k; j++) {
+                x[i + 4 * k * (3 + k)] = x[j / 4 * 4];
+                x[0] = x[3 * i + i * k] + x[i + 8];
+              }
+            }
+          }
+        }";
+        let sources = safara_workloads::all_workloads()
+            .iter()
+            .map(|w| (w.name().to_string(), w.source()))
+            .chain([("saturation loses".to_string(), loses.to_string())])
+            .collect::<Vec<_>>();
+
+        let (mut kept, mut reverted) = (0, 0);
+        for (name, src) in &sources {
+            for config in &configs {
+                let mut tracer = Tracer::new();
+                let p = compile_traced(src, config, &mut tracer).expect("compile");
+                assert_carried_is_rebuilt(&format!("{name}/{}", config.name), &p);
+                for s in spans_named(&tracer.finish(), "saturate") {
+                    match s.meta_get("verdict") {
+                        Some(safara_obs::MetaValue::Str(v)) if v == "kept" => kept += 1,
+                        _ => reverted += 1,
+                    }
+                }
+            }
+            // A spill forced in round 1 leaves the starting candidate's
+            // artifacts; in round 2, those of the round accepted before.
+            for round in [1, 2] {
+                for config in [CompilerConfig::safara_only(), CompilerConfig::safara_saturated()] {
+                    let plan = spill_in_round(round);
+                    let p = compile_with_faults(src, &config, &mut Tracer::disabled(), &plan)
+                        .expect("a forced spill reverts the round, not the compile");
+                    let point = InjectionPoint::FeedbackRound;
+                    assert_eq!(plan.fired(point), plan.arrivals(point).min(round), "{name}");
+                    assert_carried_is_rebuilt(&format!("{name}/{}/spill@{round}", config.name), &p);
+                }
+            }
+        }
+        assert!(kept > 0 && reverted > 0, "saturation kept {kept}, reverted {reverted}");
     }
 }

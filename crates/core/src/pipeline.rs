@@ -251,14 +251,19 @@ mod tests {
             run_compiled_traced(&program, "axpy", &mut args, &dev, None, &mut tracer).unwrap();
         let spans = tracer.finish();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["parse", "sema", "analysis", "opt", "codegen", "regalloc", "sim"]);
+        assert_eq!(names, ["parse", "sema", "analysis", "opt", "sim"]);
 
+        // The body the loop starts from is built under `opt` itself, each
+        // trial under its round.
         let opt = &spans[3];
         assert_eq!(opt.count_named("round") as u32, outcome.feedback_rounds);
-        assert!(opt.children[0].meta_get("regs_used").is_some());
-        assert!(opt.children[0].meta_get("budget").is_some());
+        let kids: Vec<&str> = opt.children.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(kids[..3], ["codegen", "regalloc", "round"]);
+        assert_eq!(opt.count_named("codegen"), opt.count_named("regalloc"));
+        assert!(opt.children[2].meta_get("regs_used").is_some());
+        assert!(opt.children[2].meta_get("budget").is_some());
 
-        let sim = &spans[6];
+        let sim = &spans[4];
         assert_eq!(sim.count_named("h2d"), 1);
         assert_eq!(sim.count_named("launch"), outcome.kernels.len());
         assert_eq!(sim.count_named("d2h"), 1);

@@ -166,6 +166,7 @@ impl LaneCounts {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The original lane-at-a-time tree-walking interpreter: the oracle.
+    /// Always serial — `sim_threads` does not apply to it.
     Reference,
     /// The pre-decoded direct-threaded engine: lane-major, one lane at a
     /// time. Also what the superblock engine's profile warps and peeled
@@ -216,18 +217,9 @@ pub fn launch(
 ) -> Result<LaunchResult, SimError> {
     crate::parallel::clear_last_parallel_info();
     match crate::current_engine() {
-        Engine::Reference => {
-            // The tree-walker keeps no decoded program that a worker
-            // pool could share; a multi-threaded launch delegates to the
-            // decoded engine, which is stats- and memory-identical
-            // (asserted by the engine differential suite). At one thread
-            // the historical reference path runs untouched.
-            if crate::current_sim_threads() > 1 && config.total_blocks() > 1 {
-                crate::decode::launch_decoded(kernel, config, params, mem, spilled)
-            } else {
-                launch_reference(kernel, config, params, mem, spilled)
-            }
-        }
+        // The oracle: serial at any `sim_threads`, so a differential test
+        // never compares the decoded engine with itself.
+        Engine::Reference => launch_reference(kernel, config, params, mem, spilled),
         Engine::Decoded => crate::decode::launch_decoded(kernel, config, params, mem, spilled),
         Engine::Superblock => {
             crate::superblock::launch_superblock(kernel, config, params, mem, spilled)

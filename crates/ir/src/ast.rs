@@ -637,6 +637,28 @@ impl Function {
         walk(&self.body, &mut out);
         out
     }
+
+    /// [`Function::regions`], mutably: what a transformation pass
+    /// rewrites in place.
+    pub fn regions_mut(&mut self) -> Vec<&mut OffloadRegion> {
+        fn walk<'a>(stmts: &'a mut [Stmt], out: &mut Vec<&'a mut OffloadRegion>) {
+            for s in stmts {
+                match s {
+                    Stmt::Region(r) => out.push(r),
+                    Stmt::For(f) => walk(&mut f.body, out),
+                    Stmt::If { then_body, else_body, .. } => {
+                        walk(then_body, out);
+                        walk(else_body, out);
+                    }
+                    Stmt::Block(b) => walk(b, out),
+                    _ => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&mut self.body, &mut out);
+        out
+    }
 }
 
 /// A MiniACC translation unit.

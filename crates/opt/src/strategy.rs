@@ -106,7 +106,8 @@ pub fn carr_kennedy_pass(
         l.sequential = true;
     }
     let usage = classify_arrays(&func.params, &snapshot);
-    let groups = find_reuse_groups_with_info(&snapshot, &info);
+    // The reuse analysis runs against the doctored info.
+    let groups = find_reuse_groups(&snapshot, &info);
     let config = SelectionConfig { cost_model: CostModel::count_only(), ..Default::default() };
     let real_info = RegionInfo::analyze(&snapshot);
     let picked = select_candidates(&groups, &real_info, &usage, budget_regs, &config);
@@ -135,22 +136,6 @@ pub fn carr_kennedy_pass(
         sequentialize(&mut region.body, var);
     }
     outcome
-}
-
-/// Re-run the reuse analysis against a doctored `RegionInfo` (used by the
-/// Carr–Kennedy strategy to treat parallel loops as sequential).
-fn find_reuse_groups_with_info(
-    region: &OffloadRegion,
-    info: &RegionInfo,
-) -> Vec<safara_analysis::reuse::ReuseGroup> {
-    find_reuse_groups_impl(region, info)
-}
-
-fn find_reuse_groups_impl(
-    region: &OffloadRegion,
-    info: &RegionInfo,
-) -> Vec<safara_analysis::reuse::ReuseGroup> {
-    safara_analysis::reuse::find_reuse_groups(region, info)
 }
 
 fn sequentialize(stmts: &mut [Stmt], var: &Ident) {

@@ -1599,13 +1599,9 @@ mod tests {
         let trace = v.get("trace").and_then(Json::as_arr).expect("trace span array");
         let names: Vec<&str> =
             trace.iter().map(|s| s.get("name").and_then(Json::as_str).unwrap()).collect();
-        for phase in ["parse", "sema", "analysis", "opt", "codegen", "regalloc", "sim"] {
-            assert_eq!(
-                names.iter().filter(|n| **n == phase).count(),
-                1,
-                "phase `{phase}` must appear exactly once in {names:?}"
-            );
-        }
+        assert_eq!(names, ["parse", "sema", "analysis", "opt", "sim"]);
+        // Every build is a `codegen` + `regalloc` pair nested under `opt`.
+        assert!(line.contains(r#""name":"codegen""#) && line.contains(r#""name":"regalloc""#));
         for span in trace {
             assert!(span.get("start_us").and_then(Json::as_i64).unwrap() >= 0);
             assert!(span.get("dur_us").and_then(Json::as_i64).unwrap() >= 0);

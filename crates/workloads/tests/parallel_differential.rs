@@ -1,20 +1,25 @@
 //! Block-parallel differential coverage: the fig7 (SPEC-like) suite
 //! must behave *identically* — reports, output buffers (raw bytes, so
 //! f32 comparisons are bitwise), checker verdicts and injected-fault
-//! errors — at every sim-thread count, under every engine.
+//! errors — at every sim-thread count, under both engines that have a
+//! worker pool. The reference engine has none: its serial run is the
+//! oracle every cell is compared with.
 //!
 //! Every knob is set through a thread-local [`ExecOptions::scope`], so
 //! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
-use safara_core::gpusim::{Engine, ExecOptions, LaunchCache, DEFAULT_SUPERBLOCK_THRESHOLD};
+use safara_core::gpusim::{
+    last_parallel_info, Engine, ExecOptions, LaunchCache, DEFAULT_SUPERBLOCK_THRESHOLD,
+};
 use safara_core::obs::Tracer;
 use safara_core::{
     compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
 };
 use safara_workloads::{run_workload_cached, spec_suite, Scale, Workload};
 
-const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Decoded, Engine::Superblock];
+/// The engines `sim_threads` applies to.
+const POOLED: [Engine; 2] = [Engine::Decoded, Engine::Superblock];
 
 /// The knobs one observation runs under. The hot threshold is pinned to
 /// its default so an ambient `SAFARA_SB_THRESHOLD` cannot turn the
@@ -45,26 +50,41 @@ fn observe(
     })
 }
 
-/// The whole suite, every engine, sim-threads 1 / 2 / auto: bitwise the
-/// same observables as the plain (no-override) serial run. The
-/// `sim_threads = 1` column also pins that an explicit 1 is the serial
-/// path, not a one-worker pool with different behavior.
+/// The whole suite, both pooled engines, sim-threads 1 / 2 / auto:
+/// bitwise the same observables as the reference engine's serial run.
+/// The `sim_threads = 1` column also pins that an explicit 1 is the
+/// serial path, not a one-worker pool with different behavior.
 #[test]
 fn fig7_suite_byte_identical_across_sim_threads_and_engines() {
     for w in spec_suite() {
-        for engine in ENGINES {
-            // Baseline: no thread override at all (process default).
-            let (rep0, args0, chk0) = observe(w.as_ref(), engine, 1);
-            assert!(chk0.is_ok(), "{} [{engine:?}]: serial checker: {chk0:?}", w.name());
-            for threads in [2u32, 0 /* auto */] {
+        let (rep0, args0, chk0) = observe(w.as_ref(), Engine::Reference, 1);
+        assert!(chk0.is_ok(), "{}: reference checker: {chk0:?}", w.name());
+        for engine in POOLED {
+            for threads in [1u32, 2, 0 /* auto */] {
                 let (rep, args, chk) = observe(w.as_ref(), engine, threads);
                 let tag = format!("{} [{engine:?}] sim_threads={threads}", w.name());
-                assert_eq!(chk0, chk, "{tag}: checker verdict vs serial");
-                assert_eq!(rep0, rep, "{tag}: RunReport vs serial");
-                assert_eq!(args0, args, "{tag}: output buffers vs serial");
+                assert_eq!(chk0, chk, "{tag}: checker verdict vs reference");
+                assert_eq!(rep0, rep, "{tag}: RunReport vs reference");
+                assert_eq!(args0, args, "{tag}: output buffers vs reference");
             }
         }
     }
+}
+
+/// The one reference cell: `sim_threads` does not reach the oracle. A
+/// multi-block workload under a two-thread scope opens no worker pool
+/// and observes what the one-thread run does.
+#[test]
+fn reference_engine_ignores_sim_threads() {
+    let w = &spec_suite()[0];
+    let serial = observe(w.as_ref(), Engine::Reference, 1);
+    let pooled = observe(w.as_ref(), Engine::Reference, 2);
+    assert_eq!(last_parallel_info(), None, "{}: the oracle opened a worker pool", w.name());
+    assert_eq!(serial, pooled);
+    // The same cell under the decoded engine does pool its last launch,
+    // so the `None` above is not a one-block launch's.
+    assert_eq!(serial, observe(w.as_ref(), Engine::Decoded, 2));
+    assert!(last_parallel_info().is_some(), "{}: nothing here pools", w.name());
 }
 
 /// The atomics-heavy workloads (EP and CG both finish with f32 atomic
@@ -78,9 +98,9 @@ fn atomic_reductions_bitwise_stable_at_any_worker_count() {
         suite.iter().filter(|w| ["352.ep", "354.cg"].contains(&w.name())).collect();
     assert_eq!(atomics.len(), 2, "expected the EP and CG reduction workloads in the suite");
     for w in atomics {
-        for engine in ENGINES {
-            let (rep1, args1, chk1) = observe(w.as_ref(), engine, 1);
-            assert!(chk1.is_ok(), "{} [{engine:?}]: serial checker: {chk1:?}", w.name());
+        let (rep1, args1, chk1) = observe(w.as_ref(), Engine::Reference, 1);
+        assert!(chk1.is_ok(), "{}: reference checker: {chk1:?}", w.name());
+        for engine in POOLED {
             for threads in [2u32, 3, 8] {
                 let (rep, args, _) = observe(w.as_ref(), engine, threads);
                 let tag = format!("{} [{engine:?}] sim_threads={threads}", w.name());
@@ -89,7 +109,7 @@ fn atomic_reductions_bitwise_stable_at_any_worker_count() {
                     "{tag}: atomic reduction bits differ from serial — the \
                      block-ordered deferred-atomic replay has regressed"
                 );
-                assert_eq!(rep1, rep, "{tag}: RunReport vs serial");
+                assert_eq!(rep1, rep, "{tag}: RunReport vs reference");
             }
         }
     }
@@ -99,7 +119,7 @@ fn atomic_reductions_bitwise_stable_at_any_worker_count() {
 /// same typed error at every thread count: a 10-seed sweep with a
 /// probabilistic `sim` fault (plus a deterministic one) must produce
 /// per-seed outcomes — code/message/retryable or success — identical
-/// across sim-threads 1 and 2, for every engine. No deadlocked joins,
+/// across sim-threads 1 and 2, for both pooled engines. No deadlocked joins,
 /// no poisoned state: the pool must stay usable after each failure.
 #[test]
 fn chaos_sweep_errors_identical_across_sim_threads() {
@@ -121,7 +141,7 @@ fn chaos_sweep_errors_identical_across_sim_threads() {
                     .map_err(|e| (e.code().to_string(), e.to_string(), e.retryable()))
             })
         };
-    for engine in ENGINES {
+    for engine in POOLED {
         for seed in 1..=10u64 {
             for spec in ["sim:fail:0.5", "sim:fail:1"] {
                 let serial = outcome(engine, 1, seed, spec);

@@ -65,6 +65,18 @@ echo "== lockstep never logs per lane =="
 [ "$(grep -c 'warp\.log' crates/gpusim/src/superblock.rs || true)" = "0" ] \
   || { echo "lockstep gate: superblock.rs logs memory events per lane again" >&2; exit 1; }
 
+echo "== one build site =="
+# A function body is lowered and register-allocated in one place,
+# `Candidate::build`; saturation, every feedback round and the compiled
+# program all hold what it returned. A second call site in the driver is
+# a body being rebuilt (or built some other way) again.
+driver_src="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/driver.rs)"
+for call in 'lower_function(' 'allocate_registers_with('; do
+  sites="$(printf '%s\n' "$driver_src" | grep -cF "$call" || true)"
+  [ "$sites" = "1" ] \
+    || { echo "one-build-site gate: driver.rs calls $call at $sites places outside its tests" >&2; exit 1; }
+done
+
 echo "== safara-serve stdin smoke =="
 # Three requests through the real service binary: parse, queue, worker
 # pool, pipeline, response — all via the wire protocol. Request 3 sets
@@ -80,7 +92,8 @@ echo "$smoke_out" | grep -q '"id":2,"status":"ok"'
 # 2.0f * 8.0f = 16.0f -> bit pattern 0x41800000 = 1098907648
 echo "$smoke_out" | grep -q '1098907648'
 # The traced response carries a well-formed span tree: a "trace" array
-# with every pipeline phase and duration fields.
+# with every pipeline phase (`codegen` and `regalloc` nested under
+# `opt`, once per build) and duration fields.
 traced_line="$(echo "$smoke_out" | grep '"id":3')"
 echo "$traced_line" | grep -q '"status":"ok"'
 echo "$traced_line" | grep -q '"trace":\['
