@@ -40,6 +40,13 @@ pub fn classify_arrays(
     params: &[Param],
     region: &OffloadRegion,
 ) -> BTreeMap<Ident, ArrayUsage> {
+    classify_arrays_in(params, &region.body)
+}
+
+/// [`classify_arrays`] over a statement list — one loop nest of a region
+/// is classified by what *it* reads and writes, without being re-wrapped
+/// as a region of its own.
+pub fn classify_arrays_in(params: &[Param], body: &[Stmt]) -> BTreeMap<Ident, ArrayUsage> {
     let mut out: BTreeMap<Ident, ArrayUsage> = BTreeMap::new();
     for p in params {
         if let Param::Array { name, ty, is_const } = p {
@@ -55,7 +62,7 @@ pub fn classify_arrays(
             );
         }
     }
-    mark(&region.body, &mut out);
+    mark(body, &mut out);
     for u in out.values_mut() {
         u.space = if u.written { ArraySpace::Global } else { ArraySpace::ReadOnly };
     }

@@ -70,9 +70,15 @@ pub struct RegionInfo {
 impl RegionInfo {
     /// Analyze `region`.
     pub fn analyze(region: &OffloadRegion) -> RegionInfo {
+        RegionInfo::analyze_body(&region.body)
+    }
+
+    /// [`RegionInfo::analyze`] over a statement list: a region's body, or
+    /// one of its top-level loop nests on its own.
+    pub fn analyze_body(body: &[Stmt]) -> RegionInfo {
         // First pass: collect loops pre-order with parallel flags.
         let mut loops = Vec::new();
-        collect(&region.body, 0, false, &mut loops);
+        collect(body, 0, false, &mut loops);
         // Assign thread dimensions innermost-outward among parallel loops.
         // "Innermost" is the deepest parallel loop in the nest; when several
         // sibling nests exist, each chain gets its own assignment.

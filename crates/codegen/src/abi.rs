@@ -18,7 +18,7 @@
 use safara_ir::{Ident, ReduceOp, ScalarTy};
 
 /// Who owns a dope (dimension-info) parameter.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DimOwner {
     /// An individual array's dope vector.
     Array(Ident),

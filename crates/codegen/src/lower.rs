@@ -21,7 +21,7 @@
 
 use crate::abi::{AbiParam, DimOwner, KernelAbi};
 use crate::{CodegenError, CodegenOptions};
-use safara_analysis::memspace::{classify_arrays, ArrayUsage};
+use safara_analysis::memspace::{classify_arrays_in, ArrayUsage};
 use safara_analysis::region::{RegionInfo, ThreadDim};
 use safara_analysis::ArraySpace;
 use safara_gpusim::vir::*;
@@ -81,15 +81,11 @@ pub fn lower_function(
     for region in func.regions() {
         if region.body.iter().all(|s| matches!(s, Stmt::For(_))) {
             // The normal case: one kernel per top-level loop nest.
-            for stmt in &region.body {
-                let nest_region = OffloadRegion {
-                    directive: region.directive.clone(),
-                    body: vec![stmt.clone()],
-                    span: region.span,
-                };
+            for nest in &region.body {
                 let name = format!("{}_k{}", func.name, counter);
                 counter += 1;
-                out.push(lower_nest(func, &nest_region, opts, name)?);
+                let nest = std::slice::from_ref(nest);
+                out.push(lower_nest(func, &region.directive, nest, opts, name)?);
             }
         } else {
             // Degenerate case — e.g. Carr–Kennedy sequentialized the
@@ -105,23 +101,26 @@ pub fn lower_function(
             }
             let name = format!("{}_k{}", func.name, counter);
             counter += 1;
-            out.push(lower_nest(func, region, opts, name)?);
+            out.push(lower_nest(func, &region.directive, &region.body, opts, name)?);
         }
     }
     Ok(out)
 }
 
+/// Lower `body` — one top-level loop nest of a region, or the whole body
+/// of a fully sequentialized one — under the region's `directive`.
 fn lower_nest(
     func: &Function,
-    region: &OffloadRegion,
+    directive: &RegionDirective,
+    body: &[Stmt],
     opts: &CodegenOptions,
     name: String,
 ) -> Result<CompiledKernel, CodegenError> {
-    let info = RegionInfo::analyze(region);
-    let usage = classify_arrays(&func.params, region);
+    let info = RegionInfo::analyze_body(body);
+    let usage = classify_arrays_in(&func.params, body);
     let mut em = Emitter {
         func,
-        clauses: &region.directive.clauses,
+        clauses: &directive.clauses,
         opts,
         usage,
         info,
@@ -139,7 +138,7 @@ fn lower_nest(
         mapped: Vec::new(),
     };
     em.exit_label = em.fresh_label();
-    em.run(region)?;
+    em.run(body)?;
     let mut vir = em.kernel;
     let mut insts = em.entry;
     insts.extend(em.code);
@@ -157,9 +156,8 @@ fn lower_nest(
     if opts.dce {
         crate::dce::eliminate_dead_code(&mut vir);
     }
-    let dim_groups =
-        region.directive.clauses.dim_groups.iter().map(|g| g.arrays.clone()).collect();
-    let launch_bounds = region.directive.clauses.launch_bounds.as_ref().map(|lb| {
+    let dim_groups = directive.clauses.dim_groups.iter().map(|g| g.arrays.clone()).collect();
+    let launch_bounds = directive.clauses.launch_bounds.as_ref().map(|lb| {
         let t = lb.max_threads.as_const().unwrap_or(0).max(0) as u32;
         let b = lb
             .min_blocks
@@ -202,7 +200,7 @@ struct Emitter<'a> {
     code: Vec<Inst>,
     env: HashMap<Ident, Slot>,
     array_base: HashMap<Ident, VReg>,
-    dope: HashMap<(String, usize, bool), VReg>, // (owner key, dim, is_lower)
+    dope: HashMap<(DimOwner, usize, bool), VReg>, // (owner, dim, is_lower)
     memo: Vec<HashMap<MemoKey, VReg>>,
     next_label: u32,
     exit_label: Label,
@@ -378,22 +376,16 @@ impl<'a> Emitter<'a> {
         d
     }
 
-    fn dope_value(&mut self, owner: &DimOwner, dim: usize, is_lower: bool) -> VReg {
-        let key = (
-            match owner {
-                DimOwner::Array(a) => format!("a:{a}"),
-                DimOwner::Group(g) => format!("g:{g}"),
-            },
-            dim,
-            is_lower,
-        );
+    fn dope_value(&mut self, owner: DimOwner, dim: usize, is_lower: bool) -> VReg {
+        let key = (owner, dim, is_lower);
         if let Some(r) = self.dope.get(&key) {
             return *r;
         }
+        let owner = key.0.clone();
         let p = if is_lower {
-            AbiParam::DimLower { owner: owner.clone(), dim }
+            AbiParam::DimLower { owner, dim }
         } else {
-            AbiParam::DimExtent { owner: owner.clone(), dim }
+            AbiParam::DimExtent { owner, dim }
         };
         let ix = self.abi.intern(p);
         let d = self.vreg(VType::B32);
@@ -404,20 +396,17 @@ impl<'a> Emitter<'a> {
 
     // ------------------------------------------------------- the driver
 
-    fn run(&mut self, region: &OffloadRegion) -> Result<(), CodegenError> {
+    fn run(&mut self, body: &[Stmt]) -> Result<(), CodegenError> {
         // The nest: descend through parallel loops, emitting index
         // computation + guard for each, then lower the first
         // non-parallel level as ordinary statements. A region whose body
         // is not a single loop nest (fully sequentialized code) lowers as
         // plain statements on one thread.
-        if region.body.len() == 1 {
-            if let Stmt::For(top) = &region.body[0] {
-                self.lower_parallel_chain(top)?;
-                self.finish()?;
-                return Ok(());
-            }
+        if let [Stmt::For(top)] = body {
+            self.lower_parallel_chain(top)?;
+            return self.finish();
         }
-        for s in &region.body {
+        for s in body {
             self.lower_stmt(s)?;
         }
         self.finish()
@@ -443,12 +432,12 @@ impl<'a> Emitter<'a> {
     }
 
     fn lower_parallel_chain(&mut self, f: &ForLoop) -> Result<(), CodegenError> {
-        let li = self
+        let mapped = self
             .info
             .loop_of(&f.var)
             .ok_or_else(|| CodegenError::new(format!("loop `{}` missing from analysis", f.var)))?
-            .clone();
-        match li.mapped {
+            .mapped;
+        match mapped {
             Some(dim) => {
                 self.begin_mapped_loop(f, dim)?;
                 // The body must be either exactly one nested parallel
@@ -476,7 +465,7 @@ impl<'a> Emitter<'a> {
             None => {
                 // Top of the nest is already sequential: a degenerate
                 // single-thread kernel.
-                self.lower_stmt(&Stmt::For(Box::new(f.clone())))
+                self.lower_seq_loop(f)
             }
         }
     }
@@ -894,8 +883,11 @@ impl<'a> Emitter<'a> {
     /// Compute the element address of an array reference; returns
     /// (address register, element VIR type, load memory space).
     fn array_access(&mut self, a: &ArrayRef) -> Result<(VReg, VType, MemSpace), CodegenError> {
-        let (aty, _is_const) = match self.func.param(&a.array) {
-            Some(Param::Array { ty, is_const, .. }) => (ty.clone(), *is_const),
+        // `func` and `clauses` outlive the emitter's own borrow: what they
+        // hand out stays usable across the `&mut self` calls below.
+        let (func, clauses) = (self.func, self.clauses);
+        let aty = match func.param(&a.array) {
+            Some(Param::Array { ty, .. }) => ty,
             _ => {
                 return Err(CodegenError::new(format!(
                     "`{}` is not an array parameter",
@@ -928,11 +920,7 @@ impl<'a> Emitter<'a> {
 
         // Dope source: a dim group (owned bounds or shared dope) or the
         // array itself.
-        let group = if self.opts.honor_dim {
-            self.clauses.dim_group_of(&a.array).map(|(ix, g)| (ix, g.clone()))
-        } else {
-            None
-        };
+        let group = if self.opts.honor_dim { clauses.dim_group_of(&a.array) } else { None };
 
         // offset = ((i0' * e1 + i1') * e2 + i2') ... — the row-major
         // Horner fold, shared with the saturation phase's factoring rule
@@ -941,8 +929,8 @@ impl<'a> Emitter<'a> {
             let mut alg = EmitterOffset {
                 em: self,
                 indices: &a.indices,
-                aty: &aty,
-                group: group.as_ref(),
+                aty,
+                group,
                 array: &a.array,
                 off_ty,
             };
@@ -973,7 +961,7 @@ impl<'a> Emitter<'a> {
     fn dim_lower(
         &mut self,
         aty: &ArrayTy,
-        group: Option<&(usize, DimGroup)>,
+        group: Option<(usize, &DimGroup)>,
         array: &Ident,
         d: usize,
     ) -> Result<Option<Operand>, CodegenError> {
@@ -998,10 +986,10 @@ impl<'a> Emitter<'a> {
                 }
                 // Runtime lower bound: a dope scalar.
                 let owner = match group {
-                    Some((gi, _)) => DimOwner::Group(*gi),
+                    Some((gi, _)) => DimOwner::Group(gi),
                     None => DimOwner::Array(array.clone()),
                 };
-                Ok(Some(self.dope_value(&owner, d, true).into()))
+                Ok(Some(self.dope_value(owner, d, true).into()))
             }
         }
     }
@@ -1010,7 +998,7 @@ impl<'a> Emitter<'a> {
     fn dim_extent(
         &mut self,
         aty: &ArrayTy,
-        group: Option<&(usize, DimGroup)>,
+        group: Option<(usize, &DimGroup)>,
         array: &Ident,
         d: usize,
     ) -> Result<Operand, CodegenError> {
@@ -1031,10 +1019,10 @@ impl<'a> Emitter<'a> {
                     return Ok(Operand::ImmI(c));
                 }
                 let owner = match group {
-                    Some((gi, _)) => DimOwner::Group(*gi),
+                    Some((gi, _)) => DimOwner::Group(gi),
                     None => DimOwner::Array(array.clone()),
                 };
-                Ok(self.dope_value(&owner, d, false).into())
+                Ok(self.dope_value(owner, d, false).into())
             }
         }
     }
@@ -1048,7 +1036,7 @@ struct EmitterOffset<'e, 'a> {
     em: &'e mut Emitter<'a>,
     indices: &'e [Expr],
     aty: &'e ArrayTy,
-    group: Option<&'e (usize, DimGroup)>,
+    group: Option<(usize, &'e DimGroup)>,
     array: &'e Ident,
     off_ty: VType,
 }

@@ -18,7 +18,6 @@
 //! do not count against the general-purpose budget.
 
 use crate::vir::{Inst, KernelVir, VReg, VType};
-use std::collections::BTreeSet;
 
 /// Where spilled values live, RegDem-style (arXiv 1907.02894): the
 /// default local-memory path pays a global-memory round trip per access;
@@ -77,6 +76,17 @@ struct Interval {
     uses: u32,  // static use+def count (spill-cost heuristic)
 }
 
+impl Interval {
+    /// Hardware registers the value occupies.
+    fn width(&self) -> usize {
+        if self.pair {
+            2
+        } else {
+            1
+        }
+    }
+}
+
 /// Run register allocation with the given per-thread register cap.
 ///
 /// `max_regs` models the hardware cap (255 on Kepler) or a launch-bound
@@ -107,102 +117,80 @@ pub fn allocate_registers_with(
     // Linear scan (Poletto–Sarkar), intervals sorted by start.
     intervals.sort_by_key(|iv| (iv.start, iv.vreg.0));
 
-    let mut free: BTreeSet<usize> = (0..cap).collect();
+    let mut free = FreeRegs::new(cap);
     let mut active: Vec<(Interval, usize)> = Vec::new(); // (interval, first phys reg)
+    let mut in_use = 0usize; // registers `active` holds
     let mut spilled: Vec<Interval> = Vec::new();
     let mut high_water = 0usize;
-    let mut demand_water = 0usize;
+    // Unbounded demand: every interval that has started and not ended,
+    // allocated or not, and the registers they would hold together.
     let mut demand_active: Vec<Interval> = Vec::new();
+    let mut want = 0usize;
+    let mut demand_water = 0usize;
 
     for iv in &intervals {
         // Expire intervals that ended before this start.
-        let mut expired: Vec<usize> = Vec::new();
         active.retain(|(a, first)| {
-            if a.end < iv.start {
-                expired.push(*first);
-                if a.pair {
-                    expired.push(first + 1);
-                }
-                false
-            } else {
-                true
+            let ended = a.end < iv.start;
+            if ended {
+                free.release(*first, a.pair);
+                in_use -= a.width();
             }
+            !ended
         });
-        for r in expired {
-            free.insert(r);
-        }
-        demand_active.retain(|a| a.end >= iv.start);
+        demand_active.retain(|a| {
+            let ended = a.end < iv.start;
+            if ended {
+                want -= a.width();
+            }
+            !ended
+        });
 
-        // Unbounded-demand bookkeeping.
         demand_active.push(*iv);
-        let want: usize = demand_active.iter().map(|a| if a.pair { 2 } else { 1 }).sum();
+        want += iv.width();
         demand_water = demand_water.max(want);
 
         // Try to allocate.
-        let slot = if iv.pair { take_pair(&mut free) } else { take_single(&mut free) };
+        let mut slot = free.take(iv.pair);
+        if slot.is_none() {
+            // Spill the active interval with the furthest end and the
+            // fewest uses (cheapest dynamically), or the new interval
+            // itself if it ends last.
+            let victim = active
+                .iter()
+                .enumerate()
+                .filter(|(_, (a, _))| a.pair == iv.pair || a.pair)
+                .max_by_key(|(_, (a, _))| (a.end, u32::MAX - a.uses))
+                .map(|(idx, _)| idx);
+            if let Some(idx) = victim.filter(|&idx| active[idx].0.end > iv.end) {
+                let (v, first) = active.remove(idx);
+                free.release(first, v.pair);
+                in_use -= v.width();
+                spilled.push(v);
+                slot = free.take(iv.pair);
+            }
+        }
         match slot {
             Some(first) => {
                 active.push((*iv, first));
-                let in_use: usize =
-                    active.iter().map(|(a, _)| if a.pair { 2 } else { 1 }).sum();
+                in_use += iv.width();
                 high_water = high_water.max(in_use);
             }
-            None => {
-                // Spill the active interval with the furthest end and the
-                // fewest uses (cheapest dynamically), or the new interval
-                // itself if it ends last.
-                let victim = active
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (a, _))| a.pair == iv.pair || a.pair)
-                    .max_by_key(|(_, (a, _))| (a.end, u32::MAX - a.uses))
-                    .map(|(idx, _)| idx);
-                match victim {
-                    Some(idx) if active[idx].0.end > iv.end => {
-                        let (v, first) = active.remove(idx);
-                        free.insert(first);
-                        if v.pair {
-                            free.insert(first + 1);
-                        }
-                        spilled.push(v);
-                        let slot2 =
-                            if iv.pair { take_pair(&mut free) } else { take_single(&mut free) };
-                        match slot2 {
-                            Some(first2) => {
-                                active.push((*iv, first2));
-                                let in_use: usize = active
-                                    .iter()
-                                    .map(|(a, _)| if a.pair { 2 } else { 1 })
-                                    .sum();
-                                high_water = high_water.max(in_use);
-                            }
-                            None => spilled.push(*iv),
-                        }
-                    }
-                    _ => spilled.push(*iv),
-                }
-            }
+            None => spilled.push(*iv),
         }
     }
 
-    let mut spill_bytes = 0u32;
-    let mut loads = 0u32;
-    let mut stores = 0u32;
     let spilled_regs: Vec<VReg> = spilled.iter().map(|iv| iv.vreg).collect();
-    for iv in &spilled {
-        spill_bytes += if iv.pair { 8 } else { 4 };
-    }
-    let spillset: BTreeSet<VReg> = spilled_regs.iter().copied().collect();
-    for inst in &kernel.insts {
-        for u in inst.uses() {
-            if spillset.contains(&u) {
-                loads += 1;
-            }
+    let spill_bytes: u32 = spilled.iter().map(|iv| if iv.pair { 8 } else { 4 }).sum();
+    let (mut loads, mut stores) = (0u32, 0u32);
+    if !spilled.is_empty() {
+        let mut is_spilled = vec![false; kernel.vregs.len()];
+        for r in &spilled_regs {
+            is_spilled[r.0 as usize] = true;
         }
-        if let Some(d) = inst.def() {
-            if spillset.contains(&d) {
-                stores += 1;
-            }
+        for inst in &kernel.insts {
+            loads += inst.uses().iter().filter(|u| is_spilled[u.0 as usize]).count() as u32;
+            stores += u32::from(inst.def().is_some_and(|d| is_spilled[d.0 as usize]));
         }
     }
 
@@ -228,60 +216,105 @@ pub fn allocate_registers_with(
     }
 }
 
-fn take_single(free: &mut BTreeSet<usize>) -> Option<usize> {
-    let r = *free.iter().next()?;
-    free.remove(&r);
-    Some(r)
+/// The free physical registers `0..cap` (cap ≤ 255), one bit each.
+///
+/// The policy is part of the model, not an implementation detail: a
+/// single takes the **lowest** free register, a pair the **lowest
+/// even-aligned** `r` with `r` and `r + 1` both free. Which registers a
+/// run of singles leaves behind decides whether a later pair finds a
+/// slot, so fragmentation under this policy decides spills — and with
+/// them `regs_used`, the number the feedback loop steers by.
+struct FreeRegs([u64; 4]);
+
+impl FreeRegs {
+    /// Bits at even positions: the candidates for a pair's first half.
+    const EVEN: u64 = 0x5555_5555_5555_5555;
+
+    fn new(cap: usize) -> FreeRegs {
+        let mut words = [0u64; 4];
+        for (w, word) in words.iter_mut().enumerate() {
+            let bits = cap.saturating_sub(w * 64).min(64);
+            *word = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        }
+        FreeRegs(words)
+    }
+
+    /// Take the lowest free single, or the lowest aligned free pair.
+    fn take(&mut self, pair: bool) -> Option<usize> {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            // 64 is even, so a pair never straddles two words.
+            let candidates = if pair { *word & (*word >> 1) & Self::EVEN } else { *word };
+            if candidates != 0 {
+                let bit = candidates.trailing_zeros() as usize;
+                *word &= !((if pair { 0b11 } else { 0b1 }) << bit);
+                return Some(w * 64 + bit);
+            }
+        }
+        None
+    }
+
+    fn release(&mut self, first: usize, pair: bool) {
+        self.0[first / 64] |= (if pair { 0b11 } else { 0b1 }) << (first % 64);
+    }
 }
 
-fn take_pair(free: &mut BTreeSet<usize>) -> Option<usize> {
-    let r = free
-        .iter()
-        .copied()
-        .find(|&r| r % 2 == 0 && free.contains(&(r + 1)))?;
-    free.remove(&r);
-    free.remove(&(r + 1));
-    Some(r)
+/// Instruction-level liveness: row `i` of the result is the set of vregs
+/// live *into* instruction `i`, one bit per vreg, rows laid end to end.
+struct Liveness {
+    /// `u64` words per row.
+    words: usize,
+    bits: Vec<u64>,
 }
 
-/// Instruction-level liveness: `live[i]` is the set of vregs live *into*
-/// instruction `i`, as a bitset.
-fn liveness(kernel: &KernelVir) -> Vec<Vec<u64>> {
+impl Liveness {
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+}
+
+/// Backward dataflow to the least fixed point. Successors are resolved
+/// once; a sweep visits instructions last to first, so a changed row
+/// calls for another sweep only when something at or below it branches
+/// back to it — straight-line code settles in one.
+fn liveness(kernel: &KernelVir) -> Liveness {
+    const NONE: usize = usize::MAX;
     let n = kernel.insts.len();
-    let nv = kernel.vregs.len();
-    let words = nv.div_ceil(64);
+    let words = kernel.vregs.len().div_ceil(64);
     let labels = kernel.label_positions();
-    let mut live_in = vec![vec![0u64; words]; n + 1];
 
-    let succs = |i: usize| -> Vec<usize> {
-        match &kernel.insts[i] {
-            Inst::Ret => vec![],
+    // Row `n` stays empty: falling off the end keeps nothing alive.
+    let mut succs = vec![[NONE; 2]; n];
+    let mut back_target = vec![false; n + 1];
+    for (i, inst) in kernel.insts.iter().enumerate() {
+        succs[i] = match inst {
+            Inst::Ret => [NONE, NONE],
             Inst::Bra { target, pred } => {
                 let t = labels
                     .get(target.0 as usize)
                     .copied()
                     .flatten()
                     .expect("branch to unknown label");
-                if pred.is_some() {
-                    vec![i + 1, t]
-                } else {
-                    vec![t]
+                if t <= i {
+                    back_target[t] = true;
                 }
+                [if pred.is_some() { i + 1 } else { NONE }, t]
             }
-            _ => vec![i + 1],
-        }
-    };
+            _ => [i + 1, NONE],
+        };
+    }
 
-    let mut changed = true;
-    while changed {
-        changed = false;
+    let mut live = Liveness { words, bits: vec![0u64; (n + 1) * words] };
+    let mut out = vec![0u64; words];
+    let mut again = true;
+    while again {
+        again = false;
         for i in (0..n).rev() {
             // live-out = union of successors' live-in.
-            let mut out = vec![0u64; words];
-            for s in succs(i) {
-                if s <= n {
-                    for w in 0..words {
-                        out[w] |= live_in[s][w];
+            out.fill(0);
+            for s in succs[i] {
+                if s != NONE {
+                    for (o, l) in out.iter_mut().zip(live.row(s)) {
+                        *o |= l;
                     }
                 }
             }
@@ -292,56 +325,50 @@ fn liveness(kernel: &KernelVir) -> Vec<Vec<u64>> {
             for u in kernel.insts[i].uses() {
                 out[u.0 as usize / 64] |= 1u64 << (u.0 % 64);
             }
-            if out != live_in[i] {
-                live_in[i] = out;
-                changed = true;
+            let row = &mut live.bits[i * words..(i + 1) * words];
+            if *row != *out {
+                row.copy_from_slice(&out);
+                again |= back_target[i];
             }
         }
     }
-    live_in.truncate(n);
-    live_in
+    live
 }
 
-fn build_intervals(kernel: &KernelVir, live_in: &[Vec<u64>]) -> Vec<Interval> {
+fn build_intervals(kernel: &KernelVir, live: &Liveness) -> Vec<Interval> {
     let nv = kernel.vregs.len();
     let mut start = vec![usize::MAX; nv];
     let mut end = vec![0usize; nv];
     let mut uses = vec![0u32; nv];
-    let mut seen = vec![false; nv];
 
-    let touch = |v: usize, i: usize, start: &mut [usize], end: &mut [usize], seen: &mut [bool]| {
-        if !seen[v] {
-            seen[v] = true;
-            start[v] = i;
-        }
+    // `start == usize::MAX` marks a vreg no instruction touches.
+    let touch = |v: usize, i: usize, start: &mut [usize], end: &mut [usize]| {
         start[v] = start[v].min(i);
         end[v] = end[v].max(i);
     };
 
-    for (i, li) in live_in.iter().enumerate() {
-        for (w, &bits) in li.iter().enumerate() {
+    for i in 0..kernel.insts.len() {
+        for (w, &bits) in live.row(i).iter().enumerate() {
             let mut b = bits;
             while b != 0 {
-                let bit = b.trailing_zeros() as usize;
-                let v = w * 64 + bit;
-                touch(v, i, &mut start, &mut end, &mut seen);
+                touch(w * 64 + b.trailing_zeros() as usize, i, &mut start, &mut end);
                 b &= b - 1;
             }
         }
     }
     for (i, inst) in kernel.insts.iter().enumerate() {
         if let Some(d) = inst.def() {
-            touch(d.0 as usize, i, &mut start, &mut end, &mut seen);
+            touch(d.0 as usize, i, &mut start, &mut end);
             uses[d.0 as usize] += 1;
         }
         for u in inst.uses() {
-            touch(u.0 as usize, i, &mut start, &mut end, &mut seen);
+            touch(u.0 as usize, i, &mut start, &mut end);
             uses[u.0 as usize] += 1;
         }
     }
 
     (0..nv)
-        .filter(|&v| seen[v] && kernel.vregs[v] != VType::Pred)
+        .filter(|&v| start[v] != usize::MAX && kernel.vregs[v] != VType::Pred)
         .map(|v| Interval {
             vreg: VReg(v as u32),
             start: start[v],
@@ -350,6 +377,277 @@ fn build_intervals(kernel: &KernelVir, live_in: &[Vec<u64>]) -> Vec<Interval> {
             uses: uses[v],
         })
         .collect()
+}
+
+/// The allocator as it stood before the flat-bitset liveness and the
+/// bitmask free list: `BTreeSet` free registers, one `Vec<u64>` row and
+/// one successor `Vec` per instruction per sweep, `active` re-summed for
+/// every interval. Kept as the oracle for the generated-kernel
+/// differential in the tests below.
+#[cfg(test)]
+mod reference {
+    use super::{Interval, RegAllocReport, SpillTarget};
+    use crate::vir::{Inst, KernelVir, VReg, VType};
+    use std::collections::BTreeSet;
+
+    pub fn allocate_registers_with(
+        kernel: &KernelVir,
+        max_regs: u32,
+        target: SpillTarget,
+        threads_per_block: u32,
+        shared_mem_per_sm: u32,
+    ) -> RegAllocReport {
+        let cap = max_regs.clamp(4, 255) as usize;
+        let live = liveness(kernel);
+        let mut intervals = build_intervals(kernel, &live);
+
+        // Linear scan (Poletto–Sarkar), intervals sorted by start.
+        intervals.sort_by_key(|iv| (iv.start, iv.vreg.0));
+
+        let mut free: BTreeSet<usize> = (0..cap).collect();
+        let mut active: Vec<(Interval, usize)> = Vec::new(); // (interval, first phys reg)
+        let mut spilled: Vec<Interval> = Vec::new();
+        let mut high_water = 0usize;
+        let mut demand_water = 0usize;
+        let mut demand_active: Vec<Interval> = Vec::new();
+
+        for iv in &intervals {
+            // Expire intervals that ended before this start.
+            let mut expired: Vec<usize> = Vec::new();
+            active.retain(|(a, first)| {
+                if a.end < iv.start {
+                    expired.push(*first);
+                    if a.pair {
+                        expired.push(first + 1);
+                    }
+                    false
+                } else {
+                    true
+                }
+            });
+            for r in expired {
+                free.insert(r);
+            }
+            demand_active.retain(|a| a.end >= iv.start);
+
+            // Unbounded-demand bookkeeping.
+            demand_active.push(*iv);
+            let want: usize = demand_active.iter().map(|a| if a.pair { 2 } else { 1 }).sum();
+            demand_water = demand_water.max(want);
+
+            // Try to allocate.
+            let slot = if iv.pair { take_pair(&mut free) } else { take_single(&mut free) };
+            match slot {
+                Some(first) => {
+                    active.push((*iv, first));
+                    let in_use: usize =
+                        active.iter().map(|(a, _)| if a.pair { 2 } else { 1 }).sum();
+                    high_water = high_water.max(in_use);
+                }
+                None => {
+                    // Spill the active interval with the furthest end and the
+                    // fewest uses (cheapest dynamically), or the new interval
+                    // itself if it ends last.
+                    let victim = active
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (a, _))| a.pair == iv.pair || a.pair)
+                        .max_by_key(|(_, (a, _))| (a.end, u32::MAX - a.uses))
+                        .map(|(idx, _)| idx);
+                    match victim {
+                        Some(idx) if active[idx].0.end > iv.end => {
+                            let (v, first) = active.remove(idx);
+                            free.insert(first);
+                            if v.pair {
+                                free.insert(first + 1);
+                            }
+                            spilled.push(v);
+                            let slot2 =
+                                if iv.pair { take_pair(&mut free) } else { take_single(&mut free) };
+                            match slot2 {
+                                Some(first2) => {
+                                    active.push((*iv, first2));
+                                    let in_use: usize = active
+                                        .iter()
+                                        .map(|(a, _)| if a.pair { 2 } else { 1 })
+                                        .sum();
+                                    high_water = high_water.max(in_use);
+                                }
+                                None => spilled.push(*iv),
+                            }
+                        }
+                        _ => spilled.push(*iv),
+                    }
+                }
+            }
+        }
+
+        let mut spill_bytes = 0u32;
+        let mut loads = 0u32;
+        let mut stores = 0u32;
+        let spilled_regs: Vec<VReg> = spilled.iter().map(|iv| iv.vreg).collect();
+        for iv in &spilled {
+            spill_bytes += if iv.pair { 8 } else { 4 };
+        }
+        let spillset: BTreeSet<VReg> = spilled_regs.iter().copied().collect();
+        for inst in &kernel.insts {
+            for u in inst.uses() {
+                if spillset.contains(&u) {
+                    loads += 1;
+                }
+            }
+            if let Some(d) = inst.def() {
+                if spillset.contains(&d) {
+                    stores += 1;
+                }
+            }
+        }
+
+        // Capacity accounting for shared spilling: the slab must fit at
+        // least one block on an SM, or we fall back to local memory.
+        let slab = spill_bytes.saturating_mul(threads_per_block);
+        let (spill_target, shared_slab) = match target {
+            SpillTarget::Shared if spill_bytes > 0 && slab > 0 && slab <= shared_mem_per_sm => {
+                (SpillTarget::Shared, slab)
+            }
+            _ => (SpillTarget::Local, 0),
+        };
+
+        RegAllocReport {
+            regs_used: high_water.min(cap) as u32,
+            demand: demand_water as u32,
+            spilled: spilled_regs,
+            spill_bytes,
+            static_spill_loads: loads,
+            static_spill_stores: stores,
+            spill_target,
+            shared_spill_bytes_per_block: shared_slab,
+        }
+    }
+
+    fn take_single(free: &mut BTreeSet<usize>) -> Option<usize> {
+        let r = *free.iter().next()?;
+        free.remove(&r);
+        Some(r)
+    }
+
+    fn take_pair(free: &mut BTreeSet<usize>) -> Option<usize> {
+        let r = free
+            .iter()
+            .copied()
+            .find(|&r| r % 2 == 0 && free.contains(&(r + 1)))?;
+        free.remove(&r);
+        free.remove(&(r + 1));
+        Some(r)
+    }
+
+    /// Instruction-level liveness: `live[i]` is the set of vregs live *into*
+    /// instruction `i`, as a bitset.
+    fn liveness(kernel: &KernelVir) -> Vec<Vec<u64>> {
+        let n = kernel.insts.len();
+        let nv = kernel.vregs.len();
+        let words = nv.div_ceil(64);
+        let labels = kernel.label_positions();
+        let mut live_in = vec![vec![0u64; words]; n + 1];
+
+        let succs = |i: usize| -> Vec<usize> {
+            match &kernel.insts[i] {
+                Inst::Ret => vec![],
+                Inst::Bra { target, pred } => {
+                    let t = labels
+                        .get(target.0 as usize)
+                        .copied()
+                        .flatten()
+                        .expect("branch to unknown label");
+                    if pred.is_some() {
+                        vec![i + 1, t]
+                    } else {
+                        vec![t]
+                    }
+                }
+                _ => vec![i + 1],
+            }
+        };
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in (0..n).rev() {
+                // live-out = union of successors' live-in.
+                let mut out = vec![0u64; words];
+                for s in succs(i) {
+                    if s <= n {
+                        for w in 0..words {
+                            out[w] |= live_in[s][w];
+                        }
+                    }
+                }
+                // live-in = (out - def) ∪ uses.
+                if let Some(d) = kernel.insts[i].def() {
+                    out[d.0 as usize / 64] &= !(1u64 << (d.0 % 64));
+                }
+                for u in kernel.insts[i].uses() {
+                    out[u.0 as usize / 64] |= 1u64 << (u.0 % 64);
+                }
+                if out != live_in[i] {
+                    live_in[i] = out;
+                    changed = true;
+                }
+            }
+        }
+        live_in.truncate(n);
+        live_in
+    }
+
+    fn build_intervals(kernel: &KernelVir, live_in: &[Vec<u64>]) -> Vec<Interval> {
+        let nv = kernel.vregs.len();
+        let mut start = vec![usize::MAX; nv];
+        let mut end = vec![0usize; nv];
+        let mut uses = vec![0u32; nv];
+        let mut seen = vec![false; nv];
+
+        let touch = |v: usize, i: usize, start: &mut [usize], end: &mut [usize], seen: &mut [bool]| {
+            if !seen[v] {
+                seen[v] = true;
+                start[v] = i;
+            }
+            start[v] = start[v].min(i);
+            end[v] = end[v].max(i);
+        };
+
+        for (i, li) in live_in.iter().enumerate() {
+            for (w, &bits) in li.iter().enumerate() {
+                let mut b = bits;
+                while b != 0 {
+                    let bit = b.trailing_zeros() as usize;
+                    let v = w * 64 + bit;
+                    touch(v, i, &mut start, &mut end, &mut seen);
+                    b &= b - 1;
+                }
+            }
+        }
+        for (i, inst) in kernel.insts.iter().enumerate() {
+            if let Some(d) = inst.def() {
+                touch(d.0 as usize, i, &mut start, &mut end, &mut seen);
+                uses[d.0 as usize] += 1;
+            }
+            for u in inst.uses() {
+                touch(u.0 as usize, i, &mut start, &mut end, &mut seen);
+                uses[u.0 as usize] += 1;
+            }
+        }
+
+        (0..nv)
+            .filter(|&v| seen[v] && kernel.vregs[v] != VType::Pred)
+            .map(|v| Interval {
+                vreg: VReg(v as u32),
+                start: start[v],
+                end: end[v],
+                pair: kernel.vregs[v].hw_regs() == 2,
+                uses: uses[v],
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -538,5 +836,161 @@ mod tests {
         let d32 = build(VType::B32);
         let d64 = build(VType::B64);
         assert_eq!(d64, 2 * d32, "64-bit offsets must cost double: {d32} vs {d64}");
+    }
+
+    /// Generated kernels for the differential below: structured control
+    /// flow (counted loops, do-while back-edges, if/else) nested a few
+    /// deep over one pool of registers — singles, 64-bit pairs and
+    /// predicates mixed — so values stay live across back-edges, pairs
+    /// compete with singles for aligned slots, and definitions nobody
+    /// reads (dead chains) come out as one-point intervals.
+    struct Gen {
+        rng: crate::rng::SplitMix64,
+        k: KernelVir,
+        regs: Vec<VReg>,
+        preds: Vec<VReg>,
+        next_label: u32,
+    }
+
+    impl Gen {
+        fn new(seed: u64) -> Gen {
+            let mut rng = crate::rng::SplitMix64::new(seed);
+            let mut k = KernelVir { name: "gen".into(), ..Default::default() };
+            let tys = [VType::B32, VType::F32, VType::B32, VType::B64, VType::F64];
+            let regs = (0..3 + rng.gen_index(70)).map(|_| k.new_vreg(tys[rng.gen_index(5)])).collect();
+            let preds = (0..1 + rng.gen_index(3)).map(|_| k.new_vreg(VType::Pred)).collect();
+            Gen { rng, k, regs, preds, next_label: 0 }
+        }
+
+        fn reg(&mut self) -> VReg {
+            self.regs[self.rng.gen_index(self.regs.len())]
+        }
+
+        fn operand(&mut self) -> Operand {
+            if self.rng.gen_index(4) == 0 {
+                Operand::ImmI(self.rng.gen_range_i64(0, 9))
+            } else {
+                self.reg().into()
+            }
+        }
+
+        fn label(&mut self) -> Label {
+            self.next_label += 1;
+            Label(self.next_label - 1)
+        }
+
+        /// `setp p, ..` and return `p`.
+        fn cond(&mut self) -> VReg {
+            let p = self.preds[self.rng.gen_index(self.preds.len())];
+            let (a, b) = (self.operand(), self.operand());
+            self.k.insts.push(Inst::Setp { op: CmpOp::Lt, ty: VType::B32, d: p, a, b });
+            p
+        }
+
+        fn block(&mut self, depth: u32) {
+            for _ in 0..1 + self.rng.gen_index(8) {
+                let d = self.reg();
+                let ty = self.k.vtype(d);
+                match self.rng.gen_index(if depth < 3 { 12 } else { 9 }) {
+                    0 | 1 => {
+                        let a = self.operand();
+                        self.k.insts.push(Inst::Mov { ty, d, a });
+                    }
+                    2..=5 => {
+                        let (a, b) = (self.operand(), self.operand());
+                        self.k.insts.push(Inst::Alu { op: AluOp::Add, ty, d, a, b });
+                    }
+                    6 => {
+                        let addr = self.reg();
+                        self.k.insts.push(Inst::Ld { space: MemSpace::Global, ty, d, addr });
+                    }
+                    7 | 8 => {
+                        let a = self.operand();
+                        self.k.insts.push(Inst::St { space: MemSpace::Global, ty, addr: d, a });
+                    }
+                    9 => {
+                        // while (p) { body }
+                        let (top, end) = (self.label(), self.label());
+                        self.k.insts.push(Inst::Mark(top));
+                        let p = self.cond();
+                        self.k.insts.push(Inst::Bra { target: end, pred: Some((p, false)) });
+                        self.block(depth + 1);
+                        self.k.insts.push(Inst::Bra { target: top, pred: None });
+                        self.k.insts.push(Inst::Mark(end));
+                    }
+                    10 => {
+                        // do { body } while (p)
+                        let top = self.label();
+                        self.k.insts.push(Inst::Mark(top));
+                        self.block(depth + 1);
+                        let p = self.cond();
+                        self.k.insts.push(Inst::Bra { target: top, pred: Some((p, true)) });
+                    }
+                    _ => {
+                        // if (p) { then } else { else }
+                        let (l_else, l_end) = (self.label(), self.label());
+                        let p = self.cond();
+                        self.k.insts.push(Inst::Bra { target: l_else, pred: Some((p, false)) });
+                        self.block(depth + 1);
+                        self.k.insts.push(Inst::Bra { target: l_end, pred: None });
+                        self.k.insts.push(Inst::Mark(l_else));
+                        self.block(depth + 1);
+                        self.k.insts.push(Inst::Mark(l_end));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allocator_equals_the_one_it_replaced_on_generated_kernels() {
+        // (spilling cases, shared slabs that fit, shared requests that fell back)
+        let (mut spilling, mut shared_fit, mut shared_fallback) = (0, 0, 0);
+        for case in 0..1500u64 {
+            let mut g = Gen::new(0x57A5_0000 + case);
+            g.block(0);
+            g.k.insts.push(Inst::Ret);
+            let caps = [4, 5, 7, 12, 16, 24, 32, 40, 64, 255, 4 + g.rng.gen_index(252) as u32];
+            for cap in caps {
+                let target = if g.rng.gen_bool() { SpillTarget::Shared } else { SpillTarget::Local };
+                let tpb = [0, 32, 128, 1024][g.rng.gen_index(4)];
+                let shared = [0, 1024, 49_152][g.rng.gen_index(3)];
+                let new = allocate_registers_with(&g.k, cap, target, tpb, shared);
+                let old = reference::allocate_registers_with(&g.k, cap, target, tpb, shared);
+                assert_eq!(new, old, "case {case} cap {cap}:\n{}", g.k.disassemble());
+                spilling += usize::from(!new.fits());
+                if target == SpillTarget::Shared && !new.fits() {
+                    shared_fit += usize::from(new.spill_target == SpillTarget::Shared);
+                    shared_fallback += usize::from(new.spill_target == SpillTarget::Local);
+                }
+            }
+        }
+        assert!(
+            spilling > 2000 && shared_fit > 100 && shared_fallback > 100,
+            "generator went degenerate: {spilling} spilling, {shared_fit} shared, \
+             {shared_fallback} fell back"
+        );
+    }
+
+    #[test]
+    fn free_list_hands_out_the_lowest_single_and_the_lowest_aligned_pair() {
+        let mut free = FreeRegs::new(70);
+        assert_eq!(free.take(false), Some(0));
+        // 1 is free but odd: the lowest aligned pair is (2, 3).
+        assert_eq!(free.take(true), Some(2));
+        assert_eq!(free.take(false), Some(1));
+        assert_eq!(free.take(false), Some(4));
+        assert_eq!(free.take(true), Some(6));
+        free.release(2, true);
+        free.release(4, false);
+        assert_eq!(free.take(true), Some(2), "a released pair is found again");
+        assert_eq!(free.take(false), Some(4));
+        // Past the first word, and never past the cap: 68/69 is the last pair.
+        for expect in (8..70).step_by(2) {
+            assert_eq!(free.take(true), Some(expect));
+        }
+        assert_eq!(free.take(true), None);
+        assert_eq!(free.take(false), Some(5), "a hole too small for a pair still serves a single");
+        assert_eq!(free.take(false), None);
     }
 }

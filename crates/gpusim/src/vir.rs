@@ -346,36 +346,75 @@ pub enum Inst {
     Ret,
 }
 
+/// The registers one instruction reads, held inline: no VIR instruction
+/// has more than [`Uses::MAX`] register operands, so the passes that ask
+/// per instruction per sweep (DCE, liveness, the reference engine's spill
+/// count) never touch the heap. Reads as a slice, iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Uses {
+    regs: [VReg; Uses::MAX],
+    len: u8,
+}
+
+impl Uses {
+    /// The most register operands any instruction carries.
+    pub const MAX: usize = 3;
+
+    fn push(&mut self, r: VReg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    fn push_operand(&mut self, o: &Operand) {
+        if let Operand::Reg(r) = o {
+            self.push(*r);
+        }
+    }
+
+    /// The registers, in operand order.
+    pub fn as_slice(&self) -> &[VReg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl std::ops::Deref for Uses {
+    type Target = [VReg];
+
+    fn deref(&self) -> &[VReg] {
+        self.as_slice()
+    }
+}
+
+impl IntoIterator for Uses {
+    type Item = VReg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<VReg, { Uses::MAX }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
+    }
+}
+
 impl Inst {
     /// Virtual registers read by this instruction.
-    pub fn uses(&self) -> Vec<VReg> {
-        fn op(out: &mut Vec<VReg>, o: &Operand) {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
-            }
-        }
-        let mut out = Vec::new();
+    pub fn uses(&self) -> Uses {
+        let mut out = Uses { regs: [VReg(0); Uses::MAX], len: 0 };
         match self {
-            Inst::Mov { a, .. } | Inst::Neg { a, .. } | Inst::Cvt { a, .. } => op(&mut out, a),
+            Inst::Mov { a, .. } | Inst::Neg { a, .. } | Inst::Cvt { a, .. } => out.push_operand(a),
             Inst::Not { a, .. } => out.push(*a),
             Inst::Alu { a, b, .. } | Inst::Setp { a, b, .. } => {
-                op(&mut out, a);
-                op(&mut out, b);
+                out.push_operand(a);
+                out.push_operand(b);
             }
             Inst::Math { a, b, .. } => {
-                op(&mut out, a);
+                out.push_operand(a);
                 if let Some(b) = b {
-                    op(&mut out, b);
+                    out.push_operand(b);
                 }
             }
             Inst::Ld { addr, .. } => out.push(*addr),
-            Inst::St { addr, a, .. } => {
+            Inst::St { addr, a, .. } | Inst::AtomAdd { addr, a, .. } => {
                 out.push(*addr);
-                op(&mut out, a);
-            }
-            Inst::AtomAdd { addr, a, .. } => {
-                out.push(*addr);
-                op(&mut out, a);
+                out.push_operand(a);
             }
             Inst::Bra { pred, .. } => {
                 if let Some((p, _)) = pred {
@@ -562,12 +601,12 @@ mod tests {
         let b = k.new_vreg(VType::F32);
         let d = k.new_vreg(VType::F32);
         let i = Inst::Alu { op: AluOp::Add, ty: VType::F32, d, a: a.into(), b: b.into() };
-        assert_eq!(i.uses(), vec![a, b]);
+        assert_eq!(i.uses().as_slice(), [a, b]);
         assert_eq!(i.def(), Some(d));
 
         let addr = k.new_vreg(VType::B64);
         let st = Inst::St { space: MemSpace::Global, ty: VType::F32, addr, a: d.into() };
-        assert_eq!(st.uses(), vec![addr, d]);
+        assert_eq!(st.uses().as_slice(), [addr, d]);
         assert_eq!(st.def(), None);
     }
 
