@@ -157,6 +157,7 @@ mod tests {
                 weight,
                 seq_ctx: None,
                 ctx_id: None,
+                scope: Default::default(),
             }],
             distances: vec![0],
             kind,

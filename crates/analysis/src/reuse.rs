@@ -17,8 +17,17 @@
 //!   Carr–Kennedy).
 //!
 //! References are first deduplicated into *reference classes* (unique
-//! affine subscript vectors); classes are then linked into groups by
-//! dependence distance.
+//! affine subscript vectors within one [`ClassScope`]); classes are then
+//! linked into groups by dependence distance.
+//!
+//! A class has a **scope**: a temporary lives in one thread of one
+//! kernel, inside the iteration of whichever loops its subscripts name,
+//! so two occurrences can share one only when they sit in the same
+//! top-level loop nest of the region *and* the innermost enclosing loop
+//! instance (parallel or sequential) that binds a variable their
+//! subscripts mention is the same instance. `a[j][i]` in two kernels of
+//! one region, or in two sibling loops over `i`, is two values that merely
+//! spell alike.
 
 use crate::affine::affine_of;
 use crate::depend::{dep_distance, may_overlap, DepDistance};
@@ -45,7 +54,42 @@ pub enum ReuseKind {
     },
 }
 
-/// A deduplicated reference class: one distinct subscript vector.
+/// Where a reference class lives: the loop instances (pre-order ids, as
+/// in [`RegionInfo::loops`]) that decide whether two textually equal
+/// references name the same value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClassScope {
+    /// The top-level loop nest of the region — the kernel — the
+    /// reference sits in; `None` outside every loop.
+    pub nest: Option<u32>,
+    /// The innermost enclosing loop instance, parallel or sequential,
+    /// whose variable the subscripts mention; `None` when they mention
+    /// no enclosing loop variable.
+    pub bind: Option<u32>,
+}
+
+impl ClassScope {
+    /// The scope of `r` under the loops `enclosing` it, outermost first,
+    /// each as `(variable, pre-order id)`.
+    pub fn of(r: &ArrayRef, enclosing: &[(Ident, u32)]) -> ClassScope {
+        let mut bind = None;
+        for ix in &r.indices {
+            safara_ir::visit::walk_expr(ix, &mut |e| {
+                if let safara_ir::Expr::Var(v) = e {
+                    let depth = enclosing.iter().rposition(|(var, _)| var == v);
+                    bind = bind.max(depth);
+                }
+            });
+        }
+        ClassScope {
+            nest: enclosing.first().map(|(_, id)| *id),
+            bind: bind.map(|depth| enclosing[depth].1),
+        }
+    }
+}
+
+/// A deduplicated reference class: one distinct subscript vector in one
+/// scope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefClass {
     /// The representative reference.
@@ -64,6 +108,8 @@ pub struct RefClass {
     /// the same name (e.g. the `i` of a forward and of a backward sweep)
     /// are different contexts and must never share reuse classes.
     pub ctx_id: Option<u32>,
+    /// The loop nest and binding loop the class is confined to.
+    pub scope: ClassScope,
 }
 
 /// A reuse group: one or more reference classes that scalar replacement
@@ -131,15 +177,18 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
     // 1. Collect references with their sequential-loop context.
     let mut occs = Vec::new();
     let mut cursor = 0usize;
-    collect_occurrences(&region.body, info, &mut Vec::new(), &mut cursor, &mut occs);
+    let mut stacks = LoopStacks::default();
+    collect_occurrences(&region.body, info, &mut stacks, &mut cursor, &mut occs);
 
-    // 2. Deduplicate into classes keyed by (array, seq ctx, affine form).
+    // 2. Deduplicate into classes keyed by (array, seq ctx, scope, affine
+    //    form).
     let mut classes: Vec<RefClass> = Vec::new();
     for occ in &occs {
         let existing = classes.iter_mut().find(|c| {
             c.r.array == occ.r.array
                 && c.seq_ctx == occ.seq_ctx
                 && c.ctx_id == occ.ctx_id
+                && c.scope == occ.scope
                 && same_subscripts(&c.r, &occ.r)
         });
         match existing {
@@ -157,6 +206,7 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
                 weight: occ.weight,
                 seq_ctx: occ.seq_ctx.clone(),
                 ctx_id: occ.ctx_id,
+                scope: occ.scope,
             }),
         }
     }
@@ -357,56 +407,70 @@ struct Occurrence {
     weight: u64,
     seq_ctx: Option<Ident>,
     ctx_id: Option<u32>,
+    scope: ClassScope,
     /// Ids of every enclosing sequential loop (outermost first) — used to
     /// scope write-clobber checks to the loop instance that carries a
     /// reuse group, rather than the whole region.
     ctx_chain: Vec<u32>,
 }
 
+/// The loops enclosing the statement being walked, outermost first.
+#[derive(Default)]
+struct LoopStacks {
+    /// Sequential loops only: `(variable, trip estimate, pre-order id)`.
+    seq: Vec<(Ident, u64, u32)>,
+    /// Every loop, parallel or sequential: `(variable, pre-order id)`.
+    all: Vec<(Ident, u32)>,
+}
+
+impl LoopStacks {
+    fn occurrence(&self, r: &ArrayRef, is_write: bool) -> Occurrence {
+        Occurrence {
+            r: r.clone(),
+            is_write,
+            weight: self.seq.iter().map(|(_, t, _)| t.max(&1)).product::<u64>().max(1),
+            seq_ctx: self.seq.last().map(|(v, _, _)| v.clone()),
+            ctx_id: self.seq.last().map(|(_, _, id)| *id),
+            scope: ClassScope::of(r, &self.all),
+            ctx_chain: self.seq.iter().map(|(_, _, id)| *id).collect(),
+        }
+    }
+}
+
 /// Walk pre-order, pairing every `For` with the corresponding entry of
 /// `info.loops` (also pre-order) via `cursor` — loops are identified by
 /// *instance*, never by variable name, so nests that reuse `i`/`j`/`k`
-/// cannot contaminate each other. A sequential loop's context id is its
-/// pre-order index.
+/// cannot contaminate each other. A loop's id — a sequential loop's
+/// context id, and what a [`ClassScope`] names — is its pre-order index.
 fn collect_occurrences(
     stmts: &[Stmt],
     info: &RegionInfo,
-    seq_stack: &mut Vec<(Ident, u64, u32)>,
+    stacks: &mut LoopStacks,
     cursor: &mut usize,
     out: &mut Vec<Occurrence>,
 ) {
-    let push = |out: &mut Vec<Occurrence>, seq_stack: &[(Ident, u64, u32)], r: &ArrayRef, w: bool| {
-        out.push(Occurrence {
-            r: r.clone(),
-            is_write: w,
-            weight: seq_stack.iter().map(|(_, t, _)| t.max(&1)).product::<u64>().max(1),
-            seq_ctx: seq_stack.last().map(|(v, _, _)| v.clone()),
-            ctx_id: seq_stack.last().map(|(_, _, id)| *id),
-            ctx_chain: seq_stack.iter().map(|(_, _, id)| *id).collect(),
-        });
-    };
     for s in stmts {
         match s {
             Stmt::DeclScalar { init, .. } => {
                 if let Some(e) = init {
-                    for_each_read(e, &mut |r| push(out, seq_stack, r, false));
+                    for_each_read(e, &mut |r| out.push(stacks.occurrence(r, false)));
                 }
             }
             Stmt::Assign { lhs, op, rhs } => {
                 if let LValue::ArrayRef(a) = lhs {
                     for ix in &a.indices {
-                        for_each_read(ix, &mut |r| push(out, seq_stack, r, false));
+                        for_each_read(ix, &mut |r| out.push(stacks.occurrence(r, false)));
                     }
                     if op.bin_op().is_some() {
-                        push(out, seq_stack, a, false);
+                        out.push(stacks.occurrence(a, false));
                     }
-                    push(out, seq_stack, a, true);
+                    out.push(stacks.occurrence(a, true));
                 }
-                for_each_read(rhs, &mut |r| push(out, seq_stack, r, false));
+                for_each_read(rhs, &mut |r| out.push(stacks.occurrence(r, false)));
             }
             Stmt::For(f) => {
-                for_each_read(&f.lo, &mut |r| push(out, seq_stack, r, false));
-                for_each_read(&f.bound, &mut |r| push(out, seq_stack, r, false));
+                for_each_read(&f.lo, &mut |r| out.push(stacks.occurrence(r, false)));
+                for_each_read(&f.bound, &mut |r| out.push(stacks.occurrence(r, false)));
                 let li = info.loops.get(*cursor);
                 debug_assert!(
                     li.map(|l| l.var == f.var).unwrap_or(true),
@@ -417,19 +481,21 @@ fn collect_occurrences(
                 let is_seq = li.map(|l| l.mapped.is_none()).unwrap_or(true);
                 if is_seq {
                     let trip = li.map(|l| l.est_trip).unwrap_or(1);
-                    seq_stack.push((f.var.clone(), trip, id));
-                    collect_occurrences(&f.body, info, seq_stack, cursor, out);
-                    seq_stack.pop();
-                } else {
-                    collect_occurrences(&f.body, info, seq_stack, cursor, out);
+                    stacks.seq.push((f.var.clone(), trip, id));
+                }
+                stacks.all.push((f.var.clone(), id));
+                collect_occurrences(&f.body, info, stacks, cursor, out);
+                stacks.all.pop();
+                if is_seq {
+                    stacks.seq.pop();
                 }
             }
             Stmt::If { cond, then_body, else_body } => {
-                for_each_read(cond, &mut |r| push(out, seq_stack, r, false));
-                collect_occurrences(then_body, info, seq_stack, cursor, out);
-                collect_occurrences(else_body, info, seq_stack, cursor, out);
+                for_each_read(cond, &mut |r| out.push(stacks.occurrence(r, false)));
+                collect_occurrences(then_body, info, stacks, cursor, out);
+                collect_occurrences(else_body, info, stacks, cursor, out);
             }
-            Stmt::Block(b) => collect_occurrences(b, info, seq_stack, cursor, out),
+            Stmt::Block(b) => collect_occurrences(b, info, stacks, cursor, out),
             Stmt::Region(_) => {} // regions cannot nest (sema enforces)
         }
     }
@@ -641,5 +707,81 @@ mod tests {
             .find(|g| g.array.as_str() == "c")
             .expect("invariant c[i] group");
         assert_eq!(inv.classes[0].weight, 50);
+    }
+
+    #[test]
+    fn two_nests_of_one_region_never_share_a_class() {
+        // Two kernels: each thread of each reads its own `a[j][i]` once.
+        // The spelling is the same; the `j` and `i` are not.
+        let groups = groups_of(
+            r#"
+            void f(int n, const float a[n][n], float b[n][n], float c[n][n]) {
+              #pragma acc kernels
+              {
+                #pragma acc loop gang
+                for (int j = 0; j < n; j++) {
+                  #pragma acc loop vector
+                  for (int i = 0; i < n; i++) { b[j][i] = a[j][i]; }
+                }
+                #pragma acc loop gang
+                for (int j = 0; j < n; j++) {
+                  #pragma acc loop vector
+                  for (int i = 0; i < n; i++) { c[j][i] = a[j][i] * 2.0; }
+                }
+              }
+            }"#,
+        );
+        assert!(groups.is_empty(), "one read per kernel is no reuse: {groups:?}");
+    }
+
+    #[test]
+    fn sibling_loops_over_one_variable_never_share_a_class() {
+        // One nest; the two `i` loops are different instances, so the
+        // two `a[j][i]` are different elements.
+        let groups = groups_of(
+            r#"
+            void f(int n, const float a[n][n], float b[n][n], float c[n][n]) {
+              #pragma acc kernels
+              {
+                #pragma acc loop gang
+                for (int j = 0; j < n; j++) {
+                  #pragma acc loop vector
+                  for (int i = 0; i < n; i++) { b[j][i] = a[j][i]; }
+                  #pragma acc loop vector
+                  for (int i = 0; i < n; i++) { c[j][i] = a[j][i] * 2.0; }
+                }
+              }
+            }"#,
+        );
+        assert!(groups.is_empty(), "one read per sibling loop is no reuse: {groups:?}");
+    }
+
+    #[test]
+    fn scope_is_the_binding_loop_not_the_enclosing_one() {
+        // Fig. 5's `b[j][0]` is bound by `j` wherever under `j` it is
+        // read: twice at `j` level (`intra_reuse_of_identical_refs`), or
+        // once there and once inside a nested parallel loop whose
+        // variable it does not mention.
+        let groups = groups_of(
+            r#"
+            void f(int n, const float b[n][n], float c[n], float d[n][n]) {
+              #pragma acc kernels
+              {
+                #pragma acc loop gang
+                for (int j = 0; j < n; j++) {
+                  c[j] = b[j][0];
+                  #pragma acc loop vector
+                  for (int i = 0; i < n; i++) { d[j][i] = b[j][0]; }
+                }
+              }
+            }"#,
+        );
+        let intra: Vec<&ReuseGroup> =
+            groups.iter().filter(|g| g.kind == ReuseKind::Intra).collect();
+        assert_eq!(intra.len(), 1, "{groups:?}");
+        assert_eq!(intra[0].array.as_str(), "b");
+        assert_eq!(intra[0].classes[0].reads, 2);
+        let j = 0; // pre-order id of the `j` loop
+        assert_eq!(intra[0].classes[0].scope, ClassScope { nest: Some(j), bind: Some(j) });
     }
 }

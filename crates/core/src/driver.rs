@@ -215,8 +215,9 @@ pub fn compile(src: &str, config: &CompilerConfig) -> Result<CompiledProgram, Co
 /// functions of the translation unit, so a traced compile produces it
 /// exactly once. Every whole-function build is a `codegen` + `regalloc`
 /// span pair nested under `opt` where it ran: directly (the body the
-/// strategy starts from or ends with), under `saturate` (its before and
-/// after), or under the `round` (one per feedback iteration, carrying
+/// strategy starts from or ends with), under `saturate` (its before and,
+/// when extraction changed the body, its after), or under the `round`
+/// (one per feedback iteration, carrying
 /// `regs_used`/`budget` metadata) whose trial it is. With a disabled
 /// tracer this **is** [`compile`]: same code path, same output.
 pub fn compile_traced(
@@ -501,11 +502,36 @@ fn feedback_round(
     if budget == 0 {
         return Ok(None);
     }
-    // 2. One SR round within the budget. Under the throughput goal each
-    // region gets an occupancy oracle seeded with the measured register
-    // use and the block size the runtime will launch with.
+    // 2. One SR round within the budget.
+    let (trial, round_outcome) = sr_round(&cur.body, budget, used, config, cost_model, namer);
+    tracer.meta_int("temps_added", round_outcome.temps_added as i64);
+    if round_outcome.temps_added == 0 {
+        return Ok(None); // all reused references are replaced
+    }
+    // 3. Build the trial; revert the round if it now spills.
+    let trial = Candidate::build(trial, config, tracer)?;
+    if forced_spill || trial.artifacts.iter().any(|a| !a.alloc.fits()) {
+        tracer.meta_str("ended", "reverted_spill");
+        return Ok(None); // registers saturated: keep previous state
+    }
+    Ok(Some((trial, round_outcome)))
+}
+
+/// One SAFARA pass over every region of `body` within `budget`
+/// registers: the transformed body and what the pass added. Under the
+/// throughput goal each region gets an occupancy oracle seeded with the
+/// measured register use (`used`) and the block size the runtime will
+/// launch with.
+fn sr_round(
+    body: &Function,
+    budget: u32,
+    used: u32,
+    config: &CompilerConfig,
+    cost_model: &CostModel,
+    namer: &mut TempNamer,
+) -> (Function, SrOutcome) {
     let mut round_outcome = SrOutcome::default();
-    let mut trial = cur.body.clone();
+    let mut trial = body.clone();
     for region in trial.regions_mut() {
         let clause_tpb = region
             .directive
@@ -522,28 +548,11 @@ fn feedback_round(
             threads_per_block: tpb,
             regs_in_use: used,
         });
-        let o = safara_pass_with(
-            &cur.body,
-            region,
-            budget,
-            cost_model,
-            config.goal,
-            throughput,
-            namer,
-        );
+        let o =
+            safara_pass_with(body, region, budget, cost_model, config.goal, throughput, namer);
         merge_outcome(&mut round_outcome, o);
     }
-    tracer.meta_int("temps_added", round_outcome.temps_added as i64);
-    if round_outcome.temps_added == 0 {
-        return Ok(None); // all reused references are replaced
-    }
-    // 3. Build the trial; revert the round if it now spills.
-    let trial = Candidate::build(trial, config, tracer)?;
-    if forced_spill || trial.artifacts.iter().any(|a| !a.alloc.fits()) {
-        tracer.meta_str("ended", "reverted_spill");
-        return Ok(None); // registers saturated: keep previous state
-    }
-    Ok(Some((trial, round_outcome)))
+    (trial, round_outcome)
 }
 
 /// Saturate every offload region of `work`, then accept or revert the
@@ -551,11 +560,11 @@ fn feedback_round(
 /// hash-consed into an e-graph, saturated with integer-ring rewrites
 /// (CSE, offset factoring, strength reduction, guarded narrowing), and
 /// re-extracted by predicted register cost. The extraction's structural
-/// weights only *rank* candidates — the acceptance test builds both
-/// bodies through the ptxas register model (or the occupancy oracle
-/// under the throughput goal) and returns the original unless the
-/// saturated one is an improvement, so the phase can never make a
-/// kernel worse.
+/// weights only *rank* candidates — when extraction changed the body, the
+/// acceptance test builds both bodies through the ptxas register model
+/// (or the occupancy oracle under the throughput goal) and returns the
+/// original unless the saturated one is an improvement, so the phase can
+/// never make a kernel worse.
 fn saturate_function(
     work: &Function,
     config: &CompilerConfig,
@@ -595,6 +604,12 @@ fn saturate_traced(
     tracer.meta_int("cost_before", agg.cost_before as i64);
     tracer.meta_int("cost_after", agg.cost_after as i64);
     tracer.meta_str("stop", agg.stats.stop.name());
+    if trial == *work {
+        // The e-graph handed every region back as it was: `before` is
+        // already the build of that body.
+        tracer.meta_str("verdict", "unchanged");
+        return Ok(before);
+    }
     let after = Candidate::build(trial, config, tracer)?;
     let keep = match config.goal {
         // The paper's policy: fewer registers wins; on a register tie the
@@ -1005,10 +1020,18 @@ mod tests {
         ]
     }
 
+    fn meta_str<'a>(s: &'a safara_obs::Span, key: &str) -> &'a str {
+        match s.meta_get(key) {
+            Some(safara_obs::MetaValue::Str(v)) => v,
+            other => panic!("`{}` span without string `{key}`: {other:?}", s.name),
+        }
+    }
+
     /// Whole-function builds (`codegen` spans) of one traced compile,
     /// checked against what the loop has to build: the body each
-    /// function starts from, one more under `saturate`, and one trial
-    /// per round that added temporaries.
+    /// function starts from, one more under `saturate` only if the
+    /// e-graph changed the body, and one trial per round that added
+    /// temporaries.
     fn builds(src: &str, config: &CompilerConfig) -> (usize, CompiledProgram) {
         let mut tracer = Tracer::new();
         let p = compile_traced(src, config, &mut tracer).expect("compile");
@@ -1017,13 +1040,17 @@ mod tests {
         assert_eq!(built, spans_named(&spans, "regalloc").len(), "build = codegen + regalloc");
         let rounds = spans_named(&spans, "round");
         let with_temps = rounds.iter().filter(|r| meta_int(r, "temps_added") > 0).count();
-        let per_function = 1 + usize::from(config.saturate);
+        let saturations = spans_named(&spans, "saturate");
+        assert_eq!(saturations.len(), usize::from(config.saturate) * p.functions.len());
+        let resaturated =
+            saturations.iter().filter(|s| meta_str(s, "verdict") != "unchanged").count();
         assert_eq!(
             built,
-            per_function * p.functions.len() + with_temps,
-            "{}: builds of {} functions, {} rounds with temporaries",
+            p.functions.len() + resaturated + with_temps,
+            "{}: builds of {} functions, {} bodies saturation changed, {} rounds with temporaries",
             config.name,
             p.functions.len(),
+            resaturated,
             with_temps
         );
         assert_eq!(
@@ -1035,35 +1062,98 @@ mod tests {
     }
 
     /// Each body is built once: the candidate a round accepts is the
-    /// next round's measurement, saturation's winner is round 1's, and
-    /// the last one held is the compiled function. The two programs that
-    /// run all eight rounds build 9 times (10 with the final stage that
-    /// rebuilt the last candidate; 10 saturated, was 12) — and decide
-    /// exactly what they decided then.
+    /// next round's measurement, saturation's winner (or, when the
+    /// e-graph changed nothing, its one build) is round 1's, and the last
+    /// one held is the compiled function. The two largest programs add
+    /// every temporary in round 1 and find nothing left in round 2, so
+    /// they build twice — the body they start from and round 1's trial.
     #[test]
     fn feedback_loop_carries_the_accepted_rounds_artifacts() {
         let workloads = safara_workloads::all_workloads();
-        // (workload, feedback rounds, temps added, max regs_used) as the
-        // loop produced them before any artifact was carried.
+        // (workload, feedback rounds, temps added, max regs_used).
         for (name, want_rounds, want_temps, want_regs) in
-            [("355.seismic", 8, 33, 59), ("356.sp", 8, 39, 46)]
+            [("355.seismic", 2, 19, 59), ("356.sp", 2, 18, 46)]
         {
             let w = workloads.iter().find(|w| w.name() == name).expect("workload exists");
             let (built, p) = builds(&w.source(), &CompilerConfig::safara_only());
-            assert_eq!(built, 9, "{name}: safara_only");
+            assert_eq!(built, 2, "{name}: safara_only");
             let f = &p.functions[0];
             assert_eq!(f.feedback_rounds, want_rounds, "{name}: feedback rounds");
             assert_eq!(f.sr_outcome.temps_added, want_temps, "{name}: temporaries");
             assert_eq!(f.max_regs(), want_regs, "{name}: final register use");
-            assert_eq!(builds(&w.source(), &CompilerConfig::safara_saturated()).0, 10, "{name}");
+            assert_eq!(builds(&w.source(), &CompilerConfig::safara_saturated()).0, 2, "{name}");
             assert_eq!(builds(&w.source(), &CompilerConfig::base()).0, 1, "{name}");
         }
-        // The benchmark's `compile_heavy` grid: 271 with the rebuilds.
+        // The benchmark's `compile_heavy` grid.
         let grid: usize = workloads
             .iter()
             .flat_map(|w| heavy_profiles().map(|c| builds(&w.source(), &c).0))
             .sum();
-        assert_eq!(grid, 191);
+        assert_eq!(grid, 134);
+    }
+
+    /// True if any `DeclScalar` in `stmts` is initialised with nothing
+    /// but another scalar-replacement temporary.
+    fn copies_a_temporary(stmts: &[safara_ir::Stmt]) -> bool {
+        use safara_ir::{Expr, Stmt};
+        stmts.iter().any(|s| match s {
+            Stmt::DeclScalar { init: Some(Expr::Var(v)), .. } => v.as_str().starts_with("__sr"),
+            Stmt::For(f) => copies_a_temporary(&f.body),
+            Stmt::If { then_body, else_body, .. } => {
+                copies_a_temporary(then_body) || copies_a_temporary(else_body)
+            }
+            Stmt::Block(b) => copies_a_temporary(b),
+            Stmt::Region(r) => copies_a_temporary(&r.body),
+            _ => false,
+        })
+    }
+
+    /// The loop ends "when all reused references are replaced" (§III-B.2):
+    /// on the whole `compile_heavy` grid it stops short of
+    /// `max_feedback_iters`, what it hands out is a fixed point — one more
+    /// pass at the final budget finds nothing to add — and no temporary is
+    /// a copy of another temporary.
+    #[test]
+    fn feedback_loop_ends_at_a_fixed_point_on_every_workload() {
+        let mut converged = 0;
+        for w in safara_workloads::all_workloads() {
+            for config in heavy_profiles() {
+                let what = format!("{}/{}", w.name(), config.name);
+                let mut tracer = Tracer::new();
+                let p = compile_traced(&w.source(), &config, &mut tracer).expect("compile");
+                let spans = tracer.finish();
+                let rounds = spans_named(&spans, "round");
+                let SrStrategy::Safara { cost_model, .. } = &config.sr else {
+                    assert!(rounds.is_empty(), "{what}: no feedback without SAFARA");
+                    continue;
+                };
+                // One function per workload: its rounds are the trace's.
+                let [f] = &p.functions[..] else { panic!("{what}: one function expected") };
+                assert!(
+                    f.feedback_rounds < config.max_feedback_iters,
+                    "{what}: stopped by the iteration limit, not by convergence"
+                );
+                assert!(!copies_a_temporary(&f.transformed.body), "{what}: a temporary copies one");
+                let last = rounds.last().expect("SAFARA runs at least one round");
+                let budget = meta_int(last, "budget") as u32;
+                if budget == 0 || last.meta_get("ended").is_some() {
+                    continue; // ended by exhausted budget or by revert
+                }
+                assert_eq!(meta_int(last, "temps_added"), 0, "{what}: how the loop ended");
+                converged += 1;
+                let (again, added) = sr_round(
+                    &f.transformed,
+                    budget,
+                    f.max_regs(),
+                    &config,
+                    cost_model,
+                    &mut TempNamer::default(),
+                );
+                assert_eq!(added.temps_added, 0, "{what}: one more pass still adds temporaries");
+                assert_eq!(again, f.transformed, "{what}: one more pass changed the body");
+            }
+        }
+        assert_eq!(converged, 64, "16 workloads x 4 SAFARA profiles end by convergence");
     }
 
     /// What the deleted final stage gave by construction: the kernels a
@@ -1124,16 +1214,18 @@ mod tests {
             .chain([("saturation loses".to_string(), loses.to_string())])
             .collect::<Vec<_>>();
 
-        let (mut kept, mut reverted) = (0, 0);
+        let (mut kept, mut reverted, mut unchanged) = (0, 0, 0);
         for (name, src) in &sources {
             for config in &configs {
                 let mut tracer = Tracer::new();
                 let p = compile_traced(src, config, &mut tracer).expect("compile");
                 assert_carried_is_rebuilt(&format!("{name}/{}", config.name), &p);
                 for s in spans_named(&tracer.finish(), "saturate") {
-                    match s.meta_get("verdict") {
-                        Some(safara_obs::MetaValue::Str(v)) if v == "kept" => kept += 1,
-                        _ => reverted += 1,
+                    match meta_str(s, "verdict") {
+                        "kept" => kept += 1,
+                        "reverted" => reverted += 1,
+                        "unchanged" => unchanged += 1,
+                        other => panic!("{name}: saturate verdict `{other}`"),
                     }
                 }
             }
@@ -1150,6 +1242,9 @@ mod tests {
                 }
             }
         }
-        assert!(kept > 0 && reverted > 0, "saturation kept {kept}, reverted {reverted}");
+        assert!(
+            kept > 0 && reverted > 0 && unchanged > 0,
+            "saturation kept {kept}, reverted {reverted}, left {unchanged} unchanged"
+        );
     }
 }

@@ -181,7 +181,7 @@ pub fn allocate_registers_with(
     }
 
     let spilled_regs: Vec<VReg> = spilled.iter().map(|iv| iv.vreg).collect();
-    let spill_bytes: u32 = spilled.iter().map(|iv| if iv.pair { 8 } else { 4 }).sum();
+    let spill_bytes: u32 = spilled.iter().map(|iv| 4 * iv.width() as u32).sum();
     let (mut loads, mut stores) = (0u32, 0u32);
     if !spilled.is_empty() {
         let mut is_spilled = vec![false; kernel.vregs.len()];
@@ -230,6 +230,15 @@ impl FreeRegs {
     /// Bits at even positions: the candidates for a pair's first half.
     const EVEN: u64 = 0x5555_5555_5555_5555;
 
+    /// The bits a single or a pair occupies, before shifting into place.
+    fn mask(pair: bool) -> u64 {
+        if pair {
+            0b11
+        } else {
+            0b1
+        }
+    }
+
     fn new(cap: usize) -> FreeRegs {
         let mut words = [0u64; 4];
         for (w, word) in words.iter_mut().enumerate() {
@@ -246,7 +255,7 @@ impl FreeRegs {
             let candidates = if pair { *word & (*word >> 1) & Self::EVEN } else { *word };
             if candidates != 0 {
                 let bit = candidates.trailing_zeros() as usize;
-                *word &= !((if pair { 0b11 } else { 0b1 }) << bit);
+                *word &= !(Self::mask(pair) << bit);
                 return Some(w * 64 + bit);
             }
         }
@@ -254,7 +263,7 @@ impl FreeRegs {
     }
 
     fn release(&mut self, first: usize, pair: bool) {
-        self.0[first / 64] |= (if pair { 0b11 } else { 0b1 }) << (first % 64);
+        self.0[first / 64] |= Self::mask(pair) << (first % 64);
     }
 }
 
@@ -269,6 +278,10 @@ struct Liveness {
 impl Liveness {
     fn row(&self, i: usize) -> &[u64] {
         &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.words..(i + 1) * self.words]
     }
 }
 
@@ -325,7 +338,7 @@ fn liveness(kernel: &KernelVir) -> Liveness {
             for u in kernel.insts[i].uses() {
                 out[u.0 as usize / 64] |= 1u64 << (u.0 % 64);
             }
-            let row = &mut live.bits[i * words..(i + 1) * words];
+            let row = live.row_mut(i);
             if *row != *out {
                 row.copy_from_slice(&out);
                 again |= back_target[i];

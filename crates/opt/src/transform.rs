@@ -13,10 +13,11 @@
 //!   wrapped in a trip-count guard so a zero-trip loop performs no loads.
 //!
 //! All rewrites are scope-aware: reads are only replaced at the same
-//! sequential-loop nesting context the analysis grouped them in.
+//! sequential-loop nesting context, and inside the same loop nest and
+//! binding loop ([`ClassScope`]), the analysis grouped them in.
 
 use safara_analysis::region::RegionInfo;
-use safara_analysis::reuse::{same_subscripts, RefClass, ReuseGroup, ReuseKind};
+use safara_analysis::reuse::{same_subscripts, ClassScope, RefClass, ReuseGroup, ReuseKind};
 use safara_ir::*;
 
 /// Counter for generating unique temporary names within a region.
@@ -53,7 +54,8 @@ pub fn apply_group(
     let mut counter = 0u32;
     match &group.kind {
         ReuseKind::Intra => {
-            apply_intra(body, &group.classes[0], elem_ty, namer, None, info, &mut counter)
+            let mut here = Position { info, seq_id: None, enclosing: Vec::new(), counter: 0 };
+            apply_intra(body, &group.classes[0], elem_ty, namer, &mut here)
         }
         ReuseKind::Invariant { var } => apply_invariant(
             body,
@@ -87,19 +89,35 @@ fn visit_loop(info: &RegionInfo, counter: &mut u32) -> (u32, bool) {
 
 // ---------------------------------------------------------------- intra
 
-/// Walk to the statement list whose sequential context matches the
-/// class's, then rewrite in place.
-#[allow(clippy::too_many_arguments)]
+/// Where [`apply_intra`]'s walk stands: the loops around the statement
+/// list in hand, numbered as the analysis numbered them.
+struct Position<'a> {
+    info: &'a RegionInfo,
+    /// Loops met so far (the next loop's pre-order id).
+    counter: u32,
+    /// The innermost enclosing sequential loop.
+    seq_id: Option<u32>,
+    /// Every enclosing loop, outermost first.
+    enclosing: Vec<(Ident, u32)>,
+}
+
+impl Position<'_> {
+    /// Whether a class the analysis formed belongs to this list.
+    fn holds(&self, class: &RefClass) -> bool {
+        class.ctx_id == self.seq_id && class.scope == ClassScope::of(&class.r, &self.enclosing)
+    }
+}
+
+/// Walk to the statement list whose sequential context and scope match
+/// the class's, then rewrite in place.
 fn apply_intra(
     stmts: &mut Vec<Stmt>,
     class: &RefClass,
     elem_ty: ScalarTy,
     namer: &mut TempNamer,
-    cur_id: Option<u32>,
-    info: &RegionInfo,
-    counter: &mut u32,
+    here: &mut Position,
 ) -> u32 {
-    if class.ctx_id == cur_id {
+    if here.holds(class) {
         // Does this list (not descending into loops) access the class?
         if let Some(first) = stmts.iter().position(|s| stmt_accesses(s, class, false)) {
             let tmp = namer.fresh();
@@ -113,23 +131,30 @@ fn apply_intra(
             return 1;
         }
     }
-    // Descend (numbering sequential loops exactly as the analysis does).
+    // Descend (numbering loops exactly as the analysis does).
     for s in stmts.iter_mut() {
         let n = match s {
             Stmt::For(f) => {
-                let (id, seq) = visit_loop(info, counter);
-                let inner = if seq { Some(id) } else { cur_id };
-                apply_intra(&mut f.body, class, elem_ty, namer, inner, info, counter)
+                let (id, seq) = visit_loop(here.info, &mut here.counter);
+                let outer_seq = here.seq_id;
+                if seq {
+                    here.seq_id = Some(id);
+                }
+                here.enclosing.push((f.var.clone(), id));
+                let n = apply_intra(&mut f.body, class, elem_ty, namer, here);
+                here.enclosing.pop();
+                here.seq_id = outer_seq;
+                n
             }
             Stmt::If { then_body, else_body, .. } => {
-                let a = apply_intra(then_body, class, elem_ty, namer, cur_id, info, counter);
+                let a = apply_intra(then_body, class, elem_ty, namer, here);
                 if a > 0 {
                     a
                 } else {
-                    apply_intra(else_body, class, elem_ty, namer, cur_id, info, counter)
+                    apply_intra(else_body, class, elem_ty, namer, here)
                 }
             }
-            Stmt::Block(b) => apply_intra(b, class, elem_ty, namer, cur_id, info, counter),
+            Stmt::Block(b) => apply_intra(b, class, elem_ty, namer, here),
             _ => 0,
         };
         if n > 0 {
@@ -719,5 +744,32 @@ mod tests {
             .find(|l| l.trim_start().starts_with("float __sr"))
             .unwrap_or_else(|| panic!("no temp declared:\n{txt}"));
         assert!(!decl_line.contains("a[i]"), "bogus load: {decl_line}\n{txt}");
+    }
+
+    #[test]
+    fn intra_temporary_lands_in_the_nest_that_reuses() {
+        // The first kernel reads `a[j][i]` once, the second twice: the
+        // class belongs to the second nest, and so does its temporary.
+        let src = r#"
+        void f(int n, const float a[n][n], float b[n][n], float c[n][n]) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang
+            for (int j = 0; j < n; j++) {
+              #pragma acc loop vector
+              for (int i = 0; i < n; i++) { b[j][i] = a[j][i]; }
+            }
+            #pragma acc loop gang
+            for (int j = 0; j < n; j++) {
+              #pragma acc loop vector
+              for (int i = 0; i < n; i++) { c[j][i] = a[j][i] * a[j][i]; }
+            }
+          }
+        }"#;
+        let (_, txt) = transformed(src);
+        assert_eq!(txt.matches("__sr0 = a[j][i]").count(), 1, "{txt}");
+        assert!(txt.contains("b[j][i] = a[j][i]"), "the first kernel is left alone:\n{txt}");
+        assert!(txt.contains("c[j][i] = __sr0 * __sr0"), "{txt}");
+        assert!(!txt.contains("__sr1"), "{txt}");
     }
 }

@@ -77,6 +77,14 @@ for call in 'lower_function(' 'allocate_registers_with('; do
     || { echo "one-build-site gate: driver.rs calls $call at $sites places outside its tests" >&2; exit 1; }
 done
 
+echo "== no allocation per instruction =="
+# `Inst::uses()` is asked once per instruction per sweep by DCE and
+# liveness, and once per *executed* instruction by the reference engine:
+# it hands back an inline value. A `Vec` return is that heap allocation
+# coming back.
+! grep -nF 'fn uses(&self) -> Vec' crates/gpusim/src/vir.rs \
+  || { echo "inline-uses gate: Inst::uses() returns a Vec again" >&2; exit 1; }
+
 echo "== safara-serve stdin smoke =="
 # Three requests through the real service binary: parse, queue, worker
 # pool, pipeline, response — all via the wire protocol. Request 3 sets
