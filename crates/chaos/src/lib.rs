@@ -345,14 +345,18 @@ impl FaultPlan {
         }
     }
 
-    /// Sleep out a `Delay`/`Hang` action (no-op otherwise). Returns
-    /// true when it slept.
-    pub fn apply_delay(&self, action: &FaultAction) -> bool {
-        let ms = self.delay_ms(action);
+    /// Evaluate one arrival at `point` the way every call site does: a
+    /// `Delay`/`Hang` is slept out here (the sleep *is* the fault) and
+    /// yields `None`; any other action is returned for the call site to
+    /// turn into its typed failure.
+    pub fn at(&self, point: InjectionPoint) -> Option<FaultAction> {
+        let action = self.check(point)?;
+        let ms = self.delay_ms(&action);
         if ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(ms));
+            return None;
         }
-        ms > 0
+        Some(action)
     }
 
     /// Arrivals observed at `point`.
@@ -486,7 +490,15 @@ mod tests {
         assert_eq!(plan.delay_ms(&FaultAction::Delay { ms: 99_999 }), 25);
         assert_eq!(plan.delay_ms(&FaultAction::Hang), 25);
         assert_eq!(plan.delay_ms(&FaultAction::Fail), 0);
-        assert!(!plan.apply_delay(&FaultAction::Fail));
+        // `at` sleeps a delay out and hands anything else back.
+        let sim = InjectionPoint::Sim;
+        let plan = plan
+            .with(sim, FaultAction::Delay { ms: 1 }, Fire::First(1))
+            .with(sim, FaultAction::Fail, Fire::First(2));
+        assert_eq!(plan.at(sim), None);
+        assert_eq!(plan.at(sim), Some(FaultAction::Fail));
+        assert_eq!(plan.at(sim), None);
+        assert_eq!((plan.arrivals(sim), plan.fired(sim)), (3, 2));
     }
 
     #[test]

@@ -368,7 +368,7 @@ impl ShardedClient {
 
     /// Which shard a run request routes to.
     pub fn route(&self, source: &str, entry: &str, profile: &str, args: &Args) -> usize {
-        let key = run_key_parts(source, entry, profile, None, args);
+        let key = run_key_parts(source, entry, profile, args);
         shard_for(key.low(), self.shards.len() as u32) as usize
     }
 

@@ -12,21 +12,8 @@ use safara_ir::printer::print_function;
 use safara_ir::{parse_program_unchecked, Function};
 use safara_obs::Tracer;
 use safara_opt::transform::TempNamer;
-use safara_opt::{
-    carr_kennedy_pass, safara_pass, safara_pass_with, OptGoal, SrOutcome, ThroughputContext,
-};
+use safara_opt::{carr_kennedy_pass, safara_pass, OptGoal, SrOutcome, ThroughputContext};
 use safara_runtime::{Args, LaunchCache, Memo, RunReport};
-
-/// Evaluate an injection point against a plan. `Delay`/`Hang` actions
-/// are absorbed here (the sleep *is* the fault); anything else is
-/// returned for the call site to turn into its typed failure.
-pub(crate) fn fault_at(plan: &FaultPlan, point: InjectionPoint) -> Option<FaultAction> {
-    let action = plan.check(point)?;
-    if plan.apply_delay(&action) {
-        return None;
-    }
-    Some(action)
-}
 
 /// The runtime's default block size: every default launch geometry
 /// (1D/2D/3D) uses 128 threads per block, so compile-time occupancy and
@@ -256,7 +243,7 @@ pub fn compile_with_faults(
     }
 
     let program = tracer.span("parse", |t| {
-        if let Some(FaultAction::Fail) = fault_at(faults, InjectionPoint::Parse) {
+        if let Some(FaultAction::Fail) = faults.at(InjectionPoint::Parse) {
             return Err(CompileError::Parse {
                 message: "injected front-end fault".into(),
                 span: None,
@@ -268,7 +255,7 @@ pub fn compile_with_faults(
     })?;
 
     tracer.span("sema", |_| {
-        if let Some(FaultAction::Fail) = fault_at(faults, InjectionPoint::Sema) {
+        if let Some(FaultAction::Fail) = faults.at(InjectionPoint::Sema) {
             return Err(CompileError::Sema { message: "injected sema fault".into(), span: None });
         }
         safara_ir::sema::check_program(&program)
@@ -276,7 +263,7 @@ pub fn compile_with_faults(
     })?;
 
     if let Some(FaultAction::Fail | FaultAction::Poison) =
-        fault_at(faults, InjectionPoint::Analysis)
+        faults.at(InjectionPoint::Analysis)
     {
         return Err(CompileError::Analysis { message: "injected analysis fault".into() });
     }
@@ -306,7 +293,7 @@ pub fn compile_with_faults(
     })?;
 
     if let Some(FaultAction::Fail | FaultAction::Spill) =
-        fault_at(faults, InjectionPoint::RegAlloc)
+        faults.at(InjectionPoint::RegAlloc)
     {
         let kernel = functions
             .iter()
@@ -426,7 +413,7 @@ fn optimize_function(
             for region in body.regions_mut() {
                 let o = match &config.sr {
                     SrStrategy::Safara { cost_model, .. } => {
-                        safara_pass(f, region, config.reg_cap, cost_model, &mut namer)
+                        safara_pass(f, region, config.reg_cap, cost_model, None, &mut namer)
                     }
                     _ => carr_kennedy_pass(f, region, config.reg_cap, &mut namer),
                 };
@@ -450,7 +437,7 @@ fn optimize_function(
                     // backend dying between rounds (typed as a budget
                     // failure); a `Spill` forces this round down the
                     // paper's revert path.
-                    let forced_spill = match fault_at(faults, InjectionPoint::FeedbackRound) {
+                    let forced_spill = match faults.at(InjectionPoint::FeedbackRound) {
                         Some(FaultAction::Fail) => {
                             return Err(CompileError::Budget {
                                 message: format!(
@@ -548,8 +535,7 @@ fn sr_round(
             threads_per_block: tpb,
             regs_in_use: used,
         });
-        let o =
-            safara_pass_with(body, region, budget, cost_model, config.goal, throughput, namer);
+        let o = safara_pass(body, region, budget, cost_model, throughput, namer);
         merge_outcome(&mut round_outcome, o);
     }
     (trial, round_outcome)
@@ -571,7 +557,7 @@ fn saturate_function(
     tracer: &mut Tracer,
     faults: &FaultPlan,
 ) -> Result<Candidate, CompileError> {
-    if let Some(FaultAction::Fail) = fault_at(faults, InjectionPoint::Saturate) {
+    if let Some(FaultAction::Fail) = faults.at(InjectionPoint::Saturate) {
         return Err(CompileError::Saturate {
             message: "injected saturation fault".into(),
             span: None,

@@ -11,7 +11,7 @@
 //! this crate that reaches the runtime. Everything else that runs a
 //! program pre-fills a [`RunCtx`] and delegates to it.
 
-use crate::driver::{fault_at, CompiledFunction, CompiledProgram};
+use crate::driver::{CompiledFunction, CompiledProgram};
 use crate::error::CompileError;
 use safara_chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_codegen::lower::CompiledKernel;
@@ -67,9 +67,9 @@ pub struct RunOutcome {
 /// [`FaultPlan::none`] — cost nothing and change nothing, so there is no
 /// "plain" variant of the run path to keep in step with this one.
 ///
-/// Execution knobs (engine, worker count, superblock threshold) are
-/// deliberately absent: they resolve through the enclosing
-/// [`safara_gpusim::ExecOptions::scope`], the one way to set a knob.
+/// Execution knobs (engine, worker count) are deliberately absent: they
+/// resolve through the enclosing [`safara_gpusim::ExecOptions::scope`]
+/// and the process environment, the one way to set a knob.
 pub struct RunCtx<'a> {
     /// Whether and where launches are memoized.
     pub memo: Memo<'a>,
@@ -92,7 +92,7 @@ pub fn run_compiled_with(
     dev: &DeviceConfig,
     ctx: RunCtx<'_>,
 ) -> Result<(RunReport, RunOutcome), CompileError> {
-    if let Some(FaultAction::Fail) = fault_at(ctx.faults, InjectionPoint::Sim) {
+    if let Some(FaultAction::Fail) = ctx.faults.at(InjectionPoint::Sim) {
         return Err(CompileError::Sim { message: "injected simulator fault".into() });
     }
     let f = program.function(entry)?;

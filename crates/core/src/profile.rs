@@ -223,7 +223,7 @@ impl CompilerConfig {
         let mut keys = [""; PROFILES.len()];
         let mut i = 0;
         while i < keys.len() {
-            keys[i] = PROFILES[i].0[0];
+            keys[i] = PROFILES[i].0;
             i += 1;
         }
         keys
@@ -238,13 +238,14 @@ impl CompilerConfig {
     }
 
     /// Resolve a profile by wire-protocol key (case-insensitive, `-`
-    /// treated as `_`; a few aliases accepted). `None` for unknown keys.
+    /// treated as `_`, surrounding blanks ignored). `None` for unknown
+    /// keys.
     pub fn by_name(key: &str) -> Option<CompilerConfig> {
         profile(key).map(|named| named())
     }
 
     /// The `name` of the profile `key` resolves to, without allocating —
-    /// every alias and spelling of one profile gives the same string.
+    /// every spelling of one profile gives the same string.
     pub fn canonical_name(key: &str) -> Option<&'static str> {
         profile(key).map(|named| named().name)
     }
@@ -252,24 +253,23 @@ impl CompilerConfig {
 
 type Named = fn() -> CompilerConfig;
 
-/// The named evaluation points, one row each: the wire keys that
-/// resolve to it (the stable key first, then aliases; lowercase, `_`
-/// for `-`) and its constructor. [`CompilerConfig::safara_unroll`] takes
-/// a factor and has no key.
-const PROFILES: [(&[&str], Named); 13] = [
-    (&["base", "openuh"], CompilerConfig::base),
-    (&["safara_only", "safara"], CompilerConfig::safara_only),
-    (&["small"], CompilerConfig::small),
-    (&["small_dim"], CompilerConfig::small_dim),
-    (&["safara_clauses", "safara_small_dim"], CompilerConfig::safara_clauses),
-    (&["safara_small"], CompilerConfig::safara_small),
-    (&["carr_kennedy", "ck"], CompilerConfig::carr_kennedy),
-    (&["pgi_like", "pgi"], CompilerConfig::pgi_like),
-    (&["safara_count_only"], CompilerConfig::safara_count_only),
-    (&["safara_no_feedback"], CompilerConfig::safara_no_feedback),
-    (&["safara_throughput"], CompilerConfig::safara_throughput),
-    (&["safara_regdem", "regdem"], CompilerConfig::safara_regdem),
-    (&["safara_saturated", "saturated"], CompilerConfig::safara_saturated),
+/// The named evaluation points, one row each: the wire key that
+/// resolves to it (lowercase, `_` for `-`) and its constructor.
+/// [`CompilerConfig::safara_unroll`] takes a factor and has no key.
+const PROFILES: [(&str, Named); 13] = [
+    ("base", CompilerConfig::base),
+    ("safara_only", CompilerConfig::safara_only),
+    ("small", CompilerConfig::small),
+    ("small_dim", CompilerConfig::small_dim),
+    ("safara_clauses", CompilerConfig::safara_clauses),
+    ("safara_small", CompilerConfig::safara_small),
+    ("carr_kennedy", CompilerConfig::carr_kennedy),
+    ("pgi_like", CompilerConfig::pgi_like),
+    ("safara_count_only", CompilerConfig::safara_count_only),
+    ("safara_no_feedback", CompilerConfig::safara_no_feedback),
+    ("safara_throughput", CompilerConfig::safara_throughput),
+    ("safara_regdem", CompilerConfig::safara_regdem),
+    ("safara_saturated", CompilerConfig::safara_saturated),
 ];
 
 /// The table row a wire key names.
@@ -278,7 +278,7 @@ fn profile(key: &str) -> Option<Named> {
     let normal = |b: &u8| if *b == b'-' { b'_' } else { b.to_ascii_lowercase() };
     PROFILES
         .iter()
-        .find(|(keys, _)| keys.iter().any(|k| key.iter().map(normal).eq(k.bytes())))
+        .find(|(k, _)| key.iter().map(normal).eq(k.bytes()))
         .map(|&(_, named)| named)
 }
 
@@ -439,21 +439,23 @@ mod tests {
         for key in CompilerConfig::PROFILE_KEYS {
             assert!(CompilerConfig::by_name(key).is_some(), "{key}");
         }
-        // Aliases and normalization.
-        assert_eq!(CompilerConfig::by_name("SAFARA").unwrap().name, "OpenUH(SAFARA)");
+        // Spellings: case, `-` for `_`, surrounding blanks.
+        assert_eq!(CompilerConfig::by_name("SAFARA-ONLY").unwrap().name, "OpenUH(SAFARA)");
         assert_eq!(CompilerConfig::by_name("carr-kennedy").unwrap().name, "CarrKennedy");
-        assert_eq!(CompilerConfig::by_name(" pgi ").unwrap().name, "PGI(simulated)");
+        assert_eq!(CompilerConfig::by_name(" Base ").unwrap().name, "OpenUH(base)");
         assert!(CompilerConfig::by_name("nvcc").is_none());
+        // One key per profile: no second name for any of them.
+        for alias in ["openuh", "safara", "safara_small_dim", "ck", "pgi", "regdem", "saturated"] {
+            assert!(CompilerConfig::by_name(alias).is_none(), "{alias}");
+        }
     }
 
     #[test]
     fn canonical_name_is_by_name_without_the_config() {
-        for (keys, named) in PROFILES {
-            for key in keys {
-                let shouted = format!(" {} ", key.to_ascii_uppercase().replace('_', "-"));
-                assert_eq!(CompilerConfig::canonical_name(key), Some(named().name), "{key}");
-                assert_eq!(CompilerConfig::canonical_name(&shouted), Some(named().name), "{shouted}");
-            }
+        for (key, named) in PROFILES {
+            let shouted = format!(" {} ", key.to_ascii_uppercase().replace('_', "-"));
+            assert_eq!(CompilerConfig::canonical_name(key), Some(named().name), "{key}");
+            assert_eq!(CompilerConfig::canonical_name(&shouted), Some(named().name), "{shouted}");
         }
         assert_eq!(CompilerConfig::canonical_name("nvcc"), None);
         assert_eq!(CompilerConfig::canonical_name("OpenUH(SAFARA)"), None, "a name is not a key");

@@ -1,23 +1,24 @@
 //! `ExecOptions` — the one place that knows how an execution knob
 //! resolves.
 //!
-//! Three knobs steer a launch without changing its result: the engine,
-//! the block-parallel worker count, and the superblock hot-block
-//! threshold. Each resolves through the same two settable layers:
+//! Two knobs steer a launch without changing its result: the engine and
+//! the block-parallel worker count. Both belong to whoever runs the
+//! process, never to a request, and resolve through the same two
+//! settable layers:
 //!
 //! 1. **scope** — the innermost `Some` among the [`ExecOptions::scope`]s
-//!    enclosing the launch on this thread (servers map wire fields here,
-//!    one request at a time);
-//! 2. **env** — `SAFARA_ENGINE`, `SAFARA_SIM_THREADS`,
-//!    `SAFARA_SB_THRESHOLD`, read once per process at the first
-//!    resolution;
+//!    enclosing the launch on this thread (oracles, differential tests,
+//!    the benchmark's per-engine probes);
+//! 2. **env** — `SAFARA_ENGINE`, `SAFARA_SIM_THREADS`, read once per
+//!    process at the first resolution;
 //!
-//! and otherwise the **default**: superblock engine, one worker per CPU,
-//! [`DEFAULT_SUPERBLOCK_THRESHOLD`]. The three engines are stats- and
-//! memory-identical, so the default is a choice of speed alone: the
-//! superblock engine runs the fig7 suite in about half the decoded
-//! engine's time. `decoded` and `reference` stay selectable through both
-//! layers, as oracles and for bisecting.
+//! and otherwise the **default**: superblock engine, one worker per CPU.
+//! The three engines are stats- and memory-identical, so the default is
+//! a choice of speed alone: the superblock engine runs the fig7 suite in
+//! about half the decoded engine's time. `decoded` and `reference` stay
+//! selectable through both layers, as oracles and for bisecting. The
+//! superblock engine's hot-block threshold is not a knob: it is a
+//! constant of that engine ([`crate::superblock`]).
 //!
 //! A `None` field falls through to the next layer, so an
 //! `ExecOptions::inherit()` scope is a no-op and the struct can always
@@ -27,7 +28,6 @@
 
 use crate::interp::Engine;
 use crate::parallel::parse_sim_threads;
-use crate::superblock::{parse_superblock_threshold, DEFAULT_SUPERBLOCK_THRESHOLD};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -39,22 +39,15 @@ pub struct ExecOptions {
     pub engine: Option<Engine>,
     /// Block-parallel worker count (`0` = auto: one per CPU).
     pub sim_threads: Option<u32>,
-    /// Superblock hot-block threshold (`u64::MAX` disables fusion;
-    /// values below 1 clamp to 1).
-    pub superblock_threshold: Option<u64>,
 }
 
-const INHERIT: ExecOptions =
-    ExecOptions { engine: None, sim_threads: None, superblock_threshold: None };
+const INHERIT: ExecOptions = ExecOptions { engine: None, sim_threads: None };
 
 /// What a launch runs under when neither a scope nor the environment
 /// says otherwise. The engine is the fastest of three byte-identical
 /// ones, not a semantic choice.
-const DEFAULTS: ExecOptions = ExecOptions {
-    engine: Some(Engine::Superblock),
-    sim_threads: Some(0),
-    superblock_threshold: Some(DEFAULT_SUPERBLOCK_THRESHOLD),
-};
+const DEFAULTS: ExecOptions =
+    ExecOptions { engine: Some(Engine::Superblock), sim_threads: Some(0) };
 
 std::thread_local! {
     /// The innermost-`Some`-wins merge of the scopes enclosing the
@@ -71,8 +64,6 @@ fn env_options() -> ExecOptions {
         ExecOptions {
             engine: var("SAFARA_ENGINE").and_then(|v| Engine::parse(&v)),
             sim_threads: var("SAFARA_SIM_THREADS").and_then(|v| parse_sim_threads(&v)),
-            superblock_threshold: var("SAFARA_SB_THRESHOLD")
-                .and_then(|v| parse_superblock_threshold(&v)),
         }
     })
 }
@@ -95,19 +86,12 @@ impl ExecOptions {
         self
     }
 
-    /// Pin the superblock hot-block threshold.
-    pub fn superblock_threshold(mut self, t: u64) -> Self {
-        self.superblock_threshold = Some(t);
-        self
-    }
-
     /// The pure merge every layer goes through: each knob is `self`'s
     /// value when set, else `outer`'s.
     pub fn or(self, outer: ExecOptions) -> ExecOptions {
         ExecOptions {
             engine: self.engine.or(outer.engine),
             sim_threads: self.sim_threads.or(outer.sim_threads),
-            superblock_threshold: self.superblock_threshold.or(outer.superblock_threshold),
         }
     }
 
@@ -149,17 +133,12 @@ pub fn current_sim_threads() -> u32 {
     }
 }
 
-/// The hot-block threshold a superblock launch on this thread would use.
-pub fn current_superblock_threshold() -> u64 {
-    ExecOptions::current().superblock_threshold.expect("DEFAULTS sets every knob").max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn current_knobs() -> (Engine, u32, u64) {
-        (current_engine(), current_sim_threads(), current_superblock_threshold())
+    fn current_knobs() -> (Engine, u32) {
+        (current_engine(), current_sim_threads())
     }
 
     #[test]
@@ -172,11 +151,8 @@ mod tests {
     #[test]
     fn scope_applies_and_restores_every_knob() {
         let before = current_knobs();
-        let opts = ExecOptions::inherit()
-            .engine(Engine::Reference)
-            .sim_threads(3)
-            .superblock_threshold(123);
-        opts.scope(|| assert_eq!(current_knobs(), (Engine::Reference, 3, 123)));
+        let opts = ExecOptions::inherit().engine(Engine::Reference).sim_threads(3);
+        opts.scope(|| assert_eq!(current_knobs(), (Engine::Reference, 3)));
         assert_eq!(current_knobs(), before);
         // Restored on unwind too.
         let unwound = std::panic::catch_unwind(|| opts.scope(|| panic!("inside the scope")));
@@ -202,10 +178,10 @@ mod tests {
     /// outer scope > env > default, independently per knob.
     #[test]
     fn merge_order_is_inner_outer_env_default_for_every_knob() {
-        let all = |e, n, t| ExecOptions::inherit().engine(e).sim_threads(n).superblock_threshold(t);
-        let inner = all(Engine::Reference, 1, 11);
-        let outer = all(Engine::Superblock, 2, 22);
-        let env = all(Engine::Reference, 3, 33);
+        let all = |e, n| ExecOptions::inherit().engine(e).sim_threads(n);
+        let inner = all(Engine::Reference, 1);
+        let outer = all(Engine::Superblock, 2);
+        let env = all(Engine::Reference, 3);
         let none = ExecOptions::inherit();
         // (inner, outer, env) layers that set the knobs → the layer that wins.
         for (i, o, e, want) in [
@@ -218,6 +194,6 @@ mod tests {
         }
         // Per knob: each falls through on its own.
         let mixed = ExecOptions::inherit().sim_threads(1).or(none.engine(Engine::Superblock));
-        assert_eq!(mixed.or(env).or(DEFAULTS), all(Engine::Superblock, 1, 33));
+        assert_eq!(mixed.or(env).or(DEFAULTS), all(Engine::Superblock, 1));
     }
 }

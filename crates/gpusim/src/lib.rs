@@ -44,14 +44,10 @@ pub mod timing;
 pub mod vir;
 
 pub use device::{DeviceConfig, Occupancy};
-pub use exec_options::{
-    current_engine, current_sim_threads, current_superblock_threshold, ExecOptions,
-};
+pub use exec_options::{current_engine, current_sim_threads, ExecOptions};
 pub use interp::{launch, Engine, LaunchConfig, LaunchResult};
-pub use parallel::{last_parallel_info, parse_sim_threads, ParallelInfo};
-pub use superblock::{
-    fusion_counters, parse_superblock_threshold, FusionCounters, DEFAULT_SUPERBLOCK_THRESHOLD,
-};
+pub use parallel::{last_parallel_info, ParallelInfo};
+pub use superblock::{fusion_counters, FusionCounters};
 pub use memo::{launch_cached, LaunchCache, SharedLaunchCache};
 pub use memory::{BufferId, DeviceMemory};
 pub use ptxas::{allocate_registers, allocate_registers_with, RegAllocReport, SpillTarget};

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 /// Parse a sim-threads setting: `auto` (or empty) means one worker per
 /// available CPU, otherwise a positive thread count.
-pub fn parse_sim_threads(s: &str) -> Option<u32> {
+pub(crate) fn parse_sim_threads(s: &str) -> Option<u32> {
     match s.trim() {
         "auto" | "" => Some(0),
         t => t.parse::<u32>().ok().filter(|n| *n >= 1),

@@ -14,12 +14,10 @@
 //!    execution counters on basic blocks and taken/not-taken counters on
 //!    conditional branches.
 //! 2. **Fuse.** Blocks whose execution count reaches the hot-block
-//!    threshold ([`crate::ExecOptions::superblock_threshold`], env
-//!    `SAFARA_SB_THRESHOLD`)
-//!    become superblock entries; fusion stitches consecutive hot blocks
-//!    together, following unconditional branches and the *biased* exit of
-//!    conditional branches (which become in-line guards), stopping at
-//!    backedges and `Ret`.
+//!    threshold become superblock entries; fusion stitches consecutive
+//!    hot blocks together, following unconditional branches and the
+//!    *biased* exit of conditional branches (which become in-line
+//!    guards), stopping at backedges and `Ret`.
 //! 3. **Hoist.** A flow-insensitive uniformity analysis (varying seeds:
 //!    thread-id reads; block-ids, launch constants, interned immediates
 //!    and kernel parameters are warp-uniform, and a load from a uniform
@@ -45,10 +43,13 @@
 //! `AtomAdd` — serialize exactly as lane-major execution does), warp
 //! divergence **peels** the warp back to lane-major decoded execution
 //! (lanes in order, each logging its own event stream for the
-//! transaction merge), kernels with an atomic inside a loop are delegated
-//! wholesale to the decoded engine, and a threshold of `u64::MAX` ("inf")
-//! short-circuits the whole engine into
-//! [`crate::decode::launch_decoded`].
+//! transaction merge), and kernels with an atomic inside a loop are
+//! delegated wholesale to [`crate::decode::launch_decoded`].
+//!
+//! The hot-block threshold (`HOT_THRESHOLD`, 8) is a constant, not a
+//! knob: the bytes are the same at any value, so it decides only how
+//! soon fusion starts; running without fusion is the decoded engine,
+//! which is selectable on its own.
 //!
 //! **The closure rule** is what makes accounting at the instruction
 //! exact. The merge groups a warp's events by `(instruction, occurrence)`
@@ -84,9 +85,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Warps executed lane-major (instrumented) before fusion kicks in.
 pub const PROFILE_WARPS: u64 = 2;
 
-/// Default hot-block threshold: profiled lane-level executions a basic
-/// block needs before it is eligible for fusion.
-pub const DEFAULT_SUPERBLOCK_THRESHOLD: u64 = 8;
+/// Hot-block threshold: profiled lane-level executions a basic block
+/// needs before it is eligible for fusion.
+const HOT_THRESHOLD: u64 = 8;
 
 /// Maximum basic blocks fused into one superblock.
 const MAX_FUSE: u32 = 16;
@@ -95,16 +96,6 @@ const MAX_FUSE: u32 = 16;
 /// against the scalar file instead of the lane-major file. Real
 /// register-file indices stay far below this bit.
 const UB: u32 = 1 << 31;
-
-/// Parse a superblock-threshold setting: `inf` disables fusion entirely
-/// (delegates every launch to the decoded engine), otherwise a count ≥ 1.
-pub fn parse_superblock_threshold(s: &str) -> Option<u64> {
-    let t = s.trim();
-    if t.eq_ignore_ascii_case("inf") {
-        return Some(u64::MAX);
-    }
-    t.parse::<u64>().ok().filter(|&x| x >= 1)
-}
 
 // ---------------------------------------------------------------------
 // Fusion/hoist observability counters (process-wide, flushed once per
@@ -129,8 +120,8 @@ static C_LANE_EVENTS_LOGGED: AtomicU64 = AtomicU64::new(0);
 pub struct FusionCounters {
     /// Launches entering this engine.
     pub launches: u64,
-    /// Launches delegated wholesale to the decoded engine (threshold =
-    /// `u64::MAX`, or an atomic inside a loop).
+    /// Launches delegated wholesale to the decoded engine (an atomic
+    /// inside a loop).
     pub delegated: u64,
     /// Basic blocks that met the hot threshold.
     pub hot_blocks: u64,
@@ -434,9 +425,8 @@ struct SbProgram {
 // build inputs except for the branch-bias sample, and the build output
 // is *correct* under any bias (guards are checked at run time — bias
 // only affects how often the lockstep path exits early). So the built
-// program is cached per thread, keyed by the full decoded content and
-// the threshold, and cache hits skip both the profiling warps and the
-// fusion pass entirely.
+// program is cached per thread, keyed by the full decoded content, and
+// cache hits skip both the profiling warps and the fusion pass entirely.
 
 /// Everything a launch needs to go straight to lockstep execution.
 struct CachedProg {
@@ -455,12 +445,11 @@ std::thread_local! {
         const { std::cell::RefCell::new(VecDeque::new()) };
 }
 
-/// Exact content key: threshold, register-file shape, constants, and
-/// every decoded instruction field. Full content (not a hash) — a
-/// collision would silently run the wrong program.
-fn prog_key(d: &Decoded, thr: u64) -> Vec<u64> {
-    let mut k = Vec::with_capacity(3 + d.consts.len() + 3 * d.insts.len());
-    k.push(thr);
+/// Exact content key: register-file shape, constants, and every decoded
+/// instruction field. Full content (not a hash) — a collision would
+/// silently run the wrong program.
+fn prog_key(d: &Decoded) -> Vec<u64> {
+    let mut k = Vec::with_capacity(2 + d.consts.len() + 3 * d.insts.len());
     k.push(d.n_vregs as u64);
     k.push(d.consts.len() as u64);
     k.extend_from_slice(&d.consts);
@@ -595,12 +584,11 @@ fn build(
     d: &Decoded,
     prof: &ProfileCounters,
     block_of: &[u32],
-    thr: u64,
     uni: &[bool],
     ctrs: &mut LocalCtrs,
 ) -> SbProgram {
     let n = d.insts.len();
-    let hot: Vec<bool> = prof.counts.iter().map(|&c| c >= thr).collect();
+    let hot: Vec<bool> = prof.counts.iter().map(|&c| c >= HOT_THRESHOLD).collect();
     ctrs.hot_blocks += hot.iter().filter(|&&h| h).count() as u64;
     let mut prog = SbProgram { sbs: Vec::new(), at: vec![None; n] };
     for pc0 in 0..n {
@@ -1253,11 +1241,6 @@ fn launch_inner(
     spilled: &[VReg],
     ctrs: &mut LocalCtrs,
 ) -> Result<LaunchResult, SimError> {
-    let thr = crate::current_superblock_threshold();
-    if thr == u64::MAX {
-        ctrs.delegated += 1;
-        return launch_decoded(kernel, config, params, mem, spilled);
-    }
     if params.len() != kernel.params.len() {
         return Err(SimError::Malformed(format!(
             "kernel `{}` expects {} params, got {}",
@@ -1273,7 +1256,7 @@ fn launch_inner(
     }
 
     let n_regs = d.n_vregs + d.consts.len();
-    let key = prog_key(&d, thr);
+    let key = prog_key(&d);
     let mut current: Option<std::sync::Arc<CachedProg>> = prog_cache_get(&key);
     // Profiling state, materialized only on a cache miss.
     let mut prof_state: Option<(ProfileCounters, Vec<u32>)> = if current.is_none() {
@@ -1365,7 +1348,7 @@ fn launch_inner(
                 profiled += 1;
                 if profiled >= PROFILE_WARPS {
                     let uni = classify(&d);
-                    let prog = build(&d, prof, block_of, thr, &uni, ctrs);
+                    let prog = build(&d, prof, block_of, &uni, ctrs);
                     let cp = std::sync::Arc::new(CachedProg { uni, prog });
                     prog_cache_put(key.clone(), cp.clone());
                     current = Some(cp);
@@ -1532,7 +1515,8 @@ mod tests {
                 prog: SbProgram { sbs: Vec::new(), at: Vec::new() },
             })
         };
-        // Keys no real launch produces (a real key has at least 3 words).
+        // Keys no real launch produces (no register file has u64::MAX
+        // registers).
         let key = |i: usize| vec![u64::MAX, i as u64];
         for i in 0..=PROG_CACHE_CAP {
             prog_cache_put(key(i), empty());

@@ -17,7 +17,7 @@ use safara_gpusim::vir::{
 };
 use safara_gpusim::{
     fusion_counters, launch, BufferId, DeviceMemory, Engine, ExecOptions, FusionCounters,
-    KernelStats, KernelVir, VReg, DEFAULT_SUPERBLOCK_THRESHOLD,
+    KernelStats, KernelVir, VReg,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -35,10 +35,7 @@ fn r(i: u32) -> Operand {
 }
 
 fn knobs(engine: Engine, threads: u32) -> ExecOptions {
-    ExecOptions::inherit()
-        .engine(engine)
-        .sim_threads(threads)
-        .superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD)
+    ExecOptions::inherit().engine(engine).sim_threads(threads)
 }
 
 /// One launch on a fresh memory image: the stats and every buffer.
@@ -405,6 +402,76 @@ fn end_of_kernel_atomic_in_lockstep_counts_every_thread() {
             let d = warm_delta(&kernel, &config, &setup, threads);
             assert_eq!((d.peels, d.lane_events_logged), (0, 0));
             assert_eq!(d.groups_accounted, 2 * all, "the load and the atomic, per warp");
+        }
+    }
+}
+
+/// (6) An atomic inside a loop: each thread adds its element three times.
+/// Lockstep would interleave one thread's adds with its neighbours', so
+/// the superblock engine hands the whole launch to the decoded engine —
+/// the one delegation path, which no suite workload takes. The bytes and
+/// stats are the reference's, and the launch moves `delegated` by one
+/// and no other counter but `launches`.
+#[test]
+fn atomic_in_a_loop_delegates_the_launch_to_the_decoded_engine() {
+    let _turn = exclusive();
+    let (x, sum, k, p) = (6, 7, 8, 9);
+    let top = Label(0);
+    let mut insts = preamble();
+    insts.extend(elem_addr(0));
+    insts.extend([
+        Inst::Ld { space: MemSpace::Global, ty: VType::F32, d: VReg(x), addr: VReg(5) },
+        Inst::LdParam { ty: VType::B64, d: VReg(sum), index: 1 },
+        Inst::Mov { ty: VType::B32, d: VReg(k), a: Operand::ImmI(0) },
+        Inst::Mark(top),
+        Inst::AtomAdd { ty: VType::F32, addr: VReg(sum), a: r(x) },
+        Inst::Alu { op: AluOp::Add, ty: VType::B32, d: VReg(k), a: r(k), b: Operand::ImmI(1) },
+        Inst::Setp { op: CmpOp::Lt, ty: VType::B32, d: VReg(p), a: r(k), b: Operand::ImmI(3) },
+        Inst::Bra { target: top, pred: Some((VReg(p), true)) },
+        Inst::Ret,
+    ]);
+    let kernel = KernelVir {
+        name: "atomic_loop".into(),
+        params: vec![ParamDecl::Ptr; 2],
+        vregs: vec![
+            VType::B32,
+            VType::B32,
+            VType::B32,
+            VType::B32,
+            VType::B64,
+            VType::B64,
+            VType::F32, // x
+            VType::B64, // &sum
+            VType::B32, // k
+            VType::Pred,
+        ],
+        insts,
+    };
+    for (grid, block) in GEOMETRIES {
+        let config = LaunchConfig::d1(grid, block);
+        let n = (grid * block) as usize;
+        let setup = move |mem: &mut DeviceMemory| {
+            let a = mem.alloc(n * 4);
+            let data: Vec<f32> =
+                (0..n).map(|i| 1.0e-3 * (i as f32 + 1.0) * 10f32.powi(i as i32 % 8)).collect();
+            mem.copy_in_f32(a, &data);
+            let sum = mem.alloc(4);
+            vec![ParamVal::Ptr(mem.base_addr(a)), ParamVal::Ptr(mem.base_addr(sum))]
+        };
+        let stats = assert_all_agree(&kernel, &config, &setup);
+        assert_eq!(stats.atomics, 3 * stats.threads);
+        for threads in [1, 2] {
+            knobs(Engine::Superblock, threads).scope(|| {
+                let before = fusion_counters();
+                run_once(&kernel, &config, &setup);
+                let after = fusion_counters();
+                let want = FusionCounters {
+                    launches: before.launches + 1,
+                    delegated: before.delegated + 1,
+                    ..before
+                };
+                assert_eq!(after, want, "{grid}×{block} × {threads}");
+            });
         }
     }
 }

@@ -33,6 +33,6 @@ pub use egraph::{
     saturate_region, RegionSaturation, SaturateConfig, SaturateError, SaturateStats, StopReason,
 };
 pub use select::{select_candidates, OptGoal, SelectionConfig, ThroughputContext};
-pub use strategy::{carr_kennedy_pass, safara_pass, safara_pass_with, SrOutcome};
+pub use strategy::{carr_kennedy_pass, safara_pass, SrOutcome};
 pub use transform::apply_group;
 pub use unroll::unroll_seq_loops;

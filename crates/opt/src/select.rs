@@ -46,35 +46,24 @@ pub struct ThroughputContext {
     pub regs_in_use: u32,
 }
 
-/// Selection policy knobs.
-#[derive(Debug, Clone)]
+/// Hardware registers each temporary of a 32-bit element costs (64-bit
+/// elements cost twice this).
+const REGS_PER_TEMP: u32 = 1;
+
+/// Groups whose estimated benefit is below this are never selected
+/// (avoids burning registers on reuse that saves nothing).
+const MIN_BENEFIT: u64 = 1;
+
+/// Selection policy.
+#[derive(Debug, Clone, Default)]
 pub struct SelectionConfig {
     /// The cost model (latency-aware by default; count-only for the
     /// Carr–Kennedy ablation).
     pub cost_model: CostModel,
-    /// Hardware registers each temporary of a 32-bit element costs.
-    /// (64-bit elements cost twice this.)
-    pub regs_per_temp: u32,
-    /// Groups whose estimated benefit is below this threshold are never
-    /// selected (avoids burning registers on single-hit reuse).
-    pub min_benefit: u64,
-    /// What admission optimizes.
-    pub goal: OptGoal,
-    /// Required when `goal` is [`OptGoal::MaxThroughput`]; ignored (and
-    /// the goal falls back to `MinRegisters`) when absent.
+    /// What admission optimizes: `Some` is [`OptGoal::MaxThroughput`]
+    /// with its occupancy oracle, `None` the paper's
+    /// [`OptGoal::MinRegisters`].
     pub throughput: Option<ThroughputContext>,
-}
-
-impl Default for SelectionConfig {
-    fn default() -> Self {
-        SelectionConfig {
-            cost_model: CostModel::default(),
-            regs_per_temp: 1,
-            min_benefit: 1,
-            goal: OptGoal::MinRegisters,
-            throughput: None,
-        }
-    }
 }
 
 /// A scored candidate.
@@ -108,17 +97,15 @@ pub fn select_candidates(
             let class = AccessClass::of(u.space, coalesce);
             let benefit = config.cost_model.benefit(g, class);
             let width = if u.ty.elem.size_bytes() == 8 { 2 } else { 1 };
-            let reg_cost = g.temps_needed() * config.regs_per_temp * width;
+            let reg_cost = g.temps_needed() * REGS_PER_TEMP * width;
             Some(Candidate { group: g.clone(), class, benefit, reg_cost })
         })
-        .filter(|c| c.benefit >= config.min_benefit)
+        .filter(|c| c.benefit >= MIN_BENEFIT)
         .collect();
     cands.sort_by(|a, b| b.benefit.cmp(&a.benefit).then(a.reg_cost.cmp(&b.reg_cost)));
-    match (config.goal, &config.throughput) {
-        (OptGoal::MaxThroughput, Some(ctx)) => {
-            select_for_throughput(cands, budget_regs, config, ctx)
-        }
-        _ => {
+    match &config.throughput {
+        Some(ctx) => select_for_throughput(cands, budget_regs, config, ctx),
+        None => {
             let mut used = 0u32;
             let mut out = Vec::new();
             for c in cands {
@@ -292,11 +279,7 @@ mod tests {
             threads_per_block: 128,
             regs_in_use: 17,
         };
-        let cfg = SelectionConfig {
-            goal: OptGoal::MaxThroughput,
-            throughput: Some(ctx),
-            ..Default::default()
-        };
+        let cfg = SelectionConfig { throughput: Some(ctx), ..Default::default() };
         let thr = select_candidates(&groups, &info, &usage, 255, &cfg);
         let arrays = |v: &[Candidate]| -> Vec<String> {
             v.iter().map(|c| c.group.array.as_str().to_string()).collect()
@@ -319,24 +302,11 @@ mod tests {
             threads_per_block: 1024,
             regs_in_use: 63,
         };
-        let cfg = SelectionConfig {
-            goal: OptGoal::MaxThroughput,
-            throughput: Some(ctx),
-            ..Default::default()
-        };
+        let cfg = SelectionConfig { throughput: Some(ctx), ..Default::default() };
         let thr = select_candidates(&groups, &info, &usage, 255, &cfg);
         let thr_cost: u32 = thr.iter().map(|c| c.reg_cost).sum();
         assert!(thr_cost <= 1, "must not launch-kill the kernel: cost {thr_cost}");
         assert!(thr_cost < base_cost);
-    }
-
-    #[test]
-    fn throughput_goal_without_context_falls_back() {
-        let (groups, info, usage) = setup(FIG5);
-        let base = select_candidates(&groups, &info, &usage, 255, &SelectionConfig::default());
-        let cfg = SelectionConfig { goal: OptGoal::MaxThroughput, ..Default::default() };
-        let thr = select_candidates(&groups, &info, &usage, 255, &cfg);
-        assert_eq!(base.len(), thr.len());
     }
 
     #[test]

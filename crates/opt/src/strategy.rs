@@ -11,9 +11,7 @@
 //!   (Fig. 3 → Fig. 4). Register pressure is moderated by reference
 //!   count only.
 
-use crate::select::{
-    group_elem_ty, select_candidates, OptGoal, SelectionConfig, ThroughputContext,
-};
+use crate::select::{group_elem_ty, select_candidates, SelectionConfig, ThroughputContext};
 use crate::transform::{apply_group, TempNamer};
 use safara_analysis::cost::CostModel;
 use safara_analysis::memspace::classify_arrays;
@@ -38,28 +36,15 @@ pub struct SrOutcome {
 ///
 /// `budget_regs` is the number of registers the feedback loop computed as
 /// available; `cost_model` is latency-aware by default and count-only for
-/// the ablation.
+/// the ablation. `throughput` is the goal: `None` saturates the budget
+/// (the paper's policy), `Some` admits each candidate through its
+/// occupancy oracle (device + planned block size + current register
+/// use), as [`crate::OptGoal::MaxThroughput`] asks.
 pub fn safara_pass(
     func: &Function,
     region: &mut OffloadRegion,
     budget_regs: u32,
     cost_model: &CostModel,
-    namer: &mut TempNamer,
-) -> SrOutcome {
-    safara_pass_with(func, region, budget_regs, cost_model, OptGoal::MinRegisters, None, namer)
-}
-
-/// [`safara_pass`] with an explicit optimization goal. Under
-/// [`OptGoal::MaxThroughput`] the `throughput` context supplies the
-/// occupancy oracle (device + planned block size + current register use)
-/// consulted during admission; without it the goal degrades to
-/// `MinRegisters`.
-pub fn safara_pass_with(
-    func: &Function,
-    region: &mut OffloadRegion,
-    budget_regs: u32,
-    cost_model: &CostModel,
-    goal: OptGoal,
     throughput: Option<ThroughputContext>,
     namer: &mut TempNamer,
 ) -> SrOutcome {
@@ -67,12 +52,7 @@ pub fn safara_pass_with(
     let info = RegionInfo::analyze(&snapshot);
     let usage = classify_arrays(&func.params, &snapshot);
     let groups = find_reuse_groups(&snapshot, &info);
-    let config = SelectionConfig {
-        cost_model: cost_model.clone(),
-        goal,
-        throughput,
-        ..Default::default()
-    };
+    let config = SelectionConfig { cost_model: cost_model.clone(), throughput };
     let picked = select_candidates(&groups, &info, &usage, budget_regs, &config);
     let mut outcome = SrOutcome::default();
     for c in &picked {
@@ -198,7 +178,7 @@ mod tests {
     #[test]
     fn safara_leaves_fig3_parallel() {
         let (outcome, txt) = run_pass(FIG3, |f, r, n| {
-            safara_pass(f, r, 255, &CostModel::default(), n)
+            safara_pass(f, r, 255, &CostModel::default(), None, n)
         });
         assert_eq!(outcome.temps_added, 0);
         assert!(outcome.sequentialized.is_empty());
@@ -237,7 +217,7 @@ mod tests {
     #[test]
     fn safara_transforms_fig5_keeping_parallelism() {
         let (outcome, txt) = run_pass(FIG5, |f, r, n| {
-            safara_pass(f, r, 255, &CostModel::default(), n)
+            safara_pass(f, r, 255, &CostModel::default(), None, n)
         });
         assert!(outcome.temps_added >= 3, "{outcome:?}");
         assert!(outcome.sequentialized.is_empty());
@@ -248,7 +228,7 @@ mod tests {
     #[test]
     fn zero_budget_is_a_no_op() {
         let (outcome, txt) = run_pass(FIG5, |f, r, n| {
-            safara_pass(f, r, 0, &CostModel::default(), n)
+            safara_pass(f, r, 0, &CostModel::default(), None, n)
         });
         assert_eq!(outcome.temps_added, 0);
         assert!(!txt.contains("__sr"));
@@ -257,7 +237,7 @@ mod tests {
     #[test]
     fn budget_of_three_picks_only_top_group() {
         let (outcome, _) = run_pass(FIG5, |f, r, n| {
-            safara_pass(f, r, 3, &CostModel::default(), n)
+            safara_pass(f, r, 3, &CostModel::default(), None, n)
         });
         // The b inter group costs exactly 3 temps; nothing else fits.
         assert_eq!(outcome.temps_added, 3);

@@ -26,6 +26,12 @@
 //! `shutting_down`. Run responses always include per-array content
 //! digests; full array contents (bits encoding) are returned when the
 //! request set `"return_arrays": true`.
+//!
+//! Members an op does not read are ignored. How a run executes — the
+//! engine, the worker count — belongs to the server process
+//! (`gpusim::ExecOptions`: scope > env > default), never to a request:
+//! a line that carries `"engine"`, `"sim_threads"` or `"sb_threshold"`
+//! is answered byte for byte as the same line without them.
 
 //!
 //! ## Protocol versions
@@ -123,25 +129,6 @@ pub struct RunRequest {
     /// Return full post-run array contents (bits encoding), not just
     /// digests.
     pub return_arrays: bool,
-    /// Per-request simulator engine override (`"engine"` field:
-    /// `reference`, `decoded`, or `superblock`). `None` keeps the
-    /// server's default engine. Unknown names fail with the typed
-    /// `invalid_engine` error.
-    pub engine: Option<String>,
-    /// Per-request simulator thread-count override (`"sim_threads"`
-    /// field: a positive integer, or the string `"auto"` for one worker
-    /// per available core). `None` keeps the server's default. Values
-    /// that are neither fail with the typed `invalid_sim_threads`
-    /// error. Kept as the raw token so validation happens in the
-    /// service layer, mirroring `engine`.
-    pub sim_threads: Option<String>,
-    /// Per-request superblock-promotion threshold override
-    /// (`"sb_threshold"` field: a positive integer, or the string
-    /// `"inf"` to disable promotion). `None` keeps the server's
-    /// default. Anything else fails with the typed
-    /// `invalid_sb_threshold` error. Raw token, validated in the
-    /// service layer like the other two knobs.
-    pub sb_threshold: Option<String>,
 }
 
 /// Why a request line was refused, with what routing the line still
@@ -241,42 +228,6 @@ fn request_from(v: &Json, arrays: Option<Arrays>) -> Result<Request, String> {
             profile: required_str(v, "profile")?,
             args: parse_args(v, arrays)?,
             return_arrays: v.get("return_arrays").and_then(Json::as_bool).unwrap_or(false),
-            engine: match v.get("engine") {
-                None | Some(Json::Null) => None,
-                Some(t) => {
-                    Some(t.as_str().ok_or("`engine` must be a string")?.to_string())
-                }
-            },
-            sim_threads: match v.get("sim_threads") {
-                None | Some(Json::Null) => None,
-                Some(t) => {
-                    // Keep the raw token; the service layer rejects
-                    // anything that is not a positive integer or "auto"
-                    // with the typed `invalid_sim_threads` error.
-                    if let Some(n) = t.as_i64() {
-                        Some(n.to_string())
-                    } else if let Some(s) = t.as_str() {
-                        Some(s.to_string())
-                    } else {
-                        return Err("`sim_threads` must be an integer or string".into());
-                    }
-                }
-            },
-            sb_threshold: match v.get("sb_threshold") {
-                None | Some(Json::Null) => None,
-                Some(t) => {
-                    // Raw token; the service layer rejects anything that
-                    // is not a positive integer or "inf" with the typed
-                    // `invalid_sb_threshold` error.
-                    if let Some(n) = t.as_i64() {
-                        Some(n.to_string())
-                    } else if let Some(s) = t.as_str() {
-                        Some(s.to_string())
-                    } else {
-                        return Err("`sb_threshold` must be an integer or string".into());
-                    }
-                }
-            },
         }),
         "shutdown" => Op::Shutdown,
         other => return Err(format!("unknown op `{other}`")),
@@ -594,34 +545,26 @@ fn write_arrays(arrays: &BTreeMap<Ident, HostArray>, out: &mut String) {
 
 /// Content key of a run request — the single-flight dedup key and the
 /// shard-routing key. Two requests share a key iff they ask for
-/// identical work: source, entry, resolved profile, engine override, and
-/// every argument (scalar bit patterns and raw array bytes, in `Args`'
-/// stable `BTreeMap` order) all match. Every spelling and alias of one
-/// profile is the same work; a key that names no profile goes in raw
-/// (that request fails `unknown_profile` whatever it shares a key with).
+/// identical work: source, entry, resolved profile, and every argument
+/// (scalar bit patterns and raw array bytes, in `Args`' stable
+/// `BTreeMap` order) all match. Every spelling of one profile is the
+/// same work; a key that names no profile goes in raw (that request
+/// fails `unknown_profile` whatever it shares a key with).
 ///
-/// Deliberately excluded, mirroring the launch-memo key rule:
-/// `sim_threads` and `sb_threshold` (simulation results are independent
-/// of worker count and superblock promotion, so keying on them would
-/// split identical work), `return_arrays` (response shaping, not work),
-/// and the envelope fields `id`, `v`, `trace`, `timeout_ms`.
+/// Deliberately excluded: `return_arrays` (response shaping, not work)
+/// and the envelope fields `id`, `v`, `trace`, `timeout_ms`. Nothing on
+/// the wire chooses how a run executes, so nothing of that is keyed.
 pub fn run_key(r: &RunRequest) -> ContentKey {
-    run_key_parts(&r.source, &r.entry, &r.profile, r.engine.as_deref(), &r.args)
+    run_key_parts(&r.source, &r.entry, &r.profile, &r.args)
 }
 
 /// [`run_key`] from loose parts — for callers (routing clients) that
 /// have not built a [`RunRequest`].
-pub fn run_key_parts(
-    source: &str,
-    entry: &str,
-    profile: &str,
-    engine: Option<&str>,
-    args: &Args,
-) -> ContentKey {
+pub fn run_key_parts(source: &str, entry: &str, profile: &str, args: &Args) -> ContentKey {
     let mut h = ContentHasher::default();
     // `Ok(name)` / `Err(raw key)`: an unknown key can never pass for a
     // profile by spelling out its display name.
-    h.value(&(source, entry, CompilerConfig::canonical_name(profile).ok_or(profile), engine));
+    h.value(&(source, entry, CompilerConfig::canonical_name(profile).ok_or(profile)));
     for (name, value) in &args.scalars {
         let (tag, bits) = match value {
             safara_core::runtime::ArgValue::I32(i) => (1u32, *i as i64 as u64),
@@ -758,17 +701,10 @@ pub struct RunRequestLine<'a> {
     pub args: &'a Args,
     /// Ask for full post-run array contents, not just digests.
     pub return_arrays: bool,
-    /// Engine override (`reference` / `decoded` / `superblock`).
-    pub engine: Option<&'a str>,
-    /// Worker-count override (a positive integer, or `auto`).
-    pub sim_threads: Option<&'a str>,
-    /// Superblock-threshold override (a positive integer, or `inf`).
-    pub sb_threshold: Option<&'a str>,
 }
 
 impl<'a> RunRequestLine<'a> {
-    /// A v1 request with no execution-knob overrides; set the other
-    /// fields with struct-update syntax.
+    /// A v1 request; set `v` with struct-update syntax.
     pub fn new(
         id: i64,
         source: &'a str,
@@ -777,24 +713,12 @@ impl<'a> RunRequestLine<'a> {
         args: &'a Args,
         return_arrays: bool,
     ) -> Self {
-        RunRequestLine {
-            v: 1,
-            id,
-            source,
-            entry,
-            profile,
-            args,
-            return_arrays,
-            engine: None,
-            sim_threads: None,
-            sb_threshold: None,
-        }
+        RunRequestLine { v: 1, id, source, entry, profile, args, return_arrays }
     }
 
-    /// The request line. A `None` knob omits its field, so lines without
-    /// overrides are byte-identical whichever way they were built. Array
-    /// payloads — all but a few hundred bytes of a line — are written
-    /// straight into it (`write_bits`), not through a [`Json`] tree.
+    /// The request line. Array payloads — all but a few hundred bytes of
+    /// a line — are written straight into it (`write_bits`), not through
+    /// a [`Json`] tree.
     pub fn render(&self) -> String {
         let payload: usize = self.args.arrays.values().map(|a| a.bytes.len()).sum();
         let mut out = String::with_capacity(256 + self.source.len() + 3 * payload);
@@ -829,15 +753,6 @@ impl<'a> RunRequestLine<'a> {
         write_key(&mut out, "arrays");
         write_arrays(&self.args.arrays, &mut out);
         write_member(&mut out, "return_arrays", &Json::Bool(self.return_arrays));
-        for (key, knob) in [
-            ("engine", self.engine),
-            ("sim_threads", self.sim_threads),
-            ("sb_threshold", self.sb_threshold),
-        ] {
-            if let Some(value) = knob {
-                write_member(&mut out, key, &Json::Str(value.into()));
-            }
-        }
         out.push('}');
         out
     }
@@ -916,44 +831,6 @@ impl WireError {
     /// An unknown compiler-profile key.
     pub fn unknown_profile(message: String) -> WireError {
         WireError { code: "unknown_profile", message, phase: None, retryable: false }
-    }
-
-    /// An unknown simulator-engine name in a run request.
-    pub fn invalid_engine(name: &str) -> WireError {
-        WireError {
-            code: "invalid_engine",
-            message: format!(
-                "unknown engine `{name}` (expected one of: reference, decoded, superblock)"
-            ),
-            phase: None,
-            retryable: false,
-        }
-    }
-
-    /// A `sim_threads` value that is neither a positive integer nor
-    /// `"auto"` in a run request.
-    pub fn invalid_sim_threads(value: &str) -> WireError {
-        WireError {
-            code: "invalid_sim_threads",
-            message: format!(
-                "invalid sim_threads `{value}` (expected a positive integer or \"auto\")"
-            ),
-            phase: None,
-            retryable: false,
-        }
-    }
-
-    /// An `sb_threshold` value that is neither a positive integer nor
-    /// `"inf"` in a run request.
-    pub fn invalid_sb_threshold(value: &str) -> WireError {
-        WireError {
-            code: "invalid_sb_threshold",
-            message: format!(
-                "invalid sb_threshold `{value}` (expected a positive integer or \"inf\")"
-            ),
-            phase: None,
-            retryable: false,
-        }
     }
 
     /// An unexpected server-side failure (worker panic, poisoned state).
@@ -1464,64 +1341,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_field_parses_and_roundtrips() {
-        let args = Args::new();
-        let line = RunRequestLine {
-            v: 2,
-            engine: Some("superblock"),
-            ..RunRequestLine::new(1, "s", "e", "base", &args, false)
-        }
-        .render();
-        let Op::Run(r) = parse_request(&line).unwrap().op else { panic!() };
-        assert_eq!(r.engine.as_deref(), Some("superblock"));
-        // Engine-less builders stay byte-identical to the legacy shape
-        // and parse to no override.
-        let plain = build_run_request(1, "s", "e", "base", &Args::new(), false);
-        assert!(!plain.contains("\"engine\""));
-        let Op::Run(r) = parse_request(&plain).unwrap().op else { panic!() };
-        assert_eq!(r.engine, None);
-        assert!(parse_request(
-            r#"{"op":"run","source":"s","entry":"e","profile":"base","engine":7}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn sim_threads_field_parses_and_roundtrips() {
-        // String and integer wire forms both surface as the raw token.
-        let args = Args::new();
-        let line = RunRequestLine {
-            v: 2,
-            sim_threads: Some("auto"),
-            ..RunRequestLine::new(1, "s", "e", "base", &args, false)
-        }
-        .render();
-        let Op::Run(r) = parse_request(&line).unwrap().op else { panic!() };
-        assert_eq!(r.sim_threads.as_deref(), Some("auto"));
-        let Op::Run(r) = parse_request(
-            r#"{"op":"run","source":"s","entry":"e","profile":"base","sim_threads":4}"#,
-        )
-        .unwrap()
-        .op
-        else {
-            panic!()
-        };
-        assert_eq!(r.sim_threads.as_deref(), Some("4"));
-        // Omitting the field keeps the line byte-identical to the other
-        // builders and parses to no override.
-        let plain = build_run_request(1, "s", "e", "base", &Args::new(), false);
-        assert!(!plain.contains("\"sim_threads\""));
-        let Op::Run(r) = parse_request(&plain).unwrap().op else { panic!() };
-        assert_eq!(r.sim_threads, None);
-        // Structurally wrong type: parse-level bad_request, not a typed
-        // invalid_sim_threads (that is for well-typed bad values).
-        assert!(parse_request(
-            r#"{"op":"run","source":"s","entry":"e","profile":"base","sim_threads":true}"#
-        )
-        .is_err());
-    }
-
-    #[test]
     fn run_key_matches_work_not_envelope() {
         let args = Args::new().i32("n", 8).f32("a", 0.5).array_f32("x", &[1.0, 2.0]);
         let base = RunRequest {
@@ -1530,38 +1349,28 @@ mod tests {
             profile: "base".into(),
             args: args.clone(),
             return_arrays: false,
-            engine: None,
-            sim_threads: None,
-            sb_threshold: None,
         };
         let key = run_key(&base);
-        // Response shaping and thread count do not change the work.
+        // Response shaping does not change the work.
         let mut same = base.clone();
         same.return_arrays = true;
-        same.sim_threads = Some("4".into());
         assert_eq!(run_key(&same), key);
-        assert_eq!(
-            run_key_parts(&base.source, &base.entry, &base.profile, None, &base.args),
-            key
-        );
-        // Source, entry, profile, engine, and argument bits all do.
+        assert_eq!(run_key_parts(&base.source, &base.entry, &base.profile, &base.args), key);
+        // Source, entry, profile, and argument bits all do.
         let mut other = base.clone();
         other.source = "void f() { }".into();
         assert_ne!(run_key(&other), key);
         let mut other = base.clone();
         other.profile = "safara_only".into();
         assert_ne!(run_key(&other), key);
-        // ...the profile as resolved: aliases and spellings of one profile
-        // are one piece of work, unknown keys stay apart by their text.
+        // ...the profile as resolved: spellings of one profile are one
+        // piece of work, unknown keys stay apart by their text.
         let of = |profile: &str| run_key(&RunRequest { profile: profile.into(), ..base.clone() });
-        assert_eq!(of("safara"), of("safara_only"));
+        assert_eq!(of(" Base "), of("base"));
         assert_eq!(of("SAFARA-ONLY"), of("safara_only"));
         assert_ne!(of("safara_only"), of("safara_clauses"));
         assert_ne!(of("nope"), of("nope2"));
         assert_ne!(of("OpenUH(SAFARA)"), of("safara_only"), "a display name is not a key");
-        let mut other = base.clone();
-        other.engine = Some("reference".into());
-        assert_ne!(run_key(&other), key);
         let mut other = base.clone();
         other.args = args.clone().i32("n", 9);
         assert_ne!(run_key(&other), key);
@@ -1581,7 +1390,7 @@ mod tests {
         let key_of = |arr: HostArray| {
             let mut args = Args::new();
             args.arrays.insert(Ident::new("x"), arr);
-            run_key_parts("s", "e", "base", None, &args)
+            run_key_parts("s", "e", "base", &args)
         };
         let base = HostArray::from_i32(&values);
         let mut keys = std::collections::BTreeSet::from([key_of(base.clone())]);

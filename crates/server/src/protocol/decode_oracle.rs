@@ -165,17 +165,14 @@ fn payload_args() -> Args {
 /// Valid lines of every shape the protocol tests use.
 fn valid_lines() -> Vec<String> {
     let args = payload_args();
-    let knobs = RunRequestLine {
+    let v2 = RunRequestLine {
         v: 2,
-        engine: Some("superblock"),
-        sim_threads: Some("auto"),
-        sb_threshold: Some("inf"),
         ..RunRequestLine::new(9, "void f() {\n}", "f", "safara_only", &args, true)
     };
     let mut lines = vec![
         build_run_request(7, "void f() {}", "f", "base", &args, true),
         build_run_request(1, "s", "e", "base", &Args::new(), false),
-        knobs.render(),
+        v2.render(),
     ];
     lines.extend(
         [
@@ -185,7 +182,9 @@ fn valid_lines() -> Vec<String> {
             r#"{"op":"sleep","ms":50}"#,
             r#"{"op":"shutdown"}"#,
             r#"{"op":"compile","source":"s","profile":"base","entry":"f","trace":true}"#,
+            // Members no op reads, of any type, are ignored.
             r#"{"op":"run","source":"s","entry":"e","profile":"base","sim_threads":4,"sb_threshold":16}"#,
+            r#"{"op":"run","source":"s","entry":"e","profile":"base","engine":"bogus","sim_threads":true,"sb_threshold":"x"}"#,
             r#"{"op":"run","source":"s","entry":"e","profile":"base",
                 "arrays":{"x":{"elem":"f32","data":[1,2.5]},"k":{"elem":"i32","data":[4]}}}"#,
             // Member order is not protocol; duplicate keys keep the last.
@@ -225,14 +224,6 @@ const SINGLE_FAULTS: &[(&str, &str)] = &[
     (
         r#"{"op":"run","entry":"e","profile":"base"}"#,
         "missing string field `source`",
-    ),
-    (
-        r#"{"id":4,"v":2,"op":"run","source":"s","entry":"e","profile":"base","engine":7}"#,
-        "`engine` must be a string",
-    ),
-    (
-        r#"{"op":"run","source":"s","entry":"e","profile":"base","sim_threads":true}"#,
-        "`sim_threads` must be an integer or string",
     ),
     (
         r#"{"op":"run","source":"s","entry":"e","profile":"base","scalars":{"n":"x"}}"#,

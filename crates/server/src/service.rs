@@ -24,7 +24,6 @@ use safara_core::chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_core::gpusim::device::DeviceConfig;
 use safara_core::gpusim::content::ContentKey;
 use safara_core::gpusim::memo::{DEFAULT_ENTRY_CAP, DEFAULT_SHARDS};
-use safara_core::gpusim::{self, ExecOptions};
 use safara_core::obs::{Histogram, HistogramSnapshot, Tracer};
 use safara_core::{
     run_compiled_with, CompiledProgram, CompilerConfig, Memo, RunCtx, SharedLaunchCache,
@@ -184,7 +183,7 @@ impl Metrics {
 
 /// Error codes the engine tallies per response (`stats` →
 /// `errors_by_code`): the pipeline codes plus the server-level ones.
-pub const ERROR_CODES: [&str; 15] = [
+pub const ERROR_CODES: [&str; 12] = [
     "parse",
     "sema",
     "analysis",
@@ -195,9 +194,6 @@ pub const ERROR_CODES: [&str; 15] = [
     "bad_request",
     "resource_limit",
     "unknown_profile",
-    "invalid_engine",
-    "invalid_sim_threads",
-    "invalid_sb_threshold",
     "breaker_open",
     "shed",
 ];
@@ -246,7 +242,7 @@ impl ErrorCodeCounts {
 /// re-opens it for another cooldown.
 ///
 /// Partitions are keyed by the *resolved* profile name, so every wire
-/// alias of one `CompilerConfig` shares a state. A key that does not
+/// spelling of one `CompilerConfig` shares a state. A key that does not
 /// resolve has no partition: it is always admitted and never recorded,
 /// so it reaches the worker and is answered `unknown_profile`.
 struct Breaker {
@@ -427,16 +423,6 @@ pub struct EngineShared {
     max_batch: usize,
     faults: Arc<FaultPlan>,
     breaker: Breaker,
-}
-
-/// Evaluate an engine injection point. `Delay`/`Hang` are absorbed here
-/// (the sleep is the fault); other actions come back for the call site.
-fn fault(shared: &EngineShared, point: InjectionPoint) -> Option<FaultAction> {
-    let action = shared.faults.check(point)?;
-    if shared.faults.apply_delay(&action) {
-        return None;
-    }
-    Some(action)
 }
 
 impl EngineShared {
@@ -1043,38 +1029,13 @@ fn process_job(shared: &Arc<EngineShared>, queue: &Arc<Bounded<Job>>, mut job: J
     };
     // Injected client hangup: the reply is built, then dropped —
     // exactly what a closed connection looks like to the worker.
-    if matches!(fault(shared, InjectionPoint::Reply), Some(FaultAction::Hangup)) {
+    if matches!(shared.faults.at(InjectionPoint::Reply), Some(FaultAction::Hangup)) {
         shared.replies_dropped.fetch_add(1, Ordering::Relaxed);
     } else if job.reply.send(line).is_err() {
         // A send error means the client hung up; count the lost reply.
         shared.replies_dropped.fetch_add(1, Ordering::Relaxed);
     }
     panicked
-}
-
-/// Map a run request's execution knobs — `engine`, `sim_threads`
-/// (`"auto"` is 0: one worker per core), `sb_threshold` (`"inf"`
-/// disables promotion), all raw wire tokens — onto one [`ExecOptions`],
-/// or the first typed validation failure. Its scope then sets exactly
-/// the knobs the request named and leaves the rest to the server's
-/// environment and the defaults.
-fn resolve_exec_options(r: &protocol::RunRequest) -> Result<ExecOptions, WireError> {
-    fn knob<T>(
-        raw: &Option<String>,
-        parse: impl Fn(&str) -> Option<T>,
-        invalid: impl Fn(&str) -> WireError,
-    ) -> Result<Option<T>, WireError> {
-        raw.as_deref().map(|s| parse(s).ok_or_else(|| invalid(s))).transpose()
-    }
-    Ok(ExecOptions {
-        engine: knob(&r.engine, gpusim::Engine::parse, WireError::invalid_engine)?,
-        sim_threads: knob(&r.sim_threads, gpusim::parse_sim_threads, WireError::invalid_sim_threads)?,
-        superblock_threshold: knob(
-            &r.sb_threshold,
-            gpusim::parse_superblock_threshold,
-            WireError::invalid_sb_threshold,
-        )?,
-    })
 }
 
 /// Run one request. A `run` gives up its arguments: the pipeline works
@@ -1090,7 +1051,7 @@ fn execute(
     // Injected worker faults: a `panic` action unwinds into the
     // worker's catch_unwind (exercising isolation + respawn); a `fail`
     // is a plain retryable internal error.
-    if let Some(action) = fault(shared, InjectionPoint::WorkerJob) {
+    if let Some(action) = shared.faults.at(InjectionPoint::WorkerJob) {
         match action {
             FaultAction::Panic => panic!("injected worker panic"),
             _ => return ExecOutcome::Fail(WireError::internal("injected worker fault")),
@@ -1141,22 +1102,16 @@ fn execute(
             // without touching its checksum. With `verify_cache` on the
             // replay path detects it, drops the entry, and re-simulates
             // — the slow correct answer instead of the fast wrong one.
-            if let Some(FaultAction::Poison) = fault(shared, InjectionPoint::CacheRead) {
+            if let Some(FaultAction::Poison) = shared.faults.at(InjectionPoint::CacheRead) {
                 shared.cache.poison_one();
             }
-            let opts = match resolve_exec_options(r) {
-                Ok(o) => o,
-                Err(e) => return ExecOutcome::Fail(e),
-            };
             let mut args = std::mem::take(&mut r.args);
-            let ran = opts.scope(|| {
-                let ctx = RunCtx {
-                    memo: Memo::Shared(&shared.cache),
-                    tracer: &mut tracer,
-                    faults: &shared.faults,
-                };
-                run_compiled_with(&program, &r.entry, &mut args, &DeviceConfig::k20xm(), ctx)
-            });
+            let ctx = RunCtx {
+                memo: Memo::Shared(&shared.cache),
+                tracer: &mut tracer,
+                faults: &shared.faults,
+            };
+            let ran = run_compiled_with(&program, &r.entry, &mut args, &DeviceConfig::k20xm(), ctx);
             let outcome = match ran {
                 Ok((_, outcome)) => outcome,
                 Err(e) => return ExecOutcome::Fail(WireError::from_compile(&e)),
@@ -1378,8 +1333,12 @@ mod tests {
         assert_eq!(shared.completed.load(Ordering::Relaxed), 1);
     }
 
+    /// How a run executes belongs to the server process: a v2 run line
+    /// that names an engine, a worker count or a hot-block threshold — of
+    /// any value and type — is the same request as the line without them,
+    /// and is answered with the same bytes.
     #[test]
-    fn engine_override_runs_identically_and_rejects_unknown_names() {
+    fn exec_fields_on_the_wire_are_ignored() {
         let engine = Engine::start(EngineConfig {
             workers: 1,
             queue_depth: 8,
@@ -1395,171 +1354,30 @@ mod tests {
             .f32("alpha", 2.0)
             .array_f32("x", &[1.5; 64])
             .array_f32("y", &[0.25; 64]);
-        // Superblock goes first, against a cold launch cache, so the
-        // request genuinely exercises the engine rather than replaying a
-        // memoized result.
-        let mut digests = Vec::new();
-        for (id, eng) in
-            [(1, Some("superblock")), (2, Some("decoded")), (3, Some("reference")), (4, None)]
-        {
-            let line = protocol::RunRequestLine {
-                v: 2,
-                engine: eng,
-                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
-            }
-            .render();
-            assert!(submit_line(&engine, &line, &tx).is_none());
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(status_of(&resp), "ok", "{resp}");
-            let v = Json::parse(&resp).unwrap();
-            digests.push(v.get("digests").expect("digests").dump());
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "per-engine digests must match: {digests:?}"
-        );
-        // Unknown engine name: typed v2 failure, not retryable, tallied
-        // under its own code.
-        let bad = protocol::RunRequestLine {
+        let plain = protocol::RunRequestLine {
             v: 2,
-            engine: Some("warp9"),
-            ..protocol::RunRequestLine::new(9, src, "axpy", "safara_only", &args, false)
+            ..protocol::RunRequestLine::new(1, src, "axpy", "safara_only", &args, true)
         }
         .render();
-        assert!(submit_line(&engine, &bad, &tx).is_none());
-        let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(status_of(&resp), "error");
-        let e = Json::parse(&resp).unwrap();
-        let e = e.get("error").expect("v2 error object");
-        assert_eq!(e.get("code").and_then(Json::as_str), Some("invalid_engine"));
-        assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
-        assert_eq!(engine.shared().errors_by_code.get("invalid_engine"), 1);
-        // `stats` reports the process-wide fusion counters, and the
-        // superblock request above moved them.
+        let stale = format!(
+            "{},\"engine\":\"bogus\",\"sim_threads\":true,\"sb_threshold\":\"x\"}}",
+            plain.strip_suffix('}').expect("an object")
+        );
+        assert_eq!(parse_request(&stale), parse_request(&plain));
+        let mut replies = Vec::new();
+        for line in [&plain, &stale] {
+            assert!(submit_line(&engine, line, &tx).is_none());
+            replies.push(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        }
+        assert_eq!(status_of(&replies[0]), "ok", "{}", replies[0]);
+        assert_eq!(replies[1], replies[0]);
+        // `stats` reports the process-wide fusion counters, and the run
+        // above moved them.
         assert!(submit_line(&engine, r#"{"id":10,"op":"stats"}"#, &tx).is_none());
         let stats = rx.recv_timeout(Duration::from_secs(30)).unwrap();
         let v = Json::parse(&stats).unwrap();
         let fusion = v.get("fusion").expect("fusion block");
         assert!(fusion.get("launches").and_then(Json::as_i64).unwrap() >= 1, "{stats}");
-        engine.shutdown();
-    }
-
-    #[test]
-    fn sim_threads_override_runs_identically_and_rejects_bad_values() {
-        let engine = Engine::start(EngineConfig {
-            workers: 1,
-            queue_depth: 8,
-            ..EngineConfig::default()
-        });
-        let (tx, rx) = mpsc::channel();
-        let src = "void axpy(int n, float alpha, const float x[n], float y[n]) {\
-                   #pragma acc kernels copyin(x) copy(y)\n{\
-                   #pragma acc loop gang vector\n\
-                   for (int i = 0; i < n; i++) { y[i] = y[i] + alpha * x[i]; } } }";
-        let args = safara_core::Args::new()
-            .i32("n", 256)
-            .f32("alpha", 2.0)
-            .array_f32("x", &[1.5; 256])
-            .array_f32("y", &[0.25; 256]);
-        // Parallel settings go first, against a cold launch cache, so
-        // the request genuinely exercises the pool rather than replaying
-        // a memoized result; digests must match the serial run exactly.
-        let mut digests = Vec::new();
-        for (id, threads) in [(1, Some("2")), (2, Some("auto")), (3, Some("1")), (4, None)] {
-            let line = protocol::RunRequestLine {
-                v: 2,
-                sim_threads: threads,
-                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
-            }
-            .render();
-            assert!(submit_line(&engine, &line, &tx).is_none());
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(status_of(&resp), "ok", "{resp}");
-            let v = Json::parse(&resp).unwrap();
-            digests.push(v.get("digests").expect("digests").dump());
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "per-thread-count digests must match: {digests:?}"
-        );
-        // Ill-valued sim_threads: typed v2 failure, not retryable,
-        // tallied under its own code.
-        for (id, bad) in [(8, "0"), (9, "-3"), (10, "many")] {
-            let line = protocol::RunRequestLine {
-                v: 2,
-                sim_threads: Some(bad),
-                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
-            }
-            .render();
-            assert!(submit_line(&engine, &line, &tx).is_none());
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(status_of(&resp), "error");
-            let e = Json::parse(&resp).unwrap();
-            let e = e.get("error").expect("v2 error object");
-            assert_eq!(e.get("code").and_then(Json::as_str), Some("invalid_sim_threads"));
-            assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
-        }
-        assert_eq!(engine.shared().errors_by_code.get("invalid_sim_threads"), 3);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn sb_threshold_override_runs_identically_and_rejects_bad_values() {
-        let engine = Engine::start(EngineConfig {
-            workers: 1,
-            queue_depth: 8,
-            ..EngineConfig::default()
-        });
-        let (tx, rx) = mpsc::channel();
-        let src = "void axpy(int n, float alpha, const float x[n], float y[n]) {\
-                   #pragma acc kernels copyin(x) copy(y)\n{\
-                   #pragma acc loop gang vector\n\
-                   for (int i = 0; i < n; i++) { y[i] = y[i] + alpha * x[i]; } } }";
-        let args = safara_core::Args::new()
-            .i32("n", 256)
-            .f32("alpha", 2.0)
-            .array_f32("x", &[1.5; 256])
-            .array_f32("y", &[0.25; 256]);
-        // Promotion is a performance knob, never a results knob: every
-        // threshold (eager, default, disabled) must digest identically,
-        // on the superblock engine where the threshold actually gates.
-        let mut digests = Vec::new();
-        for (id, sb) in [(1, Some("1")), (2, Some("inf")), (3, Some("64")), (4, None)] {
-            let line = protocol::RunRequestLine {
-                v: 2,
-                engine: Some("superblock"),
-                sb_threshold: sb,
-                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
-            }
-            .render();
-            assert!(submit_line(&engine, &line, &tx).is_none());
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(status_of(&resp), "ok", "{resp}");
-            let v = Json::parse(&resp).unwrap();
-            digests.push(v.get("digests").expect("digests").dump());
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "per-threshold digests must match: {digests:?}"
-        );
-        // Ill-valued sb_threshold: typed v2 failure, not retryable,
-        // tallied under its own code.
-        for (id, bad) in [(8, "0"), (9, "-2"), (10, "sometimes")] {
-            let line = protocol::RunRequestLine {
-                v: 2,
-                sb_threshold: Some(bad),
-                ..protocol::RunRequestLine::new(id, src, "axpy", "safara_only", &args, false)
-            }
-            .render();
-            assert!(submit_line(&engine, &line, &tx).is_none());
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(status_of(&resp), "error");
-            let e = Json::parse(&resp).unwrap();
-            let e = e.get("error").expect("v2 error object");
-            assert_eq!(e.get("code").and_then(Json::as_str), Some("invalid_sb_threshold"));
-            assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
-        }
-        assert_eq!(engine.shared().errors_by_code.get("invalid_sb_threshold"), 3);
         engine.shutdown();
     }
 
@@ -1760,9 +1578,9 @@ mod tests {
         let bad = |id: i64, profile: &str| {
             format!(r#"{{"id":{id},"op":"compile","source":"void f(","profile":"{profile}"}}"#)
         };
-        // `base` and `openuh` are one profile, so one breaker partition.
-        for (id, alias) in [(1, "base"), (2, "openuh")] {
-            assert!(submit_line(&engine, &bad(id, alias), &tx).is_none());
+        // `base` and ` Base ` are one profile, so one breaker partition.
+        for (id, spelling) in [(1, "base"), (2, " Base ")] {
+            assert!(submit_line(&engine, &bad(id, spelling), &tx).is_none());
             assert_eq!(status_of(&rx.recv_timeout(Duration::from_secs(10)).unwrap()), "error");
         }
         // Two consecutive `base` pipeline failures: the breaker is open.
@@ -2007,11 +1825,11 @@ mod tests {
         hold_worker(&engine, &tx, 300);
         let line = protocol::build_run_request(7, DBL, "dbl", "base", &dbl_args(), true);
         // Leader + 3 duplicates, all parked while the worker sleeps —
-        // and a fourth that spells the same profile by its alias.
-        let alias = protocol::build_run_request(7, DBL, "dbl", "OpenUH", &dbl_args(), true);
+        // and a fourth that spells the same profile differently.
+        let respelled = protocol::build_run_request(7, DBL, "dbl", " Base ", &dbl_args(), true);
         let mut waiter_rxs = Vec::new();
         assert!(submit_line(&engine, &line, &tx).is_none());
-        for dup in [&line, &line, &line, &alias] {
+        for dup in [&line, &line, &line, &respelled] {
             let (wtx, wrx) = mpsc::channel();
             assert!(submit_line(&engine, dup, &wtx).is_none());
             waiter_rxs.push(wrx);

@@ -7,18 +7,16 @@
 //! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
-use safara_core::gpusim::{fusion_counters, Engine, ExecOptions, DEFAULT_SUPERBLOCK_THRESHOLD};
+use safara_core::gpusim::{fusion_counters, Engine, ExecOptions};
 use safara_core::obs::Tracer;
 use safara_core::{
     compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
 };
 use safara_workloads::{spec_suite, Scale, Workload};
 
-/// The knobs one observation runs under. The hot threshold is pinned to
-/// its default so an ambient `SAFARA_SB_THRESHOLD` cannot turn the
-/// superblock column into a second decoded column.
+/// The knobs one observation runs under.
 fn under(engine: Engine) -> ExecOptions {
-    ExecOptions::inherit().engine(engine).superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD)
+    ExecOptions::inherit().engine(engine)
 }
 
 /// Compile + run + check one workload, returning everything observable:
@@ -151,21 +149,6 @@ fn saturated_output_bitwise_identical_to_unsaturated() {
                 );
             }
         }
-    }
-}
-
-/// With the hot threshold at infinity the superblock engine must take
-/// the decoded code path wholesale — identical reports and buffers, and
-/// zero profiling overhead observable in behavior.
-#[test]
-fn threshold_inf_is_behaviorally_decoded() {
-    for w in spec_suite().into_iter().take(3) {
-        let (rep_dec, args_dec, chk_dec) = observe(w.as_ref(), under(Engine::Decoded));
-        let (rep_sb, args_sb, chk_sb) =
-            observe(w.as_ref(), under(Engine::Superblock).superblock_threshold(u64::MAX));
-        assert_eq!(chk_dec, chk_sb, "{}: checker verdict", w.name());
-        assert_eq!(rep_dec, rep_sb, "{}: RunReport", w.name());
-        assert_eq!(args_dec, args_sb, "{}: output buffers", w.name());
     }
 }
 

@@ -7,7 +7,7 @@
 //! are process-wide, and any other test that enters the superblock engine
 //! (profiling warps log per lane) would move them under this one.
 
-use safara_core::gpusim::{fusion_counters, Engine, ExecOptions, DEFAULT_SUPERBLOCK_THRESHOLD};
+use safara_core::gpusim::{fusion_counters, Engine, ExecOptions};
 use safara_core::{compile, CompilerConfig, DeviceConfig};
 use safara_workloads::{spec_suite, Scale};
 
@@ -22,23 +22,19 @@ fn omriq_from_a_warm_program_cache_logs_no_lane_event() {
         w.check(&args, Scale::Test).expect("checker");
         report
     };
-    ExecOptions::inherit()
-        .engine(Engine::Superblock)
-        .sim_threads(1)
-        .superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD)
-        .scope(|| {
-            let cold = run(); // profiles, builds and caches every kernel's program
-            let before = fusion_counters();
-            let warm = run();
-            let after = fusion_counters();
-            assert_eq!(cold, warm, "a cached program changes nothing observable");
-            assert!(after.launches > before.launches);
-            assert_eq!(after.delegated, before.delegated);
-            assert_eq!(after.superblocks, before.superblocks, "the program cache was cold");
-            assert!(after.groups_accounted > before.groups_accounted);
-            assert_eq!(
-                after.lane_events_logged, before.lane_events_logged,
-                "the lockstep path logged per lane"
-            );
-        });
+    ExecOptions::inherit().engine(Engine::Superblock).sim_threads(1).scope(|| {
+        let cold = run(); // profiles, builds and caches every kernel's program
+        let before = fusion_counters();
+        let warm = run();
+        let after = fusion_counters();
+        assert_eq!(cold, warm, "a cached program changes nothing observable");
+        assert!(after.launches > before.launches);
+        assert_eq!(after.delegated, before.delegated);
+        assert_eq!(after.superblocks, before.superblocks, "the program cache was cold");
+        assert!(after.groups_accounted > before.groups_accounted);
+        assert_eq!(
+            after.lane_events_logged, before.lane_events_logged,
+            "the lockstep path logged per lane"
+        );
+    });
 }

@@ -9,9 +9,7 @@
 //! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
-use safara_core::gpusim::{
-    last_parallel_info, Engine, ExecOptions, LaunchCache, DEFAULT_SUPERBLOCK_THRESHOLD,
-};
+use safara_core::gpusim::{last_parallel_info, Engine, ExecOptions, LaunchCache};
 use safara_core::obs::Tracer;
 use safara_core::{
     compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
@@ -21,14 +19,9 @@ use safara_workloads::{run_workload_cached, spec_suite, Scale, Workload};
 /// The engines `sim_threads` applies to.
 const POOLED: [Engine; 2] = [Engine::Decoded, Engine::Superblock];
 
-/// The knobs one observation runs under. The hot threshold is pinned to
-/// its default so an ambient `SAFARA_SB_THRESHOLD` cannot turn the
-/// superblock column into a second decoded column.
+/// The knobs one observation runs under.
 fn knobs(engine: Engine, sim_threads: u32) -> ExecOptions {
-    ExecOptions::inherit()
-        .engine(engine)
-        .sim_threads(sim_threads)
-        .superblock_threshold(DEFAULT_SUPERBLOCK_THRESHOLD)
+    ExecOptions::inherit().engine(engine).sim_threads(sim_threads)
 }
 
 /// Compile + run + check one workload under an engine × thread-count

@@ -85,6 +85,19 @@ echo "== no allocation per instruction =="
 ! grep -nF 'fn uses(&self) -> Vec' crates/gpusim/src/vir.rs \
   || { echo "inline-uses gate: Inst::uses() returns a Vec again" >&2; exit 1; }
 
+echo "== exec knobs are the operator's =="
+# How a launch executes — engine, worker count — is set by the process
+# (`SAFARA_ENGINE`, `SAFARA_SIM_THREADS`) or an `ExecOptions` scope,
+# never by a request, and the superblock hot-block threshold is a
+# constant. A threshold knob, a wire resolver or a typed error for a
+# request-chosen engine coming back shows up here. `sb_threshold` may
+# appear only as quoted wire text: the tests that send it and expect it
+# ignored.
+! grep -rnE '(^|[^"\\])sb_threshold|superblock_threshold|SAFARA_SB_THRESHOLD' crates scripts --exclude=tier1.sh \
+  || { echo "exec-knob gate: the hot-block threshold is settable again" >&2; exit 1; }
+! grep -rnE 'resolve_exec_options|invalid_engine' crates/server/src \
+  || { echo "exec-knob gate: a request steers execution again" >&2; exit 1; }
+
 echo "== safara-serve stdin smoke =="
 # Three requests through the real service binary: parse, queue, worker
 # pool, pipeline, response — all via the wire protocol. Request 3 sets
@@ -132,18 +145,13 @@ echo "== block-parallel smoke (sim_threads=2 vs serial) =="
 # The same iterative kernel once serially and once with the block-level
 # worker pool (forced via SAFARA_SIM_THREADS): the response lines must
 # be byte-identical — the deterministic-merge contract at the wire
-# level. A per-request override ("sim_threads":"2") against a serial
-# server must match too.
+# level.
 serial_smoke="$(printf '%s\n' "$sb_req" | SAFARA_SIM_THREADS=1 ./target/release/safara-serve --stdin --workers 1)"
 par_smoke="$(printf '%s\n' "$sb_req" | SAFARA_SIM_THREADS=2 ./target/release/safara-serve --stdin --workers 1)"
 echo "$par_smoke" | grep -q '"id":4,"status":"ok"' \
   || { echo "parallel smoke: run failed: $par_smoke" >&2; exit 1; }
 [ "$serial_smoke" = "$par_smoke" ] \
   || { echo "parallel smoke: serial and sim_threads=2 responses differ" >&2; exit 1; }
-par_req="$(printf '%s' "$sb_req" | sed 's/"return_arrays":true/"return_arrays":true,"sim_threads":"2"/')"
-par_wire_smoke="$(printf '%s\n' "$par_req" | SAFARA_SIM_THREADS=1 ./target/release/safara-serve --stdin --workers 1)"
-[ "$serial_smoke" = "$par_wire_smoke" ] \
-  || { echo "parallel smoke: per-request sim_threads override response differs" >&2; exit 1; }
 
 echo "== launch_bounds clause smoke (end-to-end) =="
 # A kernel carrying a `launch_bounds(256, 4)` register-budget contract
