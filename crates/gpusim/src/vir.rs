@@ -601,7 +601,10 @@ mod tests {
         let b = k.new_vreg(VType::F32);
         let d = k.new_vreg(VType::F32);
         let i = Inst::Alu { op: AluOp::Add, ty: VType::F32, d, a: a.into(), b: b.into() };
-        assert_eq!(i.uses().as_slice(), [a, b]);
+        // Inline, not a heap `Vec`: DCE and liveness ask once per
+        // instruction per sweep, the reference engine once per executed one.
+        let uses: Uses = i.uses();
+        assert_eq!(uses.as_slice(), [a, b]);
         assert_eq!(i.def(), Some(d));
 
         let addr = k.new_vreg(VType::B64);

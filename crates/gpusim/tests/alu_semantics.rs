@@ -5,21 +5,14 @@
 //!
 //! Inputs are drawn from the in-tree [`SplitMix64`] generator (no
 //! crates.io dependency); each case is a pure function of its index, so
-//! failures reproduce exactly. Build with `--features heavy-tests` for a
-//! much larger case count.
+//! failures reproduce exactly.
 
 use safara_gpusim::interp::{launch, LaunchConfig, ParamVal};
 use safara_gpusim::memory::DeviceMemory;
 use safara_gpusim::rng::SplitMix64;
 use safara_gpusim::vir::*;
 
-fn cases() -> u64 {
-    if cfg!(feature = "heavy-tests") {
-        2048
-    } else {
-        128
-    }
-}
+const CASES: u64 = 128;
 
 /// An i32 drawn from the full range, biased toward interesting values.
 fn any_i32(rng: &mut SplitMix64) -> i32 {
@@ -130,7 +123,7 @@ fn run_cmp_i32(op: CmpOp, a: i32, b: i32) -> i32 {
 
 #[test]
 fn int32_alu_matches_rust() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xA100_0000 + case);
         let a = any_i32(&mut rng);
         let b = any_i32(&mut rng);
@@ -159,7 +152,7 @@ fn int32_alu_matches_rust() {
 
 #[test]
 fn f64_alu_matches_rust() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xA164_0000 + case);
         let a = rng.gen_range_f64(-1e12, 1e12);
         let b = rng.gen_range_f64(-1e12, 1e12);
@@ -174,7 +167,7 @@ fn f64_alu_matches_rust() {
 
 #[test]
 fn comparisons_match_rust() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xC390_0000 + case);
         let a = any_i32(&mut rng);
         let b = any_i32(&mut rng);
@@ -191,7 +184,7 @@ fn comparisons_match_rust() {
 /// as Rust does; f64 → i32 truncates toward zero.
 #[test]
 fn conversions_match_rust() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xC040_0000 + case);
         let v = any_i32(&mut rng);
         let mut k = KernelVir {

@@ -13,7 +13,8 @@
 //! TCP mode (default) prints the bound address (useful with port 0)
 //! and serves until a client sends `{"op":"shutdown"}`. Stdin mode
 //! reads one request per line, answers on stdout in *submission*
-//! order, and exits at EOF — handy for smoke tests:
+//! order, and exits at EOF — handy for smoke tests. Either way a line
+//! gets the same reply bytes, a malformed one included:
 //!
 //! ```text
 //! echo '{"id":1,"op":"ping"}' | safara-serve --stdin
@@ -21,8 +22,9 @@
 //!
 //! `--no-coalesce` disables single-flight dedup (every duplicate runs
 //! the pipeline — what a client that resends only after seeing an error
-//! gets; tier-1's chaos smoke uses it for that); `--max-batch` caps how
-//! many same-program jobs a worker drains per dequeue (1 disables it).
+//! gets, and what a resent line needs over stdin, which submits every
+//! line up front); `--max-batch` caps how many same-program jobs a
+//! worker drains per dequeue (1 disables it).
 //!
 //! `--shards N` (N ≥ 2) spawns N child `safara-serve` processes, each
 //! a full engine owning a private cache partition, bound to its own
@@ -39,8 +41,9 @@
 //! `safara_chaos::FaultSpec::parse` for the grammar.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
+use safara_server::protocol::{error_line, Op};
+use safara_server::server::decode_line;
 use safara_server::service::{Engine, EngineConfig, Submit};
-use safara_server::protocol::{error_line, parse_request, Op};
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
 
@@ -200,8 +203,8 @@ fn run_stdin(config: EngineConfig) {
             continue;
         }
         let (tx, rx) = mpsc::channel();
-        match parse_request(line) {
-            Err(m) => immediate.push((pending.len(), error_line(None, &m))),
+        match decode_line(line) {
+            Err(reply) => immediate.push((pending.len(), reply)),
             Ok(req) if matches!(req.op, Op::Stats) => {
                 immediate.push((pending.len(), engine.stats_line(req.id)));
             }

@@ -788,7 +788,8 @@ pub fn error_line(id: Option<i64>, message: &str) -> String {
 ///
 /// `code` is the stable machine-matchable taxonomy — the pipeline codes
 /// from [`CompileError::code`] (`parse`, `sema`, `analysis`,
-/// `regalloc_spill`, `budget`, `sim`, `internal`) plus the server-level
+/// `regalloc_spill`, `budget`, `launch_bounds`, `saturate`, `sim`,
+/// `internal`) plus the server-level
 /// codes `bad_request`, `resource_limit`, `unknown_profile`, `shed`, `breaker_open`,
 /// `timeout`, and `shutting_down`. `retryable` is the client contract:
 /// resending the identical request can succeed iff it is true.

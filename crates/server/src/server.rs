@@ -13,7 +13,7 @@
 //! the first, and a closed-loop client, with nothing to send, delays
 //! that ACK by 40 ms — on every request.
 
-use crate::protocol::{decode_request, error_line_v, request_meta, WireError};
+use crate::protocol::{decode_request, error_line_v, request_meta, Request, WireError};
 use crate::service::{Engine, EngineConfig, Submit};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -186,9 +186,18 @@ fn linger(stream: &mut TcpStream) {
     }
 }
 
+/// Decode one request line, or render the reply that refuses it. The
+/// decoding pass keeps the line's id and version, so even a
+/// `bad_request` reply routes. Every transport answers a malformed line
+/// through this.
+pub fn decode_line(line: &str) -> Result<Request, String> {
+    decode_request(line)
+        .map_err(|bad| error_line_v(bad.v, bad.id, &WireError::bad_request(&bad.message)))
+}
+
 /// Parse one line and submit it; failures answer immediately on `tx`.
 pub fn dispatch(engine: &Engine, line: &str, tx: &mpsc::Sender<String>) {
-    match decode_request(line) {
+    match decode_line(line) {
         Ok(req) => {
             // Answer `stats` inline: it must reflect queue state even
             // (especially) when the queue is full.
@@ -200,10 +209,8 @@ pub fn dispatch(engine: &Engine, line: &str, tx: &mpsc::Sender<String>) {
                 let _ = tx.send(response);
             }
         }
-        // The same pass kept the id and version, so even a bad_request
-        // reply routes.
-        Err(bad) => {
-            let _ = tx.send(error_line_v(bad.v, bad.id, &WireError::bad_request(&bad.message)));
+        Err(reply) => {
+            let _ = tx.send(reply);
         }
     }
 }

@@ -183,12 +183,14 @@ impl Metrics {
 
 /// Error codes the engine tallies per response (`stats` →
 /// `errors_by_code`): the pipeline codes plus the server-level ones.
-pub const ERROR_CODES: [&str; 12] = [
+pub const ERROR_CODES: [&str; 14] = [
     "parse",
     "sema",
     "analysis",
     "regalloc_spill",
     "budget",
+    "launch_bounds",
+    "saturate",
     "sim",
     "internal",
     "bad_request",
@@ -1718,6 +1720,27 @@ mod tests {
             Some("unknown_profile")
         );
         assert_eq!(engine.shared().errors_by_code.get("unknown_profile"), 1);
+        // A `launch_bounds` contract runs under its cap; one the device
+        // cannot meet is a permanent error tallied under its own code.
+        let bounded = |id: i64, clause: &str| {
+            let src = DBL.replacen("kernels", &format!("kernels {clause}"), 1);
+            protocol::RunRequestLine {
+                v: 2,
+                ..protocol::RunRequestLine::new(id, &src, "dbl", "safara_only", &dbl_args(), true)
+            }
+            .render()
+        };
+        assert!(submit_line(&engine, &bounded(3, "launch_bounds(256, 4)"), &tx).is_none());
+        let v = Json::parse(&rx.recv_timeout(Duration::from_secs(10)).unwrap()).unwrap();
+        let bits = v.get("arrays").and_then(|a| a.get("x")).and_then(|x| x.get("bits"));
+        assert_eq!(bits, Some(&Json::Arr(vec![Json::Int(3.0f32.to_bits() as i64); 8])), "{v}");
+        assert!(submit_line(&engine, &bounded(4, "launch_bounds(2048)"), &tx).is_none());
+        let v = Json::parse(&rx.recv_timeout(Duration::from_secs(10)).unwrap()).unwrap();
+        let e = v.get("error").expect("error object");
+        assert_eq!(e.get("code").and_then(Json::as_str), Some("launch_bounds"));
+        assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
+        assert_eq!(engine.shared().errors_by_code.get("launch_bounds"), 1);
+        assert_eq!(engine.shared().errors_by_code.get("internal"), 0);
         engine.shutdown();
 
         // Chaos does not exempt traced requests: under `sim:fail` a

@@ -10,8 +10,7 @@
 //!
 //! All inputs are drawn from the in-tree [`SplitMix64`] generator (no
 //! crates.io dependency); each case is a pure function of its index, so
-//! failures reproduce exactly. Build with `--features heavy-tests` for a
-//! much larger case count.
+//! failures reproduce exactly.
 
 use safara_core::analysis::affine::{affine_of, AffineExpr};
 use safara_core::analysis::depend::{gcd, gcd_test};
@@ -20,13 +19,7 @@ use safara_core::ir::{lexer, parse_program, BinOp, Expr, Ident, UnOp};
 use safara_core::SplitMix64;
 use std::collections::BTreeMap;
 
-fn cases() -> u64 {
-    if cfg!(feature = "heavy-tests") {
-        2048
-    } else {
-        128
-    }
-}
+const CASES: u64 = 128;
 
 /// Random string over the printable-ASCII + `\n` + `\t` alphabet.
 fn ascii_soup(rng: &mut SplitMix64, max_len: usize) -> String {
@@ -85,7 +78,7 @@ fn eval_expr(e: &Expr, env: &BTreeMap<&str, i64>) -> i64 {
 
 #[test]
 fn affine_of_recovers_constructed_coefficients() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xAFF1_0000 + case);
         let (expr, want) = affine_pair(&mut rng);
         let got = affine_of(&expr);
@@ -96,7 +89,7 @@ fn affine_of_recovers_constructed_coefficients() {
 
 #[test]
 fn affine_form_evaluates_like_the_expression() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xAFF2_0000 + case);
         let (expr, _) = affine_pair(&mut rng);
         let i = rng.gen_range_i64(-10, 10);
@@ -114,7 +107,7 @@ fn affine_form_evaluates_like_the_expression() {
 /// a2·y + c2`, the test must not have ruled a dependence out.
 #[test]
 fn gcd_test_is_sound() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0x6CD0_0000 + case);
         let a1 = rng.gen_range_i64(-6, 7);
         let c1 = rng.gen_range_i64(-30, 31);
@@ -137,7 +130,7 @@ fn gcd_test_is_sound() {
 
 #[test]
 fn gcd_agrees_with_euclid_properties() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0x6CD1_0000 + case);
         let a = rng.gen_range_i64(0, 1000) as u64;
         let b = rng.gen_range_i64(0, 1000) as u64;
@@ -155,7 +148,7 @@ fn gcd_agrees_with_euclid_properties() {
 /// The lexer terminates without panicking on arbitrary ASCII soup.
 #[test]
 fn lexer_never_panics() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0x1E0F_0000 + case);
         let src = ascii_soup(&mut rng, 200);
         let _ = lexer::lex(&src);
@@ -166,7 +159,7 @@ fn lexer_never_panics() {
 /// panicking on arbitrary input.
 #[test]
 fn frontend_never_panics() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0xF404_0000 + case);
         let src = ascii_soup(&mut rng, 300);
         let _ = parse_program(&src);
@@ -178,7 +171,7 @@ fn frontend_never_panics() {
 #[test]
 fn frontend_survives_mutations() {
     const PUNCT: &[u8] = b"(){};:,+*-";
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0x3071_0000 + case);
         let base = "void f(int n, float a[n]) {\n  #pragma acc kernels copy(a)\n  {\n    #pragma acc loop gang vector\n    for (int i = 0; i < n; i++) { a[i] = a[i] * 2.0; }\n  }\n}\n";
         let cut = rng.gen_index(200).min(base.len());
@@ -233,7 +226,7 @@ fn random_program(rng: &mut SplitMix64) -> String {
 
 #[test]
 fn printer_roundtrip_is_fixed_point() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = SplitMix64::new(0x4074_0000 + case);
         let src = random_program(&mut rng);
         let p1 = parse_program(&src).expect("generated source parses");
