@@ -14,10 +14,8 @@
 use crate::driver::{CompiledFunction, CompiledProgram};
 use crate::error::CompileError;
 use safara_chaos::{FaultAction, FaultPlan, InjectionPoint};
-use safara_codegen::lower::CompiledKernel;
 use safara_gpusim::device::DeviceConfig;
 use safara_gpusim::memo::SharedLaunchCache;
-use safara_gpusim::ptxas::RegAllocReport;
 use safara_obs::Tracer;
 use safara_runtime::{run_function, Args, Memo, RunReport};
 
@@ -96,11 +94,10 @@ pub fn run_compiled_with(
         return Err(CompileError::Sim { message: "injected simulator fault".into() });
     }
     let f = program.function(entry)?;
-    let compiled: Vec<(CompiledKernel, RegAllocReport)> =
-        f.kernels.iter().map(|k| (k.kernel.clone(), k.alloc.clone())).collect();
+    let compiled = f.kernels.iter().map(|k| (&k.kernel, &k.alloc));
     let report = ctx
         .tracer
-        .span("sim", |t| run_function(dev, &f.transformed, &compiled, args, ctx.memo, t))?;
+        .span("sim", |t| run_function(dev, &f.transformed, compiled, args, ctx.memo, t))?;
     let outcome = summarize(program.config.name, f, &report);
     Ok((report, outcome))
 }

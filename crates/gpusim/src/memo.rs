@@ -25,7 +25,7 @@
 
 use crate::content::{ContentHasher, ContentKey};
 use crate::interp::{launch, LaunchConfig, LaunchResult, ParamVal, SimError};
-use crate::memory::DeviceMemory;
+use crate::memory::{bytes_key, DeviceMemory};
 use crate::stats::KernelStats;
 use crate::vir::{KernelVir, VReg};
 use std::collections::{HashMap, VecDeque};
@@ -68,18 +68,31 @@ struct CachedLaunch {
     stats: KernelStats,
     /// One snapshot per mutated buffer.
     writes: Vec<Snapshot>,
-    /// Integrity checksum over `stats` and `writes` (bytes and keys),
-    /// computed at record time. Verified on replay when the cache has
-    /// verification on: a mismatch means the entry was corrupted after
-    /// recording.
+    /// Integrity checksum over `stats` and each snapshot's index and
+    /// key, computed at record time; a snapshot's key covers its bytes.
+    /// Verified on replay when the cache has verification on: a mismatch
+    /// means the entry was corrupted after recording.
     checksum: ContentKey,
 }
 
-/// The integrity checksum of an entry's payload.
+/// The integrity checksum of an entry's payload. Snapshot bytes enter
+/// through their keys, which recording has just hashed them into, so
+/// no byte is hashed twice.
 fn entry_checksum(stats: &KernelStats, writes: &[Snapshot]) -> ContentKey {
     let mut h = ContentHasher::default();
-    h.value(&(stats, writes));
+    h.value(stats);
+    h.word(writes.len() as u64);
+    for (idx, _, key) in writes {
+        h.value(&(idx, key));
+    }
     h.key()
+}
+
+/// True if `entry` is as recorded: every snapshot's bytes still hash to
+/// its key, and the checksum still matches stats, indices and keys.
+fn entry_is_intact(entry: &CachedLaunch) -> bool {
+    entry.writes.iter().all(|(_, bytes, key)| bytes_key(bytes) == *key)
+        && entry_checksum(&entry.stats, &entry.writes) == entry.checksum
 }
 
 /// Default [`LaunchCache`] entry cap: far above any one benchmark run,
@@ -197,7 +210,7 @@ impl LaunchCache {
     /// counter.
     fn replay(&mut self, key: ContentKey, mem: &mut DeviceMemory) -> Option<LaunchResult> {
         let entry = self.entries.get(&key)?;
-        if self.verify && entry_checksum(&entry.stats, &entry.writes) != entry.checksum {
+        if self.verify && !entry_is_intact(entry) {
             // Detected corruption: drop the entry and report a miss so
             // the caller re-simulates instead of replaying bad bytes.
             self.entries.remove(&key);

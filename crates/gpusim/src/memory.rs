@@ -15,12 +15,59 @@ use crate::content::{ContentHasher, ContentKey};
 use std::cell::Cell;
 use std::fmt;
 
+/// The content key of a buffer holding `bytes`: what
+/// [`DeviceMemory::buffer_key`] computes, and what a memo entry's
+/// verification recomputes from a snapshot.
+pub(crate) fn bytes_key(bytes: &[u8]) -> ContentKey {
+    let mut h = ContentHasher::default();
+    h.bytes(bytes);
+    h.key()
+}
+
 /// Identifies one device allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub u32);
 
 /// Bits used for the in-buffer offset within a synthetic address.
 pub(crate) const OFFSET_BITS: u32 = 40;
+
+/// The in-buffer offset of an address.
+#[inline]
+fn offset(addr: u64) -> usize {
+    (addr & ((1u64 << OFFSET_BITS) - 1)) as usize
+}
+
+/// Little-endian, zero-extended load of `bytes` at `off`; the caller has
+/// checked that `off + bytes` fits.
+#[inline(always)]
+fn load(buf: &[u8], off: usize, bytes: u32) -> u64 {
+    match bytes {
+        4 => u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")) as u64,
+        8 => u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes")),
+        _ => {
+            let mut v = 0u64;
+            for i in 0..bytes as usize {
+                v |= (buf[off + i] as u64) << (8 * i);
+            }
+            v
+        }
+    }
+}
+
+/// Little-endian store of the low `bytes` bytes of `value` at `off`; the
+/// caller has checked that `off + bytes` fits.
+#[inline(always)]
+fn store(buf: &mut [u8], off: usize, bytes: u32, value: u64) {
+    match bytes {
+        4 => buf[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+        8 => buf[off..off + 8].copy_from_slice(&value.to_le_bytes()),
+        _ => {
+            for i in 0..bytes as usize {
+                buf[off + i] = (value >> (8 * i)) as u8;
+            }
+        }
+    }
+}
 
 /// One allocation: its bytes, and their content key while it is known.
 #[derive(Debug)]
@@ -113,7 +160,7 @@ impl DeviceMemory {
 
     fn decode(&self, addr: u64, bytes: u32) -> Result<(usize, usize), MemFault> {
         let buf = (addr >> OFFSET_BITS) as usize;
-        let off = (addr & ((1u64 << OFFSET_BITS) - 1)) as usize;
+        let off = offset(addr);
         if buf == 0 || buf > self.buffers.len() {
             return Err(MemFault { addr, bytes, message: "unmapped address".into() });
         }
@@ -135,34 +182,82 @@ impl DeviceMemory {
     #[inline]
     pub fn read(&self, addr: u64, bytes: u32) -> Result<u64, MemFault> {
         let (b, off) = self.decode(addr, bytes)?;
-        let buf = &self.buffers[b].bytes;
-        // decode() guarantees off + bytes <= len, so the word-sized slices exist.
-        Ok(match bytes {
-            4 => u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as u64,
-            8 => u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-            _ => {
-                let mut v = 0u64;
-                for i in 0..bytes as usize {
-                    v |= (buf[off + i] as u64) << (8 * i);
-                }
-                v
-            }
-        })
+        Ok(load(&self.buffers[b].bytes, off, bytes))
     }
 
     /// Write the low `bytes` bytes of `value` at `addr`, little-endian.
     #[inline]
     pub fn write(&mut self, addr: u64, bytes: u32, value: u64) -> Result<(), MemFault> {
         let (b, off) = self.decode(addr, bytes)?;
-        let buf = self.buffers[b].bytes_mut();
-        match bytes {
-            4 => buf[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
-            8 => buf[off..off + 8].copy_from_slice(&value.to_le_bytes()),
-            _ => {
-                for i in 0..bytes as usize {
-                    buf[off + i] = (value >> (8 * i)) as u8;
-                }
+        store(self.buffers[b].bytes_mut(), off, bytes, value);
+        Ok(())
+    }
+
+    /// The buffer a whole warp access lies in: every address decodes to
+    /// the same buffer and the highest offset plus the width fits.
+    /// `None` when the lanes span buffers, any lane would fault, or there
+    /// are no lanes; the per-lane path then handles (and reports) them.
+    #[inline]
+    fn warp_buffer(&self, addrs: &[u64], bytes: u32) -> Option<usize> {
+        let &a0 = addrs.first()?;
+        let (mut differ, mut max) = (0u64, a0);
+        for &a in addrs {
+            differ |= a ^ a0;
+            max = max.max(a);
+        }
+        if differ >> OFFSET_BITS != 0 {
+            return None;
+        }
+        let b = ((a0 >> OFFSET_BITS) as usize).checked_sub(1)?;
+        let len = self.buffers.get(b)?.bytes.len();
+        (offset(max) + bytes as usize <= len).then_some(b)
+    }
+
+    /// [`DeviceMemory::read`] for each lane of a warp access, in lane
+    /// order, into `out`: one buffer lookup and one bounds check when
+    /// the warp stays inside one buffer, else lane by lane, stopping at
+    /// the first faulting lane.
+    #[inline]
+    pub(crate) fn read_warp(
+        &self,
+        addrs: &[u64],
+        bytes: u32,
+        out: &mut [u64],
+    ) -> Result<(), MemFault> {
+        let Some(b) = self.warp_buffer(addrs, bytes) else {
+            for (o, &a) in out.iter_mut().zip(addrs) {
+                *o = self.read(a, bytes)?;
             }
+            return Ok(());
+        };
+        let buf = &self.buffers[b].bytes;
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = load(buf, offset(a), bytes);
+        }
+        Ok(())
+    }
+
+    /// [`DeviceMemory::write`] for each lane of a warp access, in lane
+    /// order (a later lane's bytes win where lanes overlap), with the
+    /// same fast path and fallback as [`DeviceMemory::read_warp`].
+    #[inline]
+    pub(crate) fn write_warp(
+        &mut self,
+        addrs: &[u64],
+        bytes: u32,
+        vals: &[u64],
+    ) -> Result<(), MemFault> {
+        // Checked before `bytes_mut`: a store that faults drops the key
+        // only of a buffer an earlier lane really wrote.
+        let Some(b) = self.warp_buffer(addrs, bytes) else {
+            for (&a, &v) in addrs.iter().zip(vals) {
+                self.write(a, bytes, v)?;
+            }
+            return Ok(());
+        };
+        let buf = self.buffers[b].bytes_mut();
+        for (&a, &v) in addrs.iter().zip(vals) {
+            store(buf, offset(a), bytes, v);
         }
         Ok(())
     }
@@ -194,10 +289,8 @@ impl DeviceMemory {
     pub(crate) fn buffer_key(&self, i: usize) -> ContentKey {
         let buf = &self.buffers[i];
         buf.key.get().unwrap_or_else(|| {
-            let mut h = ContentHasher::default();
-            h.bytes(&buf.bytes);
             self.bytes_hashed.set(self.bytes_hashed.get() + buf.bytes.len() as u64);
-            let key = h.key();
+            let key = bytes_key(&buf.bytes);
             buf.key.set(Some(key));
             key
         })
@@ -377,6 +470,70 @@ mod tests {
         m.copy_out(b);
         assert!(m.write(m.base_addr(b) + 8, 4, 0).is_err(), "a faulting write touches nothing");
         assert_eq!(m.buffers[0].key.get(), Some(key));
+    }
+
+    /// A warp access gives what its lanes one by one give: the same
+    /// values, the same first fault, the same bytes, and the same content
+    /// keys — a faulting store keeps the key of every buffer no earlier
+    /// lane wrote — with the same hashing afterwards.
+    #[test]
+    fn warp_accesses_match_the_per_lane_loop() {
+        let fresh = || {
+            let mut m = DeviceMemory::new();
+            m.alloc_from(&(0..64).collect::<Vec<u8>>());
+            m.alloc_from(&(64..128).collect::<Vec<u8>>());
+            m.buffer_key(0);
+            m.buffer_key(1);
+            m
+        };
+        let (a, b) = (1u64 << 40, 2u64 << 40);
+        let lanes = |f: &dyn Fn(u64) -> u64, n: u64| (0..n).map(f).collect::<Vec<u64>>();
+        for bytes in [1u32, 4, 8] {
+            let w = bytes as u64;
+            let cases: [(&str, Vec<u64>); 9] = [
+                ("ascending", lanes(&|l| a + l * w, 64 / w)),
+                ("repeats, out of order", lanes(&|l| a + (l * 3 % 7) * w, 32)),
+                ("last byte", vec![a + 64 - w, a]),
+                ("two buffers", lanes(&|l| if l % 2 == 0 { a + l } else { b + l }, 32)),
+                ("unmapped", lanes(&|l| if l == 2 { 5 << 40 } else { a + l * w }, 8)),
+                ("null", lanes(&|l| if l == 1 { 0 } else { b + l }, 8)),
+                ("out of bounds", lanes(&|l| if l == 3 { a + 64 - w + 1 } else { a + l }, 8)),
+                ("lane 0 faults", lanes(&|l| a + 64 - l, 4)),
+                ("no lanes", Vec::new()),
+            ];
+            for (case, addrs) in cases {
+                let what = format!("{case}, width {bytes}");
+                let vals: Vec<u64> = (0..addrs.len() as u64).map(|l| !l << 8 | l).collect();
+
+                let (mut warp, mut lane) = (fresh(), fresh());
+                let (mut got, mut want) = (vec![7; addrs.len()], vec![7; addrs.len()]);
+                let r = warp.read_warp(&addrs, bytes, &mut got);
+                let mut per_lane = || -> Result<(), MemFault> {
+                    for (o, &x) in want.iter_mut().zip(&addrs) {
+                        *o = lane.read(x, bytes)?;
+                    }
+                    Ok(())
+                };
+                assert_eq!(r, per_lane(), "{what}: read result");
+                assert_eq!(got, want, "{what}: values read");
+
+                let r = warp.write_warp(&addrs, bytes, &vals);
+                let mut per_lane = || -> Result<(), MemFault> {
+                    for (&x, &v) in addrs.iter().zip(&vals) {
+                        lane.write(x, bytes, v)?;
+                    }
+                    Ok(())
+                };
+                assert_eq!(r, per_lane(), "{what}: write result");
+                for i in 0..2 {
+                    assert_eq!(warp.buffer_bytes(i), lane.buffer_bytes(i), "{what}: buffer {i}");
+                    let keys = (warp.buffers[i].key.get(), lane.buffers[i].key.get());
+                    assert_eq!(keys.0, keys.1, "{what}: key of buffer {i}");
+                    assert_eq!(warp.buffer_key(i), lane.buffer_key(i), "{what}: rekey {i}");
+                }
+                assert_eq!(warp.bytes_hashed(), lane.bytes_hashed(), "{what}: bytes hashed");
+            }
+        }
     }
 
     #[test]

@@ -96,14 +96,33 @@ fn set_last_parallel_info(info: ParallelInfo) {
 
 /// The memory operations an engine needs while executing a block. The
 /// serial engines run against [`DeviceMemory`] directly (the impl below
-/// monomorphizes to exactly the pre-existing code); parallel workers run
-/// against a [`WorkerMem`] view.
+/// monomorphizes to exactly the pre-existing code, and resolves a warp
+/// access that stays in one buffer once); parallel workers run against a
+/// [`WorkerMem`] view, lane by lane.
 pub(crate) trait MemAccess {
     fn read(&mut self, addr: u64, bytes: u32) -> Result<u64, MemFault>;
     fn write(&mut self, addr: u64, bytes: u32, value: u64) -> Result<(), MemFault>;
     /// Atomic read-modify-write add (the only RMW in the ISA).
     fn atom_add(&mut self, ty: crate::vir::VType, addr: u64, bytes: u32, add: u64)
         -> Result<(), MemFault>;
+
+    /// One lockstep load: `read` of each lane's address into `out`, in
+    /// lane order, stopping at the first faulting lane.
+    fn read_warp(&mut self, addrs: &[u64], bytes: u32, out: &mut [u64]) -> Result<(), MemFault> {
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = self.read(a, bytes)?;
+        }
+        Ok(())
+    }
+
+    /// One lockstep store: `write` of each lane's value, in lane order,
+    /// stopping at the first faulting lane.
+    fn write_warp(&mut self, addrs: &[u64], bytes: u32, vals: &[u64]) -> Result<(), MemFault> {
+        for (&a, &v) in addrs.iter().zip(vals) {
+            self.write(a, bytes, v)?;
+        }
+        Ok(())
+    }
 }
 
 impl MemAccess for DeviceMemory {
@@ -115,6 +134,16 @@ impl MemAccess for DeviceMemory {
     #[inline(always)]
     fn write(&mut self, addr: u64, bytes: u32, value: u64) -> Result<(), MemFault> {
         DeviceMemory::write(self, addr, bytes, value)
+    }
+
+    #[inline(always)]
+    fn read_warp(&mut self, addrs: &[u64], bytes: u32, out: &mut [u64]) -> Result<(), MemFault> {
+        DeviceMemory::read_warp(self, addrs, bytes, out)
+    }
+
+    #[inline(always)]
+    fn write_warp(&mut self, addrs: &[u64], bytes: u32, vals: &[u64]) -> Result<(), MemFault> {
+        DeviceMemory::write_warp(self, addrs, bytes, vals)
     }
 
     #[inline(always)]

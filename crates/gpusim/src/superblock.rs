@@ -29,11 +29,14 @@
 //!    superinstruction per *warp* instead of per lane, with operands
 //!    pre-resolved to either the scalar file or the lane-major
 //!    (structure-of-arrays) register file. Memory superinstructions
-//!    account their transactions per warp, at the instruction — the 32
-//!    addresses are already in one array, a hoisted load's single
-//!    address stands for all of them; only lane-major execution (profile
-//!    warps, peels, the decoded engine) logs per lane for the warp-end
-//!    merge.
+//!    resolve their addresses and account their transactions per warp,
+//!    at the instruction — the 32 addresses are already in one array, so
+//!    a warp that stays inside one buffer costs one buffer lookup and
+//!    one bounds check ([`MemAccess::read_warp`] /
+//!    [`MemAccess::write_warp`]), and one pass counts its 128-byte
+//!    segments; a hoisted load's single address stands for all of them.
+//!    Only lane-major execution (profile warps, peels, the decoded
+//!    engine) accesses and logs per lane for the warp-end merge.
 //!
 //! This is the default engine ([`crate::exec_options`]). Byte-identity
 //! with the decoded engine (asserted by differential tests) is preserved
@@ -631,19 +634,22 @@ fn exec_sinst<M: MemAccess>(
     warp: &mut WarpMerge,
     stats: &mut KernelStats,
 ) -> Result<(), SimError> {
-    // Fetch an encoded operand's 32-lane column into a stack array:
-    // a memcpy for varying registers, a broadcast fill for uniform ones.
-    // The compute loops below then zip fixed-size slices, which elides
-    // per-element bounds checks and lets constant-propagated ALU ops
-    // auto-vectorize.
+    // Fetch an encoded operand's whole 32-lane column into a stack
+    // array: a fixed-size copy for varying registers, a broadcast for
+    // uniform ones, whatever `lanes` is (the loops below read only
+    // `..lanes`). The compute loops then zip fixed-size slices, which
+    // elides per-element bounds checks and lets constant-propagated ALU
+    // ops auto-vectorize.
     macro_rules! fetch {
-        ($e:expr, $buf:ident) => {{
+        ($e:expr) => {{
             let e = $e;
             if e & UB != 0 {
-                $buf[..lanes].fill(u[(e & !UB) as usize]);
+                [u[(e & !UB) as usize]; WARP_SIZE]
             } else {
                 let b = e as usize * WARP_SIZE;
-                $buf[..lanes].copy_from_slice(&v[b..b + lanes]);
+                let mut x = [0u64; WARP_SIZE];
+                x.copy_from_slice(&v[b..b + WARP_SIZE]);
+                x
             }
         }};
     }
@@ -652,10 +658,8 @@ fn exec_sinst<M: MemAccess>(
             if si.scalar {
                 u[si.d as usize] = alu($o, $t, u[(si.a & !UB) as usize], u[(si.b & !UB) as usize]);
             } else {
-                let mut xa = [0u64; WARP_SIZE];
-                let mut xb = [0u64; WARP_SIZE];
-                fetch!(si.a, xa);
-                fetch!(si.b, xb);
+                let xa = fetch!(si.a);
+                let xb = fetch!(si.b);
                 let db = si.d as usize * WARP_SIZE;
                 for ((o, &x), &y) in
                     v[db..db + lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes])
@@ -671,10 +675,8 @@ fn exec_sinst<M: MemAccess>(
                 u[si.d as usize] =
                     u64::from(compare($o, $t, u[(si.a & !UB) as usize], u[(si.b & !UB) as usize]));
             } else {
-                let mut xa = [0u64; WARP_SIZE];
-                let mut xb = [0u64; WARP_SIZE];
-                fetch!(si.a, xa);
-                fetch!(si.b, xb);
+                let xa = fetch!(si.a);
+                let xb = fetch!(si.b);
                 let db = si.d as usize * WARP_SIZE;
                 for ((o, &x), &y) in
                     v[db..db + lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes])
@@ -689,8 +691,7 @@ fn exec_sinst<M: MemAccess>(
             if si.scalar {
                 u[si.d as usize] = $f(u[(si.a & !UB) as usize]);
             } else {
-                let mut xa = [0u64; WARP_SIZE];
-                fetch!(si.a, xa);
+                let xa = fetch!(si.a);
                 let db = si.d as usize * WARP_SIZE;
                 for (o, &x) in v[db..db + lanes].iter_mut().zip(&xa[..lanes]) {
                     *o = $f(x);
@@ -704,16 +705,14 @@ fn exec_sinst<M: MemAccess>(
                 let y = if si.b == NO_REG { None } else { Some(u[(si.b & !UB) as usize]) };
                 u[si.d as usize] = math($o, $t, u[(si.a & !UB) as usize], y);
             } else {
-                let mut xa = [0u64; WARP_SIZE];
-                fetch!(si.a, xa);
+                let xa = fetch!(si.a);
                 let db = si.d as usize * WARP_SIZE;
                 if si.b == NO_REG {
                     for (o, &x) in v[db..db + lanes].iter_mut().zip(&xa[..lanes]) {
                         *o = math($o, $t, x, None);
                     }
                 } else {
-                    let mut xb = [0u64; WARP_SIZE];
-                    fetch!(si.b, xb);
+                    let xb = fetch!(si.b);
                     for ((o, &x), &y) in
                         v[db..db + lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes])
                     {
@@ -735,10 +734,11 @@ fn exec_sinst<M: MemAccess>(
             }
         }};
     }
-    // Memory superinstructions do their 32 lane accesses in lane order
-    // and then account the warp's transactions once, right here: the
-    // addresses are already in one array, and a group formed in lockstep
-    // is closed (see the module docs), so nothing is logged per lane.
+    // Memory superinstructions hand the warp's addresses to the memory
+    // port as one access (which touches them in lane order) and then
+    // account the warp's transactions once, right here: the addresses
+    // are already in one array, and a group formed in lockstep is closed
+    // (see the module docs), so nothing is logged per lane.
     macro_rules! vld {
         ($bytes:expr, $ss:expr) => {{
             if si.scalar {
@@ -748,35 +748,26 @@ fn exec_sinst<M: MemAccess>(
                 u[si.d as usize] = mem.read(addr, $bytes as u32)?;
                 warp.account_now($bytes, $ss, &[addr], stats);
             } else {
-                let mut xa = [0u64; WARP_SIZE];
-                fetch!(si.a, xa);
+                let xa = fetch!(si.a);
                 let db = si.d as usize * WARP_SIZE;
-                for l in 0..lanes {
-                    v[db + l] = mem.read(xa[l], $bytes as u32)?;
-                }
+                mem.read_warp(&xa[..lanes], $bytes as u32, &mut v[db..db + lanes])?;
                 warp.account_now($bytes, $ss, &xa[..lanes], stats);
             }
         }};
     }
     macro_rules! vst {
         ($bytes:expr, $ss:expr) => {{
-            let mut xa = [0u64; WARP_SIZE];
-            let mut xb = [0u64; WARP_SIZE];
-            fetch!(si.a, xa);
-            fetch!(si.b, xb);
-            for l in 0..lanes {
-                mem.write(xa[l], $bytes as u32, xb[l])?;
-            }
+            let xa = fetch!(si.a);
+            let xb = fetch!(si.b);
+            mem.write_warp(&xa[..lanes], $bytes as u32, &xb[..lanes])?;
             warp.account_now($bytes, $ss, &xa[..lanes], stats);
         }};
     }
     macro_rules! vatom {
         ($t:expr) => {{
             let bytes = $t.size_bytes() as u8;
-            let mut xa = [0u64; WARP_SIZE];
-            let mut xb = [0u64; WARP_SIZE];
-            fetch!(si.a, xa);
-            fetch!(si.b, xb);
+            let xa = fetch!(si.a);
+            let xb = fetch!(si.b);
             for l in 0..lanes {
                 mem.atom_add($t, xa[l], bytes as u32, xb[l])?;
             }

@@ -92,12 +92,13 @@ pub enum Memo<'a> {
 /// `d2h` spans into `tracer` (a disabled tracer records nothing).
 ///
 /// `compiled` pairs each kernel with its register-allocation report (the
-/// compiler driver produces both); the report supplies the register count
-/// for occupancy and the spill set for local-traffic accounting.
-pub fn run_function(
+/// compiler driver produces both), in launch order, by reference; the
+/// report supplies the register count for occupancy and the spill set
+/// for local-traffic accounting.
+pub fn run_function<'k>(
     dev: &DeviceConfig,
     func: &Function,
-    compiled: &[(CompiledKernel, RegAllocReport)],
+    compiled: impl IntoIterator<Item = (&'k CompiledKernel, &'k RegAllocReport)>,
     args: &mut Args,
     mut memo: Memo<'_>,
     tracer: &mut Tracer,
@@ -337,7 +338,8 @@ pub fn run_function_traced(
     cache: Option<&SharedLaunchCache>,
     tracer: &mut Tracer,
 ) -> Result<RunReport, RuntimeError> {
-    run_function(dev, func, compiled, args, cache.map_or(Memo::Off, Memo::Shared), tracer)
+    let memo = cache.map_or(Memo::Off, Memo::Shared);
+    run_function(dev, func, compiled.iter().map(|(k, a)| (k, a)), args, memo, tracer)
 }
 
 fn owner_array(owner: &DimOwner, kernel: &CompiledKernel) -> Result<Ident, RuntimeError> {
@@ -535,6 +537,7 @@ mod tests {
         compiled: &[(CompiledKernel, RegAllocReport)],
         args: &mut Args,
     ) -> Result<RunReport, RuntimeError> {
+        let compiled = compiled.iter().map(|(k, a)| (k, a));
         run_function(dev, func, compiled, args, Memo::Off, &mut Tracer::disabled())
     }
 

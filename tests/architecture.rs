@@ -95,6 +95,16 @@ fn lockstep_never_logs_per_lane() {
 }
 
 #[test]
+fn lockstep_accesses_memory_per_warp() {
+    // Lockstep loads and stores hand all lanes to `read_warp` / `write_warp`; the one
+    // single-address read left is a hoisted load's, whose one address stands for the warp.
+    let superblock = read("crates/gpusim/src/superblock.rs");
+    assert!(!superblock.contains("mem.write("), "a lockstep store writes lane by lane again");
+    assert_eq!(superblock.matches("mem.read(").count(), 1, "a lockstep load reads lane by lane again");
+    assert!(superblock.contains("mem.read_warp(") && superblock.contains("mem.write_warp("));
+}
+
+#[test]
 fn one_build_site() {
     // `Candidate::build` is the only place a function body is lowered and allocated.
     let driver = read("crates/core/src/driver.rs");
