@@ -28,7 +28,14 @@
 //!    execute as tight 32-lane inner loops: one opcode dispatch per
 //!    superinstruction per *warp* instead of per lane, with operands
 //!    pre-resolved to either the scalar file or the lane-major
-//!    (structure-of-arrays) register file. Memory superinstructions
+//!    (structure-of-arrays) register file, one 32-word column per
+//!    register. The loops read the operand columns in place: the
+//!    destination column is borrowed mutably and the source columns
+//!    shared (`get_disjoint_mut`), a uniform operand enters the loop as
+//!    one scalar, and an operand that *is* the destination is read
+//!    through it — exact, because lane `l` is read before lane `l` is
+//!    written. Only a load that overwrites its own address register and
+//!    an atomic copy a column first. Memory superinstructions
 //!    resolve their addresses and account their transactions per warp,
 //!    at the instruction — the 32 addresses are already in one array, so
 //!    a warp that stays inside one buffer costs one buffer lookup and
@@ -620,6 +627,82 @@ fn counts_of(seed: &ExecSeed) -> LaneCounts {
     }
 }
 
+/// The lane-major (structure-of-arrays) register file: one 32-lane
+/// column per register-file index below `n_vregs`.
+type Cols = [[u64; WARP_SIZE]];
+
+const DISJOINT: &str = "distinct in-range register columns";
+
+/// `d[l] = f(a[l])` for the first `lanes` lanes of column `d`, with `a`
+/// read where it lives: a uniform `a` is one scalar (so `f` of it is one
+/// value), `a == d` reads the destination column itself — lane `l` is
+/// read before lane `l` is written — and any other `a` is borrowed
+/// shared beside the mutably borrowed `d`.
+#[inline(always)]
+fn lanes1(v: &mut Cols, u: &[u64], d: u32, a: u32, lanes: usize, f: impl Fn(u64) -> u64) {
+    let d = d as usize;
+    if a & UB != 0 {
+        v[d][..lanes].fill(f(u[(a & !UB) as usize]));
+    } else if a as usize == d {
+        for o in &mut v[d][..lanes] {
+            *o = f(*o);
+        }
+    } else {
+        let [o, x] = v.get_disjoint_mut([d, a as usize]).expect(DISJOINT);
+        for (o, &x) in o[..lanes].iter_mut().zip(&x[..lanes]) {
+            *o = f(x);
+        }
+    }
+}
+
+/// `d[l] = f(a[l], b[l])` for the first `lanes` lanes of column `d`,
+/// operands read in place. A uniform operand, or `a == b`, makes it a
+/// one-operand loop ([`lanes1`]; both uniform: one value, filled);
+/// otherwise each alias shape — `d == a`, `d == b`, all distinct — has its
+/// own loop.
+#[inline(always)]
+fn lanes2(
+    v: &mut Cols,
+    u: &[u64],
+    d: u32,
+    a: u32,
+    b: u32,
+    lanes: usize,
+    f: impl Fn(u64, u64) -> u64,
+) {
+    let uni = |r: u32| u[(r & !UB) as usize];
+    match (a & UB != 0, b & UB != 0) {
+        (true, _) => {
+            let x = uni(a);
+            lanes1(v, u, d, b, lanes, |y| f(x, y));
+        }
+        (false, true) => {
+            let y = uni(b);
+            lanes1(v, u, d, a, lanes, |x| f(x, y));
+        }
+        (false, false) if a == b => lanes1(v, u, d, a, lanes, |x| f(x, x)),
+        (false, false) => {
+            let (d, a, b) = (d as usize, a as usize, b as usize);
+            if d == a {
+                let [o, y] = v.get_disjoint_mut([d, b]).expect(DISJOINT);
+                for (o, &y) in o[..lanes].iter_mut().zip(&y[..lanes]) {
+                    *o = f(*o, y);
+                }
+            } else if d == b {
+                let [o, x] = v.get_disjoint_mut([d, a]).expect(DISJOINT);
+                for (o, &x) in o[..lanes].iter_mut().zip(&x[..lanes]) {
+                    *o = f(x, *o);
+                }
+            } else {
+                let [o, x, y] = v.get_disjoint_mut([d, a, b]).expect(DISJOINT);
+                for ((o, &x), &y) in o[..lanes].iter_mut().zip(&x[..lanes]).zip(&y[..lanes]) {
+                    *o = f(x, y);
+                }
+            }
+        }
+    }
+}
+
 /// Execute one superinstruction: once on the scalar file if hoisted,
 /// else as a tight lane loop.
 #[allow(clippy::too_many_arguments)]
@@ -627,62 +710,32 @@ fn counts_of(seed: &ExecSeed) -> LaneCounts {
 fn exec_sinst<M: MemAccess>(
     si: &SInst,
     u: &mut [u64],
-    v: &mut [u64],
+    v: &mut Cols,
     lanes: usize,
     ids: &[[u32; 6]; WARP_SIZE],
     mem: &mut M,
     warp: &mut WarpMerge,
     stats: &mut KernelStats,
 ) -> Result<(), SimError> {
-    // Fetch an encoded operand's whole 32-lane column into a stack
-    // array: a fixed-size copy for varying registers, a broadcast for
-    // uniform ones, whatever `lanes` is (the loops below read only
-    // `..lanes`). The compute loops then zip fixed-size slices, which
-    // elides per-element bounds checks and lets constant-propagated ALU
-    // ops auto-vectorize.
+    // Copy an encoded operand's whole 32-lane column into a stack array
+    // (a broadcast for a uniform one). Only the rare memory shapes below
+    // do this; the compute loops read their operands in place.
     macro_rules! fetch {
         ($e:expr) => {{
             let e = $e;
             if e & UB != 0 {
                 [u[(e & !UB) as usize]; WARP_SIZE]
             } else {
-                let b = e as usize * WARP_SIZE;
-                let mut x = [0u64; WARP_SIZE];
-                x.copy_from_slice(&v[b..b + WARP_SIZE]);
-                x
+                v[e as usize]
             }
         }};
     }
-    macro_rules! vb {
-        ($o:expr, $t:expr) => {{
+    macro_rules! v2 {
+        ($f:expr) => {{
             if si.scalar {
-                u[si.d as usize] = alu($o, $t, u[(si.a & !UB) as usize], u[(si.b & !UB) as usize]);
+                u[si.d as usize] = $f(u[(si.a & !UB) as usize], u[(si.b & !UB) as usize]);
             } else {
-                let xa = fetch!(si.a);
-                let xb = fetch!(si.b);
-                let db = si.d as usize * WARP_SIZE;
-                for ((o, &x), &y) in
-                    v[db..db + lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes])
-                {
-                    *o = alu($o, $t, x, y);
-                }
-            }
-        }};
-    }
-    macro_rules! vcmp {
-        ($o:expr, $t:expr) => {{
-            if si.scalar {
-                u[si.d as usize] =
-                    u64::from(compare($o, $t, u[(si.a & !UB) as usize], u[(si.b & !UB) as usize]));
-            } else {
-                let xa = fetch!(si.a);
-                let xb = fetch!(si.b);
-                let db = si.d as usize * WARP_SIZE;
-                for ((o, &x), &y) in
-                    v[db..db + lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes])
-                {
-                    *o = u64::from(compare($o, $t, x, y));
-                }
+                lanes2(v, u, si.d, si.a, si.b, lanes, $f);
             }
         }};
     }
@@ -691,34 +744,26 @@ fn exec_sinst<M: MemAccess>(
             if si.scalar {
                 u[si.d as usize] = $f(u[(si.a & !UB) as usize]);
             } else {
-                let xa = fetch!(si.a);
-                let db = si.d as usize * WARP_SIZE;
-                for (o, &x) in v[db..db + lanes].iter_mut().zip(&xa[..lanes]) {
-                    *o = $f(x);
-                }
+                lanes1(v, u, si.d, si.a, lanes, $f);
             }
         }};
     }
+    macro_rules! vb {
+        ($o:expr, $t:expr) => {
+            v2!(|x, y| alu($o, $t, x, y))
+        };
+    }
+    macro_rules! vcmp {
+        ($o:expr, $t:expr) => {
+            v2!(|x, y| u64::from(compare($o, $t, x, y)))
+        };
+    }
     macro_rules! vmath {
         ($o:expr, $t:expr) => {{
-            if si.scalar {
-                let y = if si.b == NO_REG { None } else { Some(u[(si.b & !UB) as usize]) };
-                u[si.d as usize] = math($o, $t, u[(si.a & !UB) as usize], y);
+            if si.b == NO_REG {
+                vun!(|x| math($o, $t, x, None))
             } else {
-                let xa = fetch!(si.a);
-                let db = si.d as usize * WARP_SIZE;
-                if si.b == NO_REG {
-                    for (o, &x) in v[db..db + lanes].iter_mut().zip(&xa[..lanes]) {
-                        *o = math($o, $t, x, None);
-                    }
-                } else {
-                    let xb = fetch!(si.b);
-                    for ((o, &x), &y) in
-                        v[db..db + lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes])
-                    {
-                        *o = math($o, $t, x, Some(y));
-                    }
-                }
+                v2!(|x, y| math($o, $t, x, Some(y)))
             }
         }};
     }
@@ -727,8 +772,7 @@ fn exec_sinst<M: MemAccess>(
             if si.scalar {
                 u[si.d as usize] = ids[0][$k] as u64;
             } else {
-                let db = si.d as usize * WARP_SIZE;
-                for (o, id) in v[db..db + lanes].iter_mut().zip(&ids[..lanes]) {
+                for (o, id) in v[si.d as usize][..lanes].iter_mut().zip(&ids[..lanes]) {
                     *o = id[$k] as u64;
                 }
             }
@@ -747,20 +791,40 @@ fn exec_sinst<M: MemAccess>(
                 let addr = u[(si.a & !UB) as usize];
                 u[si.d as usize] = mem.read(addr, $bytes as u32)?;
                 warp.account_now($bytes, $ss, &[addr], stats);
-            } else {
-                let xa = fetch!(si.a);
-                let db = si.d as usize * WARP_SIZE;
-                mem.read_warp(&xa[..lanes], $bytes as u32, &mut v[db..db + lanes])?;
+            } else if si.a & UB == 0 && si.a != si.d {
+                let [o, xa] =
+                    v.get_disjoint_mut([si.d as usize, si.a as usize]).expect(DISJOINT);
+                mem.read_warp(&xa[..lanes], $bytes as u32, &mut o[..lanes])?;
                 warp.account_now($bytes, $ss, &xa[..lanes], stats);
+            } else {
+                // The addresses go to a stack array first when they are
+                // uniform (a broadcast) or the load overwrites them.
+                let xa = fetch!(si.a);
+                mem.read_warp(&xa[..lanes], $bytes as u32, &mut v[si.d as usize][..lanes])?;
+                warp.account_now($bytes, $ss, &xa[..lanes], stats);
+            }
+        }};
+    }
+    // A store's lanes: a varying operand's column borrowed in place, a
+    // uniform one broadcast into `$tmp`.
+    macro_rules! lanes_of {
+        ($e:expr, $tmp:ident) => {{
+            let e = $e;
+            if e & UB != 0 {
+                $tmp = [u[(e & !UB) as usize]; WARP_SIZE];
+                &$tmp[..lanes]
+            } else {
+                &v[e as usize][..lanes]
             }
         }};
     }
     macro_rules! vst {
         ($bytes:expr, $ss:expr) => {{
-            let xa = fetch!(si.a);
-            let xb = fetch!(si.b);
-            mem.write_warp(&xa[..lanes], $bytes as u32, &xb[..lanes])?;
-            warp.account_now($bytes, $ss, &xa[..lanes], stats);
+            let (ta, tb);
+            let xa = lanes_of!(si.a, ta);
+            let xb = lanes_of!(si.b, tb);
+            mem.write_warp(xa, $bytes as u32, xb)?;
+            warp.account_now($bytes, $ss, xa, stats);
         }};
     }
     macro_rules! vatom {
@@ -988,7 +1052,7 @@ fn peel<M: MemAccess>(
     hi: usize,
     mem: &mut M,
     u: &[u64],
-    v: &[u64],
+    v: &Cols,
     dense: &mut [u64],
     uni: &[bool],
     warp: &mut WarpMerge,
@@ -1000,7 +1064,7 @@ fn peel<M: MemAccess>(
     ctrs.peels += 1;
     for (lane, lcl) in lc.iter_mut().enumerate().take(hi).skip(lo) {
         for r in 0..d.n_vregs {
-            dense[r] = if uni[r] { u[r] } else { v[r * WARP_SIZE + lane] };
+            dense[r] = if uni[r] { u[r] } else { v[r][lane] };
         }
         *lcl = crate::decode::run_lane::<false, false, M>(
             d,
@@ -1030,7 +1094,7 @@ fn run_warp<M: MemAccess>(
     lanes: usize,
     mem: &mut M,
     u: &mut [u64],
-    v: &mut [u64],
+    v: &mut Cols,
     dense: &mut [u64],
     uni: &[bool],
     warp: &mut WarpMerge,
@@ -1060,7 +1124,7 @@ fn run_warp<M: MemAccess>(
         }
         return Ok(());
     }
-    v[..d.n_vregs * WARP_SIZE].fill(0);
+    v[..d.n_vregs].fill([0; WARP_SIZE]);
     u[..d.n_vregs].fill(0);
     let mut lanes = lanes;
     let mut pc = 0usize;
@@ -1108,11 +1172,11 @@ fn run_warp<M: MemAccess>(
                     if pred & UB != 0 {
                         dir = (u[(pred & !UB) as usize] != 0) == *sense;
                     } else {
-                        let base = *pred as usize * WARP_SIZE;
+                        let col = &v[*pred as usize];
                         let mut tk = [false; WARP_SIZE];
                         let mut n_taken = 0usize;
-                        for (l, t) in tk.iter_mut().enumerate().take(lanes) {
-                            *t = (v[base + l] != 0) == *sense;
+                        for (t, &p) in tk.iter_mut().zip(&col[..lanes]) {
+                            *t = (p != 0) == *sense;
                             n_taken += *t as usize;
                         }
                         if n_taken != 0 && n_taken != lanes {
@@ -1404,7 +1468,7 @@ fn block_coords(config: &LaunchConfig, block: u64) -> (u32, u32, u32) {
 /// buffers. Constants occupy the scalar/dense tails once. One of these
 /// exists per serial launch — and one per pool worker.
 struct SbScratch {
-    v: Vec<u64>,
+    v: Vec<[u64; WARP_SIZE]>,
     u: Vec<u64>,
     dense: Vec<u64>,
     warp: WarpMerge,
@@ -1414,7 +1478,7 @@ struct SbScratch {
 
 impl SbScratch {
     fn new(d: &Decoded, n_regs: usize) -> Self {
-        let v = vec![0u64; d.n_vregs * WARP_SIZE];
+        let v = vec![[0u64; WARP_SIZE]; d.n_vregs];
         let mut u = vec![0u64; n_regs];
         u[d.n_vregs..].copy_from_slice(&d.consts);
         let mut dense = vec![0u64; n_regs];
@@ -1492,9 +1556,151 @@ fn run_sb_block<M: MemAccess>(
     Ok(())
 }
 
+/// The lane loops as they ran before they read operands in place: each
+/// operand's whole column is copied into a stack array first (a
+/// broadcast when uniform), and the loop reads the copies.
+#[cfg(test)]
+mod reference {
+    use super::{Cols, UB, WARP_SIZE};
+
+    fn fetch(v: &Cols, u: &[u64], e: u32) -> [u64; WARP_SIZE] {
+        if e & UB != 0 {
+            [u[(e & !UB) as usize]; WARP_SIZE]
+        } else {
+            v[e as usize]
+        }
+    }
+
+    pub(super) fn lanes1(v: &mut Cols, u: &[u64], d: u32, a: u32, lanes: usize, f: fn(u64) -> u64) {
+        let xa = fetch(v, u, a);
+        for (o, &x) in v[d as usize][..lanes].iter_mut().zip(&xa[..lanes]) {
+            *o = f(x);
+        }
+    }
+
+    pub(super) fn lanes2(
+        v: &mut Cols,
+        u: &[u64],
+        [d, a, b]: [u32; 3],
+        lanes: usize,
+        f: fn(u64, u64) -> u64,
+    ) {
+        let (xa, xb) = (fetch(v, u, a), fetch(v, u, b));
+        for ((o, &x), &y) in v[d as usize][..lanes].iter_mut().zip(&xa[..lanes]).zip(&xb[..lanes]) {
+            *o = f(x, y);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
+
+    /// Three varying columns (registers 0–2) and two uniform registers
+    /// (3 and 4, on the scalar file) filled with values the ops under test
+    /// treat specially: zero (B32 division by 0), small signed integers,
+    /// f32 NaNs with payloads of either sign, ordinary f32 and f64 values
+    /// and random bits.
+    fn register_files(rng: &mut SplitMix64) -> (Vec<u64>, Vec<[u64; WARP_SIZE]>) {
+        let mut value = || match rng.gen_index(6) {
+            0 => 0,
+            1 => rng.gen_range_i64(-9, 9) as u64,
+            2 => u64::from(0x7f80_0001 | (rng.next_u32() & 0x803f_ffff)),
+            3 => u64::from(rng.gen_range_f32(-4.0, 4.0).to_bits()),
+            4 => rng.gen_range_f64(-4.0, 4.0).to_bits(),
+            _ => rng.next_u64(),
+        };
+        let u = (0..5).map(|_| value()).collect();
+        let v = (0..3).map(|_| std::array::from_fn(|_| value())).collect();
+        (u, v)
+    }
+
+    const LANES: [usize; 5] = [1, 5, 16, 31, 32];
+
+    type Unary = fn(u64) -> u64;
+    type Binary = fn(u64, u64) -> u64;
+
+    /// Runs one lane-vectorized superinstruction through `exec_sinst`.
+    fn exec_vector(op: Op, [d, a, b]: [u32; 3], u: &mut [u64], v: &mut Cols, lanes: usize) {
+        let si = SInst { op, cls: 0, spill: 0, scalar: false, d, a, b };
+        let (mut mem, mut warp, mut stats) =
+            (DeviceMemory::new(), WarpMerge::new(), KernelStats::default());
+        exec_sinst(&si, u, v, lanes, &[[0; 6]; WARP_SIZE], &mut mem, &mut warp, &mut stats)
+            .expect("a compute superinstruction cannot fault");
+    }
+
+    /// Two-operand loops read in place agree with the copy-then-loop form
+    /// bit for bit, in every alias shape (`d == a`, `d == b`, `a == b`, all
+    /// three equal, all distinct), with either operand uniform or both, at
+    /// every warp width — and leave the lanes past `lanes` alone. The ops
+    /// are non-commutative, so a swapped operand shows; a commutative
+    /// float op would not do here, because for two NaN operands Rust
+    /// leaves the result's payload unspecified and LLVM may commute an
+    /// `fadd` differently in each form.
+    #[test]
+    fn two_operand_loops_read_in_place_exactly() {
+        let ops: [(Op, Binary); 6] = [
+            (Op::SubB32, |x, y| alu(AluOp::Sub, VType::B32, x, y)),
+            (Op::SubF32, |x, y| alu(AluOp::Sub, VType::F32, x, y)),
+            (Op::DivB32, |x, y| alu(AluOp::Div, VType::B32, x, y)),
+            (Op::DivF64, |x, y| alu(AluOp::Div, VType::F64, x, y)),
+            (Op::SetpLtF32, |x, y| u64::from(compare(CmpOp::Lt, VType::F32, x, y))),
+            (Op::PowF32, |x, y| math(MathOp::Pow, VType::F32, x, Some(y))),
+        ];
+        let mut rng = SplitMix64::new(0x1a9e_5eed);
+        let mut shapes = 0;
+        for (op, f) in ops {
+            for d in 0..3 {
+                for a in [0, 1, 2, 3 | UB] {
+                    for b in [0, 1, 2, 4 | UB] {
+                        for lanes in LANES {
+                            for _ in 0..4 {
+                                let (mut u, mut v) = register_files(&mut rng);
+                                let (want_u, mut want_v) = (u.clone(), v.clone());
+                                reference::lanes2(&mut want_v, &want_u, [d, a, b], lanes, f);
+                                exec_vector(op, [d, a, b], &mut u, &mut v, lanes);
+                                let at = format!("{op:?} d={d} a={a:#x} b={b:#x} lanes={lanes}");
+                                assert_eq!(v, want_v, "{at}");
+                                assert_eq!(u, want_u, "{at}");
+                            }
+                        }
+                        shapes += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes, 6 * 3 * 4 * 4);
+    }
+
+    /// One-operand loops (a convert, a one-operand math op): `d == a`,
+    /// `d != a` and a uniform `a`.
+    #[test]
+    fn one_operand_loops_read_in_place_exactly() {
+        let ops: [(Op, Unary); 3] = [
+            (Op::CvtF64F32, |x| convert(VType::F64, VType::F32, x)),
+            (Op::CvtB32F32, |x| convert(VType::B32, VType::F32, x)),
+            (Op::SqrtF32, |x| math(MathOp::Sqrt, VType::F32, x, None)),
+        ];
+        let mut rng = SplitMix64::new(0x0be_0fe5);
+        for (op, f) in ops {
+            for d in 0..3 {
+                for a in [0, 1, 2, 3 | UB] {
+                    for lanes in LANES {
+                        for _ in 0..4 {
+                            let (mut u, mut v) = register_files(&mut rng);
+                            let (want_u, mut want_v) = (u.clone(), v.clone());
+                            reference::lanes1(&mut want_v, &want_u, d, a, lanes, f);
+                            exec_vector(op, [d, a, NO_REG], &mut u, &mut v, lanes);
+                            let at = format!("{op:?} d={d} a={a:#x} lanes={lanes}");
+                            assert_eq!(v, want_v, "{at}");
+                            assert_eq!(u, want_u, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// A full program cache evicts its oldest entry, not everything: after
     /// one insertion past the cap, all but the first key still hit.

@@ -461,10 +461,12 @@ pub fn eval_i64(e: &Expr, env: &BTreeMap<Ident, ArgValue>) -> Result<i64, String
     })
 }
 
-/// Trip count of a mapped loop given its spec.
-fn trip_count(spec: &MappedLoopSpec, env: &BTreeMap<Ident, ArgValue>) -> Result<i64, RuntimeError> {
-    let lo = eval_i64(&spec.lo, env).map_err(RuntimeError::new)?;
-    let bound = eval_i64(&spec.bound, env).map_err(RuntimeError::new)?;
+/// Trip count of a mapped loop given its spec. The bounds come from
+/// request scalars, so the span is taken in `i128`, where no two `i64`s
+/// overflow; only a loop of 2^64 iterations has no `u64` count.
+fn trip_count(spec: &MappedLoopSpec, env: &BTreeMap<Ident, ArgValue>) -> Result<u64, RuntimeError> {
+    let lo = i128::from(eval_i64(&spec.lo, env).map_err(RuntimeError::new)?);
+    let bound = i128::from(eval_i64(&spec.bound, env).map_err(RuntimeError::new)?);
     let span = match spec.cmp {
         LoopCmp::Lt => bound - lo,
         LoopCmp::Le => bound - lo + 1,
@@ -474,7 +476,24 @@ fn trip_count(spec: &MappedLoopSpec, env: &BTreeMap<Ident, ArgValue>) -> Result<
     if span <= 0 {
         return Ok(0);
     }
-    Ok((span + spec.step.abs() - 1) / spec.step.abs())
+    let trip = span.unsigned_abs().div_ceil(u128::from(spec.step.unsigned_abs()));
+    u64::try_from(trip).map_err(|_| {
+        let var = &spec.var;
+        RuntimeError::new(format!("loop over `{var}` runs {trip} iterations, more than u64::MAX"))
+    })
+}
+
+/// Blocks of `block` threads that cover `trip` iterations (at least one
+/// block): an error, not a truncation, when the count leaves `u32`.
+fn grid_for(kernel: &CompiledKernel, trip: u64, block: u32) -> Result<u32, RuntimeError> {
+    let blocks = trip.max(1).div_ceil(u64::from(block));
+    u32::try_from(blocks).map_err(|_| {
+        RuntimeError::new(format!(
+            "kernel `{}`: {trip} iterations need {blocks} blocks of {block} threads, \
+             more than u32::MAX",
+            kernel.name
+        ))
+    })
 }
 
 /// Compute the launch geometry for a kernel: block sizes from `vector`
@@ -501,25 +520,25 @@ fn launch_geometry(
         _ => [16, 4, 2],
     };
     let mut block = [1u32; 3];
-    let mut grid = [1u32; 3];
+    let mut trip = [0u64; 3];
     for (d, spec) in kernel.mapped.iter().take(3).enumerate() {
-        let trip = trip_count(spec, env)?.max(0) as u64;
+        trip[d] = trip_count(spec, env)?;
         let vec_len = match &spec.vector {
             Some(e) => eval_i64(e, env).map_err(RuntimeError::new)?.clamp(1, 1024) as u32,
             None => default_block[d],
         };
         block[d] = vec_len.min(tpb_limit);
-        grid[d] = ((trip.max(1)).div_ceil(block[d] as u64)) as u32;
     }
     // Respect the threads-per-block limit by shrinking x.
     while block[0] > 1 && block[0] * block[1] * block[2] > tpb_limit {
         block[0] /= 2;
-        let spec = &kernel.mapped[0];
-        let trip = trip_count(spec, env)?.max(1) as u64;
-        grid[0] = (trip.div_ceil(block[0] as u64)) as u32;
     }
     Ok(LaunchConfig {
-        grid: (grid[0], grid[1], grid[2]),
+        grid: (
+            grid_for(kernel, trip[0], block[0])?,
+            grid_for(kernel, trip[1], block[1])?,
+            grid_for(kernel, trip[2], block[2])?,
+        ),
         block: (block[0], block[1], block[2]),
     })
 }
@@ -721,6 +740,52 @@ mod tests {
                 )
             );
         }
+    }
+
+    #[test]
+    fn a_grid_beyond_u32_is_an_error_not_a_truncation() {
+        // 2^39 + 128 iterations in blocks of 128 is 2^32 + 1 blocks: cast
+        // to `u32`, the grid was one block and the sum read 128.
+        let src = r#"
+        void f(long n, float s) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang vector reduction(+:s)
+            for (int i = 0; i < n; i++) { s += 1.0; }
+          }
+        }"#;
+        let (f, compiled) = compile_all(src, &CodegenOptions::default());
+        let dev = DeviceConfig::k20xm();
+        let mut args = Args::new().i64("n", (1 << 39) + 128).f32("s", 0.0);
+        let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
+        assert_eq!(
+            err.message,
+            "kernel `f_k0`: 549755814016 iterations need 4294967297 blocks of 128 threads, \
+             more than u32::MAX"
+        );
+    }
+
+    #[test]
+    fn a_loop_span_beyond_i64_is_an_error_not_a_wrap() {
+        // `n - lo` is 2^63 + 2^40: in `i64` it panicked in debug builds and
+        // wrapped to a negative span, hence an empty loop, in release.
+        let src = r#"
+        void f(long lo, long n, float s) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang vector reduction(+:s)
+            for (int i = lo; i < n; i++) { s += 1.0; }
+          }
+        }"#;
+        let (f, compiled) = compile_all(src, &CodegenOptions::default());
+        let dev = DeviceConfig::k20xm();
+        let mut args = Args::new().i64("lo", i64::MIN).i64("n", 1 << 40).f32("s", 0.0);
+        let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
+        assert_eq!(
+            err.message,
+            "kernel `f_k0`: 9223373136366403584 iterations need 72057602627862528 blocks of \
+             128 threads, more than u32::MAX"
+        );
     }
 
     #[test]

@@ -104,6 +104,43 @@ fn lockstep_accesses_memory_per_warp() {
     assert!(superblock.contains("mem.read_warp(") && superblock.contains("mem.write_warp("));
 }
 
+/// The text of the item (a `fn` or a `macro_rules!`) whose first line
+/// contains `head`: from there to the closing brace at the same indent.
+fn item<'a>(src: &'a str, head: &str) -> &'a str {
+    let at = src.find(head).unwrap_or_else(|| panic!("no `{head}`"));
+    let line_start = src[..at].rfind('\n').map_or(0, |i| i + 1);
+    let indent = &src[line_start..at];
+    let close = format!("\n{}}}", " ".repeat(indent.len() - indent.trim_start().len()));
+    let end = src[at..].find(&close).unwrap_or_else(|| panic!("`{head}` does not end"));
+    &src[at..at + end + close.len()]
+}
+
+#[test]
+fn lockstep_reads_operands_in_place() {
+    // The ALU, compare, convert and math lane loops borrow their operand columns where
+    // they are. Only a load that overwrites its address register and an atomic copy one.
+    let superblock = read("crates/gpusim/src/superblock.rs");
+    let src = superblock.split("\n#[cfg(test)]").next().unwrap();
+    let copies = ["fetch!(", "copy_from_slice", "= v[", "; WARP_SIZE]"];
+    for head in [
+        "fn lanes1(",
+        "fn lanes2(",
+        "macro_rules! v2 ",
+        "macro_rules! vun ",
+        "macro_rules! vb ",
+        "macro_rules! vcmp ",
+        "macro_rules! vmath ",
+    ] {
+        let body = item(src, head);
+        let found: Vec<_> = copies.iter().filter(|c| body.contains(*c)).collect();
+        assert!(found.is_empty(), "`{head}` copies an operand column again ({found:?}):\n{body}");
+    }
+    let allowed = item(src, "macro_rules! vld ").matches("fetch!(").count()
+        + item(src, "macro_rules! vatom ").matches("fetch!(").count();
+    let fetched = src.matches("fetch!(").count();
+    assert_eq!(fetched, allowed, "a column is fetched outside loads and atomics");
+}
+
 #[test]
 fn one_build_site() {
     // `Candidate::build` is the only place a function body is lowered and allocated.
