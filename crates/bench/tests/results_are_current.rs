@@ -30,7 +30,7 @@ fn every_results_file_regenerates_byte_identical() {
         .iter()
         .map(|name| {
             let mut cmd = Command::new(dir.join(name));
-            cmd.env_remove("SAFARA_ENGINE").env_remove("SAFARA_SIM_THREADS");
+            cmd.env_remove("SAFARA_ENGINE");
             let child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn();
             (name, child.unwrap_or_else(|e| panic!("spawn {name}: {e}")))
         })

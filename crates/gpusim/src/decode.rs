@@ -49,7 +49,6 @@ use crate::interp::{
     FLAG_STORE, MAX_INSTS_PER_THREAD, SPACE_GLOBAL, SPACE_LOCAL, SPACE_READONLY,
 };
 use crate::memory::DeviceMemory;
-use crate::parallel::{self, MemAccess};
 use crate::stats::KernelStats;
 use crate::vir::*;
 use std::collections::HashMap;
@@ -583,49 +582,28 @@ pub(crate) fn launch_decoded(
     }
     let decoded = decode(kernel, config, params, spilled)?;
 
-    let n_blocks = config.total_blocks();
-    let threads = crate::current_sim_threads() as usize;
-    if threads > 1 && n_blocks > 1 {
-        let decoded = &decoded;
-        let (stats, _scratch) = parallel::run_blocks_parallel(
-            mem,
-            0,
-            n_blocks,
-            threads,
-            |_worker| BlockScratch::new(decoded),
-            |b, scratch, worker_mem| {
-                let mut stats = KernelStats::default();
-                run_block(decoded, &kernel.name, config, b, worker_mem, scratch, &mut stats)?;
-                Ok(stats)
-            },
-        )?;
-        return Ok(LaunchResult { stats });
-    }
-
     let mut stats = KernelStats::default();
     // Launch-lifetime scratch, reused across every warp of every block.
     let mut scratch = BlockScratch::new(&decoded);
     // Linear block ids enumerate the grid in the historical z→y→x
     // nesting order.
-    for b in 0..n_blocks {
+    for b in 0..config.total_blocks() {
         run_block(&decoded, &kernel.name, config, b, mem, &mut scratch, &mut stats)?;
     }
     Ok(LaunchResult { stats })
 }
 
-/// Per-worker execution scratch: the flat register file (constants live
+/// Launch execution scratch: the flat register file (constants live
 /// past the virtual registers and are written once), the warp
-/// transaction-merge buffers, and the per-lane issue counters. One of
-/// these exists per serial launch — and one per pool worker, which is
-/// exactly the state split that makes block execution `Send`.
-pub(crate) struct BlockScratch {
+/// transaction-merge buffers, and the per-lane issue counters.
+struct BlockScratch {
     regs: Vec<u64>,
     warp: WarpMerge,
     lane_counts: [LaneCounts; WARP_SIZE],
 }
 
 impl BlockScratch {
-    pub(crate) fn new(d: &Decoded) -> Self {
+    fn new(d: &Decoded) -> Self {
         let mut regs = vec![0u64; d.n_vregs + d.consts.len()];
         regs[d.n_vregs..].copy_from_slice(&d.consts);
         BlockScratch { regs, warp: WarpMerge::new(), lane_counts: [LaneCounts::default(); WARP_SIZE] }
@@ -633,15 +611,13 @@ impl BlockScratch {
 }
 
 /// Execute one block (linear id `block`, z→y→x order) and accumulate its
-/// warps into `stats`. Generic over the memory port so the serial path
-/// (direct [`DeviceMemory`]) monomorphizes to the historical code and
-/// pool workers run against their [`parallel::WorkerMem`] view.
-pub(crate) fn run_block<M: MemAccess>(
+/// warps into `stats`.
+fn run_block(
     d: &Decoded,
     kernel_name: &str,
     config: &LaunchConfig,
     block: u64,
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     s: &mut BlockScratch,
     stats: &mut KernelStats,
 ) -> Result<(), SimError> {
@@ -659,7 +635,7 @@ pub(crate) fn run_block<M: MemAccess>(
             let tx = t % config.block.0;
             let ty = (t / config.block.0) % config.block.1;
             let tz = t / (config.block.0 * config.block.1);
-            s.lane_counts[lane as usize] = run_lane::<false, false, M>(
+            s.lane_counts[lane as usize] = run_lane::<false, false>(
                 d,
                 kernel_name,
                 [tx, ty, tz, bx, by, bz],
@@ -708,11 +684,11 @@ pub(crate) struct ExecSeed {
 /// compiles in the superblock profiler's block/branch counters; both
 /// fold away for the decoded engine's `<false, false>` instantiation.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_lane<const SOA: bool, const PROF: bool, M: MemAccess>(
+pub(crate) fn run_lane<const SOA: bool, const PROF: bool>(
     d: &Decoded,
     kernel_name: &str,
     ids: [u32; 6], // tid.xyz, ctaid.xyz
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     regs: &mut [u64],
     lane: usize,
     warp: &mut WarpMerge,
@@ -999,9 +975,9 @@ pub(crate) fn run_lane<const SOA: bool, const PROF: bool, M: MemAccess>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ld<M: MemAccess>(
+pub(crate) fn ld(
     regs: &mut [u64],
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     warp: &mut WarpMerge,
     lane: usize,
     pc: usize,
@@ -1018,9 +994,9 @@ pub(crate) fn ld<M: MemAccess>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn st<M: MemAccess>(
+pub(crate) fn st(
     regs: &mut [u64],
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     warp: &mut WarpMerge,
     lane: usize,
     pc: usize,
@@ -1037,9 +1013,9 @@ pub(crate) fn st<M: MemAccess>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn atom<M: MemAccess>(
+pub(crate) fn atom(
     regs: &mut [u64],
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     warp: &mut WarpMerge,
     lane: usize,
     pc: usize,

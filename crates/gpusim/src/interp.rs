@@ -166,7 +166,6 @@ impl LaneCounts {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The original lane-at-a-time tree-walking interpreter: the oracle.
-    /// Always serial — `sim_threads` does not apply to it.
     Reference,
     /// The pre-decoded direct-threaded engine: lane-major, one lane at a
     /// time. Also what the superblock engine's profile warps and peeled
@@ -215,10 +214,7 @@ pub fn launch(
     mem: &mut DeviceMemory,
     spilled: &[VReg],
 ) -> Result<LaunchResult, SimError> {
-    crate::parallel::clear_last_parallel_info();
     match crate::current_engine() {
-        // The oracle: serial at any `sim_threads`, so a differential test
-        // never compares the decoded engine with itself.
         Engine::Reference => launch_reference(kernel, config, params, mem, spilled),
         Engine::Decoded => crate::decode::launch_decoded(kernel, config, params, mem, spilled),
         Engine::Superblock => {
@@ -595,9 +591,7 @@ fn run_lane(
                 counts.simple += 1;
                 let ad = regs[addr.0 as usize];
                 let bytes = ty.size_bytes();
-                let old = mem.read(ad, bytes)?;
-                let add = val!(a, *ty);
-                mem.write(ad, bytes, atom_add(*ty, old, add))?;
+                mem.atom_add(*ty, ad, bytes, val!(a, *ty))?;
                 log.push(MemEvent {
                     inst: pc as u32,
                     addr: ad,

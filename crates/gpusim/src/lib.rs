@@ -35,7 +35,6 @@ pub mod interp;
 pub mod memo;
 pub mod memory;
 pub mod microbench;
-pub mod parallel;
 pub mod ptxas;
 pub mod rng;
 pub mod stats;
@@ -46,7 +45,6 @@ pub mod vir;
 pub use device::{DeviceConfig, Occupancy};
 pub use exec_options::{current_engine, current_sim_threads, ExecOptions};
 pub use interp::{launch, Engine, LaunchConfig, LaunchResult};
-pub use parallel::{last_parallel_info, ParallelInfo};
 pub use superblock::{fusion_counters, FusionCounters};
 pub use memo::{launch_cached, LaunchCache, SharedLaunchCache};
 pub use memory::{BufferId, DeviceMemory};

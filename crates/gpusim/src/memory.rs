@@ -12,6 +12,7 @@
 //! reading it again.
 
 use crate::content::{ContentHasher, ContentKey};
+use crate::vir::VType;
 use std::cell::Cell;
 use std::fmt;
 
@@ -29,7 +30,7 @@ pub(crate) fn bytes_key(bytes: &[u8]) -> ContentKey {
 pub struct BufferId(pub u32);
 
 /// Bits used for the in-buffer offset within a synthetic address.
-pub(crate) const OFFSET_BITS: u32 = 40;
+const OFFSET_BITS: u32 = 40;
 
 /// The in-buffer offset of an address.
 #[inline]
@@ -193,6 +194,21 @@ impl DeviceMemory {
         Ok(())
     }
 
+    /// `AtomAdd`: read the `bytes` at `addr`, add `add` under `ty`'s
+    /// arithmetic, and write the sum back — the ISA's one
+    /// read-modify-write, in the order every engine performs it.
+    #[inline]
+    pub(crate) fn atom_add(
+        &mut self,
+        ty: VType,
+        addr: u64,
+        bytes: u32,
+        add: u64,
+    ) -> Result<(), MemFault> {
+        let old = self.read(addr, bytes)?;
+        self.write(addr, bytes, crate::interp::atom_add(ty, old, add))
+    }
+
     /// The buffer a whole warp access lies in: every address decodes to
     /// the same buffer and the highest offset plus the width fits.
     /// `None` when the lanes span buffers, any lane would fault, or there
@@ -275,12 +291,6 @@ impl DeviceMemory {
     /// Mutable raw bytes of buffer `i` (for memoized replay).
     pub(crate) fn buffer_bytes_mut(&mut self, i: usize) -> &mut [u8] {
         self.buffers[i].bytes_mut()
-    }
-
-    /// All buffers at once (for the parallel engine's shared view, which
-    /// needs simultaneous borrows of every buffer).
-    pub(crate) fn buffers_mut(&mut self) -> impl Iterator<Item = &mut [u8]> {
-        self.buffers.iter_mut().map(|b| b.bytes_mut().as_mut_slice())
     }
 
     /// The content key of buffer `i`: the one it carries, or else a hash
@@ -433,10 +443,10 @@ mod tests {
         type Route = (&'static str, fn(&mut DeviceMemory, BufferId));
         let routes: [Route; 6] = [
             ("write", |m, b| m.write(m.base_addr(b) + 4, 4, 7).unwrap()),
+            ("atom_add", |m, b| m.atom_add(VType::B32, m.base_addr(b), 4, 1).unwrap()),
             ("copy_in", |m, b| m.copy_in(b, &[9])),
             ("copy_in_f32", |m, b| m.copy_in_f32(b, &[1.5])),
             ("buffer_bytes_mut", |m, b| m.buffer_bytes_mut(b.0 as usize)[0] = 1),
-            ("buffers_mut", |m, _| m.buffers_mut().last().unwrap()[0] ^= 1),
             ("take", |m, b| drop(m.take(b))),
         ];
         for (name, route) in routes {
@@ -456,11 +466,8 @@ mod tests {
             };
             assert_eq!(m.buffer_key(1), fresh, "{name}: the key is a function of the bytes");
             assert_ne!(fresh, key, "{name} changed the bytes");
-            let all = name == "buffers_mut";
-            assert_eq!(m.buffers[0].key.get().is_none(), all, "{name}: the neighbour");
-            assert_eq!(m.buffer_key(0), other_key);
-            let rehashed = m.buffer_bytes(1).len() as u64 + if all { 24 } else { 0 };
-            assert_eq!(m.bytes_hashed(), 40 + rehashed, "{name}");
+            assert_eq!(m.buffers[0].key.get(), Some(other_key), "{name}: the neighbour");
+            assert_eq!(m.bytes_hashed(), 40 + m.buffer_bytes(1).len() as u64, "{name}");
         }
         // Reads keep it.
         let mut m = DeviceMemory::new();
@@ -543,6 +550,15 @@ mod tests {
         let data = [1.0f32, -2.5, 3.25, 0.0, f32::MAX];
         m.copy_in_f32(b, &data);
         assert_eq!(m.copy_out_f32(b), data);
+    }
+
+    #[test]
+    fn device_memory_atom_matches_read_modify_write() {
+        let mut m = DeviceMemory::new();
+        let b = m.alloc(4);
+        m.copy_in_f32(b, &[1.5]);
+        m.atom_add(VType::F32, m.base_addr(b), 4, 2.25f32.to_bits() as u64).unwrap();
+        assert_eq!(m.copy_out_f32(b), vec![3.75]);
     }
 
     #[test]

@@ -44,24 +44,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Accumulate another stats record into this one.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.simple_insts += other.simple_insts;
-        self.int64_insts += other.int64_insts;
-        self.fp64_insts += other.fp64_insts;
-        self.sfu_insts += other.sfu_insts;
-        self.global_ld_requests += other.global_ld_requests;
-        self.global_st_requests += other.global_st_requests;
-        self.global_transactions += other.global_transactions;
-        self.readonly_requests += other.readonly_requests;
-        self.readonly_transactions += other.readonly_transactions;
-        self.local_accesses += other.local_accesses;
-        self.shared_accesses += other.shared_accesses;
-        self.atomics += other.atomics;
-        self.warps += other.warps;
-        self.threads += other.threads;
-    }
-
     /// Total issued warp instructions of all classes.
     pub fn total_issued(&self) -> u64 {
         self.simple_insts + self.int64_insts + self.fp64_insts + self.sfu_insts
@@ -87,25 +69,6 @@ impl KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_accumulates_all_fields() {
-        let mut a = KernelStats { simple_insts: 1, warps: 2, ..Default::default() };
-        let b = KernelStats {
-            simple_insts: 10,
-            fp64_insts: 3,
-            global_transactions: 7,
-            warps: 4,
-            threads: 128,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.simple_insts, 11);
-        assert_eq!(a.fp64_insts, 3);
-        assert_eq!(a.global_transactions, 7);
-        assert_eq!(a.warps, 6);
-        assert_eq!(a.threads, 128);
-    }
 
     #[test]
     fn totals() {

@@ -39,8 +39,8 @@
 //!    resolve their addresses and account their transactions per warp,
 //!    at the instruction — the 32 addresses are already in one array, so
 //!    a warp that stays inside one buffer costs one buffer lookup and
-//!    one bounds check ([`MemAccess::read_warp`] /
-//!    [`MemAccess::write_warp`]), and one pass counts its 128-byte
+//!    one bounds check ([`DeviceMemory::read_warp`] /
+//!    [`DeviceMemory::write_warp`]), and one pass counts its 128-byte
 //!    segments; a hoisted load's single address stands for all of them.
 //!    Only lane-major execution (profile warps, peels, the decoded
 //!    engine) accesses and logs per lane for the warp-end merge.
@@ -86,10 +86,10 @@ use crate::interp::{
     SPACE_READONLY,
 };
 use crate::memory::DeviceMemory;
-use crate::parallel::{self, MemAccess};
 use crate::stats::KernelStats;
 use crate::vir::{AluOp, CmpOp, KernelVir, MathOp, VReg, VType};
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Warps executed lane-major (instrumented) before fusion kicks in.
@@ -191,22 +191,6 @@ struct LocalCtrs {
 }
 
 impl LocalCtrs {
-    /// Fold a pool worker's counters into the launch accumulator, so the
-    /// whole launch still flushes to the shared atomics exactly once.
-    fn add(&mut self, o: &LocalCtrs) {
-        self.launches += o.launches;
-        self.delegated += o.delegated;
-        self.hot_blocks += o.hot_blocks;
-        self.superblocks += o.superblocks;
-        self.fused_blocks += o.fused_blocks;
-        self.hoisted += o.hoisted;
-        self.scalar_execs += o.scalar_execs;
-        self.vector_execs += o.vector_execs;
-        self.peels += o.peels;
-        self.groups_accounted += o.groups_accounted;
-        self.lane_events_logged += o.lane_events_logged;
-    }
-
     /// Take over the memory counters a scratch's warp merge kept while it
     /// ran this launch's warps.
     fn add_warp(&mut self, w: &WarpMerge) {
@@ -447,11 +431,7 @@ struct CachedProg {
 const PROG_CACHE_CAP: usize = 64;
 
 std::thread_local! {
-    // `Arc` (not `Rc`): a launch hands its cached program to the scoped
-    // worker pool, whose threads bump the refcount concurrently. The
-    // cache itself stays thread-local — workers are ephemeral and never
-    // consult it, they receive the `Arc` directly.
-    static PROG_CACHE: std::cell::RefCell<VecDeque<(Vec<u64>, std::sync::Arc<CachedProg>)>> =
+    static PROG_CACHE: std::cell::RefCell<VecDeque<(Vec<u64>, Rc<CachedProg>)>> =
         const { std::cell::RefCell::new(VecDeque::new()) };
 }
 
@@ -471,13 +451,13 @@ fn prog_key(d: &Decoded) -> Vec<u64> {
     k
 }
 
-fn prog_cache_get(key: &[u64]) -> Option<std::sync::Arc<CachedProg>> {
+fn prog_cache_get(key: &[u64]) -> Option<Rc<CachedProg>> {
     PROG_CACHE.with(|c| {
         c.borrow().iter().find(|(k, _)| k.as_slice() == key).map(|(_, p)| p.clone())
     })
 }
 
-fn prog_cache_put(key: Vec<u64>, prog: std::sync::Arc<CachedProg>) {
+fn prog_cache_put(key: Vec<u64>, prog: Rc<CachedProg>) {
     PROG_CACHE.with(|c| {
         let mut c = c.borrow_mut();
         if c.len() >= PROG_CACHE_CAP {
@@ -707,13 +687,13 @@ fn lanes2(
 /// else as a tight lane loop.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn exec_sinst<M: MemAccess>(
+fn exec_sinst(
     si: &SInst,
     u: &mut [u64],
     v: &mut Cols,
     lanes: usize,
     ids: &[[u32; 6]; WARP_SIZE],
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     warp: &mut WarpMerge,
     stats: &mut KernelStats,
 ) -> Result<(), SimError> {
@@ -1044,13 +1024,13 @@ fn exec_sinst<M: MemAccess>(
 /// layout keeps peeled execution at decoded-engine speed instead of
 /// striding the lane-major file.
 #[allow(clippy::too_many_arguments)]
-fn peel<M: MemAccess>(
+fn peel(
     d: &Decoded,
     kernel_name: &str,
     ids: &[[u32; 6]; WARP_SIZE],
     lo: usize,
     hi: usize,
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     u: &[u64],
     v: &Cols,
     dense: &mut [u64],
@@ -1066,7 +1046,7 @@ fn peel<M: MemAccess>(
         for r in 0..d.n_vregs {
             dense[r] = if uni[r] { u[r] } else { v[r][lane] };
         }
-        *lcl = crate::decode::run_lane::<false, false, M>(
+        *lcl = crate::decode::run_lane::<false, false>(
             d,
             kernel_name,
             ids[lane],
@@ -1086,13 +1066,13 @@ fn peel<M: MemAccess>(
 /// Run one warp in lockstep over the superblock program, peeling to
 /// lane-major on divergence or on reaching a cold region.
 #[allow(clippy::too_many_arguments)]
-fn run_warp<M: MemAccess>(
+fn run_warp(
     d: &Decoded,
     prog: &SbProgram,
     kernel_name: &str,
     ids: &[[u32; 6]; WARP_SIZE],
     lanes: usize,
-    mem: &mut M,
+    mem: &mut DeviceMemory,
     u: &mut [u64],
     v: &mut Cols,
     dense: &mut [u64],
@@ -1108,7 +1088,7 @@ fn run_warp<M: MemAccess>(
     if prog.at.first().is_none_or(|e| e.is_none()) {
         ctrs.peels += 1;
         for (lane, lcl) in lc.iter_mut().enumerate().take(lanes) {
-            *lcl = crate::decode::run_lane::<false, false, M>(
+            *lcl = crate::decode::run_lane::<false, false>(
                 d,
                 kernel_name,
                 ids[lane],
@@ -1312,7 +1292,7 @@ fn launch_inner(
 
     let n_regs = d.n_vregs + d.consts.len();
     let key = prog_key(&d);
-    let mut current: Option<std::sync::Arc<CachedProg>> = prog_cache_get(&key);
+    let mut current: Option<Rc<CachedProg>> = prog_cache_get(&key);
     // Profiling state, materialized only on a cache miss.
     let mut prof_state: Option<(ProfileCounters, Vec<u32>)> = if current.is_none() {
         let (leader_block, block_of, n_blocks) = find_blocks(&d);
@@ -1334,24 +1314,11 @@ fn launch_inner(
     let mut scratch = SbScratch::new(&d, n_regs);
     let mut profiled = 0u64;
 
-    let n_blocks = config.total_blocks();
-    let threads = crate::current_sim_threads() as usize;
-
-    // Serial phase. Profiling warps execute real lanes that mutate
-    // device memory, and `PROFILE_WARPS` may span block boundaries, so
-    // blocks run on the calling thread with direct memory until the
-    // program is built (checked per warp — the flip can land mid-block)
-    // — and then keep running serially when the pool is disabled.
-    let mut b = 0u64;
-    while b < n_blocks {
-        if let Some(cp) = current.clone() {
-            if threads > 1 && n_blocks - b > 1 {
-                break; // fan the remaining blocks out across the pool
-            }
-            run_sb_block(&d, &cp, &kernel.name, config, b, mem, &mut scratch, ctrs, &mut stats)?;
-            b += 1;
-            continue;
-        }
+    // Blocks in linear order. Profiling warps execute real lanes that
+    // mutate device memory, and `PROFILE_WARPS` may span block
+    // boundaries, so whether the program is built is checked per warp —
+    // the flip can land mid-block.
+    for b in 0..config.total_blocks() {
         let (bx, by, bz) = block_coords(config, b);
         let mut linear = 0u32;
         while linear < tpb {
@@ -1386,7 +1353,7 @@ fn launch_inner(
                 // on the dense file (decoded layout + counters).
                 let (prof, block_of) = prof_state.as_mut().expect("profiling state");
                 for lane in 0..lanes {
-                    scratch.lane_counts[lane] = crate::decode::run_lane::<false, true, _>(
+                    scratch.lane_counts[lane] = crate::decode::run_lane::<false, true>(
                         &d,
                         &kernel.name,
                         scratch.ids[lane],
@@ -1404,7 +1371,7 @@ fn launch_inner(
                 if profiled >= PROFILE_WARPS {
                     let uni = classify(&d);
                     let prog = build(&d, prof, block_of, &uni, ctrs);
-                    let cp = std::sync::Arc::new(CachedProg { uni, prog });
+                    let cp = Rc::new(CachedProg { uni, prog });
                     prog_cache_put(key.clone(), cp.clone());
                     current = Some(cp);
                 }
@@ -1423,33 +1390,6 @@ fn launch_inner(
             stats.threads += lanes as u64;
             linear += lanes as u32;
         }
-        b += 1;
-    }
-
-    // Parallel phase: remaining blocks share the built program (`Arc`)
-    // across pool workers, each with private scratch and counters.
-    if b < n_blocks {
-        let cp = current.clone().expect("fan-out requires a built program");
-        let d = &d;
-        let cp = &cp;
-        let kernel_name = kernel.name.as_str();
-        let (pool_stats, workers) = parallel::run_blocks_parallel(
-            mem,
-            b,
-            n_blocks - b,
-            threads,
-            |_worker| (SbScratch::new(d, n_regs), LocalCtrs::default()),
-            |block, (scratch, wctrs), worker_mem| {
-                let mut block_stats = KernelStats::default();
-                run_sb_block(d, cp, kernel_name, config, block, worker_mem, scratch, wctrs, &mut block_stats)?;
-                Ok(block_stats)
-            },
-        )?;
-        stats.merge(&pool_stats);
-        for (wscratch, wctrs) in &workers {
-            ctrs.add(wctrs);
-            ctrs.add_warp(&wscratch.warp);
-        }
     }
     ctrs.add_warp(&scratch.warp);
     Ok(LaunchResult { stats })
@@ -1461,12 +1401,11 @@ fn block_coords(config: &LaunchConfig, block: u64) -> (u32, u32, u32) {
     ((block % gx) as u32, ((block / gx) % gy) as u32, (block / (gx * gy)) as u32)
 }
 
-/// Per-worker execution scratch for the superblock engine: the
-/// lane-major (SoA) register file for the lockstep path, the scalar
-/// (warp-uniform) file, the dense per-thread file for profile warps and
-/// peels (the decoded engine's exact layout), and the warp merge
-/// buffers. Constants occupy the scalar/dense tails once. One of these
-/// exists per serial launch — and one per pool worker.
+/// Launch execution scratch for the superblock engine: the lane-major
+/// (SoA) register file for the lockstep path, the scalar (warp-uniform)
+/// file, the dense per-thread file for profile warps and peels (the
+/// decoded engine's exact layout), and the warp merge buffers. Constants
+/// occupy the scalar/dense tails once.
 struct SbScratch {
     v: Vec<[u64; WARP_SIZE]>,
     u: Vec<u64>,
@@ -1492,68 +1431,6 @@ impl SbScratch {
             ids: [[0u32; 6]; WARP_SIZE],
         }
     }
-}
-
-/// Execute one block (linear id, z→y→x order) entirely under a built
-/// superblock program, accumulating its warps into `stats`. Generic over
-/// the memory port: the serial path passes [`DeviceMemory`], pool
-/// workers their [`parallel::WorkerMem`] view.
-#[allow(clippy::too_many_arguments)]
-fn run_sb_block<M: MemAccess>(
-    d: &Decoded,
-    cp: &CachedProg,
-    kernel_name: &str,
-    config: &LaunchConfig,
-    block: u64,
-    mem: &mut M,
-    s: &mut SbScratch,
-    ctrs: &mut LocalCtrs,
-    stats: &mut KernelStats,
-) -> Result<(), SimError> {
-    let (bx, by, bz) = block_coords(config, block);
-    let tpb = config.threads_per_block();
-    let mut linear = 0u32;
-    while linear < tpb {
-        let lanes = (tpb - linear).min(WARP_SIZE as u32) as usize;
-        s.warp.begin_warp();
-        for (lane, id) in s.ids.iter_mut().enumerate().take(lanes) {
-            let t = linear + lane as u32;
-            let tx = t % config.block.0;
-            let ty = (t / config.block.0) % config.block.1;
-            let tz = t / (config.block.0 * config.block.1);
-            *id = [tx, ty, tz, bx, by, bz];
-        }
-        run_warp(
-            d,
-            &cp.prog,
-            kernel_name,
-            &s.ids,
-            lanes,
-            mem,
-            &mut s.u,
-            &mut s.v,
-            &mut s.dense,
-            &cp.uni,
-            &mut s.warp,
-            &mut s.lane_counts,
-            ctrs,
-            stats,
-        )?;
-        let mut wc = LaneCounts::default();
-        for lcl in &s.lane_counts[..lanes] {
-            wc.max_with(lcl);
-        }
-        stats.simple_insts += wc.simple;
-        stats.int64_insts += wc.int64;
-        stats.fp64_insts += wc.fp64;
-        stats.sfu_insts += wc.sfu;
-        stats.local_accesses += wc.spill_touches;
-        s.warp.merge(lanes, stats);
-        stats.warps += 1;
-        stats.threads += lanes as u64;
-        linear += lanes as u32;
-    }
-    Ok(())
 }
 
 /// The lane loops as they ran before they read operands in place: each
@@ -1707,7 +1584,7 @@ mod tests {
     #[test]
     fn prog_cache_evicts_oldest_only() {
         let empty = || {
-            std::sync::Arc::new(CachedProg {
+            Rc::new(CachedProg {
                 uni: Vec::new(),
                 prog: SbProgram { sbs: Vec::new(), at: Vec::new() },
             })

@@ -252,35 +252,6 @@ fn atomics_agree() {
     assert!(stats.sfu_insts > 0, "sqrt must count as SFU");
 }
 
-/// The reference engine is the oracle the other two are compared with,
-/// so it must stay the serial tree-walker whatever `sim_threads` says: a
-/// multi-block launch under a two-thread scope opens no worker pool and
-/// equals the one-thread run — where the decoded engine does open one.
-#[test]
-fn reference_engine_ignores_sim_threads() {
-    let kernel = atomic_kernel();
-    let config = LaunchConfig::d1(3, 96);
-    let setup = |mem: &mut DeviceMemory| {
-        let sum = mem.alloc(4);
-        let hist = mem.alloc(8 * 4);
-        vec![ParamVal::Ptr(mem.base_addr(sum)), ParamVal::Ptr(mem.base_addr(hist))]
-    };
-    let under = |engine, threads| {
-        ExecOptions::inherit().engine(engine).sim_threads(threads).scope(|| {
-            let run = run_once(&kernel, &config, &[], &setup);
-            (run, safara_gpusim::last_parallel_info())
-        })
-    };
-    let (serial, info) = under(Engine::Reference, 1);
-    assert_eq!(info, None);
-    let (pooled, info) = under(Engine::Reference, 2);
-    assert_eq!(info, None, "the reference engine handed a multi-block launch to a worker pool");
-    assert_eq!(serial, pooled);
-    let (decoded, info) = under(Engine::Decoded, 2);
-    assert_eq!(info.map(|i| i.threads), Some(2), "the decoded engine does pool this launch");
-    assert_eq!(serial, decoded);
-}
-
 /// Strided f64 loads at 136-byte spacing: every warp's 32 lanes touch 32
 /// distinct 128-byte segments and individual accesses straddle segment
 /// boundaries — the worst case for the streaming coalescer.

@@ -3,10 +3,10 @@
 //! reads and writes one column. Each kernel here puts one alias shape on
 //! the lockstep path — `x = x + x`, `x = y - x` (the destination is the
 //! second operand), `x = x - y`, and a load whose address register is its
-//! destination, `r = ld [r]` — and runs under all three engines ×
-//! `sim_threads` {1, 2}, cold and warm program cache, with every
-//! `KernelStats` field and every buffer compared against the reference
-//! interpreter and the output against the host.
+//! destination, `r = ld [r]` — and runs under all three engines, cold
+//! and warm program cache, with every `KernelStats` field and every
+//! buffer compared against the reference interpreter and the output
+//! against the host.
 
 use safara_gpusim::interp::{LaunchConfig, ParamVal};
 use safara_gpusim::vir::{AluOp, Inst, MemSpace, Operand, ParamDecl, SpecialReg, VType};
@@ -160,28 +160,25 @@ fn run_once(
     (stats, (0..3).map(|i| mem.copy_out(BufferId(i))).collect())
 }
 
-/// All three engines × `sim_threads` {1, 2}, each launched twice (the
+/// All three engines, each launched twice (the
 /// second superblock launch runs from its program cache, every warp in
 /// lockstep), must reproduce the serial reference bit for bit; returns the
 /// reference's output buffer as i32s.
 fn assert_all_agree(kernel: &KernelVir, config: &LaunchConfig, setup: Setup) -> Vec<i32> {
-    let knobs = |engine, threads| ExecOptions::inherit().engine(engine).sim_threads(threads);
+    let under = |engine| ExecOptions::inherit().engine(engine);
     let (want_stats, want_bufs) =
-        knobs(Engine::Reference, 1).scope(|| run_once(kernel, config, setup));
+        under(Engine::Reference).scope(|| run_once(kernel, config, setup));
     for engine in [Engine::Reference, Engine::Decoded, Engine::Superblock] {
-        for threads in [1, 2] {
-            for launch_no in 0..2 {
-                let before = fusion_counters();
-                let (stats, bufs) =
-                    knobs(engine, threads).scope(|| run_once(kernel, config, setup));
-                let at = format!("{} × {threads} threads, launch {launch_no}", engine.name());
-                assert_eq!(stats, want_stats, "{}: stats, {at}", kernel.name);
-                assert_eq!(bufs, want_bufs, "{}: buffers, {at}", kernel.name);
-                if engine == Engine::Superblock && launch_no == 1 {
-                    let after = fusion_counters();
-                    assert_eq!(after.peels, before.peels, "{}: {at} left lockstep", kernel.name);
-                    assert!(after.vector_execs > before.vector_execs, "{}: {at}", kernel.name);
-                }
+        for launch_no in 0..2 {
+            let before = fusion_counters();
+            let (stats, bufs) = under(engine).scope(|| run_once(kernel, config, setup));
+            let at = format!("{}, launch {launch_no}", engine.name());
+            assert_eq!(stats, want_stats, "{}: stats, {at}", kernel.name);
+            assert_eq!(bufs, want_bufs, "{}: buffers, {at}", kernel.name);
+            if engine == Engine::Superblock && launch_no == 1 {
+                let after = fusion_counters();
+                assert_eq!(after.peels, before.peels, "{}: {at} left lockstep", kernel.name);
+                assert!(after.vector_execs > before.vector_execs, "{}: {at}", kernel.name);
             }
         }
     }

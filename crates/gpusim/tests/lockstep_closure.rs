@@ -7,9 +7,9 @@
 //! warp-end merge would have put into it. A partial peel whose peeled
 //! lanes log an event breaks that premise, so the remaining lanes must go
 //! lane-major too; one whose peeled lanes log nothing (the bounds-guard
-//! exit) must not. Every case runs under all three engines × `sim_threads`
-//! {1, 2}, cold and warm program cache, with every `KernelStats` field
-//! and every buffer compared against the reference interpreter.
+//! exit) must not. Every case runs under all three engines, cold and warm
+//! program cache, with every `KernelStats` field and every buffer
+//! compared against the reference interpreter.
 
 use safara_gpusim::interp::{LaunchConfig, ParamVal};
 use safara_gpusim::vir::{
@@ -34,8 +34,8 @@ fn r(i: u32) -> Operand {
     Operand::Reg(VReg(i))
 }
 
-fn knobs(engine: Engine, threads: u32) -> ExecOptions {
-    ExecOptions::inherit().engine(engine).sim_threads(threads)
+fn under(engine: Engine) -> ExecOptions {
+    ExecOptions::inherit().engine(engine)
 }
 
 /// One launch on a fresh memory image: the stats and every buffer.
@@ -51,21 +51,18 @@ fn run_once(
     (stats, (0..n_bufs as u32).map(|i| mem.copy_out(BufferId(i))).collect())
 }
 
-/// All three engines × `sim_threads` {1, 2}, each launched twice (the
+/// All three engines, each launched twice (the
 /// superblock engine's second launch runs from its program cache, with no
 /// profiling warps), must reproduce the serial reference bit for bit.
 fn assert_all_agree(kernel: &KernelVir, config: &LaunchConfig, setup: Setup) -> KernelStats {
     let (want_stats, want_bufs) =
-        knobs(Engine::Reference, 1).scope(|| run_once(kernel, config, setup));
+        under(Engine::Reference).scope(|| run_once(kernel, config, setup));
     for engine in [Engine::Reference, Engine::Decoded, Engine::Superblock] {
-        for threads in [1, 2] {
-            for launch_no in 0..2 {
-                let (stats, bufs) =
-                    knobs(engine, threads).scope(|| run_once(kernel, config, setup));
-                let at = format!("{} × {threads} threads, launch {launch_no}", engine.name());
-                assert_eq!(stats, want_stats, "{}: stats, {at}", kernel.name);
-                assert_eq!(bufs, want_bufs, "{}: buffers, {at}", kernel.name);
-            }
+        for launch_no in 0..2 {
+            let (stats, bufs) = under(engine).scope(|| run_once(kernel, config, setup));
+            let at = format!("{}, launch {launch_no}", engine.name());
+            assert_eq!(stats, want_stats, "{}: stats, {at}", kernel.name);
+            assert_eq!(bufs, want_bufs, "{}: buffers, {at}", kernel.name);
         }
     }
     want_stats
@@ -73,13 +70,8 @@ fn assert_all_agree(kernel: &KernelVir, config: &LaunchConfig, setup: Setup) -> 
 
 /// What one superblock launch from a warm program cache adds to the
 /// fusion counters.
-fn warm_delta(
-    kernel: &KernelVir,
-    config: &LaunchConfig,
-    setup: Setup,
-    threads: u32,
-) -> FusionCounters {
-    knobs(Engine::Superblock, threads).scope(|| {
+fn warm_delta(kernel: &KernelVir, config: &LaunchConfig, setup: Setup) -> FusionCounters {
+    under(Engine::Superblock).scope(|| {
         run_once(kernel, config, setup); // builds and caches the program
         let b = fusion_counters();
         run_once(kernel, config, setup);
@@ -245,16 +237,14 @@ fn peeled_lanes_that_log_pull_the_rest_out_of_lockstep() {
                 // Every warp's 128 bytes are one aligned segment.
                 assert_eq!(stats.global_transactions, 4 * all + own_stores);
             }
-            for threads in [1, 2] {
-                let d = warm_delta(&kernel, &config, &setup, threads);
-                // Suffix and prefix peel separately; only `x = a[gid]`
-                // (and everything of an undivided 8-lane warp) is
-                // accounted at the instruction.
-                assert_eq!(d.peels, 2 * full, "{off:?} {grid}×{block} × {threads}");
-                assert_eq!(d.groups_accounted, full + 4 * (all - full));
-                let own = if off == OffPath::StoreThenJoin { 12 } else { 0 };
-                assert_eq!(d.lane_events_logged, full * (12 + own + 20 * 3));
-            }
+            let d = warm_delta(&kernel, &config, &setup);
+            // Suffix and prefix peel separately; only `x = a[gid]`
+            // (and everything of an undivided 8-lane warp) is
+            // accounted at the instruction.
+            assert_eq!(d.peels, 2 * full, "{off:?} {grid}×{block}");
+            assert_eq!(d.groups_accounted, full + 4 * (all - full));
+            let own = if off == OffPath::StoreThenJoin { 12 } else { 0 };
+            assert_eq!(d.lane_events_logged, full * (12 + own + 20 * 3));
         }
     }
 }
@@ -272,12 +262,10 @@ fn peeled_lanes_that_log_nothing_leave_the_rest_in_lockstep() {
         let (full, all) = warps_of(grid, block);
         assert_eq!(stats.global_ld_requests, 3 * all);
         assert_eq!(stats.global_st_requests, all);
-        for threads in [1, 2] {
-            let d = warm_delta(&kernel, &config, &setup, threads);
-            assert_eq!(d.peels, full, "exactly one peel per divided warp, {grid}×{block}");
-            assert_eq!(d.groups_accounted, 4 * all);
-            assert_eq!(d.lane_events_logged, 0);
-        }
+        let d = warm_delta(&kernel, &config, &setup);
+        assert_eq!(d.peels, full, "exactly one peel per divided warp, {grid}×{block}");
+        assert_eq!(d.groups_accounted, 4 * all);
+        assert_eq!(d.lane_events_logged, 0);
     }
 }
 
@@ -340,12 +328,10 @@ fn hoisted_uniform_load_counts_the_segments_of_one_address() {
             let stats = assert_all_agree(&kernel, &config, &setup);
             assert_eq!(stats.global_ld_requests, all, "one request per warp at +{delta}");
             transactions.push(stats.global_transactions);
-            for threads in [1, 2] {
-                let d = warm_delta(&kernel, &config, &setup, threads);
-                assert_eq!((d.peels, d.lane_events_logged), (0, 0));
-                assert_eq!(d.groups_accounted, 2 * all, "the load and the store, per warp");
-                assert!(d.scalar_execs >= 3 * all, "address, add and load are hoisted");
-            }
+            let d = warm_delta(&kernel, &config, &setup);
+            assert_eq!((d.peels, d.lane_events_logged), (0, 0));
+            assert_eq!(d.groups_accounted, 2 * all, "the load and the store, per warp");
+            assert!(d.scalar_execs >= 3 * all, "address, add and load are hoisted");
         }
         assert_eq!(transactions[1], transactions[0] + all, "+126 straddles, +124 does not");
     }
@@ -398,11 +384,9 @@ fn end_of_kernel_atomic_in_lockstep_counts_every_thread() {
         assert_eq!(stats.atomics, stats.threads);
         assert_eq!(stats.threads, n as u64);
         let (_, all) = warps_of(grid, block);
-        for threads in [1, 2] {
-            let d = warm_delta(&kernel, &config, &setup, threads);
-            assert_eq!((d.peels, d.lane_events_logged), (0, 0));
-            assert_eq!(d.groups_accounted, 2 * all, "the load and the atomic, per warp");
-        }
+        let d = warm_delta(&kernel, &config, &setup);
+        assert_eq!((d.peels, d.lane_events_logged), (0, 0));
+        assert_eq!(d.groups_accounted, 2 * all, "the load and the atomic, per warp");
     }
 }
 
@@ -460,18 +444,16 @@ fn atomic_in_a_loop_delegates_the_launch_to_the_decoded_engine() {
         };
         let stats = assert_all_agree(&kernel, &config, &setup);
         assert_eq!(stats.atomics, 3 * stats.threads);
-        for threads in [1, 2] {
-            knobs(Engine::Superblock, threads).scope(|| {
-                let before = fusion_counters();
-                run_once(&kernel, &config, &setup);
-                let after = fusion_counters();
-                let want = FusionCounters {
-                    launches: before.launches + 1,
-                    delegated: before.delegated + 1,
-                    ..before
-                };
-                assert_eq!(after, want, "{grid}×{block} × {threads}");
-            });
-        }
+        under(Engine::Superblock).scope(|| {
+            let before = fusion_counters();
+            run_once(&kernel, &config, &setup);
+            let after = fusion_counters();
+            let want = FusionCounters {
+                launches: before.launches + 1,
+                delegated: before.delegated + 1,
+                ..before
+            };
+            assert_eq!(after, want, "{grid}×{block}");
+        });
     }
 }

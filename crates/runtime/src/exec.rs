@@ -234,18 +234,6 @@ pub fn run_function<'k>(
         };
         tracer.meta_str("cache", cache_note);
         tracer.meta_str("engine", engine.name());
-        if tracer.is_enabled() {
-            match safara_gpusim::last_parallel_info() {
-                Some(info) => {
-                    tracer.meta_int("sim_threads", info.threads as i64);
-                    for (w, blocks) in info.per_worker_blocks.iter().enumerate() {
-                        tracer.meta_int(&format!("worker_{w}_blocks"), *blocks as i64);
-                    }
-                    tracer.meta_float("imbalance", info.imbalance());
-                }
-                None => tracer.meta_int("sim_threads", 1),
-            }
-        }
         if let Some(before) = fusion_before {
             let fc = safara_gpusim::superblock::fusion_counters();
             tracer.meta_int("sb_hot_blocks", (fc.hot_blocks - before.hot_blocks) as i64);
@@ -402,31 +390,39 @@ fn resolve_dims(
         .collect()
 }
 
-/// Evaluate an integer expression over the host scalar environment.
+/// Evaluate an integer expression over the host scalar environment. The
+/// operands are request scalars, so arithmetic that leaves `i64` is an
+/// error, not a wrap or a panic.
 pub fn eval_i64(e: &Expr, env: &BTreeMap<Ident, ArgValue>) -> Result<i64, String> {
+    let overflow = |what: String| format!("{what} overflows i64 in host expression");
     Ok(match e {
         Expr::IntLit(v) => *v,
         Expr::FloatLit(v) => *v as i64,
         Expr::Var(v) => env.get(v).ok_or_else(|| format!("unbound scalar `{v}`"))?.as_i64(),
-        Expr::Unary(UnOp::Neg, inner) => -eval_i64(inner, env)?,
+        Expr::Unary(UnOp::Neg, inner) => {
+            let a = eval_i64(inner, env)?;
+            a.checked_neg().ok_or_else(|| overflow(format!("-({a})")))?
+        }
         Expr::Unary(UnOp::Not, inner) => i64::from(eval_i64(inner, env)? == 0),
         Expr::Binary(op, l, r) => {
             let (a, b) = (eval_i64(l, env)?, eval_i64(r, env)?);
+            let checked =
+                |v: Option<i64>, sym: &str| v.ok_or_else(|| overflow(format!("{a} {sym} {b}")));
             match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
+                BinOp::Add => checked(a.checked_add(b), "+")?,
+                BinOp::Sub => checked(a.checked_sub(b), "-")?,
+                BinOp::Mul => checked(a.checked_mul(b), "*")?,
                 BinOp::Div => {
                     if b == 0 {
                         return Err("division by zero in host expression".into());
                     }
-                    a / b
+                    checked(a.checked_div(b), "/")?
                 }
                 BinOp::Rem => {
                     if b == 0 {
                         return Err("remainder by zero in host expression".into());
                     }
-                    a % b
+                    checked(a.checked_rem(b), "%")?
                 }
                 BinOp::Shl => {
                     if !(0..64).contains(&b) {
@@ -452,7 +448,9 @@ pub fn eval_i64(e: &Expr, env: &BTreeMap<Ident, ArgValue>) -> Result<i64, String
             match intr {
                 Intrinsic::Min => vals[0].min(vals[1]),
                 Intrinsic::Max => vals[0].max(vals[1]),
-                Intrinsic::Abs => vals[0].abs(),
+                Intrinsic::Abs => {
+                    vals[0].checked_abs().ok_or_else(|| overflow(format!("abs({})", vals[0])))?
+                }
                 other => return Err(format!("`{}` not usable in host expressions", other.name())),
             }
         }
@@ -786,6 +784,50 @@ mod tests {
             "kernel `f_k0`: 9223373136366403584 iterations need 72057602627862528 blocks of \
              128 threads, more than u32::MAX"
         );
+    }
+
+    /// A host expression over request scalars: `f(n, m)` runs one
+    /// reduction loop bounded by `bound`, or says why it cannot.
+    fn run_bounded_by(bound: &str, n: i64, m: i64) -> Result<f32, RuntimeError> {
+        let src = format!(
+            "void f(long n, long m, float s) {{
+              #pragma acc kernels
+              {{
+                #pragma acc loop gang vector reduction(+:s)
+                for (int i = 0; i < {bound}; i++) {{ s += 1.0; }}
+              }}
+            }}"
+        );
+        let (f, compiled) = compile_all(&src, &CodegenOptions::default());
+        let mut args = Args::new().i64("n", n).i64("m", m).f32("s", 0.0);
+        run_plain(&DeviceConfig::k20xm(), &f, &compiled, &mut args)?;
+        match args.scalar("s") {
+            Some(ArgValue::F32(s)) => Ok(s),
+            other => panic!("`s` after the run: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_host_quotient_beyond_i64_is_an_error_not_a_panic() {
+        // i64::MIN / -1 is 2^63: unchecked, it panicked in every build.
+        let err = run_bounded_by("n / m", i64::MIN, -1).unwrap_err();
+        assert_eq!(
+            err.message,
+            "-9223372036854775808 / -1 overflows i64 in host expression"
+        );
+        assert_eq!(run_bounded_by("n / m", 1000, 10).unwrap(), 100.0);
+    }
+
+    #[test]
+    fn a_host_sum_beyond_i64_is_an_error_not_a_wrap() {
+        // i64::MAX + 130 wrapped to i64::MIN + 129 in release, and the
+        // launch ran and returned `ok` with s = 128.
+        let err = run_bounded_by("n + m", i64::MAX, 130).unwrap_err();
+        assert_eq!(
+            err.message,
+            "9223372036854775807 + 130 overflows i64 in host expression"
+        );
+        assert_eq!(run_bounded_by("n + m", 100, 30).unwrap(), 130.0);
     }
 
     #[test]

@@ -17,10 +17,10 @@ fn run_line(id: i64, v: u8, source: &str, entry: &str, n: usize) -> String {
     RunRequestLine { v, ..RunRequestLine::new(id, source, entry, "safara_only", &args, true) }.render()
 }
 
-/// `safara-serve` with `flags` and neither exec knob in its environment.
+/// `safara-serve` with `flags` and no exec knob in its environment.
 fn serve(flags: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_safara-serve"));
-    cmd.args(flags).env_remove("SAFARA_ENGINE").env_remove("SAFARA_SIM_THREADS");
+    cmd.args(flags).env_remove("SAFARA_ENGINE");
     cmd
 }
 
@@ -85,7 +85,6 @@ fn exec_knob_env_never_changes_a_reply() {
     assert!(default.starts_with(r#"{"id":4,"status":"ok""#), "{default}");
     assert_eq!(with(&[("SAFARA_ENGINE", "decoded")]), default, "decoded vs unset");
     assert_eq!(with(&[("SAFARA_ENGINE", "superblock")]), default, "superblock vs unset");
-    assert_eq!(with(&[("SAFARA_SIM_THREADS", "2")]), with(&[("SAFARA_SIM_THREADS", "1")]));
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn omriq_from_a_warm_program_cache_logs_no_lane_event() {
         w.check(&args, Scale::Test).expect("checker");
         report
     };
-    ExecOptions::inherit().engine(Engine::Superblock).sim_threads(1).scope(|| {
+    ExecOptions::inherit().engine(Engine::Superblock).scope(|| {
         let cold = run(); // profiles, builds and caches every kernel's program
         let before = fusion_counters();
         let warm = run();

@@ -167,3 +167,23 @@ fn exec_knobs_are_the_operators() {
     });
     assert!(steered.is_empty(), "a request steers execution again: {steered:?}");
 }
+
+#[test]
+fn one_level_of_parallelism() {
+    // A launch runs its blocks on the calling thread; parallelism lives across requests and
+    // cells. The in-launch pool held the tree's only `unsafe`, and its knob is gone with it.
+    let with_unsafe = files_where(&["crates"], |s| s.contains("unsafe"));
+    assert!(with_unsafe.is_empty(), "`unsafe` under crates/: {with_unsafe:?}");
+    let threaded = files_where(&["crates/gpusim/src"], |s| {
+        let non_test = s.split("\n#[cfg(test)]").next().unwrap().replace("thread_local!", "");
+        non_test.contains("std::thread") || non_test.contains("thread::")
+    });
+    assert!(threaded.is_empty(), "gpusim spawns host threads again: {threaded:?}");
+    let knob = files_where(&["crates", "scripts"], |s| {
+        s.contains(".sim_threads(")
+            || s.contains("\"SAFARA_SIM_THREADS\"")
+            || s.contains("$SAFARA_SIM_THREADS")
+            || s.contains("${SAFARA_SIM_THREADS")
+    });
+    assert!(knob.is_empty(), "a block-parallel worker count is settable again: {knob:?}");
+}
