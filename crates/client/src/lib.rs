@@ -18,11 +18,7 @@
 //!   `retryable`, spacing attempts with `safara_chaos::Backoff`
 //!   (decorrelated jitter, seeded — reruns back off identically) and
 //!   clamping every sleep to the deadline budget, so backoff can never
-//!   outlive the deadline the caller asked for;
-//! - [`ShardedClient`] fans one logical client across the workers of
-//!   `safara-serve --shards N`, routing each run by consistent hash of
-//!   its content key so identical requests always land on the shard
-//!   that owns their cache partition.
+//!   outlive the deadline the caller asked for.
 //!
 //! ```no_run
 //! use safara_client::{Client, RetryPolicy};
@@ -37,7 +33,7 @@
 use safara_chaos::Backoff;
 use safara_core::Args;
 use safara_server::json::Json;
-use safara_server::protocol::{run_key_parts, shard_for, RunRequestLine, DEFAULT_TIMEOUT_MS};
+use safara_server::protocol::{RunRequestLine, DEFAULT_TIMEOUT_MS};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -336,76 +332,6 @@ impl Client {
     }
 }
 
-/// One logical client over the workers of `safara-serve --shards N`:
-/// a [`Client`] per shard, with every run routed by consistent hash
-/// ([`safara_server::protocol::shard_for`]) of its content key
-/// ([`safara_server::protocol::run_key_parts`]) — the same key the
-/// server's single-flight table uses. Identical requests therefore
-/// always land on the shard owning their cache partition, and shards
-/// never contend on a cache line.
-pub struct ShardedClient {
-    shards: Vec<Client>,
-    sent: Vec<AtomicU64>,
-}
-
-impl ShardedClient {
-    /// Connect one client per shard address, in shard order — the
-    /// order must match the `shards ADDR0 ADDR1 ...` line printed by
-    /// `safara-serve --shards N`, because routing is positional.
-    pub fn connect<A: ToSocketAddrs>(addrs: &[A]) -> std::io::Result<ShardedClient> {
-        if addrs.is_empty() {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "no shard addresses"));
-        }
-        let shards = addrs.iter().map(Client::connect).collect::<std::io::Result<Vec<_>>>()?;
-        let sent = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
-        Ok(ShardedClient { shards, sent })
-    }
-
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a run request routes to.
-    pub fn route(&self, source: &str, entry: &str, profile: &str, args: &Args) -> usize {
-        let key = run_key_parts(source, entry, profile, args);
-        shard_for(key.low(), self.shards.len() as u32) as usize
-    }
-
-    /// `run`, blocking, on the shard that owns this request's key.
-    pub fn run(
-        &self,
-        source: &str,
-        entry: &str,
-        profile: &str,
-        args: &Args,
-        return_arrays: bool,
-    ) -> Result<Json, ClientError> {
-        let shard = self.route(source, entry, profile, args);
-        self.sent[shard].fetch_add(1, Ordering::Relaxed);
-        self.shards[shard].run(source, entry, profile, args, return_arrays)
-    }
-
-    /// Per-shard `stats`, blocking, in shard order.
-    pub fn stats(&self) -> Vec<Result<Json, ClientError>> {
-        self.shards.iter().map(Client::stats).collect()
-    }
-
-    /// Runs this client routed to each shard, in shard order.
-    pub fn per_shard_sent(&self) -> Vec<u64> {
-        self.sent.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Ask every shard to shut down (best effort, in shard order).
-    pub fn shutdown_all(&self) {
-        for shard in &self.shards {
-            if let Ok(pending) = shard.begin(vec![("op", Json::Str("shutdown".into()))]) {
-                let _ = pending.wait();
-            }
-        }
-    }
-}
-
 impl Drop for Client {
     fn drop(&mut self) {
         // Unblock the reader (its read_line returns 0/err) and join it.
@@ -626,51 +552,6 @@ mod tests {
             matches!(client.ping().unwrap_err(), ClientError::ServerGone | ClientError::Io(_)),
             "fails fast after the first detection"
         );
-    }
-
-    #[test]
-    fn sharded_client_routes_consistently_and_partitions_the_cache() {
-        let h0 = serve(EngineConfig::default());
-        let h1 = serve(EngineConfig::default());
-        let sharded = ShardedClient::connect(&[h0.addr, h1.addr]).expect("connect");
-        assert_eq!(sharded.shards(), 2);
-        // Distinct inputs spread across both shards by content key.
-        let mut per_shard = [0u64; 2];
-        for i in 0..8 {
-            let args = Args::new().i32("n", 4).array_f32("x", &[i as f32; 4]);
-            let v = sharded.run(DOUBLE, "dbl", "base", &args, false).unwrap();
-            assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
-            per_shard[sharded.route(DOUBLE, "dbl", "base", &args)] += 1;
-        }
-        assert_eq!(sharded.per_shard_sent(), per_shard.to_vec());
-        assert_eq!(per_shard[0] + per_shard[1], 8);
-        assert!(per_shard[0] > 0 && per_shard[1] > 0, "both shards saw work: {per_shard:?}");
-        // A repeated request routes to the same shard and replays that
-        // shard's cache partition — the other shard never sees the key.
-        let args = Args::new().i32("n", 4).array_f32("x", &[0.0; 4]);
-        let shard = sharded.route(DOUBLE, "dbl", "base", &args);
-        let first = sharded.run(DOUBLE, "dbl", "base", &args, false).unwrap();
-        let second = sharded.run(DOUBLE, "dbl", "base", &args, false).unwrap();
-        assert_eq!(
-            first.get("digests").map(Json::dump),
-            second.get("digests").map(Json::dump),
-            "replay is bit-identical"
-        );
-        let stats = sharded.stats();
-        let hits = |i: usize| {
-            stats[i]
-                .as_ref()
-                .unwrap()
-                .get("cache")
-                .and_then(|c| c.get("hits"))
-                .and_then(Json::as_i64)
-                .unwrap()
-        };
-        assert!(hits(shard) >= 2, "repeats replayed shard {shard}'s cache");
-        sharded.shutdown_all();
-        drop(sharded);
-        h0.join();
-        h1.join();
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! source [`Span`]. Downstream layers (`safara-server`, retrying
 //! clients) key decisions off [`CompileError::code`] and
 //! [`CompileError::retryable`] instead of scraping message strings:
-//! user-input errors (bad source, unknown function) are permanent, while
-//! simulator and internal failures are transient — the SAFARA posture of
-//! treating a spilling round as recoverable (§III-B.2), generalized to
-//! the whole pipeline.
+//! user-input errors (bad source, unknown function) and everything the
+//! deterministic simulator decides are permanent, while injected
+//! simulator faults and internal failures are transient — the SAFARA
+//! posture of treating a spilling round as recoverable (§III-B.2),
+//! generalized to the whole pipeline.
 
 use safara_ir::Span;
 use std::fmt;
@@ -105,11 +106,15 @@ pub enum CompileError {
         /// The offending region's span, when the driver knows it.
         span: Option<Span>,
     },
-    /// Simulator execution failed (transient by contract: the program
-    /// compiled, so a retry may succeed).
+    /// Simulator execution failed.
     Sim {
         /// What went wrong.
         message: String,
+        /// Whether a retry may succeed. The engine is deterministic, so
+        /// a verdict on the request (bad arguments, overflow, a memory
+        /// fault, a runaway kernel) fails the same way every time; only
+        /// an injected fault is transient.
+        transient: bool,
     },
     /// Unexpected internal failure (lowering bug, poisoned state, ...).
     Internal {
@@ -152,10 +157,11 @@ impl CompileError {
     }
 
     /// Whether retrying the identical request can succeed. Deterministic
-    /// verdicts on the input (bad source, spilled allocation) are
-    /// permanent; execution-time and internal failures are transient.
+    /// verdicts on the input (bad source, spilled allocation, a failed
+    /// simulation) are permanent; injected simulator faults and internal
+    /// failures are transient.
     pub fn retryable(&self) -> bool {
-        matches!(self, CompileError::Sim { .. } | CompileError::Internal { .. })
+        matches!(self, CompileError::Sim { transient: true, .. } | CompileError::Internal { .. })
     }
 
     /// The source span, when the front-end attached one.
@@ -188,7 +194,7 @@ impl fmt::Display for CompileError {
             },
             CompileError::Analysis { message }
             | CompileError::Budget { message }
-            | CompileError::Sim { message }
+            | CompileError::Sim { message, .. }
             | CompileError::Internal { message, .. } => write!(f, "{message}"),
             CompileError::RegAllocSpill { kernel, regs_used, reg_cap } => {
                 write!(f, "kernel `{kernel}` spills ({regs_used} regs > cap {reg_cap})")
@@ -217,7 +223,7 @@ impl From<safara_ir::CompileError> for CompileError {
 
 impl From<safara_runtime::RuntimeError> for CompileError {
     fn from(e: safara_runtime::RuntimeError) -> Self {
-        CompileError::Sim { message: e.message }
+        CompileError::Sim { message: e.message, transient: false }
     }
 }
 
@@ -233,7 +239,7 @@ mod tests {
 
     #[test]
     fn codes_phases_and_retryability_line_up() {
-        let cases: [(CompileError, &str, &str, bool); 9] = [
+        let cases: [(CompileError, &str, &str, bool); 10] = [
             (
                 CompileError::Parse { message: "x".into(), span: None },
                 "parse",
@@ -261,7 +267,13 @@ mod tests {
                 "opt",
                 false,
             ),
-            (CompileError::Sim { message: "x".into() }, "sim", "sim", true),
+            (CompileError::Sim { message: "x".into(), transient: true }, "sim", "sim", true),
+            (
+                safara_runtime::RuntimeError { message: "x".into() }.into(),
+                "sim",
+                "sim",
+                false,
+            ),
             (
                 CompileError::Internal { message: "x".into(), phase: Phase::Codegen },
                 "internal",

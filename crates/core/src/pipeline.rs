@@ -91,7 +91,8 @@ pub fn run_compiled_with(
     ctx: RunCtx<'_>,
 ) -> Result<(RunReport, RunOutcome), CompileError> {
     if let Some(FaultAction::Fail) = ctx.faults.at(InjectionPoint::Sim) {
-        return Err(CompileError::Sim { message: "injected simulator fault".into() });
+        let message = "injected simulator fault".into();
+        return Err(CompileError::Sim { message, transient: true });
     }
     let f = program.function(entry)?;
     let compiled = f.kernels.iter().map(|k| (&k.kernel, &k.alloc));

@@ -1,6 +1,5 @@
 //! The one content hash: "is this the same work?" for the launch memo,
-//! its entry checksums, and the server's single-flight / shard-routing
-//! key.
+//! its entry checksums, and the server's single-flight key.
 //!
 //! A [`ContentKey`] is 128 bits: two 64-bit word hashes with different
 //! multipliers and seeds side by side, so two inputs share a key only if
@@ -15,7 +14,7 @@
 use std::hash::{Hash, Hasher};
 
 /// Identity of a piece of work. Tables key on the full 128 bits;
-/// [`ContentKey::low`] is for picking one of a few shards.
+/// [`ContentKey::low`] picks one of `SharedLaunchCache`'s mutex shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContentKey(pub u128);
 

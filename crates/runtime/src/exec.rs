@@ -184,7 +184,14 @@ pub fn run_function<'k>(
                     let dims = resolved_dims
                         .get(&arr)
                         .ok_or_else(|| RuntimeError::new(format!("no dims for `{arr}`")))?;
-                    ParamVal::I32(dims[*dim].0 as i32)
+                    // A request's `long` may not fit the kernel's `int`. (An
+                    // extent does: it is at most the host array's length.)
+                    let lower = dims[*dim].0;
+                    ParamVal::I32(i32::try_from(lower).map_err(|_| {
+                        RuntimeError::new(format!(
+                            "array `{arr}`: lower bound {lower} does not fit the kernel's `int`"
+                        ))
+                    })?)
                 }
                 AbiParam::ReductionSlot { var, ty, .. } => {
                     let id = mem.alloc(ty.size_bytes() as usize);
@@ -354,9 +361,15 @@ fn build_scalar_env(
                 .get(name)
                 .copied()
                 .ok_or_else(|| RuntimeError::new(format!("missing scalar argument `{name}`")))?;
-            // Normalize to the declared type.
+            // Normalize to the declared type. A float bound to an `int`
+            // truncates as in C; an integer `int` cannot hold is an error.
             let v = match ty {
-                ScalarTy::I32 => ArgValue::I32(v.as_i64() as i32),
+                ScalarTy::I32 => ArgValue::I32(match v {
+                    ArgValue::I64(i) => i32::try_from(i).map_err(|_| {
+                        RuntimeError::new(format!("scalar `{name}` = {i} does not fit `int`"))
+                    })?,
+                    _ => v.as_i64() as i32,
+                }),
                 ScalarTy::I64 => ArgValue::I64(v.as_i64()),
                 ScalarTy::F32 => ArgValue::F32(v.as_f64() as f32),
                 ScalarTy::F64 => ArgValue::F64(v.as_f64()),
@@ -828,6 +841,55 @@ mod tests {
             "9223372036854775807 + 130 overflows i64 in host expression"
         );
         assert_eq!(run_bounded_by("n + m", 100, 30).unwrap(), 130.0);
+    }
+
+    #[test]
+    fn an_int_scalar_beyond_i32_is_an_error_not_a_wrap() {
+        // 2^32 + 8 wrapped to 8: the kernel doubled all eight elements
+        // and answered `ok`.
+        let src = r#"
+        void dbl(int n, float x[n]) {
+          #pragma acc kernels copy(x)
+          {
+            #pragma acc loop gang vector
+            for (int i = 0; i < n; i++) { x[i] = x[i] * 2.0f; }
+          }
+        }"#;
+        let (f, compiled) = compile_all(src, &CodegenOptions::default());
+        let dev = DeviceConfig::k20xm();
+        let mut args = Args::new().i64("n", (1 << 32) + 8).array_f32("x", &[1.0; 8]);
+        let err = run_plain(&dev, &f, &compiled, &mut args).unwrap_err();
+        assert_eq!(err.message, "scalar `n` = 4294967304 does not fit `int`");
+        // A float bound to an `int` still truncates, as in C.
+        let mut args = Args::new().f64("n", 8.9).array_f32("x", &[1.0; 8]);
+        run_plain(&dev, &f, &compiled, &mut args).unwrap();
+        assert_eq!(args.array("x").unwrap().as_f32(), [2.0; 8]);
+    }
+
+    #[test]
+    fn a_lower_bound_beyond_i32_is_an_error_not_a_wrap() {
+        // `a[0]` lies below a lower bound of 5, so that run faults; a
+        // lower bound of 2^32 wrapped to 0 and the same run answered `ok`.
+        let src = r#"
+        void f(long lo, int n, float a[lo:n]) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang vector
+            for (int i = 0; i < n; i++) { a[i] = 1.0; }
+          }
+        }"#;
+        let (f, compiled) = compile_all(src, &CodegenOptions::default());
+        let dev = DeviceConfig::k20xm();
+        let run = |lo: i64| {
+            let mut args = Args::new().i64("lo", lo).i32("n", 8).array_f32("a", &[0.0; 8]);
+            run_plain(&dev, &f, &compiled, &mut args)
+        };
+        assert!(run(0).is_ok());
+        assert!(run(5).unwrap_err().message.starts_with("kernel `f_k0`: "), "a memory fault");
+        assert_eq!(
+            run(1 << 32).unwrap_err().message,
+            "array `a`: lower bound 4294967296 does not fit the kernel's `int`"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!              [--queue-depth N] [--timeout-ms N]
 //!              [--shed-watermark N] [--breaker-threshold N]
 //!              [--breaker-cooldown-ms N] [--verify-cache]
-//!              [--no-coalesce] [--max-batch N] [--shards N]
+//!              [--no-coalesce] [--max-batch N]
 //!              [--fault POINT:ACTION[:COUNT][:MS]] [--fault-seed N]
 //! ```
 //!
@@ -26,14 +26,6 @@
 //! line up front); `--max-batch` caps how many same-program jobs a
 //! worker drains per dequeue (1 disables it).
 //!
-//! `--shards N` (N ≥ 2) spawns N child `safara-serve` processes, each
-//! a full engine owning a private cache partition, bound to its own
-//! ephemeral port. The parent prints one `shard I listening on ADDR`
-//! line per child plus a final `shards ADDR0 ADDR1 ...` summary, then
-//! waits for the children (each exits on its own `{"op":"shutdown"}`).
-//! Clients route by consistent hash of the run content key — see
-//! `safara_server::protocol::shard_for` and `safara-send`.
-//!
 //! `--fault` (repeatable) installs a deterministic fault-injection
 //! plan — e.g. `--fault sim:fail:1` fails the first simulation with a
 //! retryable `sim` error, `--fault worker:panic:0.05` panics ~5% of
@@ -48,15 +40,13 @@ use std::io::{BufRead, Write};
 use std::sync::mpsc;
 
 fn main() {
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
     let mut listen = "127.0.0.1:4860".to_string();
     let mut stdin_mode = false;
-    let mut shards: usize = 1;
     let mut config = EngineConfig::default();
     let mut fault_specs: Vec<FaultSpec> = Vec::new();
     let mut fault_seed: u64 = 0;
 
-    let mut argv = raw_args.clone().into_iter();
+    let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--listen" => listen = argv.next().unwrap_or_else(|| die("--listen needs ADDR")),
@@ -76,7 +66,6 @@ fn main() {
             "--verify-cache" => config.verify_cache = true,
             "--no-coalesce" => config.coalesce = false,
             "--max-batch" => config.max_batch = num(argv.next(), "--max-batch").max(1),
-            "--shards" => shards = num(argv.next(), "--shards").max(1),
             "--fault" => {
                 let spec = argv.next().unwrap_or_else(|| die("--fault needs POINT:ACTION[:COUNT]"));
                 fault_specs
@@ -88,7 +77,7 @@ fn main() {
                     "usage: safara-serve [--listen ADDR] [--stdin] [--workers N] \
                      [--queue-depth N] [--timeout-ms N] [--shed-watermark N] \
                      [--breaker-threshold N] [--breaker-cooldown-ms N] [--verify-cache] \
-                     [--no-coalesce] [--max-batch N] [--shards N] \
+                     [--no-coalesce] [--max-batch N] \
                      [--fault POINT:ACTION[:COUNT][:MS]]... [--fault-seed N]"
                 );
                 return;
@@ -104,70 +93,10 @@ fn main() {
         config.fault_plan = std::sync::Arc::new(plan);
     }
 
-    if shards > 1 {
-        if stdin_mode {
-            die("--shards needs TCP mode (drop --stdin)");
-        }
-        run_shards(shards, &raw_args);
-    } else if stdin_mode {
+    if stdin_mode {
         run_stdin(config);
     } else {
         run_tcp(&listen, config);
-    }
-}
-
-/// Scale-out mode: spawn `shards` child processes, each a full
-/// single-shard `safara-serve` on an ephemeral port with a private
-/// cache, and print where they landed. The parent passes its own flags
-/// through (minus `--shards`/`--listen`) so every shard runs the same
-/// engine policy, then waits for the children to exit (each stops on
-/// its own `{"op":"shutdown"}`).
-fn run_shards(shards: usize, raw_args: &[String]) {
-    let exe = std::env::current_exe().unwrap_or_else(|e| die(&format!("cannot find own binary: {e}")));
-    // Strip the flags a shard must not inherit; both take one value.
-    let mut passthrough: Vec<String> = Vec::new();
-    let mut args = raw_args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" | "--listen" => {
-                let _ = args.next();
-            }
-            other => passthrough.push(other.to_string()),
-        }
-    }
-    let mut children = Vec::new();
-    let mut addrs = Vec::new();
-    for i in 0..shards {
-        let mut child = std::process::Command::new(&exe)
-            .args(&passthrough)
-            .args(["--listen", "127.0.0.1:0"])
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| die(&format!("cannot spawn shard {i}: {e}")));
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .unwrap_or_else(|e| die(&format!("shard {i} produced no address: {e}")));
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| die(&format!("shard {i} printed `{}`", line.trim())))
-            .to_string();
-        println!("shard {i} listening on {addr}");
-        addrs.push(addr);
-        children.push(child);
-    }
-    println!("shards {}", addrs.join(" "));
-    // Stdout is block-buffered when piped: flush so a parent process
-    // polling for the `shards` line sees it before the children exit.
-    let _ = std::io::stdout().flush();
-    for (i, mut child) in children.into_iter().enumerate() {
-        match child.wait() {
-            Ok(status) if !status.success() => eprintln!("safara-serve: shard {i} exited {status}"),
-            Err(e) => eprintln!("safara-serve: shard {i} wait failed: {e}"),
-            Ok(_) => {}
-        }
     }
 }
 

@@ -543,29 +543,24 @@ fn write_arrays(arrays: &BTreeMap<Ident, HostArray>, out: &mut String) {
     out.push('}');
 }
 
-/// Content key of a run request — the single-flight dedup key and the
-/// shard-routing key. Two requests share a key iff they ask for
-/// identical work: source, entry, resolved profile, and every argument
-/// (scalar bit patterns and raw array bytes, in `Args`' stable
-/// `BTreeMap` order) all match. Every spelling of one profile is the
-/// same work; a key that names no profile goes in raw (that request
-/// fails `unknown_profile` whatever it shares a key with).
+/// Content key of a run request — the single-flight dedup key. Two
+/// requests share a key iff they ask for identical work: source,
+/// entry, resolved profile, and every argument (scalar bit patterns and
+/// raw array bytes, in `Args`' stable `BTreeMap` order) all match.
+/// Every spelling of one profile is the same work; a key that names no
+/// profile goes in raw (that request fails `unknown_profile` whatever
+/// it shares a key with).
 ///
 /// Deliberately excluded: `return_arrays` (response shaping, not work)
 /// and the envelope fields `id`, `v`, `trace`, `timeout_ms`. Nothing on
 /// the wire chooses how a run executes, so nothing of that is keyed.
 pub fn run_key(r: &RunRequest) -> ContentKey {
-    run_key_parts(&r.source, &r.entry, &r.profile, &r.args)
-}
-
-/// [`run_key`] from loose parts — for callers (routing clients) that
-/// have not built a [`RunRequest`].
-pub fn run_key_parts(source: &str, entry: &str, profile: &str, args: &Args) -> ContentKey {
+    let (source, entry, profile) = (r.source.as_str(), r.entry.as_str(), r.profile.as_str());
     let mut h = ContentHasher::default();
     // `Ok(name)` / `Err(raw key)`: an unknown key can never pass for a
     // profile by spelling out its display name.
     h.value(&(source, entry, CompilerConfig::canonical_name(profile).ok_or(profile)));
-    for (name, value) in &args.scalars {
+    for (name, value) in &r.args.scalars {
         let (tag, bits) = match value {
             safara_core::runtime::ArgValue::I32(i) => (1u32, *i as i64 as u64),
             safara_core::runtime::ArgValue::I64(i) => (2, *i as u64),
@@ -574,28 +569,11 @@ pub fn run_key_parts(source: &str, entry: &str, profile: &str, args: &Args) -> C
         };
         h.value(&(name.as_str(), tag, bits));
     }
-    for (name, arr) in &args.arrays {
+    for (name, arr) in &r.args.arrays {
         h.value(&(name.as_str(), arr.elem as u32));
         h.bytes(&arr.bytes);
     }
     h.key()
-}
-
-/// Jump consistent hash (Lamport & Lamping): map `key` to a shard in
-/// `0..shards`. Keys spread evenly, and growing the shard count moves
-/// only ~`1/shards` of the keys — so a redeployed fleet keeps most of
-/// its cache partitions warm.
-pub fn shard_for(key: u64, shards: u32) -> u32 {
-    let shards = shards.max(1) as i64;
-    let mut k = key;
-    let mut b: i64 = -1;
-    let mut j: i64 = 0;
-    while j < shards {
-        b = j;
-        k = k.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
-        j = ((b + 1) as f64 * ((1u64 << 31) as f64 / ((k >> 33) + 1) as f64)) as i64;
-    }
-    b as u32
 }
 
 /// FNV-1a/64: one step of the chain, and where an array's chain starts.
@@ -1314,7 +1292,8 @@ mod tests {
 
     #[test]
     fn failure_lines_speak_both_protocol_versions() {
-        let err = WireError::from_compile(&CompileError::Sim { message: "boom".into() });
+        let sim = CompileError::Sim { message: "boom".into(), transient: true };
+        let err = WireError::from_compile(&sim);
         // v1: legacy message-string shape, no error object.
         let v1 = Json::parse(&error_line_v(1, Some(4), &err)).unwrap();
         assert_eq!(v1.get("status").and_then(Json::as_str), Some("error"));
@@ -1356,7 +1335,15 @@ mod tests {
         let mut same = base.clone();
         same.return_arrays = true;
         assert_eq!(run_key(&same), key);
-        assert_eq!(run_key_parts(&base.source, &base.entry, &base.profile, &base.args), key);
+        // A request built afresh from the same parts is the same work.
+        let rebuilt = RunRequest {
+            source: "void f() {}".into(),
+            entry: "f".into(),
+            profile: "base".into(),
+            args: args.clone(),
+            return_arrays: false,
+        };
+        assert_eq!(run_key(&rebuilt), key);
         // Source, entry, profile, and argument bits all do.
         let mut other = base.clone();
         other.source = "void f() { }".into();
@@ -1391,7 +1378,13 @@ mod tests {
         let key_of = |arr: HostArray| {
             let mut args = Args::new();
             args.arrays.insert(Ident::new("x"), arr);
-            run_key_parts("s", "e", "base", &args)
+            run_key(&RunRequest {
+                source: "s".into(),
+                entry: "e".into(),
+                profile: "base".into(),
+                args,
+                return_arrays: false,
+            })
         };
         let base = HostArray::from_i32(&values);
         let mut keys = std::collections::BTreeSet::from([key_of(base.clone())]);
@@ -1407,32 +1400,6 @@ mod tests {
             assert!(keys.insert(key_of(HostArray::from_i32(&swapped))), "swap {a} <-> {b}");
         }
         assert!(keys.insert(key_of(HostArray::from_i32(&values[..26]))), "length");
-    }
-
-    #[test]
-    fn shard_routing_is_stable_balanced_and_monotone() {
-        // Stable and in range.
-        for key in [0u64, 1, u64::MAX, 0xdead_beef] {
-            let s = shard_for(key, 4);
-            assert!(s < 4);
-            assert_eq!(s, shard_for(key, 4));
-        }
-        assert_eq!(shard_for(123, 1), 0, "single shard takes everything");
-        // Roughly balanced over many keys.
-        let mut counts = [0usize; 4];
-        for i in 0..4000u64 {
-            counts[shard_for(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 4) as usize] += 1;
-        }
-        for c in counts {
-            assert!((600..=1400).contains(&c), "skewed: {counts:?}");
-        }
-        // Jump consistency: growing 4 → 5 shards moves only keys that
-        // land on the new shard; nothing reshuffles between old shards.
-        for i in 0..2000u64 {
-            let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let (old, new) = (shard_for(key, 4), shard_for(key, 5));
-            assert!(old == new || new == 4, "key {key} moved {old} -> {new}");
-        }
     }
 
     #[test]

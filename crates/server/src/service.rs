@@ -1776,6 +1776,31 @@ mod tests {
     }
 
     #[test]
+    fn a_real_simulation_fault_is_not_retryable() {
+        // `a[0]` lies below the array's lower bound of 5: the engine is
+        // deterministic, so a resend faults the same way. Only an
+        // injected `sim` fault (above) is transient.
+        let engine = Engine::start(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let (tx, rx) = mpsc::channel();
+        let src = "void f(long lo, int n, float a[lo:n]) { #pragma acc kernels\n\
+                   { #pragma acc loop gang vector\n\
+                   for (int i = 0; i < n; i++) { a[i] = 1.0; } } }";
+        let args = safara_core::Args::new().i64("lo", 5).i32("n", 8).array_f32("a", &[0.0; 8]);
+        let line = protocol::RunRequestLine {
+            v: 2,
+            ..protocol::RunRequestLine::new(1, src, "f", "base", &args, false)
+        }
+        .render();
+        assert!(submit_line(&engine, &line, &tx).is_none());
+        let v = Json::parse(&rx.recv_timeout(Duration::from_secs(10)).unwrap()).unwrap();
+        let e = v.get("error").expect("error object");
+        assert_eq!(e.get("code").and_then(Json::as_str), Some("sim"), "{v}");
+        assert_eq!(e.get("phase").and_then(Json::as_str), Some("sim"));
+        assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
+        engine.shutdown();
+    }
+
+    #[test]
     fn poisoned_cache_entries_are_detected_and_resimulated() {
         // First arrival poisons an empty cache (no-op); the second
         // corrupts the entry recorded by request 1, right before

@@ -1,10 +1,11 @@
-//! The shipped binaries end to end: `safara-serve` over stdin and TCP,
-//! steered only by its flags and environment, with `safara-send` (built
-//! beside it by the workspace's `cargo test`) in front.
+//! The shipped binary end to end: `safara-serve` over stdin and TCP,
+//! steered only by its flags and environment. Over TCP the test itself
+//! is the client: one plain connection, one line out, one line back.
 
 use safara_core::Args;
 use safara_server::protocol::RunRequestLine;
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 
 const DBL: &str = "void dbl(int n, float x[n]) { #pragma acc kernels copy(x)\n\
@@ -44,15 +45,23 @@ impl Drop for Server {
     }
 }
 
-/// The same lines through `safara-send --shutdown` to a TCP `safara-serve`.
+/// The same lines, one at a time, over one connection to a TCP
+/// `safara-serve`, then `{"op":"shutdown"}`; the replies, one per line.
 fn over_tcp(mut cmd: Command, lines: &[String]) -> String {
     let mut server = Server(cmd.args(["--listen", "127.0.0.1:0"]).stdout(Stdio::piped()).spawn().unwrap());
     let mut first = String::new();
     BufReader::new(server.0.stdout.take().unwrap()).read_line(&mut first).unwrap();
     let addr = first.trim().strip_prefix("listening on ").unwrap_or_else(|| panic!("{first}"));
-    let send = std::path::Path::new(env!("CARGO_BIN_EXE_safara-serve")).with_file_name("safara-send");
-    assert!(send.exists(), "{} is missing: run `cargo test` at the workspace root", send.display());
-    let replies = pipe(Command::new(send).args(["--shards", addr, "--shutdown"]), lines);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut roundtrip = |line: &str| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        assert!(reader.read_line(&mut reply).unwrap() > 0, "server closed before answering {line}");
+        reply
+    };
+    let replies: String = lines.iter().map(|line| roundtrip(line)).collect();
+    roundtrip(r#"{"op":"shutdown"}"#);
     assert!(server.0.wait().unwrap().success(), "server exits cleanly on shutdown");
     replies
 }
@@ -99,7 +108,7 @@ fn an_injected_sim_fault_fails_once_and_the_retry_succeeds() {
     assert!(replies[0].starts_with(r#"{"id":1,"status":"error""#), "{out}");
     assert!(replies[0].contains(r#""code":"sim""#) && replies[0].contains(r#""retryable":true"#));
     assert!(replies[1].starts_with(r#"{"id":2,"status":"ok""#), "{out}");
-    assert_eq!(over_tcp(serve(&flags), &req), out, "stdin and safara-send over TCP differ");
+    assert_eq!(over_tcp(serve(&flags), &req), out, "stdin and TCP differ");
 }
 
 #[test]

@@ -112,7 +112,10 @@ pub fn run_workload(
     let mut args = w.args(scale);
     let report = program.run(w.entry(), &mut args, dev)?;
     w.check(&args, scale)
-        .map_err(|m| CompileError::Sim { message: format!("{} [{}]: {m}", w.name(), config.name) })?;
+        .map_err(|m| CompileError::Sim {
+            message: format!("{} [{}]: {m}", w.name(), config.name),
+            transient: false,
+        })?;
     Ok((report, program))
 }
 
@@ -131,6 +134,9 @@ pub fn run_workload_cached(
     let mut args = w.args(scale);
     let report = program.run_cached(w.entry(), &mut args, dev, cache)?;
     w.check(&args, scale)
-        .map_err(|m| CompileError::Sim { message: format!("{} [{}]: {m}", w.name(), config.name) })?;
+        .map_err(|m| CompileError::Sim {
+            message: format!("{} [{}]: {m}", w.name(), config.name),
+            transient: false,
+        })?;
     Ok((report, program))
 }

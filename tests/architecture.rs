@@ -187,3 +187,14 @@ fn one_level_of_parallelism() {
     });
     assert!(knob.is_empty(), "a block-parallel worker count is settable again: {knob:?}");
 }
+
+#[test]
+fn one_server_process() {
+    // `safara-serve` is one process whose workers share one cache; clients speak to one
+    // address. The multi-process deployment and its routing client are gone.
+    let names = ["shard_for", "ShardedClient", "\"--shards\"", "safara-send", "safara_send"];
+    for name in names {
+        let hits = files_where(&["crates", "scripts"], |s| s.contains(name));
+        assert!(hits.is_empty(), "the sharded deployment is back ({name}): {hits:?}");
+    }
+}
