@@ -820,13 +820,13 @@ pub(crate) fn math(op: MathOp, ty: VType, x: u64, y: Option<u64>) -> u64 {
             let a = f32::from_bits(x as u32);
             let r = match op {
                 MathOp::Sqrt => a.sqrt(),
-                MathOp::Exp => a.exp(),
-                MathOp::Log => a.ln(),
-                MathOp::Sin => a.sin(),
-                MathOp::Cos => a.cos(),
+                MathOp::Exp => crate::math::expf(a),
+                MathOp::Log => crate::math::logf(a),
+                MathOp::Sin => crate::math::sinf(a),
+                MathOp::Cos => crate::math::cosf(a),
                 MathOp::Abs => a.abs(),
-                MathOp::Floor => a.floor(),
-                MathOp::Pow => a.powf(f32::from_bits(y.unwrap_or(0) as u32)),
+                MathOp::Floor => crate::math::floorf(a),
+                MathOp::Pow => crate::math::powf(a, f32::from_bits(y.unwrap_or(0) as u32)),
             };
             r.to_bits() as u64
         }
@@ -834,13 +834,13 @@ pub(crate) fn math(op: MathOp, ty: VType, x: u64, y: Option<u64>) -> u64 {
             let a = f64::from_bits(x);
             let r = match op {
                 MathOp::Sqrt => a.sqrt(),
-                MathOp::Exp => a.exp(),
-                MathOp::Log => a.ln(),
-                MathOp::Sin => a.sin(),
-                MathOp::Cos => a.cos(),
+                MathOp::Exp => crate::math::exp(a),
+                MathOp::Log => crate::math::log(a),
+                MathOp::Sin => crate::math::sin(a),
+                MathOp::Cos => crate::math::cos(a),
                 MathOp::Abs => a.abs(),
-                MathOp::Floor => a.floor(),
-                MathOp::Pow => a.powf(f64::from_bits(y.unwrap_or(0))),
+                MathOp::Floor => crate::math::floor(a),
+                MathOp::Pow => crate::math::pow(a, f64::from_bits(y.unwrap_or(0))),
             };
             r.to_bits()
         }

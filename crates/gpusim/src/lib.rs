@@ -18,6 +18,9 @@
 //!   kernels over real buffers and records per-warp instruction and
 //!   memory-transaction statistics, with *address-accurate* coalescing
 //!   (transactions are computed from the 32 lanes' actual addresses),
+//! * [`math`] — the in-tree `sin`/`cos`/`exp`/`log`/`pow`/`floor` every
+//!   engine calls (within 1 ulp, host-independent), a warp column at a
+//!   time in the lockstep engine,
 //! * [`timing`] — an analytic latency/occupancy/bandwidth overlap model
 //!   (in the spirit of Hong & Kim's MWP/CWP model) that converts the
 //!   interpreter's counts into estimated cycles,
@@ -32,6 +35,7 @@ pub(crate) mod decode;
 pub mod device;
 pub mod exec_options;
 pub mod interp;
+pub mod math;
 pub mod memo;
 pub mod memory;
 pub mod microbench;

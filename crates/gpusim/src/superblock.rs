@@ -683,6 +683,21 @@ fn lanes2(
     }
 }
 
+/// `d[l] = op(a[l])` for a unary math op with a column kernel: one
+/// [`crate::math::column`] call over the lanes, `a` read where it lives
+/// as in [`lanes1`] (a uniform `a` is one scalar evaluation, filled).
+fn math_lanes(v: &mut Cols, u: &[u64], d: u32, a: u32, lanes: usize, op: MathOp, ty: VType) {
+    let (d, f32_lanes) = (d as usize, ty == VType::F32);
+    if a & UB != 0 {
+        v[d][..lanes].fill(math(op, ty, u[(a & !UB) as usize], None));
+    } else if a as usize == d {
+        crate::math::column(op, f32_lanes, &mut v[d][..lanes], None);
+    } else {
+        let [o, x] = v.get_disjoint_mut([d, a as usize]).expect(DISJOINT);
+        crate::math::column(op, f32_lanes, &mut o[..lanes], Some(&x[..lanes]));
+    }
+}
+
 /// Execute one superinstruction: once on the scalar file if hoisted,
 /// else as a tight lane loop.
 #[allow(clippy::too_many_arguments)]
@@ -740,10 +755,12 @@ fn exec_sinst(
     }
     macro_rules! vmath {
         ($o:expr, $t:expr) => {{
-            if si.b == NO_REG {
+            if si.b != NO_REG {
+                v2!(|x, y| math($o, $t, x, Some(y)))
+            } else if si.scalar || !crate::math::has_column($o) {
                 vun!(|x| math($o, $t, x, None))
             } else {
-                v2!(|x, y| math($o, $t, x, Some(y)))
+                math_lanes(v, u, si.d, si.a, lanes, $o, $t);
             }
         }};
     }

@@ -92,12 +92,13 @@ impl ScalarTy {
         }
     }
 
-    /// The "wider" of two numeric types under C-like usual arithmetic
-    /// conversions (float beats int; wider beats narrower).
+    /// The type a binary operation computes in, as code generation
+    /// computes it: float beats int and wider beats narrower, except that
+    /// `float` with `long` is `double` (a `float` cannot hold a `long`).
     pub fn unify(self, other: ScalarTy) -> ScalarTy {
         use ScalarTy::*;
         match (self, other) {
-            (F64, _) | (_, F64) => F64,
+            (F64, _) | (_, F64) | (F32, I64) | (I64, F32) => F64,
             (F32, _) | (_, F32) => F32,
             (I64, _) | (_, I64) => I64,
             _ => I32,
@@ -313,6 +314,27 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
+    /// The type a call computes in, given its argument types, as code
+    /// generation computes it: `min`/`max`/`fabs` over integers stay
+    /// integral; `min`/`max` otherwise unify the arguments' float types
+    /// (`int` → `float`, `long` → `double`); every other call is `float`
+    /// only when all its arguments are `float`, else `double`.
+    pub fn result_ty(self, args: &[ScalarTy]) -> ScalarTy {
+        use ScalarTy::*;
+        let all_int = args.iter().all(|t| t.is_int());
+        match self {
+            Intrinsic::Min | Intrinsic::Max | Intrinsic::Abs if all_int => {
+                args.iter().copied().reduce(ScalarTy::unify).unwrap_or(I32)
+            }
+            Intrinsic::Min | Intrinsic::Max => args
+                .iter()
+                .map(|t| if matches!(t, I64 | F64) { F64 } else { F32 })
+                .fold(F32, ScalarTy::unify),
+            _ if args.iter().all(|t| *t == F32) => F32,
+            _ => F64,
+        }
+    }
+
     /// Number of arguments the intrinsic takes.
     pub fn arity(self) -> usize {
         match self {

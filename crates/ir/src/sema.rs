@@ -381,24 +381,8 @@ impl Checker {
                         args.len()
                     )));
                 }
-                let mut t = ScalarTy::F32;
-                for a in args {
-                    t = t.unify(self.type_of(a)?);
-                }
-                // min/max on integers keep the integer type.
-                if matches!(intr, Intrinsic::Min | Intrinsic::Max | Intrinsic::Abs) {
-                    let all_int = args
-                        .iter()
-                        .all(|a| self.type_of(a).map(|t| t.is_int()).unwrap_or(false));
-                    if all_int {
-                        let mut it = ScalarTy::I32;
-                        for a in args {
-                            it = it.unify(self.type_of(a)?);
-                        }
-                        return Ok(it);
-                    }
-                }
-                Ok(t)
+                let tys = args.iter().map(|a| self.type_of(a)).collect::<Result<Vec<_>, _>>()?;
+                Ok(intr.result_ty(&tys))
             }
             Expr::Cast(ty, inner) => {
                 self.type_of(inner)?;

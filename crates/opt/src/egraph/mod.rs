@@ -222,18 +222,8 @@ impl EGraph {
                 }
             }
             ENode::Call(i, args) => {
-                // Mirror sema: min/max/abs over all-int arguments stay
-                // integral; everything else unifies from `float` up.
-                let mut tys = Vec::with_capacity(args.len());
-                for &a in args {
-                    tys.push(self.ty(a)?);
-                }
-                let all_int = tys.iter().all(|t| t.is_int());
-                if matches!(i, Intrinsic::Min | Intrinsic::Max | Intrinsic::Abs) && all_int {
-                    tys.into_iter().reduce(ScalarTy::unify)
-                } else {
-                    Some(tys.into_iter().fold(ScalarTy::F32, ScalarTy::unify))
-                }
+                let tys = args.iter().map(|&a| self.ty(a)).collect::<Option<Vec<_>>>()?;
+                Some(i.result_ty(&tys))
             }
             ENode::Cast(ty, _) => Some(*ty),
             ENode::Ref(a, _) => self.env.arrays.get(a).copied(),

@@ -433,20 +433,8 @@ fn scalar_expr_ty(e: &Expr, env: &TypeEnv) -> Option<ScalarTy> {
             }
         }
         Expr::Call(i, args) => {
-            let mut tys = Vec::with_capacity(args.len());
-            for a in args {
-                tys.push(scalar_expr_ty(a, env)?);
-            }
-            let all_int = tys.iter().all(|t| t.is_int());
-            if matches!(
-                i,
-                safara_ir::Intrinsic::Min | safara_ir::Intrinsic::Max | safara_ir::Intrinsic::Abs
-            ) && all_int
-            {
-                tys.into_iter().reduce(ScalarTy::unify)
-            } else {
-                Some(tys.into_iter().fold(ScalarTy::F32, ScalarTy::unify))
-            }
+            let tys = args.iter().map(|a| scalar_expr_ty(a, env)).collect::<Option<Vec<_>>>()?;
+            Some(i.result_ty(&tys))
         }
         Expr::Cast(ty, _) => Some(*ty),
     }

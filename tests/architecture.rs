@@ -198,3 +198,44 @@ fn one_server_process() {
         assert!(hits.is_empty(), "the sharded deployment is back ({name}): {hits:?}");
     }
 }
+
+/// `src` without its `#[cfg(test)]` items: each such attribute and the
+/// item under it, through the closing brace at the item's indent.
+fn without_test_items(src: &str) -> String {
+    let mut out = String::new();
+    let mut lines = src.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        let Some(head) = lines.next() else { break };
+        if head.trim_end().ends_with(';') {
+            continue;
+        }
+        let close = format!("{}}}", &head[..head.len() - head.trim_start().len()]);
+        lines.by_ref().find(|l| l.trim_end() == close);
+    }
+    out
+}
+
+#[test]
+fn engine_math_is_in_tree() {
+    // Every engine's transcendentals come from `gpusim::math`, so a reply's bits do not
+    // depend on the host's C library; only tests may call the host's as an oracle.
+    let host_calls = [".sin()", ".cos()", ".exp()", ".ln()", ".powf(", ".floor()"];
+    let dir = root().join("crates/gpusim/src");
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let src = without_test_items(&std::fs::read_to_string(&path).unwrap());
+        for line in src.lines() {
+            for call in host_calls.iter().filter(|c| line.contains(*c)) {
+                found.push(format!("{name} `{call}`: {}", line.trim()));
+            }
+        }
+    }
+    assert!(found.is_empty(), "host libm calls in gpusim outside tests:\n{}", found.join("\n"));
+}
