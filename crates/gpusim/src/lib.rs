@@ -14,6 +14,8 @@
 //! * [`device`] — the device model: SMX/warp geometry, register file and
 //!   occupancy rules of a Kepler K20Xm,
 //! * [`memory`] — device global memory (buffers with simulated addresses),
+//! * [`shared`] — [`SharedBytes`], the copy-on-write, content-keyed bytes
+//!   that host arrays, device buffers and memo snapshots share,
 //! * [`interp`] — a warp-aware functional interpreter that executes
 //!   kernels over real buffers and records per-warp instruction and
 //!   memory-transaction statistics, with *address-accurate* coalescing
@@ -41,6 +43,7 @@ pub mod memory;
 pub mod microbench;
 pub mod ptxas;
 pub mod rng;
+pub mod shared;
 pub mod stats;
 pub mod superblock;
 pub mod timing;
@@ -54,6 +57,7 @@ pub use memo::{launch_cached, LaunchCache, SharedLaunchCache};
 pub use memory::{BufferId, DeviceMemory};
 pub use ptxas::{allocate_registers, allocate_registers_with, RegAllocReport, SpillTarget};
 pub use rng::SplitMix64;
+pub use shared::SharedBytes;
 pub use stats::KernelStats;
 pub use timing::{estimate_time, estimate_time_with, TimingBreakdown};
 pub use vir::{Inst, KernelVir, VReg, VType};

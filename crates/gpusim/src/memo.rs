@@ -10,22 +10,28 @@
 //! depends on and the key changes with it.
 //!
 //! Buffer contents enter the launch key through one [`ContentKey`] per
-//! buffer, which [`DeviceMemory`] carries with the bytes and drops when
-//! they are written. A byte is therefore hashed once per content it is
-//! part of, not once per launch that could read it: an entry records
-//! the key of each snapshot it holds, a replay installs bytes and key
-//! together, and launches 2…K of a memoized function hash only what
-//! was uploaded or seeded since. `bytes_hashed` counts it exactly.
+//! buffer, which lives in the buffer's [`SharedBytes`] allocation. A
+//! byte is therefore hashed once per allocation, not once per launch
+//! that could read it: an entry's snapshots are the very allocations
+//! the recording launch left behind, keyed as they are recorded; a
+//! replay installs them, keys and all; and host arrays handed in again
+//! (a clone of already-run arguments, a server request keyed on
+//! arrival) come with their keys. `bytes_hashed` counts it exactly.
 //!
-//! On a cache hit [`launch_cached`] replays the launch without running
-//! the interpreter: it restores the recorded post-launch contents of
-//! every buffer the kernel mutated and returns the recorded
-//! [`KernelStats`] — byte-for-byte and count-for-count identical to
-//! re-executing. The cache lives in memory and dies with its owner.
+//! Nothing here copies a buffer. A miss holds the launch's inputs by
+//! handle; a buffer the kernel stores to has taken a copy of its own
+//! (see [`crate::memory`]), so "written" is "no longer the same
+//! allocation". On a cache hit [`launch_cached`] replays the launch
+//! without running the interpreter: it installs the recorded
+//! post-launch allocation of every buffer the kernel mutated and
+//! returns the recorded [`KernelStats`] — byte-for-byte and
+//! count-for-count identical to re-executing. The cache lives in memory
+//! and dies with its owner.
 
 use crate::content::{ContentHasher, ContentKey};
 use crate::interp::{launch, LaunchConfig, LaunchResult, ParamVal, SimError};
-use crate::memory::{bytes_key, DeviceMemory};
+use crate::memory::{BufferId, DeviceMemory};
+use crate::shared::{bytes_key, SharedBytes};
 use crate::stats::KernelStats;
 use crate::vir::{KernelVir, VReg};
 use std::collections::{HashMap, VecDeque};
@@ -58,8 +64,11 @@ pub fn launch_key(
 }
 
 /// The post-launch state of one buffer a kernel wrote: its index, its
-/// full contents, and the content key of those contents.
-type Snapshot = (u32, Vec<u8>, ContentKey);
+/// allocation (shared with the device buffers and host arrays it is
+/// installed into), and the content key recorded for it — which the
+/// entry's checksum covers, so verification never trusts a key cached
+/// in an allocation others hold.
+type Snapshot = (u32, SharedBytes, ContentKey);
 
 /// Recorded outcome of one launch: the stats plus the post-launch
 /// contents of every buffer the kernel wrote.
@@ -88,8 +97,9 @@ fn entry_checksum(stats: &KernelStats, writes: &[Snapshot]) -> ContentKey {
     h.key()
 }
 
-/// True if `entry` is as recorded: every snapshot's bytes still hash to
-/// its key, and the checksum still matches stats, indices and keys.
+/// True if `entry` is as recorded: every snapshot's bytes, hashed
+/// afresh, still give its recorded key, and the checksum still matches
+/// stats, indices and keys.
 fn entry_is_intact(entry: &CachedLaunch) -> bool {
     entry.writes.iter().all(|(_, bytes, key)| bytes_key(bytes) == *key)
         && entry_checksum(&entry.stats, &entry.writes) == entry.checksum
@@ -181,13 +191,18 @@ impl LaunchCache {
 
     /// Corrupt the payload of one cached entry *without* updating its
     /// checksum — the chaos hook behind cache-poisoning fault injection.
-    /// Returns false when the cache has no corruptible entry.
+    /// The snapshot's allocation is replaced by a corrupted copy that
+    /// still carries the recorded key; arrays that share the original
+    /// keep their bytes. Returns false when the cache has no corruptible
+    /// entry.
     pub fn poison_one(&mut self) -> bool {
         for key in &self.order {
             if let Some(e) = self.entries.get_mut(key) {
-                if let Some((_, bytes, _)) = e.writes.iter_mut().find(|(_, b, _)| !b.is_empty()) {
-                    bytes[0] ^= 0xff;
-                    return true;
+                for (_, bytes, _) in &mut e.writes {
+                    if let Some(bad) = bytes.corrupted() {
+                        *bytes = bad;
+                        return true;
+                    }
                 }
             }
         }
@@ -204,10 +219,9 @@ impl LaunchCache {
         self.entries.is_empty()
     }
 
-    /// Replay the entry for `key` into `mem`, if present: restores the
-    /// recorded post-launch buffer contents, each with its recorded
-    /// content key, and returns the recorded stats, bumping the hit
-    /// counter.
+    /// Replay the entry for `key` into `mem`, if present: installs the
+    /// recorded post-launch allocations (keys included) and returns the
+    /// recorded stats, bumping the hit counter.
     fn replay(&mut self, key: ContentKey, mem: &mut DeviceMemory) -> Option<LaunchResult> {
         let entry = self.entries.get(&key)?;
         if self.verify && !entry_is_intact(entry) {
@@ -220,9 +234,8 @@ impl LaunchCache {
             self.integrity_failures += 1;
             return None;
         }
-        for (idx, bytes, content) in &entry.writes {
-            mem.buffer_bytes_mut(*idx as usize).copy_from_slice(bytes);
-            mem.set_buffer_key(*idx as usize, *content);
+        for (idx, bytes, _) in &entry.writes {
+            mem.install(*idx as usize, bytes.clone());
         }
         self.hits += 1;
         Some(LaunchResult { stats: entry.stats })
@@ -268,12 +281,13 @@ pub fn launch_cached(
     spilled: &[VReg],
 ) -> Result<LaunchResult, SimError> {
     let hashed_before = mem.bytes_hashed();
+    let inputs = mem.share_all();
     let key = launch_key(kernel, config, params, mem, spilled);
     let result = match cache.replay(key, mem) {
         Some(result) => Ok(result),
         None => {
             cache.misses += 1;
-            run_and_record(kernel, config, params, mem, spilled).map(|(result, entry)| {
+            run_and_record(kernel, config, params, mem, spilled, inputs).map(|(result, entry)| {
                 cache.insert_entry(key, entry);
                 result
             })
@@ -284,27 +298,30 @@ pub fn launch_cached(
 }
 
 /// Run the interpreter and capture the outcome as a cache entry (stats
-/// plus the post-launch contents and key of every buffer the kernel
-/// mutated). Called right after [`launch_key`], so every buffer carries
-/// its key going in; a buffer that comes out unchanged gets it back,
-/// whichever `&mut` route the engine took to the bytes.
+/// plus the post-launch allocation and key of every buffer the kernel
+/// mutated). `inputs` are the buffers going in, by handle and keyed by
+/// [`launch_key`]. A buffer still holding its input allocation was not
+/// stored to; one the kernel stored to but left byte-equal gets its
+/// input allocation, and so its key, back.
 fn run_and_record(
     kernel: &KernelVir,
     config: &LaunchConfig,
     params: &[ParamVal],
     mem: &mut DeviceMemory,
     spilled: &[VReg],
+    inputs: Vec<SharedBytes>,
 ) -> Result<(LaunchResult, CachedLaunch), SimError> {
-    let before: Vec<(Vec<u8>, ContentKey)> = (0..mem.buffer_count())
-        .map(|i| (mem.buffer_bytes(i).to_vec(), mem.buffer_key(i)))
-        .collect();
     let result = launch(kernel, config, params, mem, spilled)?;
     let mut writes = Vec::new();
-    for (i, (old, old_key)) in before.iter().enumerate() {
-        if mem.buffer_bytes(i) == old.as_slice() {
-            mem.set_buffer_key(i, *old_key);
+    for (i, input) in inputs.into_iter().enumerate() {
+        let now = mem.share(BufferId(i as u32));
+        if SharedBytes::ptr_eq(&now, &input) {
+            continue;
+        }
+        if now == input {
+            mem.install(i, input);
         } else {
-            writes.push((i as u32, mem.buffer_bytes(i).to_vec(), mem.buffer_key(i)));
+            writes.push((i as u32, now, mem.buffer_key(i)));
         }
     }
     let stats = result.stats;
@@ -464,6 +481,7 @@ impl SharedLaunchCache {
         spilled: &[VReg],
     ) -> Result<(LaunchResult, bool), SimError> {
         let hashed_before = mem.bytes_hashed();
+        let inputs = mem.share_all();
         let key = launch_key(kernel, config, params, mem, spilled);
         let shard = self.shard(key);
         {
@@ -473,7 +491,7 @@ impl SharedLaunchCache {
                 return Ok((result, true));
             }
         }
-        let ran = run_and_record(kernel, config, params, mem, spilled);
+        let ran = run_and_record(kernel, config, params, mem, spilled, inputs);
         let mut c = self.lock(shard);
         // Errors are never cached, but still count as misses so the
         // counters account for every submitted launch.
@@ -771,7 +789,7 @@ mod tests {
     /// two threads racing a miss on the same key.
     fn synthetic(tag: u8) -> CachedLaunch {
         let stats = KernelStats::default();
-        let writes = vec![(0, vec![tag], ContentKey(tag as u128))];
+        let writes = vec![(0, SharedBytes::from(vec![tag]), ContentKey(tag as u128))];
         let checksum = entry_checksum(&stats, &writes);
         CachedLaunch { stats, writes, checksum }
     }
@@ -882,6 +900,50 @@ mod tests {
         let differs = (0..mem1.buffer_count())
             .any(|i| mem1.buffer_bytes(i) != mem2.buffer_bytes(i));
         assert!(differs, "unverified poison corrupts the replayed output");
+    }
+
+    #[test]
+    fn an_array_handed_out_before_poisoning_keeps_its_bytes() {
+        // The snapshot is the allocation the launch left in `out`: once
+        // handed out it is the caller's array too, so poisoning may not
+        // write it.
+        let k = add_one_kernel();
+        let mut cache = LaunchCache::new().with_verification(true);
+        let (mut mem, params, config) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
+        let out = mem.share(BufferId(1));
+        let recorded = &cache.entries.values().next().unwrap().writes[0].1;
+        assert!(SharedBytes::ptr_eq(&out, recorded), "the snapshot shares the buffer");
+        let want: Vec<f32> = (0..32).map(|i| i as f32 + 1.0).collect();
+        assert!(cache.poison_one());
+        assert_eq!(mem.copy_out_f32(BufferId(1)), want, "poisoning reached a handed-out array");
+
+        let (mut again, ..) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut again, &[]).unwrap();
+        assert_eq!(cache.integrity_failures, 1);
+        assert_eq!(again.copy_out_f32(BufferId(1)), want);
+    }
+
+    #[test]
+    fn a_snapshot_with_a_stale_cached_key_fails_verification() {
+        // Verification hashes the snapshot's bytes afresh: the key cached
+        // in the allocation is what corrupted memory would still claim.
+        let k = add_one_kernel();
+        let mut cache = LaunchCache::new().with_verification(true);
+        let (mut mem1, params, config) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut mem1, &[]).unwrap();
+        let entry = cache.entries.values_mut().next().unwrap();
+        assert!(entry_is_intact(entry));
+        let (_, bytes, key) = &mut entry.writes[0];
+        *bytes = bytes.corrupted().unwrap();
+        assert_eq!(bytes.known_key(), Some(*key), "the copy claims the recorded key");
+        assert!(!entry_is_intact(entry));
+
+        let (mut mem2, ..) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut mem2, &[]).unwrap();
+        assert_eq!(cache.integrity_failures, 1);
+        assert_eq!((cache.hits, cache.misses), (0, 2), "the stale snapshot was not replayed");
+        assert_eq!(mem1.copy_out(BufferId(1)), mem2.copy_out(BufferId(1)));
     }
 
     #[test]

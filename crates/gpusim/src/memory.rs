@@ -1,29 +1,23 @@
 //! Simulated device global memory.
 //!
-//! Buffers are byte vectors with synthetic 64-bit base addresses: buffer
+//! Buffers are byte arrays with synthetic 64-bit base addresses: buffer
 //! `i` starts at `(i+1) << 40`, so any address decodes to (buffer,
 //! offset) without a search and buffer overruns are detected rather than
 //! silently corrupting neighbours.
 //!
-//! Each buffer carries the [`ContentKey`] of its bytes once somebody has
-//! asked for it ([`DeviceMemory::buffer_key`]). Every `&mut` route to
-//! the bytes drops the key, so a key that is present is the key of the
-//! bytes as they stand and the launch memo can identify a buffer without
-//! reading it again.
+//! A buffer is a [`SharedBytes`] allocation — possibly the host array it
+//! was uploaded from, or a memo snapshot — until something stores to it.
+//! The first store takes a unique copy (or the allocation itself, when
+//! nothing else holds it) and later stores write that `Vec` behind one
+//! branch on the buffer's state; [`DeviceMemory::share`] turns it back
+//! into an allocation others may hold. Content keys live in the shared
+//! allocations, so a buffer is keyed once per content, whoever holds it.
 
-use crate::content::{ContentHasher, ContentKey};
+use crate::content::ContentKey;
+use crate::shared::{bytes_keyed, counted_key, SharedBytes};
 use crate::vir::VType;
 use std::cell::Cell;
 use std::fmt;
-
-/// The content key of a buffer holding `bytes`: what
-/// [`DeviceMemory::buffer_key`] computes, and what a memo entry's
-/// verification recomputes from a snapshot.
-pub(crate) fn bytes_key(bytes: &[u8]) -> ContentKey {
-    let mut h = ContentHasher::default();
-    h.bytes(bytes);
-    h.key()
-}
 
 /// Identifies one device allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,26 +64,53 @@ fn store(buf: &mut [u8], off: usize, bytes: u32, value: u64) {
     }
 }
 
-/// One allocation: its bytes, and their content key while it is known.
+/// One buffer's bytes: shared and read-only, or written since it was
+/// last shared and this memory's own.
 #[derive(Debug)]
-struct Buffer {
-    bytes: Vec<u8>,
-    /// `Some` only while it is the key of `bytes`: set by
-    /// [`DeviceMemory::buffer_key`] / [`DeviceMemory::set_buffer_key`],
-    /// dropped by every mutable route to `bytes`.
-    key: Cell<Option<ContentKey>>,
+enum Buffer {
+    Shared(SharedBytes),
+    Written(Vec<u8>),
 }
 
 impl Buffer {
-    fn holding(bytes: Vec<u8>) -> Buffer {
-        Buffer { bytes, key: Cell::new(None) }
+    #[inline(always)]
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Buffer::Shared(s) => s,
+            Buffer::Written(v) => v,
+        }
     }
 
-    /// The bytes for writing: whatever key was known is now stale.
-    #[inline]
-    fn bytes_mut(&mut self) -> &mut Vec<u8> {
-        *self.key.get_mut() = None;
-        &mut self.bytes
+    /// The bytes for writing: after the first store, a branch on the
+    /// state and nothing else.
+    #[inline(always)]
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        if let Buffer::Shared(_) = self {
+            self.unshare();
+        }
+        match self {
+            Buffer::Written(v) => v,
+            Buffer::Shared(_) => unreachable!("unshared above"),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        if let Buffer::Shared(s) = std::mem::replace(self, Buffer::Written(Vec::new())) {
+            *self = Buffer::Written(s.into_vec());
+        }
+    }
+
+    /// The bytes as an allocation others may hold.
+    fn share(&mut self) -> &SharedBytes {
+        if let Buffer::Written(v) = self {
+            *self = Buffer::Shared(std::mem::take(v).into());
+        }
+        match self {
+            Buffer::Shared(s) => s,
+            Buffer::Written(_) => unreachable!("shared above"),
+        }
     }
 }
 
@@ -129,19 +150,22 @@ impl DeviceMemory {
 
     /// Allocate a zero-initialized buffer of `bytes` bytes.
     pub fn alloc(&mut self, bytes: usize) -> BufferId {
-        assert!((bytes as u64) < (1u64 << OFFSET_BITS), "buffer too large");
+        self.alloc_shared(vec![0u8; bytes].into())
+    }
+
+    /// Allocate a buffer that is `bytes`' allocation (host→device
+    /// transfer without a copy: the first store copies, if it is shared).
+    pub fn alloc_shared(&mut self, bytes: SharedBytes) -> BufferId {
+        assert!((bytes.len() as u64) < (1u64 << OFFSET_BITS), "buffer too large");
         let id = BufferId(self.buffers.len() as u32);
-        self.buffers.push(Buffer::holding(vec![0u8; bytes]));
+        self.buffers.push(Buffer::Shared(bytes));
         id
     }
 
-    /// Allocate a buffer holding a copy of `data` (allocation and
-    /// host→device transfer in one pass, without the zero fill).
-    pub fn alloc_from(&mut self, data: &[u8]) -> BufferId {
-        assert!((data.len() as u64) < (1u64 << OFFSET_BITS), "buffer too large");
-        let id = BufferId(self.buffers.len() as u32);
-        self.buffers.push(Buffer::holding(data.to_vec()));
-        id
+    /// [`DeviceMemory::alloc_shared`] of a fresh copy of `data`.
+    #[cfg(test)]
+    pub(crate) fn alloc_from(&mut self, data: &[u8]) -> BufferId {
+        self.alloc_shared(data.to_vec().into())
     }
 
     /// The synthetic base address of a buffer.
@@ -151,7 +175,7 @@ impl DeviceMemory {
 
     /// Size of a buffer in bytes.
     pub fn len(&self, id: BufferId) -> usize {
-        self.buffers[id.0 as usize].bytes.len()
+        self.buffers[id.0 as usize].bytes().len()
     }
 
     /// True if no buffers are allocated.
@@ -166,14 +190,12 @@ impl DeviceMemory {
             return Err(MemFault { addr, bytes, message: "unmapped address".into() });
         }
         let b = buf - 1;
-        if off + bytes as usize > self.buffers[b].bytes.len() {
+        let len = self.buffers[b].bytes().len();
+        if off + bytes as usize > len {
             return Err(MemFault {
                 addr,
                 bytes,
-                message: format!(
-                    "out of bounds: offset {off} + {bytes} > buffer size {}",
-                    self.buffers[b].bytes.len()
-                ),
+                message: format!("out of bounds: offset {off} + {bytes} > buffer size {len}"),
             });
         }
         Ok((b, off))
@@ -183,7 +205,7 @@ impl DeviceMemory {
     #[inline]
     pub fn read(&self, addr: u64, bytes: u32) -> Result<u64, MemFault> {
         let (b, off) = self.decode(addr, bytes)?;
-        Ok(load(&self.buffers[b].bytes, off, bytes))
+        Ok(load(self.buffers[b].bytes(), off, bytes))
     }
 
     /// Write the low `bytes` bytes of `value` at `addr`, little-endian.
@@ -225,7 +247,7 @@ impl DeviceMemory {
             return None;
         }
         let b = ((a0 >> OFFSET_BITS) as usize).checked_sub(1)?;
-        let len = self.buffers.get(b)?.bytes.len();
+        let len = self.buffers.get(b)?.bytes().len();
         (offset(max) + bytes as usize <= len).then_some(b)
     }
 
@@ -246,7 +268,7 @@ impl DeviceMemory {
             }
             return Ok(());
         };
-        let buf = &self.buffers[b].bytes;
+        let buf = self.buffers[b].bytes();
         for (o, &a) in out.iter_mut().zip(addrs) {
             *o = load(buf, offset(a), bytes);
         }
@@ -263,8 +285,8 @@ impl DeviceMemory {
         bytes: u32,
         vals: &[u64],
     ) -> Result<(), MemFault> {
-        // Checked before `bytes_mut`: a store that faults drops the key
-        // only of a buffer an earlier lane really wrote.
+        // Checked before `bytes_mut`: a store that faults unshares only
+        // a buffer an earlier lane really wrote.
         let Some(b) = self.warp_buffer(addrs, bytes) else {
             for (&a, &v) in addrs.iter().zip(vals) {
                 self.write(a, bytes, v)?;
@@ -283,36 +305,22 @@ impl DeviceMemory {
         self.buffers.len()
     }
 
-    /// Raw bytes of buffer `i` (for snapshots).
+    /// Raw bytes of buffer `i`.
     pub(crate) fn buffer_bytes(&self, i: usize) -> &[u8] {
-        &self.buffers[i].bytes
+        self.buffers[i].bytes()
     }
 
-    /// Mutable raw bytes of buffer `i` (for memoized replay).
-    pub(crate) fn buffer_bytes_mut(&mut self, i: usize) -> &mut [u8] {
-        self.buffers[i].bytes_mut()
-    }
-
-    /// The content key of buffer `i`: the one it carries, or else a hash
-    /// of its bytes that it carries from now on. Either way the same
-    /// function of the bytes.
+    /// The content key of buffer `i`: its allocation's (hashed now if no
+    /// holder has asked yet); a buffer written since it was last shared
+    /// is hashed on every ask. Either way the same function of the bytes.
     pub(crate) fn buffer_key(&self, i: usize) -> ContentKey {
-        let buf = &self.buffers[i];
-        buf.key.get().unwrap_or_else(|| {
-            self.bytes_hashed.set(self.bytes_hashed.get() + buf.bytes.len() as u64);
-            let key = bytes_key(&buf.bytes);
-            buf.key.set(Some(key));
-            key
-        })
-    }
-
-    /// Declare `key` the content key of buffer `i` as it stands: the
-    /// memo installing a snapshot whose key it recorded, or finding a
-    /// buffer unchanged by a launch. A wrong key here is a wrong memo
-    /// hit later, so only what [`DeviceMemory::buffer_key`] returned for
-    /// these very bytes may come back in.
-    pub(crate) fn set_buffer_key(&mut self, i: usize, key: ContentKey) {
-        *self.buffers[i].key.get_mut() = Some(key);
+        let before = bytes_keyed();
+        let key = match &self.buffers[i] {
+            Buffer::Shared(s) => s.key(),
+            Buffer::Written(v) => counted_key(v),
+        };
+        self.bytes_hashed.set(self.bytes_hashed.get() + bytes_keyed() - before);
+        key
     }
 
     /// Bytes [`DeviceMemory::buffer_key`] has hashed on this memory.
@@ -320,22 +328,36 @@ impl DeviceMemory {
         self.bytes_hashed.get()
     }
 
+    /// Make buffer `i` hold `bytes`' allocation (the memo installing a
+    /// snapshot, or handing a launch's input back). Same length.
+    pub(crate) fn install(&mut self, i: usize, bytes: SharedBytes) {
+        debug_assert_eq!(bytes.len(), self.buffers[i].bytes().len());
+        self.buffers[i] = Buffer::Shared(bytes);
+    }
+
+    /// Every buffer as an allocation the caller may keep, in order.
+    pub(crate) fn share_all(&mut self) -> Vec<SharedBytes> {
+        self.buffers.iter_mut().map(|b| b.share().clone()).collect()
+    }
+
+    /// A buffer as an allocation the caller may keep (device→host
+    /// transfer without a copy; a later store here copies first).
+    pub fn share(&mut self, id: BufferId) -> SharedBytes {
+        self.buffers[id.0 as usize].share().clone()
+    }
+
     /// Copy a host slice into a buffer (host→device transfer).
     pub fn copy_in(&mut self, id: BufferId, data: &[u8]) {
-        let buf = self.buffers[id.0 as usize].bytes_mut();
-        assert!(data.len() <= buf.len(), "copy_in larger than buffer");
-        buf[..data.len()].copy_from_slice(data);
+        let buf = &mut self.buffers[id.0 as usize];
+        let bytes = buf.bytes_mut();
+        assert!(data.len() <= bytes.len(), "copy_in larger than buffer");
+        bytes[..data.len()].copy_from_slice(data);
+        buf.share();
     }
 
     /// Copy a buffer back out to the host.
     pub fn copy_out(&self, id: BufferId) -> Vec<u8> {
-        self.buffers[id.0 as usize].bytes.clone()
-    }
-
-    /// Move a buffer's contents out to the host, leaving it empty: the
-    /// device→host transfer of a buffer nothing will touch again.
-    pub fn take(&mut self, id: BufferId) -> Vec<u8> {
-        std::mem::take(self.buffers[id.0 as usize].bytes_mut())
+        self.buffers[id.0 as usize].bytes().to_vec()
     }
 
     /// Typed convenience: upload a slice of `f32`.
@@ -419,35 +441,48 @@ mod tests {
         assert!(m.read(m.base_addr(BufferId(5)), 4).is_err()); // unmapped
     }
 
+    /// The key an untouched buffer's allocation carries; `None` for a
+    /// buffer written since it was last shared.
+    fn known_key(m: &DeviceMemory, i: usize) -> Option<ContentKey> {
+        match &m.buffers[i] {
+            Buffer::Shared(s) => s.known_key(),
+            Buffer::Written(_) => None,
+        }
+    }
+
     #[test]
-    fn alloc_from_and_take_move_whole_buffers() {
+    fn upload_and_download_share_whole_buffers() {
         let mut m = DeviceMemory::new();
-        let a = m.alloc_from(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let host = SharedBytes::from(vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        let a = m.alloc_shared(host.clone());
         let b = m.alloc(4);
         assert_eq!(m.len(a), 8);
         assert_eq!(m.read(m.base_addr(a) + 4, 4).unwrap(), 0x0807_0605);
+        assert!(SharedBytes::ptr_eq(&m.share(a), &host), "read, not copied");
         m.write(m.base_addr(a), 4, 0xAABB_CCDD).unwrap();
-        assert_eq!(m.take(a), vec![0xDD, 0xCC, 0xBB, 0xAA, 5, 6, 7, 8]);
-        // The id stays mapped (to nothing), and neighbours are untouched.
-        assert_eq!(m.len(a), 0);
-        assert!(m.read(m.base_addr(a), 4).is_err());
+        m.write(m.base_addr(a) + 4, 1, 0xEE).unwrap();
+        assert_eq!(host[..], [1, 2, 3, 4, 5, 6, 7, 8], "the host's allocation is never written");
+        let out = m.share(a);
+        assert_eq!(out[..], [0xDD, 0xCC, 0xBB, 0xAA, 0xEE, 6, 7, 8]);
+        assert!(SharedBytes::ptr_eq(&m.share(a), &out), "shared once, then handed out again");
+        m.write(m.base_addr(a), 1, 0).unwrap();
+        assert_eq!(out[0], 0xDD, "a store after sharing copies first");
         assert_eq!(m.base_addr(b), 2u64 << 40);
         assert_eq!(m.copy_out(b), vec![0; 4]);
     }
 
-    /// A key that is present is the key of the bytes as they stand:
-    /// every `&mut` route to a buffer's bytes drops it, the others keep
-    /// it, and recomputing hashes exactly the buffer's bytes again.
+    /// A key is the key of the bytes as they stand: every store leaves
+    /// the allocation (and key) it started from to its other holders, a
+    /// written buffer is keyed from its bytes, and sharing it again keys
+    /// it once more and then never again.
     #[test]
     fn every_mutable_route_drops_the_key() {
         type Route = (&'static str, fn(&mut DeviceMemory, BufferId));
-        let routes: [Route; 6] = [
+        let routes: [Route; 4] = [
             ("write", |m, b| m.write(m.base_addr(b) + 4, 4, 7).unwrap()),
             ("atom_add", |m, b| m.atom_add(VType::B32, m.base_addr(b), 4, 1).unwrap()),
             ("copy_in", |m, b| m.copy_in(b, &[9])),
             ("copy_in_f32", |m, b| m.copy_in_f32(b, &[1.5])),
-            ("buffer_bytes_mut", |m, b| m.buffer_bytes_mut(b.0 as usize)[0] = 1),
-            ("take", |m, b| drop(m.take(b))),
         ];
         for (name, route) in routes {
             let mut m = DeviceMemory::new();
@@ -457,8 +492,10 @@ mod tests {
             assert_eq!(m.bytes_hashed(), 40);
             assert_eq!(m.buffer_key(1), key, "{name}: a second ask is answered from the buffer");
             assert_eq!(m.bytes_hashed(), 40);
+            let held = m.share(b);
             route(&mut m, b);
-            assert_eq!(m.buffers[1].key.get(), None, "{name} keeps a stale key");
+            assert_eq!((&held[..], held.known_key()), (&[2; 16][..], Some(key)), "{name}: the old holder");
+            assert_ne!(known_key(&m, 1), Some(key), "{name} keeps a stale key");
             let fresh = {
                 let mut f = DeviceMemory::new();
                 f.alloc_from(m.buffer_bytes(1));
@@ -466,8 +503,14 @@ mod tests {
             };
             assert_eq!(m.buffer_key(1), fresh, "{name}: the key is a function of the bytes");
             assert_ne!(fresh, key, "{name} changed the bytes");
-            assert_eq!(m.buffers[0].key.get(), Some(other_key), "{name}: the neighbour");
-            assert_eq!(m.bytes_hashed(), 40 + m.buffer_bytes(1).len() as u64, "{name}");
+            assert_eq!(known_key(&m, 0), Some(other_key), "{name}: the neighbour");
+            m.share(b);
+            m.buffer_key(1);
+            m.buffer_key(1);
+            // `copy_in` shares what it wrote, so the first ask above was
+            // kept; a store's buffer is keyed again once shared.
+            let hashes = if name.starts_with("copy_in") { 1 } else { 2 };
+            assert_eq!(m.bytes_hashed(), 40 + hashes * 16, "{name}");
         }
         // Reads keep it.
         let mut m = DeviceMemory::new();
@@ -476,7 +519,7 @@ mod tests {
         m.read(m.base_addr(b), 4).unwrap();
         m.copy_out(b);
         assert!(m.write(m.base_addr(b) + 8, 4, 0).is_err(), "a faulting write touches nothing");
-        assert_eq!(m.buffers[0].key.get(), Some(key));
+        assert_eq!(known_key(&m, 0), Some(key));
     }
 
     /// A warp access gives what its lanes one by one give: the same
@@ -534,7 +577,7 @@ mod tests {
                 assert_eq!(r, per_lane(), "{what}: write result");
                 for i in 0..2 {
                     assert_eq!(warp.buffer_bytes(i), lane.buffer_bytes(i), "{what}: buffer {i}");
-                    let keys = (warp.buffers[i].key.get(), lane.buffers[i].key.get());
+                    let keys = (known_key(&warp, i), known_key(&lane, i));
                     assert_eq!(keys.0, keys.1, "{what}: key of buffer {i}");
                     assert_eq!(warp.buffer_key(i), lane.buffer_key(i), "{what}: rekey {i}");
                 }

@@ -1,0 +1,179 @@
+//! Shared, immutable, content-keyed bytes: the one representation of an
+//! array's contents from the host through device memory to the launch
+//! memo and back.
+//!
+//! A [`SharedBytes`] is an `Arc` around the bytes and their lazily
+//! computed [`ContentKey`]. Cloning it shares the allocation; nothing
+//! writes through it. A host array, the device buffer it was uploaded
+//! into, a memo snapshot and the array handed back after the run can all
+//! be one allocation, so a warm run moves handles instead of bytes.
+//!
+//! The key lives inside the allocation, not beside a handle: whoever
+//! asks first (the server's request key, a launch key, a snapshot being
+//! recorded) hashes the bytes, and every other holder of the allocation
+//! — on any thread — reads that key. A byte is hashed once per
+//! allocation, not once per launch that reads it.
+//!
+//! Writing needs a unique `Vec<u8>`: [`SharedBytes::into_vec`] takes the
+//! allocation back when no one else holds it and copies it otherwise.
+//! That is the only place bytes are copied.
+
+use crate::content::{ContentHasher, ContentKey};
+use std::cell::Cell;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+/// The content key of `bytes`, hashed on the spot and counted nowhere:
+/// what a memo entry's verification recomputes from a snapshot.
+pub(crate) fn bytes_key(bytes: &[u8]) -> ContentKey {
+    let mut h = ContentHasher::default();
+    h.bytes(bytes);
+    h.key()
+}
+
+std::thread_local! {
+    static KEYED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bytes this thread has hashed into the content keys of arrays and
+/// buffers so far (an exact counter: the launch memo's `bytes_hashed`
+/// counters are differences of it).
+pub fn bytes_keyed() -> u64 {
+    KEYED.with(Cell::get)
+}
+
+/// [`bytes_key`], counted in [`bytes_keyed`].
+pub(crate) fn counted_key(bytes: &[u8]) -> ContentKey {
+    KEYED.with(|n| n.set(n.get() + bytes.len() as u64));
+    bytes_key(bytes)
+}
+
+struct Alloc {
+    bytes: Vec<u8>,
+    /// Set at most once, to the key of `bytes` (only the memo's chaos
+    /// hook ever sets it to anything else).
+    key: OnceLock<ContentKey>,
+}
+
+/// An immutable byte array shared by handle, carrying its content key
+/// once somebody has asked for it. Equality compares contents.
+#[derive(Clone)]
+pub struct SharedBytes(Arc<Alloc>);
+
+impl SharedBytes {
+    /// The content key of these bytes: hashed by the first caller on
+    /// any holder of this allocation, read by everyone after.
+    pub fn key(&self) -> ContentKey {
+        *self.0.key.get_or_init(|| counted_key(&self.0.bytes))
+    }
+
+    /// The key, if some holder has already asked for it.
+    #[cfg(test)]
+    pub(crate) fn known_key(&self) -> Option<ContentKey> {
+        self.0.key.get().copied()
+    }
+
+    /// True when both handles are one allocation.
+    pub fn ptr_eq(a: &SharedBytes, b: &SharedBytes) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The bytes as a `Vec` to write: the allocation itself when this
+    /// is its only handle, else a copy.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        Arc::try_unwrap(self.0).map_or_else(|shared| shared.bytes.clone(), |alloc| alloc.bytes)
+    }
+
+    /// A copy with its first byte flipped that still carries this
+    /// allocation's key — a stale one, standing in for memory corrupted
+    /// after it was keyed (the memo's cache-poisoning hook). `None` when
+    /// there is no byte to flip.
+    pub(crate) fn corrupted(&self) -> Option<SharedBytes> {
+        let key = self.key();
+        let mut bytes = self.clone().into_vec();
+        *bytes.first_mut()? ^= 0xff;
+        Some(SharedBytes(Arc::new(Alloc { bytes, key: OnceLock::from(key) })))
+    }
+}
+
+/// Moves the `Vec` in: no byte is copied.
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        SharedBytes(Arc::new(Alloc { bytes, key: OnceLock::new() }))
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
+
+impl PartialEq for SharedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for SharedBytes {}
+
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clones_share_one_allocation_and_one_key() {
+        let a = SharedBytes::from(vec![1u8, 2, 3, 4]);
+        let b = a.clone();
+        assert!(SharedBytes::ptr_eq(&a, &b));
+        assert_eq!(b.known_key(), None);
+        let before = bytes_keyed();
+        let key = a.key();
+        assert_eq!(b.known_key(), Some(key), "a key asked through one handle is seen by all");
+        assert_eq!(b.key(), key);
+        assert_eq!(bytes_keyed() - before, 4, "hashed once");
+        assert_eq!(key, bytes_key(&[1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn into_vec_copies_only_a_shared_allocation() {
+        let v = vec![7u8; 64];
+        let at = v.as_ptr();
+        let back = SharedBytes::from(v).into_vec();
+        assert_eq!(back.as_ptr(), at, "moved in and out");
+        let a = SharedBytes::from(vec![7u8; 64]);
+        let held = a.clone();
+        let mut written = a.into_vec();
+        written[0] = 0;
+        assert_eq!(held[0], 7, "the other holder keeps its bytes");
+        assert_ne!(written.as_ptr(), held.as_ptr());
+    }
+
+    #[test]
+    fn equality_is_content_not_identity() {
+        let a = SharedBytes::from(vec![1u8, 2]);
+        assert_eq!(a, SharedBytes::from(vec![1, 2]));
+        assert_ne!(a, SharedBytes::from(vec![1, 3]));
+        assert_eq!(format!("{a:?}"), "[1, 2]");
+    }
+
+    #[test]
+    fn a_corrupted_copy_keeps_the_stale_key_and_leaves_the_original() {
+        let a = SharedBytes::from(vec![5u8; 8]);
+        let bad = a.corrupted().unwrap();
+        assert_eq!(a[..], [5; 8]);
+        assert_eq!(bad[0], 5 ^ 0xff);
+        assert_eq!(bad.known_key(), Some(a.key()));
+        assert_ne!(bytes_key(&bad), a.key());
+        assert!(SharedBytes::from(Vec::new()).corrupted().is_none());
+    }
+}

@@ -1,5 +1,6 @@
 //! Host-side argument binding for MiniACC function runs.
 
+use safara_gpusim::SharedBytes;
 use safara_ir::{Ident, ScalarTy};
 use std::collections::BTreeMap;
 
@@ -39,54 +40,48 @@ impl ArgValue {
 }
 
 /// A host array argument: element type + raw little-endian bytes.
+///
+/// The bytes are a [`SharedBytes`] allocation: cloning an array (or the
+/// [`Args`] holding it) shares it, a run uploads it without a copy and
+/// hands back the device's allocations, and its content key, once
+/// computed, is read by every holder. Equality compares contents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostArray {
     /// Element type.
     pub elem: ScalarTy,
     /// Raw data (length must match the resolved dimensions).
-    pub bytes: Vec<u8>,
+    pub bytes: SharedBytes,
 }
 
 impl HostArray {
+    fn of(elem: ScalarTy, bytes: impl Iterator<Item = u8>) -> Self {
+        HostArray { elem, bytes: bytes.collect::<Vec<u8>>().into() }
+    }
+
     /// Build from `f32` data.
     pub fn from_f32(data: &[f32]) -> Self {
-        HostArray {
-            elem: ScalarTy::F32,
-            bytes: data.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        }
+        Self::of(ScalarTy::F32, data.iter().flat_map(|v| v.to_le_bytes()))
     }
 
     /// Build from `f64` data.
     pub fn from_f64(data: &[f64]) -> Self {
-        HostArray {
-            elem: ScalarTy::F64,
-            bytes: data.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        }
+        Self::of(ScalarTy::F64, data.iter().flat_map(|v| v.to_le_bytes()))
     }
 
     /// Build from `i32` data.
     pub fn from_i32(data: &[i32]) -> Self {
-        HostArray {
-            elem: ScalarTy::I32,
-            bytes: data.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        }
+        Self::of(ScalarTy::I32, data.iter().flat_map(|v| v.to_le_bytes()))
     }
 
     /// Build `f32` data from raw IEEE-754 bit patterns — the lossless
     /// encoding wire protocols use (decimal text can round).
     pub fn from_f32_bits(bits: &[u32]) -> Self {
-        HostArray {
-            elem: ScalarTy::F32,
-            bytes: bits.iter().flat_map(|b| b.to_le_bytes()).collect(),
-        }
+        Self::of(ScalarTy::F32, bits.iter().flat_map(|b| b.to_le_bytes()))
     }
 
     /// Build `f64` data from raw IEEE-754 bit patterns.
     pub fn from_f64_bits(bits: &[u64]) -> Self {
-        HostArray {
-            elem: ScalarTy::F64,
-            bytes: bits.iter().flat_map(|b| b.to_le_bytes()).collect(),
-        }
+        Self::of(ScalarTy::F64, bits.iter().flat_map(|b| b.to_le_bytes()))
     }
 
     /// The `f32` elements as raw IEEE-754 bit patterns.
@@ -140,9 +135,9 @@ impl HostArray {
     }
 }
 
-/// The argument set for one function run. Arrays are moved in, mutated in
-/// place by the run (device results are copied back), and can be read out
-/// afterwards.
+/// The argument set for one function run. A run replaces each array
+/// with the device's final contents (unwritten arrays come back as the
+/// very allocations that went in), and scalars with reduction results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Args {
     /// Scalar bindings by parameter name.

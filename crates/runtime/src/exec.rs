@@ -135,7 +135,9 @@ pub fn run_function<'k>(
                     host.len()
                 )));
             }
-            let id = mem.alloc_from(&host.bytes);
+            // Shares the host's allocation: a buffer is copied only if
+            // a kernel stores to it.
+            let id = mem.alloc_shared(host.bytes.clone());
             report.h2d_bytes += host.bytes.len() as u64;
             buffers.insert(name.clone(), id);
             resolved_dims.insert(name.clone(), dims);
@@ -313,7 +315,9 @@ pub fn run_function<'k>(
     // ---- download results ----------------------------------------------
     tracer.begin("d2h");
     for (name, id) in &buffers {
-        let bytes = mem.take(*id); // `mem` is dropped below: move, don't clone
+        // The device's allocation itself: an unwritten array comes back
+        // as the one that went in, a replayed one as the memo's snapshot.
+        let bytes = mem.share(*id);
         report.d2h_bytes += bytes.len() as u64;
         if let Some(host) = args.arrays.get_mut(name) {
             host.bytes = bytes;
@@ -559,6 +563,7 @@ mod tests {
     use super::*;
     use safara_codegen::{lower_function, CodegenOptions};
     use safara_gpusim::ptxas::allocate_registers;
+    use safara_gpusim::SharedBytes;
     use safara_ir::parse_program;
 
     fn run_plain(
@@ -611,6 +616,61 @@ mod tests {
         assert_eq!(report.kernels.len(), 1);
         assert!(report.total_cycles() > 0.0);
         assert!(report.h2d_bytes > 0 && report.d2h_bytes > 0);
+    }
+
+    /// `y` is stored to; `x` and `z` are only read.
+    const SCALE: &str = r#"
+        void scale(int n, const float x[n], float y[n], const float z[n]) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang vector
+            for (int i = 0; i < n; i++) { y[i] = x[i] * z[i]; }
+          }
+        }"#;
+
+    fn scale_args() -> Args {
+        let ramp: Vec<f32> = (0..100).map(|i| i as f32).collect();
+        Args::new().i32("n", 100).array_f32("x", &ramp).array_f32("y", &[0.0; 100]).array_f32("z", &ramp)
+    }
+
+    /// Which of `after`'s arrays are still the allocation `before` held.
+    fn shared_back(before: &Args, after: &Args) -> Vec<&'static str> {
+        ["x", "y", "z"]
+            .into_iter()
+            .filter(|n| SharedBytes::ptr_eq(&before.array(n).unwrap().bytes, &after.array(n).unwrap().bytes))
+            .collect()
+    }
+
+    #[test]
+    fn a_run_without_memo_shares_every_unwritten_input_back() {
+        let (f, compiled) = compile_all(SCALE, &CodegenOptions::default());
+        let input = scale_args();
+        let mut args = input.clone();
+        run_plain(&DeviceConfig::k20xm(), &f, &compiled, &mut args).unwrap();
+        assert_eq!(shared_back(&input, &args), ["x", "z"]);
+        assert_eq!(args.array("y").unwrap().as_f32()[7], 49.0);
+        assert_eq!(input.array("y").unwrap().as_f32(), [0.0; 100], "the caller's `y` is not written");
+    }
+
+    #[test]
+    fn a_memo_miss_copies_exactly_the_buffers_the_kernel_stores_to() {
+        let (f, compiled) = compile_all(SCALE, &CodegenOptions::default());
+        let dev = DeviceConfig::k20xm();
+        let mut cache = LaunchCache::new();
+        let mut run = |args: &mut Args| {
+            let compiled = compiled.iter().map(|(k, a)| (k, a));
+            run_function(&dev, &f, compiled, args, Memo::Local(&mut cache), &mut Tracer::disabled())
+                .unwrap()
+        };
+        let input = scale_args();
+        let mut missed = input.clone();
+        run(&mut missed);
+        assert_eq!(shared_back(&input, &missed), ["x", "z"]);
+        // A hit installs the snapshot the miss recorded and handed out.
+        let mut hit = input.clone();
+        run(&mut hit);
+        assert_eq!(shared_back(&missed, &hit), ["x", "y", "z"]);
+        assert_eq!((cache.hits, cache.misses), (1, 1));
     }
 
     #[test]

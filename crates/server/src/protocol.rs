@@ -400,7 +400,7 @@ fn read_array(r: &mut Reader<'_>) -> Result<Result<HostArray, String>, JsonError
         Some((decoded_as, bytes)) if decoded_as == ty => bytes,
         _ => read_elements(&mut elements.at, ty, as_bits)?,
     };
-    Ok(bytes.map(|bytes| HostArray { elem: ty, bytes }))
+    Ok(bytes.map(|bytes| HostArray { elem: ty, bytes: bytes.into() }))
 }
 
 /// Read an element list into the little-endian bytes of a `ty` array.
@@ -546,7 +546,9 @@ fn write_arrays(arrays: &BTreeMap<Ident, HostArray>, out: &mut String) {
 /// Content key of a run request — the single-flight dedup key. Two
 /// requests share a key iff they ask for identical work: source,
 /// entry, resolved profile, and every argument (scalar bit patterns and
-/// raw array bytes, in `Args`' stable `BTreeMap` order) all match.
+/// array contents, in `Args`' stable `BTreeMap` order) all match.
+/// Arrays go in by their allocations' content keys, which the run's
+/// launch keys then read instead of hashing the bytes again.
 /// Every spelling of one profile is the same work; a key that names no
 /// profile goes in raw (that request fails `unknown_profile` whatever
 /// it shares a key with).
@@ -570,8 +572,7 @@ pub fn run_key(r: &RunRequest) -> ContentKey {
         h.value(&(name.as_str(), tag, bits));
     }
     for (name, arr) in &r.args.arrays {
-        h.value(&(name.as_str(), arr.elem as u32));
-        h.bytes(&arr.bytes);
+        h.value(&(name.as_str(), arr.elem as u32, arr.bytes.len(), arr.bytes.key()));
     }
     h.key()
 }
@@ -1225,7 +1226,7 @@ mod tests {
                         1 => shared_len,
                         _ => below(300),
                     };
-                    let bytes = (0..len).map(|_| below(256) as u8).collect();
+                    let bytes = (0..len).map(|_| below(256) as u8).collect::<Vec<u8>>().into();
                     HostArray { elem: elems[below(4)], bytes }
                 })
                 .collect();
@@ -1389,8 +1390,9 @@ mod tests {
         let base = HostArray::from_i32(&values);
         let mut keys = std::collections::BTreeSet::from([key_of(base.clone())]);
         for at in 0..base.bytes.len() {
-            let mut flipped = base.clone();
-            flipped.bytes[at] ^= 0x80;
+            let mut flipped = base.bytes.to_vec();
+            flipped[at] ^= 0x80;
+            let flipped = HostArray { elem: base.elem, bytes: flipped.into() };
             assert!(keys.insert(key_of(flipped)), "byte {at} does not reach the key");
         }
         // The same words dealt to other lanes, or to the tail, are other work.

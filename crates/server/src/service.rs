@@ -1162,6 +1162,33 @@ mod tests {
     }
 
     #[test]
+    fn a_requests_arrays_are_hashed_once_across_run_key_and_launch_key() {
+        // `submit` keys the request on this thread; the worker's launch
+        // then reads the keys the arrays' allocations carry, and hashes
+        // only what the kernel wrote.
+        let engine = Engine::start(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let src = "void axpy(int n, float alpha, const float x[n], float y[n]) {\
+                   #pragma acc kernels copyin(x) copy(y)\n{\
+                   #pragma acc loop gang vector\n\
+                   for (int i = 0; i < n; i++) { y[i] = y[i] + alpha * x[i]; } } }";
+        let args = safara_core::Args::new()
+            .i32("n", 16)
+            .f32("alpha", 3.0)
+            .array_f32("x", &[1.0; 16])
+            .array_f32("y", &[0.5; 16]);
+        let line = protocol::build_run_request(1, src, "axpy", "safara_only", &args, false);
+        let (tx, rx) = mpsc::channel();
+        let before = safara_core::gpusim::shared::bytes_keyed();
+        assert!(matches!(engine.submit(parse_request(&line).unwrap(), tx), Submit::Queued));
+        let by_run_key = safara_core::gpusim::shared::bytes_keyed() - before;
+        let reply = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(status_of(&reply), "ok");
+        assert_eq!(by_run_key, 2 * 16 * 4, "run_key hashes `x` and `y`, once each");
+        assert_eq!(engine.shared().cache.bytes_hashed(), 16 * 4, "the launch hashes only `y` out");
+        engine.shutdown();
+    }
+
+    #[test]
     fn ping_compile_and_run_roundtrip() {
         let engine = Engine::start(EngineConfig {
             workers: 2,

@@ -4,9 +4,14 @@
 //! the run uploaded plus the slots it seeded, however many kernels
 //! launch over those buffers. (Hashing all of device memory per launch,
 //! it was the sum over launches of every buffer allocated so far.)
+//!
+//! Keys live in the arrays' shared allocations, so running a clone of
+//! arguments that have run before hashes nothing but fresh reduction
+//! slots, and its replay hands back the memo's own allocations.
 
 use safara_core::codegen::abi::AbiParam;
-use safara_core::{compile, CompilerConfig, DeviceConfig, LaunchCache, SharedLaunchCache};
+use safara_core::gpusim::SharedBytes;
+use safara_core::{compile, Args, CompilerConfig, DeviceConfig, LaunchCache, SharedLaunchCache};
 use safara_workloads::{spec_suite, Scale};
 
 #[test]
@@ -70,4 +75,42 @@ fn keyed_once(name: &str, seeds_slots: bool) {
         safara_core::run_compiled(&program, w.entry(), &mut args, &dev, Some(&shared)).expect("shared run");
     }
     assert_eq!(shared.bytes_hashed(), cold_hashed + once);
+}
+
+#[test]
+fn a_clone_of_run_arguments_hashes_nothing_and_copies_nothing() {
+    rerun_a_clone("355.seismic", false);
+    rerun_a_clone("354.cg", true);
+}
+
+fn rerun_a_clone(name: &str, seeds_slots: bool) {
+    let w = spec_suite().into_iter().find(|w| w.name() == name).expect(name);
+    let program = compile(&w.source(), &CompilerConfig::safara_only()).expect("compile");
+    let dev = DeviceConfig::k20xm();
+    let kernels = &program.function(w.entry()).expect("entry").kernels;
+    let seeded: u64 = kernels
+        .iter()
+        .flat_map(|k| &k.kernel.abi.params)
+        .map(|p| match p {
+            AbiParam::ReductionSlot { ty, .. } => ty.size_bytes() as u64,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(seeded > 0, seeds_slots);
+
+    let input = w.args(Scale::Test);
+    let mut cache = LaunchCache::new();
+    let mut first = input.clone();
+    program.run_cached(w.entry(), &mut first, &dev, &mut cache).expect("first run");
+    let hashed = cache.bytes_hashed;
+    let mut again: Args = input.clone();
+    program.run_cached(w.entry(), &mut again, &dev, &mut cache).expect("second run");
+    assert_eq!(cache.hits, kernels.len() as u64, "every launch of the second run replayed");
+    // Only the reduction slots each launch allocates and seeds are new
+    // bytes; every array arrives with the key the first run put in it.
+    assert_eq!(cache.bytes_hashed - hashed, seeded, "{name}: bytes hashed by the second run");
+    assert_eq!(again, first, "memo hit ≡ miss");
+    for (n, a) in &again.arrays {
+        assert!(SharedBytes::ptr_eq(&a.bytes, &first.arrays[n].bytes), "{name}: `{n}` was copied");
+    }
 }

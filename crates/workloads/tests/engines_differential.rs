@@ -7,12 +7,17 @@
 //! these tests are safe under the parallel test runner.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
-use safara_core::gpusim::{fusion_counters, Engine, ExecOptions};
+use safara_core::gpusim::{fusion_counters, Engine, ExecOptions, SharedBytes};
+use safara_core::ir::Ident;
 use safara_core::obs::Tracer;
+use safara_core::runtime::HostArray;
 use safara_core::{
-    compile, compile_with_faults, run_compiled_with, CompilerConfig, DeviceConfig, Memo, RunCtx,
+    compile, compile_with_faults, run_compiled_with, Args, CompilerConfig, DeviceConfig,
+    LaunchCache, Memo, RunCtx,
 };
 use safara_workloads::{spec_suite, Scale, Workload};
+
+const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Decoded, Engine::Superblock];
 
 /// The knobs one observation runs under.
 fn under(engine: Engine) -> ExecOptions {
@@ -59,6 +64,88 @@ fn fig7_suite_byte_identical_across_engines() {
     assert!(after.superblocks > before.superblocks, "no superblocks were built");
     assert!(after.vector_execs > before.vector_execs, "no lockstep superinstructions ran");
     assert!(after.scalar_execs > before.scalar_execs, "no hoisted superinstructions ran");
+}
+
+/// The memo replays what the engines compute: under each engine, a miss
+/// and then a hit on clones of one argument set reproduce the plain run's
+/// report and arrays, the atomics of 352.ep and 354.cg included, and the
+/// three engines agree.
+#[test]
+fn fig7_suite_memo_hit_equals_miss_under_every_engine() {
+    let config = CompilerConfig::safara_clauses();
+    let dev = DeviceConfig::k20xm();
+    let suite = spec_suite();
+    for name in ["352.ep", "354.cg"] {
+        assert!(suite.iter().any(|w| w.name() == name), "{name} left the suite");
+    }
+    for w in suite {
+        let program = compile(&w.source(), &config).expect("compile");
+        let input = w.args(Scale::Test);
+        let mut seen = Vec::new();
+        for engine in ENGINES {
+            under(engine).scope(|| {
+                let mut plain = input.clone();
+                let report = program.run(w.entry(), &mut plain, &dev).expect("run");
+                let mut cache = LaunchCache::new();
+                for pass in ["miss", "hit"] {
+                    let hits = cache.hits;
+                    let mut args = input.clone();
+                    let r = program.run_cached(w.entry(), &mut args, &dev, &mut cache).expect(pass);
+                    let what = format!("{}: {pass} under {engine:?}", w.name());
+                    assert_eq!(r, report, "{what}: report");
+                    assert_eq!(args, plain, "{what}: arrays");
+                    if pass == "hit" {
+                        assert_eq!(cache.hits - hits, r.kernels.len() as u64, "{what}: replayed");
+                    }
+                }
+                seen.push((report, plain));
+            });
+        }
+        assert!(seen.windows(2).all(|p| p[0] == p[1]), "{}: the engines differ", w.name());
+    }
+}
+
+/// Two names bound to clones of one array are one allocation. A store
+/// through one name copies it; the other keeps its bytes (and its
+/// allocation) under every engine, without the memo, on a miss and on a
+/// hit.
+#[test]
+fn aliased_arrays_part_when_one_is_stored_to() {
+    let src = r#"
+    void twice(int n, const float a[n], float b[n]) {
+      #pragma acc kernels
+      {
+        #pragma acc loop gang vector
+        for (int i = 0; i < n; i++) { b[i] = b[i] + a[i]; }
+      }
+    }"#;
+    let program = compile(src, &CompilerConfig::safara_only()).expect("compile");
+    let dev = DeviceConfig::k20xm();
+    let ramp: Vec<f32> = (0..300).map(|i| i as f32 * 0.5).collect();
+    let doubled: Vec<f32> = ramp.iter().map(|v| v + v).collect();
+    let one = HostArray::from_f32(&ramp);
+    let mut input = Args::new().i32("n", 300);
+    input.arrays.insert(Ident::new("a"), one.clone());
+    input.arrays.insert(Ident::new("b"), one.clone());
+    for engine in ENGINES {
+        under(engine).scope(|| {
+            let mut cache = LaunchCache::new();
+            for pass in ["plain", "miss", "hit"] {
+                let mut args = input.clone();
+                match pass {
+                    "plain" => program.run("twice", &mut args, &dev),
+                    _ => program.run_cached("twice", &mut args, &dev, &mut cache),
+                }
+                .expect(pass);
+                let (a, b) = (args.array("a").unwrap(), args.array("b").unwrap());
+                let what = format!("{pass} under {engine:?}");
+                assert!(SharedBytes::ptr_eq(&a.bytes, &one.bytes), "{what}: `a` was copied");
+                assert_eq!(a.as_f32(), ramp, "{what}: `a` was written through `b`");
+                assert_eq!(b.as_f32(), doubled, "{what}: `b`");
+            }
+            assert_eq!((cache.hits, cache.misses), (1, 1), "{engine:?}");
+        });
+    }
 }
 
 /// Shared-memory spilling is a *timing* reinterpretation layered on the

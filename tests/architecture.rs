@@ -221,6 +221,26 @@ fn without_test_items(src: &str) -> String {
 }
 
 #[test]
+fn device_bytes_are_shared() {
+    // Host arrays, device buffers and memo snapshots are one allocation: the memo and a
+    // run's h2d/d2h move handles. Only a store copies, through `SharedBytes::into_vec`.
+    let copies = [".to_vec()", "copy_from_slice", "alloc_from("];
+    let memo = without_test_items(&read("crates/gpusim/src/memo.rs"));
+    let exec = read("crates/runtime/src/exec.rs");
+    let run = item(&exec, "pub fn run_function<");
+    let transfer = |phase: &str| {
+        let at = run.find(&format!("tracer.begin(\"{phase}\")")).unwrap_or_else(|| panic!("no {phase}"));
+        &run[at..at + run[at..].find("tracer.end()").unwrap_or_else(|| panic!("{phase} ends"))]
+    };
+    for (site, src) in [("memo.rs", memo.as_str()), ("h2d", transfer("h2d")), ("d2h", transfer("d2h"))] {
+        for copy in copies {
+            let lines: Vec<&str> = src.lines().filter(|l| l.contains(copy)).map(str::trim).collect();
+            assert!(lines.is_empty(), "{site} copies buffer bytes again (`{copy}`): {lines:?}");
+        }
+    }
+}
+
+#[test]
 fn engine_math_is_in_tree() {
     // Every engine's transcendentals come from `gpusim::math`, so a reply's bits do not
     // depend on the host's C library; only tests may call the host's as an oracle.
