@@ -24,6 +24,8 @@ use crate::{CodegenError, CodegenOptions};
 use safara_analysis::memspace::{classify_arrays_in, ArrayUsage};
 use safara_analysis::region::{RegionInfo, ThreadDim};
 use safara_analysis::ArraySpace;
+use safara_gpusim::content::ContentKey;
+use safara_gpusim::memo::{MemoKernel, VirKeyCell};
 use safara_gpusim::vir::*;
 use safara_ir::offset::{row_major_offset, OffsetAlgebra};
 use safara_ir::*;
@@ -51,12 +53,15 @@ pub struct MappedLoopSpec {
 }
 
 /// One compiled kernel: VIR + ABI + launch information.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct CompiledKernel {
     /// Kernel name (`<function>_k<n>`).
     pub name: String,
     /// The instruction stream.
     pub vir: KernelVir,
+    /// The content key of `vir`, once a memoized launch has asked for
+    /// it; no part of the kernel's equality or `Debug` form.
+    vir_key: VirKeyCell,
     /// Parameter marshaling recipe.
     pub abi: KernelAbi,
     /// Mapped loops indexed by thread dimension (0 = x).
@@ -167,7 +172,38 @@ fn lower_nest(
             .max(1) as u32;
         (t, b)
     });
-    Ok(CompiledKernel { name, vir, abi: em.abi, mapped: em.mapped, dim_groups, launch_bounds })
+    Ok(CompiledKernel {
+        name,
+        vir,
+        vir_key: VirKeyCell::default(),
+        abi: em.abi,
+        mapped: em.mapped,
+        dim_groups,
+        launch_bounds,
+    })
+}
+
+impl std::fmt::Debug for CompiledKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompiledKernel")
+            .field("name", &self.name)
+            .field("vir", &self.vir)
+            .field("abi", &self.abi)
+            .field("mapped", &self.mapped)
+            .field("dim_groups", &self.dim_groups)
+            .field("launch_bounds", &self.launch_bounds)
+            .finish()
+    }
+}
+
+impl MemoKernel for CompiledKernel {
+    fn vir(&self) -> &KernelVir {
+        &self.vir
+    }
+
+    fn vir_key(&self) -> ContentKey {
+        self.vir_key.get(&self.vir)
+    }
 }
 
 /// Map a source scalar type to its VIR register type.

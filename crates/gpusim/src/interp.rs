@@ -406,8 +406,10 @@ pub(crate) fn account_group_with(
 /// Distinct 128-byte segments touched by `bytes`-wide accesses at
 /// `addrs` (an access can straddle a segment boundary). Coalesced
 /// accesses arrive in ascending order, so one pass counts segment
-/// changes while it checks that they do; a group that does not is
-/// collected into `segs`, sorted and deduplicated.
+/// changes while it checks that they do. A group that does not (a
+/// gather) is counted in a bitmap over its segment span when that is
+/// under [`BITMAP_SEGMENTS`], and otherwise collected into `segs`,
+/// sorted and deduplicated.
 #[inline]
 fn transactions(addrs: &[u64], bytes: u8, segs: &mut Vec<u64>) -> u64 {
     let span = |a: u64| [a / 128, (a + bytes as u64 - 1) / 128];
@@ -417,16 +419,36 @@ fn transactions(addrs: &[u64], bytes: u8, segs: &mut Vec<u64>) -> u64 {
     for &a in addrs {
         let [first, last] = span(a);
         if first < prev {
-            segs.clear();
-            segs.extend(addrs.iter().flat_map(|&a| span(a)));
-            segs.sort_unstable();
-            segs.dedup();
-            return segs.len() as u64;
+            return scattered_segments(addrs, span, segs);
         }
         n += u64::from(first != prev) + u64::from(last != first);
         prev = last;
     }
     n
+}
+
+/// The widest segment span [`transactions`] counts in a stack bitmap.
+const BITMAP_SEGMENTS: u64 = 4096;
+
+/// [`transactions`] of a group whose segments do not ascend.
+fn scattered_segments(addrs: &[u64], span: impl Fn(u64) -> [u64; 2], segs: &mut Vec<u64>) -> u64 {
+    let (lo, hi) = addrs.iter().fold((u64::MAX, 0), |(lo, hi), &a| {
+        let [first, last] = span(a);
+        (lo.min(first), hi.max(last))
+    });
+    if hi - lo < BITMAP_SEGMENTS {
+        let mut seen = [0u64; BITMAP_SEGMENTS as usize / 64];
+        for s in addrs.iter().flat_map(|&a| span(a)) {
+            let bit = (s - lo) as usize;
+            seen[bit / 64] |= 1 << (bit % 64);
+        }
+        return seen[..=(hi - lo) as usize / 64].iter().map(|w| u64::from(w.count_ones())).sum();
+    }
+    segs.clear();
+    segs.extend(addrs.iter().flat_map(|&a| span(a)));
+    segs.sort_unstable();
+    segs.dedup();
+    segs.len() as u64
 }
 
 /// The sort–dedup segment count the single pass replaced, kept as the
@@ -1178,8 +1200,9 @@ mod tests {
     /// The single-pass count equals the sort–dedup count on every shape a
     /// warp's addresses take: ascending (strided, unit and zero stride),
     /// ascending with repeats, straddling segment boundaries, descending,
-    /// shuffled, and ascending with one lane out of order — full and
-    /// partial warps, at every access width.
+    /// shuffled, ascending with one lane out of order, and gathers on
+    /// either side of the bitmap's span — full and partial warps, at
+    /// every access width.
     #[test]
     fn single_pass_transactions_match_sort_dedup() {
         use crate::rng::SplitMix64;
@@ -1193,7 +1216,7 @@ mod tests {
             let base = (1u64 << 40) + rng.gen_index(4096) as u64;
             let stride = [0, w, w, 2 * w, 32 * w, rng.gen_index(300) as u64][rng.gen_index(6)];
             let mut addrs: Vec<u64> = (0..lanes as u64).map(|l| base + l * stride).collect();
-            match trial / 3 % 6 {
+            match trial / 3 % 7 {
                 0 => {}
                 1 => addrs.iter_mut().enumerate().for_each(|(l, a)| *a = base + (l as u64 / 3) * w),
                 2 => addrs.iter_mut().for_each(|a| *a = base + rng.gen_index(1024) as u64),
@@ -1201,6 +1224,15 @@ mod tests {
                 4 => {
                     let l = rng.gen_index(lanes);
                     addrs[l] = addrs[l].saturating_sub(1 + rng.gen_index(256) as u64);
+                }
+                // A gather whose segments span just under, at or just over
+                // the bitmap's width: its highest access comes first.
+                5 => {
+                    let top = base + (BITMAP_SEGMENTS - 2 + rng.gen_index(4) as u64) * 128;
+                    let wide = (top - base) as usize;
+                    addrs.iter_mut().for_each(|a| *a = base + rng.gen_index(wide) as u64);
+                    addrs[0] = top;
+                    addrs[lanes - 1] = base;
                 }
                 _ => {
                     for i in (1..lanes).rev() {

@@ -35,26 +35,77 @@ use crate::shared::{bytes_key, SharedBytes};
 use crate::stats::KernelStats;
 use crate::vir::{KernelVir, VReg};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// A kernel as the memo keys it: its VIR, and the content key of that
+/// VIR (every instruction, operand and type, field by field).
+pub trait MemoKernel {
+    /// The instruction stream a launch runs.
+    fn vir(&self) -> &KernelVir;
+    /// The content key of [`MemoKernel::vir`].
+    fn vir_key(&self) -> ContentKey;
+}
+
+/// A bare VIR is keyed on the spot, every time.
+impl MemoKernel for KernelVir {
+    fn vir(&self) -> &KernelVir {
+        self
+    }
+
+    fn vir_key(&self) -> ContentKey {
+        let mut h = ContentHasher::default();
+        h.value(self);
+        h.key()
+    }
+}
+
+/// The content key of the VIR it sits beside, hashed at its first
+/// memoized launch and read by every launch after — so a compiled
+/// kernel's instructions are hashed once, not once per launch, and
+/// never at compile time.
+///
+/// It is no part of what it sits in: every two cells are equal, and a
+/// clone starts empty (a copy may yet be edited; it keys itself).
+#[derive(Default)]
+pub struct VirKeyCell(OnceLock<ContentKey>);
+
+impl VirKeyCell {
+    /// The key of `vir`, which must be the VIR this cell sits beside.
+    pub fn get(&self, vir: &KernelVir) -> ContentKey {
+        *self.0.get_or_init(|| vir.vir_key())
+    }
+}
+
+impl Clone for VirKeyCell {
+    fn clone(&self) -> Self {
+        VirKeyCell::default()
+    }
+}
+
+impl PartialEq for VirKeyCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 /// Compute the content key for one launch.
 ///
-/// Hashes the kernel (every instruction, operand and type, field by
-/// field), the spill set, the launch geometry and the parameter values
-/// through their `Hash` impls — floats by bit pattern — and then device
-/// memory as the buffer count and each buffer's length and content key.
-/// A pure function of the arguments' contents: a key `mem` already
-/// carries and one hashed here on the spot (which `mem` then carries)
-/// are the same value.
+/// Folds the kernel's VIR key ([`MemoKernel::vir_key`]), then hashes
+/// the spill set, the launch geometry and the parameter values through
+/// their `Hash` impls — floats by bit pattern — and then device memory
+/// as the buffer count and each buffer's length and content key. A pure
+/// function of the arguments' contents: a key `mem` or the kernel
+/// already carries and one hashed here on the spot (which `mem` then
+/// carries) are the same value.
 pub fn launch_key(
-    kernel: &KernelVir,
+    kernel: &impl MemoKernel,
     config: &LaunchConfig,
     params: &[ParamVal],
     mem: &DeviceMemory,
     spilled: &[VReg],
 ) -> ContentKey {
     let mut h = ContentHasher::default();
-    h.value(&(kernel, spilled, config, params));
+    h.value(&(kernel.vir_key(), spilled, config, params));
     h.word(mem.buffer_count() as u64);
     for i in 0..mem.buffer_count() {
         h.word(mem.buffer_bytes(i).len() as u64);
@@ -274,7 +325,7 @@ impl LaunchCache {
 /// every time.
 pub fn launch_cached(
     cache: &mut LaunchCache,
-    kernel: &KernelVir,
+    kernel: &impl MemoKernel,
     config: &LaunchConfig,
     params: &[ParamVal],
     mem: &mut DeviceMemory,
@@ -287,7 +338,8 @@ pub fn launch_cached(
         Some(result) => Ok(result),
         None => {
             cache.misses += 1;
-            run_and_record(kernel, config, params, mem, spilled, inputs).map(|(result, entry)| {
+            let ran = run_and_record(kernel.vir(), config, params, mem, spilled, inputs);
+            ran.map(|(result, entry)| {
                 cache.insert_entry(key, entry);
                 result
             })
@@ -460,7 +512,7 @@ impl SharedLaunchCache {
     /// is locked, and never while the interpreter runs.
     pub fn launch_cached(
         &self,
-        kernel: &KernelVir,
+        kernel: &impl MemoKernel,
         config: &LaunchConfig,
         params: &[ParamVal],
         mem: &mut DeviceMemory,
@@ -474,7 +526,7 @@ impl SharedLaunchCache {
     /// information the aggregate hit/miss counters cannot give a tracer.
     pub fn launch_cached_info(
         &self,
-        kernel: &KernelVir,
+        kernel: &impl MemoKernel,
         config: &LaunchConfig,
         params: &[ParamVal],
         mem: &mut DeviceMemory,
@@ -491,7 +543,7 @@ impl SharedLaunchCache {
                 return Ok((result, true));
             }
         }
-        let ran = run_and_record(kernel, config, params, mem, spilled, inputs);
+        let ran = run_and_record(kernel.vir(), config, params, mem, spilled, inputs);
         let mut c = self.lock(shard);
         // Errors are never cached, but still count as misses so the
         // counters account for every submitted launch.
@@ -583,6 +635,39 @@ mod tests {
         for i in 0..mem1.buffer_count() {
             assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
         }
+    }
+
+    /// A compiled kernel's shape: a VIR with its key cell beside it.
+    struct Compiled {
+        vir: KernelVir,
+        key: VirKeyCell,
+    }
+
+    impl MemoKernel for Compiled {
+        fn vir(&self) -> &KernelVir {
+            &self.vir
+        }
+
+        fn vir_key(&self) -> ContentKey {
+            self.key.get(&self.vir)
+        }
+    }
+
+    #[test]
+    fn a_kernel_keyed_at_its_first_memoized_launch_keys_as_its_bare_vir() {
+        let k = Compiled { vir: add_one_kernel(), key: VirKeyCell::default() };
+        assert_eq!(k.key.0.get(), None, "nothing hashed before a launch asks");
+        let (mut mem, params, config) = setup();
+        let mut cache = LaunchCache::new();
+        let ran = launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
+        assert_eq!(k.key.0.get(), Some(&k.vir.vir_key()), "hashed at the first memoized launch");
+        let bare = launch_key(&k.vir, &config, &params, &mem, &[]);
+        assert_eq!(launch_key(&k, &config, &params, &mem, &[]), bare);
+        let (mut bare_mem, ..) = setup();
+        let hit = launch_cached(&mut cache, &k.vir, &config, &params, &mut bare_mem, &[]).unwrap();
+        assert_eq!((cache.hits, hit.stats), (1, ran.stats), "a bare VIR hits the keyed entry");
+        let copy = k.key.clone();
+        assert!(copy.0.get().is_none() && copy == k.key, "a clone starts empty, and equal");
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! Writing needs a unique `Vec<u8>`: [`SharedBytes::into_vec`] takes the
 //! allocation back when no one else holds it and copies it otherwise.
 //! That is the only place bytes are copied.
+//!
+//! Beside the key the allocation keeps one more set-once slot: a digest
+//! of its bytes under a caller's tag (the server's reply digest under an
+//! element type). This module stores that value and never computes it;
+//! since the bytes behind a handle never change, a recorded digest
+//! cannot go stale.
 
 use crate::content::{ContentHasher, ContentKey};
 use std::cell::Cell;
@@ -54,6 +60,15 @@ struct Alloc {
     /// Set at most once, to the key of `bytes` (only the memo's chaos
     /// hook ever sets it to anything else).
     key: OnceLock<ContentKey>,
+    /// Set at most once, by [`SharedBytes::record_digest`]: a tag and
+    /// the digest its caller computed of `bytes` under it.
+    digest: OnceLock<(u8, u64)>,
+}
+
+impl Alloc {
+    fn new(bytes: Vec<u8>, key: OnceLock<ContentKey>) -> Alloc {
+        Alloc { bytes, key, digest: OnceLock::new() }
+    }
 }
 
 /// An immutable byte array shared by handle, carrying its content key
@@ -66,6 +81,19 @@ impl SharedBytes {
     /// any holder of this allocation, read by everyone after.
     pub fn key(&self) -> ContentKey {
         *self.0.key.get_or_init(|| counted_key(&self.0.bytes))
+    }
+
+    /// The digest some holder recorded for these bytes under `tag`, if
+    /// one did.
+    pub fn recorded_digest(&self, tag: u8) -> Option<u64> {
+        self.0.digest.get().and_then(|&(t, digest)| (t == tag).then_some(digest))
+    }
+
+    /// Record `digest` as the digest of these bytes under `tag`, for
+    /// every holder of the allocation. The slot is set once: a later
+    /// record, under any tag, is dropped.
+    pub fn record_digest(&self, tag: u8, digest: u64) {
+        let _ = self.0.digest.set((tag, digest));
     }
 
     /// The key, if some holder has already asked for it.
@@ -87,20 +115,21 @@ impl SharedBytes {
 
     /// A copy with its first byte flipped that still carries this
     /// allocation's key — a stale one, standing in for memory corrupted
-    /// after it was keyed (the memo's cache-poisoning hook). `None` when
-    /// there is no byte to flip.
+    /// after it was keyed (the memo's cache-poisoning hook). Its digest
+    /// slot starts empty, so a digest is taken of the corrupted bytes.
+    /// `None` when there is no byte to flip.
     pub(crate) fn corrupted(&self) -> Option<SharedBytes> {
         let key = self.key();
         let mut bytes = self.clone().into_vec();
         *bytes.first_mut()? ^= 0xff;
-        Some(SharedBytes(Arc::new(Alloc { bytes, key: OnceLock::from(key) })))
+        Some(SharedBytes(Arc::new(Alloc::new(bytes, OnceLock::from(key)))))
     }
 }
 
 /// Moves the `Vec` in: no byte is copied.
 impl From<Vec<u8>> for SharedBytes {
     fn from(bytes: Vec<u8>) -> Self {
-        SharedBytes(Arc::new(Alloc { bytes, key: OnceLock::new() }))
+        SharedBytes(Arc::new(Alloc::new(bytes, OnceLock::new())))
     }
 }
 
@@ -175,5 +204,19 @@ mod tests {
         assert_eq!(bad.known_key(), Some(a.key()));
         assert_ne!(bytes_key(&bad), a.key());
         assert!(SharedBytes::from(Vec::new()).corrupted().is_none());
+    }
+
+    #[test]
+    fn a_recorded_digest_is_seen_by_every_holder_under_its_tag_only() {
+        let a = SharedBytes::from(vec![9u8; 4]);
+        let b = a.clone();
+        assert_eq!(b.recorded_digest(1), None);
+        a.record_digest(1, 0xabc);
+        assert_eq!(b.recorded_digest(1), Some(0xabc));
+        assert_eq!(b.recorded_digest(2), None, "another tag is another digest");
+        b.record_digest(2, 0xdef);
+        assert_eq!((a.recorded_digest(1), a.recorded_digest(2)), (Some(0xabc), None), "set once");
+        assert_eq!(a.corrupted().unwrap().recorded_digest(1), None, "a corrupted copy: empty");
+        assert_eq!(SharedBytes::from(vec![9u8; 4]).recorded_digest(1), None, "another allocation");
     }
 }

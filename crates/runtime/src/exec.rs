@@ -230,11 +230,11 @@ pub fn run_function<'k>(
             }
             Memo::Local(c) => {
                 let hits_before = c.hits;
-                let r = launch_cached(c, &kernel.vir, &config, &params, &mut mem, &alloc.spilled);
+                let r = launch_cached(c, kernel, &config, &params, &mut mem, &alloc.spilled);
                 (r, if c.hits > hits_before { "hit" } else { "miss" })
             }
             Memo::Shared(s) => {
-                match s.launch_cached_info(&kernel.vir, &config, &params, &mut mem, &alloc.spilled)
+                match s.launch_cached_info(kernel, &config, &params, &mut mem, &alloc.spilled)
                 {
                     Ok((r, hit)) => (Ok(r), if hit { "hit" } else { "miss" }),
                     Err(e) => (Err(e), "miss"),

@@ -422,38 +422,74 @@ impl<'a> Reader<'a> {
     /// bracket, the end of input), with nothing of it consumed, so
     /// `element` and `value` / `string` read that one as if there had
     /// been no run.
+    ///
+    /// Each element is first tried at the length of the one before it,
+    /// a word at a time: a builder writes runs of equally long elements.
+    /// Whatever that try does not take goes the element-wise way, which
+    /// alone decides where the run ends.
     pub fn plain_run(&mut self, kind: Plain, out: &mut Vec<u8>) {
         match kind {
-            Plain::Low32 => self.run_of(out, digits_at, |w| (w as u32).to_le_bytes()),
-            Plain::Int32 => self.run_of(out, int32_at, |w| (w as u32).to_le_bytes()),
-            Plain::Word64 => self.run_of(out, word64_at, u64::to_le_bytes),
+            Plain::Low32 => {
+                self.run_of(out, digits_at, predicted_digits, |w| (w as u32).to_le_bytes())
+            }
+            Plain::Int32 => {
+                self.run_of(out, int32_at, predicted_int32, |w| (w as u32).to_le_bytes())
+            }
+            Plain::Word64 => self.run_of(out, word64_at, predicted_word64, u64::to_le_bytes),
         }
     }
 
     /// [`Reader::plain_run`] for one kind: `element(bytes, at)` is the
     /// plain element starting at `at`, as a word and the offset behind
-    /// it; `encode` is the word in the array.
+    /// it; `predicted(window, len)` is the word of a plain element of
+    /// `len` bytes at `window[1]` followed by `,` or `]`, when that is
+    /// what the window holds; `encode` is the word in the array.
     #[inline(always)]
     fn run_of<const WIDTH: usize>(
         &mut self,
         out: &mut Vec<u8>,
         element: impl Fn(&[u8], usize) -> Option<(u64, usize)>,
+        predicted: impl Fn(&[u8; WINDOW], usize) -> Option<u64>,
         encode: impl Fn(u64) -> [u8; WIDTH],
     ) {
+        const CHUNK: usize = 64;
         let (b, mut i, mut fresh) = (self.b, self.i, self.fresh);
+        // Words wait here and reach `out` a chunk at a time.
+        let mut chunk = [[0u8; WIDTH]; CHUNK];
+        let mut filled = 0;
+        // The length of the last element, which the next one is tried at.
+        let mut len = 0;
         loop {
-            let at = match b.get(i) {
-                _ if fresh => i,
-                Some(b',') => i + 1,
-                _ => break,
+            let guess = match b.get(i..i + WINDOW) {
+                Some(window) if !fresh && window[0] == b',' => {
+                    predicted(window.try_into().expect("a window-long slice"), len)
+                }
+                _ => None,
             };
-            let Some((word, end)) = element(b, at) else { break };
-            if !matches!(b.get(end), Some(b',' | b']')) {
-                break;
+            let word = if let Some(word) = guess {
+                i += 1 + len;
+                word
+            } else {
+                let at = match b.get(i) {
+                    _ if fresh => i,
+                    Some(b',') => i + 1,
+                    _ => break,
+                };
+                let Some((word, end)) = element(b, at) else { break };
+                if !matches!(b.get(end), Some(b',' | b']')) {
+                    break;
+                }
+                (i, fresh, len) = (end, false, end - at);
+                word
+            };
+            chunk[filled] = encode(word);
+            filled += 1;
+            if filled == CHUNK {
+                out.extend_from_slice(chunk.as_flattened());
+                filled = 0;
             }
-            out.extend_from_slice(&encode(word));
-            (i, fresh) = (end, false);
         }
+        out.extend_from_slice(chunk[..filled].as_flattened());
         (self.i, self.fresh) = (i, fresh);
     }
 
@@ -654,6 +690,140 @@ const HEX_VALUE: [u8; 256] = {
     }
     table
 };
+
+/// Bytes a predicted element is read from: its separator, up to 20
+/// bytes of element (an `f64` hex string) and the byte behind it, in
+/// whole 8-byte loads.
+const WINDOW: usize = 24;
+
+/// `byte` in every byte of a word.
+const fn splat(byte: u8) -> u64 {
+    u64::from_ne_bytes([byte; 8])
+}
+
+/// The 8 bytes of `window` from `at`, the first one lowest.
+#[inline(always)]
+fn load(window: &[u8; WINDOW], at: usize) -> u64 {
+    u64::from_le_bytes(window[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// 0x80 in each byte of `word` within `lo..=hi`. Exact for every byte
+/// below 0x80 that no byte below it in the word is 0x80 or more.
+#[inline(always)]
+fn bytes_within(word: u64, lo: u8, hi: u8) -> u64 {
+    word.wrapping_add(splat(0x80 - lo)) & !word.wrapping_add(splat(0x7f - hi)) & splat(0x80)
+}
+
+/// The value of the 8 digit values (0..=9) in the bytes of `d`, the
+/// lowest byte most significant: digit pairs, pairs of pairs, halves.
+#[inline(always)]
+fn value8(d: u64) -> u64 {
+    let d = d.wrapping_mul(10 << 8 | 1) >> 8;
+    let d = (d & 0x00ff_00ff_00ff_00ff).wrapping_mul(100 << 16 | 1) >> 16;
+    (d & 0x0000_ffff_0000_ffff).wrapping_mul(10_000 << 32 | 1) >> 32
+}
+
+/// How `n` digits in two 8-byte loads are read: the bytes of each load
+/// that are digits, the shift that puts leading zeros below them, and
+/// the weight of the first load's value.
+#[derive(Clone, Copy)]
+struct DigitShape {
+    keep: [u64; 2],
+    shift: [u32; 2],
+    scale: u64,
+}
+
+/// A mask of the low `k` (0..=8) bytes of a word.
+const fn low_bytes(k: usize) -> u64 {
+    if k == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - 8 * k)
+    }
+}
+
+/// [`DigitShape`] for 1..=16 digits, at index `n - 1`.
+const SHAPES: [DigitShape; 16] = {
+    let mut shapes = [DigitShape { keep: [0; 2], shift: [0; 2], scale: 1 }; 16];
+    let mut n = 1;
+    while n <= 16 {
+        let counts = if n <= 8 { [n, 0] } else { [8, n - 8] };
+        shapes[n - 1] = DigitShape {
+            keep: [low_bytes(counts[0]), low_bytes(counts[1])],
+            // A load with no digits keeps no byte: its shift is moot.
+            shift: [(64 - 8 * counts[0] as u32) % 64, (64 - 8 * counts[1] as u32) % 64],
+            scale: 10u64.pow(counts[1] as u32),
+        };
+        n += 1;
+    }
+    shapes
+};
+
+/// The value of the 8 ASCII hex digits of either case in `word`, the
+/// first one most significant, when all of them are hex digits.
+#[inline(always)]
+fn hex8(word: u64) -> Option<u64> {
+    let hex = bytes_within(word, b'0', b'9') | bytes_within(word | splat(0x20), b'a', b'f');
+    if word & splat(0x80) != 0 || hex != splat(0x80) {
+        return None;
+    }
+    // Letters have bit 6 set: their low nibble is 9 short of the value.
+    let v = ((word & splat(0x0f)) + (word >> 6 & splat(1)) * 9).swap_bytes();
+    let v = (v | v >> 4) & 0x00ff_00ff_00ff_00ff;
+    let v = (v | v >> 8) & 0x0000_ffff_0000_ffff;
+    Some((v | v >> 16) & 0xffff_ffff)
+}
+
+/// [`digits_at`] of exactly `n` (1..=16) digits at `window[at]`
+/// (`at` ≤ 2) followed by `,` or `]`: the same word, or `None` where
+/// the window holds anything else.
+#[inline(always)]
+fn digits_in(window: &[u8; WINDOW], at: usize, n: usize) -> Option<u64> {
+    let shape = SHAPES.get(n.wrapping_sub(1))?;
+    if !matches!(window[at + n], b',' | b']') {
+        return None;
+    }
+    // Digit values; a byte that is no digit reads 10 or more (a byte
+    // below it that borrows or carries is no digit either).
+    let d = [load(window, at), load(window, at + 8)].map(|w| w.wrapping_sub(splat(b'0')));
+    let over = |w: u64| (w | w.wrapping_add(splat(0x76))) & splat(0x80);
+    if over(d[0]) & shape.keep[0] | over(d[1]) & shape.keep[1] != 0 {
+        return None;
+    }
+    let value = |i: usize| value8((d[i] & shape.keep[i]) << shape.shift[i]);
+    Some(value(0) * shape.scale + value(1))
+}
+
+/// A [`Plain::Low32`] element of `len` bytes behind the separator at
+/// `window[0]`: [`digits_at`] at that length, or `None`.
+#[inline(always)]
+fn predicted_digits(window: &[u8; WINDOW], len: usize) -> Option<u64> {
+    digits_in(window, 1, len)
+}
+
+/// A [`Plain::Int32`] element of `len` bytes: [`int32_at`] at that
+/// length, or `None` (a lone `-` has no digits, and is `None`).
+#[inline(always)]
+fn predicted_int32(window: &[u8; WINDOW], len: usize) -> Option<u64> {
+    let negative = window[1] == b'-';
+    let magnitude = digits_in(window, 1 + negative as usize, len.checked_sub(negative as usize)?)?;
+    let value = if negative { -(magnitude as i64) } else { magnitude as i64 };
+    Some(i32::try_from(value).ok()? as u32 as u64)
+}
+
+/// A [`Plain::Word64`] element of `len` bytes: [`word64_at`] at that
+/// length for digits or a string of all 16 hex digits, else `None`.
+#[inline(always)]
+fn predicted_word64(window: &[u8; WINDOW], len: usize) -> Option<u64> {
+    if window[1] != b'"' {
+        return digits_in(window, 1, len);
+    }
+    let framed = window[1..4] == *b"\"0x" && window[20] == b'"';
+    if len != 20 || !framed || !matches!(window[21], b',' | b']') {
+        return None;
+    }
+    Some(hex8(load(window, 4))? << 32 | hex8(load(window, 12))?)
+}
 
 /// Convenience constructor: an object from key/value pairs.
 pub fn obj(fields: Vec<(&str, Json)>) -> Json {

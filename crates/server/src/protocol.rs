@@ -600,21 +600,40 @@ pub fn digest(arr: &HostArray) -> String {
 /// Chains advanced together by [`digests`].
 const LANES: usize = 4;
 
-/// [`digest`] of every array, in order. A chain cannot go faster than
-/// one multiply latency per byte, but the arrays of a reply are
-/// independent chains: up to [`LANES`] of them advance in one loop so
-/// their multiplies overlap, and a lane whose array ends takes the next
-/// array not yet started.
+std::thread_local! {
+    static DIGESTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes this thread has fed to the FNV chains of reply digests so far
+/// (an exact counter, as `shared::bytes_keyed` is for content keys).
+pub fn bytes_digested() -> u64 {
+    DIGESTED.with(std::cell::Cell::get)
+}
+
+/// [`digest`] of every array, in order. An array whose allocation
+/// records its digest under the array's element tag — one an earlier
+/// reply computed — is not read again; the others are digested here and
+/// the digest recorded in their allocations.
+///
+/// A chain cannot go faster than one multiply latency per byte, but the
+/// arrays of a reply are independent chains: up to [`LANES`] of them
+/// advance in one loop so their multiplies overlap, and a lane whose
+/// array ends takes the next array not yet started.
 fn digests<'a>(arrays: impl IntoIterator<Item = &'a HostArray>) -> Vec<String> {
-    let mut waiting = arrays.into_iter().enumerate();
-    let mut done: Vec<(usize, u64)> = Vec::new();
+    let arrays: Vec<&HostArray> = arrays.into_iter().collect();
+    let mut found: Vec<Option<u64>> =
+        arrays.iter().map(|a| a.bytes.recorded_digest(a.elem as u8)).collect();
+    let unknown: Vec<usize> = (0..arrays.len()).filter(|&at| found[at].is_none()).collect();
+    let mut waiting = unknown.into_iter();
     // The live lanes are `..live`: chain state, bytes still to absorb,
     // and the position of the lane's array in the output.
     let (mut h, mut rest, mut slot) = ([0u64; LANES], [&[][..]; LANES], [0usize; LANES]);
     let mut live = 0;
     loop {
         while live < LANES {
-            let Some((at, arr)) = waiting.next() else { break };
+            let Some(at) = waiting.next() else { break };
+            let arr = arrays[at];
+            DIGESTED.with(|n| n.set(n.get() + arr.bytes.len() as u64));
             (h[live], rest[live], slot[live]) = (fnv_start(arr), &arr.bytes, at);
             live += 1;
         }
@@ -632,7 +651,9 @@ fn digests<'a>(arrays: impl IntoIterator<Item = &'a HostArray>) -> Vec<String> {
         let mut lane = 0;
         while lane < live {
             if rest[lane].is_empty() {
-                done.push((slot[lane], h[lane]));
+                let arr = arrays[slot[lane]];
+                arr.bytes.record_digest(arr.elem as u8, h[lane]);
+                found[slot[lane]] = Some(h[lane]);
                 live -= 1;
                 (h[lane], rest[lane], slot[lane]) = (h[live], rest[live], slot[live]);
             } else {
@@ -640,8 +661,7 @@ fn digests<'a>(arrays: impl IntoIterator<Item = &'a HostArray>) -> Vec<String> {
             }
         }
     }
-    done.sort_unstable();
-    done.into_iter().map(|(_, h)| format!("{h:016x}")).collect()
+    found.into_iter().map(|h| format!("{:016x}", h.expect("every chain ran to its end"))).collect()
 }
 
 /// Absorb the next `n` bytes of the first `N` lanes, a byte of each in
@@ -1238,6 +1258,39 @@ mod tests {
         // The wire value itself, pinned: it is what clients recompute.
         assert_eq!(digest(&HostArray::from_f32_bits(&[0x3f80_0000])), "ffcd272e213c6f78");
         assert_eq!(digests([&HostArray::from_f32_bits(&[0x3f80_0000])]), ["ffcd272e213c6f78"]);
+    }
+
+    #[test]
+    fn a_rendered_allocation_is_not_digested_again() {
+        let args = Args::new().i32("n", 16).array_f32("x", &[1.5; 16]).array_i32("k", &[3; 4]);
+        let outcome = RunOutcome {
+            function: "f".into(),
+            profile: "base",
+            kernels: vec![],
+            total_cycles: 1.0,
+            h2d_bytes: 0,
+            d2h_bytes: 0,
+            max_regs: 1,
+            sr_temps_added: 0,
+            feedback_rounds: 0,
+        };
+        let before = bytes_digested();
+        let first = run_response(Some(1), &outcome, &args, false, None);
+        let between = bytes_digested();
+        let second = run_response(Some(1), &outcome, &args, false, None);
+        assert_eq!((between - before, bytes_digested() - between), (64 + 16, 0));
+        assert_eq!(first, second);
+        // The same allocation under another element tag is another digest;
+        // equal bytes in another allocation are digested again; a set that
+        // mixes recorded and unrecorded arrays keeps its order.
+        let x = args.array("x").unwrap();
+        let as_ints = HostArray { elem: ScalarTy::I32, bytes: x.bytes.clone() };
+        let copy = HostArray::from_f32(&[1.5; 16]);
+        let before = bytes_digested();
+        let mixed = digests([x, &as_ints, &copy, x]);
+        assert_eq!(bytes_digested() - before, 2 * 64);
+        assert_eq!(mixed, [digest(x), digest(&as_ints), digest(&copy), digest(x)]);
+        assert_ne!(mixed[0], mixed[1]);
     }
 
     #[test]

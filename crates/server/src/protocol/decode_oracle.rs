@@ -162,6 +162,18 @@ fn payload_args() -> Args {
         .array_i32("idx", &[3, -1, i32::MIN, i32::MAX])
 }
 
+/// Arrays whose `bits` lists are runs of equally long elements broken
+/// by length changes, as the decoder predicts them: `f32` patterns of 10
+/// digits and `0`, `f64` hex strings, `i32` values of either sign.
+fn long_runs() -> Args {
+    let f32s: Vec<f32> =
+        (0..40).map(|i| if i % 7 == 3 { 0.0 } else { 1.0 + i as f32 / 8.0 }).collect();
+    let f64s: Vec<f64> =
+        (0..40).map(|i| if i % 9 == 4 { 0.0 } else { -0.1 - i as f64 / 2.0 }).collect();
+    let i32s: Vec<i32> = (0..40).map(|i| [7, -7, 12, -12, i32::MIN, i32::MAX][i % 6]).collect();
+    Args::new().array_f32("a", &f32s).array_f64("b", &f64s).array_i32("c", &i32s)
+}
+
 /// Valid lines of every shape the protocol tests use.
 fn valid_lines() -> Vec<String> {
     let args = payload_args();
@@ -173,6 +185,7 @@ fn valid_lines() -> Vec<String> {
         build_run_request(7, "void f() {}", "f", "base", &args, true),
         build_run_request(1, "s", "e", "base", &Args::new(), false),
         v2.render(),
+        build_run_request(2, "s", "e", "base", &long_runs(), false),
     ];
     lines.extend(
         [
@@ -381,9 +394,65 @@ fn payload_line(members: &str, last: bool) -> String {
     }
 }
 
+/// Lists that break a run decoded at the predicted length (the length
+/// of the element before) in every way: a length change, each digit
+/// count around the two 8-byte loads and the plain limit, a sign with no
+/// digits, the edges of `i32`, hex strings of every length in either
+/// case or with `0X`, an escape of the predicted length, and runs that
+/// end within the last window of the line.
+fn predicted_lengths() -> Vec<String> {
+    const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let same = |e: &str, n: usize| format!("[{}]", vec![e; n].join(","));
+    let mut lists = vec![
+        "[1065353216,1065353216,0,1065353216,1065353216,0,0,1065353216,7]".to_string(),
+        "[1,-,2]".into(),
+        "[5,-]".into(),
+        "[5,-,-5]".into(),
+        "[-0,-0,00,-0,0,-,0]".into(),
+        "[2147483647,2147483648,2147483647,2147483649]".into(),
+        "[-2147483647,-2147483648,-2147483649,-2147483648]".into(),
+        "[1,1,1e,1]".into(),
+        "[12,12,1.,12]".into(),
+        "[\"0x3ff0000000000000\",\"0x3ff00000000000\\/\",1]".into(),
+        "[\"0x3ff0000000000000\",\"0x3ff0000000000\\u0030\",1]".into(),
+        "[\"0x3ff0000000000000\",\"\\u00300x3ff0000000000\",1]".into(),
+        "[\"0x3ff0000000000000\",\"0x3ff000000000000\\\"\"]".into(),
+        "[\"0x3ff0000000000000\",\"0x3ff0000000000000\"x,1]".into(),
+        "[\"0x3ff0000000000000\",\"0x3ff0000000000000\" ,1]".into(),
+        "[\"0x3ff0000000000000\",1234567890123456789,12]".into(),
+    ];
+    for n in [1, 2, 7, 8, 9, 10, 15, 16, 17, 18, 19] {
+        let digits: String = (0..n).map(|i| char::from(b'1' + (i % 9) as u8)).collect();
+        lists.push(same(&digits, 4));
+        lists.push(same(&"9".repeat(n), 3));
+        lists.push(format!("[{digits},-{digits},{digits}]"));
+    }
+    for n in 1..=17 {
+        let hex: String = (0..n).map(|i| char::from(HEX_DIGITS[(7 * i + 3) % 16])).collect();
+        for h in [hex.clone(), hex.to_uppercase()] {
+            lists.push(same(&format!("\"0x{h}\""), 3));
+            lists.push(format!("[\"0x{h}\",\"0X{h}\",\"0x{h}\"]"));
+            lists.push(format!("[\"0x{h}\",\"0x{h}g\",\"0x{h}\"]"));
+        }
+    }
+    // One byte just outside a digit or hex range, where the last digit
+    // of an element of the predicted length would be.
+    for c in ["/", ":", "@", "`", "G", "g", "F", "f", "\\u0041", "\u{7f}", "é"] {
+        lists.push(format!("[1065353216,106535321{c},1]"));
+        lists.push(format!("[\"0x3ff0000000000000\",\"0x3ff000000000000{c}\",1]"));
+        lists.push(format!("[\"0x3ff0000000000000\",\"0x{c}ff0000000000000\",1]"));
+    }
+    // Long enough that the last elements lie within the final window.
+    lists.push(same("1065353216", 12));
+    lists.push(same("-2147483648", 12));
+    lists.push(same("\"0xBFB999999999999A\"", 6));
+    lists
+}
+
 #[test]
 fn runs_of_plain_elements_decode_as_the_general_path_does_at_every_boundary() {
-    for list in RUN_BOUNDARIES {
+    let generated = predicted_lengths();
+    for list in RUN_BOUNDARIES.iter().copied().chain(generated.iter().map(String::as_str)) {
         for elem in ["f32", "f64", "i32"] {
             for last in [false, true] {
                 for members in [
@@ -421,6 +490,8 @@ const ELEMENTS: &[&str] = &[
     "-2147483648", "-2147483649", "4294967296", "123456789012345678", "1234567890123456789",
     "00000000000000000001", "1.5", "1e2", "\"0x0\"", "\"0x3fb999999999999a\"", "\"0xBFB999999999999A\"",
     "\"0x123456789abcdef01\"", "\"0x\"", "\"+0x1\"", "\"0x1\\u0031\"", "null", "[1]", "",
+    "-", "1234567890123456", "12345678901234567", "\"0X3FF0000000000000\"",
+    "\"0x3FF0000000000000\"", "\"0x3ff00000000000\\/\"", "2147483649", "-2147483647",
 ];
 const SEPARATORS: &[&str] = &[",", ",", ",", ",", ",", " ,", ", ", ",,", " ", ""];
 
@@ -461,6 +532,12 @@ fn below(rng: &mut SplitMix64, n: usize) -> usize {
 
 /// Tokens a mutation splices in: the pieces payload decoding branches on.
 const SPLICES: &[&str] = &[
+    ",1065353216",
+    ",0",
+    ",-2147483648",
+    ",-",
+    ",\"0x3ff0000000000000\"",
+    ",\"0X3ff0000000000000\"",
     "\"elem\":\"f64\",",
     "\"elem\":\"i32\",",
     "\"bits\":[1,2],",

@@ -1189,6 +1189,45 @@ mod tests {
     }
 
     #[test]
+    fn a_memo_hit_reply_digests_only_the_arrays_its_request_brought() {
+        // The job runs and renders on this thread (not a worker's), where
+        // `bytes_digested` counts. The second request hits the memo: its
+        // `y` is the entry's allocation, which the first reply digested.
+        let engine = Engine::start(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let src = "void axpy(int n, float alpha, const float x[n], float y[n]) {\
+                   #pragma acc kernels copyin(x) copy(y)\n{\
+                   #pragma acc loop gang vector\n\
+                   for (int i = 0; i < n; i++) { y[i] = y[i] + alpha * x[i]; } } }";
+        let args = safara_core::Args::new()
+            .i32("n", 16)
+            .f32("alpha", 3.0)
+            .array_f32("x", &[1.0; 16])
+            .array_f32("y", &[0.5; 16]);
+        let line = protocol::build_run_request(1, src, "axpy", "safara_only", &args, false);
+        let (mut digested, mut replies) = (Vec::new(), Vec::new());
+        for _ in 0..2 {
+            let (tx, rx) = mpsc::channel();
+            let job = Job {
+                request: parse_request(&line).unwrap(),
+                admitted: Instant::now(),
+                deadline: Instant::now() + Duration::from_secs(30),
+                reply: tx,
+                flight_key: None,
+                batch_profile: None,
+            };
+            let before = protocol::bytes_digested();
+            assert!(!process_job(&engine.shared, &engine.queue, job), "no panic");
+            digested.push(protocol::bytes_digested() - before);
+            replies.push(rx.recv().unwrap());
+        }
+        assert_eq!(status_of(&replies[0]), "ok");
+        assert_eq!(replies[0], replies[1], "a hit renders the miss's reply");
+        assert_eq!(engine.shared().cache.hits(), 1);
+        assert_eq!(digested, [2 * 16 * 4, 16 * 4], "the hit digests `x` only");
+        engine.shutdown();
+    }
+
+    #[test]
     fn ping_compile_and_run_roundtrip() {
         let engine = Engine::start(EngineConfig {
             workers: 2,

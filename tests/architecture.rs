@@ -241,6 +241,20 @@ fn device_bytes_are_shared() {
 }
 
 #[test]
+fn each_digest_computed_once() {
+    // A reply reads the digest an allocation records for arrays an earlier reply digested,
+    // and records what it computes. `digest` is the oracle replies are checked against, so
+    // it stays a function of the bytes alone.
+    let protocol = without_test_items(&read("crates/server/src/protocol.rs"));
+    let digests = item(&protocol, "fn digests<");
+    for call in [".recorded_digest(", ".record_digest("] {
+        assert!(digests.contains(call), "protocol::digests no longer calls `{call}`:\n{digests}");
+    }
+    let digest = item(&protocol, "pub fn digest(");
+    assert!(!digest.contains("record"), "protocol::digest reads a recorded digest:\n{digest}");
+}
+
+#[test]
 fn engine_math_is_in_tree() {
     // Every engine's transcendentals come from `gpusim::math`, so a reply's bits do not
     // depend on the host's C library; only tests may call the host's as an oracle.
