@@ -90,7 +90,15 @@ impl AffineExpr {
 
     /// `self - other` (bottom-propagating).
     pub fn sub(&self, other: &AffineExpr) -> AffineExpr {
-        self.add(&other.scale(-1))
+        if self.nonaffine || other.nonaffine {
+            return AffineExpr::bottom();
+        }
+        let mut out = self.clone();
+        out.konst -= other.konst;
+        for (v, c) in &other.terms {
+            out.add_term(v.clone(), -c);
+        }
+        out
     }
 
     /// `self * k`.

@@ -97,7 +97,7 @@ mod tests {
         let info = RegionInfo::analyze(region);
         let refs = safara_ir::visit::collect_array_refs(&region.body)
             .into_iter()
-            .map(|(r, _)| r)
+            .map(|(r, _)| r.clone())
             .collect();
         (info, refs)
     }

@@ -47,40 +47,38 @@ pub fn classify_arrays(
 /// is classified by what *it* reads and writes, without being re-wrapped
 /// as a region of its own.
 pub fn classify_arrays_in(params: &[Param], body: &[Stmt]) -> BTreeMap<Ident, ArrayUsage> {
-    let mut out: BTreeMap<Ident, ArrayUsage> = BTreeMap::new();
-    for p in params {
-        if let Param::Array { name, ty, is_const } = p {
-            out.insert(
-                name.clone(),
-                ArrayUsage {
-                    ty: ty.clone(),
-                    declared_const: *is_const,
-                    read: false,
-                    written: false,
-                    space: ArraySpace::ReadOnly,
-                },
-            );
-        }
-    }
-    mark(body, &mut out);
-    for u in out.values_mut() {
-        u.space = if u.written { ArraySpace::Global } else { ArraySpace::ReadOnly };
-    }
-    // Drop arrays not touched by this region.
-    out.retain(|_, u| u.read || u.written);
-    out
-}
-
-fn mark(stmts: &[Stmt], out: &mut BTreeMap<Ident, ArrayUsage>) {
-    for (r, is_write) in safara_ir::visit::collect_array_refs(stmts) {
-        if let Some(u) = out.get_mut(&r.array) {
+    // (read, written) per array parameter, in parameter order.
+    let arrays: Vec<_> = params
+        .iter()
+        .filter_map(|p| match p {
+            Param::Array { name, ty, is_const } => Some((name, ty, *is_const)),
+            Param::Scalar { .. } => None,
+        })
+        .collect();
+    let mut marks = vec![(false, false); arrays.len()];
+    for (r, is_write) in safara_ir::visit::collect_array_refs(body) {
+        // A later parameter of the same name shadows an earlier one.
+        if let Some(at) = arrays.iter().rposition(|(name, ..)| **name == r.array) {
             if is_write {
-                u.written = true;
+                marks[at].1 = true;
             } else {
-                u.read = true;
+                marks[at].0 = true;
             }
         }
     }
+    // Arrays the body does not touch are left out; only touched ones
+    // clone their type.
+    let mut out = BTreeMap::new();
+    for (&(name, ty, declared_const), &(read, written)) in arrays.iter().zip(&marks) {
+        if read || written {
+            let space = if written { ArraySpace::Global } else { ArraySpace::ReadOnly };
+            out.insert(
+                name.clone(),
+                ArrayUsage { ty: ty.clone(), declared_const, read, written, space },
+            );
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -29,10 +29,12 @@
 //! one region, or in two sibling loops over `i`, is two values that merely
 //! spell alike.
 
-use crate::affine::affine_of;
+use crate::affine::{affine_of, AffineExpr};
 use crate::depend::{dep_distance, may_overlap, DepDistance};
 use crate::region::RegionInfo;
-use safara_ir::{ArrayRef, Ident, LValue, OffloadRegion, Stmt};
+use safara_ir::{ArrayRef, Expr, Ident, LValue, OffloadRegion, Stmt};
+use std::borrow::Borrow;
+use std::cell::Cell;
 
 /// How a group's references reuse data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,12 +73,12 @@ pub struct ClassScope {
 impl ClassScope {
     /// The scope of `r` under the loops `enclosing` it, outermost first,
     /// each as `(variable, pre-order id)`.
-    pub fn of(r: &ArrayRef, enclosing: &[(Ident, u32)]) -> ClassScope {
+    pub fn of<V: Borrow<Ident>>(r: &ArrayRef, enclosing: &[(V, u32)]) -> ClassScope {
         let mut bind = None;
         for ix in &r.indices {
             safara_ir::visit::walk_expr(ix, &mut |e| {
-                if let safara_ir::Expr::Var(v) = e {
-                    let depth = enclosing.iter().rposition(|(var, _)| var == v);
+                if let Expr::Var(v) = e {
+                    let depth = enclosing.iter().rposition(|(var, _)| var.borrow() == v);
                     bind = bind.max(depth);
                 }
             });
@@ -168,48 +170,86 @@ impl ReuseGroup {
     }
 }
 
+std::thread_local! {
+    static ANALYSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Calls of [`find_reuse_groups`] on this thread so far (an exact
+/// counter: a compile's analyses are a difference of it).
+pub fn reuse_analyses() -> u64 {
+    ANALYSES.with(Cell::get)
+}
+
+/// A region's loop structure and reuse groups, computed together: what a
+/// compile's `analysis` phase derives once, and what the first SAFARA
+/// round consumes while the body is still the one analysed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegionReuse {
+    /// [`RegionInfo::analyze`] of the region.
+    pub info: RegionInfo,
+    /// [`find_reuse_groups`] of the region under `info`.
+    pub groups: Vec<ReuseGroup>,
+}
+
+impl RegionReuse {
+    /// Analyse `region`.
+    pub fn analyze(region: &OffloadRegion) -> RegionReuse {
+        let info = RegionInfo::analyze(region);
+        let groups = find_reuse_groups(region, &info);
+        RegionReuse { info, groups }
+    }
+}
+
 /// Find all reuse groups in an offload region.
 ///
 /// `info` must be the result of [`RegionInfo::analyze`] on the same
 /// region. Arrays are assumed non-aliasing (distinct OpenACC device
 /// buffers).
 pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<ReuseGroup> {
+    ANALYSES.with(|n| n.set(n.get() + 1));
     // 1. Collect references with their sequential-loop context.
     let mut occs = Vec::new();
-    let mut cursor = 0usize;
     let mut stacks = LoopStacks::default();
-    collect_occurrences(&region.body, info, &mut stacks, &mut cursor, &mut occs);
+    collect_occurrences(&region.body, info, &mut stacks, &mut occs);
+    let parents = stacks.parents;
 
     // 2. Deduplicate into classes keyed by (array, seq ctx, scope, affine
     //    form).
-    let mut classes: Vec<RefClass> = Vec::new();
-    for occ in &occs {
+    let mut classes: Vec<Class> = Vec::new();
+    for (o, occ) in occs.iter().enumerate() {
         let existing = classes.iter_mut().find(|c| {
-            c.r.array == occ.r.array
-                && c.seq_ctx == occ.seq_ctx
-                && c.ctx_id == occ.ctx_id
-                && c.scope == occ.scope
-                && same_subscripts(&c.r, &occ.r)
+            let rep = &occs[c.rep];
+            rep.r.array == occ.r.array
+                && rep.seq_ctx == occ.seq_ctx
+                && rep.ctx_id == occ.ctx_id
+                && rep.scope == occ.scope
+                && rep.forms == occ.forms
         });
         match existing {
-            Some(c) => {
-                if occ.is_write {
-                    c.writes += 1;
-                } else {
-                    c.reads += 1;
-                }
-            }
-            None => classes.push(RefClass {
-                r: occ.r.clone(),
+            Some(c) if occ.is_write => c.writes += 1,
+            Some(c) => c.reads += 1,
+            None => classes.push(Class {
+                rep: o,
                 reads: u32::from(!occ.is_write),
                 writes: u32::from(occ.is_write),
-                weight: occ.weight,
-                seq_ctx: occ.seq_ctx.clone(),
-                ctx_id: occ.ctx_id,
-                scope: occ.scope,
             }),
         }
     }
+    // Each class's representative occurrence, and the class as a group
+    // keeps it.
+    let rep = |c: usize| &occs[classes[c].rep];
+    let kept = |c: usize| {
+        let (class, o) = (&classes[c], rep(c));
+        RefClass {
+            r: o.r.clone(),
+            reads: class.reads,
+            writes: class.writes,
+            weight: o.weight,
+            seq_ctx: o.seq_ctx.cloned(),
+            ctx_id: o.ctx_id,
+            scope: o.scope,
+        }
+    };
 
     // 3. Link classes into inter-iteration groups along their seq loop.
     let mut used = vec![false; classes.len()];
@@ -218,8 +258,9 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         if used[i] {
             continue;
         }
-        let seq_var = match &classes[i].seq_ctx {
-            Some(v) => v.clone(),
+        let lead = rep(i);
+        let seq_var = match lead.seq_ctx {
+            Some(v) => v,
             None => continue,
         };
         // Writes invalidate rotation; only read-only classes join.
@@ -231,7 +272,7 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         // subscript units, not iterations. Leave the classes free for
         // intra-iteration grouping instead (which is how unrolled loops
         // recover their reuse).
-        let unit_stride = classes[i]
+        let unit_stride = lead
             .ctx_id
             .and_then(|id| info.loops.get(id as usize))
             .map(|l| l.step == 1)
@@ -242,15 +283,16 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         let mut members = vec![i];
         let mut dists = vec![0i64];
         for j in (i + 1)..classes.len() {
+            let other = rep(j);
             if used[j]
                 || classes[j].writes > 0
-                || classes[j].r.array != classes[i].r.array
-                || classes[j].seq_ctx.as_ref() != Some(&seq_var)
-                || classes[j].ctx_id != classes[i].ctx_id
+                || other.r.array != lead.r.array
+                || other.seq_ctx != Some(seq_var)
+                || other.ctx_id != lead.ctx_id
             {
                 continue;
             }
-            if let DepDistance::Const(d) = dep_distance(&classes[j].r, &classes[i].r, &seq_var) {
+            if let DepDistance::Const(d) = dep_distance(other.r, lead.r, seq_var) {
                 members.push(j);
                 dists.push(d);
             }
@@ -262,18 +304,12 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         // the carrying loop (or loops nested within it), or rotated values
         // would go stale. Writes in *other* loop nests execute in other
         // kernels/iterations and do not interact with the rotation.
-        let group_loop = classes[i].ctx_id.expect("inter groups have a seq loop");
-        let written_refs: Vec<&ArrayRef> = occs
-            .iter()
-            .filter(|o| {
-                o.is_write
-                    && o.r.array == classes[i].r.array
-                    && o.ctx_chain.contains(&group_loop)
-            })
-            .map(|o| &o.r)
-            .collect();
-        let clobbered = members.iter().any(|&m| {
-            written_refs.iter().any(|w| may_overlap(w, &classes[m].r))
+        let group_loop = lead.ctx_id.expect("inter groups have a seq loop");
+        let clobbered = occs.iter().any(|o| {
+            o.is_write
+                && o.r.array == lead.r.array
+                && o.within(group_loop, &parents)
+                && members.iter().any(|&m| may_overlap(o.r, rep(m).r))
         });
         if clobbered {
             continue;
@@ -291,8 +327,8 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         let mut order: Vec<usize> = (0..members.len()).collect();
         order.sort_by_key(|&k| dists[k]);
         let group = ReuseGroup {
-            array: classes[i].r.array.clone(),
-            classes: order.iter().map(|&k| classes[members[k]].clone()).collect(),
+            array: lead.r.array.clone(),
+            classes: order.iter().map(|&k| kept(members[k])).collect(),
             distances: order.iter().map(|&k| dists[k]).collect(),
             kind: ReuseKind::Inter { var: seq_var.clone(), max_distance: max_d as u32 },
         };
@@ -304,15 +340,18 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
 
     // 4. Invariant groups: classes inside a seq loop whose subscripts are
     //    free of the loop variable (and still unused by an inter group).
+    let mut invariant_covered: Vec<usize> = Vec::new();
     for (i, c) in classes.iter().enumerate() {
         if used[i] {
             continue;
         }
-        let seq_var = match &c.seq_ctx {
-            Some(v) => v.clone(),
+        let class = rep(i);
+        let seq_var = match class.seq_ctx {
+            Some(v) => v,
             None => continue,
         };
-        let free = c.r.indices.iter().all(|ix| affine_of(ix).is_free_of(&seq_var));
+        let free =
+            class.forms.iter().all(|f| matches!(f, Form::Affine(a) if a.is_free_of(seq_var)));
         if !free {
             continue;
         }
@@ -322,14 +361,13 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         // (the temporary could then go stale between the hoisted load and
         // a use: e.g. an unrolled main loop updates `c[i]` before the
         // remainder loop's hoisted copy reads it).
-        let inv_loop = c.ctx_id.expect("invariant groups have a seq loop");
+        let inv_loop = class.ctx_id.expect("invariant groups have a seq loop");
         let conflict = occs.iter().any(|o| {
+            let same = o.forms == class.forms;
             o.is_write
-                && o.r.array == c.r.array
-                && ((o.ctx_chain.contains(&inv_loop)
-                    && !same_subscripts(&o.r, &c.r)
-                    && may_overlap(&o.r, &c.r))
-                    || (o.ctx_id != c.ctx_id && same_subscripts(&o.r, &c.r)))
+                && o.r.array == class.r.array
+                && ((o.within(inv_loop, &parents) && !same && may_overlap(o.r, class.r))
+                    || (o.ctx_id != class.ctx_id && same))
         });
         if conflict {
             continue;
@@ -340,26 +378,23 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         if c.reads == 0 {
             continue; // pure writes cannot be hoisted without a mask
         }
+        invariant_covered.push(i);
         groups.push(ReuseGroup {
-            array: c.r.array.clone(),
-            classes: vec![c.clone()],
+            array: class.r.array.clone(),
+            classes: vec![kept(i)],
             distances: vec![0],
-            kind: ReuseKind::Invariant { var: seq_var },
+            kind: ReuseKind::Invariant { var: seq_var.clone() },
         });
     }
 
     // 5. Intra groups: remaining classes with ≥ 2 accesses (or a
     //    read-modify-write pair) — one temp per class.
-    let invariant_covered: Vec<ArrayRef> = groups
-        .iter()
-        .filter(|g| matches!(g.kind, ReuseKind::Invariant { .. }))
-        .map(|g| g.classes[0].r.clone())
-        .collect();
     for (i, c) in classes.iter().enumerate() {
         if used[i] {
             continue;
         }
-        if invariant_covered.iter().any(|r| same_subscripts(r, &c.r)) {
+        let class = rep(i);
+        if invariant_covered.iter().any(|&v| rep(v).forms == class.forms) {
             continue;
         }
         if c.reads + c.writes < 2 || c.reads == 0 {
@@ -370,16 +405,16 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
         // temporary stale (and vice versa).
         let escapes = occs.iter().any(|o| {
             o.is_write
-                && o.r.array == c.r.array
-                && o.ctx_id != c.ctx_id
-                && same_subscripts(&o.r, &c.r)
+                && o.r.array == class.r.array
+                && o.ctx_id != class.ctx_id
+                && o.forms == class.forms
         });
         if escapes {
             continue;
         }
         groups.push(ReuseGroup {
-            array: c.r.array.clone(),
-            classes: vec![c.clone()],
+            array: class.r.array.clone(),
+            classes: vec![kept(i)],
             distances: vec![0],
             kind: ReuseKind::Intra,
         });
@@ -388,66 +423,107 @@ pub fn find_reuse_groups(region: &OffloadRegion, info: &RegionInfo) -> Vec<Reuse
     groups
 }
 
+/// A reference class while groups are formed: the occurrence it was
+/// formed from and its counts. Only a class a group keeps becomes a
+/// [`RefClass`], cloning its reference.
+struct Class {
+    rep: usize,
+    reads: u32,
+    writes: u32,
+}
+
+/// One subscript in the form equality of subscripts is decided on: its
+/// affine form, or the expression itself where it has none.
+#[derive(Debug, PartialEq)]
+enum Form<'a> {
+    Affine(AffineExpr),
+    Opaque(&'a Expr),
+}
+
+impl<'a> Form<'a> {
+    fn of(e: &'a Expr) -> Form<'a> {
+        let f = affine_of(e);
+        if f.nonaffine {
+            Form::Opaque(e)
+        } else {
+            Form::Affine(f)
+        }
+    }
+}
+
 /// Structural subscript equality modulo affine normalization.
 pub fn same_subscripts(a: &ArrayRef, b: &ArrayRef) -> bool {
     a.indices.len() == b.indices.len()
-        && a.indices.iter().zip(&b.indices).all(|(x, y)| {
-            let (fx, fy) = (affine_of(x), affine_of(y));
-            if fx.nonaffine || fy.nonaffine {
-                return x == y; // fall back to structural equality
-            }
-            let d = fx.sub(&fy);
-            d.is_const() && d.konst == 0
-        })
+        && a.indices.iter().zip(&b.indices).all(|(x, y)| Form::of(x) == Form::of(y))
 }
 
-struct Occurrence {
-    r: ArrayRef,
+/// One array reference as the walk met it, borrowed from the region.
+struct Occurrence<'a> {
+    r: &'a ArrayRef,
+    /// The subscripts' forms, computed once.
+    forms: Vec<Form<'a>>,
     is_write: bool,
     weight: u64,
-    seq_ctx: Option<Ident>,
+    seq_ctx: Option<&'a Ident>,
     ctx_id: Option<u32>,
     scope: ClassScope,
-    /// Ids of every enclosing sequential loop (outermost first) — used to
-    /// scope write-clobber checks to the loop instance that carries a
-    /// reuse group, rather than the whole region.
-    ctx_chain: Vec<u32>,
+    /// The innermost enclosing loop, parallel or sequential.
+    inner: Option<u32>,
+}
+
+impl Occurrence<'_> {
+    /// Whether the loop instance `id` encloses this reference — what
+    /// scopes write-clobber checks to the loop that carries a reuse
+    /// group, rather than the whole region.
+    fn within(&self, id: u32, parents: &[Option<u32>]) -> bool {
+        let mut at = self.inner;
+        while let Some(l) = at {
+            if l == id {
+                return true;
+            }
+            at = parents[l as usize];
+        }
+        false
+    }
 }
 
 /// The loops enclosing the statement being walked, outermost first.
 #[derive(Default)]
-struct LoopStacks {
+struct LoopStacks<'a> {
     /// Sequential loops only: `(variable, trip estimate, pre-order id)`.
-    seq: Vec<(Ident, u64, u32)>,
+    seq: Vec<(&'a Ident, u64, u32)>,
     /// Every loop, parallel or sequential: `(variable, pre-order id)`.
-    all: Vec<(Ident, u32)>,
+    all: Vec<(&'a Ident, u32)>,
+    /// The enclosing loop of every loop met so far, by pre-order id.
+    parents: Vec<Option<u32>>,
 }
 
-impl LoopStacks {
-    fn occurrence(&self, r: &ArrayRef, is_write: bool) -> Occurrence {
+impl<'a> LoopStacks<'a> {
+    fn occurrence(&self, r: &'a ArrayRef, is_write: bool) -> Occurrence<'a> {
         Occurrence {
-            r: r.clone(),
+            r,
+            forms: r.indices.iter().map(Form::of).collect(),
             is_write,
             weight: self.seq.iter().map(|(_, t, _)| t.max(&1)).product::<u64>().max(1),
-            seq_ctx: self.seq.last().map(|(v, _, _)| v.clone()),
+            seq_ctx: self.seq.last().map(|(v, _, _)| *v),
             ctx_id: self.seq.last().map(|(_, _, id)| *id),
             scope: ClassScope::of(r, &self.all),
-            ctx_chain: self.seq.iter().map(|(_, _, id)| *id).collect(),
+            inner: self.all.last().map(|(_, id)| *id),
         }
     }
 }
 
 /// Walk pre-order, pairing every `For` with the corresponding entry of
-/// `info.loops` (also pre-order) via `cursor` — loops are identified by
-/// *instance*, never by variable name, so nests that reuse `i`/`j`/`k`
-/// cannot contaminate each other. A loop's id — a sequential loop's
-/// context id, and what a [`ClassScope`] names — is its pre-order index.
-fn collect_occurrences(
-    stmts: &[Stmt],
+/// `info.loops` (also pre-order) — loops are identified by *instance*,
+/// never by variable name, so nests that reuse `i`/`j`/`k` cannot
+/// contaminate each other. A loop's id — a sequential loop's context id,
+/// and what a [`ClassScope`] names — is its pre-order index, the number
+/// of loops met before it.
+fn collect_occurrences<'a>(
+    stmts: &'a [Stmt],
     info: &RegionInfo,
-    stacks: &mut LoopStacks,
-    cursor: &mut usize,
-    out: &mut Vec<Occurrence>,
+    stacks: &mut LoopStacks<'a>,
+    out: &mut Vec<Occurrence<'a>>,
 ) {
     for s in stmts {
         match s {
@@ -471,20 +547,20 @@ fn collect_occurrences(
             Stmt::For(f) => {
                 for_each_read(&f.lo, &mut |r| out.push(stacks.occurrence(r, false)));
                 for_each_read(&f.bound, &mut |r| out.push(stacks.occurrence(r, false)));
-                let li = info.loops.get(*cursor);
+                let id = stacks.parents.len() as u32;
+                let li = info.loops.get(id as usize);
                 debug_assert!(
                     li.map(|l| l.var == f.var).unwrap_or(true),
                     "loop cursor out of sync with RegionInfo"
                 );
-                let id = *cursor as u32;
-                *cursor += 1;
+                stacks.parents.push(stacks.all.last().map(|(_, id)| *id));
                 let is_seq = li.map(|l| l.mapped.is_none()).unwrap_or(true);
                 if is_seq {
                     let trip = li.map(|l| l.est_trip).unwrap_or(1);
-                    stacks.seq.push((f.var.clone(), trip, id));
+                    stacks.seq.push((&f.var, trip, id));
                 }
-                stacks.all.push((f.var.clone(), id));
-                collect_occurrences(&f.body, info, stacks, cursor, out);
+                stacks.all.push((&f.var, id));
+                collect_occurrences(&f.body, info, stacks, out);
                 stacks.all.pop();
                 if is_seq {
                     stacks.seq.pop();
@@ -492,18 +568,18 @@ fn collect_occurrences(
             }
             Stmt::If { cond, then_body, else_body } => {
                 for_each_read(cond, &mut |r| out.push(stacks.occurrence(r, false)));
-                collect_occurrences(then_body, info, stacks, cursor, out);
-                collect_occurrences(else_body, info, stacks, cursor, out);
+                collect_occurrences(then_body, info, stacks, out);
+                collect_occurrences(else_body, info, stacks, out);
             }
-            Stmt::Block(b) => collect_occurrences(b, info, stacks, cursor, out),
+            Stmt::Block(b) => collect_occurrences(b, info, stacks, out),
             Stmt::Region(_) => {} // regions cannot nest (sema enforces)
         }
     }
 }
 
-fn for_each_read(e: &safara_ir::Expr, f: &mut impl FnMut(&ArrayRef)) {
+fn for_each_read<'a>(e: &'a Expr, f: &mut impl FnMut(&'a ArrayRef)) {
     safara_ir::visit::walk_expr(e, &mut |e| {
-        if let safara_ir::Expr::ArrayRef(a) = e {
+        if let Expr::ArrayRef(a) = e {
             f(a);
         }
     });

@@ -24,12 +24,13 @@ use crate::{CodegenError, CodegenOptions};
 use safara_analysis::memspace::{classify_arrays_in, ArrayUsage};
 use safara_analysis::region::{RegionInfo, ThreadDim};
 use safara_analysis::ArraySpace;
-use safara_gpusim::content::ContentKey;
+use safara_gpusim::content::{ContentHasher, ContentKey};
 use safara_gpusim::memo::{MemoKernel, VirKeyCell};
 use safara_gpusim::vir::*;
 use safara_ir::offset::{row_major_offset, OffsetAlgebra};
 use safara_ir::*;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// A parallel loop mapped onto a thread-grid dimension; the runtime
 /// evaluates the expressions against the host scalar environment to
@@ -136,7 +137,10 @@ fn lower_nest(
         env: HashMap::new(),
         array_base: HashMap::new(),
         dope: HashMap::new(),
-        memo: vec![HashMap::new()],
+        memo: HashMap::default(),
+        undo: Vec::new(),
+        scopes: Vec::new(),
+        versions: Vec::new(),
         next_label: 0,
         exit_label: Label(0),
         reductions: BTreeMap::new(),
@@ -222,7 +226,14 @@ struct Slot {
     ty: VType,
 }
 
-type MemoKey = (&'static str, u8, [u64; 3]);
+/// A value-numbering key: the operation and its type codes, both
+/// operands, and the versions the operand registers had (high half `a`,
+/// low half `b`). An `AluOp` is its discriminant plus one; a conversion
+/// is zero.
+type MemoKey = (u64, u64, u64, u64);
+
+/// The [`MemoKey`] operation word of a conversion.
+const CVT: u64 = 0;
 
 struct Emitter<'a> {
     func: &'a Function,
@@ -237,7 +248,20 @@ struct Emitter<'a> {
     env: HashMap<Ident, Slot>,
     array_base: HashMap<Ident, VReg>,
     dope: HashMap<(DimOwner, usize, bool), VReg>, // (owner, dim, is_lower)
-    memo: Vec<HashMap<MemoKey, VReg>>,
+    /// Value numbering: a key's register and the version that register
+    /// had when it was recorded. Keyed by integers only, so it hashes
+    /// with the one content hash; the maps above, keyed by source names,
+    /// keep std's randomly keyed hasher.
+    memo: HashMap<MemoKey, (VReg, u32), BuildHasherDefault<ContentHasher>>,
+    /// The keys `memo` gained, in order; a scope's are dropped when it
+    /// closes.
+    undo: Vec<MemoKey>,
+    /// Where each open scope's keys start in `undo`.
+    scopes: Vec<usize>,
+    /// How often each register has been overwritten, by register index
+    /// (absent: never). A mutation bumps the version, which retires
+    /// every memo entry that read or produced the old value.
+    versions: Vec<u32>,
     next_label: u32,
     exit_label: Label,
     reductions: BTreeMap<Ident, (ReduceOp, Slot, u32)>, // var → (op, acc, slot param ix)
@@ -261,32 +285,47 @@ impl<'a> Emitter<'a> {
 
     // ------------------------------------------------------------ memo
 
-    fn memo_get(&self, key: &MemoKey) -> Option<VReg> {
-        self.memo.iter().rev().find_map(|m| m.get(key).copied())
+    fn version(&self, r: VReg) -> u32 {
+        self.versions.get(r.0 as usize).copied().unwrap_or(0)
     }
 
+    fn memo_get(&self, key: &MemoKey) -> Option<VReg> {
+        let &(r, version) = self.memo.get(key)?;
+        (self.version(r) == version).then_some(r)
+    }
+
+    /// Record `key` → `r`, which [`Emitter::memo_get`] has just missed:
+    /// whatever `memo` held for `key` was retired, so the scope it was
+    /// recorded in loses nothing it could still use.
     fn memo_put(&mut self, key: MemoKey, r: VReg) {
         if self.opts.local_cse {
-            self.memo.last_mut().expect("memo stack never empty").insert(key, r);
+            let version = self.version(r);
+            self.memo.insert(key, (r, version));
+            self.undo.push(key);
         }
     }
 
     fn memo_push(&mut self) {
-        self.memo.push(HashMap::new());
+        self.scopes.push(self.undo.len());
     }
 
     fn memo_pop(&mut self) {
-        self.memo.pop();
-        debug_assert!(!self.memo.is_empty());
+        let start = self.scopes.pop().expect("a scope is open");
+        for key in self.undo.drain(start..) {
+            self.memo.remove(&key);
+        }
     }
 
-    /// Remove memo entries mentioning a register that was just mutated
-    /// (as an operand or as the memoized result).
+    /// Retire the memo entries mentioning a register that was just
+    /// mutated (as an operand or as the memoized result): later keys
+    /// carry its new version, and an entry producing it no longer
+    /// matches the version it recorded.
     fn memo_purge(&mut self, r: VReg) {
-        let needle = ((r.0 as u64) << 1) | 1;
-        for m in &mut self.memo {
-            m.retain(|(_, _, ops), v| ops[0] != needle && ops[1] != needle && *v != r);
+        let at = r.0 as usize;
+        if self.versions.len() <= at {
+            self.versions.resize(at + 1, 0);
         }
+        self.versions[at] += 1;
     }
 
     fn op_key(o: &Operand) -> u64 {
@@ -294,6 +333,14 @@ impl<'a> Emitter<'a> {
             Operand::Reg(r) => ((r.0 as u64) << 1) | 1,
             Operand::ImmI(v) => (*v as u64) << 1,
             Operand::ImmF(v) => v.to_bits() << 1,
+        }
+    }
+
+    /// The version of `o`'s register (immediates have none).
+    fn op_version(&self, o: &Operand) -> u64 {
+        match o {
+            Operand::Reg(r) => self.version(*r) as u64,
+            Operand::ImmI(_) | Operand::ImmF(_) => 0,
         }
     }
 
@@ -330,21 +377,9 @@ impl<'a> Emitter<'a> {
             (AluOp::Shl, Operand::ImmI(0), _) => return Operand::ImmI(0),
             _ => {}
         }
-        let tag: &'static str = match op {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Mul => "mul",
-            AluOp::Div => "div",
-            AluOp::Rem => "rem",
-            AluOp::Min => "min",
-            AluOp::Max => "max",
-            AluOp::And => "and",
-            AluOp::Or => "or",
-            AluOp::Xor => "xor",
-            AluOp::Shl => "shl",
-            AluOp::Shr => "shr",
-        };
-        let key: MemoKey = (tag, ty_code(ty), [Self::op_key(&a), Self::op_key(&b), 2]);
+        let versions = self.op_version(&a) << 32 | self.op_version(&b);
+        let tag = (op as u64 + 1) | (ty_code(ty) as u64) << 8;
+        let key: MemoKey = (tag, Self::op_key(&a), Self::op_key(&b), versions);
         if let Some(r) = self.memo_get(&key) {
             return Operand::Reg(r);
         }
@@ -368,7 +403,8 @@ impl<'a> Emitter<'a> {
             }
             Operand::Reg(_) => {}
         }
-        let key: MemoKey = ("cvt", ty_code(dty) * 16 + ty_code(aty), [Self::op_key(&a), 0, 1]);
+        let tag = CVT | ((ty_code(dty) * 16 + ty_code(aty)) as u64) << 8;
+        let key: MemoKey = (tag, Self::op_key(&a), 0, self.op_version(&a) << 32);
         if let Some(r) = self.memo_get(&key) {
             return Operand::Reg(r);
         }
@@ -1294,6 +1330,39 @@ mod tests {
         let with = compile(SMALL3D, &CodegenOptions::default());
         let without = compile(SMALL3D, &no_cse);
         assert!(with[0].vir.insts.len() < without[0].vir.insts.len());
+    }
+
+    #[test]
+    fn a_scalar_store_retires_the_values_computed_from_it() {
+        // `k + 1` is numbered once per value of `k`: the second store
+        // must address with the updated `k`, the third reuses the second.
+        let src = r#"
+        void f(int n, float a[n]) {
+          #pragma acc kernels
+          {
+            #pragma acc loop gang vector
+            for (int i = 0; i < n; i++) {
+              int k = i;
+              a[k + 1] = 1.0;
+              k = k + 2;
+              a[k + 1] = 2.0;
+              a[k + 1] = 3.0;
+            }
+          }
+        }"#;
+        let ks = compile(src, &CodegenOptions::default());
+        let addrs: Vec<VReg> = ks[0]
+            .vir
+            .insts
+            .iter()
+            .filter_map(|i| match i {
+                Inst::St { addr, .. } => Some(*addr),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(addrs.len(), 3);
+        assert_ne!(addrs[0], addrs[1], "a stale `k + 1` addressed the second store");
+        assert_eq!(addrs[1], addrs[2], "an unchanged `k + 1` is computed once");
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::error::CompileError;
 use crate::pipeline::{run_compiled_with, RunCtx};
 use crate::profile::{CompilerConfig, SrStrategy};
 use safara_analysis::cost::CostModel;
+use safara_analysis::reuse::RegionReuse;
 use safara_chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_codegen::lower::{lower_function, CompiledKernel};
 use safara_gpusim::device::DeviceConfig;
@@ -200,7 +201,9 @@ pub fn compile(src: &str, config: &CompilerConfig) -> Result<CompiledProgram, Co
 /// [`compile`] recording one span per pipeline phase into `tracer`:
 /// `parse` → `sema` → `analysis` → `opt`. Each root phase covers *all*
 /// functions of the translation unit, so a traced compile produces it
-/// exactly once. Every whole-function build is a `codegen` + `regalloc`
+/// exactly once. `analysis` derives each region's reuse once; its
+/// result feeds the first SAFARA round of `opt` unless unrolling or
+/// saturation changed the body first. Every whole-function build is a `codegen` + `regalloc`
 /// span pair nested under `opt` where it ran: directly (the body the
 /// strategy starts from or ends with), under `saturate` (its before and,
 /// when extraction changed the body, its after), or under the `round`
@@ -268,18 +271,21 @@ pub fn compile_with_faults(
         return Err(CompileError::Analysis { message: "injected analysis fault".into() });
     }
 
-    // Reuse analysis over every offload region. The SR passes re-derive
-    // this per round; the phase measures the standalone analysis cost
-    // and reports what the optimizer has to work with.
-    tracer.span("analysis", |t| {
-        let (mut regions, mut groups) = (0i64, 0i64);
-        for region in program.functions.iter().flat_map(Function::regions) {
-            let info = safara_analysis::region::RegionInfo::analyze(region);
-            groups += safara_analysis::reuse::find_reuse_groups(region, &info).len() as i64;
-            regions += 1;
-        }
-        t.meta_int("regions", regions);
-        t.meta_int("reuse_groups", groups);
+    // Reuse analysis over every offload region, once: the phase reports
+    // what the optimizer has to work with, and each function's analyses
+    // feed its first SAFARA round, which analyses the same regions of the
+    // same body.
+    let analysed = tracer.span("analysis", |t| {
+        let analysed: Vec<Vec<RegionReuse>> = program
+            .functions
+            .iter()
+            .map(|f| f.regions().into_iter().map(RegionReuse::analyze).collect())
+            .collect();
+        let regions = analysed.iter().map(Vec::len).sum::<usize>();
+        let groups = analysed.iter().flatten().map(|r| r.groups.len()).sum::<usize>();
+        t.meta_int("regions", regions as i64);
+        t.meta_int("reuse_groups", groups as i64);
+        analysed
     });
 
     // Optimization decides by building: what leaves `opt` is each
@@ -288,7 +294,8 @@ pub fn compile_with_faults(
         program
             .functions
             .iter()
-            .map(|f| optimize_function(f, config, t, faults))
+            .zip(analysed)
+            .map(|(f, analysed)| optimize_function(f, analysed, config, t, faults))
             .collect::<Result<Vec<CompiledFunction>, CompileError>>()
     })?;
 
@@ -369,9 +376,12 @@ impl Candidate {
 /// then the configured scalar-replacement strategy. The single-pass
 /// strategies transform and build once; `SrStrategy::None` and SAFARA's
 /// feedback loop start from a built candidate and end holding the one
-/// that becomes the compiled function.
+/// that becomes the compiled function. `analysed` is the `analysis`
+/// phase's reuse analysis of `f`'s regions: the first SAFARA pass uses
+/// it for as long as the body is still `f`'s.
 fn optimize_function(
     f: &Function,
+    analysed: Vec<RegionReuse>,
     config: &CompilerConfig,
     tracer: &mut Tracer,
     faults: &FaultPlan,
@@ -380,10 +390,12 @@ fn optimize_function(
     let mut namer = TempNamer::default();
     let mut outcome = SrOutcome::default();
     let mut rounds = 0u32;
+    let mut analysed = Some(analysed);
 
     // The §VII extension: unroll innermost sequential loops first so the
     // scalar-replacement passes below see straight-line reuse.
     if config.unroll >= 2 {
+        analysed = None;
         for region in work.regions_mut() {
             let info = safara_analysis::region::RegionInfo::analyze(region);
             safara_opt::unroll::unroll_seq_loops(
@@ -398,7 +410,11 @@ fn optimize_function(
     // The equality-saturation phase runs ahead of scalar replacement and
     // hands back its winner already built.
     let saturated = if config.saturate {
-        Some(saturate_function(&work, config, tracer, faults)?)
+        let (built, changed) = saturate_function(&work, config, tracer, faults)?;
+        if changed {
+            analysed = None;
+        }
+        Some(built)
     } else {
         None
     };
@@ -410,10 +426,12 @@ fn optimize_function(
             // round (ablation); either way the body changes, so whatever
             // saturation built is stale.
             let mut body = saturated.map_or(work, |c| c.body);
+            let mut analysed = analysed.into_iter().flatten();
             for region in body.regions_mut() {
                 let o = match &config.sr {
                     SrStrategy::Safara { cost_model, .. } => {
-                        safara_pass(f, region, config.reg_cap, cost_model, None, &mut namer)
+                        let reuse = analysed.next().unwrap_or_else(|| RegionReuse::analyze(region));
+                        safara_pass(f, region, reuse, config.reg_cap, cost_model, None, &mut namer)
                     }
                     _ => carr_kennedy_pass(f, region, config.reg_cap, &mut namer),
                 };
@@ -448,8 +466,10 @@ fn optimize_function(
                         Some(FaultAction::Spill) => true,
                         _ => false,
                     };
+                    let analysed = analysed.take();
                     let accepted = tracer.span("round", |t| {
-                        feedback_round(&cur, config, cost_model, &mut namer, forced_spill, t)
+                        let namer = &mut namer;
+                        feedback_round(&cur, analysed, config, cost_model, namer, forced_spill, t)
                     })?;
                     let Some((next, round_outcome)) = accepted else { break };
                     cur = next;
@@ -472,9 +492,11 @@ fn optimize_function(
 /// One feedback round from `cur`: `Some` is the accepted trial and what
 /// it added (the loop continues from it), `None` ends the loop with
 /// `cur` kept — the budget is spent, nothing was left to replace, or
-/// the trial spills.
+/// the trial spills. `analysed`, when given, is a reuse analysis of
+/// `cur.body`'s regions.
 fn feedback_round(
     cur: &Candidate,
+    analysed: Option<Vec<RegionReuse>>,
     config: &CompilerConfig,
     cost_model: &CostModel,
     namer: &mut TempNamer,
@@ -490,7 +512,8 @@ fn feedback_round(
         return Ok(None);
     }
     // 2. One SR round within the budget.
-    let (trial, round_outcome) = sr_round(&cur.body, budget, used, config, cost_model, namer);
+    let (trial, round_outcome) =
+        sr_round(&cur.body, analysed, budget, used, config, cost_model, namer);
     tracer.meta_int("temps_added", round_outcome.temps_added as i64);
     if round_outcome.temps_added == 0 {
         return Ok(None); // all reused references are replaced
@@ -508,9 +531,11 @@ fn feedback_round(
 /// registers: the transformed body and what the pass added. Under the
 /// throughput goal each region gets an occupancy oracle seeded with the
 /// measured register use (`used`) and the block size the runtime will
-/// launch with.
+/// launch with. Each region is analysed once: by the caller when
+/// `analysed` holds its analysis, here otherwise.
 fn sr_round(
     body: &Function,
+    analysed: Option<Vec<RegionReuse>>,
     budget: u32,
     used: u32,
     config: &CompilerConfig,
@@ -519,6 +544,7 @@ fn sr_round(
 ) -> (Function, SrOutcome) {
     let mut round_outcome = SrOutcome::default();
     let mut trial = body.clone();
+    let mut analysed = analysed.into_iter().flatten();
     for region in trial.regions_mut() {
         let clause_tpb = region
             .directive
@@ -535,7 +561,8 @@ fn sr_round(
             threads_per_block: tpb,
             regs_in_use: used,
         });
-        let o = safara_pass(body, region, budget, cost_model, throughput, namer);
+        let reuse = analysed.next().unwrap_or_else(|| RegionReuse::analyze(region));
+        let o = safara_pass(body, region, reuse, budget, cost_model, throughput, namer);
         merge_outcome(&mut round_outcome, o);
     }
     (trial, round_outcome)
@@ -550,13 +577,14 @@ fn sr_round(
 /// acceptance test builds both bodies through the ptxas register model
 /// (or the occupancy oracle under the throughput goal) and returns the
 /// original unless the saturated one is an improvement, so the phase can
-/// never make a kernel worse.
+/// never make a kernel worse. The flag says whether the candidate's body
+/// is a different one from `work`.
 fn saturate_function(
     work: &Function,
     config: &CompilerConfig,
     tracer: &mut Tracer,
     faults: &FaultPlan,
-) -> Result<Candidate, CompileError> {
+) -> Result<(Candidate, bool), CompileError> {
     if let Some(FaultAction::Fail) = faults.at(InjectionPoint::Saturate) {
         return Err(CompileError::Saturate {
             message: "injected saturation fault".into(),
@@ -574,7 +602,7 @@ fn saturate_traced(
     config: &CompilerConfig,
     tracer: &mut Tracer,
     scfg: &safara_opt::SaturateConfig,
-) -> Result<Candidate, CompileError> {
+) -> Result<(Candidate, bool), CompileError> {
     let before = Candidate::build(work.clone(), config, tracer)?;
     let mut trial = work.clone();
     let mut agg = safara_opt::RegionSaturation::empty();
@@ -594,7 +622,7 @@ fn saturate_traced(
         // The e-graph handed every region back as it was: `before` is
         // already the build of that body.
         tracer.meta_str("verdict", "unchanged");
-        return Ok(before);
+        return Ok((before, false));
     }
     let after = Candidate::build(trial, config, tracer)?;
     let keep = match config.goal {
@@ -623,7 +651,7 @@ fn saturate_traced(
         }
     };
     tracer.meta_str("verdict", if keep { "kept" } else { "reverted" });
-    Ok(if keep { after } else { before })
+    Ok(if keep { (after, true) } else { (before, false) })
 }
 
 fn merge_outcome(into: &mut SrOutcome, o: SrOutcome) {
@@ -912,6 +940,40 @@ mod tests {
         assert_eq!(s.kernels.len(), p.kernels.len());
     }
 
+    /// The `analysis` phase's reuse analysis describes the body as
+    /// written; once saturation keeps a rewritten body, the first SAFARA
+    /// round must analyse that body instead. Here the e-graph folds the
+    /// `+ 0` out of a subscript whose division keeps it non-affine, so
+    /// the reference is matched by its expression: an analysis of the
+    /// written body names a reference the kept body no longer has.
+    #[test]
+    fn a_kept_saturated_body_is_analysed_afresh() {
+        let src = |ix: &str| {
+            format!(
+                "void halve(int n, float x[520], float y[260]) {{
+                  #pragma acc kernels
+                  {{
+                    #pragma acc loop gang vector
+                    for (int i = 0; i < n; i++) {{
+                      y[i] = x[{ix}] * x[{ix}] + x[{ix}];
+                    }}
+                  }}
+                }}"
+            )
+        };
+        let (written, folded) = (src("(i + 0) / 2"), src("i / 2"));
+        let config = CompilerConfig::safara_saturated();
+        let mut tracer = Tracer::new();
+        let p = compile_traced(&written, &config, &mut tracer).unwrap();
+        let spans = tracer.finish();
+        assert_eq!(meta_str(spans_named(&spans, "saturate")[0], "verdict"), "kept");
+        let q = compile(&folded, &config).unwrap();
+        let (f, g) = (p.function("halve").unwrap(), q.function("halve").unwrap());
+        assert!(g.sr_outcome.temps_added > 0, "{}", g.transformed_source());
+        assert_eq!(f.transformed_source(), g.transformed_source());
+        assert_eq!(f.sr_outcome, g.sr_outcome);
+    }
+
     #[test]
     fn injected_saturate_fault_is_a_typed_error() {
         use safara_chaos::Fire;
@@ -1129,6 +1191,7 @@ mod tests {
                 converged += 1;
                 let (again, added) = sr_round(
                     &f.transformed,
+                    None,
                     budget,
                     f.max_regs(),
                     &config,

@@ -32,6 +32,7 @@ const PRIMES: [u64; 2] = [0x100_0000_01b3, 0x9e37_79b9_7f4a_7c15];
 const SEEDS: [u64; 2] = [0xcbf2_9ce4_8422_2325, 0xe220_a839_7b1d_cdaf];
 
 /// Absorb one word per half.
+#[inline]
 fn step(state: &mut [u64; 2], w: [u64; 2]) {
     for ((x, w), prime) in state.iter_mut().zip(w).zip(PRIMES) {
         *x = (*x ^ w).wrapping_mul(prime);
@@ -53,6 +54,7 @@ impl Default for ContentHasher {
 
 impl ContentHasher {
     /// Absorb one word.
+    #[inline]
     pub fn word(&mut self, w: u64) {
         step(&mut self.0, [w, w]);
     }
@@ -92,36 +94,49 @@ impl ContentHasher {
 
     /// Finish: avalanche each half (xorshift-multiply, so nearby inputs
     /// spread into the low bits shard choice reads) and join them.
+    #[inline]
     pub fn key(&self) -> ContentKey {
-        let [a, b] = self.0.map(|x| {
-            let x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-            x ^ (x >> 33)
-        });
+        let [a, b] = self.0.map(avalanche);
         ContentKey((a as u128) << 64 | b as u128)
     }
 }
 
-/// What [`ContentHasher::value`] drives. The integer widths `derive(Hash)`
-/// emits go in as one word each; anything else falls back to `write`.
+/// One half's finish.
+#[inline]
+fn avalanche(x: u64) -> u64 {
+    let x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^ (x >> 33)
+}
+
+/// What [`ContentHasher::value`] drives, and what a map keyed with
+/// `BuildHasherDefault<ContentHasher>` hashes with. The integer widths
+/// `derive(Hash)` emits go in as one word each; anything else falls back
+/// to `write`.
 impl Hasher for ContentHasher {
     fn write(&mut self, data: &[u8]) {
         self.bytes(data);
     }
 
+    #[inline]
     fn write_u32(&mut self, w: u32) {
         self.word(w as u64);
     }
 
+    #[inline]
     fn write_u64(&mut self, w: u64) {
         self.word(w);
     }
 
+    #[inline]
     fn write_usize(&mut self, w: usize) {
         self.word(w as u64);
     }
 
+    /// [`ContentKey::low`] of [`ContentHasher::key`], finishing only the
+    /// half it reads.
+    #[inline]
     fn finish(&self) -> u64 {
-        self.key().low()
+        avalanche(self.0[1])
     }
 }
 
@@ -155,6 +170,13 @@ mod tests {
 
         let launch = |spilled: &[VReg], params: &[ParamVal]| key_of(|h| h.value(&(spilled, params)));
         assert_ne!(launch(&[VReg(1)], &[]), launch(&[], &[ParamVal::Ptr(1)]));
+    }
+
+    #[test]
+    fn a_map_hash_is_the_low_half_of_the_key() {
+        let mut h = ContentHasher::default();
+        h.value(&("ab", 7u64, [1u32, 2]));
+        assert_eq!(h.finish(), h.key().low());
     }
 
     /// Every single-byte flip and every adjacent-word swap of a field,

@@ -111,42 +111,45 @@ pub fn allocate_registers_with(
     shared_mem_per_sm: u32,
 ) -> RegAllocReport {
     let cap = max_regs.clamp(4, 255) as usize;
+    let n = kernel.insts.len();
     let live = liveness(kernel);
-    let mut intervals = build_intervals(kernel, &live);
+    let intervals = build_intervals(kernel, &live);
 
-    // Linear scan (Poletto–Sarkar), intervals sorted by start.
-    intervals.sort_by_key(|iv| (iv.start, iv.vreg.0));
+    // Linear scan (Poletto–Sarkar), intervals sorted by start (then by
+    // register, the order they were built in).
+    let intervals: Vec<Interval> =
+        counting_order(&intervals, n, |iv| iv.start).map(|i| intervals[i]).collect();
 
-    let mut free = FreeRegs::new(cap);
-    let mut active: Vec<(Interval, usize)> = Vec::new(); // (interval, first phys reg)
-    let mut in_use = 0usize; // registers `active` holds
+    // The first physical register of each interval while it holds one,
+    // by position in `intervals`, and the positions of those held in
+    // ascending order: the active set (the order breaks ties between
+    // spill victims).
+    let mut held: Vec<Option<usize>> = vec![None; intervals.len()];
+    let mut active: Vec<usize> = Vec::with_capacity(cap);
+    let mut in_use = 0usize; // registers the held intervals occupy
     let mut spilled: Vec<Interval> = Vec::new();
     let mut high_water = 0usize;
     // Unbounded demand: every interval that has started and not ended,
     // allocated or not, and the registers they would hold together.
-    let mut demand_active: Vec<Interval> = Vec::new();
     let mut want = 0usize;
     let mut demand_water = 0usize;
+    // Intervals by end: one walk expires each once. An interval that
+    // ended before a start began before it, so it was visited already.
+    let mut expired = counting_order(&intervals, n, |iv| iv.end).peekable();
 
-    for iv in &intervals {
+    let mut free = FreeRegs::new(cap);
+    for (i, iv) in intervals.iter().enumerate() {
         // Expire intervals that ended before this start.
-        active.retain(|(a, first)| {
-            let ended = a.end < iv.start;
-            if ended {
-                free.release(*first, a.pair);
-                in_use -= a.width();
+        while let Some(e) = expired.next_if(|&e| intervals[e].end < iv.start) {
+            let ended = &intervals[e];
+            want -= ended.width();
+            if let Some(first) = held[e].take() {
+                free.release(first, ended.pair);
+                in_use -= ended.width();
+                retire(&mut active, e);
             }
-            !ended
-        });
-        demand_active.retain(|a| {
-            let ended = a.end < iv.start;
-            if ended {
-                want -= a.width();
-            }
-            !ended
-        });
+        }
 
-        demand_active.push(*iv);
         want += iv.width();
         demand_water = demand_water.max(want);
 
@@ -158,21 +161,23 @@ pub fn allocate_registers_with(
             // itself if it ends last.
             let victim = active
                 .iter()
-                .enumerate()
-                .filter(|(_, (a, _))| a.pair == iv.pair || a.pair)
-                .max_by_key(|(_, (a, _))| (a.end, u32::MAX - a.uses))
-                .map(|(idx, _)| idx);
-            if let Some(idx) = victim.filter(|&idx| active[idx].0.end > iv.end) {
-                let (v, first) = active.remove(idx);
+                .map(|&j| (j, &intervals[j]))
+                .filter(|(_, a)| a.pair == iv.pair || a.pair)
+                .max_by_key(|(_, a)| (a.end, u32::MAX - a.uses))
+                .filter(|(_, a)| a.end > iv.end);
+            if let Some((j, v)) = victim {
+                let first = held[j].take().expect("the victim holds registers");
                 free.release(first, v.pair);
                 in_use -= v.width();
-                spilled.push(v);
+                retire(&mut active, j);
+                spilled.push(*v);
                 slot = free.take(iv.pair);
             }
         }
         match slot {
             Some(first) => {
-                active.push((*iv, first));
+                held[i] = Some(first);
+                active.push(i);
                 in_use += iv.width();
                 high_water = high_water.max(in_use);
             }
@@ -214,6 +219,12 @@ pub fn allocate_registers_with(
         spill_target,
         shared_spill_bytes_per_block: shared_slab,
     }
+}
+
+/// Remove interval `j` from the ascending active set.
+fn retire(active: &mut Vec<usize>, j: usize) {
+    let at = active.binary_search(&j).expect("an active interval");
+    active.remove(at);
 }
 
 /// The free physical registers `0..cap` (cap ≤ 255), one bit each.
@@ -322,14 +333,13 @@ fn liveness(kernel: &KernelVir) -> Liveness {
     while again {
         again = false;
         for i in (0..n).rev() {
-            // live-out = union of successors' live-in.
-            out.fill(0);
-            for s in succs[i] {
-                if s != NONE {
-                    for (o, l) in out.iter_mut().zip(live.row(s)) {
-                        *o |= l;
-                    }
-                }
+            // live-out = union of successors' live-in. Rows are a few
+            // words: whole-row library calls would cost more than the
+            // words themselves.
+            let word = |s: usize, w: usize| if s == NONE { 0 } else { live.bits[s * words + w] };
+            let [a, b] = succs[i];
+            for (w, o) in out.iter_mut().enumerate() {
+                *o = word(a, w) | word(b, w);
             }
             // live-in = (out - def) ∪ uses.
             if let Some(d) = kernel.insts[i].def() {
@@ -338,18 +348,43 @@ fn liveness(kernel: &KernelVir) -> Liveness {
             for u in kernel.insts[i].uses() {
                 out[u.0 as usize / 64] |= 1u64 << (u.0 % 64);
             }
-            let row = live.row_mut(i);
-            if *row != *out {
-                row.copy_from_slice(&out);
-                again |= back_target[i];
+            let mut changed = false;
+            for (r, &o) in live.row_mut(i).iter_mut().zip(&out) {
+                changed |= *r != o;
+                *r = o;
             }
+            again |= changed && back_target[i];
         }
     }
     live
 }
 
+/// The indices of `items` ordered by `key`, which is below `keys`; equal
+/// keys keep index order (a counting sort).
+fn counting_order<T>(
+    items: &[T],
+    keys: usize,
+    key: impl Fn(&T) -> usize,
+) -> impl Iterator<Item = usize> {
+    let mut at = vec![0usize; keys + 1];
+    for item in items {
+        at[key(item) + 1] += 1;
+    }
+    for k in 0..keys {
+        at[k + 1] += at[k];
+    }
+    let mut order = vec![0usize; items.len()];
+    for (i, item) in items.iter().enumerate() {
+        let k = key(item);
+        order[at[k]] = i;
+        at[k] += 1;
+    }
+    order.into_iter()
+}
+
 fn build_intervals(kernel: &KernelVir, live: &Liveness) -> Vec<Interval> {
     let nv = kernel.vregs.len();
+    let n = kernel.insts.len();
     let mut start = vec![usize::MAX; nv];
     let mut end = vec![0usize; nv];
     let mut uses = vec![0u32; nv];
@@ -360,15 +395,24 @@ fn build_intervals(kernel: &KernelVir, live: &Liveness) -> Vec<Interval> {
         end[v] = end[v].max(i);
     };
 
-    for i in 0..kernel.insts.len() {
-        for (w, &bits) in live.row(i).iter().enumerate() {
-            let mut b = bits;
-            while b != 0 {
-                touch(w * 64 + b.trailing_zeros() as usize, i, &mut start, &mut end);
-                b &= b - 1;
+    // A vreg's live range runs from the first row holding its bit to the
+    // last: a word at a time, first rows forwards, then last backwards.
+    let mut seen = vec![0u64; live.words];
+    let mut first_last = |rows: &mut dyn Iterator<Item = usize>, mark: &mut [usize]| {
+        seen.fill(0);
+        for i in rows {
+            for (w, (&bits, seen)) in live.row(i).iter().zip(seen.iter_mut()).enumerate() {
+                let mut new = bits & !*seen;
+                *seen |= bits;
+                while new != 0 {
+                    mark[w * 64 + new.trailing_zeros() as usize] = i;
+                    new &= new - 1;
+                }
             }
         }
-    }
+    };
+    first_last(&mut (0..n), &mut start);
+    first_last(&mut (0..n).rev(), &mut end);
     for (i, inst) in kernel.insts.iter().enumerate() {
         if let Some(d) = inst.def() {
             touch(d.0 as usize, i, &mut start, &mut end);

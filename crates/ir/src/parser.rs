@@ -106,7 +106,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Token { tok: Tok::Ident(s), .. }) if s == kw) {
+        if matches!(self.peek(), Some(Token { tok: Tok::Ident(s), .. }) if s.as_str() == kw) {
             self.pos += 1;
             true
         } else {
@@ -124,7 +124,7 @@ impl<'a> Parser<'a> {
 
     fn expect_ident(&mut self) -> PResult<Ident> {
         match self.bump() {
-            Some(Token { tok: Tok::Ident(s), .. }) => Ok(Ident::new(s)),
+            Some(Token { tok: Tok::Ident(s), .. }) => Ok(s.clone()),
             _ => {
                 self.pos = self.pos.saturating_sub(1);
                 self.err(format!("expected identifier, found {}", self.describe_cur()))
@@ -219,10 +219,8 @@ impl<'a> Parser<'a> {
     fn stmt(&mut self) -> PResult<Stmt> {
         // Directive?
         if let Some(Token { tok: Tok::PragmaAcc(body), span }) = self.peek() {
-            let span = *span;
-            let body = body.clone();
             self.pos += 1;
-            return self.directive_stmt(&body, span);
+            return self.directive_stmt(body, *span);
         }
 
         // Declaration?
@@ -239,10 +237,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 Ok(Stmt::Block(self.stmt_list_until_rbrace()?))
             }
-            Some(Token { tok: Tok::Ident(s), .. }) if s == "for" => {
+            Some(Token { tok: Tok::Ident(s), .. }) if s.as_str() == "for" => {
                 self.for_loop(None).map(|f| Stmt::For(Box::new(f)))
             }
-            Some(Token { tok: Tok::Ident(s), .. }) if s == "if" => self.if_stmt(),
+            Some(Token { tok: Tok::Ident(s), .. }) if s.as_str() == "if" => self.if_stmt(),
             _ => self.assign_stmt(),
         }
     }
@@ -438,7 +436,7 @@ impl<'a> Parser<'a> {
     /// start a known region clause.
     fn region_clause(&mut self, clauses: &mut RegionClauses) -> PResult<bool> {
         let kw = match self.peek() {
-            Some(Token { tok: Tok::Ident(s), .. }) => s.clone(),
+            Some(Token { tok: Tok::Ident(s), .. }) => s,
             _ => return Ok(false),
         };
         match kw.as_str() {
@@ -748,7 +746,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 // Intrinsic call?
                 if matches!(self.peek(), Some(Token { tok: Tok::Punct("("), .. })) {
-                    let intr = match Intrinsic::from_name(&name) {
+                    let intr = match Intrinsic::from_name(name.as_str()) {
                         Some(i) => i,
                         None => return self.err(format!("unknown function `{name}`")),
                     };
@@ -772,9 +770,9 @@ impl<'a> Parser<'a> {
                         indices.push(self.expr()?);
                         self.expect_punct("]")?;
                     }
-                    return Ok(Expr::ArrayRef(ArrayRef { array: Ident::new(name), indices }));
+                    return Ok(Expr::ArrayRef(ArrayRef { array: name, indices }));
                 }
-                Ok(Expr::Var(Ident::new(name)))
+                Ok(Expr::Var(name))
             }
             _ => self.err(format!("expected expression, found {}", self.describe_cur())),
         }

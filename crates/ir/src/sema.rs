@@ -37,21 +37,21 @@ impl fmt::Display for SemaError {
 
 impl std::error::Error for SemaError {}
 
-/// What a name refers to.
-#[derive(Debug, Clone, PartialEq)]
-enum Binding {
+/// What a name refers to, borrowed from the function being checked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Binding<'f> {
     Scalar(ScalarTy),
-    Array(ArrayTy),
+    Array(&'f ArrayTy),
 }
 
 /// Check a whole program.
 pub fn check_program(p: &Program) -> Result<(), SemaError> {
     let mut seen = Vec::new();
     for f in &p.functions {
-        if seen.contains(&f.name) {
+        if seen.contains(&&f.name) {
             return Err(SemaError::new(format!("duplicate function `{}`", f.name)));
         }
-        seen.push(f.name.clone());
+        seen.push(&f.name);
         check_function(f)?;
     }
     Ok(())
@@ -59,7 +59,7 @@ pub fn check_program(p: &Program) -> Result<(), SemaError> {
 
 /// Check one function.
 pub fn check_function(f: &Function) -> Result<(), SemaError> {
-    let mut ck = Checker { scopes: vec![HashMap::new()], func: f.name.clone() };
+    let mut ck = Checker { scopes: vec![HashMap::new()], func: &f.name };
     for p in &f.params {
         let (name, binding) = match p {
             Param::Scalar { name, ty } => (name, Binding::Scalar(*ty)),
@@ -69,10 +69,10 @@ pub fn check_function(f: &Function) -> Result<(), SemaError> {
                         "array parameter `{name}` must have at least one dimension"
                     )));
                 }
-                (name, Binding::Array(ty.clone()))
+                (name, Binding::Array(ty))
             }
         };
-        if ck.scopes[0].insert(name.clone(), binding).is_some() {
+        if ck.scopes[0].insert(name, binding).is_some() {
             return Err(SemaError::new(format!("duplicate parameter `{name}` in `{}`", f.name)));
         }
     }
@@ -98,19 +98,21 @@ pub fn check_function(f: &Function) -> Result<(), SemaError> {
     Ok(())
 }
 
-struct Checker {
-    scopes: Vec<HashMap<Ident, Binding>>,
-    func: Ident,
+/// Scopes of names borrowed from the function under check: a check
+/// clones no name and no array type.
+struct Checker<'f> {
+    scopes: Vec<HashMap<&'f Ident, Binding<'f>>>,
+    func: &'f Ident,
 }
 
-impl Checker {
-    fn lookup(&self, name: &Ident) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+impl<'f> Checker<'f> {
+    fn lookup(&self, name: &Ident) -> Option<Binding<'f>> {
+        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
     }
 
-    fn declare(&mut self, name: &Ident, b: Binding) -> Result<(), SemaError> {
+    fn declare(&mut self, name: &'f Ident, b: Binding<'f>) -> Result<(), SemaError> {
         let top = self.scopes.last_mut().expect("scope stack never empty");
-        if top.insert(name.clone(), b).is_some() {
+        if top.insert(name, b).is_some() {
             return Err(SemaError::new(format!(
                 "`{name}` redeclared in the same scope in `{}`",
                 self.func
@@ -119,7 +121,7 @@ impl Checker {
         Ok(())
     }
 
-    fn check_stmts(&mut self, stmts: &[Stmt], in_region: bool) -> Result<(), SemaError> {
+    fn check_stmts(&mut self, stmts: &'f [Stmt], in_region: bool) -> Result<(), SemaError> {
         self.scopes.push(HashMap::new());
         for s in stmts {
             self.check_stmt(s, in_region)?;
@@ -128,7 +130,7 @@ impl Checker {
         Ok(())
     }
 
-    fn check_stmt(&mut self, s: &Stmt, in_region: bool) -> Result<(), SemaError> {
+    fn check_stmt(&mut self, s: &'f Stmt, in_region: bool) -> Result<(), SemaError> {
         match s {
             Stmt::DeclScalar { name, ty, init } => {
                 if let Some(e) = init {
@@ -139,7 +141,7 @@ impl Checker {
             Stmt::Assign { lhs, op, rhs } => {
                 let lt = match lhs {
                     LValue::Var(v) => match self.lookup(v) {
-                        Some(Binding::Scalar(t)) => *t,
+                        Some(Binding::Scalar(t)) => t,
                         Some(Binding::Array(_)) => {
                             return Err(SemaError::new(format!(
                                 "cannot assign to whole array `{v}`"
@@ -228,9 +230,9 @@ impl Checker {
     }
 
     fn check_region_clauses(&self, c: &RegionClauses) -> Result<(), SemaError> {
-        let array_ty = |name: &Ident| -> Result<ArrayTy, SemaError> {
+        let array_ty = |name: &Ident| -> Result<&ArrayTy, SemaError> {
             match self.lookup(name) {
-                Some(Binding::Array(t)) => Ok(t.clone()),
+                Some(Binding::Array(t)) => Ok(t),
                 Some(Binding::Scalar(_)) => Err(SemaError::new(format!(
                     "`{name}` in clause must be an array, but is a scalar"
                 ))),
@@ -315,7 +317,7 @@ impl Checker {
 
     fn check_array_ref(&self, a: &ArrayRef) -> Result<ScalarTy, SemaError> {
         let ty = match self.lookup(&a.array) {
-            Some(Binding::Array(t)) => t.clone(),
+            Some(Binding::Array(t)) => t,
             Some(Binding::Scalar(_)) => {
                 return Err(SemaError::new(format!("`{}` is a scalar, not an array", a.array)))
             }
@@ -346,7 +348,7 @@ impl Checker {
             Expr::IntLit(_) => Ok(ScalarTy::I32),
             Expr::FloatLit(_) => Ok(ScalarTy::F64),
             Expr::Var(v) => match self.lookup(v) {
-                Some(Binding::Scalar(t)) => Ok(*t),
+                Some(Binding::Scalar(t)) => Ok(t),
                 Some(Binding::Array(_)) => Err(SemaError::new(format!(
                     "array `{v}` used where a scalar value is required"
                 ))),
@@ -400,16 +402,16 @@ pub fn expr_type(
     locals: &HashMap<Ident, ScalarTy>,
     e: &Expr,
 ) -> Result<ScalarTy, SemaError> {
-    let mut ck = Checker { scopes: vec![HashMap::new()], func: f.name.clone() };
+    let mut ck = Checker { scopes: vec![HashMap::new()], func: &f.name };
     for p in &f.params {
         let (name, binding) = match p {
             Param::Scalar { name, ty } => (name, Binding::Scalar(*ty)),
-            Param::Array { name, ty, .. } => (name, Binding::Array(ty.clone())),
+            Param::Array { name, ty, .. } => (name, Binding::Array(ty)),
         };
-        ck.scopes[0].insert(name.clone(), binding);
+        ck.scopes[0].insert(name, binding);
     }
     for (n, t) in locals {
-        ck.scopes[0].insert(n.clone(), Binding::Scalar(*t));
+        ck.scopes[0].insert(n, Binding::Scalar(*t));
     }
     ck.type_of(e)
 }

@@ -65,14 +65,14 @@ pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
 
 /// Collect every array reference in a statement list: reads from
 /// expressions and writes from assignment targets, with a flag saying
-/// whether the occurrence is a write.
-pub fn collect_array_refs(stmts: &[Stmt]) -> Vec<(ArrayRef, bool)> {
+/// whether the occurrence is a write. The references are borrowed.
+pub fn collect_array_refs(stmts: &[Stmt]) -> Vec<(&ArrayRef, bool)> {
     let mut out = Vec::new();
     collect_refs_inner(stmts, &mut out);
     out
 }
 
-fn collect_refs_inner(stmts: &[Stmt], out: &mut Vec<(ArrayRef, bool)>) {
+fn collect_refs_inner<'a>(stmts: &'a [Stmt], out: &mut Vec<(&'a ArrayRef, bool)>) {
     for s in stmts {
         match s {
             Stmt::DeclScalar { init, .. } => {
@@ -87,9 +87,9 @@ fn collect_refs_inner(stmts: &[Stmt], out: &mut Vec<(ArrayRef, bool)>) {
                     }
                     // A compound assignment reads then writes the element.
                     if op.bin_op().is_some() {
-                        out.push((a.clone(), false));
+                        out.push((a, false));
                     }
-                    out.push((a.clone(), true));
+                    out.push((a, true));
                 }
                 collect_expr_refs(rhs, out);
             }
@@ -109,10 +109,10 @@ fn collect_refs_inner(stmts: &[Stmt], out: &mut Vec<(ArrayRef, bool)>) {
     }
 }
 
-fn collect_expr_refs(e: &Expr, out: &mut Vec<(ArrayRef, bool)>) {
+fn collect_expr_refs<'a>(e: &'a Expr, out: &mut Vec<(&'a ArrayRef, bool)>) {
     walk_expr(e, &mut |e| {
         if let Expr::ArrayRef(a) = e {
-            out.push((a.clone(), false));
+            out.push((a, false));
         }
     });
 }

@@ -16,7 +16,7 @@ use crate::transform::{apply_group, TempNamer};
 use safara_analysis::cost::CostModel;
 use safara_analysis::memspace::classify_arrays;
 use safara_analysis::region::RegionInfo;
-use safara_analysis::reuse::{find_reuse_groups, ReuseKind};
+use safara_analysis::reuse::{find_reuse_groups, RegionReuse, ReuseKind};
 use safara_ir::*;
 
 /// What a strategy pass did to a region.
@@ -34,24 +34,25 @@ pub struct SrOutcome {
 
 /// One SAFARA round on `region` (mutates it in place).
 ///
-/// `budget_regs` is the number of registers the feedback loop computed as
-/// available; `cost_model` is latency-aware by default and count-only for
-/// the ablation. `throughput` is the goal: `None` saturates the budget
-/// (the paper's policy), `Some` admits each candidate through its
-/// occupancy oracle (device + planned block size + current register
-/// use), as [`crate::OptGoal::MaxThroughput`] asks.
+/// `reuse` is [`RegionReuse::analyze`] of `region` as it stands (a
+/// compile's `analysis` phase hands its own to the first feedback
+/// round). `budget_regs` is the number of registers the feedback loop
+/// computed as available; `cost_model` is latency-aware by default and
+/// count-only for the ablation. `throughput` is the goal: `None`
+/// saturates the budget (the paper's policy), `Some` admits each
+/// candidate through its occupancy oracle (device + planned block size +
+/// current register use), as [`crate::OptGoal::MaxThroughput`] asks.
 pub fn safara_pass(
     func: &Function,
     region: &mut OffloadRegion,
+    reuse: RegionReuse,
     budget_regs: u32,
     cost_model: &CostModel,
     throughput: Option<ThroughputContext>,
     namer: &mut TempNamer,
 ) -> SrOutcome {
-    let snapshot = region.clone();
-    let info = RegionInfo::analyze(&snapshot);
-    let usage = classify_arrays(&func.params, &snapshot);
-    let groups = find_reuse_groups(&snapshot, &info);
+    let RegionReuse { info, groups } = reuse;
+    let usage = classify_arrays(&func.params, region);
     let config = SelectionConfig { cost_model: cost_model.clone(), throughput };
     let picked = select_candidates(&groups, &info, &usage, budget_regs, &config);
     let mut outcome = SrOutcome::default();
@@ -78,18 +79,17 @@ pub fn carr_kennedy_pass(
     budget_regs: u32,
     namer: &mut TempNamer,
 ) -> SrOutcome {
-    let snapshot = region.clone();
     // Doctor the region info: everything sequential.
-    let mut info = RegionInfo::analyze(&snapshot);
+    let real_info = RegionInfo::analyze(region);
+    let mut info = real_info.clone();
     for l in &mut info.loops {
         l.mapped = None;
         l.sequential = true;
     }
-    let usage = classify_arrays(&func.params, &snapshot);
+    let usage = classify_arrays(&func.params, region);
     // The reuse analysis runs against the doctored info.
-    let groups = find_reuse_groups(&snapshot, &info);
+    let groups = find_reuse_groups(region, &info);
     let config = SelectionConfig { cost_model: CostModel::count_only(), ..Default::default() };
-    let real_info = RegionInfo::analyze(&snapshot);
     let picked = select_candidates(&groups, &real_info, &usage, budget_regs, &config);
 
     let mut outcome = SrOutcome::default();
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn safara_leaves_fig3_parallel() {
         let (outcome, txt) = run_pass(FIG3, |f, r, n| {
-            safara_pass(f, r, 255, &CostModel::default(), None, n)
+            safara_pass(f, r, RegionReuse::analyze(r), 255, &CostModel::default(), None, n)
         });
         assert_eq!(outcome.temps_added, 0);
         assert!(outcome.sequentialized.is_empty());
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn safara_transforms_fig5_keeping_parallelism() {
         let (outcome, txt) = run_pass(FIG5, |f, r, n| {
-            safara_pass(f, r, 255, &CostModel::default(), None, n)
+            safara_pass(f, r, RegionReuse::analyze(r), 255, &CostModel::default(), None, n)
         });
         assert!(outcome.temps_added >= 3, "{outcome:?}");
         assert!(outcome.sequentialized.is_empty());
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn zero_budget_is_a_no_op() {
         let (outcome, txt) = run_pass(FIG5, |f, r, n| {
-            safara_pass(f, r, 0, &CostModel::default(), None, n)
+            safara_pass(f, r, RegionReuse::analyze(r), 0, &CostModel::default(), None, n)
         });
         assert_eq!(outcome.temps_added, 0);
         assert!(!txt.contains("__sr"));
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn budget_of_three_picks_only_top_group() {
         let (outcome, _) = run_pass(FIG5, |f, r, n| {
-            safara_pass(f, r, 3, &CostModel::default(), None, n)
+            safara_pass(f, r, RegionReuse::analyze(r), 3, &CostModel::default(), None, n)
         });
         // The b inter group costs exactly 3 temps; nothing else fits.
         assert_eq!(outcome.temps_added, 3);

@@ -174,6 +174,23 @@ fn long_runs() -> Args {
     Args::new().array_f32("a", &f32s).array_f64("b", &f64s).array_i32("c", &i32s)
 }
 
+/// Lists whose elements change length almost every time: `f32` bit
+/// patterns and `i32`s of 1 to 10 digits, uniformly mixed.
+fn mixed_lengths() -> Args {
+    let mut rng = SplitMix64::new(0x3d_1e57);
+    let mut pattern = || {
+        let digits = 1 + below(&mut rng, 10) as u32;
+        let low = if digits == 1 { 0 } else { 10u64.pow(digits - 1) };
+        // Below the first NaN pattern, 0x7f80_0001.
+        let high = (10u64.pow(digits) - 1).min(0x7f80_0000);
+        (low + rng.next_u64() % (high - low + 1)) as u32
+    };
+    let bits: Vec<f32> = (0..600).map(|_| f32::from_bits(pattern())).collect();
+    let ints: Vec<i32> =
+        (0..600).map(|i| if i % 3 == 0 { -(pattern() as i32) } else { pattern() as i32 }).collect();
+    Args::new().array_f32("m", &bits).array_i32("n", &ints)
+}
+
 /// Valid lines of every shape the protocol tests use.
 fn valid_lines() -> Vec<String> {
     let args = payload_args();
@@ -186,6 +203,7 @@ fn valid_lines() -> Vec<String> {
         build_run_request(1, "s", "e", "base", &Args::new(), false),
         v2.render(),
         build_run_request(2, "s", "e", "base", &long_runs(), false),
+        build_run_request(3, "s", "e", "base", &mixed_lengths(), false),
     ];
     lines.extend(
         [
