@@ -11,7 +11,7 @@
 //! ([`gcd_test`]) additionally rules out pairs that can never access the
 //! same element.
 
-use crate::affine::{affine_of, AffineExpr};
+use crate::affine::affine_of;
 use safara_ir::{ArrayRef, Ident};
 
 /// Result of a distance test between two references to the same array.
@@ -135,24 +135,6 @@ pub fn may_overlap(a: &ArrayRef, b: &ArrayRef) -> bool {
         }
     }
     true
-}
-
-/// The affine difference between two references, per dimension
-/// (used by the `dim`-clause offset CSE to prove two refs share an
-/// offset expression).
-pub fn subscript_diffs(a: &ArrayRef, b: &ArrayRef) -> Option<Vec<AffineExpr>> {
-    if a.indices.len() != b.indices.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(a.indices.len());
-    for (ia, ib) in a.indices.iter().zip(&b.indices) {
-        let (fa, fb) = (affine_of(ia), affine_of(ib));
-        if fa.nonaffine || fb.nonaffine {
-            return None;
-        }
-        out.push(fa.sub(&fb));
-    }
-    Some(out)
 }
 
 #[cfg(test)]

@@ -129,16 +129,6 @@ impl RegionInfo {
         self.loops.iter().find(|l| l.mapped == Some(d)).map(|l| &l.var)
     }
 
-    /// Variables of all parallelized loops.
-    pub fn parallel_vars(&self) -> Vec<&Ident> {
-        self.loops.iter().filter(|l| l.mapped.is_some()).map(|l| &l.var).collect()
-    }
-
-    /// Variables of all sequential loops.
-    pub fn seq_vars(&self) -> Vec<&Ident> {
-        self.loops.iter().filter(|l| l.mapped.is_none()).map(|l| &l.var).collect()
-    }
-
     /// Product of the estimated trip counts of the sequential loops
     /// enclosing... (used as the per-thread work multiplier).
     pub fn seq_trip_product(&self) -> u64 {

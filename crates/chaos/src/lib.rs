@@ -16,8 +16,8 @@
 //! [`FaultPlan::none`] never fires and costs one branch per check.
 //!
 //! This crate is dependency-free and sits at the bottom of the
-//! workspace (like `safara-obs`) so every layer — `gpusim`, `core`,
-//! `server` — can thread a plan through without cycles.
+//! workspace (like `safara-obs`) so `core` and `server` can thread a
+//! plan through without cycles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -222,9 +222,8 @@ impl FaultSpec {
 }
 
 /// SplitMix64 step — the mixing function behind [`Fire::Prob`]
-/// decisions and [`FaultPlan::jitter`]. Public because retrying clients
-/// want the same dependency-free determinism for backoff jitter.
-pub fn splitmix64(mut x: u64) -> u64 {
+/// decisions.
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -375,38 +374,6 @@ impl FaultPlan {
     }
 }
 
-/// Decorrelated-jitter backoff: the AWS-style retry schedule, seeded so
-/// a retrying client's sleep sequence is reproducible.
-///
-/// Each step draws uniformly from `[base_ms, prev * 3]`, clamped to
-/// `cap_ms` — backing off exponentially in expectation while two
-/// clients that failed together immediately decorrelate.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    base_ms: u64,
-    cap_ms: u64,
-    prev_ms: u64,
-    state: u64,
-}
-
-impl Backoff {
-    /// A backoff schedule starting at `base_ms`, clamped at `cap_ms`.
-    pub fn new(base_ms: u64, cap_ms: u64, seed: u64) -> Backoff {
-        let base_ms = base_ms.max(1);
-        Backoff { base_ms, cap_ms: cap_ms.max(base_ms), prev_ms: base_ms, state: seed }
-    }
-
-    /// The next sleep duration in milliseconds.
-    pub fn next_ms(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let r = splitmix64(self.state);
-        let hi = (self.prev_ms.saturating_mul(3)).clamp(self.base_ms + 1, self.cap_ms);
-        let ms = self.base_ms + r % (hi - self.base_ms + 1);
-        self.prev_ms = ms;
-        ms.min(self.cap_ms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,24 +518,5 @@ mod tests {
         });
         assert_eq!(fired, 5, "exactly the first five arrivals fault");
         assert_eq!(plan.arrivals(InjectionPoint::WorkerJob), 400);
-    }
-
-    #[test]
-    fn backoff_grows_decorrelates_and_clamps() {
-        let mut b = Backoff::new(10, 400, 1);
-        let seq: Vec<u64> = (0..12).map(|_| b.next_ms()).collect();
-        assert!(seq.iter().all(|&ms| (10..=400).contains(&ms)), "{seq:?}");
-        assert!(seq.iter().max().unwrap() > &100, "eventually backs off: {seq:?}");
-        // Reproducible per seed, different across seeds.
-        let replay: Vec<u64> = {
-            let mut b = Backoff::new(10, 400, 1);
-            (0..12).map(|_| b.next_ms()).collect()
-        };
-        assert_eq!(seq, replay);
-        let other: Vec<u64> = {
-            let mut b = Backoff::new(10, 400, 2);
-            (0..12).map(|_| b.next_ms()).collect()
-        };
-        assert_ne!(seq, other);
     }
 }

@@ -101,22 +101,6 @@ impl DeviceConfig {
         }
     }
 
-    /// A tiny device for deterministic unit tests (2 SMs, small register
-    /// file) so occupancy effects show up at test scale.
-    pub fn test_small() -> Self {
-        DeviceConfig {
-            name: "TestGPU",
-            sm_count: 2,
-            regs_per_sm: 8_192,
-            max_regs_per_thread: 64,
-            warp_alloc_granularity: 256,
-            max_warps_per_sm: 16,
-            max_blocks_per_sm: 8,
-            max_threads_per_block: 256,
-            ..Self::k20xm()
-        }
-    }
-
     /// Occupancy for a kernel using `regs_per_thread` registers launched
     /// with `threads_per_block`.
     pub fn occupancy(&self, regs_per_thread: u32, threads_per_block: u32) -> Occupancy {

@@ -11,7 +11,7 @@
 //! correctly rounded f32 only where that rounding double-rounds.
 //!
 //! **Shape.** Each unary function is `if in_range(x) { fast(x) } else {
-//! slow(x) }` ([`Split`]). The fast half is branch-free straight-line
+//! slow(x) }` (`Split`). The fast half is branch-free straight-line
 //! arithmetic over a stated range — Cody–Waite reduction plus the
 //! fdlibm kernels — so it vectorizes over a warp column. The slow half
 //! takes everything else: huge trig arguments (Payne–Hanek), trig

@@ -6,7 +6,7 @@
 //! access patterns (coalesced, strided/uncoalesced, broadcast; global vs
 //! read-only) are executed on the simulator, and the modelled cycles per
 //! access are extracted into a latency table the compiler's
-//! [`safara_analysis`-style] cost model consumes.
+//! `safara_analysis`-style cost model consumes.
 //!
 //! This closes the same loop the paper describes: the *compiler* never
 //! hard-codes latencies; it asks the *machine* (here, the machine model).

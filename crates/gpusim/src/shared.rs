@@ -14,7 +14,7 @@
 //! — on any thread — reads that key. A byte is hashed once per
 //! allocation, not once per launch that reads it.
 //!
-//! Writing needs a unique `Vec<u8>`: [`SharedBytes::into_vec`] takes the
+//! Writing needs a unique `Vec<u8>`: `SharedBytes::into_vec` takes the
 //! allocation back when no one else holds it and copies it otherwise.
 //! That is the only place bytes are copied.
 //!

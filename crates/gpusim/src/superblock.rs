@@ -1,7 +1,7 @@
 //! The profile-guided superblock engine: fused, lane-vectorized warp
 //! execution.
 //!
-//! The decoded engine ([`crate::decode`]) already hoists operand
+//! The decoded engine (`crate::decode`) already hoists operand
 //! resolution out of the execution loop, but it still pays one
 //! jump-table dispatch *per instruction per lane* and re-executes
 //! warp-uniform computations (loop bounds, base addresses, the offset
@@ -39,8 +39,8 @@
 //!    resolve their addresses and account their transactions per warp,
 //!    at the instruction — the 32 addresses are already in one array, so
 //!    a warp that stays inside one buffer costs one buffer lookup and
-//!    one bounds check ([`DeviceMemory::read_warp`] /
-//!    [`DeviceMemory::write_warp`]), and one pass counts its 128-byte
+//!    one bounds check (`DeviceMemory::read_warp` /
+//!    `DeviceMemory::write_warp`), and one pass counts its 128-byte
 //!    segments; a hoisted load's single address stands for all of them.
 //!    Only lane-major execution (profile warps, peels, the decoded
 //!    engine) accesses and logs per lane for the warp-end merge.
@@ -54,7 +54,7 @@
 //! divergence **peels** the warp back to lane-major decoded execution
 //! (lanes in order, each logging its own event stream for the
 //! transaction merge), and kernels with an atomic inside a loop are
-//! delegated wholesale to [`crate::decode::launch_decoded`].
+//! delegated wholesale to `crate::decode::launch_decoded`.
 //!
 //! The hot-block threshold (`HOT_THRESHOLD`, 8) is a constant, not a
 //! knob: the bytes are the same at any value, so it decides only how

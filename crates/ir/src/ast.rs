@@ -631,14 +631,6 @@ impl Function {
         self.params.iter().find(|p| p.name() == name)
     }
 
-    /// Iterate over the array parameters.
-    pub fn array_params(&self) -> impl Iterator<Item = (&Ident, &ArrayTy, bool)> {
-        self.params.iter().filter_map(|p| match p {
-            Param::Array { name, ty, is_const } => Some((name, ty, *is_const)),
-            Param::Scalar { .. } => None,
-        })
-    }
-
     /// All offload regions in the body, in source order.
     pub fn regions(&self) -> Vec<&OffloadRegion> {
         fn walk<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a OffloadRegion>) {

@@ -25,13 +25,6 @@ pub fn print_function(f: &Function) -> String {
     s
 }
 
-/// Render a statement (used in tests and debugging).
-pub fn print_stmt(stmt: &Stmt) -> String {
-    let mut s = String::new();
-    stmt_into(stmt, 0, &mut s);
-    s
-}
-
 /// Render an expression.
 pub fn print_expr(e: &Expr) -> String {
     let mut s = String::new();

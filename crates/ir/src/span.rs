@@ -15,10 +15,6 @@ impl Span {
         Span { start: start as u32, end: end as u32 }
     }
 
-    /// A zero-width span used for synthesized nodes (e.g. code created by
-    /// the scalar-replacement transformation rather than parsed).
-    pub const SYNTH: Span = Span { start: 0, end: 0 };
-
     /// Smallest span covering both `self` and `other`.
     pub fn merge(self, other: Span) -> Span {
         Span { start: self.start.min(other.start), end: self.end.max(other.end) }

@@ -67,11 +67,6 @@ impl RunReport {
     pub fn total_cycles(&self) -> f64 {
         self.kernels.iter().map(|k| k.timing.total_cycles).sum()
     }
-
-    /// Sum of modelled kernel time in milliseconds.
-    pub fn total_millis(&self, dev: &DeviceConfig) -> f64 {
-        self.kernels.iter().map(|k| k.timing.millis(dev)).sum()
-    }
 }
 
 /// How a run's launches consult the launch memo ([`safara_gpusim::memo`]):

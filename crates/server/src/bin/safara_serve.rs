@@ -30,7 +30,7 @@
 //! plan — e.g. `--fault sim:fail:1` fails the first simulation with a
 //! retryable `sim` error, `--fault worker:panic:0.05` panics ~5% of
 //! jobs (seeded by `--fault-seed`, so reruns fault identically). See
-//! `safara_chaos::FaultSpec::parse` for the grammar.
+//! `safara_core::chaos::FaultSpec::parse` for the grammar.
 
 use safara_core::chaos::{FaultPlan, FaultSpec};
 use safara_server::protocol::{error_line, Op};
@@ -67,7 +67,8 @@ fn main() {
             "--no-coalesce" => config.coalesce = false,
             "--max-batch" => config.max_batch = num(argv.next(), "--max-batch").max(1),
             "--fault" => {
-                let spec = argv.next().unwrap_or_else(|| die("--fault needs POINT:ACTION[:COUNT]"));
+                let spec =
+                    argv.next().unwrap_or_else(|| die("--fault needs POINT:ACTION[:COUNT][:MS]"));
                 fault_specs
                     .push(FaultSpec::parse(&spec).unwrap_or_else(|e| die(&format!("--fault: {e}"))));
             }

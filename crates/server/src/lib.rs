@@ -13,7 +13,7 @@
 //! - [`protocol`] — the newline-delimited request/response schema and
 //!   the lossless `bits` array encoding.
 //! - [`queue`] — a bounded MPMC queue: the admission-control point.
-//! - [`service`] — the [`Engine`](service::Engine): a fixed worker pool
+//! - [`service`] — the [`Engine`]: a fixed worker pool
 //!   sharing one process-wide [`safara_core::SharedLaunchCache`] and a compiled-
 //!   program store, with per-request deadlines and live counters.
 //! - [`server`] — the TCP transport (`std::net`, nonblocking accept).

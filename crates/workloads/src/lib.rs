@@ -23,7 +23,7 @@ pub mod spec;
 pub mod util;
 
 use safara_core::{
-    compile, Args, CompileError, CompiledProgram, CompilerConfig, DeviceConfig, LaunchCache, RunReport,
+    compile, Args, CompileError, CompiledProgram, CompilerConfig, DeviceConfig, RunReport,
 };
 
 /// Which suite a workload belongs to.
@@ -111,28 +111,6 @@ pub fn run_workload(
     let program = compile(&w.source(), config)?;
     let mut args = w.args(scale);
     let report = program.run(w.entry(), &mut args, dev)?;
-    w.check(&args, scale)
-        .map_err(|m| CompileError::Sim {
-            message: format!("{} [{}]: {m}", w.name(), config.name),
-            transient: false,
-        })?;
-    Ok((report, program))
-}
-
-/// [`run_workload`] with launch memoization: kernel launches whose
-/// content key is already in `cache` are replayed instead of simulated.
-/// Validation (`check`) still runs against the replayed buffers, so a
-/// cache bug would fail the workload rather than pass silently.
-pub fn run_workload_cached(
-    w: &dyn Workload,
-    config: &CompilerConfig,
-    scale: Scale,
-    dev: &DeviceConfig,
-    cache: &mut LaunchCache,
-) -> Result<(RunReport, CompiledProgram), CompileError> {
-    let program = compile(&w.source(), config)?;
-    let mut args = w.args(scale);
-    let report = program.run_cached(w.entry(), &mut args, dev, cache)?;
     w.check(&args, scale)
         .map_err(|m| CompileError::Sim {
             message: format!("{} [{}]: {m}", w.name(), config.name),

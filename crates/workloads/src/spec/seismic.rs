@@ -205,7 +205,7 @@ void seismic_step(int nx, int ny, int nz, double h, double dt, {params}) {{
 }
 
 /// Pure-Rust reference: the same seven kernels, executed in launch order.
-/// `state` holds the twelve arrays in [`ARRAYS`] order.
+/// `state` holds the twelve arrays in `ARRAYS` order.
 pub fn reference_step(n: usize, h: f64, dt: f64, state: &mut [Vec<f64>]) {
     let idx = |k: usize, j: usize, i: usize| ((k - 1) * n + (j - 1)) * n + (i - 1);
     #[allow(clippy::too_many_arguments)]

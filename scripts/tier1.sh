@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: offline release build, the full test suite, clippy with
-# warnings as errors, and the benchmark package's smoke run. No network
-# access is required — the workspace has no external dependencies. Every
-# other check is a `cargo test` test (README, "Tests and benches").
+# warnings as errors, rustdoc with warnings as errors, and the benchmark
+# package's smoke run. No network access is required — the workspace has
+# no external dependencies. Every other check is a `cargo test` test
+# (README, "Tests and benches").
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -20,6 +21,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "== clippy not installed; skipping =="
 fi
+
+echo "== rustdoc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark smoke =="
 # The benchmark package builds against these crates from its own

@@ -199,6 +199,37 @@ fn one_server_process() {
     }
 }
 
+#[test]
+fn no_second_client() {
+    // The wire is the client interface: the server's `code`/`retryable` contract is tested
+    // over a plain socket, and no client library or its backoff is kept beside it.
+    assert!(!root().join("crates/client").exists(), "a crates/client directory is back");
+    let dirs = ["crates", "tests", "examples", "scripts"];
+    for name in ["safara-client", "safara_client", "struct Backoff"] {
+        let mut hits = files_where(&dirs, |s| s.contains(name));
+        hits.retain(|h| h != "tests/architecture.rs");
+        if read("Cargo.toml").contains(name) {
+            hits.push("Cargo.toml".into());
+        }
+        assert!(hits.is_empty(), "a second client is back ({name}): {hits:?}");
+    }
+}
+
+#[test]
+fn readme_lists_every_crate() {
+    // README's layout table has one `crates/<name>` row per workspace crate, no more.
+    let readme = read("README.md");
+    let mut listed: Vec<&str> =
+        readme.lines().filter_map(|l| l.strip_prefix("| `crates/")?.split('`').next()).collect();
+    listed.sort_unstable();
+    let mut crates: Vec<String> = std::fs::read_dir(root().join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    crates.sort_unstable();
+    assert_eq!(listed, crates, "README.md's crate table against crates/");
+}
+
 /// `src` without its `#[cfg(test)]` items: each such attribute and the
 /// item under it, through the closing brace at the item's indent.
 fn without_test_items(src: &str) -> String {
