@@ -3,9 +3,7 @@
 //!
 //! ```text
 //! safara-serve [--listen ADDR] [--stdin] [--workers N]
-//!              [--queue-depth N] [--timeout-ms N]
-//!              [--shed-watermark N] [--breaker-threshold N]
-//!              [--breaker-cooldown-ms N] [--verify-cache]
+//!              [--queue-depth N] [--timeout-ms N] [--verify-cache]
 //!              [--no-coalesce] [--max-batch N]
 //!              [--fault POINT:ACTION[:COUNT][:MS]] [--fault-seed N]
 //! ```
@@ -54,15 +52,6 @@ fn main() {
             "--workers" => config.workers = num(argv.next(), "--workers").max(1),
             "--queue-depth" => config.queue_depth = num(argv.next(), "--queue-depth").max(1),
             "--timeout-ms" => config.default_timeout_ms = num(argv.next(), "--timeout-ms") as u64,
-            "--shed-watermark" => {
-                config.shed_watermark = Some(num(argv.next(), "--shed-watermark"))
-            }
-            "--breaker-threshold" => {
-                config.breaker_threshold = num(argv.next(), "--breaker-threshold") as u32
-            }
-            "--breaker-cooldown-ms" => {
-                config.breaker_cooldown_ms = num(argv.next(), "--breaker-cooldown-ms") as u64
-            }
             "--verify-cache" => config.verify_cache = true,
             "--no-coalesce" => config.coalesce = false,
             "--max-batch" => config.max_batch = num(argv.next(), "--max-batch").max(1),
@@ -76,8 +65,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: safara-serve [--listen ADDR] [--stdin] [--workers N] \
-                     [--queue-depth N] [--timeout-ms N] [--shed-watermark N] \
-                     [--breaker-threshold N] [--breaker-cooldown-ms N] [--verify-cache] \
+                     [--queue-depth N] [--timeout-ms N] [--verify-cache] \
                      [--no-coalesce] [--max-batch N] \
                      [--fault POINT:ACTION[:COUNT][:MS]]... [--fault-seed N]"
                 );

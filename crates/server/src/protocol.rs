@@ -789,7 +789,7 @@ pub fn error_line(id: Option<i64>, message: &str) -> String {
 /// from [`CompileError::code`] (`parse`, `sema`, `analysis`,
 /// `regalloc_spill`, `budget`, `launch_bounds`, `saturate`, `sim`,
 /// `internal`) plus the server-level
-/// codes `bad_request`, `resource_limit`, `unknown_profile`, `shed`, `breaker_open`,
+/// codes `bad_request`, `resource_limit`, `unknown_profile`, `shed`,
 /// `timeout`, and `shutting_down`. `retryable` is the client contract:
 /// resending the identical request can succeed iff it is true.
 #[derive(Debug, Clone, PartialEq)]
@@ -838,22 +838,10 @@ impl WireError {
         WireError { code: "internal", message: message.into(), phase: None, retryable: true }
     }
 
-    /// Admission control shed the request before queueing it.
-    pub fn shed(message: &str) -> WireError {
-        WireError { code: "shed", message: message.into(), phase: None, retryable: true }
-    }
-
-    /// The per-profile circuit breaker is open.
-    pub fn breaker_open(profile: &str) -> WireError {
-        WireError {
-            code: "breaker_open",
-            message: format!(
-                "circuit breaker open for profile `{profile}` after consecutive pipeline \
-                 failures; retry after the cooldown"
-            ),
-            phase: None,
-            retryable: true,
-        }
+    /// The queue was full: admission refused the request before
+    /// queueing it.
+    pub fn shed() -> WireError {
+        WireError { code: "shed", message: "queue full".into(), phase: None, retryable: true }
     }
 
     /// The request expired (in the queue or mid-pipeline).

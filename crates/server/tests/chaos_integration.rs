@@ -1,7 +1,7 @@
 //! Chaos acceptance tests: the robustness layer under seeded fault
 //! injection, end to end.
 //!
-//! Four setups:
+//! Three setups:
 //!
 //! 1. a seed sweep (0..30) driving an in-process [`Engine`] through a
 //!    probabilistic fault plan — parse failures, simulator faults,
@@ -15,9 +15,7 @@
 //!    every failure resent through the typed `retryable` contract until
 //!    it succeeds — proving retry-to-success and bit-exact results
 //!    under concurrency;
-//! 3. the circuit breaker observed over the wire: trip, reject with a
-//!    typed retryable error, recover after cooldown;
-//! 4. pipelining: on one connection a fast request is answered before
+//! 3. pipelining: on one connection a fast request is answered before
 //!    a slow one sent ahead of it.
 //!
 //! The wire tests speak to the server over a plain [`TcpStream`].
@@ -142,17 +140,8 @@ fn drive(engine: &Engine, lines: &[(i64, String)]) -> Vec<Result<String, ()>> {
 }
 
 fn assert_accounting(shared: &safara_server::service::EngineShared) {
-    let n = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-    assert_eq!(
-        n(&shared.submitted),
-        n(&shared.completed)
-            + n(&shared.errors)
-            + n(&shared.timed_out)
-            + n(&shared.timed_out_late)
-            + n(&shared.shed)
-            + n(&shared.coalesced),
-        "accounting invariant"
-    );
+    let submitted = shared.submitted.load(Ordering::Relaxed);
+    assert_eq!(submitted, shared.accounted(), "accounting invariant");
 }
 
 #[test]
@@ -302,13 +291,6 @@ fn error_field<'a>(v: &'a Json, field: &str) -> Option<&'a Json> {
     v.get("error").and_then(|e| e.get(field))
 }
 
-fn compile_line(id: i64, source: &str) -> String {
-    format!(
-        r#"{{"id":{id},"v":2,"op":"compile","source":{},"profile":"base"}}"#,
-        Json::Str(source.into()).dump()
-    )
-}
-
 #[test]
 fn four_clients_fifty_requests_each_retry_every_fault_to_success() {
     const CLIENTS: usize = 4;
@@ -413,56 +395,6 @@ fn four_clients_fifty_requests_each_retry_every_fault_to_success() {
     assert_eq!(counter("worker_panics"), counter("worker_respawns"), "{server}");
     let by_code = stats.get("errors_by_code").expect("errors_by_code section");
     assert!(by_code.get("sim").and_then(Json::as_i64).unwrap_or(0) > 0, "{by_code}");
-    drop(conn);
-    handle.stop();
-}
-
-#[test]
-fn breaker_trips_and_recovers_observed_from_the_client() {
-    let handle = safara_server::serve(
-        "127.0.0.1:0",
-        EngineConfig {
-            workers: 1,
-            queue_depth: 16,
-            breaker_threshold: 2,
-            breaker_cooldown_ms: 100,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let mut conn = Conn::open(handle.addr);
-
-    for id in 1..=2 {
-        conn.send(&compile_line(id, "void broken("));
-        let v = conn.recv(id);
-        assert_eq!(error_field(&v, "code").and_then(Json::as_str), Some("parse"), "{v}");
-        assert_eq!(error_field(&v, "retryable").and_then(Json::as_bool), Some(false), "{v}");
-    }
-    // The breaker is now open for `base`: even a good program is
-    // refused, with the retryable contract telling the client to wait.
-    conn.send(&compile_line(3, "void fine() {}"));
-    let v = conn.recv(3);
-    assert_eq!(error_field(&v, "code").and_then(Json::as_str), Some("breaker_open"), "{v}");
-    assert_eq!(error_field(&v, "retryable").and_then(Json::as_bool), Some(true), "{v}");
-    // Resending rides out the cooldown; the half-open probe succeeds
-    // and closes the breaker.
-    let v =
-        conn.call_retrying(4, &compile_line(4, "void fine() {}"), 20, Duration::from_millis(50));
-    assert_eq!(status(&v), Some("ok"), "recovers after cooldown: {v}");
-    // And it stays closed.
-    conn.send(&compile_line(5, "void fine() {}"));
-    assert_eq!(status(&conn.recv(5)), Some("ok"));
-
-    conn.send(r#"{"id":6,"v":2,"op":"stats"}"#);
-    let stats = conn.recv(6);
-    let breaker = stats.get("breaker").expect("breaker section");
-    assert_eq!(breaker.get("trips").and_then(Json::as_i64), Some(1), "{breaker}");
-    assert!(breaker.get("rejections").and_then(Json::as_i64).unwrap_or(0) >= 1, "{breaker}");
-    assert_eq!(
-        breaker.get("open_profiles").and_then(Json::as_i64),
-        Some(0),
-        "recovered: {breaker}"
-    );
     drop(conn);
     handle.stop();
 }

@@ -216,6 +216,25 @@ fn no_second_client() {
 }
 
 #[test]
+fn admission_is_the_queue() {
+    // A refusal is a full queue or a draining server. The shed watermark (the queue cap under
+    // a second name) and the per-profile circuit breaker (which counted a client's own parse
+    // errors against everyone's profile) are gone.
+    let names = [
+        "Breaker",
+        "breaker_open",
+        "shed_watermark",
+        "\"--shed-watermark\"",
+        "\"--breaker-threshold\"",
+        "\"--breaker-cooldown-ms\"",
+    ];
+    for name in names {
+        let hits = files_where(&["crates", "scripts"], |s| s.contains(name));
+        assert!(hits.is_empty(), "a second admission gate is back ({name}): {hits:?}");
+    }
+}
+
+#[test]
 fn readme_lists_every_crate() {
     // README's layout table has one `crates/<name>` row per workspace crate, no more.
     let readme = read("README.md");
