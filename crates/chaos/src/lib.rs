@@ -41,8 +41,6 @@ pub enum InjectionPoint {
     RegAlloc,
     /// Simulator execution (slow/hung/failed launches).
     Sim,
-    /// Launch-cache reads ([`FaultAction::Poison`]-style stale entries).
-    CacheRead,
     /// Worker job processing in the server ([`FaultAction::Panic`]).
     WorkerJob,
     /// Reply delivery ([`FaultAction::Hangup`]: the client vanished).
@@ -54,7 +52,7 @@ pub enum InjectionPoint {
 }
 
 /// Number of distinct injection points.
-pub const N_POINTS: usize = 10;
+pub const N_POINTS: usize = 9;
 
 impl InjectionPoint {
     /// Every point, in declaration order.
@@ -65,7 +63,6 @@ impl InjectionPoint {
         InjectionPoint::FeedbackRound,
         InjectionPoint::RegAlloc,
         InjectionPoint::Sim,
-        InjectionPoint::CacheRead,
         InjectionPoint::WorkerJob,
         InjectionPoint::Reply,
         InjectionPoint::Saturate,
@@ -80,10 +77,9 @@ impl InjectionPoint {
             InjectionPoint::FeedbackRound => 3,
             InjectionPoint::RegAlloc => 4,
             InjectionPoint::Sim => 5,
-            InjectionPoint::CacheRead => 6,
-            InjectionPoint::WorkerJob => 7,
-            InjectionPoint::Reply => 8,
-            InjectionPoint::Saturate => 9,
+            InjectionPoint::WorkerJob => 6,
+            InjectionPoint::Reply => 7,
+            InjectionPoint::Saturate => 8,
         }
     }
 
@@ -96,7 +92,6 @@ impl InjectionPoint {
             InjectionPoint::FeedbackRound => "feedback",
             InjectionPoint::RegAlloc => "regalloc",
             InjectionPoint::Sim => "sim",
-            InjectionPoint::CacheRead => "cache",
             InjectionPoint::WorkerJob => "worker",
             InjectionPoint::Reply => "reply",
             InjectionPoint::Saturate => "saturate",
@@ -106,6 +101,23 @@ impl InjectionPoint {
     /// Inverse of [`InjectionPoint::name`].
     pub fn by_name(s: &str) -> Option<InjectionPoint> {
         InjectionPoint::ALL.into_iter().find(|p| p.name() == s)
+    }
+
+    /// Whether the call site at this point acts on `action`: a delay or
+    /// a hang anywhere, a failure anywhere but reply delivery, a forced
+    /// spill in the feedback loop and at register allocation, a panic in
+    /// a worker, a hangup at reply delivery. [`FaultSpec::parse`] refuses
+    /// any other pair, which would fire and change nothing.
+    pub fn honours(self, action: FaultAction) -> bool {
+        match action {
+            FaultAction::Delay { .. } | FaultAction::Hang => true,
+            FaultAction::Fail => self != InjectionPoint::Reply,
+            FaultAction::Spill => {
+                matches!(self, InjectionPoint::FeedbackRound | InjectionPoint::RegAlloc)
+            }
+            FaultAction::Panic => self == InjectionPoint::WorkerJob,
+            FaultAction::Hangup => self == InjectionPoint::Reply,
+        }
     }
 }
 
@@ -127,14 +139,21 @@ pub enum FaultAction {
     Hang,
     /// The thread panics mid-job (worker isolation must contain it).
     Panic,
-    /// A cached entry is silently corrupted before the read (integrity
-    /// verification must catch it and fall back to recompute).
-    Poison,
     /// The client hangs up before the reply is written.
     Hangup,
 }
 
 impl FaultAction {
+    /// One of each action, in spec-syntax order.
+    const ALL: [FaultAction; 6] = [
+        FaultAction::Fail,
+        FaultAction::Spill,
+        FaultAction::Delay { ms: 10 },
+        FaultAction::Hang,
+        FaultAction::Panic,
+        FaultAction::Hangup,
+    ];
+
     /// The spec-syntax name.
     pub fn name(self) -> &'static str {
         match self {
@@ -143,7 +162,6 @@ impl FaultAction {
             FaultAction::Delay { .. } => "delay",
             FaultAction::Hang => "hang",
             FaultAction::Panic => "panic",
-            FaultAction::Poison => "poison",
             FaultAction::Hangup => "hangup",
         }
     }
@@ -176,13 +194,14 @@ impl FaultSpec {
     ///
     /// `count` is an integer (`Fire::First`) or a probability with a
     /// decimal point (`Fire::Prob`); it defaults to `1`. `delay` takes
-    /// a trailing `ms` field (default 10). Examples:
+    /// a trailing `ms` field (default 10). The point must act on the
+    /// action ([`InjectionPoint::honours`]). Examples:
     ///
     /// ```text
     /// sim:fail:1        # the first simulation fails
     /// sim:delay:0.25:50 # 25% of simulations take +50 ms
     /// worker:panic:2    # the first two jobs panic their worker
-    /// cache:poison:0.5  # half of cache reads hit a corrupted entry
+    /// reply:hangup:0.5  # half of the replies are dropped
     /// ```
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
         let parts: Vec<&str> = s.split(':').collect();
@@ -213,10 +232,22 @@ impl FaultSpec {
             },
             "hang" => FaultAction::Hang,
             "panic" => FaultAction::Panic,
-            "poison" => FaultAction::Poison,
             "hangup" => FaultAction::Hangup,
             other => return Err(format!("unknown fault action `{other}`")),
         };
+        if !point.honours(action) {
+            let honoured: Vec<&str> = FaultAction::ALL
+                .into_iter()
+                .filter(|&a| point.honours(a))
+                .map(FaultAction::name)
+                .collect();
+            return Err(format!(
+                "`{}` does not act on `{}` (it honours {})",
+                point.name(),
+                action.name(),
+                honoured.join(", ")
+            ));
+        }
         Ok(FaultSpec { point, action, fire })
     }
 }
@@ -411,11 +442,11 @@ mod tests {
     fn prob_decisions_are_deterministic_per_seed_and_sequence() {
         let decide = |seed: u64| -> Vec<bool> {
             let plan = FaultPlan::seeded(seed).with(
-                InjectionPoint::CacheRead,
-                FaultAction::Poison,
+                InjectionPoint::Sim,
+                FaultAction::Fail,
                 Fire::Prob(0.5),
             );
-            (0..64).map(|_| plan.check(InjectionPoint::CacheRead).is_some()).collect()
+            (0..64).map(|_| plan.check(InjectionPoint::Sim).is_some()).collect()
         };
         assert_eq!(decide(42), decide(42), "same seed, same schedule");
         assert_ne!(decide(42), decide(43), "different seed, different schedule");
@@ -483,14 +514,45 @@ mod tests {
         assert_eq!(s.point, InjectionPoint::WorkerJob);
         assert_eq!(s.fire, Fire::First(1));
 
-        let s = FaultSpec::parse("cache:poison:0.5").unwrap();
-        assert_eq!(s.action, FaultAction::Poison);
-
         for bad in [
             "sim", "nowhere:fail", "sim:dance", "sim:fail:x", "sim:fail:1.5",
-            "sim:delay:1:zz", "a:b:c:d:e",
+            "sim:delay:1:zz", "a:b:c:d:e", "cache:fail", "sim:poison",
         ] {
             assert!(FaultSpec::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_spec_parses_only_where_its_point_acts_on_it() {
+        // What each call site does with a fired action; any other pair
+        // would be counted as fired and change nothing.
+        let honours = [
+            ("parse", "fail, delay, hang"),
+            ("sema", "fail, delay, hang"),
+            ("analysis", "fail, delay, hang"),
+            ("feedback", "fail, spill, delay, hang"),
+            ("regalloc", "fail, spill, delay, hang"),
+            ("sim", "fail, delay, hang"),
+            ("worker", "fail, delay, hang, panic"),
+            ("reply", "delay, hang, hangup"),
+            ("saturate", "fail, delay, hang"),
+        ];
+        let named: Vec<&str> = InjectionPoint::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(honours.map(|(p, _)| p), named[..], "one row per point");
+        for (point, acts) in honours {
+            for action in ["fail", "spill", "delay", "hang", "panic", "hangup"] {
+                let spec = format!("{point}:{action}");
+                let honoured = acts.split(", ").any(|a| a == action);
+                match FaultSpec::parse(&spec) {
+                    Ok(s) => {
+                        assert!(honoured, "{spec} parsed");
+                        assert_eq!((s.point.name(), s.action.name()), (point, action));
+                    }
+                    Err(e) => {
+                        assert!(!honoured && e.ends_with(&format!("(it honours {acts})")), "{spec}: {e}")
+                    }
+                }
+            }
         }
     }
 

@@ -265,9 +265,7 @@ pub fn compile_with_faults(
             .map_err(|e| CompileError::from(safara_ir::CompileError::Sema(e)))
     })?;
 
-    if let Some(FaultAction::Fail | FaultAction::Poison) =
-        faults.at(InjectionPoint::Analysis)
-    {
+    if let Some(FaultAction::Fail) = faults.at(InjectionPoint::Analysis) {
         return Err(CompileError::Analysis { message: "injected analysis fault".into() });
     }
 

@@ -1,5 +1,5 @@
-//! The one content hash: "is this the same work?" for the launch memo,
-//! its entry checksums, and the server's single-flight key.
+//! The one content hash: "is this the same work?" for the launch memo
+//! and the server's single-flight key.
 //!
 //! A [`ContentKey`] is 128 bits: two 64-bit word hashes with different
 //! multipliers and seeds side by side, so two inputs share a key only if

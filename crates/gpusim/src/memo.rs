@@ -31,7 +31,7 @@
 use crate::content::{ContentHasher, ContentKey};
 use crate::interp::{launch, LaunchConfig, LaunchResult, ParamVal, SimError};
 use crate::memory::{BufferId, DeviceMemory};
-use crate::shared::{bytes_key, SharedBytes};
+use crate::shared::SharedBytes;
 use crate::stats::KernelStats;
 use crate::vir::{KernelVir, VReg};
 use std::collections::{HashMap, VecDeque};
@@ -116,9 +116,8 @@ pub fn launch_key(
 
 /// The post-launch state of one buffer a kernel wrote: its index, its
 /// allocation (shared with the device buffers and host arrays it is
-/// installed into), and the content key recorded for it — which the
-/// entry's checksum covers, so verification never trusts a key cached
-/// in an allocation others hold.
+/// installed into), and the content key recorded for it. Nothing writes
+/// a shared allocation, so the key stays the key of the bytes.
 type Snapshot = (u32, SharedBytes, ContentKey);
 
 /// Recorded outcome of one launch: the stats plus the post-launch
@@ -128,32 +127,6 @@ struct CachedLaunch {
     stats: KernelStats,
     /// One snapshot per mutated buffer.
     writes: Vec<Snapshot>,
-    /// Integrity checksum over `stats` and each snapshot's index and
-    /// key, computed at record time; a snapshot's key covers its bytes.
-    /// Verified on replay when the cache has verification on: a mismatch
-    /// means the entry was corrupted after recording.
-    checksum: ContentKey,
-}
-
-/// The integrity checksum of an entry's payload. Snapshot bytes enter
-/// through their keys, which recording has just hashed them into, so
-/// no byte is hashed twice.
-fn entry_checksum(stats: &KernelStats, writes: &[Snapshot]) -> ContentKey {
-    let mut h = ContentHasher::default();
-    h.value(stats);
-    h.word(writes.len() as u64);
-    for (idx, _, key) in writes {
-        h.value(&(idx, key));
-    }
-    h.key()
-}
-
-/// True if `entry` is as recorded: every snapshot's bytes, hashed
-/// afresh, still give its recorded key, and the checksum still matches
-/// stats, indices and keys.
-fn entry_is_intact(entry: &CachedLaunch) -> bool {
-    entry.writes.iter().all(|(_, bytes, key)| bytes_key(bytes) == *key)
-        && entry_checksum(&entry.stats, &entry.writes) == entry.checksum
 }
 
 /// Default [`LaunchCache`] entry cap: far above any one benchmark run,
@@ -175,20 +148,12 @@ pub struct LaunchCache {
     /// Keys in insertion order (front = oldest), for capped eviction.
     order: VecDeque<ContentKey>,
     cap: usize,
-    /// Verify entry checksums on replay (off by default: the hash costs
-    /// a pass over the buffers on every hit, and entries cannot corrupt
-    /// themselves — this guards against *external* corruption, so it is
-    /// opt-in for deployments that want detect-and-resimulate).
-    verify: bool,
     /// Launches answered from the cache.
     pub hits: u64,
     /// Launches that ran the interpreter (and populated the cache).
     pub misses: u64,
     /// Entries dropped by the cap (oldest-first).
     pub evictions: u64,
-    /// Replays that failed checksum verification: the corrupt entry was
-    /// dropped and the launch re-simulated (so results stayed correct).
-    pub integrity_failures: u64,
     /// Buffer bytes fed to content-key hashing by launches through this
     /// cache: each uploaded, seeded or kernel-written byte once, however
     /// many launches follow it.
@@ -201,11 +166,9 @@ impl Default for LaunchCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
             cap: DEFAULT_ENTRY_CAP,
-            verify: false,
             hits: 0,
             misses: 0,
             evictions: 0,
-            integrity_failures: 0,
             bytes_hashed: 0,
         }
     }
@@ -230,36 +193,6 @@ impl LaunchCache {
         self.cap
     }
 
-    /// Enable (or disable) checksum verification on replay. A replay
-    /// whose entry fails verification drops the entry, bumps
-    /// `integrity_failures`, and reports a miss — the launch then
-    /// re-simulates, so a corrupted entry degrades to a slow correct
-    /// answer instead of a fast wrong one.
-    pub fn with_verification(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
-    }
-
-    /// Corrupt the payload of one cached entry *without* updating its
-    /// checksum — the chaos hook behind cache-poisoning fault injection.
-    /// The snapshot's allocation is replaced by a corrupted copy that
-    /// still carries the recorded key; arrays that share the original
-    /// keep their bytes. Returns false when the cache has no corruptible
-    /// entry.
-    pub fn poison_one(&mut self) -> bool {
-        for key in &self.order {
-            if let Some(e) = self.entries.get_mut(key) {
-                for (_, bytes, _) in &mut e.writes {
-                    if let Some(bad) = bytes.corrupted() {
-                        *bytes = bad;
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// Number of cached launches.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -275,16 +208,6 @@ impl LaunchCache {
     /// recorded stats, bumping the hit counter.
     fn replay(&mut self, key: ContentKey, mem: &mut DeviceMemory) -> Option<LaunchResult> {
         let entry = self.entries.get(&key)?;
-        if self.verify && !entry_is_intact(entry) {
-            // Detected corruption: drop the entry and report a miss so
-            // the caller re-simulates instead of replaying bad bytes.
-            self.entries.remove(&key);
-            if let Some(pos) = self.order.iter().position(|&k| k == key) {
-                self.order.remove(pos);
-            }
-            self.integrity_failures += 1;
-            return None;
-        }
         for (idx, bytes, _) in &entry.writes {
             mem.install(*idx as usize, bytes.clone());
         }
@@ -377,8 +300,7 @@ fn run_and_record(
         }
     }
     let stats = result.stats;
-    let checksum = entry_checksum(&stats, &writes);
-    Ok((result, CachedLaunch { stats, writes, checksum }))
+    Ok((result, CachedLaunch { stats, writes }))
 }
 
 /// A [`LaunchCache`] shareable between threads, sharded by content-hash
@@ -417,38 +339,15 @@ impl SharedLaunchCache {
     /// A shared cache capping *total* entries at roughly `cap`
     /// (distributed evenly across shards, at least one per shard).
     pub fn with_entry_cap(nshards: usize, cap: usize) -> Self {
-        Self::with_options(nshards, cap, false)
-    }
-
-    /// [`SharedLaunchCache::with_entry_cap`] with replay-time checksum
-    /// verification configured per shard (see
-    /// [`LaunchCache::with_verification`]).
-    pub fn with_options(nshards: usize, cap: usize, verify: bool) -> Self {
         let n = nshards.max(1).next_power_of_two();
         let per_shard = (cap / n).max(1);
         SharedLaunchCache {
             shards: (0..n)
-                .map(|_| {
-                    Mutex::new(
-                        LaunchCache::new().with_entry_cap(per_shard).with_verification(verify),
-                    )
-                })
+                .map(|_| Mutex::new(LaunchCache::new().with_entry_cap(per_shard)))
                 .collect(),
             mask: (n - 1) as u64,
             contention: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Corrupt one cached entry somewhere in the cache without updating
-    /// its checksum — the chaos hook for cache-poisoning faults. Returns
-    /// false when every shard is empty.
-    pub fn poison_one(&self) -> bool {
-        self.shards.iter().any(|s| self.lock(s).poison_one())
-    }
-
-    /// Replays that failed checksum verification, across all shards.
-    pub fn integrity_failures(&self) -> u64 {
-        self.shards.iter().map(|s| self.lock(s).integrity_failures).sum()
     }
 
     fn shard(&self, key: ContentKey) -> &Mutex<LaunchCache> {
@@ -559,6 +458,7 @@ impl SharedLaunchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::bytes_key;
     use crate::vir::{Inst, MemSpace, Operand, ParamDecl, SpecialReg, VType};
 
     /// out[tid] = a[tid] + 1.0f
@@ -635,6 +535,44 @@ mod tests {
         for i in 0..mem1.buffer_count() {
             assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
         }
+    }
+
+    #[test]
+    fn a_replayed_snapshot_is_never_written_through() {
+        // The premise replay rests on: a snapshot is an allocation no one
+        // writes. A replay hands it to the memory it replays into, and
+        // every way to write that memory — a word, a host copy, a
+        // kernel's stores — copies first. So a later replay still
+        // installs the first launch's bytes, and every snapshot still
+        // hashes to the key it was recorded with.
+        let k = add_one_kernel();
+        let out = BufferId(1);
+        let mut cache = LaunchCache::new();
+        let (mut first, params, config) = setup();
+        launch_cached(&mut cache, &k, &config, &params, &mut first, &[]).unwrap();
+        let want = first.copy_out(out);
+        for how in ["write", "copy_in", "launch"] {
+            let (mut replayed, ..) = setup();
+            launch_cached(&mut cache, &k, &config, &params, &mut replayed, &[]).unwrap();
+            match how {
+                "write" => replayed.write(replayed.base_addr(out), 4, 7).unwrap(),
+                "copy_in" => replayed.copy_in(out, &[0xab; 32 * 4]),
+                // out aliases itself: the kernel stores out + 1 over the snapshot.
+                _ => {
+                    let params = [params[1], params[1]];
+                    launch_cached(&mut cache, &k, &config, &params, &mut replayed, &[]).unwrap();
+                }
+            }
+            assert_ne!(replayed.copy_out(out), want, "{how}: the write took");
+            let (mut third, ..) = setup();
+            launch_cached(&mut cache, &k, &config, &params, &mut third, &[]).unwrap();
+            assert_eq!(third.copy_out(out), want, "{how}: a later replay");
+            for (_, bytes, key) in cache.entries.values().flat_map(|e| &e.writes) {
+                assert_eq!(bytes_key(bytes), *key, "{how}: a snapshot left its key");
+            }
+        }
+        assert_eq!((cache.hits, cache.misses), (6, 2));
+        assert_eq!(first.copy_out(out), want, "the recording memory keeps its bytes");
     }
 
     /// A compiled kernel's shape: a VIR with its key cell beside it.
@@ -873,10 +811,8 @@ mod tests {
     /// reachable in-module: through the public API an overwrite needs
     /// two threads racing a miss on the same key.
     fn synthetic(tag: u8) -> CachedLaunch {
-        let stats = KernelStats::default();
         let writes = vec![(0, SharedBytes::from(vec![tag]), ContentKey(tag as u128))];
-        let checksum = entry_checksum(&stats, &writes);
-        CachedLaunch { stats, writes, checksum }
+        CachedLaunch { stats: KernelStats::default(), writes }
     }
 
     #[test]
@@ -915,135 +851,5 @@ mod tests {
             assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
         }
         assert_eq!(shared.len(), 1);
-    }
-
-    #[test]
-    fn poisoned_entry_is_detected_and_resimulated_bit_correct() {
-        let k = add_one_kernel();
-        let mut cache = LaunchCache::new().with_verification(true);
-
-        let (mut mem1, params, config) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem1, &[]).unwrap();
-        assert!(cache.poison_one(), "one entry exists to poison");
-
-        // The poisoned replay is detected: dropped, re-simulated, and
-        // the output matches the original run byte-for-byte.
-        let (mut mem2, params2, config2) = setup();
-        launch_cached(&mut cache, &k, &config2, &params2, &mut mem2, &[]).unwrap();
-        assert_eq!(cache.integrity_failures, 1);
-        assert_eq!((cache.hits, cache.misses), (0, 2), "poisoned replay became a miss");
-        for i in 0..mem1.buffer_count() {
-            assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
-        }
-
-        // The re-simulated entry is healthy again: next lookup hits.
-        let (mut mem3, params3, config3) = setup();
-        launch_cached(&mut cache, &k, &config3, &params3, &mut mem3, &[]).unwrap();
-        assert_eq!((cache.hits, cache.misses), (1, 2));
-    }
-
-    #[test]
-    fn a_poisoned_snapshot_key_is_detected_and_resimulated_too() {
-        // The twin of the test above for the other half of a snapshot:
-        // the key that a replay installs next to the bytes. Unverified,
-        // it would name the wrong content to every later launch.
-        let k = add_one_kernel();
-        let mut cache = LaunchCache::new().with_verification(true);
-        let (mut mem1, params, config) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem1, &[]).unwrap();
-        for entry in cache.entries.values_mut() {
-            entry.writes[0].2 .0 ^= 1;
-        }
-        let (mut mem2, ..) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem2, &[]).unwrap();
-        assert_eq!(cache.integrity_failures, 1);
-        assert_eq!((cache.hits, cache.misses), (0, 2), "poisoned replay became a miss");
-        for i in 0..mem1.buffer_count() {
-            assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
-            assert_eq!(mem1.buffer_key(i), mem2.buffer_key(i), "key {i}");
-        }
-        let (mut mem3, ..) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem3, &[]).unwrap();
-        assert_eq!((cache.hits, cache.misses), (1, 2), "the re-recorded entry is healthy");
-        assert_eq!(mem3.buffer_key(1), mem1.buffer_key(1));
-    }
-
-    #[test]
-    fn poison_without_verification_replays_bad_bytes() {
-        // The control experiment for the test above: with verification
-        // off (the default), poisoning silently corrupts replays — which
-        // is exactly why the detect-and-resimulate path exists.
-        let k = add_one_kernel();
-        let mut cache = LaunchCache::new();
-        let (mut mem1, params, config) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem1, &[]).unwrap();
-        cache.poison_one();
-        let (mut mem2, params2, config2) = setup();
-        launch_cached(&mut cache, &k, &config2, &params2, &mut mem2, &[]).unwrap();
-        assert_eq!(cache.hits, 1, "unverified replay hits");
-        assert_eq!(cache.integrity_failures, 0);
-        let differs = (0..mem1.buffer_count())
-            .any(|i| mem1.buffer_bytes(i) != mem2.buffer_bytes(i));
-        assert!(differs, "unverified poison corrupts the replayed output");
-    }
-
-    #[test]
-    fn an_array_handed_out_before_poisoning_keeps_its_bytes() {
-        // The snapshot is the allocation the launch left in `out`: once
-        // handed out it is the caller's array too, so poisoning may not
-        // write it.
-        let k = add_one_kernel();
-        let mut cache = LaunchCache::new().with_verification(true);
-        let (mut mem, params, config) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem, &[]).unwrap();
-        let out = mem.share(BufferId(1));
-        let recorded = &cache.entries.values().next().unwrap().writes[0].1;
-        assert!(SharedBytes::ptr_eq(&out, recorded), "the snapshot shares the buffer");
-        let want: Vec<f32> = (0..32).map(|i| i as f32 + 1.0).collect();
-        assert!(cache.poison_one());
-        assert_eq!(mem.copy_out_f32(BufferId(1)), want, "poisoning reached a handed-out array");
-
-        let (mut again, ..) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut again, &[]).unwrap();
-        assert_eq!(cache.integrity_failures, 1);
-        assert_eq!(again.copy_out_f32(BufferId(1)), want);
-    }
-
-    #[test]
-    fn a_snapshot_with_a_stale_cached_key_fails_verification() {
-        // Verification hashes the snapshot's bytes afresh: the key cached
-        // in the allocation is what corrupted memory would still claim.
-        let k = add_one_kernel();
-        let mut cache = LaunchCache::new().with_verification(true);
-        let (mut mem1, params, config) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem1, &[]).unwrap();
-        let entry = cache.entries.values_mut().next().unwrap();
-        assert!(entry_is_intact(entry));
-        let (_, bytes, key) = &mut entry.writes[0];
-        *bytes = bytes.corrupted().unwrap();
-        assert_eq!(bytes.known_key(), Some(*key), "the copy claims the recorded key");
-        assert!(!entry_is_intact(entry));
-
-        let (mut mem2, ..) = setup();
-        launch_cached(&mut cache, &k, &config, &params, &mut mem2, &[]).unwrap();
-        assert_eq!(cache.integrity_failures, 1);
-        assert_eq!((cache.hits, cache.misses), (0, 2), "the stale snapshot was not replayed");
-        assert_eq!(mem1.copy_out(BufferId(1)), mem2.copy_out(BufferId(1)));
-    }
-
-    #[test]
-    fn shared_cache_detects_poison_too() {
-        let k = add_one_kernel();
-        let shared = SharedLaunchCache::with_options(4, DEFAULT_ENTRY_CAP, true);
-        let (mut mem1, params, config) = setup();
-        shared.launch_cached(&k, &config, &params, &mut mem1, &[]).unwrap();
-        assert!(shared.poison_one());
-        let (mut mem2, params2, config2) = setup();
-        shared.launch_cached(&k, &config2, &params2, &mut mem2, &[]).unwrap();
-        assert_eq!(shared.integrity_failures(), 1);
-        assert_eq!((shared.hits(), shared.misses()), (0, 2));
-        for i in 0..mem1.buffer_count() {
-            assert_eq!(mem1.buffer_bytes(i), mem2.buffer_bytes(i), "buffer {i}");
-        }
     }
 }

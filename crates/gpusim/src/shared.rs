@@ -30,8 +30,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-/// The content key of `bytes`, hashed on the spot and counted nowhere:
-/// what a memo entry's verification recomputes from a snapshot.
+/// The content key of `bytes`, hashed on the spot and counted nowhere.
 pub(crate) fn bytes_key(bytes: &[u8]) -> ContentKey {
     let mut h = ContentHasher::default();
     h.bytes(bytes);
@@ -57,18 +56,11 @@ pub(crate) fn counted_key(bytes: &[u8]) -> ContentKey {
 
 struct Alloc {
     bytes: Vec<u8>,
-    /// Set at most once, to the key of `bytes` (only the memo's chaos
-    /// hook ever sets it to anything else).
+    /// Set at most once, to the key of `bytes`.
     key: OnceLock<ContentKey>,
     /// Set at most once, by [`SharedBytes::record_digest`]: a tag and
     /// the digest its caller computed of `bytes` under it.
     digest: OnceLock<(u8, u64)>,
-}
-
-impl Alloc {
-    fn new(bytes: Vec<u8>, key: OnceLock<ContentKey>) -> Alloc {
-        Alloc { bytes, key, digest: OnceLock::new() }
-    }
 }
 
 /// An immutable byte array shared by handle, carrying its content key
@@ -113,23 +105,12 @@ impl SharedBytes {
         Arc::try_unwrap(self.0).map_or_else(|shared| shared.bytes.clone(), |alloc| alloc.bytes)
     }
 
-    /// A copy with its first byte flipped that still carries this
-    /// allocation's key — a stale one, standing in for memory corrupted
-    /// after it was keyed (the memo's cache-poisoning hook). Its digest
-    /// slot starts empty, so a digest is taken of the corrupted bytes.
-    /// `None` when there is no byte to flip.
-    pub(crate) fn corrupted(&self) -> Option<SharedBytes> {
-        let key = self.key();
-        let mut bytes = self.clone().into_vec();
-        *bytes.first_mut()? ^= 0xff;
-        Some(SharedBytes(Arc::new(Alloc::new(bytes, OnceLock::from(key)))))
-    }
 }
 
 /// Moves the `Vec` in: no byte is copied.
 impl From<Vec<u8>> for SharedBytes {
     fn from(bytes: Vec<u8>) -> Self {
-        SharedBytes(Arc::new(Alloc::new(bytes, OnceLock::new())))
+        SharedBytes(Arc::new(Alloc { bytes, key: OnceLock::new(), digest: OnceLock::new() }))
     }
 }
 
@@ -196,17 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn a_corrupted_copy_keeps_the_stale_key_and_leaves_the_original() {
-        let a = SharedBytes::from(vec![5u8; 8]);
-        let bad = a.corrupted().unwrap();
-        assert_eq!(a[..], [5; 8]);
-        assert_eq!(bad[0], 5 ^ 0xff);
-        assert_eq!(bad.known_key(), Some(a.key()));
-        assert_ne!(bytes_key(&bad), a.key());
-        assert!(SharedBytes::from(Vec::new()).corrupted().is_none());
-    }
-
-    #[test]
     fn a_recorded_digest_is_seen_by_every_holder_under_its_tag_only() {
         let a = SharedBytes::from(vec![9u8; 4]);
         let b = a.clone();
@@ -216,7 +186,6 @@ mod tests {
         assert_eq!(b.recorded_digest(2), None, "another tag is another digest");
         b.record_digest(2, 0xdef);
         assert_eq!((a.recorded_digest(1), a.recorded_digest(2)), (Some(0xabc), None), "set once");
-        assert_eq!(a.corrupted().unwrap().recorded_digest(1), None, "a corrupted copy: empty");
         assert_eq!(SharedBytes::from(vec![9u8; 4]).recorded_digest(1), None, "another allocation");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! safara-serve [--listen ADDR] [--stdin] [--workers N]
-//!              [--queue-depth N] [--timeout-ms N] [--verify-cache]
+//!              [--queue-depth N] [--timeout-ms N]
 //!              [--no-coalesce] [--max-batch N]
 //!              [--fault POINT:ACTION[:COUNT][:MS]] [--fault-seed N]
 //! ```
@@ -52,7 +52,6 @@ fn main() {
             "--workers" => config.workers = num(argv.next(), "--workers").max(1),
             "--queue-depth" => config.queue_depth = num(argv.next(), "--queue-depth").max(1),
             "--timeout-ms" => config.default_timeout_ms = num(argv.next(), "--timeout-ms") as u64,
-            "--verify-cache" => config.verify_cache = true,
             "--no-coalesce" => config.coalesce = false,
             "--max-batch" => config.max_batch = num(argv.next(), "--max-batch").max(1),
             "--fault" => {
@@ -65,7 +64,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: safara-serve [--listen ADDR] [--stdin] [--workers N] \
-                     [--queue-depth N] [--timeout-ms N] [--verify-cache] \
+                     [--queue-depth N] [--timeout-ms N] \
                      [--no-coalesce] [--max-batch N] \
                      [--fault POINT:ACTION[:COUNT][:MS]]... [--fault-seed N]"
                 );

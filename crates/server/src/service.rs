@@ -23,7 +23,7 @@ use crate::queue::{Bounded, PushError};
 use safara_core::chaos::{FaultAction, FaultPlan, InjectionPoint};
 use safara_core::gpusim::device::DeviceConfig;
 use safara_core::gpusim::content::ContentKey;
-use safara_core::gpusim::memo::{DEFAULT_ENTRY_CAP, DEFAULT_SHARDS};
+use safara_core::gpusim::memo::DEFAULT_SHARDS;
 use safara_core::obs::{Histogram, HistogramSnapshot, Tracer};
 use safara_core::{
     run_compiled_with, CompiledProgram, CompilerConfig, Memo, RunCtx, SharedLaunchCache,
@@ -48,9 +48,6 @@ pub struct EngineConfig {
     /// workers, the compile/run pipeline, and reply delivery.
     /// [`FaultPlan::none`] (the default) is inert.
     pub fault_plan: Arc<FaultPlan>,
-    /// Verify launch-cache entry checksums on replay, dropping and
-    /// re-simulating corrupted entries instead of replaying them.
-    pub verify_cache: bool,
     /// Single-flight dedup: an untraced run whose content key
     /// ([`protocol::run_key`]) matches an in-flight request parks as a
     /// waiter and receives the leader's response instead of re-running
@@ -71,7 +68,6 @@ impl Default for EngineConfig {
             queue_depth: 64,
             default_timeout_ms: DEFAULT_TIMEOUT_MS,
             fault_plan: Arc::new(FaultPlan::none()),
-            verify_cache: false,
             coalesce: true,
             max_batch: 8,
         }
@@ -225,8 +221,8 @@ impl ErrorCodeCounts {
 }
 
 /// Cap on stored programs, for the same reason the launch cache next
-/// to it has [`DEFAULT_ENTRY_CAP`]: a long-lived server must not grow
-/// without limit. Far above any one client's working set.
+/// to it has `memo::DEFAULT_ENTRY_CAP`: a long-lived server must not
+/// grow without limit. Far above any one client's working set.
 const PROGRAM_STORE_CAP: usize = 1024;
 
 /// Compiled programs by the resolved (display) name of their profile,
@@ -447,11 +443,7 @@ impl Engine {
     pub fn start(config: EngineConfig) -> Engine {
         let shared = Arc::new(EngineShared {
             workers: config.workers.max(1),
-            cache: SharedLaunchCache::with_options(
-                DEFAULT_SHARDS,
-                DEFAULT_ENTRY_CAP,
-                config.verify_cache,
-            ),
+            cache: SharedLaunchCache::new(DEFAULT_SHARDS),
             programs: Mutex::default(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -707,7 +699,6 @@ fn stats_line_for(shared: &EngineShared, queue_len: usize, id: Option<i64>) -> S
             ("entries", Json::Int(shared.cache.len() as i64)),
             ("evictions", Json::Int(shared.cache.evictions() as i64)),
             ("contention", Json::Int(shared.cache.contention() as i64)),
-            ("integrity_failures", Json::Int(shared.cache.integrity_failures() as i64)),
         ]),
     ));
     base.dump()
@@ -949,13 +940,6 @@ fn execute(
             // still blow its deadline here. Re-check before simulating.
             if Instant::now() > deadline {
                 return ExecOutcome::DeadlineExceeded;
-            }
-            // Injected cache poisoning: corrupt one cached entry
-            // without touching its checksum. With `verify_cache` on the
-            // replay path detects it, drops the entry, and re-simulates
-            // — the slow correct answer instead of the fast wrong one.
-            if let Some(FaultAction::Poison) = shared.faults.at(InjectionPoint::CacheRead) {
-                shared.cache.poison_one();
             }
             let mut args = std::mem::take(&mut r.args);
             let ctx = RunCtx {
@@ -1619,51 +1603,6 @@ mod tests {
         assert_eq!(e.get("code").and_then(Json::as_str), Some("sim"), "{v}");
         assert_eq!(e.get("phase").and_then(Json::as_str), Some("sim"));
         assert_eq!(e.get("retryable").and_then(Json::as_bool), Some(false));
-        engine.shutdown();
-    }
-
-    #[test]
-    fn poisoned_cache_entries_are_detected_and_resimulated() {
-        // First arrival poisons an empty cache (no-op); the second
-        // corrupts the entry recorded by request 1, right before
-        // request 2 replays it.
-        let plan = Arc::new(
-            FaultPlan::seeded(9).with(InjectionPoint::CacheRead, FaultAction::Poison, Fire::First(2)),
-        );
-        let engine = Engine::start(EngineConfig {
-            workers: 1,
-            queue_depth: 8,
-            fault_plan: plan,
-            verify_cache: true,
-            ..EngineConfig::default()
-        });
-        let (tx, rx) = mpsc::channel();
-        let src = "void dbl(int n, float x[n]) {\
-                   #pragma acc kernels copy(x)\n{\
-                   #pragma acc loop gang vector\n\
-                   for (int i = 0; i < n; i++) { x[i] = x[i] * 2.0f; } } }";
-        let args = safara_core::Args::new().i32("n", 8).array_f32("x", &[1.5; 8]);
-        let mut digests = Vec::new();
-        for i in 1..=3 {
-            let line = protocol::build_run_request(i, src, "dbl", "base", &args, false);
-            assert!(submit_line(&engine, &line, &tx).is_none());
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            let v = Json::parse(&resp).unwrap();
-            assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{resp}");
-            digests.push(
-                v.get("digests")
-                    .and_then(|d| d.get("x"))
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-            );
-        }
-        assert!(digests.windows(2).all(|w| w[0] == w[1]), "bit-identical despite poisoning: {digests:?}");
-        let shared = engine.shared();
-        assert_eq!(shared.cache.integrity_failures(), 1, "the corruption was caught");
-        assert_eq!(shared.cache.hits(), 1, "request 3 replays the re-recorded entry");
-        assert_eq!(shared.cache.misses(), 2, "the detected poisoning re-simulated");
-        counters_balance(shared);
         engine.shutdown();
     }
 

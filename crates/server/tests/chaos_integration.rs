@@ -6,7 +6,7 @@
 //! 1. a seed sweep (0..30) driving an in-process [`Engine`] through a
 //!    probabilistic fault plan — parse failures, simulator faults,
 //!    injected delays and bounded hangs, worker panics, dropped
-//!    replies, poisoned cache entries — asserting, for **every** seed,
+//!    replies — asserting, for **every** seed,
 //!    that nothing deadlocks, the accounting invariant `submitted ==
 //!    completed + errors + timed_out + timed_out_late + shed + coalesced`
 //!    holds exactly, and every `ok` response is byte-identical to the
@@ -154,7 +154,6 @@ fn seed_sweep_keeps_accounting_exact_and_ok_responses_bit_identical() {
     let reference = Engine::start(EngineConfig {
         workers: 2,
         queue_depth: 64,
-        verify_cache: true,
         ..EngineConfig::default()
     });
     let expected: HashMap<i64, String> = lines
@@ -180,13 +179,11 @@ fn seed_sweep_keeps_accounting_exact_and_ok_responses_bit_identical() {
             .with(InjectionPoint::Sim, FaultAction::Delay { ms: 15 }, Fire::Prob(0.08))
             .with(InjectionPoint::Sim, FaultAction::Hang, Fire::Prob(0.02))
             .with(InjectionPoint::WorkerJob, FaultAction::Panic, Fire::Prob(0.04))
-            .with(InjectionPoint::CacheRead, FaultAction::Poison, Fire::Prob(0.06))
             .with(InjectionPoint::Reply, FaultAction::Hangup, Fire::Prob(0.04));
         let engine = Engine::start(EngineConfig {
             workers: 3,
             queue_depth: 64,
             fault_plan: Arc::new(plan),
-            verify_cache: true,
             ..EngineConfig::default()
         });
         let outcomes = drive(&engine, &lines);

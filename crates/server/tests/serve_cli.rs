@@ -119,3 +119,12 @@ fn a_malformed_line_gets_the_same_reply_over_stdin_and_tcp() {
     assert!(stdin.contains(r#""code":"bad_request""#), "{stdin}");
     assert_eq!(over_tcp(serve(&[]), &bad), stdin);
 }
+
+#[test]
+fn a_fault_its_point_does_not_act_on_is_refused() {
+    // A panic at `sim` would fire, be counted, and change nothing: the flag is an error.
+    let out = serve(&["--stdin", "--fault", "sim:panic"]).stdin(Stdio::null()).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("`sim` does not act on `panic` (it honours fail, delay, hang)"), "{err}");
+}

@@ -235,6 +235,28 @@ fn admission_is_the_queue() {
 }
 
 #[test]
+fn the_memo_has_no_integrity_mode() {
+    // A snapshot is an allocation no one writes, so a present key is the key of its bytes.
+    // The opt-in re-hash on replay, its flag, its counter and the fault that corrupted an
+    // entry only to be caught by it are gone.
+    let names = [
+        "verify_cache",
+        "\"--verify-cache\"",
+        "with_verification",
+        "poison_one",
+        "integrity_failures",
+        "entry_is_intact",
+        "fn corrupted",
+        "CacheRead",
+        "FaultAction::Poison",
+    ];
+    for name in names {
+        let hits = files_where(&["crates", "scripts"], |s| s.contains(name));
+        assert!(hits.is_empty(), "the memo's integrity mode is back ({name}): {hits:?}");
+    }
+}
+
+#[test]
 fn readme_lists_every_crate() {
     // README's layout table has one `crates/<name>` row per workspace crate, no more.
     let readme = read("README.md");
