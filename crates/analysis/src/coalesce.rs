@@ -35,18 +35,6 @@ pub enum CoalesceClass {
     Unknown,
 }
 
-impl CoalesceClass {
-    /// Conservative transactions-per-warp-access estimate used by cost
-    /// models (a 32-lane warp, 4-byte elements, 128-byte transactions).
-    pub fn est_transactions(self) -> u32 {
-        match self {
-            CoalesceClass::Coalesced => 1,
-            CoalesceClass::Broadcast => 1,
-            CoalesceClass::Uncoalesced | CoalesceClass::Unknown => 32,
-        }
-    }
-}
-
 /// Classify `r` given the region structure (which loop variable maps to
 /// the x thread dimension).
 pub fn classify_ref(r: &ArrayRef, region: &RegionInfo) -> CoalesceClass {
@@ -229,6 +217,5 @@ mod tests {
         let (info, refs) = setup(src);
         let gather = refs.iter().find(|r| matches!(r.indices[0], safara_ir::Expr::ArrayRef(_))).unwrap();
         assert_eq!(classify_ref(gather, &info), CoalesceClass::Unknown);
-        assert_eq!(CoalesceClass::Unknown.est_transactions(), 32);
     }
 }

@@ -1,10 +1,11 @@
 //! The SAFARA cost model (§III-B.3): `cost(R) = count(R) × latency(M)`.
 //!
-//! Latency figures are per-access warp-visible latencies in cycles,
-//! defaulting to values recovered by the simulator's microbenchmark suite
-//! (`safara-gpusim::microbench`, playing the role of the Wong et al.
-//! microbenchmarks the paper cites). They can be overridden so compiler
-//! behaviour can be studied under different memory models.
+//! Latency figures are per-access warp-visible latencies in cycles. The
+//! defaults are hand-set Kepler-class values; a table recovered by the
+//! simulator's microbenchmark suite (`safara-gpusim::microbench`, playing
+//! the role of the Wong et al. microbenchmarks the paper cites) can
+//! replace them, so compiler behaviour can be studied under different
+//! memory models.
 
 use crate::coalesce::CoalesceClass;
 use crate::memspace::ArraySpace;

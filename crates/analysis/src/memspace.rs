@@ -3,9 +3,10 @@
 //! Following §III-B.1 of the paper, array references are classified by the
 //! GPU memory space they will live in. Our implementation (like the
 //! paper's) considers **read-only** and **read/write global** data: an
-//! array that is never written inside the region (or is declared `const`)
-//! is eligible for the Kepler read-only data cache (`__ldg` loads), which
-//! has markedly lower latency than an L2/global access.
+//! array that is never written inside the region is eligible for the
+//! Kepler read-only data cache (`__ldg` loads), which has markedly lower
+//! latency than an L2/global access. A `const` qualifier does not enter
+//! into it: what the region writes decides.
 
 use safara_ir::{ArrayTy, Ident, OffloadRegion, Param, Stmt};
 use std::collections::BTreeMap;
@@ -24,8 +25,6 @@ pub enum ArraySpace {
 pub struct ArrayUsage {
     /// The array's declared type.
     pub ty: ArrayTy,
-    /// Declared `const` on the parameter list.
-    pub declared_const: bool,
     /// Read anywhere in the region.
     pub read: bool,
     /// Written anywhere in the region.
@@ -51,14 +50,14 @@ pub fn classify_arrays_in(params: &[Param], body: &[Stmt]) -> BTreeMap<Ident, Ar
     let arrays: Vec<_> = params
         .iter()
         .filter_map(|p| match p {
-            Param::Array { name, ty, is_const } => Some((name, ty, *is_const)),
+            Param::Array { name, ty, .. } => Some((name, ty)),
             Param::Scalar { .. } => None,
         })
         .collect();
     let mut marks = vec![(false, false); arrays.len()];
     for (r, is_write) in safara_ir::visit::collect_array_refs(body) {
         // A later parameter of the same name shadows an earlier one.
-        if let Some(at) = arrays.iter().rposition(|(name, ..)| **name == r.array) {
+        if let Some(at) = arrays.iter().rposition(|(name, _)| **name == r.array) {
             if is_write {
                 marks[at].1 = true;
             } else {
@@ -69,13 +68,10 @@ pub fn classify_arrays_in(params: &[Param], body: &[Stmt]) -> BTreeMap<Ident, Ar
     // Arrays the body does not touch are left out; only touched ones
     // clone their type.
     let mut out = BTreeMap::new();
-    for (&(name, ty, declared_const), &(read, written)) in arrays.iter().zip(&marks) {
+    for (&(name, ty), &(read, written)) in arrays.iter().zip(&marks) {
         if read || written {
             let space = if written { ArraySpace::Global } else { ArraySpace::ReadOnly };
-            out.insert(
-                name.clone(),
-                ArrayUsage { ty: ty.clone(), declared_const, read, written, space },
-            );
+            out.insert(name.clone(), ArrayUsage { ty: ty.clone(), read, written, space });
         }
     }
     out

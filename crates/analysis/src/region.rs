@@ -128,17 +128,6 @@ impl RegionInfo {
     pub fn var_for_dim(&self, d: ThreadDim) -> Option<&Ident> {
         self.loops.iter().find(|l| l.mapped == Some(d)).map(|l| &l.var)
     }
-
-    /// Product of the estimated trip counts of the sequential loops
-    /// enclosing... (used as the per-thread work multiplier).
-    pub fn seq_trip_product(&self) -> u64 {
-        self.loops
-            .iter()
-            .filter(|l| l.mapped.is_none())
-            .map(|l| l.est_trip.max(1))
-            .product::<u64>()
-            .max(1)
-    }
 }
 
 fn collect(stmts: &[Stmt], depth: usize, in_seq: bool, out: &mut Vec<LoopInfo>) {
@@ -244,7 +233,6 @@ mod tests {
         assert_eq!(k.mapped, None);
         assert!(k.sequential);
         assert_eq!(k.est_trip, 8);
-        assert_eq!(info.seq_trip_product(), 8);
     }
 
     #[test]

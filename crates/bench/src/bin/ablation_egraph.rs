@@ -82,23 +82,20 @@ fn family(
 }
 
 fn main() {
-    let b = CompilerConfig::builder;
+    let throughput = OptGoal::MaxThroughput;
+    let clauses_saturated =
+        CompilerConfig { name: "custom", saturate: true, ..CompilerConfig::safara_clauses() };
     let fig7: [CompilerConfig; 4] = [
         CompilerConfig::base(),
         CompilerConfig::safara_only(),
         CompilerConfig::safara_saturated(),
-        b().safara(true).saturate(true).goal(OptGoal::MaxThroughput).build(),
+        CompilerConfig { name: "custom", goal: throughput, ..CompilerConfig::safara_saturated() },
     ];
     let fig9: [CompilerConfig; 4] = [
         CompilerConfig::base(),
         CompilerConfig::safara_clauses(),
-        b().safara(true).small(true).dim(true).saturate(true).build(),
-        b().safara(true)
-            .small(true)
-            .dim(true)
-            .saturate(true)
-            .goal(OptGoal::MaxThroughput)
-            .build(),
+        clauses_saturated.clone(),
+        CompilerConfig { goal: throughput, ..clauses_saturated },
     ];
     let suite = spec_suite();
 

@@ -46,10 +46,6 @@ pub struct CodegenOptions {
     pub honor_dim: bool,
     /// Emission-time local value numbering (CSE within an iteration).
     pub local_cse: bool,
-    /// Run dead-code elimination after emission.
-    pub dce: bool,
-    /// Default vector length (block x size) when no clause specifies one.
-    pub default_vector_length: u32,
 }
 
 impl Default for CodegenOptions {
@@ -59,8 +55,6 @@ impl Default for CodegenOptions {
             honor_small: true,
             honor_dim: true,
             local_cse: true,
-            dce: true,
-            default_vector_length: 128,
         }
     }
 }
@@ -82,7 +76,6 @@ impl CodegenOptions {
             honor_small: false,
             honor_dim: false,
             local_cse: false,
-            ..Default::default()
         }
     }
 }

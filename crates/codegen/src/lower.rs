@@ -25,6 +25,7 @@ use safara_analysis::memspace::{classify_arrays_in, ArrayUsage};
 use safara_analysis::region::{RegionInfo, ThreadDim};
 use safara_analysis::ArraySpace;
 use safara_gpusim::content::{ContentHasher, ContentKey};
+use safara_gpusim::device::DeviceConfig;
 use safara_gpusim::memo::{MemoKernel, VirKeyCell};
 use safara_gpusim::vir::*;
 use safara_ir::offset::{row_major_offset, OffsetAlgebra};
@@ -47,8 +48,6 @@ pub struct MappedLoopSpec {
     pub bound: Expr,
     /// Constant step.
     pub step: i64,
-    /// `gang(e)` argument, if given.
-    pub gang: Option<Expr>,
     /// `vector(e)` argument, if given.
     pub vector: Option<Expr>,
 }
@@ -162,9 +161,7 @@ fn lower_nest(
             AbiParam::ArrayBase { .. } | AbiParam::ReductionSlot { .. } => ParamDecl::Ptr,
         })
         .collect();
-    if opts.dce {
-        crate::dce::eliminate_dead_code(&mut vir);
-    }
+    crate::dce::eliminate_dead_code(&mut vir);
     let dim_groups = directive.clauses.dim_groups.iter().map(|g| g.arrays.clone()).collect();
     let launch_bounds = directive.clauses.launch_bounds.as_ref().map(|lb| {
         let t = lb.max_threads.as_const().unwrap_or(0).max(0) as u32;
@@ -185,6 +182,46 @@ fn lower_nest(
         dim_groups,
         launch_bounds,
     })
+}
+
+impl CompiledKernel {
+    /// The thread-block shape this kernel launches with: the one rule the
+    /// compiler plans register allocation and occupancy by and the
+    /// runtime launches by. Each mapped rank (x first, at most three)
+    /// takes its `vector(e)` length as `vector_len` resolves `e` (clamped
+    /// to 1..=1024), or the default for the nest's depth (128; 32 × 4;
+    /// 16 × 4 × 2) when the clause is absent or resolves to `None`. Every
+    /// rank is capped at the `launch_bounds` T and the device's block
+    /// limit, then x is halved until the whole block fits under both. A
+    /// kernel with no mapped loop runs one thread.
+    pub fn block_shape<E>(
+        &self,
+        dev: &DeviceConfig,
+        mut vector_len: impl FnMut(&Expr) -> Result<Option<i64>, E>,
+    ) -> Result<(u32, u32, u32), E> {
+        let default: [u32; 3] = match self.mapped.len() {
+            0 => return Ok((1, 1, 1)),
+            1 => [128, 1, 1],
+            2 => [32, 4, 1],
+            _ => [16, 4, 2],
+        };
+        let limit = self
+            .launch_bounds
+            .map_or(u32::MAX, |(t, _)| t.max(1))
+            .min(dev.max_threads_per_block);
+        let mut block = [1u32; 3];
+        for (d, spec) in self.mapped.iter().take(3).enumerate() {
+            let len = match &spec.vector {
+                Some(e) => vector_len(e)?.map(|v| v.clamp(1, 1024) as u32),
+                None => None,
+            };
+            block[d] = len.unwrap_or(default[d]).min(limit);
+        }
+        while block[0] > 1 && block[0] * block[1] * block[2] > limit {
+            block[0] /= 2;
+        }
+        Ok((block[0], block[1], block[2]))
+    }
 }
 
 impl std::fmt::Debug for CompiledKernel {
@@ -553,7 +590,6 @@ impl<'a> Emitter<'a> {
                 cmp: LoopCmp::Lt,
                 bound: Expr::IntLit(0),
                 step: 1,
-                gang: None,
                 vector: None,
             },
         );
@@ -563,7 +599,6 @@ impl<'a> Emitter<'a> {
             cmp: f.cmp,
             bound: f.bound.clone(),
             step: f.step,
-            gang: dir.gang.clone().flatten(),
             vector: dir.vector.clone().flatten(),
         };
         // gidx = ctaid.d * ntid.d + tid.d

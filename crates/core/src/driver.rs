@@ -15,12 +15,7 @@ use safara_obs::Tracer;
 use safara_opt::transform::TempNamer;
 use safara_opt::{carr_kennedy_pass, safara_pass, OptGoal, SrOutcome, ThroughputContext};
 use safara_runtime::{Args, LaunchCache, Memo, RunReport};
-
-/// The runtime's default block size: every default launch geometry
-/// (1D/2D/3D) uses 128 threads per block, so compile-time occupancy and
-/// shared-slab estimates made with this value are exact unless a
-/// `launch_bounds` contract overrides it.
-const DEFAULT_THREADS_PER_BLOCK: u32 = 128;
+use std::convert::Infallible;
 
 /// The register cap implied by a `launch_bounds(max_threads, min_blocks)`
 /// contract: the largest per-thread count `r` such that `min_blocks`
@@ -83,29 +78,26 @@ fn launch_bounds_cap(
 }
 
 /// The per-kernel register cap: the profile's `reg_cap` tightened by the
-/// kernel's own `launch_bounds` clause (or the config-wide override when
-/// the clause is absent).
-fn kernel_reg_cap(
-    config: &CompilerConfig,
-    launch_bounds: Option<(u32, u32)>,
-) -> Result<u32, CompileError> {
-    match launch_bounds.or(config.launch_bounds) {
+/// kernel's `launch_bounds` contract.
+fn kernel_reg_cap(config: &CompilerConfig, kernel: &CompiledKernel) -> Result<u32, CompileError> {
+    match kernel.launch_bounds {
         Some((t, b)) => Ok(config.reg_cap.min(launch_bounds_cap(&config.device, t, b)?)),
         None => Ok(config.reg_cap),
     }
 }
 
-/// The block size the runtime will actually launch with: the
-/// `launch_bounds` contract when one is declared, the runtime's uniform
-/// default otherwise.
-fn planned_threads_per_block(
-    config: &CompilerConfig,
-    launch_bounds: Option<(u32, u32)>,
-) -> u32 {
-    launch_bounds
-        .or(config.launch_bounds)
-        .map(|(t, _)| t)
-        .unwrap_or(DEFAULT_THREADS_PER_BLOCK)
+/// The block `kernel` launches with, as far as compile time knows it
+/// ([`CompiledKernel::block_shape`]): a `vector(e)` that only the
+/// runtime can evaluate is planned at its rank's default.
+fn planned_block(config: &CompilerConfig, kernel: &CompiledKernel) -> (u32, u32, u32) {
+    let Ok(block) = kernel.block_shape(&config.device, |e| Ok::<_, Infallible>(e.as_const()));
+    block
+}
+
+/// Threads in [`planned_block`].
+fn planned_threads(config: &CompilerConfig, kernel: &CompiledKernel) -> u32 {
+    let (x, y, z) = planned_block(config, kernel);
+    x * y * z
 }
 
 /// A compiled kernel plus its register-allocation report — the pair the
@@ -345,13 +337,16 @@ impl Candidate {
         tracer.span("regalloc", |t| {
             let mut cap = config.reg_cap;
             let mut artifacts = Vec::with_capacity(kernels.len());
-            for kernel in kernels {
-                let kernel_cap = kernel_reg_cap(config, kernel.launch_bounds)?;
+            for mut kernel in kernels {
+                // A config-wide contract binds every kernel that declares
+                // none, at compile time and at launch alike.
+                kernel.launch_bounds = kernel.launch_bounds.or(config.launch_bounds);
+                let kernel_cap = kernel_reg_cap(config, &kernel)?;
                 let alloc = allocate_registers_with(
                     &kernel.vir,
                     kernel_cap,
                     config.spill_target,
-                    planned_threads_per_block(config, kernel.launch_bounds),
+                    planned_threads(config, &kernel),
                     config.device.shared_mem_per_sm,
                 );
                 cap = cap.min(kernel_cap);
@@ -511,7 +506,7 @@ fn feedback_round(
     }
     // 2. One SR round within the budget.
     let (trial, round_outcome) =
-        sr_round(&cur.body, analysed, budget, used, config, cost_model, namer);
+        sr_round(&cur.body, &cur.artifacts, analysed, budget, config, cost_model, namer);
     tracer.meta_int("temps_added", round_outcome.temps_added as i64);
     if round_outcome.temps_added == 0 {
         return Ok(None); // all reused references are replaced
@@ -527,38 +522,33 @@ fn feedback_round(
 
 /// One SAFARA pass over every region of `body` within `budget`
 /// registers: the transformed body and what the pass added. Under the
-/// throughput goal each region gets an occupancy oracle seeded with the
-/// measured register use (`used`) and the block size the runtime will
-/// launch with. Each region is analysed once: by the caller when
-/// `analysed` holds its analysis, here otherwise.
+/// throughput goal every region gets an occupancy oracle seeded from
+/// `built`, the kernels of `body`: the most registers any of them uses
+/// and the smallest block any of them is planned to launch with. Each
+/// region is analysed once: by the caller when `analysed` holds its
+/// analysis, here otherwise.
 fn sr_round(
     body: &Function,
+    built: &[KernelArtifact],
     analysed: Option<Vec<RegionReuse>>,
     budget: u32,
-    used: u32,
     config: &CompilerConfig,
     cost_model: &CostModel,
     namer: &mut TempNamer,
 ) -> (Function, SrOutcome) {
+    let throughput = (config.goal == OptGoal::MaxThroughput).then(|| ThroughputContext {
+        device: config.device,
+        threads_per_block: built
+            .iter()
+            .map(|a| planned_threads(config, &a.kernel))
+            .min()
+            .unwrap_or(1),
+        regs_in_use: built.iter().map(|a| a.alloc.regs_used).max().unwrap_or(0),
+    });
     let mut round_outcome = SrOutcome::default();
     let mut trial = body.clone();
     let mut analysed = analysed.into_iter().flatten();
     for region in trial.regions_mut() {
-        let clause_tpb = region
-            .directive
-            .clauses
-            .launch_bounds
-            .as_ref()
-            .and_then(|lb| lb.max_threads.as_const())
-            .map(|t| t.max(1) as u32);
-        let tpb = clause_tpb
-            .or(config.launch_bounds.map(|(t, _)| t))
-            .unwrap_or(DEFAULT_THREADS_PER_BLOCK);
-        let throughput = (config.goal == OptGoal::MaxThroughput).then_some(ThroughputContext {
-            device: config.device,
-            threads_per_block: tpb,
-            regs_in_use: used,
-        });
         let reuse = analysed.next().unwrap_or_else(|| RegionReuse::analyze(region));
         let o = safara_pass(body, region, reuse, budget, cost_model, throughput, namer);
         merge_outcome(&mut round_outcome, o);
@@ -639,7 +629,7 @@ fn saturate_traced(
                 c.artifacts
                     .iter()
                     .map(|a| {
-                        let tpb = planned_threads_per_block(config, a.kernel.launch_bounds);
+                        let tpb = planned_threads(config, &a.kernel);
                         config.device.occupancy(a.alloc.regs_used, tpb).active_warps_per_sm
                     })
                     .min()
@@ -777,8 +767,8 @@ mod tests {
         assert_eq!(f.kernels[0].kernel.launch_bounds, Some((256, 4)));
         assert!(f.max_regs() <= 64, "cap 64, used {}", f.max_regs());
 
-        // The same contract through the builder override, no clause.
-        let cfg = CompilerConfig::builder().safara(true).launch_bounds(256, 4).build();
+        // The same contract through the config-wide override, no clause.
+        let cfg = CompilerConfig { launch_bounds: Some((256, 4)), ..CompilerConfig::safara_only() };
         let p = compile(FIG5, &cfg).unwrap();
         assert!(p.function("fig5").unwrap().max_regs() <= 64);
     }
@@ -795,7 +785,7 @@ mod tests {
         assert!(err.to_string().contains("threads per block"), "{err}");
 
         // More resident blocks than an SM supports (config-wide override).
-        let cfg = CompilerConfig::builder().launch_bounds(128, 64).build();
+        let cfg = CompilerConfig { launch_bounds: Some((128, 64)), ..CompilerConfig::base() };
         let err = compile(FIG5, &cfg).unwrap_err();
         assert_eq!(err.code(), "launch_bounds");
         assert!(err.to_string().contains("blocks per SM"), "{err}");
@@ -809,6 +799,36 @@ mod tests {
         assert_eq!(err.code(), "launch_bounds");
         assert!(err.to_string().contains("allocator floor"), "{err}");
         assert!(!err.retryable());
+    }
+
+    #[test]
+    fn the_planned_block_is_the_launched_block() {
+        // Register allocation, the RegDem slab and the occupancy oracle
+        // plan with the block the runtime launches: `launch_bounds(256, 4)`
+        // launches the default 128 threads, `vector(64)` launches 64, and a
+        // config-wide contract caps the launch like a clause does.
+        let lb = FIG5.replace("#pragma acc kernels", "#pragma acc kernels launch_bounds(256, 4)");
+        let vec64 = FIG5.replace("loop gang vector", "loop gang vector(64)");
+        let capped =
+            CompilerConfig { launch_bounds: Some((64, 1)), ..CompilerConfig::safara_only() };
+        for (src, cfg, want) in [
+            (lb.as_str(), CompilerConfig::safara_only(), (128, 1, 1)),
+            (vec64.as_str(), CompilerConfig::safara_only(), (64, 1, 1)),
+            (FIG5, capped, (64, 1, 1)),
+        ] {
+            let p = compile(src, &cfg).unwrap();
+            let kernel = &p.function("fig5").unwrap().kernels[0].kernel;
+            let mut args = crate::Args::new()
+                .i32("jsize", 8)
+                .i32("isize", 8)
+                .array_f32("a", &vec![0.0; 260 * 260])
+                .array_f32("b", &vec![0.0; 260 * 260])
+                .array_f32("c", &vec![0.0; 260])
+                .array_f32("d", &vec![0.0; 260]);
+            let report = p.run("fig5", &mut args, &cfg.device).unwrap();
+            assert_eq!(report.kernels[0].config.block, want);
+            assert_eq!(planned_block(&cfg, kernel), want);
+        }
     }
 
     #[test]
@@ -1189,9 +1209,9 @@ mod tests {
                 converged += 1;
                 let (again, added) = sr_round(
                     &f.transformed,
+                    &f.kernels,
                     None,
                     budget,
-                    f.max_regs(),
                     &config,
                     cost_model,
                     &mut TempNamer::default(),

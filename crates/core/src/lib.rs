@@ -59,7 +59,7 @@ pub use error::{CompileError, Phase};
 pub use pipeline::{
     run_compiled, run_compiled_traced, run_compiled_with, KernelSummary, RunCtx, RunOutcome,
 };
-pub use profile::{CompilerConfig, CompilerConfigBuilder, SrStrategy};
+pub use profile::{CompilerConfig, SrStrategy};
 pub use report::{register_table, RegisterRow};
 
 // Facade re-exports so downstream users (workloads, benches, examples)

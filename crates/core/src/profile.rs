@@ -229,14 +229,6 @@ impl CompilerConfig {
         keys
     };
 
-    /// Start building a configuration from typed toggles. The builder
-    /// starts at the OpenUH baseline; toggles compose, and combinations
-    /// matching a named evaluation point keep that point's canonical
-    /// name. ([`CompilerConfig::by_name`] resolves wire-protocol keys.)
-    pub fn builder() -> CompilerConfigBuilder {
-        CompilerConfigBuilder::default()
-    }
-
     /// Resolve a profile by wire-protocol key (case-insensitive, `-`
     /// treated as `_`, surrounding blanks ignored). `None` for unknown
     /// keys.
@@ -282,142 +274,6 @@ fn profile(key: &str) -> Option<Named> {
         .map(|&(_, named)| named)
 }
 
-/// Typed construction of a [`CompilerConfig`] (see
-/// [`CompilerConfig::builder`]).
-///
-/// ```
-/// use safara_core::CompilerConfig;
-/// let cfg = CompilerConfig::builder().safara(true).small(true).dim(true).build();
-/// assert_eq!(cfg, CompilerConfig::safara_clauses());
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompilerConfigBuilder {
-    safara: bool,
-    carr_kennedy: bool,
-    small: bool,
-    dim: bool,
-    unroll: u32,
-    goal: OptGoal,
-    saturate: bool,
-    spill_target: SpillTarget,
-    launch_bounds: Option<(u32, u32)>,
-    reg_cap: Option<u32>,
-}
-
-impl CompilerConfigBuilder {
-    /// Enable SAFARA scalar replacement with the iterative feedback
-    /// loop. Mutually exclusive with [`CompilerConfigBuilder::carr_kennedy`]
-    /// (the last one set wins).
-    pub fn safara(mut self, on: bool) -> Self {
-        self.safara = on;
-        if on {
-            self.carr_kennedy = false;
-        }
-        self
-    }
-
-    /// Enable classical Carr–Kennedy scalar replacement instead.
-    pub fn carr_kennedy(mut self, on: bool) -> Self {
-        self.carr_kennedy = on;
-        if on {
-            self.safara = false;
-        }
-        self
-    }
-
-    /// Honor `small` clauses (32-bit offset arithmetic).
-    pub fn small(mut self, on: bool) -> Self {
-        self.small = on;
-        self
-    }
-
-    /// Honor `dim` groups (shared dope scalars).
-    pub fn dim(mut self, on: bool) -> Self {
-        self.dim = on;
-        self
-    }
-
-    /// Unroll innermost sequential loops by `factor` before scalar
-    /// replacement (0/1 = off).
-    pub fn unroll(mut self, factor: u32) -> Self {
-        self.unroll = factor;
-        self
-    }
-
-    /// Set what the feedback loop optimizes (default:
-    /// [`OptGoal::MinRegisters`], the paper's policy).
-    pub fn goal(mut self, goal: OptGoal) -> Self {
-        self.goal = goal;
-        self
-    }
-
-    /// Run the equality-saturation phase ahead of scalar replacement
-    /// (default: off, keeping every existing profile byte-identical).
-    pub fn saturate(mut self, on: bool) -> Self {
-        self.saturate = on;
-        self
-    }
-
-    /// Set where register spills land (default: [`SpillTarget::Local`]).
-    pub fn spill_target(mut self, target: SpillTarget) -> Self {
-        self.spill_target = target;
-        self
-    }
-
-    /// Apply a `launch_bounds(T, B)`-style register cap to every kernel
-    /// (a region's own `launch_bounds` clause still wins per kernel).
-    pub fn launch_bounds(mut self, max_threads: u32, min_blocks: u32) -> Self {
-        self.launch_bounds = Some((max_threads, min_blocks.max(1)));
-        self
-    }
-
-    /// Override the per-thread register cap the feedback loop targets.
-    /// Out-of-range values (< 4 or above the device maximum) are
-    /// rejected at compile time with a typed error, not clamped.
-    pub fn reg_cap(mut self, cap: u32) -> Self {
-        self.reg_cap = Some(cap);
-        self
-    }
-
-    /// Build the configuration. Toggle combinations that match a named
-    /// evaluation point produce that exact config (same canonical
-    /// `name`); any other combination is named `"custom"`.
-    pub fn build(self) -> CompilerConfig {
-        let base = CompilerConfig::base();
-        let cfg = CompilerConfig {
-            name: "custom",
-            codegen: CodegenOptions {
-                honor_small: self.small,
-                honor_dim: self.dim,
-                ..CodegenOptions::base()
-            },
-            sr: if self.carr_kennedy {
-                SrStrategy::CarrKennedy
-            } else if self.safara {
-                SrStrategy::Safara { cost_model: CostModel::default(), feedback: true }
-            } else {
-                SrStrategy::None
-            },
-            unroll: if self.unroll >= 2 { self.unroll } else { 0 },
-            goal: self.goal,
-            saturate: self.saturate,
-            spill_target: self.spill_target,
-            launch_bounds: self.launch_bounds,
-            reg_cap: self.reg_cap.unwrap_or(base.reg_cap),
-            ..base
-        };
-        // A toggle set equal to a named point in everything but the name
-        // is that point (byte-identical: the compat tests pin it). The
-        // factor row goes last — `safara_unroll(0)` is `safara_clauses`.
-        PROFILES
-            .iter()
-            .map(|(_, named)| named())
-            .chain([CompilerConfig::safara_unroll(cfg.unroll)])
-            .find(|named| CompilerConfig { name: named.name, ..cfg.clone() } == *named)
-            .unwrap_or(cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,91 +315,6 @@ mod tests {
         }
         assert_eq!(CompilerConfig::canonical_name("nvcc"), None);
         assert_eq!(CompilerConfig::canonical_name("OpenUH(SAFARA)"), None, "a name is not a key");
-    }
-
-    #[test]
-    fn builder_reproduces_every_named_toggle_combination() {
-        let b = CompilerConfig::builder;
-        assert_eq!(b().build(), CompilerConfig::base());
-        assert_eq!(b().safara(true).build(), CompilerConfig::safara_only());
-        assert_eq!(b().small(true).build(), CompilerConfig::small());
-        assert_eq!(b().small(true).dim(true).build(), CompilerConfig::small_dim());
-        assert_eq!(
-            b().safara(true).small(true).dim(true).build(),
-            CompilerConfig::safara_clauses()
-        );
-        assert_eq!(b().safara(true).small(true).build(), CompilerConfig::safara_small());
-        assert_eq!(b().carr_kennedy(true).build(), CompilerConfig::carr_kennedy());
-        assert_eq!(
-            b().safara(true).small(true).dim(true).unroll(4).build(),
-            CompilerConfig::safara_unroll(4)
-        );
-    }
-
-    #[test]
-    fn builder_sr_strategies_are_mutually_exclusive_and_customs_are_labelled() {
-        let cfg = CompilerConfig::builder().safara(true).carr_kennedy(true).build();
-        assert!(matches!(cfg.sr, SrStrategy::CarrKennedy), "last strategy set wins");
-        let cfg = CompilerConfig::builder().carr_kennedy(true).safara(true).build();
-        assert!(matches!(cfg.sr, SrStrategy::Safara { .. }));
-
-        // Off-menu combinations still build, flagged as custom.
-        let cfg = CompilerConfig::builder().carr_kennedy(true).small(true).build();
-        assert_eq!(cfg.name, "custom");
-        assert!(cfg.codegen.honor_small);
-        assert!(matches!(cfg.sr, SrStrategy::CarrKennedy));
-        let cfg = CompilerConfig::builder().unroll(2).build();
-        assert_eq!(cfg.name, "custom");
-        assert_eq!(cfg.unroll, 2);
-    }
-
-    #[test]
-    fn by_name_shim_agrees_with_the_builder() {
-        for (key, want) in [
-            ("base", CompilerConfig::builder().build()),
-            ("safara_only", CompilerConfig::builder().safara(true).build()),
-            ("small_dim", CompilerConfig::builder().small(true).dim(true).build()),
-            (
-                "safara_clauses",
-                CompilerConfig::builder().safara(true).small(true).dim(true).build(),
-            ),
-            ("carr_kennedy", CompilerConfig::builder().carr_kennedy(true).build()),
-        ] {
-            assert_eq!(CompilerConfig::by_name(key).unwrap(), want, "{key}");
-        }
-    }
-
-    #[test]
-    fn typed_overrides_compose_with_the_builder() {
-        // Overrides resolving to a named point get that point's name.
-        assert_eq!(
-            CompilerConfig::builder().safara(true).goal(OptGoal::MaxThroughput).build(),
-            CompilerConfig::safara_throughput()
-        );
-        assert_eq!(
-            CompilerConfig::builder()
-                .safara(true)
-                .reg_cap(40)
-                .spill_target(SpillTarget::Shared)
-                .build(),
-            CompilerConfig::safara_regdem()
-        );
-        assert_eq!(
-            CompilerConfig::builder().safara(true).saturate(true).build(),
-            CompilerConfig::safara_saturated()
-        );
-        // Off-menu overrides are labelled custom but keep the knobs.
-        let cfg = CompilerConfig::builder().safara(true).small(true).saturate(true).build();
-        assert_eq!(cfg.name, "custom");
-        assert!(cfg.saturate);
-        let cfg = CompilerConfig::builder().safara(true).launch_bounds(256, 2).build();
-        assert_eq!(cfg.name, "custom");
-        assert_eq!(cfg.launch_bounds, Some((256, 2)));
-        let cfg = CompilerConfig::builder().reg_cap(64).build();
-        assert_eq!(cfg.name, "custom");
-        assert_eq!(cfg.reg_cap, 64);
-        // No overrides → byte-identical named configs (the compat pin).
-        assert_eq!(CompilerConfig::builder().safara(true).build(), CompilerConfig::safara_only());
     }
 
     #[test]

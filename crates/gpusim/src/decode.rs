@@ -635,7 +635,7 @@ fn run_block(
             let tx = t % config.block.0;
             let ty = (t / config.block.0) % config.block.1;
             let tz = t / (config.block.0 * config.block.1);
-            s.lane_counts[lane as usize] = run_lane::<false, false>(
+            s.lane_counts[lane as usize] = run_lane::<false>(
                 d,
                 kernel_name,
                 [tx, ty, tz, bx, by, bz],
@@ -678,13 +678,11 @@ pub(crate) struct ExecSeed {
     pub(crate) spill: u64,
 }
 
-/// One lane, from `start_pc` to completion. Generic axes: `SOA` selects
-/// the superblock engine's structure-of-arrays register layout
-/// (`reg * 32 + lane`) over the decoded engine's flat file, and `PROF`
-/// compiles in the superblock profiler's block/branch counters; both
-/// fold away for the decoded engine's `<false, false>` instantiation.
+/// One lane, from `start_pc` to completion, over the lane's flat register
+/// file. `PROF` compiles in the superblock profiler's block/branch
+/// counters; it folds away for the `<false>` instantiation.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_lane<const SOA: bool, const PROF: bool>(
+pub(crate) fn run_lane<const PROF: bool>(
     d: &Decoded,
     kernel_name: &str,
     ids: [u32; 6], // tid.xyz, ctaid.xyz
@@ -697,21 +695,9 @@ pub(crate) fn run_lane<const SOA: bool, const PROF: bool>(
     seed: ExecSeed,
     mut prof: Option<&mut crate::superblock::ProfileCounters>,
 ) -> Result<LaneCounts, SimError> {
-    let ix = |r: u32| -> usize {
-        if SOA {
-            r as usize * WARP_SIZE + lane
-        } else {
-            r as usize
-        }
-    };
+    let ix = |r: u32| r as usize;
     if zero_init {
-        if SOA {
-            for r in 0..d.n_vregs {
-                regs[r * WARP_SIZE + lane] = 0;
-            }
-        } else {
-            regs[..d.n_vregs].fill(0);
-        }
+        regs[..d.n_vregs].fill(0);
     }
     let insts = &d.insts;
     let mut pc = start_pc;

@@ -139,9 +139,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 
 /// Memoization cache for kernel launches.
 ///
-/// The cache is bounded: once it holds [`LaunchCache::entry_cap`]
-/// entries, inserting a new one evicts the oldest (first-inserted)
-/// entry.
+/// The cache is bounded: once it holds its entry cap
+/// ([`LaunchCache::with_entry_cap`]) of entries, inserting a new one
+/// evicts the oldest (first-inserted) entry.
 #[derive(Debug)]
 pub struct LaunchCache {
     entries: HashMap<ContentKey, CachedLaunch>,
@@ -186,11 +186,6 @@ impl LaunchCache {
         self.cap = cap.max(1);
         self.enforce_cap();
         self
-    }
-
-    /// The configured entry cap.
-    pub fn entry_cap(&self) -> usize {
-        self.cap
     }
 
     /// Number of cached launches.

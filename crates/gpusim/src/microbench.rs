@@ -5,11 +5,14 @@
 //! the same against our device model: tiny probe kernels with known
 //! access patterns (coalesced, strided/uncoalesced, broadcast; global vs
 //! read-only) are executed on the simulator, and the modelled cycles per
-//! access are extracted into a latency table the compiler's
-//! `safara_analysis`-style cost model consumes.
+//! access are extracted.
 //!
-//! This closes the same loop the paper describes: the *compiler* never
-//! hard-codes latencies; it asks the *machine* (here, the machine model).
+//! The compiler does not read these figures by default: every named
+//! profile ranks candidates with the hand-set Kepler-class
+//! `LatencyTable::default()` of `safara_analysis::cost`. Only
+//! `safara_core::calibrate` builds a cost model from the probes (the
+//! paper's §III-B.3 loop); no profile uses it, and the
+//! `latency_microbench` binary only prints them.
 
 use crate::device::DeviceConfig;
 use crate::interp::{launch, LaunchConfig, ParamVal};
@@ -124,25 +127,6 @@ pub fn run_probes(dev: &DeviceConfig) -> MeasuredLatencies {
     }
 }
 
-impl MeasuredLatencies {
-    /// Render as the table printed by the `latency_microbench` binary.
-    pub fn to_table(&self) -> String {
-        format!(
-            "access class            cycles/warp-access\n\
-             global coalesced        {:10.1}\n\
-             global uncoalesced      {:10.1}\n\
-             global broadcast        {:10.1}\n\
-             read-only coalesced     {:10.1}\n\
-             read-only uncoalesced   {:10.1}\n",
-            self.global_coalesced,
-            self.global_uncoalesced,
-            self.global_broadcast,
-            self.readonly_coalesced,
-            self.readonly_uncoalesced,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,12 +164,5 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0, "{m:?}");
         }
-    }
-
-    #[test]
-    fn table_renders() {
-        let dev = DeviceConfig::k20xm();
-        let t = run_probes(&dev).to_table();
-        assert!(t.contains("global uncoalesced"));
     }
 }

@@ -217,7 +217,7 @@ impl LocalCtrs {
 // Profiling
 
 /// Block/branch execution counters filled by the instrumented
-/// lane-major profiling warps (`run_lane::<_, true>`).
+/// lane-major profiling warps (`run_lane::<true>`).
 pub(crate) struct ProfileCounters {
     /// `pc -> block id + 1` for block leaders, 0 otherwise.
     pub(crate) leader_block: Vec<u32>,
@@ -1063,7 +1063,7 @@ fn peel(
         for r in 0..d.n_vregs {
             dense[r] = if uni[r] { u[r] } else { v[r][lane] };
         }
-        *lcl = crate::decode::run_lane::<false, false>(
+        *lcl = crate::decode::run_lane::<false>(
             d,
             kernel_name,
             ids[lane],
@@ -1105,7 +1105,7 @@ fn run_warp(
     if prog.at.first().is_none_or(|e| e.is_none()) {
         ctrs.peels += 1;
         for (lane, lcl) in lc.iter_mut().enumerate().take(lanes) {
-            *lcl = crate::decode::run_lane::<false, false>(
+            *lcl = crate::decode::run_lane::<false>(
                 d,
                 kernel_name,
                 ids[lane],
@@ -1370,7 +1370,7 @@ fn launch_inner(
                 // on the dense file (decoded layout + counters).
                 let (prof, block_of) = prof_state.as_mut().expect("profiling state");
                 for lane in 0..lanes {
-                    scratch.lane_counts[lane] = crate::decode::run_lane::<false, true>(
+                    scratch.lane_counts[lane] = crate::decode::run_lane::<true>(
                         &d,
                         &kernel.name,
                         scratch.ids[lane],

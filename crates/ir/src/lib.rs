@@ -52,7 +52,7 @@ pub mod visit;
 
 pub use ast::*;
 pub use directive::*;
-pub use span::{Span, Spanned};
+pub use span::Span;
 
 /// Parse a MiniACC translation unit and run semantic checks.
 ///

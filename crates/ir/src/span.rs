@@ -1,4 +1,4 @@
-//! Byte-span source locations and a generic `Spanned<T>` wrapper.
+//! Byte-span source locations.
 
 /// A half-open byte range `[start, end)` into the original source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -31,22 +31,6 @@ impl Span {
     /// The text the span covers within `src`.
     pub fn slice<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start as usize..(self.end as usize).min(src.len())]
-    }
-}
-
-/// A value together with the source span it came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Spanned<T> {
-    /// The wrapped value.
-    pub node: T,
-    /// Where in the source it appeared.
-    pub span: Span,
-}
-
-impl<T> Spanned<T> {
-    /// Wrap `node` with `span`.
-    pub fn new(node: T, span: Span) -> Self {
-        Spanned { node, span }
     }
 }
 

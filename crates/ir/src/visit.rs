@@ -177,19 +177,6 @@ pub fn map_expr(e: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
     f(rebuilt)
 }
 
-/// Collect the names of scalar variables *read* anywhere in the statements.
-pub fn scalar_reads(stmts: &[Stmt]) -> Vec<Ident> {
-    let mut out = Vec::new();
-    walk_exprs(stmts, &mut |e| {
-        if let Expr::Var(v) = e {
-            if !out.contains(v) {
-                out.push(v.clone());
-            }
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,9 +210,14 @@ mod tests {
             Expr::Var(v) if v.as_str() == "n" => Expr::var("m"),
             other => other,
         });
-        let reads = scalar_reads(&body);
-        assert!(reads.iter().any(|v| v.as_str() == "m"));
-        assert!(!reads.iter().any(|v| v.as_str() == "n"));
+        let mut reads = Vec::new();
+        walk_exprs(&body, &mut |e| {
+            if let Expr::Var(v) = e {
+                reads.push(v.to_string());
+            }
+        });
+        assert!(reads.iter().any(|v| v == "m"));
+        assert!(!reads.iter().any(|v| v == "n"));
     }
 
     #[test]

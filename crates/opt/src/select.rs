@@ -39,8 +39,8 @@ pub enum OptGoal {
 pub struct ThroughputContext {
     /// The occupancy oracle.
     pub device: DeviceConfig,
-    /// Planned threads per block (the `launch_bounds` T when declared,
-    /// otherwise the runtime's default geometry).
+    /// Planned threads per block: the block the kernels launch with
+    /// (`CompiledKernel::block_shape` in `safara-codegen`).
     pub threads_per_block: u32,
     /// Hardware registers the kernel already uses (ptxas feedback).
     pub regs_in_use: u32,

@@ -506,50 +506,26 @@ fn grid_for(kernel: &CompiledKernel, trip: u64, block: u32) -> Result<u32, Runti
     })
 }
 
-/// Compute the launch geometry for a kernel: block sizes from `vector`
-/// clauses (with sensible defaults), grid sizes from trip counts.
+/// Compute the launch geometry for a kernel: the block from
+/// [`CompiledKernel::block_shape`] with its `vector` clauses evaluated
+/// here, grid sizes from trip counts.
 fn launch_geometry(
     dev: &DeviceConfig,
     kernel: &CompiledKernel,
     env: &BTreeMap<Ident, ArgValue>,
 ) -> Result<LaunchConfig, RuntimeError> {
-    if kernel.mapped.is_empty() {
-        return Ok(LaunchConfig::d1(1, 1));
-    }
-    // A `launch_bounds(T, ...)` clause is a contract that no block
-    // exceeds `T` threads — it tightens the device's own limit.
-    let tpb_limit = kernel
-        .launch_bounds
-        .map(|(t, _)| t.max(1))
-        .unwrap_or(u32::MAX)
-        .min(dev.max_threads_per_block);
-    let ndims = kernel.mapped.len().min(3);
-    let default_block: [u32; 3] = match ndims {
-        1 => [128, 1, 1],
-        2 => [32, 4, 1],
-        _ => [16, 4, 2],
-    };
-    let mut block = [1u32; 3];
     let mut trip = [0u64; 3];
     for (d, spec) in kernel.mapped.iter().take(3).enumerate() {
         trip[d] = trip_count(spec, env)?;
-        let vec_len = match &spec.vector {
-            Some(e) => eval_i64(e, env).map_err(RuntimeError::new)?.clamp(1, 1024) as u32,
-            None => default_block[d],
-        };
-        block[d] = vec_len.min(tpb_limit);
     }
-    // Respect the threads-per-block limit by shrinking x.
-    while block[0] > 1 && block[0] * block[1] * block[2] > tpb_limit {
-        block[0] /= 2;
-    }
+    let block = kernel.block_shape(dev, |e| eval_i64(e, env).map(Some).map_err(RuntimeError::new))?;
     Ok(LaunchConfig {
         grid: (
-            grid_for(kernel, trip[0], block[0])?,
-            grid_for(kernel, trip[1], block[1])?,
-            grid_for(kernel, trip[2], block[2])?,
+            grid_for(kernel, trip[0], block.0)?,
+            grid_for(kernel, trip[1], block.1)?,
+            grid_for(kernel, trip[2], block.2)?,
         ),
-        block: (block[0], block[1], block[2]),
+        block,
     })
 }
 

@@ -14,7 +14,7 @@ use safara_workloads::all_workloads;
 
 /// `ContentKey` over every compile's `Debug` rendering and transformed
 /// source, in workload-then-configuration order.
-const DIGEST: u128 = 0xe49402fd8430950c53c12704f782a6b8;
+const DIGEST: u128 = 0x39d5c956bf0a5b53a590ceb617518872;
 
 fn configs() -> Vec<CompilerConfig> {
     let mut configs: Vec<CompilerConfig> = CompilerConfig::PROFILE_KEYS

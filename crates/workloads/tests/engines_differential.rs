@@ -218,7 +218,7 @@ fn saturated_output_bitwise_identical_to_unsaturated() {
         (CompilerConfig::safara_only(), CompilerConfig::safara_saturated()),
         (
             CompilerConfig::safara_clauses(),
-            CompilerConfig::builder().safara(true).small(true).dim(true).saturate(true).build(),
+            CompilerConfig { name: "custom", saturate: true, ..CompilerConfig::safara_clauses() },
         ),
     ];
     for (greedy, saturated) in &pairs {

@@ -257,6 +257,25 @@ fn the_memo_has_no_integrity_mode() {
 }
 
 #[test]
+fn each_setting_has_a_caller() {
+    // A configuration is built one way, the named constructors plus struct update; codegen has
+    // no knob that is never turned or never read; the lanes of the decoded engine have one
+    // register layout; and one rule, `CompiledKernel::block_shape`, owns the launch block.
+    let names = [
+        "CompilerConfigBuilder",
+        "fn builder(",
+        "default_vector_length",
+        "opts.dce",
+        "const SOA",
+        "DEFAULT_THREADS_PER_BLOCK",
+    ];
+    for name in names {
+        let hits = files_where(&["crates", "scripts"], |s| s.contains(name));
+        assert!(hits.is_empty(), "a setting without a caller is back ({name}): {hits:?}");
+    }
+}
+
+#[test]
 fn readme_lists_every_crate() {
     // README's layout table has one `crates/<name>` row per workspace crate, no more.
     let readme = read("README.md");
