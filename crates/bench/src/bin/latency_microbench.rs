@@ -19,5 +19,8 @@ fn main() {
     ] {
         println!("{name:<24}{cycles:>10.1}");
     }
-    println!("\nThese figures parameterize the SAFARA cost model's latency table.");
+    println!(
+        "\nOnly `safara_core::calibrate` reads these figures; every named profile ranks \
+         with the hand-set `LatencyTable::default()`."
+    );
 }

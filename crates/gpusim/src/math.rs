@@ -20,7 +20,13 @@
 //! every lane of a column is in range and, if so, runs the fast half over
 //! the column; otherwise it runs the whole function per lane. Either way each lane
 //! gets exactly the scalar function's bits, so the lockstep engine agrees
-//! with the lane-major ones by construction. `pow` (two operands, on no
+//! with the lane-major ones by construction. `sin` and `cos` of one
+//! operand share a pair kernel, [`sincos_column`]: the fast trig half
+//! already evaluates both fdlibm kernels and picks one by the quadrant,
+//! and `cos` is `sin` one quadrant on, so one range check per column and
+//! one reduction per lane serve both columns, each selected at its own
+//! quadrant. Out of range it calls both scalar functions per lane, so its
+//! bits are those of two [`column`] calls. `pow` (two operands, on no
 //! hot path) is scalar only: its fast half is the fdlibm core for a
 //! positive normal base and a finite exponent, its slow half the C99
 //! special cases around that core.
@@ -181,6 +187,53 @@ fn col<F: Split, const F32: bool>(out: &mut [u64], x: Option<&[u64]>) {
         each!(|b| F::eval32(f32::from_bits(b as u32)).to_bits() as u64)
     } else {
         each!(|b| F::eval(f64::from_bits(b)).to_bits())
+    }
+}
+
+/// `sin_out[l] = sin(x[l])` and `cos_out[l] = cos(x[l])` over a warp
+/// column, each lane the bits of an f32 (`f32_lanes`) or else of an f64:
+/// exactly the bits of [`sinf`] and [`cosf`] (or [`sin`] and [`cos`]) in
+/// every lane. Both share one range check per column. When every lane is
+/// in range, each lane is reduced once, both fdlibm kernels run once, and
+/// the two results are selected at quadrants `q` and `q + 1`; otherwise
+/// each lane calls the two scalar functions.
+pub fn sincos_column(f32_lanes: bool, sin_out: &mut [u64], cos_out: &mut [u64], x: &[u64]) {
+    if f32_lanes {
+        sincos::<true>(sin_out, cos_out, x)
+    } else {
+        sincos::<false>(sin_out, cos_out, x)
+    }
+}
+
+#[inline(never)]
+fn sincos<const F32: bool>(sin_out: &mut [u64], cos_out: &mut [u64], x: &[u64]) {
+    let arg = |b: u64| if F32 { f32::from_bits(b as u32) as f64 } else { f64::from_bits(b) };
+    let bits = |v: f64| if F32 { (v as f32).to_bits() as u64 } else { v.to_bits() };
+    let in_range = |w: f64| if F32 { Sin32::in_range(w) } else { Sin::in_range(w) };
+    let fast = x.iter().fold(true, |ok, &b| ok & in_range(arg(b)));
+    let lanes = sin_out.iter_mut().zip(cos_out.iter_mut()).zip(x);
+    if fast {
+        for ((s, c), &b) in lanes {
+            let (q, hi, lo) = if F32 {
+                let (q, r) = reduce32(arg(b));
+                (q, r, 0.0)
+            } else {
+                reduce(arg(b))
+            };
+            let (ks, kc) = (ksin(hi, lo), kcos(hi, lo));
+            *s = bits(quadrant(q, ks, kc));
+            *c = bits(quadrant(q.wrapping_add(1), ks, kc));
+        }
+    } else if F32 {
+        for ((s, c), &b) in lanes {
+            let a = f32::from_bits(b as u32);
+            (*s, *c) = (sinf(a).to_bits() as u64, cosf(a).to_bits() as u64);
+        }
+    } else {
+        for ((s, c), &b) in lanes {
+            let a = f64::from_bits(b);
+            (*s, *c) = (sin(a).to_bits(), cos(a).to_bits());
+        }
     }
 }
 
@@ -366,10 +419,16 @@ impl Split for Cos32 {
 }
 
 /// sin(q·π/2 + hi + lo), from the low two bits of `q`: both kernels run
-/// and bit masks pick one and its sign, so lanes never branch apart.
+/// and [`quadrant`] picks one, so lanes never branch apart.
 #[inline(always)]
 fn sin_quadrant(q: u64, hi: f64, lo: f64) -> f64 {
-    let (s, c) = (ksin(hi, lo), kcos(hi, lo));
+    quadrant(q, ksin(hi, lo), kcos(hi, lo))
+}
+
+/// sin(q·π/2 + r) from `s` = sin r and `c` = cos r: bit masks pick one of
+/// them by the low bit of `q` and its sign by the next.
+#[inline(always)]
+fn quadrant(q: u64, s: f64, c: f64) -> f64 {
     let odd = (q & 1).wrapping_neg();
     let bits = (c.to_bits() & odd) | (s.to_bits() & !odd);
     f64::from_bits(bits ^ ((q & 2) << 62))
@@ -847,4 +906,91 @@ fn pow_exp2(y: f64, t1: f64, t2: f64, s: f64) -> f64 {
         with_hi_word(z, hi_word(z) + (n << 20))
     };
     s * z
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SplitMix64;
+
+    /// Trig arguments outside the fast ranges, as f64 bits: ±0,
+    /// subnormals, ±∞, NaN payloads of either sign, |x| below 2^-27, and
+    /// |x| at and above 2^27 (and 2^20, the f32 ceiling).
+    const SPECIAL: [u64; 16] = [
+        0x0000000000000000, // +0
+        0x8000000000000000, // -0
+        0x0000000000000001, // the least subnormal
+        0x800fffffffffffff, // a negative subnormal
+        0x7ff0000000000000, // +inf
+        0xfff0000000000000, // -inf
+        0x7ff8000000000000, // NaN
+        0x7ff4000000000123, // signalling NaN with a payload
+        0xfff8dead00000000, // negative NaN with a payload
+        0x3ddb7cdfd9d7bdbb, // 1e-10
+        0x41a0000000000000, // 2^27
+        0xc1a0000000000001, // -(2^27 + ulp)
+        0x4130000000000000, // 2^20
+        0x7e37e43c8800759c, // 1e300
+        0xc4b52d02c7e14af6, // -1e23
+        0x47efffffe0000000, // f32::MAX
+    ];
+
+    /// One lane of `f32_lanes` width: raw SplitMix64 bits, an in-range
+    /// value, or a special.
+    fn lane(rng: &mut SplitMix64, f32_lanes: bool, in_range_only: bool) -> u64 {
+        let x = match if in_range_only { 1 } else { rng.gen_index(3) } {
+            0 => return rng.next_u64(),
+            1 => {
+                let sign = if rng.gen_bool() { -1.0 } else { 1.0 };
+                sign * rng.gen_range_f64(1e-6, if f32_lanes { 1e5 } else { 1e8 })
+            }
+            _ => f64::from_bits(SPECIAL[rng.gen_index(SPECIAL.len())]),
+        };
+        if f32_lanes {
+            (x as f32).to_bits() as u64
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// The pair kernel gives exactly the bits of a `Sin` column and a
+    /// `Cos` column, at both widths and partial warps, over columns whose
+    /// lanes are all in range (the shared reduction) and columns that mix
+    /// in raw bits and specials (the per-lane functions).
+    #[test]
+    fn sincos_column_is_column_sin_and_column_cos() {
+        let mut rng = SplitMix64::new(0x51_c05);
+        let mut fast_columns = 0;
+        for f32_lanes in [true, false] {
+            let arg = |b: u64| {
+                if f32_lanes {
+                    f32::from_bits(b as u32) as f64
+                } else {
+                    f64::from_bits(b)
+                }
+            };
+            for lanes in [1, 5, 31, 32] {
+                for round in 0..400 {
+                    let in_range_only = round % 2 == 0;
+                    let x: Vec<u64> =
+                        (0..lanes).map(|_| lane(&mut rng, f32_lanes, in_range_only)).collect();
+                    let (mut want_s, mut want_c) = (vec![0; lanes], vec![0; lanes]);
+                    column(MathOp::Sin, f32_lanes, &mut want_s, Some(&x));
+                    column(MathOp::Cos, f32_lanes, &mut want_c, Some(&x));
+                    let (mut s, mut c) = (vec![!0; lanes], vec![!0; lanes]);
+                    sincos_column(f32_lanes, &mut s, &mut c, &x);
+                    let at = format!("f32 {f32_lanes}, {lanes} lanes, round {round}: {x:#x?}");
+                    assert_eq!(s, want_s, "sin, {at}");
+                    assert_eq!(c, want_c, "cos, {at}");
+                    let max = if f32_lanes { TRIG32_MAX } else { TRIG_MAX };
+                    fast_columns +=
+                        usize::from(x.iter().all(|&b| (TRIG_MIN..max).contains(&arg(b).abs())));
+                }
+            }
+        }
+        // Both branches ran: the in-range-only columns took the shared
+        // reduction, and some mixed ones the per-lane functions.
+        assert!(fast_columns >= 2 * 4 * 200, "{fast_columns} columns in range");
+        assert!(fast_columns < 2 * 4 * 400, "no column left the fast range");
+    }
 }

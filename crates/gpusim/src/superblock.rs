@@ -44,6 +44,20 @@
 //!    segments; a hoisted load's single address stands for all of them.
 //!    Only lane-major execution (profile warps, peels, the decoded
 //!    engine) accesses and logs per lane for the warp-end merge.
+//! 5. **Pair.** A lane-vectorized `sin` and `cos` of one operand register
+//!    and one width (314.omriq's `cos(arg); sin(arg)`, 352.ep's
+//!    Box–Muller pair) become one step at the first one's position, which
+//!    writes both destination columns from one range reduction per lane
+//!    ([`crate::math::sincos_column`]). The two must sit in one straight
+//!    run of superinstructions (no branch, fused-through branch or exit
+//!    between them), no step between them may write the operand or read or
+//!    write the later destination, and neither destination may be the
+//!    operand or the other destination: then computing the later result
+//!    early is invisible. The later instruction stays in place as a
+//!    counted placeholder, so every count (`KernelStats`, the SFU class,
+//!    the runaway bound) is what the two instructions give unpaired. The
+//!    reference and decoded engines keep their two scalar calls and are
+//!    the pair's oracle.
 //!
 //! This is the default engine ([`crate::exec_options`]). Byte-identity
 //! with the decoded engine (asserted by differential tests) is preserved
@@ -123,6 +137,7 @@ static C_VECTOR_EXECS: AtomicU64 = AtomicU64::new(0);
 static C_PEELS: AtomicU64 = AtomicU64::new(0);
 static C_GROUPS_ACCOUNTED: AtomicU64 = AtomicU64::new(0);
 static C_LANE_EVENTS_LOGGED: AtomicU64 = AtomicU64::new(0);
+static C_TRIG_PAIRS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the superblock engine's cumulative fusion/hoist
 /// counters (process-wide, monotonic).
@@ -154,6 +169,9 @@ pub struct FusionCounters {
     /// Memory events logged per lane for the warp-end merge: profile
     /// warps and peeled lanes only.
     pub lane_events_logged: u64,
+    /// Paired `sin`/`cos` steps executed (once per warp each); each one
+    /// also counts its two halves in `vector_execs`.
+    pub trig_pairs: u64,
 }
 
 /// Read the cumulative fusion counters.
@@ -170,6 +188,7 @@ pub fn fusion_counters() -> FusionCounters {
         peels: C_PEELS.load(Ordering::Relaxed),
         groups_accounted: C_GROUPS_ACCOUNTED.load(Ordering::Relaxed),
         lane_events_logged: C_LANE_EVENTS_LOGGED.load(Ordering::Relaxed),
+        trig_pairs: C_TRIG_PAIRS.load(Ordering::Relaxed),
     }
 }
 
@@ -188,6 +207,7 @@ struct LocalCtrs {
     peels: u64,
     groups_accounted: u64,
     lane_events_logged: u64,
+    trig_pairs: u64,
 }
 
 impl LocalCtrs {
@@ -210,6 +230,7 @@ impl LocalCtrs {
         C_PEELS.fetch_add(self.peels, Ordering::Relaxed);
         C_GROUPS_ACCOUNTED.fetch_add(self.groups_accounted, Ordering::Relaxed);
         C_LANE_EVENTS_LOGGED.fetch_add(self.lane_events_logged, Ordering::Relaxed);
+        C_TRIG_PAIRS.fetch_add(self.trig_pairs, Ordering::Relaxed);
     }
 }
 
@@ -382,6 +403,13 @@ struct SInst {
 enum Ctl {
     /// A scalar or lane-vectorized superinstruction.
     Seq(SInst),
+    /// A lane-vectorized `sin` and `cos` of operand `a` (f32 or f64
+    /// lanes), at the first one's position: one range reduction per lane
+    /// writes both destination columns. Counted as the first of the two.
+    Pair { sin: u32, cos: u32, a: u32, f32_lanes: bool, cls: u8, spill: u8 },
+    /// The later half of a `Pair`, left in its place: counted here,
+    /// computed by the pair.
+    Paired { cls: u8, spill: u8 },
     /// A fused-through unconditional branch: counts as an executed
     /// instruction, control simply falls through to the next step.
     Ghost { cls: u8, spill: u8 },
@@ -500,9 +528,12 @@ fn build_one(
 ) -> Superblock {
     let n = d.insts.len();
     let mut steps = Vec::new();
+    // The decoded pc of each step (read for `Seq` steps only).
+    let mut pcs = Vec::new();
     let mut pc = entry;
     let mut fused = 1u32;
     loop {
+        pcs.push(pc);
         let i = d.insts[pc];
         if i.op == Op::Ret {
             steps.push(Ctl::Ret { cls: i.cls, spill: i.spill });
@@ -567,7 +598,61 @@ fn build_one(
             break;
         }
     }
+    pair_trig(d, &mut steps, &pcs);
     Superblock { steps }
+}
+
+/// `(f32 lanes, is sin)` for a lane-vectorized one-operand `sin` or `cos`
+/// of f32 or f64 lanes.
+fn trig_of(si: &SInst) -> Option<(bool, bool)> {
+    if si.scalar || si.b != NO_REG {
+        return None;
+    }
+    match si.op {
+        Op::SinF32 => Some((true, true)),
+        Op::CosF32 => Some((true, false)),
+        Op::SinF64 => Some((false, true)),
+        Op::CosF64 => Some((false, false)),
+        _ => None,
+    }
+}
+
+/// Pair each lane-vectorized `sin` (or `cos`) with the nearest later
+/// `cos` (or `sin`) of its width and operand register in the same
+/// straight run of `Seq` steps, where computing the later one early is
+/// invisible (the module docs, step 5). `pcs[k]` is step `k`'s decoded pc.
+fn pair_trig(d: &Decoded, steps: &mut [Ctl], pcs: &[usize]) {
+    for i in 0..steps.len() {
+        let Ctl::Seq(first) = steps[i] else { continue };
+        let Some((f32_lanes, first_is_sin)) = trig_of(&first) else {
+            continue;
+        };
+        let x = d.insts[pcs[i]].a;
+        if first.d == x {
+            continue;
+        }
+        for j in i + 1..steps.len() {
+            let Ctl::Seq(later) = steps[j] else { break };
+            if trig_of(&later) == Some((f32_lanes, !first_is_sin)) && later.a == first.a {
+                let touched = pcs[i + 1..j].iter().any(|&pc| {
+                    let i = &d.insts[pc];
+                    let (ra, rb) = reg_reads(i);
+                    [def_of(i), ra, rb].contains(&Some(later.d))
+                });
+                if later.d != x && later.d != first.d && !touched {
+                    let (sin, cos) =
+                        if first_is_sin { (first.d, later.d) } else { (later.d, first.d) };
+                    let (cls, spill) = (first.cls, first.spill);
+                    steps[i] = Ctl::Pair { sin, cos, a: first.a, f32_lanes, cls, spill };
+                    steps[j] = Ctl::Paired { cls: later.cls, spill: later.spill };
+                }
+                break;
+            }
+            if def_of(&d.insts[pcs[j]]) == Some(x) {
+                break;
+            }
+        }
+    }
 }
 
 fn build(
@@ -695,6 +780,23 @@ fn math_lanes(v: &mut Cols, u: &[u64], d: u32, a: u32, lanes: usize, op: MathOp,
     } else {
         let [o, x] = v.get_disjoint_mut([d, a as usize]).expect(DISJOINT);
         crate::math::column(op, f32_lanes, &mut o[..lanes], Some(&x[..lanes]));
+    }
+}
+
+/// `d_sin[l] = sin(a[l])` and `d_cos[l] = cos(a[l])` for the first
+/// `lanes` lanes: one [`crate::math::sincos_column`] call, the operand
+/// read where it lives (a uniform `a` is one scalar evaluation, filled
+/// into both columns). The pairing rule keeps the three columns distinct.
+fn trig_pair(v: &mut Cols, u: &[u64], [d_sin, d_cos, a]: [u32; 3], lanes: usize, f32_lanes: bool) {
+    let (d_sin, d_cos) = (d_sin as usize, d_cos as usize);
+    if a & UB != 0 {
+        let (mut s, mut c) = ([0], [0]);
+        crate::math::sincos_column(f32_lanes, &mut s, &mut c, &[u[(a & !UB) as usize]]);
+        v[d_sin][..lanes].fill(s[0]);
+        v[d_cos][..lanes].fill(c[0]);
+    } else {
+        let [s, c, x] = v.get_disjoint_mut([d_sin, d_cos, a as usize]).expect(DISJOINT);
+        crate::math::sincos_column(f32_lanes, &mut s[..lanes], &mut c[..lanes], &x[..lanes]);
     }
 }
 
@@ -1162,6 +1264,16 @@ fn run_warp(
                     }
                     exec_sinst(si, u, v, lanes, ids, mem, warp, stats)?;
                 }
+                Ctl::Pair { sin, cos, a, f32_lanes, cls, spill } => {
+                    tally!(*cls, *spill);
+                    ctrs.vector_execs += 1;
+                    ctrs.trig_pairs += 1;
+                    trig_pair(v, u, [*sin, *cos, *a], lanes, *f32_lanes);
+                }
+                Ctl::Paired { cls, spill } => {
+                    tally!(*cls, *spill);
+                    ctrs.vector_execs += 1;
+                }
                 Ctl::Ghost { cls, spill } => tally!(*cls, *spill),
                 Ctl::Br { pred, sense, taken, fall, cont, cls, spill } => {
                     tally!(*cls, *spill);
@@ -1590,6 +1702,135 @@ mod tests {
                             assert_eq!(v, want_v, "{at}");
                             assert_eq!(u, want_u, "{at}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    fn inst(op: Op, d: u32, a: u32, b: u32) -> DInst {
+        DInst { op, cls: CLS_SFU, spill: 0, d, a, b }
+    }
+
+    /// `d = op(a)`.
+    fn un(op: Op, d: u32, a: u32) -> DInst {
+        inst(op, d, a, NO_REG)
+    }
+
+    /// `tid.x` into register 0, so that everything computed from it varies.
+    fn tid() -> DInst {
+        inst(Op::TidX, 0, 0, 0)
+    }
+
+    fn ret() -> DInst {
+        inst(Op::Ret, 0, 0, 0)
+    }
+
+    /// The `(sin, cos, a)` registers of each pair the entry superblock of
+    /// `insts` (over 8 registers) gets, with every block hot and every
+    /// conditional branch biased to fall through, and the number of
+    /// unpaired `sin` and `cos` steps in it. Each pair's later half is one
+    /// `Paired` placeholder.
+    fn pairs(insts: Vec<DInst>) -> (Vec<[u32; 3]>, usize) {
+        let n = insts.len();
+        let d = Decoded { n_vregs: 8, consts: Vec::new(), insts };
+        let (leader_block, block_of, n_blocks) = find_blocks(&d);
+        let prof = ProfileCounters {
+            leader_block,
+            counts: vec![HOT_THRESHOLD; n_blocks],
+            taken: vec![0; n],
+            seen: vec![1; n],
+        };
+        let prog = build(&d, &prof, &block_of, &classify(&d), &mut LocalCtrs::default());
+        let steps = &prog.sbs[prog.at[0].expect("an entry superblock") as usize].steps;
+        let placeholders = steps.iter().filter(|s| matches!(s, Ctl::Paired { .. })).count();
+        let pairs: Vec<_> = steps
+            .iter()
+            .filter_map(|s| match s {
+                Ctl::Pair { sin, cos, a, .. } => Some([*sin, *cos, *a]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pairs.len(), placeholders, "a pair without its placeholder");
+        let unpaired =
+            steps.iter().filter(|s| matches!(s, Ctl::Seq(si) if trig_of(si).is_some())).count();
+        (pairs, unpaired)
+    }
+
+    /// Adjacent, or apart with a step between that reads the operand and
+    /// the first destination: one pair, in either order, its columns by
+    /// op rather than by position.
+    #[test]
+    fn sin_and_cos_of_one_operand_pair() {
+        let (s, c) = (Op::SinF32, Op::CosF32);
+        assert_eq!(pairs(vec![tid(), un(s, 1, 0), un(c, 2, 0), ret()]), (vec![[1, 2, 0]], 0));
+        assert_eq!(pairs(vec![tid(), un(c, 1, 0), un(s, 2, 0), ret()]), (vec![[2, 1, 0]], 0));
+        let between = inst(Op::AddF64, 3, 1, 0);
+        let (s, c) = (Op::SinF64, Op::CosF64);
+        let apart =
+            |first, later| pairs(vec![tid(), un(first, 1, 0), between, un(later, 2, 0), ret()]);
+        assert_eq!(apart(c, s), (vec![[2, 1, 0]], 0));
+        assert_eq!(apart(s, c), (vec![[1, 2, 0]], 0));
+    }
+
+    /// Each broken condition leaves both instructions unpaired, in one
+    /// superblock.
+    #[test]
+    fn a_broken_condition_builds_no_pair() {
+        let (s, c) = (Op::SinF32, Op::CosF32);
+        let cases = [
+            ("operand redefined", vec![un(s, 1, 0), inst(Op::AddB32, 0, 0, 0), un(c, 2, 0)]),
+            ("later destination read", vec![un(s, 1, 0), un(Op::Mov, 3, 2), un(c, 2, 0)]),
+            ("later destination written", vec![un(s, 1, 0), un(Op::Mov, 2, 0), un(c, 2, 0)]),
+            ("mixed widths", vec![un(s, 1, 0), un(Op::CosF64, 2, 0)]),
+            ("first destination is the operand", vec![un(s, 0, 0), un(c, 2, 0)]),
+            ("later destination is the operand", vec![un(s, 1, 0), un(c, 0, 0)]),
+            ("one destination", vec![un(s, 1, 0), un(c, 1, 0)]),
+            ("another operand", vec![un(Op::Mov, 3, 0), un(s, 1, 0), un(c, 2, 3)]),
+            ("two sins", vec![un(s, 1, 0), un(s, 2, 0)]),
+            (
+                "a conditional branch",
+                vec![
+                    inst(Op::SetpLtB32, 3, 0, 0),
+                    un(s, 1, 0),
+                    inst(Op::BraF, 5, 3, 0),
+                    un(c, 2, 0),
+                ],
+            ),
+            (
+                "a fused-through branch",
+                vec![un(s, 1, 0), inst(Op::Bra, 4, 0, 0), ret(), un(c, 2, 0)],
+            ),
+        ];
+        for (what, body) in cases {
+            let mut insts = vec![tid()];
+            insts.extend(body);
+            insts.push(ret());
+            assert_eq!(pairs(insts), (vec![], 2), "{what}");
+        }
+    }
+
+    /// The pair step writes exactly what the two superinstructions write
+    /// one after the other, at both widths, from a varying or a uniform
+    /// operand, at every warp width, and leaves the lanes past `lanes` and
+    /// every other register alone.
+    #[test]
+    fn a_pair_step_writes_what_its_two_halves_write() {
+        let mut rng = SplitMix64::new(0x7219);
+        for (sin, cos, f32_lanes) in
+            [(Op::SinF32, Op::CosF32, true), (Op::SinF64, Op::CosF64, false)]
+        {
+            for a in [2, 3 | UB] {
+                for lanes in LANES {
+                    for _ in 0..8 {
+                        let (u, mut v) = register_files(&mut rng);
+                        let (want_u, mut want_v) = (u.clone(), v.clone());
+                        exec_vector(sin, [0, a, NO_REG], &mut u.clone(), &mut want_v, lanes);
+                        exec_vector(cos, [1, a, NO_REG], &mut u.clone(), &mut want_v, lanes);
+                        trig_pair(&mut v, &u, [0, 1, a], lanes, f32_lanes);
+                        let at = format!("{sin:?} a={a:#x} lanes={lanes}");
+                        assert_eq!(v, want_v, "{at}");
+                        assert_eq!(u, want_u, "{at}");
                     }
                 }
             }

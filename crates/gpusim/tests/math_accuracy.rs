@@ -5,8 +5,9 @@
 //! `floor` must be bit-identical to the host's.
 //!
 //! The `#[ignore]`d sweep covers every one of the 2^32 f32 inputs of each
-//! unary f32 function: `cargo test --release -p safara-gpusim --test
-//! math_accuracy -- --ignored --nocapture`.
+//! unary f32 function, and of the sin/cos pair kernel against `sinf` and
+//! `cosf`: `cargo test --release -p safara-gpusim --test math_accuracy --
+//! --ignored --nocapture`.
 
 use safara_gpusim::math;
 use safara_gpusim::rng::SplitMix64;
@@ -322,4 +323,29 @@ fn exhaustive_f32_sweep() {
             assert!(differ.is_empty(), "floorf must be exact");
         }
     }
+    // The sin/cos pair kernel, over columns of 32 consecutive inputs: both
+    // of its outputs are exactly `sinf` and `cosf` at every input.
+    let start = std::time::Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || {
+                let (lo, hi) = ((t << 32) / threads, ((t + 1) << 32) / threads);
+                let (mut sin, mut cos) = ([0u64; 32], [0u64; 32]);
+                for b0 in (lo..hi).step_by(32) {
+                    let n = (hi - b0).min(32) as usize;
+                    let x: [u64; 32] = std::array::from_fn(|l| (b0 + l as u64) & 0xffff_ffff);
+                    math::sincos_column(true, &mut sin[..n], &mut cos[..n], &x[..n]);
+                    for l in 0..n {
+                        let a = f32::from_bits(x[l] as u32);
+                        let want = [math::sinf(a).to_bits() as u64, math::cosf(a).to_bits() as u64];
+                        assert_eq!([sin[l], cos[l]], want, "sincos({a:e} = {:#010x})", x[l]);
+                    }
+                }
+            });
+        }
+    });
+    println!(
+        "sincos_column: both outputs are sinf and cosf at every input; {:.1} s",
+        start.elapsed().as_secs_f64()
+    );
 }

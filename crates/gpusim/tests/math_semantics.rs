@@ -313,3 +313,164 @@ fn every_math_op_agrees_across_engines_f32() {
 fn every_math_op_agrees_across_engines_f64() {
     check_type(VType::F64);
 }
+
+/// A two-instruction kernel's operand: `sin` and `cos` of one register
+/// run on the lockstep engine as one pair step, unless the register is
+/// redefined between them.
+#[derive(Clone, Copy, Debug)]
+enum PairShape {
+    /// `z = first(x); y = second(x)`
+    Varying,
+    /// `z = first(u); y = second(u)`: a uniform operand into columns that
+    /// vary (`y` and `z` are also written from `x`).
+    Uniform,
+    /// `z = first(x); x = x + x; y = second(x)`: no pair.
+    Redefined,
+}
+
+/// `x = a[gid]; z = x; y = x; z = first(o); [x = x + x;] y = second(o);
+/// out1[gid] = z; out2[gid] = y`, with `o` the shape's operand and
+/// `second` the other of `sin` and `cos`.
+fn pair_kernel(first: MathOp, ty: VType, shape: PairShape) -> KernelVir {
+    let second = if first == MathOp::Sin { MathOp::Cos } else { MathOp::Sin };
+    let o = if let PairShape::Uniform = shape { U } else { X };
+    let size = ty.size_bytes() as i64;
+    let elem_addr = |index| {
+        [
+            Inst::LdParam { ty: VType::B64, d: VReg(5), index },
+            Inst::Alu { op: AluOp::Add, ty: VType::B64, d: VReg(5), a: r(5), b: r(4) },
+        ]
+    };
+    let mut insts = vec![
+        Inst::Special { d: VReg(0), r: SpecialReg::Tid(0) },
+        Inst::Special { d: VReg(1), r: SpecialReg::CtaId(0) },
+        Inst::Special { d: VReg(2), r: SpecialReg::NTid(0) },
+        Inst::Alu { op: AluOp::Mul, ty: VType::B32, d: VReg(1), a: r(1), b: r(2) },
+        Inst::Alu { op: AluOp::Add, ty: VType::B32, d: VReg(3), a: r(0), b: r(1) },
+        Inst::Cvt { dty: VType::B64, d: VReg(4), aty: VType::B32, a: r(3) },
+        Inst::Alu { op: AluOp::Mul, ty: VType::B64, d: VReg(4), a: r(4), b: Operand::ImmI(size) },
+        Inst::LdParam { ty, d: VReg(U), index: 3 },
+    ];
+    insts.extend(elem_addr(0));
+    insts.push(Inst::Ld { space: MemSpace::Global, ty, d: VReg(X), addr: VReg(5) });
+    insts.push(Inst::Mov { ty, d: VReg(Z), a: r(X) });
+    insts.push(Inst::Mov { ty, d: VReg(Y), a: r(X) });
+    insts.push(Inst::Math { op: first, ty, d: VReg(Z), a: r(o), b: None });
+    if let PairShape::Redefined = shape {
+        insts.push(Inst::Alu { op: AluOp::Add, ty, d: VReg(X), a: r(X), b: r(X) });
+    }
+    insts.push(Inst::Math { op: second, ty, d: VReg(Y), a: r(o), b: None });
+    for (index, v) in [(1, Z), (2, Y)] {
+        insts.extend(elem_addr(index));
+        insts.push(Inst::St { space: MemSpace::Global, ty, addr: VReg(5), a: r(v) });
+    }
+    insts.push(Inst::Ret);
+    let mut vregs = vec![VType::B32, VType::B32, VType::B32, VType::B32, VType::B64, VType::B64];
+    vregs.extend([ty; 4]);
+    let params = vec![ParamDecl::Ptr, ParamDecl::Ptr, ParamDecl::Ptr, ParamDecl::Scalar(ty)];
+    KernelVir { name: format!("{first:?}_{second:?}_{ty:?}_{shape:?}"), params, vregs, insts }
+}
+
+/// One launch of a pair kernel on fresh memory: the stats and both
+/// output buffers' lanes.
+fn run_pair(
+    kernel: &KernelVir,
+    ty: VType,
+    grid: u32,
+    block: u32,
+    a: &[u64],
+    u: u64,
+) -> (KernelStats, [Vec<u64>; 2]) {
+    let mut mem = DeviceMemory::new();
+    let mut params = Vec::new();
+    for data in [a, &vec![0; a.len()], &vec![0; a.len()]] {
+        let id = mem.alloc(data.len() * ty.size_bytes() as usize);
+        mem.copy_in(id, &bytes(ty, data));
+        params.push(ParamVal::Ptr(mem.base_addr(id)));
+    }
+    params.push(if ty == VType::F32 {
+        ParamVal::F32(f32::from_bits(u as u32))
+    } else {
+        ParamVal::F64(f64::from_bits(u))
+    });
+    let stats = launch(kernel, &LaunchConfig::d1(grid, block), &params, &mut mem, &[])
+        .expect("launch")
+        .stats;
+    let out = [1, 2].map(|b| lanes_of(ty, &mem.copy_out(BufferId(b))));
+    (stats, out)
+}
+
+/// `x + x` on raw lane bits.
+fn twice(ty: VType, x: u64) -> u64 {
+    if ty == VType::F32 {
+        let a = f32::from_bits(x as u32);
+        (a + a).to_bits() as u64
+    } else {
+        let a = f64::from_bits(x);
+        (a + a).to_bits()
+    }
+}
+
+fn check_pair(first: MathOp, ty: VType, shape: PairShape) {
+    let second = if first == MathOp::Sin { MathOp::Cos } else { MathOp::Sin };
+    let kernel = pair_kernel(first, ty, shape);
+    let under = |engine| ExecOptions::inherit().engine(engine);
+    for (grid, block) in GEOMETRIES {
+        let n = (grid * block) as usize;
+        // Every lane in range; lane 3 of each warp out of range (the
+        // uniform operand too); alternating in-range values and specials.
+        for case in 0u64..3 {
+            let seed = (first as u64) << 8 | (ty as u64) << 4 | case << 1;
+            let mut a = inputs(first, ty, n, if case == 2 { 0 } else { n }, seed);
+            if case == 1 {
+                let lane_3 = |l: usize| l % block as usize % 32 == 3;
+                for (l, v) in a.iter_mut().enumerate().filter(|(l, _)| lane_3(*l)) {
+                    // The first 13 specials are outside both trig fast ranges.
+                    let s = SPECIAL[l % 13];
+                    *v = if ty == VType::F32 {
+                        (f64::from_bits(s) as f32).to_bits() as u64
+                    } else {
+                        s
+                    };
+                }
+            }
+            let u = if case == 1 { a[3] } else { a[n / 2] };
+            let at = format!("{first:?}; {second:?} {ty:?} {shape:?} {grid}×{block} case {case}");
+            let (want_stats, out) =
+                under(Engine::Reference).scope(|| run_pair(&kernel, ty, grid, block, &a, u));
+            for l in 0..n {
+                let x = if let PairShape::Uniform = shape { u } else { a[l] };
+                let y = if let PairShape::Redefined = shape { twice(ty, x) } else { x };
+                let want = [scalar(first, ty, x, 0), scalar(second, ty, y, 0)];
+                assert_eq!([out[0][l], out[1][l]], want, "{at}: lane {l}, operand {x:#x}");
+            }
+            for engine in [Engine::Reference, Engine::Decoded, Engine::Superblock] {
+                for launch_no in 0..2 {
+                    let before = fusion_counters();
+                    let (stats, got) =
+                        under(engine).scope(|| run_pair(&kernel, ty, grid, block, &a, u));
+                    let pairs = fusion_counters().trig_pairs - before.trig_pairs;
+                    let at = format!("{at}, {}, launch {launch_no}", engine.name());
+                    assert_eq!(stats, want_stats, "{at}: stats");
+                    assert_eq!(got, out, "{at}: lanes");
+                    // Every geometry runs a warp past the profiled ones.
+                    let paired =
+                        engine == Engine::Superblock && !matches!(shape, PairShape::Redefined);
+                    assert_eq!(pairs > 0, paired, "{at}: {pairs} pair steps");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sin_and_cos_of_one_operand_agree_across_engines() {
+    let _turn = exclusive();
+    for ty in [VType::F32, VType::F64] {
+        for first in [MathOp::Sin, MathOp::Cos] {
+            for shape in [PairShape::Varying, PairShape::Uniform, PairShape::Redefined] {
+                check_pair(first, ty, shape);
+            }
+        }
+    }
+}

@@ -246,6 +246,7 @@ pub fn run_function<'k>(
             tracer.meta_int("sb_hoisted", (fc.hoisted - before.hoisted) as i64);
             tracer.meta_int("sb_scalar_execs", (fc.scalar_execs - before.scalar_execs) as i64);
             tracer.meta_int("sb_vector_execs", (fc.vector_execs - before.vector_execs) as i64);
+            tracer.meta_int("sb_trig_pairs", (fc.trig_pairs - before.trig_pairs) as i64);
             tracer.meta_int("sb_peels", (fc.peels - before.peels) as i64);
             tracer.meta_int(
                 "sb_groups_accounted",

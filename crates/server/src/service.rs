@@ -652,6 +652,7 @@ fn stats_line_for(shared: &EngineShared, queue_len: usize, id: Option<i64>) -> S
             ("peels", Json::Int(fc.peels as i64)),
             ("groups_accounted", Json::Int(fc.groups_accounted as i64)),
             ("lane_events_logged", Json::Int(fc.lane_events_logged as i64)),
+            ("trig_pairs", Json::Int(fc.trig_pairs as i64)),
         ]),
     ));
     if !shared.faults.is_inert() {

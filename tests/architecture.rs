@@ -117,8 +117,9 @@ fn item<'a>(src: &'a str, head: &str) -> &'a str {
 
 #[test]
 fn lockstep_reads_operands_in_place() {
-    // The ALU, compare, convert and math lane loops borrow their operand columns where
-    // they are. Only a load that overwrites its address register and an atomic copy one.
+    // The ALU, compare, convert and math lane loops, and the sin/cos pair step, borrow their
+    // operand columns where they are. Only a load that overwrites its address register and an
+    // atomic copy one.
     let superblock = read("crates/gpusim/src/superblock.rs");
     let src = superblock.split("\n#[cfg(test)]").next().unwrap();
     let copies = ["fetch!(", "copy_from_slice", "= v[", "; WARP_SIZE]"];
@@ -130,6 +131,9 @@ fn lockstep_reads_operands_in_place() {
         "macro_rules! vb ",
         "macro_rules! vcmp ",
         "macro_rules! vmath ",
+        "fn math_lanes(",
+        "fn trig_pair(",
+        "Ctl::Pair { sin, cos, a, f32_lanes, cls, spill } =>",
     ] {
         let body = item(src, head);
         let found: Vec<_> = copies.iter().filter(|c| body.contains(*c)).collect();
